@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"manetp2p/internal/checkpoint"
 	"manetp2p/internal/stats"
 	"manetp2p/internal/telemetry"
 )
@@ -42,17 +43,17 @@ func (r *InvariantReport) OK() bool { return r == nil || r.Violations == 0 }
 func invariantReport(sc Scenario, reps []*repResult) *InvariantReport {
 	rep := &InvariantReport{}
 	for i, rr := range reps {
-		if !rr.checked {
+		if !rr.Checked {
 			continue
 		}
 		rep.Replications++
-		rep.Violations += rr.violTotal
-		if rr.violTotal > 0 {
+		rep.Violations += rr.ViolTotal
+		if rr.ViolTotal > 0 {
 			rep.PerReplication = append(rep.PerReplication, ReplicationViolations{
 				Replication: i,
 				Seed:        sc.Seed + int64(i),
-				Total:       rr.violTotal,
-				Violations:  rr.violations,
+				Total:       rr.ViolTotal,
+				Violations:  rr.Violations,
 			})
 		}
 	}
@@ -74,24 +75,31 @@ type SelfAuditReport struct {
 	// plane's conservation law (one sample per replication, or per node
 	// per replication, depending on the section).
 	PooledN bool
+	// StepIndependent: replication 0 stepped to the horizon in eight
+	// Simulation.Step segments reached the same state digest
+	// (checkpoint.Fingerprint) as one stepped there in a single call —
+	// segmenting a run does not perturb it.
+	StepIndependent bool
 	// Invariants carries the instrumented base run's checker findings.
 	Invariants *InvariantReport
-	// Detail describes the first fingerprint or pooled-N mismatch, when
-	// any.
+	// Detail describes the first fingerprint, pooled-N or state-digest
+	// mismatch, when any.
 	Detail string
 }
 
 // OK reports whether the audit passed outright.
 func (r *SelfAuditReport) OK() bool {
-	return r.Deterministic && r.ScheduleIndependent && r.PooledN && r.Invariants.OK()
+	return r.Deterministic && r.ScheduleIndependent && r.PooledN && r.StepIndependent && r.Invariants.OK()
 }
 
 // SelfAudit runs the scenario's invariant suite and determinism audit:
 // the scenario executes three times — instrumented base run, identical
 // rerun, serial (Workers=1) run — and the Results are compared as
-// canonical JSON with the Workers knob normalized out. The invariant
-// checker is forced on for all three. Expect three full scenario runs'
-// worth of wall-clock; size the scenario accordingly.
+// canonical JSON with the Workers knob normalized out; replication 0
+// then runs twice more, straight and in segments, and the two final
+// state digests are compared. The invariant checker is forced on
+// throughout. Expect a little over three full scenario runs' worth of
+// wall-clock; size the scenario accordingly.
 func SelfAudit(sc Scenario) (*SelfAuditReport, error) {
 	inv := InvariantConfig{Enabled: true}
 	if sc.Invariants != nil {
@@ -128,11 +136,22 @@ func SelfAudit(sc Scenario) (*SelfAuditReport, error) {
 		return nil, err
 	}
 
+	straight, err := stepDigest(sc, 1)
+	if err != nil {
+		return nil, err
+	}
+	const segments = 8
+	stepped, err := stepDigest(sc, segments)
+	if err != nil {
+		return nil, err
+	}
+
 	pooledN := auditPooledN(base)
 	rep := &SelfAuditReport{
 		Deterministic:       bytes.Equal(fpBase, fpAgain),
 		ScheduleIndependent: bytes.Equal(fpBase, fpOne),
 		PooledN:             pooledN == "",
+		StepIndependent:     straight == stepped,
 		Invariants:          base.Invariants,
 	}
 	switch {
@@ -142,8 +161,25 @@ func SelfAudit(sc Scenario) (*SelfAuditReport, error) {
 		rep.Detail = diffDetail("serial run", fpBase, fpOne)
 	case !rep.PooledN:
 		rep.Detail = pooledN
+	case !rep.StepIndependent:
+		rep.Detail = fmt.Sprintf("state digest %016x after %d Step segments, %016x after a single Step", stepped, segments, straight)
 	}
 	return rep, nil
+}
+
+// stepDigest runs replication 0 to the horizon through the public
+// stepping API, in the given number of Step calls, and returns the
+// state digest it ends in.
+func stepDigest(sc Scenario, steps int) (uint64, error) {
+	s, err := NewSimulation(sc)
+	if err != nil {
+		return 0, err
+	}
+	for i := 1; i < steps; i++ {
+		s.Step(sc.Duration / Duration(steps))
+	}
+	s.Step(sc.Duration - s.Now())
+	return checkpoint.Fingerprint(s.Net), nil
 }
 
 // auditPooledN checks the telemetry plane's pooled-sample conservation

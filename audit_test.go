@@ -119,6 +119,9 @@ func TestSelfAuditPasses(t *testing.T) {
 	if !rep.PooledN {
 		t.Errorf("pooled-N conservation audit failed: %s", rep.Detail)
 	}
+	if !rep.StepIndependent {
+		t.Errorf("state-digest audit failed: %s", rep.Detail)
+	}
 	if !rep.Invariants.OK() {
 		t.Errorf("invariant violations during self-audit: %+v", rep.Invariants)
 	}

@@ -1,5 +1,7 @@
 #!/bin/sh
-# Repository health check: format, vet, full tests, quick bench smoke.
+# Repository health check: format, vet, full tests (the benchmark
+# module's own included), a 10 s fuzz smoke of the checkpoint container
+# reader, quick bench smoke.
 #
 # `./check.sh bench` instead runs the tracked benchmark suite, writes
 # the machine-readable report (see cmd/bench), and gates it against the
@@ -18,10 +20,13 @@
 #
 # `./check.sh checkpoint` runs the full golden-fixture checkpoint
 # round-trip: every committed fixture (including testdata/golden/
-# workload.json) is checkpointed at its midpoint, resumed in a fresh
-# process, and the resumed report must match the fixture byte for byte.
-# Set MANETP2P_CKPT_ARTIFACT to a directory to keep the mid-run workload
-# checkpoint (CI uploads it as an artifact).
+# workload.json) is run with a checkpoint, the file a process killed
+# after the first replication leaves behind is resumed in a fresh
+# process (the one-replication routing fixtures load their finished
+# file), and the resumed report must match the fixture byte for byte.
+# Set MANETP2P_CKPT_ARTIFACT to a directory to keep the partial workload
+# checkpoint — one of two replications stored (CI uploads it as an
+# artifact).
 set -e
 cd "$(dirname "$0")"
 
@@ -92,6 +97,17 @@ echo ok
 
 echo "== go test =="
 go test ./...
+
+# The benchmark is its own module (benchmark/go.mod), so ./... above
+# does not reach it. Its tests replay a golden fixture through the root
+# package and fold profile stacks by root-package function names, so
+# they gate root-package refactors.
+echo "== benchmark module: go vet + go test =="
+go vet -C benchmark ./...
+go test -C benchmark ./...
+
+echo "== fuzz smoke (checkpoint container reader, 10s) =="
+go test -run '^$' -fuzz FuzzRead -fuzztime 10s ./internal/checkpoint
 
 echo "== go test -race (sim core, fault injection, workload, root) =="
 go test -race ./internal/sim ./internal/fault ./internal/workload .

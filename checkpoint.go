@@ -6,286 +6,115 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"io/fs"
 	"strconv"
 	"sync"
 
 	"manetp2p/internal/checkpoint"
-	"manetp2p/internal/netif"
-	"manetp2p/internal/sim"
-	"manetp2p/internal/telemetry"
-	"manetp2p/internal/workload"
 )
 
 // This file wires internal/checkpoint into the runner: a scenario run
-// can persist its progress to one checkpoint file and a later process
-// can resume it, producing a report byte-identical to the uninterrupted
-// run (DESIGN.md §11).
-//
-// Restore is replay-based: completed replications are serialized in
-// full (their measurement payloads travel in the file), while an
-// in-flight replication is recorded as a cursor — its boundary time
-// plus a state digest — and is deterministically re-executed from its
-// seed up to that boundary on resume. The digest must match before the
-// resumed process is allowed to continue past the cursor; any
-// determinism drift (the class of bug the peer-cache eviction fix in
-// this PR removed) fails the resume loudly instead of silently forking
-// the results.
-
-// ErrHalted is returned by RunCheckpointed and ResumeCheckpoint when
-// the run stopped at CheckpointConfig.HaltAt with work remaining; the
-// checkpoint file holds everything needed to resume.
-var ErrHalted = errors.New("manetp2p: run halted at checkpoint boundary (resume to continue)")
+// persists every finished replication to one checkpoint file, and a
+// later call — in this process or a new one — loads those replications
+// instead of executing them and runs only the rest, producing a report
+// byte-identical to the uninterrupted run (DESIGN.md §11). A replication
+// that was in flight when the process died runs again from its seed.
 
 // CheckpointConfig parameterizes a checkpointed run.
 type CheckpointConfig struct {
-	// Path is the checkpoint file, written atomically at every boundary.
+	// Path is the checkpoint file, rewritten atomically each time a
+	// replication finishes.
 	Path string
-	// Every is the boundary spacing; 0 falls back to
-	// Scenario.CheckpointEvery, then Duration/8. Boundaries land on
-	// multiples of Every from t=0, so an interrupted and a restarted run
-	// agree about where checkpoints live.
-	Every Duration
-	// HaltAt > 0 stops every replication at that simulated time (after
-	// persisting a cursor) and makes the run return ErrHalted — the
-	// programmatic form of being preempted, used by -halt and the
-	// round-trip tests.
-	HaltAt Duration
 	// Sink, when non-nil, receives the streamed telemetry time series
 	// once the run completes, exactly as RunWithMetrics would emit it.
-	// Not closed; nothing is streamed on a halt.
+	// Not closed.
 	Sink MetricsSink
 }
 
-// replicationRecord mirrors repResult with exported fields so a
-// completed replication's measurements can travel through gob into the
-// checkpoint file and back without loss.
-type replicationRecord struct {
-	Requests   []telemetry.Request
-	Series     [telemetry.NumClasses][]float64
-	Totals     [telemetry.NumClasses][]float64
-	RxFrames   []float64
-	TxFrames   []float64
-	Clust      []float64
-	PathLen    []float64
-	Largest    []float64
-	MeanDeg    []float64
-	Alive      []float64
-	DegSeries  []float64
-	ConnRate   []float64
-	QueryRate  []float64
-	Deaths     float64
-	Energy     []float64
-	Lifetimes  []float64
-	Health     []telemetry.HealthSample
-	Routing    []netif.Stats
-	Members    int
-	Checked    bool
-	ViolTotal  int
-	Violations []InvariantViolation
-	Workload   *workload.Telemetry
-	Churnit    float64
-}
-
-func recordOf(rr repResult) replicationRecord {
-	return replicationRecord{
-		Requests: rr.requests, Series: rr.series, Totals: rr.totals,
-		RxFrames: rr.rxFrames, TxFrames: rr.txFrames,
-		Clust: rr.clust, PathLen: rr.pathLen, Largest: rr.largest, MeanDeg: rr.meanDeg,
-		Alive: rr.alive, DegSeries: rr.degSeries,
-		ConnRate: rr.connRate, QueryRate: rr.queryRate,
-		Deaths: rr.deaths, Energy: rr.energy, Lifetimes: rr.lifetimes,
-		Health: rr.health, Routing: rr.routing, Members: rr.members,
-		Checked: rr.checked, ViolTotal: rr.violTotal, Violations: rr.violations,
-		Workload: rr.workload, Churnit: rr.churnit,
-	}
-}
-
-func (rec replicationRecord) repResult() repResult {
-	return repResult{
-		requests: rec.Requests, series: rec.Series, totals: rec.Totals,
-		rxFrames: rec.RxFrames, txFrames: rec.TxFrames,
-		clust: rec.Clust, pathLen: rec.PathLen, largest: rec.Largest, meanDeg: rec.MeanDeg,
-		alive: rec.Alive, degSeries: rec.DegSeries,
-		connRate: rec.ConnRate, queryRate: rec.QueryRate,
-		deaths: rec.Deaths, energy: rec.Energy, lifetimes: rec.Lifetimes,
-		health: rec.Health, routing: rec.Routing, members: rec.Members,
-		checked: rec.Checked, violTotal: rec.ViolTotal, violations: rec.Violations,
-		workload: rec.Workload, churnit: rec.Churnit,
-	}
-}
-
-func encodeRecord(rec replicationRecord) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return nil, fmt.Errorf("manetp2p: encoding replication record: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeRecord(data []byte) (replicationRecord, error) {
-	var rec replicationRecord
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
-		return rec, fmt.Errorf("manetp2p: decoding replication record: %w", err)
-	}
-	return rec, nil
-}
-
-// ckptCursor pins one in-flight replication: resume re-executes it from
-// its seed to At and must reproduce Fired and Digest exactly.
-type ckptCursor struct {
-	Rep    int    `json:"rep"`
-	At     int64  `json:"at"` // sim.Time ticks
-	Fired  uint64 `json:"fired"`
-	Digest string `json:"digest"` // %016x state fingerprint
-}
-
 // ckptHeader is the checkpoint file's JSON header — self-describing
-// enough for tooling (and cmd/sweep's done/mismatch probes) without
-// decoding any section.
+// enough for tooling without decoding any section. It is decoded
+// leniently: a PR-8-era header still carries a "cursors" array for its
+// in-flight replications, which is ignored (they run from their seed).
 type ckptHeader struct {
 	Kind      string          `json:"kind"`
 	Scenario  json.RawMessage `json:"scenario"`
 	Total     int             `json:"replications"`
 	Completed []int           `json:"completed"`
-	Cursors   []ckptCursor    `json:"cursors,omitempty"`
 	Done      bool            `json:"done"`
+
+	sc Scenario // Scenario, decoded and validated by readCkptHeader
 }
 
 const ckptKind = "manetp2p-run"
-
-// ckptState is the mutable, mutex-guarded progress shared by the
-// replication workers of one checkpointed run; persist snapshots it to
-// disk atomically.
-type ckptState struct {
-	mu       sync.Mutex
-	path     string
-	scenario json.RawMessage
-	total    int
-	records  map[int][]byte // gob-encoded completed replications
-	cursors  map[int]ckptCursor
-	done     bool
-}
-
-func newCkptState(path string, scenario []byte, total int) *ckptState {
-	return &ckptState{
-		path: path, scenario: scenario, total: total,
-		records: map[int][]byte{}, cursors: map[int]ckptCursor{},
-	}
-}
-
-// persist writes the current progress to the checkpoint file.
-func (st *ckptState) persist() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	hdr := ckptHeader{
-		Kind: ckptKind, Scenario: st.scenario, Total: st.total, Done: st.done,
-		Completed: make([]int, 0, len(st.records)),
-	}
-	f := &checkpoint.File{Sections: make(map[string][]byte, len(st.records)+1)}
-	// The telemetry plane's shape travels with the run: resume refuses a
-	// checkpoint whose section registry differs from this binary's.
-	f.Sections[telemetrySectionName] = sections.Manifest()
-	for rep, data := range st.records { // sorted below: byte-stable headers
-		hdr.Completed = append(hdr.Completed, rep)
-		f.Sections[sectionName(rep)] = data
-	}
-	sort.Ints(hdr.Completed)
-	for _, c := range st.cursors {
-		hdr.Cursors = append(hdr.Cursors, c)
-	}
-	sort.Slice(hdr.Cursors, func(i, j int) bool { return hdr.Cursors[i].Rep < hdr.Cursors[j].Rep })
-	hb, err := json.Marshal(hdr)
-	if err != nil {
-		return fmt.Errorf("manetp2p: encoding checkpoint header: %w", err)
-	}
-	f.Header = hb
-	return checkpoint.Write(st.path, f)
-}
-
-func (st *ckptState) setCursor(c ckptCursor) error {
-	st.mu.Lock()
-	st.cursors[c.Rep] = c
-	st.mu.Unlock()
-	return st.persist()
-}
-
-func (st *ckptState) complete(rep int, data []byte) error {
-	st.mu.Lock()
-	st.records[rep] = data
-	delete(st.cursors, rep)
-	st.mu.Unlock()
-	return st.persist()
-}
-
-func sectionName(rep int) string { return "rep/" + strconv.Itoa(rep) }
 
 // telemetrySectionName is the checkpoint section holding the telemetry
 // registry's manifest (section names in registration order).
 const telemetrySectionName = "telemetry/manifest"
 
-// checkpointEvery resolves the boundary spacing: explicit config, then
-// the scenario default, then an eighth of the horizon.
-func checkpointEvery(sc Scenario, cfg CheckpointConfig) Duration {
-	switch {
-	case cfg.Every > 0:
-		return cfg.Every
-	case sc.CheckpointEvery > 0:
-		return sc.CheckpointEvery
-	default:
-		return sc.Duration / 8
-	}
+func sectionName(rep int) string { return "rep/" + strconv.Itoa(rep) }
+
+// writeCheckpoint is checkpoint.Write; a variable only so a test can
+// count the writes of a run.
+var writeCheckpoint = checkpoint.Write
+
+// ckptState is the progress of one checkpointed run, shared by its
+// replication workers.
+type ckptState struct {
+	path   string
+	hdr    ckptHeader         // Completed and Done are filled in per write
+	loaded map[int]*repResult // replications read from the file; read-only
+
+	mu      sync.Mutex
+	records map[int][]byte // gob-encoded finished replications
 }
 
-// nextStop returns the first stop after now: the next multiple of
-// every, HaltAt, or the horizon, whichever comes first.
-func nextStop(now, every, haltAt, horizon sim.Time) sim.Time {
-	next := horizon
-	if every > 0 {
-		if b := (now/every + 1) * every; b < next {
-			next = b
+// store records a finished replication and rewrites the file.
+func (st *ckptState) store(rep int, rr *repResult) error {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(rr); err != nil {
+		return fmt.Errorf("manetp2p: encoding replication %d: %w", rep, err)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.records[rep] = buf.Bytes()
+	return st.persist(false)
+}
+
+// finish marks the run complete and rewrites the file.
+func (st *ckptState) finish() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.persist(true)
+}
+
+// persist writes the current progress to the checkpoint file. The
+// caller holds st.mu, which also orders the writes: a later snapshot is
+// never overwritten by an earlier one.
+func (st *ckptState) persist(done bool) error {
+	hdr := st.hdr
+	hdr.Done, hdr.Completed = done, make([]int, 0, len(st.records))
+	f := &checkpoint.File{Sections: make(map[string][]byte, len(st.records)+1)}
+	// The telemetry plane's shape travels with the run: resume refuses a
+	// checkpoint whose section registry differs from this binary's.
+	f.Sections[telemetrySectionName] = sections.Manifest()
+	for rep := 0; rep < hdr.Total; rep++ { // ascending: byte-stable headers
+		if data, ok := st.records[rep]; ok {
+			hdr.Completed = append(hdr.Completed, rep)
+			f.Sections[sectionName(rep)] = data
 		}
 	}
-	if haltAt > now && haltAt < next {
-		next = haltAt
+	hb, err := json.Marshal(hdr)
+	if err != nil {
+		return fmt.Errorf("manetp2p: encoding checkpoint header: %w", err)
 	}
-	return next
+	f.Header = hb
+	return writeCheckpoint(st.path, f)
 }
 
-// RunCheckpointed executes the scenario like Run while persisting
-// progress to cfg.Path at every boundary. With a zero cfg.HaltAt it
-// returns exactly what Run returns (checkpoint boundaries only segment
-// Sim.Run, which is behavior-neutral); with HaltAt set it stops there
-// and returns (nil, ErrHalted) once every replication has either
-// finished or written its cursor.
-func (p *Pool) RunCheckpointed(sc Scenario, cfg CheckpointConfig) (*Result, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Path == "" {
-		return nil, errors.New("manetp2p: CheckpointConfig.Path is empty")
-	}
-	scJSON, err := MarshalJSONScenario(sc)
-	if err != nil {
-		return nil, err
-	}
-	st := newCkptState(cfg.Path, scJSON, sc.Replications)
-	return p.driveCheckpointed(sc, cfg, st, nil, nil)
-}
-
-// ResumeCheckpoint picks a checkpointed run back up from path: the
-// scenario comes from the file, completed replications are loaded
-// without re-execution, and each in-flight replication is replayed from
-// its seed to its cursor — where the state digest must match the
-// recorded one — before running on to the horizon. cfg.Path is ignored
-// (progress keeps going to the same file); cfg.Every and cfg.HaltAt
-// work as in RunCheckpointed.
-func (p *Pool) ResumeCheckpoint(path string, cfg CheckpointConfig) (*Result, error) {
-	f, err := checkpoint.Read(path)
-	if err != nil {
-		return nil, err
-	}
-	sc, hdr, err := decodeCkptHeader(path, f.Header)
+// readCkptState loads the checkpoint at path: the scenario, and every
+// completed replication decoded from its section.
+func readCkptState(path string) (*ckptState, error) {
+	f, hdr, err := readCkptHeader(path)
 	if err != nil {
 		return nil, err
 	}
@@ -296,182 +125,121 @@ func (p *Pool) ResumeCheckpoint(path string, cfg CheckpointConfig) (*Result, err
 	if err := sections.CheckManifest(manifest); err != nil {
 		return nil, fmt.Errorf("manetp2p: checkpoint %s: %w — the telemetry plane changed between the writing and resuming binaries", path, err)
 	}
-	st := newCkptState(path, hdr.Scenario, hdr.Total)
-	preloaded := make(map[int]repResult, len(hdr.Completed))
+	st := &ckptState{
+		path: path, hdr: *hdr,
+		loaded:  make(map[int]*repResult, len(hdr.Completed)),
+		records: make(map[int][]byte, len(hdr.Completed)),
+	}
 	for _, rep := range hdr.Completed {
 		data, ok := f.Sections[sectionName(rep)]
 		if !ok {
 			return nil, fmt.Errorf("manetp2p: checkpoint %s: header lists replication %d complete but section %q is missing", path, rep, sectionName(rep))
 		}
-		rec, err := decodeRecord(data)
-		if err != nil {
-			return nil, fmt.Errorf("manetp2p: checkpoint %s: replication %d: %w", path, rep, err)
+		rr := new(repResult)
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(rr); err != nil {
+			return nil, fmt.Errorf("manetp2p: checkpoint %s: decoding replication %d: %w", path, rep, err)
 		}
-		preloaded[rep] = rec.repResult()
+		st.loaded[rep] = rr
 		st.records[rep] = data
 	}
-	cursors := make(map[int]ckptCursor, len(hdr.Cursors))
-	for _, c := range hdr.Cursors {
-		if c.Rep < 0 || c.Rep >= hdr.Total {
-			return nil, fmt.Errorf("manetp2p: checkpoint %s: cursor for out-of-range replication %d", path, c.Rep)
-		}
-		cursors[c.Rep] = c
-		st.cursors[c.Rep] = c
-	}
-	return p.driveCheckpointed(sc, cfg, st, preloaded, cursors)
+	return st, nil
 }
 
-// driveCheckpointed is the shared engine under RunCheckpointed and
-// ResumeCheckpoint: it runs every replication not already in preloaded
-// under the pool's worker budget, persisting boundaries through st.
-func (p *Pool) driveCheckpointed(sc Scenario, cfg CheckpointConfig, st *ckptState, preloaded map[int]repResult, cursors map[int]ckptCursor) (*Result, error) {
-	every := checkpointEvery(sc, cfg)
-	var local chan struct{}
-	if sc.Workers > 0 {
-		local = make(chan struct{}, sc.Workers)
-	}
-	reps := make([]repResult, sc.Replications)
-	halted := make([]bool, sc.Replications)
-	var wg sync.WaitGroup
-	for r := 0; r < sc.Replications; r++ {
-		if rr, ok := preloaded[r]; ok {
-			reps[r] = rr
-			continue
-		}
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			if local != nil {
-				local <- struct{}{}
-				defer func() { <-local }()
-			}
-			p.slots <- struct{}{}
-			defer func() { <-p.slots }()
-			cur, resume := cursors[r]
-			reps[r], halted[r] = runRepCheckpointed(sc, r, st, every, cfg.HaltAt, cur, resume)
-		}(r)
-	}
-	wg.Wait()
-
-	for _, rr := range reps {
-		if rr.err != nil {
-			return nil, rr.err
-		}
-	}
-	for _, h := range halted {
-		if h {
-			return nil, fmt.Errorf("%w: %s", ErrHalted, st.path)
-		}
-	}
-	st.mu.Lock()
-	st.done = true
-	st.mu.Unlock()
-	if err := st.persist(); err != nil {
+// RunCheckpointed executes the scenario like Run, and returns exactly
+// what Run returns, while persisting every finished replication to
+// cfg.Path. If the file already exists it must hold a checkpoint of the
+// same scenario — anything else is an error and leaves the file
+// untouched — and its completed replications are loaded instead of
+// executed, so re-running an interrupted command continues it.
+func (p *Pool) RunCheckpointed(sc Scenario, cfg CheckpointConfig) (*Result, error) {
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	res := aggregate(sc, reps)
-	streamMetrics(sc, reps, cfg.Sink)
-	return res, nil
+	if cfg.Path == "" {
+		return nil, errors.New("manetp2p: CheckpointConfig.Path is empty")
+	}
+	want, err := MarshalJSONScenario(sc)
+	if err != nil {
+		return nil, err
+	}
+	st, err := readCkptState(cfg.Path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		st = &ckptState{
+			path:    cfg.Path,
+			hdr:     ckptHeader{Kind: ckptKind, Scenario: want, Total: sc.Replications, sc: sc},
+			records: make(map[int][]byte, sc.Replications),
+		}
+	case err != nil:
+		return nil, err
+	default:
+		have, err := MarshalJSONScenario(st.hdr.sc)
+		if err != nil {
+			return nil, err
+		}
+		if !bytes.Equal(want, have) {
+			return nil, fmt.Errorf("manetp2p: checkpoint %s was written for a different scenario; delete it or use another path", cfg.Path)
+		}
+	}
+	return p.run(sc, st, cfg.Sink)
 }
 
-// runRepCheckpointed executes one replication in boundary-sized
-// segments. With a resume cursor it first replays to the cursor and
-// verifies the state digest; a mismatch means the replay diverged from
-// the run that wrote the checkpoint — a determinism bug, not a
-// recoverable condition — and fails the replication.
-func runRepCheckpointed(sc Scenario, rep int, st *ckptState, every, haltAt Duration, cur ckptCursor, resume bool) (repResult, bool) {
-	r, err := startReplication(sc, rep)
+// ResumeCheckpoint continues the checkpointed run stored at path: the
+// scenario comes from the file, completed replications are loaded
+// without re-execution and the rest run from their seeds. Progress
+// keeps going to the same file; cfg.Path is ignored.
+func (p *Pool) ResumeCheckpoint(path string, cfg CheckpointConfig) (*Result, error) {
+	st, err := readCkptState(path)
 	if err != nil {
-		return repResult{err: err}, false
+		return nil, err
 	}
-	now := sim.Time(0)
-	if resume {
-		at := sim.Time(cur.At)
-		r.runTo(at)
-		now = at
-		fp := checkpoint.Fingerprint(r.net)
-		if got := fmt.Sprintf("%016x", fp); got != cur.Digest || r.net.Sim.Fired() != cur.Fired {
-			return repResult{err: fmt.Errorf(
-				"manetp2p: resume: replication %d diverged from its checkpoint at t=%v: digest %s (%d events fired) vs recorded %s (%d) — the replay is not reproducing the original run; the binary, scenario or an undetected nondeterminism changed",
-				rep, at, got, r.net.Sim.Fired(), cur.Digest, cur.Fired)}, false
-		}
-	}
-	for now < sc.Duration {
-		t := nextStop(now, every, haltAt, sc.Duration)
-		r.runTo(t)
-		now = t
-		if now >= sc.Duration {
-			break
-		}
-		c := ckptCursor{
-			Rep: rep, At: int64(now), Fired: r.net.Sim.Fired(),
-			Digest: fmt.Sprintf("%016x", checkpoint.Fingerprint(r.net)),
-		}
-		if err := st.setCursor(c); err != nil {
-			return repResult{err: err}, false
-		}
-		if haltAt > 0 && now == haltAt {
-			return repResult{}, true
-		}
-	}
-	rr := r.finish()
-	if rr.err != nil {
-		return rr, false
-	}
-	data, err := encodeRecord(recordOf(rr))
-	if err != nil {
-		rr.err = err
-		return rr, false
-	}
-	if err := st.complete(rep, data); err != nil {
-		rr.err = err
-		return rr, false
-	}
-	return rr, false
+	return p.run(st.hdr.sc, st, cfg.Sink)
 }
 
-// CheckpointInfo summarizes a checkpoint file without decoding its
-// payload sections — what tooling and the sweep driver need to decide
-// whether a grid point is done, resumable, or belongs to a different
-// scenario.
+// CheckpointInfo summarizes a checkpoint file's header.
 type CheckpointInfo struct {
 	Scenario  Scenario
 	Done      bool
-	Total     int          // replications in the scenario
-	Completed []int        // replication indices finished and stored
-	Cursors   []ckptCursor // in-flight replications, ascending rep
+	Total     int   // replications in the scenario
+	Completed []int // replication indices finished and stored
 }
 
-// InspectCheckpoint reads only the header of the checkpoint at path.
+// InspectCheckpoint verifies the checkpoint at path and reports its
+// header, decoding no replication.
 func InspectCheckpoint(path string) (*CheckpointInfo, error) {
-	hb, err := checkpoint.ReadHeader(path)
+	_, hdr, err := readCkptHeader(path)
 	if err != nil {
 		return nil, err
 	}
-	sc, hdr, err := decodeCkptHeader(path, hb)
-	if err != nil {
-		return nil, err
-	}
-	return &CheckpointInfo{
-		Scenario: sc, Done: hdr.Done, Total: hdr.Total,
-		Completed: hdr.Completed, Cursors: hdr.Cursors,
-	}, nil
+	return &CheckpointInfo{Scenario: hdr.sc, Done: hdr.Done, Total: hdr.Total, Completed: hdr.Completed}, nil
 }
 
-func decodeCkptHeader(path string, raw []byte) (Scenario, ckptHeader, error) {
-	var hdr ckptHeader
-	if err := json.Unmarshal(raw, &hdr); err != nil {
-		return Scenario{}, hdr, fmt.Errorf("manetp2p: checkpoint %s: header: %w", path, err)
+// readCkptHeader reads and verifies the checkpoint at path and decodes
+// and validates its header; everything in it comes from disk.
+func readCkptHeader(path string) (*checkpoint.File, *ckptHeader, error) {
+	f, err := checkpoint.Read(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	hdr := new(ckptHeader)
+	if err := json.Unmarshal(f.Header, hdr); err != nil {
+		return nil, nil, fmt.Errorf("manetp2p: checkpoint %s: header: %w", path, err)
 	}
 	if hdr.Kind != ckptKind {
-		return Scenario{}, hdr, fmt.Errorf("manetp2p: checkpoint %s: kind %q, want %q", path, hdr.Kind, ckptKind)
+		return nil, nil, fmt.Errorf("manetp2p: checkpoint %s: kind %q, want %q", path, hdr.Kind, ckptKind)
 	}
-	sc, err := UnmarshalJSONScenario(hdr.Scenario)
-	if err != nil {
-		return Scenario{}, hdr, fmt.Errorf("manetp2p: checkpoint %s: scenario: %w", path, err)
+	if hdr.sc, err = UnmarshalJSONScenario(hdr.Scenario); err != nil {
+		return nil, nil, fmt.Errorf("manetp2p: checkpoint %s: scenario: %w", path, err)
 	}
-	if hdr.Total != sc.Replications {
-		return Scenario{}, hdr, fmt.Errorf("manetp2p: checkpoint %s: header says %d replications, scenario says %d", path, hdr.Total, sc.Replications)
+	if hdr.Total != hdr.sc.Replications {
+		return nil, nil, fmt.Errorf("manetp2p: checkpoint %s: header says %d replications, scenario says %d", path, hdr.Total, hdr.sc.Replications)
 	}
-	return sc, hdr, nil
+	seen := make(map[int]bool, len(hdr.Completed))
+	for _, rep := range hdr.Completed {
+		if rep < 0 || rep >= hdr.Total || seen[rep] {
+			return nil, nil, fmt.Errorf("manetp2p: checkpoint %s: header lists replication %d complete, which is outside [0,%d) or listed twice", path, rep, hdr.Total)
+		}
+		seen[rep] = true
+	}
+	return f, hdr, nil
 }

@@ -3,12 +3,12 @@ package manetp2p
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"manetp2p/internal/checkpoint"
@@ -16,7 +16,7 @@ import (
 	"manetp2p/internal/sim"
 )
 
-// ckptGolden gates the full 21-fixture fresh-process round-trip (about
+// ckptGolden gates the full 22-fixture fresh-process round-trip (about
 // as expensive as the golden suite itself); ./check.sh checkpoint runs
 // it. The cheap always-on variants below cover the same machinery.
 var ckptGolden = flag.Bool("ckpt-golden", false,
@@ -42,14 +42,88 @@ func ckptScenario() Scenario {
 	return sc
 }
 
-// A checkpointed run that is never interrupted must return exactly what
-// the plain runner returns: boundaries only segment Sim.Run.
+// countCheckpointWrites counts every checkpoint.Write the package makes
+// until the test ends.
+func countCheckpointWrites(t *testing.T) *atomic.Int64 {
+	t.Helper()
+	var n atomic.Int64
+	writeCheckpoint = func(path string, f *checkpoint.File) error {
+		n.Add(1)
+		return checkpoint.Write(path, f)
+	}
+	t.Cleanup(func() { writeCheckpoint = checkpoint.Write })
+	return &n
+}
+
+// killedAfter derives, from the finished checkpoint at path, the file a
+// process killed after its first k replications completed leaves
+// behind: those k records, done=false. It returns the new file's path.
+func killedAfter(t *testing.T, path string, k int) string {
+	t.Helper()
+	f, err := checkpoint.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := decodeHeaderMap(t, f.Header)
+	total := int(hdr["replications"].(float64))
+	if len(hdr["completed"].([]any)) != total || hdr["done"] != true {
+		t.Fatalf("killedAfter: %s is not a finished checkpoint", path)
+	}
+	completed := make([]int, k)
+	for rep := 0; rep < total; rep++ {
+		if rep < k {
+			completed[rep] = rep
+		} else {
+			delete(f.Sections, sectionName(rep))
+		}
+	}
+	hdr["completed"], hdr["done"] = completed, false
+	f.Header = encodeHeaderMap(t, hdr)
+	partial := filepath.Join(t.TempDir(), "killed.ckpt")
+	if err := checkpoint.Write(partial, f); err != nil {
+		t.Fatal(err)
+	}
+	return partial
+}
+
+func decodeHeaderMap(t *testing.T, raw []byte) map[string]any {
+	t.Helper()
+	var hdr map[string]any
+	if err := json.Unmarshal(raw, &hdr); err != nil {
+		t.Fatal(err)
+	}
+	return hdr
+}
+
+func encodeHeaderMap(t *testing.T, hdr map[string]any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// finishedCheckpoint runs sc to completion with a checkpoint and
+// returns the file's path.
+func finishedCheckpoint(t *testing.T, sc Scenario) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if _, err := NewPool(0).RunCheckpointed(sc, CheckpointConfig{Path: path}); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// A checkpointed run must return exactly what the plain runner returns,
+// and rewrite its file once per replication plus once to mark it done.
 func TestRunCheckpointedMatchesRun(t *testing.T) {
 	sc := ckptScenario()
 	plain, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	writes := countCheckpointWrites(t)
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	ckpt, err := NewPool(0).RunCheckpointed(sc, CheckpointConfig{Path: path})
 	if err != nil {
@@ -58,24 +132,23 @@ func TestRunCheckpointedMatchesRun(t *testing.T) {
 	if !bytes.Equal(resultJSON(t, plain), resultJSON(t, ckpt)) {
 		t.Error("checkpointed run's Result differs from the plain run's")
 	}
+	if got, want := writes.Load(), int64(sc.Replications+1); got != want {
+		t.Errorf("checkpointed run of %d replications wrote the file %d times, want %d", sc.Replications, got, want)
+	}
 	info, err := InspectCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Done || len(info.Completed) != sc.Replications || len(info.Cursors) != 0 {
-		t.Errorf("final checkpoint state = done=%v completed=%v cursors=%v, want done, all reps, no cursors",
-			info.Done, info.Completed, info.Cursors)
+	if !info.Done || len(info.Completed) != sc.Replications {
+		t.Errorf("final checkpoint state = done=%v completed=%v, want done, all reps", info.Done, info.Completed)
 	}
 }
 
-// Satellite (ISSUE 8): checkpoint during an active partition, resume
-// in-process, and the full Result — Resilience explicitly included —
-// must match the uninterrupted run byte-for-byte.
+// Satellite (ISSUE 8): resume a run killed mid-way through a fault
+// scenario, in-process, and the full Result — Resilience explicitly
+// included — must match the uninterrupted run byte-for-byte.
 func TestCheckpointResumeUnderFaults(t *testing.T) {
 	sc := ckptScenario()
-	// Halt at t=120 s: inside the 60–150 s partition window, so the
-	// cursor digest pins live fault gates and a degraded overlay.
-	halt := 120 * sim.Second
 	plain, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -83,25 +156,15 @@ func TestCheckpointResumeUnderFaults(t *testing.T) {
 	if plain.Resilience == nil {
 		t.Fatal("precondition: fault scenario produced no resilience telemetry")
 	}
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	pool := NewPool(0)
-	_, err = pool.RunCheckpointed(sc, CheckpointConfig{Path: path, HaltAt: halt})
-	if !errors.Is(err, ErrHalted) {
-		t.Fatalf("RunCheckpointed with HaltAt: err = %v, want ErrHalted", err)
-	}
+	path := killedAfter(t, finishedCheckpoint(t, sc), 1)
 	info, err := InspectCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(info.Cursors) == 0 {
-		t.Fatal("halted checkpoint holds no cursors")
+	if info.Done || len(info.Completed) != 1 {
+		t.Fatalf("killed checkpoint state = done=%v completed=%v, want one replication, not done", info.Done, info.Completed)
 	}
-	for _, c := range info.Cursors {
-		if sim.Time(c.At) != halt {
-			t.Errorf("cursor for rep %d at %v, want %v", c.Rep, sim.Time(c.At), halt)
-		}
-	}
-	resumed, err := pool.ResumeCheckpoint(path, CheckpointConfig{})
+	resumed, err := NewPool(0).ResumeCheckpoint(path, CheckpointConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,44 +199,113 @@ func TestResumeCompletedCheckpoint(t *testing.T) {
 	}
 }
 
-// A tampered cursor digest must fail the resume loudly: the digest is
-// the only thing standing between an undetected determinism bug and a
-// silently forked grid.
-func TestResumeDetectsDigestMismatch(t *testing.T) {
+// RunCheckpointed is open-or-create: re-running the same command on the
+// file an interrupted run left behind loads the stored replications
+// (one file write per replication it still had to execute, plus the
+// final one) instead of starting over, and a file holding a different
+// scenario is refused and left exactly as it was.
+func TestRunCheckpointedContinuesExistingFile(t *testing.T) {
 	sc := ckptScenario()
-	path := filepath.Join(t.TempDir(), "run.ckpt")
+	sc.Replications = 3
+	plain, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := killedAfter(t, finishedCheckpoint(t, sc), 2)
 	pool := NewPool(0)
-	_, err := pool.RunCheckpointed(sc, CheckpointConfig{Path: path, HaltAt: 120 * sim.Second})
-	if !errors.Is(err, ErrHalted) {
-		t.Fatalf("err = %v, want ErrHalted", err)
+	for _, tc := range []struct {
+		state  string
+		writes int64 // replications still to execute + the final write
+	}{{"killed after 2 of 3", 2}, {"finished", 1}} {
+		writes := countCheckpointWrites(t)
+		res, err := pool.RunCheckpointed(sc, CheckpointConfig{Path: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resultJSON(t, plain), resultJSON(t, res)) {
+			t.Errorf("%s: continued run's Result differs from the plain run's", tc.state)
+		}
+		if got := writes.Load(); got != tc.writes {
+			t.Errorf("%s: continuing wrote the file %d times, want %d", tc.state, got, tc.writes)
+		}
 	}
-	f, err := checkpoint.Read(path)
+
+	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hdr map[string]any
-	if err := json.Unmarshal(f.Header, &hdr); err != nil {
-		t.Fatal(err)
+	other := sc
+	other.Seed++
+	_, err = pool.RunCheckpointed(other, CheckpointConfig{Path: path})
+	if err == nil || !strings.Contains(err.Error(), "different scenario") {
+		t.Errorf("RunCheckpointed over another scenario's file: err = %v, want a different-scenario error", err)
 	}
-	cursors := hdr["cursors"].([]any)
-	cursors[0].(map[string]any)["digest"] = "deadbeefdeadbeef"
-	f.Header, err = json.Marshal(hdr)
+	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := checkpoint.Write(path, f); err != nil {
+	if !bytes.Equal(before, after) {
+		t.Error("refused RunCheckpointed modified the existing checkpoint")
+	}
+}
+
+// The header's completed list comes from disk and is validated before
+// any replication runs; a PR-8-era header (in-flight cursors alongside
+// the completed list) still resumes, its cursors ignored.
+func TestResumeValidatesCompletedList(t *testing.T) {
+	sc := ckptScenario()
+	plain, err := Run(sc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = pool.ResumeCheckpoint(path, CheckpointConfig{})
-	if err == nil || !strings.Contains(err.Error(), "diverged") {
-		t.Errorf("resume err = %v, want digest-divergence error", err)
+	finished := finishedCheckpoint(t, sc)
+	for _, tc := range []struct {
+		name    string
+		from    int // replications the source file completed
+		mutate  func(hdr map[string]any, f *checkpoint.File)
+		wantErr string // "" = must resume to the plain run's Result
+	}{
+		{"out of range", 1, func(hdr map[string]any, _ *checkpoint.File) { hdr["completed"] = []int{0, 2} }, "replication 2 complete, which is outside [0,2)"},
+		{"negative", 1, func(hdr map[string]any, _ *checkpoint.File) { hdr["completed"] = []int{-1} }, "replication -1 complete, which is outside"},
+		{"duplicate", 1, func(hdr map[string]any, _ *checkpoint.File) { hdr["completed"] = []int{0, 0} }, "replication 0 complete, which is outside [0,2) or listed twice"},
+		{"missing section", 2, func(_ map[string]any, f *checkpoint.File) { delete(f.Sections, sectionName(1)) }, `section "rep/1" is missing`},
+		{"PR-8 cursors", 1, func(hdr map[string]any, _ *checkpoint.File) {
+			hdr["cursors"] = []map[string]any{{"rep": 1, "at": 120000000, "fired": 4242, "digest": "deadbeefdeadbeef"}}
+		}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := killedAfter(t, finished, tc.from)
+			f, err := checkpoint.Read(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hdr := decodeHeaderMap(t, f.Header)
+			tc.mutate(hdr, f)
+			f.Header = encodeHeaderMap(t, hdr)
+			if err := checkpoint.Write(path, f); err != nil {
+				t.Fatal(err)
+			}
+			res, err := NewPool(0).ResumeCheckpoint(path, CheckpointConfig{})
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("resume err = %v, want mention of %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(resultJSON(t, plain), resultJSON(t, res)) {
+				t.Error("resumed Result differs from the uninterrupted run")
+			}
+		})
 	}
 }
 
 // Satellite (ISSUE 8): a replication failing mid-grid must surface its
 // error through Pool machinery — never deadlock it. The injected
-// failure is an unwritable checkpoint path, which every worker hits at
-// its first boundary persist.
+// failure is an unwritable checkpoint path, which every worker hits
+// when it stores its finished replication.
 func TestPoolSurfacesReplicationErrors(t *testing.T) {
 	blocker := filepath.Join(t.TempDir(), "blocker")
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
@@ -188,9 +320,6 @@ func TestPoolSurfacesReplicationErrors(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("RunCheckpointed with unwritable path returned nil error")
-	}
-	if errors.Is(err, ErrHalted) {
-		t.Fatalf("err = %v, want a persist failure, not ErrHalted", err)
 	}
 	// The pool must still be usable: all slots were released.
 	sc2 := quickScenario(Regular, 15)
@@ -242,21 +371,16 @@ func TestCheckpointResumeChild(t *testing.T) {
 	}
 }
 
-// Always-on fresh-process round-trip on the fast scenario: halt at the
-// midpoint, resume in a new process, compare against the uninterrupted
-// in-process run.
+// Always-on fresh-process round-trip on the fast scenario: the file a
+// run killed after its first replication leaves behind, resumed in a
+// new process, compared against the uninterrupted in-process run.
 func TestCheckpointResumeFreshProcess(t *testing.T) {
 	sc := ckptScenario()
 	plain, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	_, err = NewPool(0).RunCheckpointed(sc, CheckpointConfig{Path: path, HaltAt: sc.Duration / 2})
-	if !errors.Is(err, ErrHalted) {
-		t.Fatalf("err = %v, want ErrHalted", err)
-	}
-	got := resumeInFreshProcess(t, path)
+	got := resumeInFreshProcess(t, killedAfter(t, finishedCheckpoint(t, sc), 1))
 	want := goldenMarshal(t, plain)
 	if !bytes.Equal(got, want) {
 		t.Error("fresh-process resumed report differs from the uninterrupted run")
@@ -265,10 +389,12 @@ func TestCheckpointResumeFreshProcess(t *testing.T) {
 
 // TestCheckpointGoldenFixtures is the acceptance bar: every committed
 // golden fixture — 4 algorithm, 16 routing-matrix, 1 workload, 1
-// download — is
-// checkpointed at its midpoint, resumed in a fresh process, and the
-// resumed report must be byte-identical to the fixture on disk.
-// Expensive; gated behind -ckpt-golden and run by ./check.sh checkpoint.
+// download — is run with a checkpoint and resumed in a fresh process,
+// and the resumed report must be byte-identical to the fixture on disk.
+// The two-replication fixtures resume the file a run killed after its
+// first replication leaves behind; the one-replication routing fixtures
+// have no such file and load the finished one. Expensive; gated behind
+// -ckpt-golden and run by ./check.sh checkpoint.
 func TestCheckpointGoldenFixtures(t *testing.T) {
 	if !*ckptGolden {
 		t.Skip("enable with -ckpt-golden (./check.sh checkpoint)")
@@ -309,7 +435,6 @@ func TestCheckpointGoldenFixtures(t *testing.T) {
 		path: filepath.Join("testdata", "golden", "download.json"),
 	})
 
-	pool := NewPool(0)
 	for _, fx := range fixtures {
 		fx := fx
 		t.Run(fx.name, func(t *testing.T) {
@@ -318,15 +443,12 @@ func TestCheckpointGoldenFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing fixture: %v", err)
 			}
-			ckptPath := filepath.Join(t.TempDir(), fx.name+".ckpt")
-			_, err = pool.RunCheckpointed(fx.sc, CheckpointConfig{
-				Path: ckptPath, HaltAt: fx.sc.Duration / 2,
-			})
-			if !errors.Is(err, ErrHalted) {
-				t.Fatalf("err = %v, want ErrHalted", err)
+			ckptPath := finishedCheckpoint(t, fx.sc)
+			if fx.sc.Replications > 1 {
+				ckptPath = killedAfter(t, ckptPath, 1)
 			}
 			if dir := os.Getenv("MANETP2P_CKPT_ARTIFACT"); dir != "" && fx.name == "workload" {
-				// Preserve the mid-run workload checkpoint for the CI
+				// Preserve the partial workload checkpoint for the CI
 				// artifact before the resume completes it.
 				data, err := os.ReadFile(ckptPath)
 				if err != nil {
@@ -354,13 +476,8 @@ func TestCheckpointGoldenFixtures(t *testing.T) {
 // checkpoint stripped of the manifest — what a binary without the
 // telemetry plane would write — is refused too.
 func TestCheckpointTelemetryManifest(t *testing.T) {
-	sc := ckptScenario()
-	path := filepath.Join(t.TempDir(), "run.ckpt")
+	path := killedAfter(t, finishedCheckpoint(t, ckptScenario()), 1)
 	pool := NewPool(0)
-	_, err := pool.RunCheckpointed(sc, CheckpointConfig{Path: path, HaltAt: 120 * sim.Second})
-	if !errors.Is(err, ErrHalted) {
-		t.Fatalf("err = %v, want ErrHalted", err)
-	}
 
 	f, err := checkpoint.Read(path)
 	if err != nil {
@@ -368,7 +485,7 @@ func TestCheckpointTelemetryManifest(t *testing.T) {
 	}
 	manifest, ok := f.Sections[telemetrySectionName]
 	if !ok {
-		t.Fatalf("halted checkpoint has no %q section", telemetrySectionName)
+		t.Fatalf("checkpoint has no %q section", telemetrySectionName)
 	}
 	if !bytes.Equal(manifest, sections.Manifest()) {
 		t.Fatalf("persisted manifest %s differs from the live registry's %s",

@@ -8,7 +8,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,9 +51,7 @@ func main() {
 		saveCfg    = flag.String("save-config", "", "write the effective scenario as JSON to this file and exit")
 		selfcheck  = flag.Bool("selfcheck", false, "run the invariant suite and determinism self-audit on the scenario and exit nonzero on any violation")
 		peercache  = flag.Bool("peercache", false, "enable the peer-cache extension (cached rendezvous before flooding)")
-		ckptPath   = flag.String("checkpoint", "", "persist run state to this checkpoint file at periodic boundaries")
-		ckptEvery  = flag.Float64("checkpoint-every", 0, "checkpoint period in simulated seconds (default: duration/8)")
-		halt       = flag.Float64("halt", 0, "stop at this simulated time after checkpointing (exit code 3); resume later with -resume")
+		ckptPath   = flag.String("checkpoint", "", "persist every finished replication to this checkpoint file; if it already holds this scenario, continue from it")
 		resume     = flag.String("resume", "", "resume a run from this checkpoint file; scenario flags are ignored")
 		metricsOut = flag.String("metrics", "", "stream the per-replication telemetry time series as JSON lines to this file ('-' = stdout)")
 	)
@@ -75,7 +72,21 @@ func main() {
 	}()
 
 	if *resume != "" {
-		runResume(*resume, manetp2p.Seconds(*halt), *metricsOut)
+		info, err := manetp2p.InspectCheckpoint(*resume)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		fmt.Fprintf(os.Stderr, "resuming %s: %d/%d replications complete\n",
+			*resume, len(info.Completed), info.Total)
+		sink, closeSink := openMetricsSink(*metricsOut)
+		res, err := manetp2p.NewPool(0).ResumeCheckpoint(*resume, manetp2p.CheckpointConfig{Sink: sink})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		closeSink()
+		printReport(res, *curves, *traffic > 0, *series)
 		return
 	}
 
@@ -164,80 +175,60 @@ func main() {
 	sink, closeSink := openMetricsSink(*metricsOut)
 	var res *manetp2p.Result
 	if *ckptPath != "" {
-		res, err = manetp2p.NewPool(0).RunCheckpointed(sc, manetp2p.CheckpointConfig{
-			Path:   *ckptPath,
-			Every:  manetp2p.Seconds(*ckptEvery),
-			HaltAt: manetp2p.Seconds(*halt),
-			Sink:   sink,
-		})
-		exitIfHalted(err, *ckptPath)
-	} else if sink != nil {
-		res, err = manetp2p.NewPool(0).RunWithMetrics(sc, sink)
+		res, err = manetp2p.NewPool(0).RunCheckpointed(sc, manetp2p.CheckpointConfig{Path: *ckptPath, Sink: sink})
 	} else {
-		res, err = manetp2p.Run(sc)
+		res, err = manetp2p.NewPool(0).RunWithMetrics(sc, sink) // a nil sink is plain Run
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	closeSink()
-	manetp2p.WriteSummary(os.Stdout, res)
+	printReport(res, *curves, *traffic > 0, *series)
+}
 
-	if res.Resilience != nil {
-		fmt.Println()
-		if err := manetp2p.WriteResilience(os.Stdout, res); err != nil {
+// printReport ends every run mode — plain, checkpointed, resumed: the
+// summary, the resilience and workload blocks the Result carries, and
+// the tables the -curves, -traffic and -series flags ask for.
+func printReport(res *manetp2p.Result, curves, traffic bool, series string) {
+	manetp2p.WriteSummary(os.Stdout, res)
+	results := []*manetp2p.Result{res}
+	check := func(err error) {
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+	}
+	if res.Resilience != nil {
+		fmt.Println()
+		check(manetp2p.WriteResilience(os.Stdout, res))
 	}
 	if res.Workload != nil {
 		fmt.Println()
-		if err := manetp2p.WriteWorkload(os.Stdout, res); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(manetp2p.WriteWorkload(os.Stdout, res))
 	}
-	if *curves {
+	if curves {
 		fmt.Println()
-		if err := manetp2p.WriteFileCurves(os.Stdout, []*manetp2p.Result{res}, 10); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(manetp2p.WriteFileCurves(os.Stdout, results, 10))
 	}
-	if *traffic > 0 {
+	if traffic {
 		fmt.Println()
-		if err := manetp2p.WriteTrafficSeries(os.Stdout, []*manetp2p.Result{res}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(manetp2p.WriteTrafficSeries(os.Stdout, results))
 	}
-	if *series != "" {
+	if series != "" {
 		kinds := map[string]manetp2p.SeriesKind{
 			"connect": manetp2p.SeriesConnect,
 			"ping":    manetp2p.SeriesPing,
 			"query":   manetp2p.SeriesQuery,
 		}
-		kind, ok := kinds[strings.ToLower(*series)]
+		kind, ok := kinds[strings.ToLower(series)]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown series %q\n", *series)
+			fmt.Fprintf(os.Stderr, "unknown series %q\n", series)
 			os.Exit(2)
 		}
 		fmt.Println()
-		if err := manetp2p.WriteNodeSeries(os.Stdout, kind, []*manetp2p.Result{res}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(manetp2p.WriteNodeSeries(os.Stdout, kind, results))
 	}
-}
-
-// exitIfHalted turns ErrHalted into the documented exit code 3 plus a
-// resume hint, so scripts can tell "paused" from "failed".
-func exitIfHalted(err error, path string) {
-	if !errors.Is(err, manetp2p.ErrHalted) {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "halted with state saved to %s; continue with: p2psim -resume %s\n", path, path)
-	os.Exit(3)
 }
 
 // openMetricsSink opens the -metrics target ("" = none, "-" = stdout)
@@ -265,41 +256,6 @@ func openMetricsSink(path string) (manetp2p.MetricsSink, func()) {
 	}
 }
 
-// runResume continues a checkpointed run in a fresh process and prints
-// the same report a plain run would have produced.
-func runResume(path string, haltAt manetp2p.Duration, metricsOut string) {
-	info, err := manetp2p.InspectCheckpoint(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	fmt.Fprintf(os.Stderr, "resuming %s: %d/%d replications complete, %d in flight\n",
-		path, len(info.Completed), info.Total, len(info.Cursors))
-	sink, closeSink := openMetricsSink(metricsOut)
-	res, err := manetp2p.NewPool(0).ResumeCheckpoint(path, manetp2p.CheckpointConfig{HaltAt: haltAt, Sink: sink})
-	exitIfHalted(err, path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	closeSink()
-	manetp2p.WriteSummary(os.Stdout, res)
-	if res.Resilience != nil {
-		fmt.Println()
-		if err := manetp2p.WriteResilience(os.Stdout, res); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if res.Workload != nil {
-		fmt.Println()
-		if err := manetp2p.WriteWorkload(os.Stdout, res); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-}
-
 // runSelfcheck runs the invariant suite plus determinism audit and
 // reports the outcome, exiting nonzero when anything is violated.
 func runSelfcheck(sc manetp2p.Scenario) {
@@ -319,6 +275,7 @@ func runSelfcheck(sc manetp2p.Scenario) {
 	fmt.Printf("  determinism (same seed, same result): %s\n", pass(rep.Deterministic))
 	fmt.Printf("  scheduling independence (serial == pooled): %s\n", pass(rep.ScheduleIndependent))
 	fmt.Printf("  telemetry pooled-N conservation: %s\n", pass(rep.PooledN))
+	fmt.Printf("  stepping independence (8 Step segments == one, state digest): %s\n", pass(rep.StepIndependent))
 	if rep.Invariants != nil {
 		fmt.Printf("  invariants (%d replications): %s\n",
 			rep.Invariants.Replications, pass(rep.Invariants.OK()))

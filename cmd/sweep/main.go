@@ -357,12 +357,12 @@ func main() {
 			var res *manetp2p.Result
 			var err error
 			if *ckpt != "" {
+				// A cell file from an earlier invocation loads or resumes; one
+				// left by different flags is an error, not silently recomputed.
 				path := cellFilePath(*ckpt, axisName, cells[i].label, cells[i].sc.Algorithm, "ckpt")
-				res, err = runCellCheckpointed(pool, cells[i].sc, path, sink)
-			} else if sink != nil {
-				res, err = pool.RunWithMetrics(cells[i].sc, sink)
+				res, err = pool.RunCheckpointed(cells[i].sc, manetp2p.CheckpointConfig{Path: path, Sink: sink})
 			} else {
-				res, err = pool.Run(cells[i].sc)
+				res, err = pool.RunWithMetrics(cells[i].sc, sink) // a nil sink is plain Run
 			}
 			if sink != nil {
 				if cerr := sink.Close(); err == nil && cerr != nil {
@@ -401,37 +401,6 @@ func cellFilePath(dir, axis, label string, alg manetp2p.Algorithm, ext string) s
 	}
 	name := fmt.Sprintf("%s_%s_%s.%s", sanitize(axis), sanitize(label), sanitize(strings.ToLower(alg.String())), ext)
 	return filepath.Join(dir, name)
-}
-
-// runCellCheckpointed runs one grid cell with persistence: a finished
-// checkpoint loads its stored records without recomputation, a partial
-// one resumes, an absent one starts fresh. A checkpoint written for a
-// different scenario (changed flags between invocations) is an error,
-// not a silent recompute: the stale file would otherwise shadow the
-// requested grid.
-func runCellCheckpointed(pool *manetp2p.Pool, sc manetp2p.Scenario, path string, sink manetp2p.MetricsSink) (*manetp2p.Result, error) {
-	if _, err := os.Stat(path); err != nil {
-		if !os.IsNotExist(err) {
-			return nil, err
-		}
-		return pool.RunCheckpointed(sc, manetp2p.CheckpointConfig{Path: path, Sink: sink})
-	}
-	info, err := manetp2p.InspectCheckpoint(path)
-	if err != nil {
-		return nil, err
-	}
-	want, err := manetp2p.MarshalJSONScenario(sc)
-	if err != nil {
-		return nil, err
-	}
-	have, err := manetp2p.MarshalJSONScenario(info.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	if string(want) != string(have) {
-		return nil, fmt.Errorf("sweep: %s holds a checkpoint for a different scenario; delete it or change -checkpoint", path)
-	}
-	return pool.ResumeCheckpoint(path, manetp2p.CheckpointConfig{Sink: sink})
 }
 
 // formatRow renders one TSV result row: the headline metrics plus the

@@ -1,5 +1,6 @@
-// Package checkpoint implements the on-disk container and the state
-// digest behind mid-flight replication checkpointing (DESIGN.md §11).
+// Package checkpoint implements the on-disk container behind
+// replication-granular checkpointing and the state digest behind the
+// determinism self-audit (DESIGN.md §11).
 //
 // The container is deliberately dumb: a versioned, length-prefixed
 // binary envelope holding one caller-defined JSON header plus named,
@@ -31,8 +32,7 @@ const (
 	Version = 1
 )
 
-// File is one decoded checkpoint: a JSON header (tooling can read it
-// with ReadHeader without touching the sections) plus named payloads.
+// File is one decoded checkpoint: a JSON header plus named payloads.
 type File struct {
 	Header   json.RawMessage
 	Sections map[string][]byte
@@ -43,16 +43,52 @@ type File struct {
 // corruption.
 const maxSane = 1 << 30
 
+// minSection is the least a section occupies — name length (4), data
+// length (8), CRC (4) — and so bounds the section count a file can back,
+// which is checked before the count sizes an allocation.
+const minSection = 16
+
 // Write atomically writes f to path: the bytes go to a temporary file
 // in the same directory which is renamed over path only after a
 // successful flush, so an interrupted writer leaves either the old
 // checkpoint or the new one, never a torn hybrid.
 func Write(path string, f *File) error {
+	data, err := encode(f)
+	if err != nil {
+		return err
+	}
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	tmpName := tmp.Name()
+	_, werr := tmp.Write(data)
+	if serr := tmp.Sync(); werr == nil {
+		werr = serr
+	}
+	if cerr := tmp.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		os.Remove(tmpName)
+		return fmt.Errorf("checkpoint: writing %s: %w", path, werr)
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		os.Remove(tmpName)
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	return nil
+}
+
+// encode renders f in the container layout, sections in ascending name
+// order: one File has one encoding.
+func encode(f *File) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.WriteString(Magic)
 	writeU32(&buf, Version)
 	if !json.Valid(f.Header) {
-		return fmt.Errorf("checkpoint: header is not valid JSON")
+		return nil, fmt.Errorf("checkpoint: header is not valid JSON")
 	}
 	writeU32(&buf, uint32(len(f.Header)))
 	buf.Write(f.Header)
@@ -71,29 +107,7 @@ func Write(path string, f *File) error {
 		buf.Write(data)
 		writeU32(&buf, crc32.ChecksumIEEE(data))
 	}
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(buf.Bytes())
-	if serr := tmp.Sync(); werr == nil {
-		werr = serr
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: writing %s: %w", path, werr)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return nil
+	return buf.Bytes(), nil
 }
 
 // Read decodes and fully verifies the checkpoint at path.
@@ -102,28 +116,7 @@ func Read(path string) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	r := &reader{buf: raw, path: path}
-	f, err := r.file(true)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// ReadHeader decodes only the JSON header — enough for tooling (and the
-// sweep driver's is-this-point-done probe) to inspect a checkpoint
-// without paying for its payload sections.
-func ReadHeader(path string) (json.RawMessage, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	r := &reader{buf: raw, path: path}
-	f, err := r.file(false)
-	if err != nil {
-		return nil, err
-	}
-	return f.Header, nil
+	return (&reader{buf: raw, path: path}).file()
 }
 
 // reader walks the buffer with bounds-checked, error-accumulating reads.
@@ -165,7 +158,7 @@ func (r *reader) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-func (r *reader) file(withSections bool) (*File, error) {
+func (r *reader) file() (*File, error) {
 	magic, err := r.take(len(Magic))
 	if err != nil {
 		return nil, err
@@ -192,14 +185,15 @@ func (r *reader) file(withSections bool) (*File, error) {
 		return nil, r.fail("header is not valid JSON")
 	}
 	f := &File{Header: append(json.RawMessage(nil), header...)}
-	if !withSections {
-		return f, nil
-	}
 	nsec, err := r.u32()
 	if err != nil {
 		return nil, err
 	}
+	if rest := len(r.buf) - r.off; uint64(nsec)*minSection > uint64(rest) {
+		return nil, r.fail("section count %d exceeds what the remaining %d bytes can hold", nsec, rest)
+	}
 	f.Sections = make(map[string][]byte, nsec)
+	prev := ""
 	for i := uint32(0); i < nsec; i++ {
 		nlen, err := r.u32()
 		if err != nil {
@@ -225,9 +219,12 @@ func (r *reader) file(withSections bool) (*File, error) {
 		if got := crc32.ChecksumIEEE(data); got != sum {
 			return nil, r.fail("section %q fails its CRC (stored %08x, computed %08x)", name, sum, got)
 		}
-		if _, dup := f.Sections[name]; dup {
-			return nil, r.fail("duplicate section %q", name)
+		// Write emits each name once, ascending; holding the reader to
+		// that keeps one encoding per File and rules out duplicates.
+		if i > 0 && name <= prev {
+			return nil, r.fail("section %q duplicated or out of order (follows %q)", name, prev)
 		}
+		prev = name
 		f.Sections[name] = append([]byte(nil), data...)
 	}
 	if r.off != len(r.buf) {

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -44,13 +45,6 @@ func TestContainerRoundTrip(t *testing.T) {
 			t.Errorf("section %q = %q, want %q", name, got.Sections[name], data)
 		}
 	}
-	hdr, err := ReadHeader(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(hdr) != string(want.Header) {
-		t.Errorf("ReadHeader = %s, want %s", hdr, want.Header)
-	}
 }
 
 func TestWriteIsByteStable(t *testing.T) {
@@ -69,33 +63,55 @@ func TestWriteIsByteStable(t *testing.T) {
 	}
 }
 
-func TestReadRejectsCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.ckpt")
-	if err := Write(path, sampleFile()); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
+// corruption is one way to damage an encoded sampleFile and the error
+// Read must answer it with.
+type corruption struct {
+	name string
+	data []byte
+	want string
+}
+
+func corruptions(t testing.TB) []corruption {
+	raw, err := encode(sampleFile())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one byte inside the "beta payload" section body.
-	idx := strings.Index(string(raw), "beta")
+	idx := bytes.Index(raw, []byte("beta"))
 	if idx < 0 {
 		t.Fatal("payload not found in encoded file")
 	}
-	for _, tc := range []struct {
-		name   string
-		mutate func([]byte) []byte
-		want   string
-	}{
-		{"flipped payload byte", func(b []byte) []byte { b[idx] ^= 0xff; return b }, "CRC"},
-		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, "not a checkpoint"},
-		{"truncated", func(b []byte) []byte { return b[:len(b)-3] }, "truncated"},
-		{"trailing garbage", func(b []byte) []byte { return append(b, 0xEE) }, "trailing"},
-		{"future version", func(b []byte) []byte { b[len(Magic)] = 99; return b }, "version"},
-	} {
-		mut := tc.mutate(append([]byte(nil), raw...))
-		if err := os.WriteFile(path, mut, 0o644); err != nil {
+	mutated := func(mutate func([]byte) []byte) []byte {
+		return mutate(append([]byte(nil), raw...))
+	}
+	// Magic, version, a 2-byte "{}" header and a section count of 2^32-1:
+	// 22 bytes that once sized a four-billion-entry map.
+	bomb := append([]byte(Magic), 1, 0, 0, 0, 2, 0, 0, 0, '{', '}', 0xFF, 0xFF, 0xFF, 0xFF)
+	// Two well-formed sections, second name not after the first.
+	section := func(name string) []byte {
+		b := []byte{byte(len(name)), 0, 0, 0}
+		b = append(b, name...)
+		return append(b, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0) // no data, CRC 0
+	}
+	twoSections := func(first, second string) []byte {
+		b := append(append([]byte(nil), bomb[:18]...), 2, 0, 0, 0)
+		return append(append(b, section(first)...), section(second)...)
+	}
+	return []corruption{
+		{"flipped payload byte", mutated(func(b []byte) []byte { b[idx] ^= 0xff; return b }), "CRC"},
+		{"bad magic", mutated(func(b []byte) []byte { b[0] = 'X'; return b }), "not a checkpoint"},
+		{"truncated", mutated(func(b []byte) []byte { return b[:len(b)-3] }), "truncated"},
+		{"trailing garbage", mutated(func(b []byte) []byte { return append(b, 0xEE) }), "trailing"},
+		{"future version", mutated(func(b []byte) []byte { b[len(Magic)] = 99; return b }), "version"},
+		{"section count bomb", bomb, "section count"},
+		{"duplicate section", twoSections("a", "a"), "duplicated or out of order"},
+		{"unsorted sections", twoSections("b", "a"), "duplicated or out of order"},
+	}
+}
+
+func TestReadRejectsCorruption(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.ckpt")
+	for _, tc := range corruptions(t) {
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, rerr := Read(path)
@@ -103,6 +119,41 @@ func TestReadRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: Read err = %v, want mention of %q", tc.name, rerr, tc.want)
 		}
 	}
+}
+
+// FuzzRead: whatever the bytes, Read returns an error or a File whose
+// encoding is exactly those bytes — it never panics, and never sizes an
+// allocation from a length the input cannot back (a fuzz worker that
+// does dies of it).
+func FuzzRead(f *testing.F) {
+	valid, err := encode(sampleFile())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, tc := range corruptions(f) {
+		f.Add(tc.data)
+	}
+	path := filepath.Join(f.TempDir(), "fuzz.ckpt")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		file, err := Read(path)
+		if err != nil {
+			return
+		}
+		if n, most := len(file.Sections), len(data)/minSection; n > most {
+			t.Fatalf("%d sections out of %d bytes", n, len(data))
+		}
+		again, err := encode(file)
+		if err != nil {
+			t.Fatalf("Read accepted a File that does not encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted file re-encodes differently:\n in: %x\nout: %x", data, again)
+		}
+	})
 }
 
 func TestWriteRejectsInvalidHeader(t *testing.T) {

@@ -15,13 +15,12 @@ import (
 // measurements, the workload ledger, churn progress and the live fault
 // gates.
 //
-// The digest is the restore-correctness oracle for replay-based resume:
-// the original run records it at each checkpoint boundary, and a
-// resumed process — which rebuilds the replication from its seed and
-// re-executes to the same boundary — must reproduce it exactly before
-// it is allowed to continue. Any source of nondeterminism (a
-// map-iteration-order decision, an untracked RNG draw) lands here as a
-// loud digest-mismatch error instead of a silently diverged result.
+// The digest is the determinism self-audit's oracle (SelfAudit in the
+// root package, its one production caller): a replication stepped to
+// the horizon in segments must end in exactly the state of one run
+// there straight. Any source of nondeterminism (a map-iteration-order
+// decision, an untracked RNG draw) or any way segmenting perturbs a run
+// lands here as a digest mismatch instead of a silently diverged result.
 //
 // Fingerprint only reads: it draws no randomness, schedules nothing,
 // and iterates everything in fixed (id or insertion) order, so calling

@@ -281,12 +281,6 @@ type Scenario struct {
 	// the checker only observes and draws no randomness.
 	Invariants *InvariantConfig `json:",omitempty"`
 
-	// CheckpointEvery sets the default spacing of checkpoint boundaries
-	// for Pool.RunCheckpointed (DESIGN.md §11); zero falls back to
-	// Duration/8. It has no effect on plain Run, and omitempty keeps
-	// every pre-checkpoint fixture byte-identical.
-	CheckpointEvery Duration `json:",omitempty"`
-
 	// Concurrency: 0 = GOMAXPROCS.
 	Workers int
 }
@@ -332,8 +326,6 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("manetp2p: Replications %d < 1", sc.Replications)
 	case sc.HealthEvery < 0:
 		return fmt.Errorf("manetp2p: HealthEvery %v negative", sc.HealthEvery)
-	case sc.CheckpointEvery < 0:
-		return fmt.Errorf("manetp2p: CheckpointEvery %v negative", sc.CheckpointEvery)
 	}
 	if err := sc.Faults.Validate(); err != nil {
 		return fmt.Errorf("manetp2p: fault plan: %w", err)

@@ -28,24 +28,8 @@ func NewJSONLSink(w io.Writer) MetricsSink { return telemetry.NewJSONLSink(w) }
 
 // RunWithMetrics executes the scenario like Run and additionally
 // streams every telemetry section's per-replication time series to
-// sink. The sink is not closed; the Result is identical to Run's.
+// sink. The sink is not closed; the Result is identical to Run's, and
+// with a nil sink so is the call.
 func (p *Pool) RunWithMetrics(sc Scenario, sink MetricsSink) (*Result, error) {
-	reps, err := p.runReps(sc)
-	if err != nil {
-		return nil, err
-	}
-	res := aggregate(sc, reps)
-	streamMetrics(sc, reps, sink)
-	return res, nil
-}
-
-// streamMetrics replays the finished replications through the section
-// registry's Stream hooks in deterministic order.
-func streamMetrics(sc Scenario, reps []repResult, sink MetricsSink) {
-	if sink == nil {
-		return
-	}
-	for i := range reps {
-		sections.Stream(sc, i, &reps[i], sink.Emit)
-	}
+	return p.run(sc, nil, sink)
 }

@@ -71,24 +71,24 @@ func computeResilience(sc Scenario, reps []*repResult) *Resilience {
 
 	var largest, links, connRate [][]float64
 	for _, rr := range reps {
-		if len(rr.health) == 0 {
+		if len(rr.Health) == 0 {
 			continue
 		}
 		if res.Times == nil {
-			for _, h := range rr.health {
+			for _, h := range rr.Health {
 				res.Times = append(res.Times, h.At.Seconds())
 			}
 		}
-		lc := make([]float64, len(rr.health))
-		lk := make([]float64, len(rr.health))
-		cr := make([]float64, len(rr.health))
+		lc := make([]float64, len(rr.Health))
+		lk := make([]float64, len(rr.Health))
+		cr := make([]float64, len(rr.Health))
 		prev := uint64(0)
-		for i, h := range rr.health {
+		for i, h := range rr.Health {
 			lc[i] = h.LargestComp
 			lk[i] = float64(h.Links)
-			if rr.members > 0 {
+			if rr.Members > 0 {
 				cr[i] = float64(h.Received[telemetry.Connect]-prev) /
-					float64(rr.members) / period.Seconds()
+					float64(rr.Members) / period.Seconds()
 			}
 			prev = h.Received[telemetry.Connect]
 		}
@@ -105,7 +105,7 @@ func computeResilience(sc Scenario, reps []*repResult) *Resilience {
 		var baselines, troughs, reheals, residuals, costs []float64
 		rehealed, n := 0, 0
 		for _, rr := range reps {
-			h := rr.health
+			h := rr.Health
 			if len(h) == 0 {
 				continue
 			}
@@ -159,9 +159,9 @@ func computeResilience(sc Scenario, reps []*repResult) *Resilience {
 			if ri >= 0 {
 				rehealed++
 				reheals = append(reheals, (h[ri].At - clear).Seconds())
-				if rr.members > 0 {
+				if rr.Members > 0 {
 					cost := float64(h[ri].Received[telemetry.Connect]-h[ci].Received[telemetry.Connect]) /
-						float64(rr.members)
+						float64(rr.Members)
 					costs = append(costs, cost)
 				}
 			}

@@ -178,31 +178,35 @@ type Result struct {
 }
 
 // repResult carries one replication's raw measurements to aggregation.
+// The fields are exported because a checkpoint stores a finished
+// replication as the gob encoding of this struct (checkpoint.go): a new
+// measurement is declared here once and travels through the file with
+// no further code. err stays unexported and so out of gob.
 type repResult struct {
-	requests   []telemetry.Request
-	series     [telemetry.NumClasses][]float64
-	totals     [telemetry.NumClasses][]float64
-	rxFrames   []float64
-	txFrames   []float64
-	clust      []float64
-	pathLen    []float64
-	largest    []float64
-	meanDeg    []float64
-	alive      []float64 // per snapshot: fraction of members joined
-	degSeries  []float64 // per snapshot: mean overlay degree
-	connRate   []float64 // per bucket: connect msgs per member
-	queryRate  []float64 // per bucket: query msgs per member
-	deaths     float64
-	energy     []float64
-	lifetimes  []float64
-	health     []telemetry.HealthSample // resilience telemetry samples
-	routing    []netif.Stats            // per-node routing-effort counters
-	members    int                      // overlay membership size
-	checked    bool                     // the invariant checker validated this replication
-	violTotal  int                      // invariant breaches detected (including past the cap)
-	violations []InvariantViolation     // recorded breaches, detection order
-	workload   *workload.Telemetry      // demand telemetry (nil without a plan)
-	churnit    float64                  // churn departures executed
+	Requests   []telemetry.Request
+	Series     [telemetry.NumClasses][]float64
+	Totals     [telemetry.NumClasses][]float64
+	RxFrames   []float64
+	TxFrames   []float64
+	Clust      []float64
+	PathLen    []float64
+	Largest    []float64
+	MeanDeg    []float64
+	Alive      []float64 // per snapshot: fraction of members joined
+	DegSeries  []float64 // per snapshot: mean overlay degree
+	ConnRate   []float64 // per bucket: connect msgs per member
+	QueryRate  []float64 // per bucket: query msgs per member
+	Deaths     float64
+	Energy     []float64
+	Lifetimes  []float64
+	Health     []telemetry.HealthSample // resilience telemetry samples
+	Routing    []netif.Stats            // per-node routing-effort counters
+	Members    int                      // overlay membership size
+	Checked    bool                     // the invariant checker validated this replication
+	ViolTotal  int                      // invariant breaches detected (including past the cap)
+	Violations []InvariantViolation     // recorded breaches, detection order
+	Workload   *workload.Telemetry      // demand telemetry (nil without a plan)
+	Churnit    float64                  // churn departures executed
 	err        error
 }
 
@@ -231,16 +235,31 @@ func NewPool(workers int) *Pool {
 // exactly what a sequential one does. A positive Scenario.Workers
 // additionally caps this scenario's own concurrency below the pool's.
 func (p *Pool) Run(sc Scenario) (*Result, error) {
-	reps, err := p.runReps(sc)
+	return p.run(sc, nil, nil)
+}
+
+// run is the one driver under Run, RunWithMetrics, RunCheckpointed and
+// ResumeCheckpoint: all replications, then the pooled Result, then the
+// metrics stream. ckpt and sink are each optional.
+func (p *Pool) run(sc Scenario, ckpt *ckptState, sink MetricsSink) (*Result, error) {
+	reps, err := p.runReps(sc, ckpt)
 	if err != nil {
 		return nil, err
 	}
-	return aggregate(sc, reps), nil
+	res := aggregate(sc, reps)
+	if sink != nil { // after the last replication, in order: see metrics.go
+		for i, rr := range reps {
+			sections.Stream(sc, i, rr, sink.Emit)
+		}
+	}
+	return res, nil
 }
 
 // runReps executes all replications under the pool's budget and returns
-// their raw per-replication records.
-func (p *Pool) runReps(sc Scenario) ([]repResult, error) {
+// their raw per-replication records. With a checkpoint, replications it
+// already holds are taken from it instead of executed, each executed
+// one is stored as it finishes, and the file is marked done at the end.
+func (p *Pool) runReps(sc Scenario, ckpt *ckptState) ([]*repResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -248,9 +267,15 @@ func (p *Pool) runReps(sc Scenario) ([]repResult, error) {
 	if sc.Workers > 0 {
 		local = make(chan struct{}, sc.Workers)
 	}
-	reps := make([]repResult, sc.Replications)
+	reps := make([]*repResult, sc.Replications)
 	var wg sync.WaitGroup
 	for r := 0; r < sc.Replications; r++ {
+		if ckpt != nil {
+			if rr, ok := ckpt.loaded[r]; ok {
+				reps[r] = rr
+				continue
+			}
+		}
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
@@ -261,6 +286,9 @@ func (p *Pool) runReps(sc Scenario) ([]repResult, error) {
 			p.slots <- struct{}{}
 			defer func() { <-p.slots }()
 			reps[r] = runReplication(sc, r)
+			if ckpt != nil && reps[r].err == nil {
+				reps[r].err = ckpt.store(r, reps[r])
+			}
 		}(r)
 	}
 	wg.Wait()
@@ -268,6 +296,11 @@ func (p *Pool) runReps(sc Scenario) ([]repResult, error) {
 	for _, rr := range reps {
 		if rr.err != nil {
 			return nil, rr.err
+		}
+	}
+	if ckpt != nil {
+		if err := ckpt.finish(); err != nil {
+			return nil, err
 		}
 	}
 	return reps, nil
@@ -279,37 +312,22 @@ func Run(sc Scenario) (*Result, error) {
 	return NewPool(sc.Workers).Run(sc)
 }
 
-// runReplication builds, instruments and runs one replication.
-func runReplication(sc Scenario, rep int) repResult {
-	r, err := startReplication(sc, rep)
-	if err != nil {
-		return repResult{err: err}
-	}
-	r.runTo(sc.Duration)
-	return r.finish()
-}
-
-// repRun is one in-flight replication: built and instrumented, but not
-// yet (fully) executed. The checkpoint machinery drives it in segments
-// — runTo at each boundary, digest, persist — where the plain path runs
-// it in one piece; segmenting Sim.Run is behavior-neutral, so both
-// produce identical results.
+// repRun is one live replication — what the telemetry sections' Collect
+// hooks harvest from (see telemetry_sections.go).
 type repRun struct {
 	sc  Scenario
-	rep int
 	net *manet.Network
-	rr  repResult
 }
 
-// startReplication builds and instruments one replication, advanced to
-// t=0 (nothing executed yet).
-func startReplication(sc Scenario, rep int) (*repRun, error) {
+// runReplication builds, instruments and runs one replication to its
+// horizon, then extracts its measurements: one registry walk over every
+// layer's Collect hook.
+func runReplication(sc Scenario, rep int) *repResult {
 	net, err := manet.Build(sc.manetConfig(rep))
 	if err != nil {
-		return nil, err
+		return &repResult{err: err}
 	}
-	r := &repRun{sc: sc, rep: rep, net: net}
-
+	rr := new(repResult)
 	if sc.SnapshotEvery > 0 {
 		// One Analyzer per replication: after the first tick warms its
 		// scratch, each snapshot is allocation-free (vs. rebuilding a
@@ -320,11 +338,11 @@ func startReplication(sc Scenario, rep int) (*repRun, error) {
 		sim.NewTicker(net.Sim, sc.SnapshotEvery, func() {
 			net.AppendOverlayAdjacency(&an.S)
 			m := an.Analyze(isMember)
-			r.rr.clust = append(r.rr.clust, m.Clustering)
+			rr.Clust = append(rr.Clust, m.Clustering)
 			if m.Pairs > 0 {
-				r.rr.pathLen = append(r.rr.pathLen, m.PathLength)
+				rr.PathLen = append(rr.PathLen, m.PathLength)
 			}
-			r.rr.largest = append(r.rr.largest, m.Largest)
+			rr.Largest = append(rr.Largest, m.Largest)
 			deg, members := 0, 0
 			for _, id := range net.Members() {
 				if sv := net.Servents[id]; sv != nil && sv.Joined() {
@@ -333,43 +351,24 @@ func startReplication(sc Scenario, rep int) (*repRun, error) {
 				}
 			}
 			if members > 0 {
-				r.rr.meanDeg = append(r.rr.meanDeg, float64(deg)/float64(members))
-				r.rr.degSeries = append(r.rr.degSeries, float64(deg)/float64(members))
+				rr.MeanDeg = append(rr.MeanDeg, float64(deg)/float64(members))
+				rr.DegSeries = append(rr.DegSeries, float64(deg)/float64(members))
 			} else {
-				r.rr.degSeries = append(r.rr.degSeries, 0)
+				rr.DegSeries = append(rr.DegSeries, 0)
 			}
-			r.rr.alive = append(r.rr.alive, float64(net.AliveMembers())/float64(len(net.Members())))
+			rr.Alive = append(rr.Alive, float64(net.AliveMembers())/float64(len(net.Members())))
 		})
 	}
-	return r, nil
-}
-
-// runTo advances the replication to absolute simulation time t.
-func (r *repRun) runTo(t sim.Time) { r.net.Sim.Run(t) }
-
-// finish extracts the measurements after the replication has run to its
-// horizon: one registry walk over every layer's Collect hook (see
-// telemetry_sections.go). Call exactly once.
-func (r *repRun) finish() repResult {
-	sections.Collect(r, &r.rr)
-	return r.rr
+	net.Sim.Run(sc.Duration)
+	sections.Collect(&repRun{sc: sc, net: net}, rr)
+	return rr
 }
 
 // aggregate folds replication results into a Result: one registry walk
 // over every layer's Pool hook (see telemetry_sections.go) — there is
 // no per-subsystem aggregation code here.
-func aggregate(sc Scenario, reps []repResult) *Result {
+func aggregate(sc Scenario, reps []*repResult) *Result {
 	res := &Result{Scenario: sc}
-	sections.Pool(sc, repPtrs(reps), res)
+	sections.Pool(sc, reps, res)
 	return res
-}
-
-// repPtrs is the pointer view of the replication slots the section
-// hooks operate on.
-func repPtrs(reps []repResult) []*repResult {
-	ptrs := make([]*repResult, len(reps))
-	for i := range reps {
-		ptrs[i] = &reps[i]
-	}
-	return ptrs
 }

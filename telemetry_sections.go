@@ -11,17 +11,17 @@ import (
 
 // This file is the telemetry plane's registration block: every layer of
 // the simulator registers one named section with the shared registry,
-// and per-replication collection (repRun.finish), cross-replication
+// and per-replication collection (runReplication), cross-replication
 // pooling (aggregate), summary rendering (WriteSummary), detailed
 // reports (WriteWorkload/WriteResilience) and time-series streaming
 // (RunWithMetrics) are all registry walks over these sections — there
 // is no per-subsystem aggregation code anywhere else.
 //
 // Registration order is the contract: it fixes the collect order (the
-// invariant checker finalizes first, as finish() always did), the
-// summary render order (must reproduce the historical WriteSummary
-// layout byte for byte — the golden fixtures and testdata/golden/
-// report.txt pin this) and the sink's point order.
+// invariant checker finalizes first), the summary render order (must
+// reproduce the historical WriteSummary layout byte for byte — the
+// golden fixtures and testdata/golden/report.txt pin this) and the
+// sink's point order.
 
 // section is the telemetry plane instantiated on the root types: a
 // live replication as source, the Scenario as configuration, repResult
@@ -35,17 +35,16 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 	g := &telemetry.Registry[*repRun, Scenario, *repResult, *Result]{}
 
 	// Runtime invariant checker. Registered first so Finalize's closing
-	// sweeps run before any other section harvests (the order finish()
-	// historically used); renders nothing — findings are reported via
-	// Result.Invariants.
+	// sweeps run before any other section harvests; renders nothing —
+	// findings are reported via Result.Invariants.
 	g.Register(section{
 		Name: "invariants",
 		Collect: func(r *repRun, rr *repResult) {
 			if net := r.net; net.Checker != nil {
 				net.Checker.Finalize()
-				rr.checked = true
-				rr.violTotal = net.Checker.Total()
-				rr.violations = net.Checker.Violations()
+				rr.Checked = true
+				rr.ViolTotal = net.Checker.Total()
+				rr.Violations = net.Checker.Violations()
 			}
 		},
 		Pool: func(sc Scenario, reps []*repResult, res *Result) {
@@ -60,19 +59,19 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 		Collect: func(r *repRun, rr *repResult) {
 			net := r.net
 			members := net.Members()
-			rr.members = len(members)
+			rr.Members = len(members)
 			counts := make([]uint64, 0, len(members)) // reused across classes
 			for class := 0; class < telemetry.NumClasses; class++ {
 				counts = counts[:0]
 				for _, id := range members {
 					counts = append(counts, net.Collector.Received(id, telemetry.Class(class)))
 				}
-				rr.series[class] = stats.DescendingSeries(counts)
+				rr.Series[class] = stats.DescendingSeries(counts)
 				totals := make([]float64, len(counts))
 				for i, c := range counts {
 					totals[i] = float64(c)
 				}
-				rr.totals[class] = totals
+				rr.Totals[class] = totals
 			}
 			if r.sc.TrafficBucket > 0 {
 				perMember := func(series []uint64) []float64 {
@@ -82,8 +81,8 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 					}
 					return out
 				}
-				rr.connRate = perMember(net.Collector.Series(telemetry.Connect))
-				rr.queryRate = perMember(net.Collector.Series(telemetry.Query))
+				rr.ConnRate = perMember(net.Collector.Series(telemetry.Connect))
+				rr.QueryRate = perMember(net.Collector.Series(telemetry.Query))
 			}
 		},
 		Pool: func(sc Scenario, reps []*repResult, res *Result) {
@@ -91,7 +90,7 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 			collect := func(class telemetry.Class) []float64 {
 				series := make([][]float64, 0, len(reps))
 				for _, rr := range reps {
-					series = append(series, rr.series[class])
+					series = append(series, rr.Series[class])
 				}
 				return stats.MeanSeries(series)
 			}
@@ -104,7 +103,7 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 			for class := 0; class < telemetry.NumClasses; class++ {
 				var pooled []float64
 				for _, rr := range reps {
-					pooled = append(pooled, rr.totals[class]...)
+					pooled = append(pooled, rr.Totals[class]...)
 				}
 				res.Totals[class] = stats.Summarize(pooled)
 			}
@@ -112,11 +111,11 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 			connRates := make([][]float64, 0, len(reps))
 			queryRates := make([][]float64, 0, len(reps))
 			for _, rr := range reps {
-				if len(rr.connRate) > 0 {
-					connRates = append(connRates, rr.connRate)
+				if len(rr.ConnRate) > 0 {
+					connRates = append(connRates, rr.ConnRate)
 				}
-				if len(rr.queryRate) > 0 {
-					queryRates = append(queryRates, rr.queryRate)
+				if len(rr.QueryRate) > 0 {
+					queryRates = append(queryRates, rr.QueryRate)
 				}
 			}
 			res.ConnectTraffic = stats.MeanSeries(connRates)
@@ -129,10 +128,10 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 		},
 		Stream: func(sc Scenario, rep int, rr *repResult, emit func(telemetry.Point)) {
 			bucket := sc.TrafficBucket.Seconds()
-			for i, v := range rr.connRate {
+			for i, v := range rr.ConnRate {
 				emit(telemetry.Point{Rep: rep, T: float64(i) * bucket, Section: "servent", Name: "connect-rate", Value: v})
 			}
-			for i, v := range rr.queryRate {
+			for i, v := range rr.QueryRate {
 				emit(telemetry.Point{Rep: rep, T: float64(i) * bucket, Section: "servent", Name: "query-rate", Value: v})
 			}
 		},
@@ -144,15 +143,15 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 		Collect: func(r *repRun, rr *repResult) {
 			for i := 0; i < r.sc.NumNodes; i++ {
 				st := r.net.Medium.Stats(i)
-				rr.rxFrames = append(rr.rxFrames, float64(st.RxFrames))
-				rr.txFrames = append(rr.txFrames, float64(st.TxFrames))
+				rr.RxFrames = append(rr.RxFrames, float64(st.RxFrames))
+				rr.TxFrames = append(rr.TxFrames, float64(st.TxFrames))
 			}
 		},
 		Pool: func(sc Scenario, reps []*repResult, res *Result) {
 			var rx, tx []float64
 			for _, rr := range reps {
-				rx = append(rx, rr.rxFrames...)
-				tx = append(tx, rr.txFrames...)
+				rx = append(rx, rr.RxFrames...)
+				tx = append(tx, rr.TxFrames...)
 			}
 			res.RxFrames = stats.Summarize(rx)
 			res.TxFrames = stats.Summarize(tx)
@@ -162,10 +161,10 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 		},
 		Stream: func(sc Scenario, rep int, rr *repResult, emit func(telemetry.Point)) {
 			var rx, tx float64
-			for _, v := range rr.rxFrames {
+			for _, v := range rr.RxFrames {
 				rx += v
 			}
-			for _, v := range rr.txFrames {
+			for _, v := range rr.TxFrames {
 				tx += v
 			}
 			t := sc.Duration.Seconds()
@@ -178,13 +177,13 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 	g.Register(section{
 		Name: "route",
 		Collect: func(r *repRun, rr *repResult) {
-			rr.routing = r.net.RoutingStats()
+			rr.Routing = r.net.RoutingStats()
 		},
 		Pool: func(sc Scenario, reps []*repResult, res *Result) {
 			pool := func(pick func(netif.Stats) uint64) stats.Summary {
 				var vals []float64
 				for _, rr := range reps {
-					for _, st := range rr.routing {
+					for _, st := range rr.Routing {
 						vals = append(vals, float64(pick(st)))
 					}
 				}
@@ -217,7 +216,7 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 		Stream: func(sc Scenario, rep int, rr *repResult, emit func(telemetry.Point)) {
 			sum := func(pick func(netif.Stats) uint64) float64 {
 				var s float64
-				for _, st := range rr.routing {
+				for _, st := range rr.Routing {
 					s += float64(pick(st))
 				}
 				return s
@@ -246,10 +245,10 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 		Pool: func(sc Scenario, reps []*repResult, res *Result) {
 			var clust, pl, largest, deg []float64
 			for _, rr := range reps {
-				clust = append(clust, rr.clust...)
-				pl = append(pl, rr.pathLen...)
-				largest = append(largest, rr.largest...)
-				deg = append(deg, rr.meanDeg...)
+				clust = append(clust, rr.Clust...)
+				pl = append(pl, rr.PathLen...)
+				largest = append(largest, rr.Largest...)
+				deg = append(deg, rr.MeanDeg...)
 			}
 			res.Overlay = OverlayStats{
 				Samples:          len(clust),
@@ -262,11 +261,11 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 			aliveSeries := make([][]float64, 0, len(reps))
 			degSeries := make([][]float64, 0, len(reps))
 			for _, rr := range reps {
-				if len(rr.alive) > 0 {
-					aliveSeries = append(aliveSeries, rr.alive)
+				if len(rr.Alive) > 0 {
+					aliveSeries = append(aliveSeries, rr.Alive)
 				}
-				if len(rr.degSeries) > 0 {
-					degSeries = append(degSeries, rr.degSeries)
+				if len(rr.DegSeries) > 0 {
+					degSeries = append(degSeries, rr.DegSeries)
 				}
 			}
 			res.AliveSeries = stats.MeanSeries(aliveSeries)
@@ -282,16 +281,16 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 		Stream: func(sc Scenario, rep int, rr *repResult, emit func(telemetry.Point)) {
 			period := sc.SnapshotEvery.Seconds()
 			at := func(i int) float64 { return float64(i+1) * period }
-			for i, v := range rr.largest {
+			for i, v := range rr.Largest {
 				emit(telemetry.Point{Rep: rep, T: at(i), Section: "overlay", Name: "largest-comp", Value: v})
 			}
-			for i, v := range rr.clust {
+			for i, v := range rr.Clust {
 				emit(telemetry.Point{Rep: rep, T: at(i), Section: "overlay", Name: "clustering", Value: v})
 			}
-			for i, v := range rr.alive {
+			for i, v := range rr.Alive {
 				emit(telemetry.Point{Rep: rep, T: at(i), Section: "overlay", Name: "alive", Value: v})
 			}
-			for i, v := range rr.degSeries {
+			for i, v := range rr.DegSeries {
 				emit(telemetry.Point{Rep: rep, T: at(i), Section: "overlay", Name: "mean-degree", Value: v})
 			}
 		},
@@ -303,12 +302,12 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 		Collect: func(r *repRun, rr *repResult) {
 			for i := 0; i < r.sc.NumNodes; i++ {
 				tx, rx := r.net.Medium.Battery(i).Spent()
-				rr.energy = append(rr.energy, tx+rx)
+				rr.Energy = append(rr.Energy, tx+rx)
 			}
 			if r.sc.Energy.Capacity > 0 {
 				for i := 0; i < r.sc.NumNodes; i++ {
 					if r.net.Medium.Battery(i).Empty() {
-						rr.deaths++
+						rr.Deaths++
 					}
 				}
 			}
@@ -316,8 +315,8 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 		Pool: func(sc Scenario, reps []*repResult, res *Result) {
 			var deaths, energy []float64
 			for _, rr := range reps {
-				deaths = append(deaths, rr.deaths)
-				energy = append(energy, rr.energy...)
+				deaths = append(deaths, rr.Deaths)
+				energy = append(energy, rr.Energy...)
 			}
 			res.Deaths = stats.Summarize(deaths)
 			res.EnergySpent = stats.Summarize(energy)
@@ -332,12 +331,12 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 				return
 			}
 			var spent float64
-			for _, v := range rr.energy {
+			for _, v := range rr.Energy {
 				spent += v
 			}
 			t := sc.Duration.Seconds()
 			emit(telemetry.Point{Rep: rep, T: t, Section: "energy", Name: "spent-joules", Value: spent})
-			emit(telemetry.Point{Rep: rep, T: t, Section: "energy", Name: "deaths", Value: rr.deaths})
+			emit(telemetry.Point{Rep: rep, T: t, Section: "energy", Name: "deaths", Value: rr.Deaths})
 		},
 	})
 
@@ -345,12 +344,12 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 	g.Register(section{
 		Name: "sessions",
 		Collect: func(r *repRun, rr *repResult) {
-			rr.lifetimes = r.net.Collector.Lifetimes()
+			rr.Lifetimes = r.net.Collector.Lifetimes()
 		},
 		Pool: func(sc Scenario, reps []*repResult, res *Result) {
 			var lifetimes []float64
 			for _, rr := range reps {
-				lifetimes = append(lifetimes, rr.lifetimes...)
+				lifetimes = append(lifetimes, rr.Lifetimes...)
 			}
 			res.ConnLifetime = stats.Summarize(lifetimes)
 		},
@@ -367,7 +366,7 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 	g.Register(section{
 		Name: "resilience",
 		Collect: func(r *repRun, rr *repResult) {
-			rr.health = r.net.Collector.Health()
+			rr.Health = r.net.Collector.Health()
 		},
 		Pool: func(sc Scenario, reps []*repResult, res *Result) {
 			res.Resilience = computeResilience(sc, reps)
@@ -384,7 +383,7 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 		},
 		Report: reportResilience,
 		Stream: func(sc Scenario, rep int, rr *repResult, emit func(telemetry.Point)) {
-			for _, h := range rr.health {
+			for _, h := range rr.Health {
 				t := h.At.Seconds()
 				emit(telemetry.Point{Rep: rep, T: t, Section: "resilience", Name: "largest-comp", Value: h.LargestComp})
 				emit(telemetry.Point{Rep: rep, T: t, Section: "resilience", Name: "links", Value: float64(h.Links)})
@@ -400,9 +399,9 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 		Collect: func(r *repRun, rr *repResult) {
 			if net := r.net; net.Demand != nil {
 				t := net.Demand.Snapshot()
-				rr.workload = &t
+				rr.Workload = &t
 			}
-			rr.churnit = float64(r.net.ChurnEvents())
+			rr.Churnit = float64(r.net.ChurnEvents())
 		},
 		Pool: func(sc Scenario, reps []*repResult, res *Result) {
 			res.Workload = aggregateWorkload(reps)
@@ -420,7 +419,7 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 		},
 		Report: reportWorkload,
 		Stream: func(sc Scenario, rep int, rr *repResult, emit func(telemetry.Point)) {
-			t := rr.workload
+			t := rr.Workload
 			if t == nil {
 				return
 			}
@@ -436,7 +435,7 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 				{"expired", float64(t.Expired)},
 				{"aborted", float64(t.Aborted)},
 				{"in-flight", float64(t.InFlight)},
-				{"churn-events", rr.churnit},
+				{"churn-events", rr.Churnit},
 			} {
 				emit(telemetry.Point{Rep: rep, T: at, Section: "workload", Name: c.name, Value: c.v})
 			}
@@ -448,7 +447,7 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 	g.Register(section{
 		Name: "search",
 		Collect: func(r *repRun, rr *repResult) {
-			rr.requests = r.net.Collector.Requests()
+			rr.Requests = r.net.Collector.Requests()
 		},
 		Pool: func(sc Scenario, reps []*repResult, res *Result) {
 			// Figures 5–6: group requests by file rank.
@@ -458,7 +457,7 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 			}
 			accs := make([]fileAcc, sc.Files.NumFiles)
 			for _, rr := range reps {
-				for _, q := range rr.requests {
+				for _, q := range rr.Requests {
 					if q.File < 0 || q.File >= len(accs) {
 						continue
 					}
@@ -498,13 +497,13 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 		},
 		Stream: func(sc Scenario, rep int, rr *repResult, emit func(telemetry.Point)) {
 			found := 0
-			for _, q := range rr.requests {
+			for _, q := range rr.Requests {
 				if q.Found {
 					found++
 				}
 			}
 			t := sc.Duration.Seconds()
-			emit(telemetry.Point{Rep: rep, T: t, Section: "search", Name: "requests", Value: float64(len(rr.requests))})
+			emit(telemetry.Point{Rep: rep, T: t, Section: "search", Name: "requests", Value: float64(len(rr.Requests))})
 			emit(telemetry.Point{Rep: rep, T: t, Section: "search", Name: "found", Value: float64(found)})
 		},
 	})
@@ -519,7 +518,7 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 func aggregateWorkload(reps []*repResult) *WorkloadStats {
 	var any bool
 	for _, rr := range reps {
-		if rr.workload != nil {
+		if rr.Workload != nil {
 			any = true
 			break
 		}
@@ -534,7 +533,7 @@ func aggregateWorkload(reps []*repResult) *WorkloadStats {
 	classIssued := map[string][]float64{}
 	var classOrder []string
 	for _, rr := range reps {
-		t := rr.workload
+		t := rr.Workload
 		if t == nil {
 			continue
 		}
@@ -547,11 +546,11 @@ func aggregateWorkload(reps []*repResult) *WorkloadStats {
 		inflight = append(inflight, float64(t.InFlight))
 		ttfr = append(ttfr, t.TTFR...)
 		completion = append(completion, t.Completion...)
-		churn = append(churn, rr.churnit)
+		churn = append(churn, rr.Churnit)
 		totOffered += float64(t.Offered)
 		totResolved += float64(t.Resolved)
-		totChurn += rr.churnit
-		for _, v := range rr.totals[telemetry.Connect] {
+		totChurn += rr.Churnit
+		for _, v := range rr.Totals[telemetry.Connect] {
 			totConnect += v
 		}
 		for _, c := range t.Classes {
