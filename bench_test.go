@@ -410,6 +410,10 @@ func BenchmarkWaypointPos(b *testing.B) {
 // Cost of one cold route discovery over a 10-hop chain.
 func BenchmarkAODVDiscovery(b *testing.B) { benchAODVDiscovery(b) }
 
+// Cost of one broadcast heard by 8 neighbours through the medium alone
+// (send, wheel, merged run loop, Fire); must report 0 allocs/op.
+func BenchmarkRadioBroadcast(b *testing.B) { benchRadioBroadcast(b) }
+
 // Cost of one controlled broadcast flooded down a 16-node line through
 // the shared route.Bcaster relay path.
 func BenchmarkBcastRelay(b *testing.B) { benchBcastRelay(b) }

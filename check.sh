@@ -5,7 +5,7 @@
 #
 # `./check.sh bench` instead runs the tracked benchmark suite, writes
 # the machine-readable report (see cmd/bench), and gates it against the
-# committed baseline (BENCH_10.json): >20% ns/op regressions on
+# committed baseline (BENCH_14.json): >20% ns/op regressions on
 # comparable hardware or any allocs/op increase on a 0-alloc benchmark
 # fail. Pass an output path as the second argument to override the
 # default BENCH.json; writing the baseline path itself skips the gate.
@@ -32,8 +32,8 @@ cd "$(dirname "$0")"
 
 if [ "$1" = "bench" ]; then
 	out="${2:-BENCH.json}"
-	echo "== tracked benchmarks -> $out (gated against BENCH_10.json) =="
-	go run ./cmd/bench -o "$out" -baseline BENCH_10.json
+	echo "== tracked benchmarks -> $out (gated against BENCH_14.json) =="
+	go run ./cmd/bench -o "$out" -baseline BENCH_14.json
 	exit 0
 fi
 
@@ -113,6 +113,6 @@ echo "== go test -race (sim core, fault injection, workload, root) =="
 go test -race ./internal/sim ./internal/fault ./internal/workload .
 
 echo "== bench smoke (micro benches only) =="
-go test -run xxx -bench 'Table1|GridNear|SimEventQueue|AODVDiscovery|ServentSend|BcastRelay' -benchtime 10x .
+go test -run xxx -bench 'Table1|GridNear|SimEventQueue|RadioBroadcast|AODVDiscovery|ServentSend|BcastRelay' -benchtime 10x .
 
 echo "all checks passed"

@@ -340,57 +340,62 @@ func (r *Router) emitRERR(lost []netif.Unreachable, relay bool) {
 	r.med.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: rerrSize(len(lost)), Payload: e})
 }
 
-// HandleFrame is the radio receive callback; it dispatches on packet kind.
-func (r *Router) HandleFrame(f radio.Frame) {
+// HandleFrame is the radio receive callback; it dispatches on packet
+// kind. The frame is the medium's shared copy (radio.Receiver): the
+// handlers only read through the pointer and copy the packet once they
+// know they will keep or relay it.
+func (r *Router) HandleFrame(f *radio.Frame) {
 	switch f.Payload.Kind {
 	case netif.PktRREQ:
-		r.handleRREQ(f.Src, f.Payload)
+		r.handleRREQ(f.Src, &f.Payload)
 	case netif.PktRREP:
-		r.handleRREP(f.Src, f.Payload)
+		r.handleRREP(f.Src, &f.Payload)
 	case netif.PktRERR:
-		r.handleRERR(f.Src, f.Payload)
+		r.handleRERR(f.Src, &f.Payload)
 	case netif.PktData:
-		r.handleData(f.Src, f.Payload)
+		r.handleData(f.Src, &f.Payload)
 	case netif.PktBcast:
-		r.bcast.Handle(f.Src, f.Payload)
+		r.bcast.Handle(f.Src, &f.Payload)
 	default:
 		panic(fmt.Sprintf("aodv: unknown packet kind %d", f.Payload.Kind))
 	}
 }
 
-func (r *Router) handleRREQ(prev int, q netif.Packet) {
-	if q.Origin == r.ID() {
+func (r *Router) handleRREQ(prev int, rx *netif.Packet) {
+	if rx.Origin == r.ID() {
 		return
 	}
-	k := route.Key{Origin: q.Origin, ID: q.ID}
+	k := route.Key{Origin: rx.Origin, ID: rx.ID}
 	if r.seenRREQ.Seen(k) {
 		r.Count.DupHits++
 		return
 	}
 	r.seenRREQ.Mark(k)
 	now := r.sim.Now()
-	q.HopCount++
+	hops := rx.HopCount + 1
 	// Learn/refresh the reverse route to the requester.
-	r.table.update(q.Origin, prev, q.HopCount, q.OriginSeq, true, now, r.cfg.ActiveRouteTimeout)
-	if prev != q.Origin {
+	r.table.update(rx.Origin, prev, hops, rx.OriginSeq, true, now, r.cfg.ActiveRouteTimeout)
+	if prev != rx.Origin {
 		r.table.update(prev, prev, 1, 0, false, now, r.cfg.ActiveRouteTimeout)
 	}
 
-	if q.Dst == r.ID() {
+	if rx.Dst == r.ID() {
 		// We are the destination: answer with our own sequence number.
-		if seqGreater(q.DstSeq, r.seq) {
-			r.seq = q.DstSeq
+		if seqGreater(rx.DstSeq, r.seq) {
+			r.seq = rx.DstSeq
 		}
 		r.seq++
-		r.sendRREP(netif.Packet{Kind: netif.PktRREP, Origin: q.Origin, Dst: r.ID(), DstSeq: r.seq, HopCount: 0}, now, false)
+		r.sendRREP(netif.Packet{Kind: netif.PktRREP, Origin: rx.Origin, Dst: r.ID(), DstSeq: r.seq, HopCount: 0}, now, false)
 		return
 	}
-	if e, ok := r.table.get(q.Dst, now); ok && e.haveSeq && !seqGreater(q.DstSeq, e.seq) {
+	if e, ok := r.table.get(rx.Dst, now); ok && e.haveSeq && !seqGreater(rx.DstSeq, e.seq) {
 		// Intermediate node with a route at least as fresh as requested.
-		r.sendRREP(netif.Packet{Kind: netif.PktRREP, Origin: q.Origin, Dst: q.Dst, DstSeq: e.seq, HopCount: e.hopCount}, now, false)
+		r.sendRREP(netif.Packet{Kind: netif.PktRREP, Origin: rx.Origin, Dst: rx.Dst, DstSeq: e.seq, HopCount: e.hopCount}, now, false)
 		return
 	}
-	if q.TTL > 1 {
+	if rx.TTL > 1 {
+		q := *rx
+		q.HopCount = hops
 		q.TTL--
 		r.Count.CtrlRelayed++
 		r.med.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: sizeRREQ, Payload: q})
@@ -412,20 +417,22 @@ func (r *Router) sendRREP(p netif.Packet, now sim.Time, relay bool) {
 	r.med.Send(radio.Frame{Src: r.ID(), Dst: e.nextHop, Size: sizeRREP, Payload: p})
 }
 
-func (r *Router) handleRREP(prev int, p netif.Packet) {
+func (r *Router) handleRREP(prev int, rx *netif.Packet) {
 	now := r.sim.Now()
-	p.HopCount++
+	hops := rx.HopCount + 1
 	// Learn the forward route to the replied-for destination.
-	r.table.update(p.Dst, prev, p.HopCount, p.DstSeq, true, now, r.cfg.ActiveRouteTimeout)
+	r.table.update(rx.Dst, prev, hops, rx.DstSeq, true, now, r.cfg.ActiveRouteTimeout)
 	r.table.update(prev, prev, 1, 0, false, now, r.cfg.ActiveRouteTimeout)
-	if p.Origin == r.ID() {
-		r.completeDiscovery(p.Dst)
+	if rx.Origin == r.ID() {
+		r.completeDiscovery(rx.Dst)
 		return
 	}
+	p := *rx
+	p.HopCount = hops
 	r.sendRREP(p, now, true)
 }
 
-func (r *Router) handleRERR(prev int, e netif.Packet) {
+func (r *Router) handleRERR(prev int, e *netif.Packet) {
 	now := r.sim.Now()
 	var propagate []netif.Unreachable
 	for _, u := range e.Unreachable {
@@ -441,20 +448,22 @@ func (r *Router) handleRERR(prev int, e netif.Packet) {
 	}
 }
 
-func (r *Router) handleData(prev int, pkt netif.Packet) {
+func (r *Router) handleData(prev int, rx *netif.Packet) {
 	now := r.sim.Now()
-	pkt.HopCount++
+	hops := rx.HopCount + 1
 	// Path accumulation: we now know a route back to the packet origin.
-	r.table.update(pkt.Origin, prev, pkt.HopCount, 0, false, now, r.cfg.ActiveRouteTimeout)
+	r.table.update(rx.Origin, prev, hops, 0, false, now, r.cfg.ActiveRouteTimeout)
 	r.table.update(prev, prev, 1, 0, false, now, r.cfg.ActiveRouteTimeout)
-	if pkt.Dst == r.ID() {
-		r.DeliverUnicast(pkt.Origin, pkt.HopCount, pkt.Msg)
+	if rx.Dst == r.ID() {
+		r.DeliverUnicast(rx.Origin, hops, rx.Msg)
 		return
 	}
-	if pkt.TTL <= 1 {
+	if rx.TTL <= 1 {
 		r.Count.DataDropped++
 		return
 	}
+	pkt := *rx
+	pkt.HopCount = hops
 	pkt.TTL--
 	r.forwardData(pkt)
 }

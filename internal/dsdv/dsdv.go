@@ -210,8 +210,8 @@ func (r *Router) expireStale() {
 	}
 }
 
-// handleUpdate merges a neighbor's advertisement.
-func (r *Router) handleUpdate(u netif.Packet) {
+// handleUpdate merges a neighbor's advertisement; u is only read.
+func (r *Router) handleUpdate(u *netif.Packet) {
 	now := r.sim.Now()
 	for _, e := range u.Entries {
 		if e.Dst == r.ID() {
@@ -361,30 +361,33 @@ func (r *Router) forward(pkt netif.Packet) {
 	r.med.Send(radio.Frame{Src: r.ID(), Dst: rt.nextHop, Size: pkt.Size + sizeDataHdr, Payload: pkt})
 }
 
-// HandleFrame dispatches radio arrivals on packet kind.
-func (r *Router) HandleFrame(f radio.Frame) {
+// HandleFrame dispatches radio arrivals on packet kind. The frame is the
+// medium's shared copy (radio.Receiver): the handlers only read through
+// the pointer and copy the packet once they know they will relay it.
+func (r *Router) HandleFrame(f *radio.Frame) {
 	switch f.Payload.Kind {
 	case netif.PktUpdate:
-		r.handleUpdate(f.Payload)
+		r.handleUpdate(&f.Payload)
 	case netif.PktData:
-		r.handleData(f.Payload)
+		r.handleData(&f.Payload)
 	case netif.PktBcast:
-		r.bcast.Handle(f.Src, f.Payload)
+		r.bcast.Handle(f.Src, &f.Payload)
 	default:
 		panic(fmt.Sprintf("dsdv: unknown packet kind %d", f.Payload.Kind))
 	}
 }
 
-func (r *Router) handleData(pkt netif.Packet) {
-	pkt.HopCount++
-	if pkt.Dst == r.ID() {
-		r.DeliverUnicast(pkt.Origin, pkt.HopCount, pkt.Msg)
+func (r *Router) handleData(rx *netif.Packet) {
+	if rx.Dst == r.ID() {
+		r.DeliverUnicast(rx.Origin, rx.HopCount+1, rx.Msg)
 		return
 	}
-	if pkt.TTL <= 1 {
+	if rx.TTL <= 1 {
 		r.Count.DataDropped++
 		return
 	}
+	pkt := *rx
+	pkt.HopCount++
 	pkt.TTL--
 	r.forward(pkt)
 }

@@ -385,45 +385,49 @@ func (r *Router) sendRERR(e netif.Packet, relay bool) {
 	r.med.Send(radio.Frame{Src: r.ID(), Dst: next, Size: sizeRERR + sizePerHop*len(e.Path), Payload: e})
 }
 
-// HandleFrame dispatches radio arrivals on packet kind.
-func (r *Router) HandleFrame(f radio.Frame) {
+// HandleFrame dispatches radio arrivals on packet kind. The frame is the
+// medium's shared copy (radio.Receiver): the handlers only read through
+// the pointer — Path included — and copy the packet once they know they
+// will relay it.
+func (r *Router) HandleFrame(f *radio.Frame) {
 	switch f.Payload.Kind {
 	case netif.PktRREQ:
-		r.handleRREQ(f.Payload)
+		r.handleRREQ(&f.Payload)
 	case netif.PktRREP:
-		r.handleRREP(f.Payload)
+		r.handleRREP(&f.Payload)
 	case netif.PktRERR:
-		r.handleRERR(f.Payload)
+		r.handleRERR(&f.Payload)
 	case netif.PktData:
-		r.handleData(f.Payload)
+		r.handleData(&f.Payload)
 	case netif.PktBcast:
-		r.bcast.Handle(f.Src, f.Payload)
+		r.bcast.Handle(f.Src, &f.Payload)
 	default:
 		panic(fmt.Sprintf("dsr: unknown packet kind %d", f.Payload.Kind))
 	}
 }
 
-func (r *Router) handleRREQ(q netif.Packet) {
-	if q.Origin == r.ID() {
+func (r *Router) handleRREQ(rx *netif.Packet) {
+	if rx.Origin == r.ID() {
 		return
 	}
-	k := route.Key{Origin: q.Origin, ID: q.ID}
+	k := route.Key{Origin: rx.Origin, ID: rx.ID}
 	if r.seenRREQ.Seen(k) {
 		r.Count.DupHits++
 		return
 	}
 	r.seenRREQ.Mark(k)
 	// Learn the reverse route from the accumulated path.
-	r.learnRoute(q.Origin, r.reversed(q.Path))
-	if q.Dst == r.ID() {
+	r.learnRoute(rx.Origin, r.reversed(rx.Path))
+	if rx.Dst == r.ID() {
 		// Answer along the reversed accumulated path.
-		p := netif.Packet{Kind: netif.PktRREP, Origin: q.Origin, Dst: r.ID(), Path: append([]int(nil), q.Path...)}
+		p := netif.Packet{Kind: netif.PktRREP, Origin: rx.Origin, Dst: r.ID(), Path: append([]int(nil), rx.Path...)}
 		r.sendRREP(p, false)
 		return
 	}
-	if q.TTL <= 1 {
+	if rx.TTL <= 1 {
 		return
 	}
+	q := *rx
 	q.TTL--
 	q.Path = append(append([]int(nil), q.Path...), r.ID())
 	r.Count.CtrlRelayed++
@@ -455,44 +459,47 @@ func (r *Router) sendRREP(p netif.Packet, relay bool) {
 	})
 }
 
-func (r *Router) handleRREP(p netif.Packet) {
+func (r *Router) handleRREP(rx *netif.Packet) {
 	// Everyone on the way back learns the route to the reply's subject.
-	idx := len(p.Path) - 1 - p.Pos // our position in the path
-	if p.Origin == r.ID() {
-		r.learnRoute(p.Dst, p.Path)
-		r.completeDiscovery(p.Dst)
+	idx := len(rx.Path) - 1 - rx.Pos // our position in the path
+	if rx.Origin == r.ID() {
+		r.learnRoute(rx.Dst, rx.Path)
+		r.completeDiscovery(rx.Dst)
 		return
 	}
-	if idx < 0 || idx >= len(p.Path) || p.Path[idx] != r.ID() {
+	if idx < 0 || idx >= len(rx.Path) || rx.Path[idx] != r.ID() {
 		return // stale or misrouted reply
 	}
-	r.learnRoute(p.Dst, p.Path[idx+1:])
+	r.learnRoute(rx.Dst, rx.Path[idx+1:])
+	p := *rx
 	p.Pos++
 	r.sendRREP(p, true)
 }
 
-func (r *Router) handleRERR(e netif.Packet) {
-	r.dropRoutesVia(e.BadA, e.BadB)
-	if e.Origin == r.ID() {
+func (r *Router) handleRERR(rx *netif.Packet) {
+	r.dropRoutesVia(rx.BadA, rx.BadB)
+	if rx.Origin == r.ID() {
 		return
 	}
-	if e.Pos < len(e.Path) && e.Path[e.Pos] == r.ID() {
+	if rx.Pos < len(rx.Path) && rx.Path[rx.Pos] == r.ID() {
+		e := *rx
 		e.Pos++
 		r.sendRERR(e, true)
 	}
 }
 
-func (r *Router) handleData(pkt netif.Packet) {
-	if pkt.Dst == r.ID() {
+func (r *Router) handleData(rx *netif.Packet) {
+	if rx.Dst == r.ID() {
 		// Learn the reverse route from the traversed prefix.
-		r.learnRoute(pkt.Origin, r.reversed(pkt.Path))
-		r.DeliverUnicast(pkt.Origin, len(pkt.Path)+1, pkt.Msg)
+		r.learnRoute(rx.Origin, r.reversed(rx.Path))
+		r.DeliverUnicast(rx.Origin, len(rx.Path)+1, rx.Msg)
 		return
 	}
-	if pkt.Pos >= len(pkt.Path) || pkt.Path[pkt.Pos] != r.ID() {
+	if rx.Pos >= len(rx.Path) || rx.Path[rx.Pos] != r.ID() {
 		r.Count.DataDropped++
 		return // not ours; stale source route
 	}
+	pkt := *rx
 	pkt.Pos++
 	r.forward(pkt)
 }

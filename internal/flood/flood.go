@@ -129,35 +129,39 @@ func (r *Router) Send(dst, size int, payload netif.Msg) {
 	r.med.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: pkt.Size + sizeHdr, Payload: pkt})
 }
 
-// HandleFrame is the radio receive callback.
-func (r *Router) HandleFrame(f radio.Frame) {
+// HandleFrame is the radio receive callback. The frame is the medium's
+// shared copy (radio.Receiver): the handlers only read through the
+// pointer and copy the packet once they know they will relay it.
+func (r *Router) HandleFrame(f *radio.Frame) {
 	switch f.Payload.Kind {
 	case netif.PktBcast:
-		r.bcast.Handle(f.Src, f.Payload)
+		r.bcast.Handle(f.Src, &f.Payload)
 	case netif.PktData:
-		r.handleUnicast(f.Payload)
+		r.handleUnicast(&f.Payload)
 	default:
 		panic(fmt.Sprintf("flood: unknown packet kind %d", f.Payload.Kind))
 	}
 }
 
-func (r *Router) handleUnicast(pkt netif.Packet) {
-	if pkt.Origin == r.ID() {
+func (r *Router) handleUnicast(rx *netif.Packet) {
+	if rx.Origin == r.ID() {
 		return
 	}
-	k := route.Key{Origin: pkt.Origin, ID: pkt.ID}
+	k := route.Key{Origin: rx.Origin, ID: rx.ID}
 	if r.seen.Seen(k) {
 		r.Count.DupHits++
 		return
 	}
 	r.seen.Mark(k)
-	pkt.HopCount++
-	r.lastHops[pkt.Origin] = pkt.HopCount
-	if pkt.Dst == r.ID() {
-		r.DeliverUnicast(pkt.Origin, pkt.HopCount, pkt.Msg)
+	hops := rx.HopCount + 1
+	r.lastHops[rx.Origin] = hops
+	if rx.Dst == r.ID() {
+		r.DeliverUnicast(rx.Origin, hops, rx.Msg)
 		return // the destination need not keep relaying
 	}
-	if pkt.TTL > 1 {
+	if rx.TTL > 1 {
+		pkt := *rx
+		pkt.HopCount = hops
 		pkt.TTL--
 		r.Count.DataForwarded++
 		r.med.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: pkt.Size + sizeHdr, Payload: pkt})

@@ -14,7 +14,8 @@
 // The checker is zero-cost when off: nothing in this package is touched
 // by the simulation hot path, and a disabled Config wires no events and
 // allocates nothing. When on, it observes through read-only snapshots
-// (p2p.Servent.Inspect, radio.Medium.InFlightTo, sim.Sim.Audit) and
+// (p2p.Servent.Inspect, radio.Medium.InFlightTo, sim.Sim.Audit,
+// radio.Medium.Audit) and
 // draws no random numbers, so an instrumented run produces the same
 // Result as an uninstrumented one.
 package invariant
@@ -215,6 +216,9 @@ func (c *Checker) Check() {
 	c.t.Sim.Audit(func(rule, detail string) {
 		c.report("sim", rule, -1, -1, "%s", detail)
 	})
+	c.t.Medium.Audit(func(rule, detail string) {
+		c.report("radio", rule, -1, -1, "%s", detail)
+	})
 	c.checkRadioConservation()
 	c.checkMetrics()
 	c.checkRouting()
@@ -316,9 +320,9 @@ func (c *Checker) checkRouting() {
 // must have fired every event stamped at or before the clock.
 func (c *Checker) Finalize() {
 	c.Check()
-	if at, seq, ok := c.t.Sim.NextEvent(); ok && at <= c.t.Sim.Now() {
+	if c.t.Sim.Due() {
 		c.report("sim", "queue-at-horizon", -1, -1,
-			"live event (at=%v seq=%d) still queued at horizon %v", at, seq, c.t.Sim.Now())
+			"live event or radio reception still queued at or before horizon %v", c.t.Sim.Now())
 	}
 }
 

@@ -63,7 +63,7 @@ func (k RoutingKind) String() string {
 // protocol plus the radio receive hook.
 type NodeRouter interface {
 	netif.Protocol
-	HandleFrame(radio.Frame)
+	HandleFrame(*radio.Frame)
 }
 
 // MobilityKind selects the movement model.

@@ -5,11 +5,14 @@
 // overlay relies on but the interface alone cannot express —
 // controlled-broadcast TTL reach, asynchronous self-delivery, HopsTo
 // never triggering discovery, OnSendFailed firing exactly once per
-// abandoned payload, hooks that may reenter the router, and duplicate
-// caches that stay bounded under a broadcast storm.
+// abandoned payload, hooks that may reenter the router, duplicate
+// caches that stay bounded under a broadcast storm, and received frames
+// that are never written through the shared pointer.
 package conformance
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"manetp2p/internal/geom"
@@ -23,7 +26,7 @@ import (
 // inherits from route.Core.
 type Router interface {
 	netif.Protocol
-	HandleFrame(f radio.Frame)
+	HandleFrame(f *radio.Frame)
 	SeenEntries() int
 	SeenBound() int
 }
@@ -60,6 +63,39 @@ type net struct {
 	routers []Router
 	unicast [][]netif.Delivery
 	bcasts  [][]netif.Delivery
+	heard   []reception // every frame reception, as it looked on arrival
+}
+
+// reception is one frame as node to received it, snapshotted before the
+// router's handler ran.
+type reception struct {
+	to    int
+	frame radio.Frame
+}
+
+// snapshot deep-copies a frame: the struct and the slices it points to.
+func snapshot(f *radio.Frame) radio.Frame {
+	c := *f
+	c.Payload.Path = slices.Clone(f.Payload.Path)
+	c.Payload.Unreachable = slices.Clone(f.Payload.Unreachable)
+	c.Payload.Entries = slices.Clone(f.Payload.Entries)
+	return c
+}
+
+// receive is node i's radio receiver in every suite network: it hands
+// the frame to the router and then requires it unchanged. The medium
+// stores one frame per transmission and every receiver reads that same
+// copy (radio.Receiver), so a handler that edits through the pointer —
+// p.TTL--, p.HopCount++, an append into Path's spare capacity — would
+// corrupt what the next neighbour hears.
+func (n *net) receive(t *testing.T, name string, i int, f *radio.Frame) {
+	before := snapshot(f)
+	n.heard = append(n.heard, reception{to: i, frame: before})
+	n.routers[i].HandleFrame(f)
+	if !reflect.DeepEqual(*f, before) {
+		t.Errorf("%s: node %d's handler modified the shared frame from %d:\nbefore %+v\nafter  %+v",
+			name, i, before.Src, before, *f)
+	}
 }
 
 // newNet builds the network. Positions closer than 10 m are in radio
@@ -91,8 +127,8 @@ func newNet(t *testing.T, f Factory, seed int64, pts []geom.Point) *net {
 		}
 		r.OnUnicast(func(d netif.Delivery) { n.unicast[i] = append(n.unicast[i], d) })
 		r.OnBroadcast(func(d netif.Delivery) { n.bcasts[i] = append(n.bcasts[i], d) })
-		med.Join(i, p, r.HandleFrame)
 		n.routers[i] = r
+		med.Join(i, p, func(fr *radio.Frame) { n.receive(t, f.Name, i, fr) })
 	}
 	if f.WarmUp > 0 {
 		s.Run(f.WarmUp)
@@ -127,6 +163,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("SendFailedOnce", func(t *testing.T) { testSendFailedOnce(t, f) })
 	t.Run("HookReentrancy", func(t *testing.T) { testHookReentrancy(t, f) })
 	t.Run("DupCacheBounded", func(t *testing.T) { testDupCacheBounded(t, f) })
+	t.Run("SharedFramesReadOnly", func(t *testing.T) { testSharedFramesReadOnly(t, f) })
 }
 
 // testBroadcastTTL pins the controlled-broadcast reach contract: a
@@ -315,5 +352,67 @@ func testDupCacheBounded(t *testing.T, f Factory) {
 	}
 	if got := len(n.bcasts[1]) - base; got != storm {
 		t.Errorf("neighbor delivered %d of %d storm broadcasts", got, storm)
+	}
+}
+
+// testSharedFramesReadOnly pins the receive-pointer contract on the two
+// paths where a handler is tempted to edit in place. Every network the
+// suite builds already checks each frame against a snapshot taken
+// before its handler ran (net.receive); this test adds traffic where a
+// violation is visible to a second reader — a broadcast heard by three
+// neighbours, each of which relays it, and a unicast relayed over two
+// hops — and requires every receiver of a transmission to have seen the
+// header its sender put on the air.
+func testSharedFramesReadOnly(t *testing.T, f Factory) {
+	const ttl = 3
+	n := newNet(t, f, 7, clique(4))
+	n.heard = nil
+	n.routers[0].Broadcast(ttl, 10, netif.TestMsg(31))
+	n.s.Run(n.s.Now() + 5*sim.Second)
+	fromOrigin, fromRelays := 0, 0
+	for _, h := range n.heard {
+		p := &h.frame.Payload
+		if p.Kind != netif.PktBcast || p.Msg != netif.TestMsg(31) {
+			continue
+		}
+		wantTTL, wantHops := ttl, 0
+		if h.frame.Src == 0 {
+			fromOrigin++
+		} else {
+			fromRelays++
+			wantTTL, wantHops = ttl-1, 1
+		}
+		if p.TTL != wantTTL || p.HopCount != wantHops {
+			t.Errorf("node %d heard the broadcast from %d with TTL %d HopCount %d, sender transmitted TTL %d HopCount %d",
+				h.to, h.frame.Src, p.TTL, p.HopCount, wantTTL, wantHops)
+		}
+	}
+	if fromOrigin != 3 || fromRelays != 9 {
+		t.Errorf("broadcast heard %d times from the origin and %d from relays, want 3 and 9", fromOrigin, fromRelays)
+	}
+
+	n = newNet(t, f, 8, line(3))
+	n.heard = nil
+	base := len(n.unicast[2])
+	n.routers[0].Send(2, 10, netif.TestMsg(32))
+	n.s.Run(n.s.Now() + 60*sim.Second)
+	if got := n.unicast[2][base:]; len(got) != 1 || got[0].Hops != 2 || got[0].Payload != netif.TestMsg(32) {
+		t.Fatalf("relayed unicast deliveries = %+v, want one at 2 hops", got)
+	}
+	relayed := false
+	for _, h := range n.heard {
+		p := &h.frame.Payload
+		if p.Kind != netif.PktData || p.Msg != netif.TestMsg(32) {
+			continue
+		}
+		// The hop cursor is HopCount (aodv, dsdv, flood) or Pos (dsr): it
+		// reads 0 in the origin's transmission and 1 in the relay's.
+		if cursor := p.HopCount + p.Pos; cursor != h.frame.Src {
+			t.Errorf("node %d heard the data frame from %d with hop cursor %d, want %d", h.to, h.frame.Src, cursor, h.frame.Src)
+		}
+		relayed = relayed || (h.frame.Src == 1 && h.to == 2)
+	}
+	if !relayed {
+		t.Error("no relayed data frame reached node 2")
 	}
 }

@@ -45,9 +45,13 @@ type AdvEntry struct {
 }
 
 // Packet is the router frame: a value-typed tagged union of every
-// protocol's control and data frames. radio.Frame carries it by value,
-// so relaying a frame allocates nothing. Only the fields of the active
-// Kind are meaningful.
+// protocol's control and data frames. radio.Frame embeds it, the medium
+// stores that frame once per transmission, and every receiver is handed
+// a pointer to the stored copy: a receive handler reads through the
+// pointer and copies the Packet (one struct assignment, no allocation)
+// only when it keeps, edits or relays it. The slices are shared by every
+// copy and are never written in place — extending Path means copying it
+// first. Only the fields of the active Kind are meaningful.
 //
 // Field use by kind:
 //

@@ -21,8 +21,9 @@ import (
 // BroadcastAddr addresses a frame to every node in range of the sender.
 const BroadcastAddr = -1
 
-// Frame is one link-layer transmission unit. The payload travels by
-// value — relaying or queueing a frame never touches the heap.
+// Frame is one link-layer transmission unit. Send takes it by value and
+// the medium stores it once per transmission, however many nodes hear
+// it; receivers are handed a pointer to that one stored copy.
 type Frame struct {
 	Src     int          // transmitting node
 	Dst     int          // receiving node or BroadcastAddr
@@ -30,8 +31,12 @@ type Frame struct {
 	Payload netif.Packet // upper-layer packet; never inspected by the medium
 }
 
-// Receiver is the upper-layer hook invoked on frame arrival.
-type Receiver func(f Frame)
+// Receiver is the upper-layer hook invoked on frame arrival. The frame
+// is the medium's single stored copy of the transmission, shared by
+// every node that hears it: it is valid only for the duration of the
+// callback and must not be modified, including the slices inside its
+// payload. A receiver that keeps or edits anything copies it first.
+type Receiver func(f *Frame)
 
 // LinkFilter vets each would-be frame delivery; returning true drops it
 // (counted in the receiver's Gated stat). Installed by the fault
@@ -102,118 +107,16 @@ type Medium struct {
 	scratch  []int // Neighbors/Degree query buffer
 	bscratch []int // broadcast fan-out buffer; see the note in Send
 
-	// Batched delivery engine: instead of one simulator event (and one
-	// capturing closure) per in-flight frame, pending deliveries are
-	// value-typed records in the medium's own min-heap, drained by a
-	// single pooled event. Each record consumes a global sequence number
-	// via ReserveSeq at the moment the old code would have scheduled it,
-	// so the interleaving with independently scheduled events — and
-	// therefore determinism — is bit-identical to the one-event-per-frame
-	// design. The one observable difference: Sim.Pending/Fired counts,
-	// and a Stop() landing mid-batch no longer splits same-instant
-	// deliveries (both are diagnostics, not simulation state).
-	pending    deliveryHeap
-	frames     []Frame // slab of in-flight frames, indexed by delivery.idx
-	freeIdx    []int32 // recycled slab slots
-	drainFn    func()
-	drainH     sim.Handle
-	drainAt    sim.Time
-	drainSeq   uint64
-	drainArmed bool
-	draining   bool
-}
-
-// delivery is one in-flight frame: it arrives at node to at instant at,
-// ordered among all simulator events by the reserved seq. The record is
-// deliberately a 24-byte key — the frame itself sits in the medium's
-// slab under idx — so the heap's sift swaps move keys, not 200+-byte
-// value-typed packets (sifting whole frames dominated the CPU profile).
-type delivery struct {
-	at  sim.Time
-	seq uint64
-	to  int32
-	idx int32
-}
-
-// deliveryHeap is a value-typed binary min-heap over (at, seq).
-type deliveryHeap struct {
-	items []delivery
-}
-
-func (q *deliveryHeap) len() int { return len(q.items) }
-
-func (q *deliveryHeap) less(i, j int) bool {
-	a, b := &q.items[i], &q.items[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (q *deliveryHeap) push(d delivery) {
-	q.items = append(q.items, d)
-	i := len(q.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
-		i = parent
-	}
-}
-
-func (q *deliveryHeap) peek() (delivery, bool) {
-	if len(q.items) == 0 {
-		return delivery{}, false
-	}
-	return q.items[0], true
-}
-
-func (q *deliveryHeap) pop() delivery {
-	n := len(q.items)
-	top := q.items[0]
-	q.items[0] = q.items[n-1]
-	q.items = q.items[:n-1]
-	n--
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		smallest := left
-		if right := left + 1; right < n && q.less(right, left) {
-			smallest = right
-		}
-		if !q.less(smallest, i) {
-			break
-		}
-		q.items[i], q.items[smallest] = q.items[smallest], q.items[i]
-		i = smallest
-	}
-	return top
-}
-
-// putFrame parks an in-flight frame in the slab and returns its slot.
-// Slot indices are stable across slab growth, so a held index survives
-// reentrant Sends from a receive callback; pointers into the slab do not.
-func (m *Medium) putFrame(f Frame) int32 {
-	if n := len(m.freeIdx); n > 0 {
-		idx := m.freeIdx[n-1]
-		m.freeIdx = m.freeIdx[:n-1]
-		m.frames[idx] = f
-		return idx
-	}
-	m.frames = append(m.frames, f)
-	return int32(len(m.frames) - 1)
-}
-
-// releaseFrame recycles a slab slot, dropping the payload's slice
-// references so the frame does not pin memory while the slot sits free.
-func (m *Medium) releaseFrame(idx int32) {
-	m.frames[idx] = Frame{}
-	m.freeIdx = append(m.freeIdx, idx)
+	// In-flight state. Pending receptions sit in a timing wheel that the
+	// simulator merges into its run loop (the medium is the Sim's
+	// Source): each reception reserves a global sequence number at the
+	// moment a per-frame event would have been scheduled, so the
+	// interleaving with independently scheduled events is that of one
+	// event per reception. The frame itself is stored once per
+	// transmission in the slab, counted by its queued receptions.
+	wheel wheel
+	slab  frameSlab
+	epoch []uint32 // per node, bumped by Join; see Leave
 }
 
 // NewMedium creates the medium; all nodes start down (not placed) until
@@ -232,11 +135,13 @@ func NewMedium(s *sim.Sim, cfg Config) (*Medium, error) {
 		up:      make([]bool, cfg.NumNodes),
 		stats:   make([]Stats, cfg.NumNodes),
 		battery: make([]*Battery, cfg.NumNodes),
+		epoch:   make([]uint32, cfg.NumNodes),
 	}
 	for i := range m.battery {
 		m.battery[i] = NewBattery(cfg.Energy)
 	}
-	m.drainFn = m.drainDeliveries
+	m.wheel.init(cfg.Latency + cfg.Jitter)
+	s.SetSource(m)
 	return m, nil
 }
 
@@ -250,12 +155,16 @@ func (m *Medium) Join(id int, p geom.Point, r Receiver) {
 		panic("radio: Join with nil receiver")
 	}
 	m.up[id] = true
+	m.epoch[id]++
 	m.recv[id] = r
 	m.grid.Insert(id, p)
 }
 
 // Leave removes node id from the air (death, churn). In-flight frames
-// addressed to it are silently lost. Leaving a down node is a no-op.
+// addressed to it are silently lost (counted in LostDown) — also when
+// the node is back up by the time they arrive: each reception carries
+// the join epoch its receiver had at transmit time, and a later Join
+// starts a new one. Leaving a down node is a no-op.
 func (m *Medium) Leave(id int) {
 	if !m.up[id] {
 		return
@@ -316,7 +225,7 @@ func (m *Medium) OnDeath(fn func(id int)) { m.onDeath = fn }
 func (m *Medium) SetLinkFilter(f LinkFilter) { m.filter = f }
 
 // InFlight reports how many deliveries are currently queued in the air.
-func (m *Medium) InFlight() int { return m.pending.len() }
+func (m *Medium) InFlight() int { return m.wheel.n }
 
 // InFlightTo fills dst with the per-destination counts of in-flight
 // deliveries and returns it, growing dst to NumNodes if needed (pass nil
@@ -329,9 +238,7 @@ func (m *Medium) InFlightTo(dst []uint64) []uint64 {
 	for i := range dst {
 		dst[i] = 0
 	}
-	for i := range m.pending.items {
-		dst[m.pending.items[i].to]++
-	}
+	m.wheel.each(func(r *rec) { dst[r.to]++ })
 	return dst
 }
 
@@ -365,115 +272,80 @@ func (m *Medium) Send(f Frame) int {
 		// mid-iteration. The reentrancy contract is documented on
 		// SetLinkFilter.
 		m.bscratch = m.Neighbors(m.bscratch[:0], f.Src)
-		n := 0
+		slot := noSlot
 		for _, nb := range m.bscratch {
-			m.deliver(f, nb)
-			n++
+			slot = m.deliver(&f, slot, nb)
 		}
-		return n
+		return len(m.bscratch)
 	}
 	if f.Dst < 0 || f.Dst >= m.cfg.NumNodes || !m.InRange(f.Src, f.Dst) {
 		return 0
 	}
-	m.deliver(f, f.Dst)
+	m.deliver(&f, noSlot, f.Dst)
 	return 1
 }
 
+// noSlot marks a transmission no receiver has been queued for yet.
+const noSlot int32 = -1
+
 // deliver queues the frame for arrival at node to after latency+jitter,
-// applying the loss probability. The pending record reserves its global
-// sequence number here — exactly where the per-frame event used to be
-// scheduled — so batching cannot reorder it against anything else.
-func (m *Medium) deliver(f Frame, to int) {
+// applying the link filter and the loss probability. The frame is
+// parked in the slab by the first reception that survives them (slot is
+// noSlot until then); deliver returns the slot for the next receiver.
+// The reception reserves its global sequence number here — exactly where
+// a per-frame event would be scheduled — so the wheel cannot reorder it
+// against anything else.
+func (m *Medium) deliver(f *Frame, slot int32, to int) int32 {
 	if m.filter != nil && m.filter(f.Src, to) {
 		m.stats[to].Gated++
-		return
+		return slot
 	}
 	if m.cfg.LossProb > 0 && m.rng.Float64() < m.cfg.LossProb {
 		m.stats[to].Dropped++
-		return
+		return slot
 	}
 	delay := m.cfg.Latency
 	if m.cfg.Jitter > 0 {
 		delay += sim.Time(m.jrng.Int63n(int64(m.cfg.Jitter) + 1))
 	}
 	m.stats[to].Queued++
-	m.pending.push(delivery{at: m.sim.Now() + delay, seq: m.sim.ReserveSeq(), to: int32(to), idx: m.putFrame(f)})
-	m.syncDrain()
+	if slot == noSlot {
+		slot = m.slab.park(f)
+	}
+	m.slab.at(slot).refs++
+	m.wheel.push(rec{at: m.sim.Now() + delay, seq: m.sim.ReserveSeq(), to: int32(to), slot: slot, epoch: m.epoch[to]})
+	return slot
 }
 
-// syncDrain keeps exactly one simulator event armed at the earliest
-// pending record's (at, seq) key. Re-arming on a changed head lazily
-// cancels the previous drain event; the sim purges it at peek.
-func (m *Medium) syncDrain() {
-	if m.draining {
-		return // drainDeliveries re-syncs once the batch is done
-	}
-	head, ok := m.pending.peek()
-	if !ok {
-		if m.drainArmed {
-			m.drainH.Cancel()
-			m.drainArmed = false
-		}
-		return
-	}
-	if m.drainArmed {
-		if head.at == m.drainAt && head.seq == m.drainSeq {
-			return
-		}
-		m.drainH.Cancel()
-	}
-	m.drainH = m.sim.AtReserved(head.at, head.seq, m.drainFn)
-	m.drainAt, m.drainSeq, m.drainArmed = head.at, head.seq, true
+// Next implements sim.Source: the key of the earliest pending reception.
+func (m *Medium) Next() (sim.Time, uint64, bool) {
+	return m.wheel.headAt, m.wheel.headSeq, m.wheel.n > 0
 }
 
-// drainDeliveries fires at the head record's reserved key and completes
-// every pending delivery that would have run back-to-back anyway: same
-// instant, and ordered before the simulator's next independent event.
-// Anything later re-arms a fresh drain, preserving the exact global
-// event interleaving of the one-event-per-frame design.
-func (m *Medium) drainDeliveries() {
-	m.drainArmed = false
-	m.draining = true
-	now := m.sim.Now()
-	for {
-		rec, ok := m.pending.peek()
-		if !ok || rec.at != now {
-			break
-		}
-		// The first record is always safe: the drain event just fired at
-		// its exact key. Later records must still precede the simulator's
-		// next event to run inline without reordering.
-		if qt, qs, qok := m.sim.NextEvent(); qok && qt == now && qs < rec.seq {
-			break
-		}
-		m.pending.pop()
-		m.arrive(rec)
-	}
-	m.draining = false
-	m.syncDrain()
-}
-
-// arrive completes one delivery, with the same receiver checks the
-// per-frame closure used to make at fire time. The frame is read out of
-// the slab by index at each use — never through a held pointer — because
-// the receive callback may Send, growing the slab.
-func (m *Medium) arrive(rec delivery) {
-	to := int(rec.to)
-	// The receiver may have left or died while the frame was in
-	// flight; radio waves do not chase nodes.
-	if !m.up[to] {
+// Fire implements sim.Source: it completes the earliest pending
+// reception. The receive callback gets a pointer into the slab, which
+// stays valid while the callback Sends (see frameSlab); the slot is
+// recycled after the frame's last reception returns.
+func (m *Medium) Fire() {
+	r := m.wheel.pop()
+	to := int(r.to)
+	fs := m.slab.at(r.slot)
+	fs.refs--
+	// The receiver may have left or died while the frame was in flight;
+	// radio waves do not chase nodes, nor wait for them to come back.
+	if !m.up[to] || m.epoch[to] != r.epoch {
 		m.stats[to].LostDown++
-		m.releaseFrame(rec.idx)
-		return
+	} else {
+		m.stats[to].RxFrames++
+		m.stats[to].RxBytes += uint64(fs.Size)
+		m.spendRx(to, fs.Size)
+		if m.up[to] { // spendRx may have killed it
+			m.recv[to](&fs.Frame)
+		}
 	}
-	size := m.frames[rec.idx].Size
-	m.stats[to].RxFrames++
-	m.stats[to].RxBytes += uint64(size)
-	m.spendRx(to, size)
-	if m.up[to] { // spendRx may have killed it
-		m.recv[to](m.frames[rec.idx])
+	if fs.refs == 0 {
+		m.slab.release(r.slot)
 	}
-	m.releaseFrame(rec.idx)
 }
 
 func (m *Medium) spendTx(id, size int) {

@@ -26,7 +26,7 @@ type capture struct {
 	frames []Frame
 }
 
-func (c *capture) recv(f Frame) { c.frames = append(c.frames, f) }
+func (c *capture) recv(f *Frame) { c.frames = append(c.frames, *f) }
 
 func newTestMedium(t *testing.T, s *sim.Sim, cfg Config) *Medium {
 	t.Helper()
@@ -63,7 +63,7 @@ func TestUnicastInRange(t *testing.T) {
 	s := sim.New(1)
 	m := newTestMedium(t, s, testConfig(2))
 	var rx capture
-	m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {})
+	m.Join(0, geom.Point{X: 10, Y: 10}, func(*Frame) {})
 	m.Join(1, geom.Point{X: 15, Y: 10}, rx.recv)
 	n := m.Send(Frame{Src: 0, Dst: 1, Size: 64, Payload: pkt(5)})
 	if n != 1 {
@@ -82,7 +82,7 @@ func TestUnicastOutOfRangeLost(t *testing.T) {
 	s := sim.New(1)
 	m := newTestMedium(t, s, testConfig(2))
 	var rx capture
-	m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {})
+	m.Join(0, geom.Point{X: 10, Y: 10}, func(*Frame) {})
 	m.Join(1, geom.Point{X: 30, Y: 10}, rx.recv)
 	if n := m.Send(Frame{Src: 0, Dst: 1, Size: 64}); n != 0 {
 		t.Fatalf("out-of-range Send queued %d, want 0", n)
@@ -97,7 +97,7 @@ func TestBroadcastReachesAllInRange(t *testing.T) {
 	s := sim.New(1)
 	m := newTestMedium(t, s, testConfig(4))
 	var rx1, rx2, rx3 capture
-	m.Join(0, geom.Point{X: 50, Y: 50}, func(Frame) {})
+	m.Join(0, geom.Point{X: 50, Y: 50}, func(*Frame) {})
 	m.Join(1, geom.Point{X: 55, Y: 50}, rx1.recv)
 	m.Join(2, geom.Point{X: 50, Y: 58}, rx2.recv)
 	m.Join(3, geom.Point{X: 80, Y: 80}, rx3.recv) // out of range
@@ -127,7 +127,7 @@ func TestLeaveStopsDelivery(t *testing.T) {
 	s := sim.New(1)
 	m := newTestMedium(t, s, testConfig(2))
 	var rx capture
-	m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {})
+	m.Join(0, geom.Point{X: 10, Y: 10}, func(*Frame) {})
 	m.Join(1, geom.Point{X: 12, Y: 10}, rx.recv)
 	m.Send(Frame{Src: 0, Dst: 1, Size: 16})
 	m.Leave(1) // frame is in flight; the receiver leaves before arrival
@@ -147,7 +147,7 @@ func TestSetPosAffectsReachability(t *testing.T) {
 	s := sim.New(1)
 	m := newTestMedium(t, s, testConfig(2))
 	var rx capture
-	m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {})
+	m.Join(0, geom.Point{X: 10, Y: 10}, func(*Frame) {})
 	m.Join(1, geom.Point{X: 50, Y: 50}, rx.recv)
 	if m.InRange(0, 1) {
 		t.Fatal("nodes 40m+ apart reported in range")
@@ -166,10 +166,10 @@ func TestSetPosAffectsReachability(t *testing.T) {
 func TestNeighborsAndDegree(t *testing.T) {
 	s := sim.New(1)
 	m := newTestMedium(t, s, testConfig(4))
-	m.Join(0, geom.Point{X: 50, Y: 50}, func(Frame) {})
-	m.Join(1, geom.Point{X: 55, Y: 50}, func(Frame) {})
-	m.Join(2, geom.Point{X: 50, Y: 45}, func(Frame) {})
-	m.Join(3, geom.Point{X: 10, Y: 10}, func(Frame) {})
+	m.Join(0, geom.Point{X: 50, Y: 50}, func(*Frame) {})
+	m.Join(1, geom.Point{X: 55, Y: 50}, func(*Frame) {})
+	m.Join(2, geom.Point{X: 50, Y: 45}, func(*Frame) {})
+	m.Join(3, geom.Point{X: 10, Y: 10}, func(*Frame) {})
 	nbs := m.Neighbors(nil, 0)
 	if len(nbs) != 2 {
 		t.Fatalf("Neighbors = %v, want 2 entries", nbs)
@@ -182,8 +182,8 @@ func TestNeighborsAndDegree(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	s := sim.New(1)
 	m := newTestMedium(t, s, testConfig(2))
-	m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {})
-	m.Join(1, geom.Point{X: 12, Y: 10}, func(Frame) {})
+	m.Join(0, geom.Point{X: 10, Y: 10}, func(*Frame) {})
+	m.Join(1, geom.Point{X: 12, Y: 10}, func(*Frame) {})
 	m.Send(Frame{Src: 0, Dst: 1, Size: 100})
 	m.Send(Frame{Src: 0, Dst: 1, Size: 50})
 	s.Run(sim.MaxTime)
@@ -202,7 +202,7 @@ func TestLossProbabilityDropsFrames(t *testing.T) {
 	s := sim.New(42)
 	m := newTestMedium(t, s, cfg)
 	var rx capture
-	m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {})
+	m.Join(0, geom.Point{X: 10, Y: 10}, func(*Frame) {})
 	m.Join(1, geom.Point{X: 12, Y: 10}, rx.recv)
 	const total = 2000
 	for i := 0; i < total; i++ {
@@ -224,8 +224,8 @@ func TestJitterSpreadsDeliveries(t *testing.T) {
 	s := sim.New(7)
 	m := newTestMedium(t, s, cfg)
 	var arrivals []sim.Time
-	m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {})
-	m.Join(1, geom.Point{X: 12, Y: 10}, func(Frame) { arrivals = append(arrivals, s.Now()) })
+	m.Join(0, geom.Point{X: 10, Y: 10}, func(*Frame) {})
+	m.Join(1, geom.Point{X: 12, Y: 10}, func(*Frame) { arrivals = append(arrivals, s.Now()) })
 	for i := 0; i < 50; i++ {
 		m.Send(Frame{Src: 0, Dst: 1, Size: 16})
 	}
@@ -249,8 +249,8 @@ func TestBatteryDepletionKillsNode(t *testing.T) {
 	m := newTestMedium(t, s, cfg)
 	var died []int
 	m.OnDeath(func(id int) { died = append(died, id) })
-	m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {})
-	m.Join(1, geom.Point{X: 12, Y: 10}, func(Frame) {})
+	m.Join(0, geom.Point{X: 10, Y: 10}, func(*Frame) {})
+	m.Join(1, geom.Point{X: 12, Y: 10}, func(*Frame) {})
 	for i := 0; i < 10; i++ {
 		m.Send(Frame{Src: 0, Dst: 1, Size: 1})
 	}
@@ -274,8 +274,8 @@ func TestInfiniteBatteryNeverDies(t *testing.T) {
 	s := sim.New(1)
 	m := newTestMedium(t, s, testConfig(2)) // zero EnergyConfig = infinite
 	m.OnDeath(func(id int) { t.Errorf("node %d died with infinite battery", id) })
-	m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {})
-	m.Join(1, geom.Point{X: 12, Y: 10}, func(Frame) {})
+	m.Join(0, geom.Point{X: 10, Y: 10}, func(*Frame) {})
+	m.Join(1, geom.Point{X: 12, Y: 10}, func(*Frame) {})
 	for i := 0; i < 1000; i++ {
 		m.Send(Frame{Src: 0, Dst: 1, Size: 1000})
 	}
@@ -307,7 +307,7 @@ func TestBatteryAccounting(t *testing.T) {
 func TestSendEdgeCases(t *testing.T) {
 	s := sim.New(1)
 	m := newTestMedium(t, s, testConfig(2))
-	m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {})
+	m.Join(0, geom.Point{X: 10, Y: 10}, func(*Frame) {})
 	// Destination id out of range: lost, not panicking.
 	if n := m.Send(Frame{Src: 0, Dst: 99, Size: 8}); n != 0 {
 		t.Error("out-of-range destination accepted")
@@ -333,20 +333,20 @@ func TestSendEdgeCases(t *testing.T) {
 func TestDoubleJoinPanics(t *testing.T) {
 	s := sim.New(1)
 	m := newTestMedium(t, s, testConfig(1))
-	m.Join(0, geom.Point{X: 1, Y: 1}, func(Frame) {})
+	m.Join(0, geom.Point{X: 1, Y: 1}, func(*Frame) {})
 	defer func() {
 		if recover() == nil {
 			t.Error("double Join did not panic")
 		}
 	}()
-	m.Join(0, geom.Point{X: 2, Y: 2}, func(Frame) {})
+	m.Join(0, geom.Point{X: 2, Y: 2}, func(*Frame) {})
 }
 
 func TestRejoinAfterLeave(t *testing.T) {
 	s := sim.New(1)
 	m := newTestMedium(t, s, testConfig(2))
 	var rx capture
-	m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {})
+	m.Join(0, geom.Point{X: 10, Y: 10}, func(*Frame) {})
 	m.Join(1, geom.Point{X: 12, Y: 10}, rx.recv)
 	m.Leave(1)
 	m.Join(1, geom.Point{X: 12, Y: 10}, rx.recv)
@@ -361,16 +361,15 @@ func TestRejoinAfterLeave(t *testing.T) {
 // it by value, so there is no caller-side boxing to exclude anymore.
 var prebox = pkt(99)
 
-// Alloc guard (ISSUE 2): once the delivery heap and event pool are warm,
-// a unicast Send — queue, drain event, arrival — performs zero heap
-// allocations.
+// Alloc guard (ISSUE 2): once the rec and frame slabs are warm, a
+// unicast Send — park, wheel, arrival — performs zero heap allocations.
 func TestUnicastSendZeroAllocs(t *testing.T) {
 	s := sim.New(1)
 	m := newTestMedium(t, s, testConfig(2))
 	delivered := 0
-	m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {})
-	m.Join(1, geom.Point{X: 15, Y: 10}, func(Frame) { delivered++ })
-	// Warm up: a few deliveries populate the pool and the heap arrays.
+	m.Join(0, geom.Point{X: 10, Y: 10}, func(*Frame) {})
+	m.Join(1, geom.Point{X: 15, Y: 10}, func(*Frame) { delivered++ })
+	// Warm up: a few deliveries populate the slabs.
 	for i := 0; i < 16; i++ {
 		m.Send(Frame{Src: 0, Dst: 1, Size: 8, Payload: prebox})
 	}
@@ -388,14 +387,14 @@ func TestUnicastSendZeroAllocs(t *testing.T) {
 	}
 }
 
-// Batched delivery must preserve the exact interleaving between frame
+// The wheel merge must preserve the exact interleaving between frame
 // arrivals and independently scheduled events at the same instant.
 func TestDeliveryInterleavesWithScheduledEvents(t *testing.T) {
 	s := sim.New(1)
 	m := newTestMedium(t, s, testConfig(3))
 	var order []string
-	m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {})
-	m.Join(1, geom.Point{X: 15, Y: 10}, func(f Frame) { order = append(order, "rx:"+string(rune(f.Payload.Msg.Seq))) })
+	m.Join(0, geom.Point{X: 10, Y: 10}, func(*Frame) {})
+	m.Join(1, geom.Point{X: 15, Y: 10}, func(f *Frame) { order = append(order, "rx:"+string(rune(f.Payload.Msg.Seq))) })
 	m.Send(Frame{Src: 0, Dst: 1, Size: 8, Payload: pkt('a')})
 	// An event scheduled after frame a but before frame b, landing at the
 	// same 2ms instant, must run between the two arrivals.
@@ -413,14 +412,14 @@ func TestDeliveryInterleavesWithScheduledEvents(t *testing.T) {
 	}
 }
 
-// A frame sent from inside a receive callback must not be delivered in
-// the same drain batch out of order with its own latency.
+// A frame sent from inside a receive callback is queued with its own
+// latency, never delivered from inside that callback.
 func TestReceiveTriggeredSendDelayed(t *testing.T) {
 	s := sim.New(1)
 	m := newTestMedium(t, s, testConfig(2))
 	var arrivals []sim.Time
-	m.Join(1, geom.Point{X: 15, Y: 10}, func(Frame) { arrivals = append(arrivals, s.Now()) })
-	m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {
+	m.Join(1, geom.Point{X: 15, Y: 10}, func(*Frame) { arrivals = append(arrivals, s.Now()) })
+	m.Join(0, geom.Point{X: 10, Y: 10}, func(*Frame) {
 		m.Send(Frame{Src: 0, Dst: 1, Size: 8, Payload: pkt(1)})
 	})
 	m.Send(Frame{Src: 1, Dst: 0, Size: 8, Payload: pkt(2)})
@@ -448,9 +447,9 @@ func conservationOK(t *testing.T, m *Medium, when string) {
 func TestFrameConservation(t *testing.T) {
 	s := sim.New(7)
 	m := newTestMedium(t, s, testConfig(3))
-	m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {})
-	m.Join(1, geom.Point{X: 12, Y: 10}, func(Frame) {})
-	m.Join(2, geom.Point{X: 14, Y: 10}, func(Frame) {})
+	m.Join(0, geom.Point{X: 10, Y: 10}, func(*Frame) {})
+	m.Join(1, geom.Point{X: 12, Y: 10}, func(*Frame) {})
+	m.Join(2, geom.Point{X: 14, Y: 10}, func(*Frame) {})
 
 	for i := 0; i < 10; i++ {
 		m.Send(Frame{Src: 0, Dst: 1, Size: 16})
@@ -474,7 +473,7 @@ func TestFrameConservation(t *testing.T) {
 	}
 
 	// Back up: subsequent deliveries count as received again.
-	m.Join(1, geom.Point{X: 12, Y: 10}, func(Frame) {})
+	m.Join(1, geom.Point{X: 12, Y: 10}, func(*Frame) {})
 	m.Send(Frame{Src: 0, Dst: 1, Size: 16})
 	s.Run(sim.MaxTime)
 	conservationOK(t, m, "after rejoin")

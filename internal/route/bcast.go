@@ -41,12 +41,15 @@ type Bcaster struct {
 
 	nextID uint32
 
-	// scratch is the in-flight copy Handle mutates and hands to the
-	// hooks. Routing it through a struct field instead of the stack
-	// keeps the packet from escaping to the heap at every relay (the
-	// hooks take a pointer); safe because frame deliveries never nest —
-	// a Send from inside a delivery hook is queued, not delivered
-	// synchronously (the conformance suite pins this).
+	// scratch is this node's private copy of an accepted broadcast: the
+	// arriving packet is the medium's shared, read-only frame, so Handle
+	// copies it here — after the duplicate test, so only first arrivals
+	// pay for the copy — before mutating it and handing it to the hooks.
+	// A struct field instead of a local keeps the packet from escaping to
+	// the heap at every relay (the hooks take a pointer); safe because
+	// frame deliveries never nest — a Send from inside a delivery hook is
+	// queued, not delivered synchronously (the conformance suite pins
+	// this).
 	scratch netif.Packet
 }
 
@@ -89,8 +92,9 @@ func (bc *Bcaster) Originate(ttl, size int, payload netif.Msg, originSeq uint32)
 }
 
 // Handle processes a broadcast arrival from neighbor prev: suppress
-// duplicates, deliver upward, relay while TTL remains.
-func (bc *Bcaster) Handle(prev int, b netif.Packet) {
+// duplicates, deliver upward, relay while TTL remains. b is the shared
+// received frame's packet and is only read.
+func (bc *Bcaster) Handle(prev int, b *netif.Packet) {
 	if b.Origin == bc.core.id {
 		return
 	}
@@ -102,7 +106,7 @@ func (bc *Bcaster) Handle(prev int, b netif.Packet) {
 		}
 	}
 	bc.cache.Mark(k)
-	bc.scratch = b
+	bc.scratch = *b
 	p := &bc.scratch
 	p.HopCount++
 	hops := p.HopCount

@@ -20,11 +20,8 @@ import "fmt"
 //     immutable (peekLive discards cancelled entries before the clock
 //     can move past them, so even lazily-cancelled events obey this).
 //   - seq-bound / seq-dup: every queued sequence number was actually
-//     issued, and no two *live* queued events share one — the FIFO
-//     tie-break among same-instant events is total. Cancelled entries
-//     are exempt: the radio medium re-arms its drain event under a
-//     reserved seq (AtReserved) whose lazily-cancelled predecessor may
-//     still sit in the queue holding the same number.
+//     issued, and no two queued events share one — the FIFO tie-break
+//     among same-instant events is total.
 //   - callback: every queued slot carries exactly one callback (fn or
 //     argFn), so firing it cannot panic or silently do nothing.
 //   - free-list: recycled slots are disjoint from the queue, carry no
@@ -55,12 +52,10 @@ func (s *Sim) Audit(report func(rule, detail string)) {
 		if e.seq > s.seq {
 			report("seq-bound", fmt.Sprintf("queued seq %d exceeds issued high-water %d", e.seq, s.seq))
 		}
-		if !e.cancelled {
-			if prev, dup := seqs[e.seq]; dup {
-				report("seq-dup", fmt.Sprintf("seq %d held by live queue items %d and %d", e.seq, prev, i))
-			}
-			seqs[e.seq] = i
+		if prev, dup := seqs[e.seq]; dup {
+			report("seq-dup", fmt.Sprintf("seq %d held by queue items %d and %d", e.seq, prev, i))
 		}
+		seqs[e.seq] = i
 		if (e.fn == nil) == (e.argFn == nil) {
 			which := "no callback"
 			if e.fn != nil {

@@ -15,6 +15,7 @@ import (
 type Sim struct {
 	now     Time
 	queue   eventQueue
+	src     Source // merged second stream of keyed work; nil when none
 	seq     uint64
 	free    *Event // intrusive free list of recycled event slots
 	rngs    *rngSource
@@ -43,11 +44,37 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // draw in one component does not perturb the sequence seen by another.
 func (s *Sim) NewRand() *rand.Rand { return s.rngs.next() }
 
+// Source is a second stream of (at, seq)-keyed work that Run and Step
+// merge with the event queue: each turn fires whichever of queue head
+// and source head has the smaller key. A component that produces many
+// short-lived entries inside a bounded window (the radio medium's
+// in-flight deliveries) keeps them in a structure suited to that window
+// instead of the general heap, takes each entry's seq from ReserveSeq at
+// the moment it would otherwise have called Schedule, and so fires in
+// exactly the order one queued event per entry would have.
+type Source interface {
+	// Next reports the key of the source's earliest entry, ok=false when
+	// it holds none. It is called once per kernel turn and must be cheap.
+	Next() (at Time, seq uint64, ok bool)
+	// Fire removes and executes the entry Next last reported. The clock
+	// already stands at its instant.
+	Fire()
+}
+
+// SetSource installs the simulator's merged source. A Sim has at most
+// one; installing a second panics.
+func (s *Sim) SetSource(src Source) {
+	if s.src != nil {
+		panic("sim: SetSource called twice")
+	}
+	s.src = src
+}
+
 // Pending reports how many events are queued (including lazily-cancelled
-// ones that have not been discarded yet).
+// ones that have not been discarded yet). Source entries are not counted.
 func (s *Sim) Pending() int { return s.queue.Len() }
 
-// Fired reports how many events have executed so far.
+// Fired reports how many events and source entries have executed so far.
 func (s *Sim) Fired() uint64 { return s.fired }
 
 // Seq reports how many queue sequence numbers have been issued. Together
@@ -124,24 +151,12 @@ func (s *Sim) AtArg(t Time, fn func(Arg), arg Arg) Handle {
 }
 
 // ReserveSeq consumes and returns the next sequence number without
-// scheduling anything. Components that batch many logical events behind
-// one real queue entry (the radio medium) reserve a seq per logical
-// event at the moment the old code would have scheduled it, keeping the
-// global ordering — and therefore determinism — identical, then arm one
-// drain event at the earliest reserved key via AtReserved.
+// scheduling anything. A Source reserves one per entry at the moment the
+// entry is created, which places it among same-instant queued events
+// exactly where a Schedule call at that point would have.
 func (s *Sim) ReserveSeq() uint64 {
 	s.seq++
 	return s.seq
-}
-
-// AtReserved queues fn at instant t under a previously reserved sequence
-// number, consuming no new seq. The (t, seq) pair must order consistently
-// with reservation time: t must not precede Now.
-func (s *Sim) AtReserved(t Time, seq uint64, fn func()) Handle {
-	if fn == nil {
-		panic("sim: AtReserved with nil callback")
-	}
-	return s.enqueue(t, seq, fn, nil, Arg{})
 }
 
 func (s *Sim) enqueue(t Time, seq uint64, fn func(), argFn func(Arg), arg Arg) Handle {
@@ -175,17 +190,41 @@ func (s *Sim) peekLive() *Event {
 	}
 }
 
-// NextEvent reports the (instant, sequence) key of the earliest pending
-// event, or ok=false when the queue is empty. Lazily-cancelled entries
-// encountered at the head are discarded. The radio medium uses this to
-// decide how many batched deliveries it may run back-to-back without
-// reordering against independently scheduled events.
-func (s *Sim) NextEvent() (at Time, seq uint64, ok bool) {
-	next := s.peekLive()
-	if next == nil {
-		return 0, 0, false
+// next picks the earliest pending work across the event queue and the
+// source. fromSrc means the source holds it (ev is then meaningless);
+// otherwise ev is the live queue head, nil when both are empty.
+func (s *Sim) next() (ev *Event, at Time, fromSrc bool) {
+	ev = s.peekLive()
+	if s.src != nil {
+		if sat, sseq, ok := s.src.Next(); ok &&
+			(ev == nil || sat < ev.at || (sat == ev.at && sseq < ev.seq)) {
+			return nil, sat, true
+		}
 	}
-	return next.at, next.seq, true
+	if ev != nil {
+		at = ev.at
+	}
+	return ev, at, false
+}
+
+// step advances the clock to at and executes the work next selected.
+func (s *Sim) step(ev *Event, at Time, fromSrc bool) {
+	s.now = at
+	s.fired++
+	if fromSrc {
+		s.src.Fire()
+		return
+	}
+	s.queue.pop()
+	s.fire(ev)
+}
+
+// Due reports whether any live event or source entry is stamped at or
+// before Now. After a Run that was not stopped it is false: Run fires
+// everything up to its horizon.
+func (s *Sim) Due() bool {
+	ev, at, fromSrc := s.next()
+	return (fromSrc || ev != nil) && at <= s.now
 }
 
 // Run executes events in timestamp order until the queue drains, the
@@ -197,35 +236,30 @@ func (s *Sim) NextEvent() (at Time, seq uint64, ok bool) {
 func (s *Sim) Run(until Time) {
 	s.stopped = false
 	for !s.stopped {
-		next := s.peekLive()
-		if next == nil {
+		ev, at, fromSrc := s.next()
+		if ev == nil && !fromSrc {
 			if until < MaxTime && until > s.now {
 				s.now = until
 			}
 			return
 		}
-		if next.at > until {
+		if at > until {
 			s.now = until
 			return
 		}
-		s.queue.pop()
-		s.now = next.at
-		s.fired++
-		s.fire(next)
+		s.step(ev, at, fromSrc)
 	}
 }
 
-// Step executes the single earliest pending event and reports whether one
-// was executed. Cancelled entries are skipped. Useful in tests.
+// Step executes the single earliest pending event or source entry and
+// reports whether one was executed. Cancelled entries are skipped.
+// Useful in tests.
 func (s *Sim) Step() bool {
-	next := s.peekLive()
-	if next == nil {
+	ev, at, fromSrc := s.next()
+	if ev == nil && !fromSrc {
 		return false
 	}
-	s.queue.pop()
-	s.now = next.at
-	s.fired++
-	s.fire(next)
+	s.step(ev, at, fromSrc)
 	return true
 }
 

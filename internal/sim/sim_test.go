@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -507,17 +508,119 @@ func TestRunPurgesCancelledHeadPastHorizon(t *testing.T) {
 	}
 }
 
+// listSource is the simplest Source: entries in a slice kept sorted by
+// (at, seq), each with a callback.
+type listSource struct {
+	s       *Sim
+	entries []srcEntry
+}
+
+type srcEntry struct {
+	at  Time
+	seq uint64
+	fn  func()
+}
+
+// add queues fn at instant at under a freshly reserved seq.
+func (l *listSource) add(at Time, fn func()) {
+	e := srcEntry{at: at, seq: l.s.ReserveSeq(), fn: fn}
+	i := len(l.entries)
+	for i > 0 && (l.entries[i-1].at > e.at || (l.entries[i-1].at == e.at && l.entries[i-1].seq > e.seq)) {
+		i--
+	}
+	l.entries = append(l.entries, srcEntry{})
+	copy(l.entries[i+1:], l.entries[i:])
+	l.entries[i] = e
+}
+
+func (l *listSource) Next() (Time, uint64, bool) {
+	if len(l.entries) == 0 {
+		return 0, 0, false
+	}
+	return l.entries[0].at, l.entries[0].seq, true
+}
+
+func (l *listSource) Fire() {
+	e := l.entries[0]
+	l.entries = l.entries[1:]
+	e.fn()
+}
+
+func newListSource(s *Sim) *listSource {
+	l := &listSource{s: s}
+	s.SetSource(l)
+	return l
+}
+
+// A Source entry and a queued event at the same instant fire by seq:
+// the entry's reserved number places it exactly where a Schedule call at
+// that point would have — the property merged radio delivery depends on.
 func TestReservedSeqPreservesOrdering(t *testing.T) {
 	s := New(1)
+	src := newListSource(s)
 	var order []int
-	seqA := s.ReserveSeq() // logical event A claims its place in line
+	src.add(Second, func() { order = append(order, 1) })
 	s.Schedule(Second, func() { order = append(order, 2) })
-	// A is armed after B but with the earlier reserved seq, so it still
-	// fires first — the property batched radio delivery depends on.
-	s.AtReserved(Second, seqA, func() { order = append(order, 1) })
+	src.add(Second, func() { order = append(order, 3) })
+	s.Schedule(Second, func() { order = append(order, 4) })
+	// An earlier instant beats a smaller seq, from either side.
+	s.Schedule(Millisecond, func() { order = append(order, -1) })
+	src.add(2*Millisecond, func() { order = append(order, 0) })
 	s.Run(MaxTime)
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("order = %v, want [1 2]", order)
+	want := []int{-1, 0, 1, 2, 3, 4}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if s.Fired() != 6 {
+		t.Errorf("Fired() = %d, want 6 (source entries count as kernel steps)", s.Fired())
+	}
+	if s.Now() != Second {
+		t.Errorf("Run(MaxTime) left the clock at %v, want the last executed instant 1s", s.Now())
+	}
+}
+
+// Run's horizon, Stop, Step and Due treat source entries like queued
+// events.
+func TestSourceHonoursHorizonStopAndStep(t *testing.T) {
+	s := New(1)
+	src := newListSource(s)
+	var order []string
+	src.add(Second, func() { order = append(order, "a"); s.Stop() })
+	src.add(Second, func() { order = append(order, "b") })
+	src.add(3*Second, func() { order = append(order, "c") })
+
+	s.Run(500 * Millisecond)
+	if len(order) != 0 || s.Now() != 500*Millisecond {
+		t.Fatalf("Run short of the first entry fired %v, clock %v", order, s.Now())
+	}
+	if s.Due() {
+		t.Error("Due() true with the earliest entry still in the future")
+	}
+	s.Run(2 * Second) // a stops the run between two same-instant entries
+	if fmt.Sprint(order) != "[a]" || s.Now() != Second {
+		t.Fatalf("after Stop: order %v clock %v, want [a] at 1s", order, s.Now())
+	}
+	if !s.Due() {
+		t.Error("Due() false with a same-instant entry left behind by Stop")
+	}
+	if !s.Step() || fmt.Sprint(order) != "[a b]" {
+		t.Fatalf("Step did not fire the source head: %v", order)
+	}
+	s.Run(2 * Second)
+	if fmt.Sprint(order) != "[a b]" || s.Now() != 2*Second {
+		t.Fatalf("Run(2s) fired past its horizon: order %v clock %v", order, s.Now())
+	}
+	// An entry added from inside Fire merges like any other.
+	src.add(2*Second, func() {
+		order = append(order, "d")
+		src.add(s.Now(), func() { order = append(order, "e") })
+	})
+	s.Run(MaxTime)
+	if fmt.Sprint(order) != "[a b d e c]" {
+		t.Fatalf("order = %v, want [a b d e c]", order)
+	}
+	if s.Step() {
+		t.Error("Step reported work with queue and source both empty")
 	}
 }
 
