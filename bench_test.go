@@ -422,6 +422,11 @@ func BenchmarkBcastRelay(b *testing.B) { benchBcastRelay(b) }
 // 0 allocs/op once warm.
 func BenchmarkServentSend(b *testing.B) { benchServentSend(b) }
 
+// Cost of one flood's duplicate tests at 150 nodes (a first arrival and
+// three duplicates each) on the shared flood-major index, marks expiring
+// as the clock advances; must report 0 allocs/op.
+func BenchmarkDupCheck(b *testing.B) { benchDupCheck(b) }
+
 // Cost of one Gnutella-style query flooded down an 8-servent overlay
 // chain, including the query-hit reply.
 func BenchmarkQueryFlood(b *testing.B) { benchQueryFlood(b) }
@@ -430,17 +435,9 @@ func BenchmarkQueryFlood(b *testing.B) { benchQueryFlood(b) }
 // with every feature armed; must report 0 allocs/op.
 func BenchmarkWorkloadArrivals(b *testing.B) { benchWorkloadArrivals(b) }
 
-// Cost of the naive all-pairs BFS pathlength on a fixed 256-node random
-// graph (tracks the bfsFrom queue-reuse fix).
-func BenchmarkPathLength(b *testing.B) { benchPathLength(b) }
-
 // Cost of one full overlay snapshot through the allocation-free
 // analytics engine; must report 0 allocs/op.
 func BenchmarkOverlaySnapshot(b *testing.B) { benchOverlaySnapshot(b) }
-
-// The same snapshot through the reference graphs.Graph path — the
-// baseline BenchmarkOverlaySnapshot is compared against.
-func BenchmarkOverlaySnapshotNaive(b *testing.B) { benchOverlaySnapshotNaive(b) }
 
 // BenchmarkFullReplication measures one end-to-end paper replication
 // (50 nodes, 3600 s, Regular): the unit of work the runner parallelizes.

@@ -17,6 +17,7 @@ import (
 	"manetp2p/internal/netif"
 	"manetp2p/internal/p2p"
 	"manetp2p/internal/radio"
+	"manetp2p/internal/route"
 	"manetp2p/internal/sim"
 	"manetp2p/internal/telemetry"
 	"manetp2p/internal/workload"
@@ -36,14 +37,13 @@ func TrackedBenchmarks() []BenchSpec {
 		{Name: "SimEventQueue", Fn: benchSimEventQueue},
 		{Name: "GridNear", Fn: benchGridNear},
 		{Name: "RadioBroadcast", Fn: benchRadioBroadcast},
+		{Name: "DupCheck", Fn: benchDupCheck},
 		{Name: "AODVDiscovery", Fn: benchAODVDiscovery},
 		{Name: "BcastRelay", Fn: benchBcastRelay},
 		{Name: "ServentSend", Fn: benchServentSend},
 		{Name: "QueryFlood", Fn: benchQueryFlood},
 		{Name: "WorkloadArrivals", Fn: benchWorkloadArrivals},
-		{Name: "PathLength", Fn: benchPathLength},
 		{Name: "OverlaySnapshot", Fn: benchOverlaySnapshot},
-		{Name: "OverlaySnapshotNaive", Fn: benchOverlaySnapshotNaive},
 		{Name: "FullReplication", Fn: func(b *testing.B) { benchFullReplication(b, false) }},
 		{Name: "FullReplicationChecked", Fn: func(b *testing.B) { benchFullReplication(b, true) }},
 	}
@@ -138,6 +138,55 @@ func benchRadioBroadcast(b *testing.B) {
 	}
 }
 
+// benchDupCheck measures the duplicate test every radio reception makes,
+// in the order a simulation makes them: one flood's key is tested at
+// each of 150 nodes — a first arrival and three duplicates — then the
+// next flood's, 10 ms later, so 3000 floods are live at any moment and
+// every mark made expires inside the timed region. The index reaches its
+// steady-state size before the timer starts; the contract from there is
+// 0 allocs/op, and cmd/bench gates it at zero.
+func benchDupCheck(b *testing.B) {
+	const (
+		nodes   = 150
+		dups    = 3
+		timeout = 30 * sim.Second
+		gap     = 10 * sim.Millisecond
+	)
+	s := sim.New(5)
+	pl := route.NewPlane(s, nodes)
+	caches := make([]*route.DupCache, nodes)
+	for n := range caches {
+		caches[n] = route.NewDupCache(route.NewCore(n, pl), route.CacheConfig{Timeout: timeout})
+	}
+	firsts, hits := 0, 0
+	flood := func(i int) {
+		k := route.Key{Origin: i % nodes, ID: uint32(i)}
+		for _, dc := range caches {
+			for d := 0; d <= dups; d++ {
+				if dc.Mark(k) {
+					hits++
+				} else {
+					firsts++
+				}
+			}
+		}
+		s.Run(s.Now() + gap)
+	}
+	warm := 2 * int(timeout/gap)
+	for i := 0; i < warm; i++ {
+		flood(i)
+	}
+	firsts, hits = 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		flood(warm + i)
+	}
+	if firsts != nodes*b.N || hits != dups*nodes*b.N {
+		b.Fatalf("%d floods: %d first arrivals and %d duplicates, want %d and %d", b.N, firsts, hits, nodes*b.N, dups*nodes*b.N)
+	}
+}
+
 // benchAODVDiscovery measures one cold route discovery over a 10-hop
 // chain.
 func benchAODVDiscovery(b *testing.B) {
@@ -153,9 +202,10 @@ func benchAODVDiscovery(b *testing.B) {
 			b.Fatal(err)
 		}
 		routers := make([]*aodv.Router, 11)
+		pl := route.NewPlane(s, 11)
 		delivered := false
 		for n := 0; n < 11; n++ {
-			routers[n] = aodv.NewRouter(n, s, med, aodv.Config{})
+			routers[n] = aodv.NewRouter(n, pl, med, aodv.Config{})
 			med.Join(n, geom.Point{X: 5 + 8*float64(n), Y: 25}, routers[n].HandleFrame)
 		}
 		routers[10].OnUnicast(func(aodv.Delivery) { delivered = true })
@@ -185,8 +235,9 @@ func benchBcastRelay(b *testing.B) {
 		b.Fatal(err)
 	}
 	routers := make([]*flood.Router, nodes)
+	pl := route.NewPlane(s, nodes)
 	for n := 0; n < nodes; n++ {
-		routers[n] = flood.NewRouter(n, s, med, flood.Config{})
+		routers[n] = flood.NewRouter(n, pl, med, flood.Config{})
 		med.Join(n, geom.Point{X: 5 + 8*float64(n), Y: 25}, routers[n].HandleFrame)
 	}
 	delivered := 0
@@ -219,8 +270,9 @@ func benchServentSend(b *testing.B) {
 	par := p2p.DefaultParams()
 	col := telemetry.NewCollector(2)
 	svs := make([]*p2p.Servent, 2)
+	pl := route.NewPlane(s, 2)
 	for n := 0; n < 2; n++ {
-		rt := flood.NewRouter(n, s, med, flood.Config{})
+		rt := flood.NewRouter(n, pl, med, flood.Config{})
 		med.Join(n, geom.Point{X: 10 + 5*float64(n), Y: 25}, rt.HandleFrame)
 		sv := p2p.NewServent(n, s, rt, par, p2p.Regular, p2p.Options{
 			Collector: col, RNG: s.NewRand(), NoQueries: true, NoEstablish: true,
@@ -265,8 +317,9 @@ func benchQueryFlood(b *testing.B) {
 	par.QueryTTL = nodes // let the flood span the whole chain
 	col := telemetry.NewCollector(nodes)
 	svs := make([]*p2p.Servent, nodes)
+	pl := route.NewPlane(s, nodes)
 	for n := 0; n < nodes; n++ {
-		rt := flood.NewRouter(n, s, med, flood.Config{})
+		rt := flood.NewRouter(n, pl, med, flood.Config{})
 		med.Join(n, geom.Point{X: 5 + 8*float64(n), Y: 25}, rt.HandleFrame)
 		sv := p2p.NewServent(n, s, rt, par, p2p.Regular, p2p.Options{
 			Files:     []bool{n == nodes-1}, // only the far end holds file 0
@@ -363,53 +416,6 @@ func benchOverlaySnapshot(b *testing.B) {
 		net.AppendOverlayAdjacency(&an.S)
 		m := an.Analyze(isMember)
 		sink += m.Clustering + m.PathLength + m.Largest + float64(m.Edges)
-	}
-	benchSink = sink
-}
-
-// benchOverlaySnapshotNaive is the same snapshot through the reference
-// graphs.Graph path (rebuild adjacency slices, maps, per-source
-// allocations) — the baseline BenchmarkOverlaySnapshot is compared
-// against.
-func benchOverlaySnapshotNaive(b *testing.B) {
-	net := benchSnapshotNetwork(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		g := graphs.New(net.OverlayAdjacency())
-		c := g.ClusteringCoefficient()
-		l, _ := g.CharacteristicPathLength()
-		f := g.LargestComponentFraction(net.IsMember)
-		sink += c + l + f + float64(g.NumEdges())
-	}
-	benchSink = sink
-}
-
-// benchPathLength measures the naive all-pairs BFS on a fixed 256-node
-// random graph — it tracks the Graph.bfsFrom queue-reuse behavior that
-// the analytics work depends on.
-func benchPathLength(b *testing.B) {
-	const n = 256
-	s := sim.New(9)
-	rng := s.NewRand()
-	adj := make([][]int, n)
-	for i := 0; i < n; i++ {
-		for k := 0; k < 4; k++ {
-			j := rng.Intn(n)
-			if j != i {
-				adj[i] = append(adj[i], j)
-				adj[j] = append(adj[j], i)
-			}
-		}
-	}
-	g := graphs.New(adj)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		l, pairs := g.CharacteristicPathLength()
-		sink += l + float64(pairs)
 	}
 	benchSink = sink
 }

@@ -7,7 +7,7 @@
 //	bench                      # writes BENCH.json
 //	bench -o BENCH_2.json      # explicit output path ('-' = stdout)
 //	bench -benchtime 3s -run FullReplication
-//	bench -baseline BENCH_14.json  # gate against the committed baseline
+//	bench -baseline BENCH_18.json  # gate against the committed baseline
 //
 // Each benchmark runs -rounds times (default 3) and the fastest round
 // is reported: the minimum is the round least disturbed by scheduler
@@ -19,8 +19,12 @@
 // baseline holds at 0 allocs/op fails, and a >20% ns/op regression
 // fails when the baseline was recorded on comparable hardware (same
 // GOOS/GOARCH/CPU count — ns/op across different machines is noise, so
-// those comparisons are skipped with a warning). A missing baseline
-// file or -o equal to the baseline (regenerating it) skips the gate.
+// those comparisons are skipped with a warning). A baseline entry the
+// suite no longer produces is printed, and fails the gate if it was held
+// at 0 allocs/op: a guarantee must not lapse by deleting its benchmark
+// (regenerate the baseline to retire one on purpose; with -run, entries
+// filtered out are not missing). A missing baseline file or -o equal to
+// the baseline (regenerating it) skips the gate.
 package main
 
 import (
@@ -128,7 +132,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 
 	if *baseline != "" && *baseline != *out {
-		if !gate(rep, *baseline) {
+		if !gate(rep, *baseline, *run) {
 			os.Exit(1)
 		}
 	}
@@ -143,8 +147,9 @@ const maxRegression = 1.20
 // reports whether it passes. Allocation counts are machine-independent
 // and gate unconditionally: a benchmark the baseline holds at 0
 // allocs/op must stay at 0. ns/op gates only when the baseline was
-// recorded in a comparable environment.
-func gate(rep report, path string) bool {
+// recorded in a comparable environment. run is the -run filter rep was
+// produced under: a baseline entry it selects that rep lacks has vanished.
+func gate(rep report, path, run string) bool {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gate: no baseline %s (%v); skipping comparison\n", path, err)
@@ -171,6 +176,7 @@ func gate(rep report, path string) bool {
 			fmt.Fprintf(os.Stderr, "gate: %s has no baseline entry (new benchmark); skipping\n", cur.Name)
 			continue
 		}
+		delete(byName, cur.Name)
 		if b.AllocsPerOp == 0 && cur.AllocsPerOp > 0 {
 			fmt.Fprintf(os.Stderr, "gate: FAIL %s allocates %d/op; baseline holds it at 0\n",
 				cur.Name, cur.AllocsPerOp)
@@ -180,6 +186,17 @@ func gate(rep report, path string) bool {
 			fmt.Fprintf(os.Stderr, "gate: FAIL %s %.1f ns/op exceeds baseline %.1f by more than %d%%\n",
 				cur.Name, cur.NsPerOp, b.NsPerOp, int(maxRegression*100)-100)
 			ok = false
+		}
+	}
+	for _, b := range base.Benchmarks {
+		if _, vanished := byName[b.Name]; !vanished || !strings.Contains(b.Name, run) {
+			continue
+		}
+		if b.AllocsPerOp == 0 {
+			fmt.Fprintf(os.Stderr, "gate: FAIL %s is in the baseline at 0 allocs/op but no longer runs\n", b.Name)
+			ok = false
+		} else {
+			fmt.Fprintf(os.Stderr, "gate: %s is in the baseline but no longer runs\n", b.Name)
 		}
 	}
 	if ok {

@@ -5,7 +5,7 @@ import (
 
 	"manetp2p/internal/netif/conformance"
 	"manetp2p/internal/radio"
-	"manetp2p/internal/sim"
+	"manetp2p/internal/route"
 )
 
 // TestConformance runs the shared netif.Protocol contract suite. AODV
@@ -14,8 +14,8 @@ import (
 func TestConformance(t *testing.T) {
 	conformance.Run(t, conformance.Factory{
 		Name: "aodv",
-		New: func(id int, s *sim.Sim, med *radio.Medium) conformance.Router {
-			return NewRouter(id, s, med, Config{SeenCacheCap: 512})
+		New: func(id int, pl *route.Plane, med *radio.Medium) conformance.Router {
+			return NewRouter(id, pl, med, Config{SeenCacheCap: 512})
 		},
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"manetp2p/internal/geom"
 	"manetp2p/internal/netif"
 	"manetp2p/internal/radio"
+	"manetp2p/internal/route"
 	"manetp2p/internal/sim"
 )
 
@@ -24,6 +25,7 @@ func lossyNet(t *testing.T, seed int64, n int, loss float64) *testNet {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl := route.NewPlane(s, med.NumNodes())
 	net := &testNet{
 		s:       s,
 		med:     med,
@@ -34,7 +36,7 @@ func lossyNet(t *testing.T, seed int64, n int, loss float64) *testNet {
 	}
 	for i := 0; i < n; i++ {
 		i := i
-		r := NewRouter(i, s, med, Config{})
+		r := NewRouter(i, pl, med, Config{})
 		r.OnUnicast(func(d Delivery) { net.unicast[i] = append(net.unicast[i], d) })
 		r.OnBroadcast(func(d Delivery) { net.bcasts[i] = append(net.bcasts[i], d) })
 		r.OnSendFailed(func(dst int, _ netif.Msg) { net.failed[i] = append(net.failed[i], dst) })
@@ -90,11 +92,12 @@ func TestFloodRedundancyBeatsLossForBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl := route.NewPlane(s, med.NumNodes())
 	reached := make([]bool, nodes)
 	routers := make([]*Router, nodes)
 	for i := 0; i < nodes; i++ {
 		i := i
-		routers[i] = NewRouter(i, s, med, Config{})
+		routers[i] = NewRouter(i, pl, med, Config{})
 		routers[i].OnBroadcast(func(Delivery) { reached[i] = true })
 		med.Join(i, geom.Point{X: 50 + float64(i%3)*2, Y: 50 + float64(i/3)*2}, routers[i].HandleFrame)
 	}

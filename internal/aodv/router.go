@@ -16,7 +16,7 @@ var _ netif.Protocol = (*Router)(nil)
 type Config struct {
 	ActiveRouteTimeout  sim.Time // lifetime of an unused route
 	SeenCacheTimeout    sim.Time // duplicate-suppression window for floods
-	SeenCacheCap        int      // soft entry bound per duplicate cache
+	SeenCacheCap        int      // a node's duplicate cache holds at most twice this many live entries
 	MaxDiscoveryRetries int      // extra network-wide RREQ attempts
 	TTLStart            int      // first expanding-ring radius
 	TTLIncrement        int      // ring growth per attempt
@@ -42,7 +42,7 @@ func DefaultConfig() Config {
 		// bounds silent staleness, so it can be generous.
 		ActiveRouteTimeout:  30 * sim.Second,
 		SeenCacheTimeout:    30 * sim.Second,
-		SeenCacheCap:        route.DefaultSoftCap,
+		SeenCacheCap:        route.DefaultSeenCacheCap,
 		MaxDiscoveryRetries: 2,
 		TTLStart:            4,
 		TTLIncrement:        4,
@@ -116,18 +116,19 @@ type Router struct {
 	discTimeoutFn func(sim.Arg)
 }
 
-// NewRouter creates the routing layer for node id. The caller must pass
-// r.HandleFrame as the node's radio receiver when joining the medium.
-func NewRouter(id int, s *sim.Sim, med *radio.Medium, cfg Config) *Router {
+// NewRouter creates the routing layer for node id on the simulation's
+// shared routing plane. The caller must pass r.HandleFrame as the node's
+// radio receiver when joining the medium.
+func NewRouter(id int, pl *route.Plane, med *radio.Medium, cfg Config) *Router {
 	cfg = cfg.withDefaults()
-	core := route.NewCore(id, s)
-	cache := route.CacheConfig{Timeout: cfg.SeenCacheTimeout, SoftCap: cfg.SeenCacheCap}
+	core := route.NewCore(id, pl)
+	cache := route.CacheConfig{Timeout: cfg.SeenCacheTimeout, HardCap: 2 * cfg.SeenCacheCap}
 	r := &Router{
 		Core:     core,
-		sim:      s,
+		sim:      pl.Sim(),
 		med:      med,
 		cfg:      cfg,
-		table:    newRouteTable(),
+		table:    newRouteTable(med.NumNodes()),
 		seenRREQ: route.NewDupCache(core, cache),
 		bcast:    route.NewBcaster(core, med, sizeBcastHdr, 0, cache),
 		pending:  route.NewPending[netif.Packet](cfg.BufferCap),
@@ -145,7 +146,7 @@ func (r *Router) HopsTo(dst int) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return e.hopCount, true
+	return int(e.hopCount), true
 }
 
 // Broadcast floods payload to every node within ttl ad-hoc hops using the
@@ -183,6 +184,12 @@ func (r *Router) Send(dst, size int, payload netif.Msg) {
 	}
 	r.Count.DataSent++
 	if !r.med.Up(r.ID()) {
+		return
+	}
+	if dst < 0 || dst >= r.med.NumNodes() {
+		// No node of this medium: no discovery could find it, and the
+		// route table has no row for it.
+		r.FailSend(dst, payload)
 		return
 	}
 	pkt := netif.Packet{Kind: netif.PktData, Origin: r.ID(), Dst: dst, HopCount: 0, TTL: r.cfg.DataTTL, Size: size, Msg: payload}
@@ -223,7 +230,7 @@ func (r *Router) sendRREQ(dst int, d *route.Discovery[netif.Packet]) {
 	r.rreqID++
 	r.seq++
 	var dstSeq uint32
-	if e, ok := r.table.raw(dst); ok && e.haveSeq {
+	if e := r.table.raw(dst); e.haveSeq {
 		dstSeq = e.seq
 	}
 	q := netif.Packet{Kind: netif.PktRREQ, Origin: r.ID(), OriginSeq: r.seq, ID: r.rreqID, Dst: dst, DstSeq: dstSeq, HopCount: 0, TTL: d.TTL}
@@ -297,10 +304,11 @@ func (r *Router) forwardData(pkt netif.Packet) {
 		r.enqueue(pkt)
 		return
 	}
-	if !r.med.InRange(r.ID(), e.nextHop) {
+	next := int(e.nextHop)
+	if !r.med.InRange(r.ID(), next) {
 		// Link-layer feedback: the hop is gone. Tear down everything
 		// that used it, tell the neighborhood, then locally repair.
-		r.linkBreak(e.nextHop, now)
+		r.linkBreak(next, now)
 		r.enqueue(pkt)
 		return
 	}
@@ -309,7 +317,7 @@ func (r *Router) forwardData(pkt netif.Packet) {
 	}
 	r.table.refresh(pkt.Dst, now, r.cfg.ActiveRouteTimeout)
 	r.table.refresh(pkt.Origin, now, r.cfg.ActiveRouteTimeout)
-	r.med.Send(radio.Frame{Src: r.ID(), Dst: e.nextHop, Size: pkt.Size + sizeDataHdr, Payload: pkt})
+	r.med.Send(radio.Frame{Src: r.ID(), Dst: next, Size: pkt.Size + sizeDataHdr, Payload: pkt})
 }
 
 // linkBreak invalidates all routes through via and broadcasts an RERR.
@@ -365,12 +373,10 @@ func (r *Router) handleRREQ(prev int, rx *netif.Packet) {
 	if rx.Origin == r.ID() {
 		return
 	}
-	k := route.Key{Origin: rx.Origin, ID: rx.ID}
-	if r.seenRREQ.Seen(k) {
+	if r.seenRREQ.Mark(route.Key{Origin: rx.Origin, ID: rx.ID}) {
 		r.Count.DupHits++
 		return
 	}
-	r.seenRREQ.Mark(k)
 	now := r.sim.Now()
 	hops := rx.HopCount + 1
 	// Learn/refresh the reverse route to the requester.
@@ -390,7 +396,7 @@ func (r *Router) handleRREQ(prev int, rx *netif.Packet) {
 	}
 	if e, ok := r.table.get(rx.Dst, now); ok && e.haveSeq && !seqGreater(rx.DstSeq, e.seq) {
 		// Intermediate node with a route at least as fresh as requested.
-		r.sendRREP(netif.Packet{Kind: netif.PktRREP, Origin: rx.Origin, Dst: rx.Dst, DstSeq: e.seq, HopCount: e.hopCount}, now, false)
+		r.sendRREP(netif.Packet{Kind: netif.PktRREP, Origin: rx.Origin, Dst: rx.Dst, DstSeq: e.seq, HopCount: int(e.hopCount)}, now, false)
 		return
 	}
 	if rx.TTL > 1 {
@@ -405,7 +411,7 @@ func (r *Router) handleRREQ(prev int, rx *netif.Packet) {
 // sendRREP unicasts a reply one hop toward the requester.
 func (r *Router) sendRREP(p netif.Packet, now sim.Time, relay bool) {
 	e, ok := r.table.get(p.Origin, now)
-	if !ok || !r.med.InRange(r.ID(), e.nextHop) {
+	if !ok || !r.med.InRange(r.ID(), int(e.nextHop)) {
 		return // reverse route already gone; the ring will retry
 	}
 	if relay {
@@ -414,7 +420,7 @@ func (r *Router) sendRREP(p netif.Packet, now sim.Time, relay bool) {
 		r.Count.CtrlOrig++
 	}
 	r.table.refresh(p.Origin, now, r.cfg.ActiveRouteTimeout)
-	r.med.Send(radio.Frame{Src: r.ID(), Dst: e.nextHop, Size: sizeRREP, Payload: p})
+	r.med.Send(radio.Frame{Src: r.ID(), Dst: int(e.nextHop), Size: sizeRREP, Payload: p})
 }
 
 func (r *Router) handleRREP(prev int, rx *netif.Packet) {
@@ -436,7 +442,7 @@ func (r *Router) handleRERR(prev int, e *netif.Packet) {
 	now := r.sim.Now()
 	var propagate []netif.Unreachable
 	for _, u := range e.Unreachable {
-		if ent, ok := r.table.get(u.Dst, now); ok && ent.nextHop == prev {
+		if ent, ok := r.table.get(u.Dst, now); ok && int(ent.nextHop) == prev {
 			seq, was := r.table.invalidate(u.Dst, now)
 			if was {
 				propagate = append(propagate, netif.Unreachable{Dst: u.Dst, Seq: seq})

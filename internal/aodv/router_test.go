@@ -8,6 +8,7 @@ import (
 	"manetp2p/internal/geom"
 	"manetp2p/internal/netif"
 	"manetp2p/internal/radio"
+	"manetp2p/internal/route"
 	"manetp2p/internal/sim"
 )
 
@@ -35,6 +36,7 @@ func newTestNet(t *testing.T, seed int64, pts []geom.Point, cfg Config) *testNet
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl := route.NewPlane(s, med.NumNodes())
 	n := &testNet{
 		s:       s,
 		med:     med,
@@ -45,7 +47,7 @@ func newTestNet(t *testing.T, seed int64, pts []geom.Point, cfg Config) *testNet
 	}
 	for i, p := range pts {
 		i := i
-		r := NewRouter(i, s, med, cfg)
+		r := NewRouter(i, pl, med, cfg)
 		r.OnUnicast(func(d Delivery) { n.unicast[i] = append(n.unicast[i], d) })
 		r.OnBroadcast(func(d Delivery) { n.bcasts[i] = append(n.bcasts[i], d) })
 		r.OnSendFailed(func(dst int, _ netif.Msg) { n.failed[i] = append(n.failed[i], dst) })
@@ -142,6 +144,23 @@ func TestDiscoveryFailureNotifies(t *testing.T) {
 	}
 	if len(n.unicast[2]) != 0 {
 		t.Error("unreachable node received data")
+	}
+}
+
+// TestSendToNoNodeOfTheMediumFails pins the boundary of the id-indexed
+// route table: a destination that is no node of the medium fails at once,
+// exactly once, and starts no discovery.
+func TestSendToNoNodeOfTheMediumFails(t *testing.T) {
+	n := newTestNet(t, 1, line(2), Config{})
+	for _, dst := range []int{2, -1} {
+		n.routers[0].Send(dst, 10, netif.TestMsg(4))
+	}
+	n.s.Run(2 * sim.Minute)
+	if len(n.failed[0]) != 2 || n.failed[0][0] != 2 || n.failed[0][1] != -1 {
+		t.Fatalf("failed = %v, want [2 -1]", n.failed[0])
+	}
+	if st := n.routers[0].Stats(); st.Discoveries != 0 || st.SendFailed != 2 || st.DataSent != 2 {
+		t.Errorf("stats = %+v, want 2 sends, 2 failures, no discovery", st)
 	}
 }
 
@@ -329,9 +348,10 @@ func TestDisabledDupCacheCausesStorm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pl := route.NewPlane(s, med.NumNodes())
 		routers := make([]*Router, 8)
 		for i := 0; i < 8; i++ {
-			routers[i] = NewRouter(i, s, med, Config{DisableBcastDupCache: disable})
+			routers[i] = NewRouter(i, pl, med, Config{DisableBcastDupCache: disable})
 			med.Join(i, geom.Point{X: 50 + float64(i%3), Y: 50 + float64(i/3)}, routers[i].HandleFrame)
 		}
 		routers[0].Broadcast(4, 16, netif.TestMsg(23))

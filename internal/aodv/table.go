@@ -1,79 +1,65 @@
 package aodv
 
 import (
-	"cmp"
-	"slices"
-
 	"manetp2p/internal/netif"
 	"manetp2p/internal/sim"
 )
 
-// routeEntry is one row of the per-node routing table.
+// routeEntry is one row of the per-node routing table, packed to 24
+// bytes. The zero entry means "no route, nothing known": not valid, no
+// sequence number.
 type routeEntry struct {
-	nextHop    int
-	hopCount   int
-	seq        uint32
 	validUntil sim.Time
+	seq        uint32
+	nextHop    int32
+	hopCount   int32
 	valid      bool
 	haveSeq    bool // seq is meaningful (learned, not guessed)
 }
 
-// routeTable maps destination -> entry. Expiry is lazy: lookups treat
-// entries past validUntil as invalid.
+// routeTable holds one entry per destination, indexed by node id (ids
+// are dense: 0 to NumNodes−1). Expiry is lazy: lookups treat entries
+// past validUntil as invalid.
 type routeTable struct {
-	entries map[int]*routeEntry
+	entries []routeEntry
 }
 
-func newRouteTable() *routeTable {
-	return &routeTable{entries: make(map[int]*routeEntry)}
+func newRouteTable(nodes int) *routeTable {
+	return &routeTable{entries: make([]routeEntry, nodes)}
 }
 
-// get returns the entry for dst if it is valid at time now.
+// get returns the entry for dst and whether it is valid at time now.
 func (t *routeTable) get(dst int, now sim.Time) (*routeEntry, bool) {
-	e, ok := t.entries[dst]
-	if !ok || !e.valid || e.validUntil < now {
-		return e, false
-	}
-	return e, true
+	e := &t.entries[dst]
+	return e, e.valid && e.validUntil >= now
 }
 
 // raw returns the entry regardless of validity (for sequence numbers).
-func (t *routeTable) raw(dst int) (*routeEntry, bool) {
-	e, ok := t.entries[dst]
-	return e, ok
-}
+func (t *routeTable) raw(dst int) *routeEntry { return &t.entries[dst] }
 
 // update installs a route to dst if it is fresher (higher seq), or equally
 // fresh but shorter, or if no valid route exists. It reports whether the
 // table changed.
 func (t *routeTable) update(dst, nextHop, hopCount int, seq uint32, haveSeq bool, now, lifetime sim.Time) bool {
-	e, ok := t.entries[dst]
-	if !ok {
-		t.entries[dst] = &routeEntry{
-			nextHop: nextHop, hopCount: hopCount, seq: seq,
-			validUntil: now + lifetime, valid: true, haveSeq: haveSeq,
-		}
-		return true
-	}
-	currentValid := e.valid && e.validUntil >= now
+	e, currentValid := t.get(dst, now)
 	accept := false
 	switch {
 	case !currentValid:
 		accept = true
 	case haveSeq && e.haveSeq && seqGreater(seq, e.seq):
 		accept = true
-	case haveSeq && e.haveSeq && seq == e.seq && hopCount < e.hopCount:
+	case haveSeq && e.haveSeq && seq == e.seq && hopCount < int(e.hopCount):
 		accept = true
 	case haveSeq && !e.haveSeq:
 		accept = true
-	case !haveSeq && hopCount < e.hopCount:
+	case !haveSeq && hopCount < int(e.hopCount):
 		accept = true
 	}
 	if !accept {
 		return false
 	}
-	e.nextHop = nextHop
-	e.hopCount = hopCount
+	e.nextHop = int32(nextHop)
+	e.hopCount = int32(hopCount)
 	if haveSeq {
 		// Never move a sequence number backwards.
 		if !e.haveSeq || seqGreater(seq, e.seq) || seq == e.seq {
@@ -98,11 +84,7 @@ func (t *routeTable) refresh(dst int, now, lifetime sim.Time) {
 // sequence number (for RERR) and whether a valid route was actually torn
 // down.
 func (t *routeTable) invalidate(dst int, now sim.Time) (uint32, bool) {
-	e, ok := t.entries[dst]
-	if !ok {
-		return 0, false
-	}
-	wasValid := e.valid && e.validUntil >= now
+	e, wasValid := t.get(dst, now)
 	e.valid = false
 	if e.haveSeq {
 		e.seq++
@@ -115,15 +97,12 @@ func (t *routeTable) invalidate(dst int, now sim.Time) (uint32, bool) {
 // identical RERRs) with their bumped sequence numbers.
 func (t *routeTable) invalidateVia(via int, now sim.Time) []netif.Unreachable {
 	var out []netif.Unreachable
-	for dst, e := range t.entries {
-		if e.valid && e.validUntil >= now && e.nextHop == via {
+	for dst := range t.entries {
+		if e, ok := t.get(dst, now); ok && int(e.nextHop) == via {
 			seq, _ := t.invalidate(dst, now)
 			out = append(out, netif.Unreachable{Dst: dst, Seq: seq})
 		}
 	}
-	// slices.SortFunc, not sort.Slice: the latter's reflection-based
-	// swapper allocates per call, and teardown runs on every link break.
-	slices.SortFunc(out, func(a, b netif.Unreachable) int { return cmp.Compare(a.Dst, b.Dst) })
 	return out
 }
 

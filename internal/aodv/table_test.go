@@ -1,6 +1,7 @@
 package aodv
 
 import (
+	"slices"
 	"testing"
 
 	"manetp2p/internal/sim"
@@ -26,7 +27,7 @@ func TestSeqGreaterWraparound(t *testing.T) {
 }
 
 func TestRouteTableInstallAndExpiry(t *testing.T) {
-	rt := newRouteTable()
+	rt := newRouteTable(8)
 	const life = 10 * sim.Second
 	if !rt.update(5, 2, 3, 7, true, 0, life) {
 		t.Fatal("fresh install rejected")
@@ -45,7 +46,7 @@ func TestRouteTableInstallAndExpiry(t *testing.T) {
 }
 
 func TestRouteTableFreshnessRules(t *testing.T) {
-	rt := newRouteTable()
+	rt := newRouteTable(8)
 	const life = 100 * sim.Second
 	rt.update(5, 2, 3, 10, true, 0, life)
 	// Older sequence number: reject.
@@ -78,7 +79,7 @@ func TestRouteTableFreshnessRules(t *testing.T) {
 }
 
 func TestRouteTableInvalidateBumpsSeq(t *testing.T) {
-	rt := newRouteTable()
+	rt := newRouteTable(8)
 	rt.update(5, 2, 3, 10, true, 0, 100*sim.Second)
 	seq, was := rt.invalidate(5, 0)
 	if !was || seq != 11 {
@@ -94,7 +95,7 @@ func TestRouteTableInvalidateBumpsSeq(t *testing.T) {
 }
 
 func TestRouteTableInvalidateVia(t *testing.T) {
-	rt := newRouteTable()
+	rt := newRouteTable(8)
 	const life = 100 * sim.Second
 	rt.update(5, 2, 3, 10, true, 0, life)
 	rt.update(6, 2, 4, 20, true, 0, life)
@@ -114,7 +115,7 @@ func TestRouteTableInvalidateVia(t *testing.T) {
 }
 
 func TestRouteTableRefresh(t *testing.T) {
-	rt := newRouteTable()
+	rt := newRouteTable(8)
 	rt.update(5, 2, 3, 10, true, 0, 10*sim.Second)
 	rt.refresh(5, 8*sim.Second, 10*sim.Second)
 	if _, ok := rt.get(5, 15*sim.Second); !ok {
@@ -125,5 +126,78 @@ func TestRouteTableRefresh(t *testing.T) {
 	rt.refresh(5, 15*sim.Second, 10*sim.Second)
 	if _, ok := rt.get(5, 16*sim.Second); ok {
 		t.Fatal("refresh resurrected an invalid route")
+	}
+}
+
+// TestRouteTableZeroEntryMeansNoRoute pins what replaced the map's
+// missing key: a destination never written reads as "no route, nothing
+// known" through every method, and the first write behaves as an
+// install.
+func TestRouteTableZeroEntryMeansNoRoute(t *testing.T) {
+	const life = 10 * sim.Second
+	rt := newRouteTable(8)
+	if e, ok := rt.get(5, 0); ok || *e != (routeEntry{}) {
+		t.Fatalf("get on an untouched row = %+v ok=%v, want the zero entry, invalid", *e, ok)
+	}
+	if e := rt.raw(5); e.haveSeq || e.valid {
+		t.Fatalf("raw on an untouched row = %+v, want no sequence number, invalid", *e)
+	}
+	if seq, was := rt.invalidate(5, 0); seq != 0 || was {
+		t.Fatalf("invalidate on an untouched row = (%d,%v), want (0,false)", seq, was)
+	}
+	rt.refresh(5, 0, life)
+	if *rt.raw(5) != (routeEntry{}) {
+		t.Fatalf("invalidate or refresh wrote an untouched row: %+v", *rt.raw(5))
+	}
+	if lost := rt.invalidateVia(0, 0); lost != nil {
+		t.Fatalf("invalidateVia(0) on an empty table tore down %v; the zero entry's next hop 0 is not a route", lost)
+	}
+	// Every kind of first update is accepted, whatever it claims.
+	if !rt.update(5, 2, 9, 0, false, 0, life) {
+		t.Fatal("seqless install on an untouched row rejected")
+	}
+	if e, ok := rt.get(5, 0); !ok || e.nextHop != 2 || e.hopCount != 9 || e.haveSeq {
+		t.Fatalf("after seqless install: %+v ok=%v", *e, ok)
+	}
+	if !rt.update(6, 3, 4, 0, true, 0, life) {
+		t.Fatal("install with sequence number 0 on an untouched row rejected")
+	}
+	if e, ok := rt.get(6, 0); !ok || e.nextHop != 3 || !e.haveSeq || e.seq != 0 {
+		t.Fatalf("after install with seq 0: %+v ok=%v", *e, ok)
+	}
+	// An invalidated row that never had a sequence number is back to
+	// "no route": any update wins, and there is still no number to bump.
+	if seq, was := rt.invalidate(5, 0); seq != 0 || !was {
+		t.Fatalf("invalidate of the seqless route = (%d,%v), want (0,true)", seq, was)
+	}
+	if !rt.update(5, 7, 30, 0, false, 0, life) {
+		t.Fatal("longer seqless route rejected after invalidate")
+	}
+}
+
+func TestRouteTableInvalidateViaWalksInIDOrder(t *testing.T) {
+	const life = 100 * sim.Second
+	rt := newRouteTable(8)
+	for _, dst := range []int{6, 1, 7, 3} { // installed out of order
+		rt.update(dst, 2, 1, uint32(10*dst), true, 0, life)
+	}
+	rt.update(4, 5, 1, 40, true, 0, life)         // another next hop
+	rt.update(0, 2, 1, 5, true, 0, 10*sim.Second) // expired by the time of the break
+	lost := rt.invalidateVia(2, 50*sim.Second)
+	var order []int
+	for _, u := range lost {
+		order = append(order, u.Dst)
+		if want := uint32(10*u.Dst) + 1; u.Seq != want {
+			t.Errorf("dst %d reported with seq %d, want the bumped %d", u.Dst, u.Seq, want)
+		}
+	}
+	if !slices.Equal(order, []int{1, 3, 6, 7}) {
+		t.Fatalf("invalidateVia tore down %v, want the live routes via 2 in ascending id order", order)
+	}
+	if _, ok := rt.get(4, 50*sim.Second); !ok {
+		t.Error("route via a different hop was torn down")
+	}
+	if rt.raw(0).seq != 5 {
+		t.Error("an expired route had its sequence number bumped")
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"manetp2p/internal/netif/conformance"
 	"manetp2p/internal/radio"
+	"manetp2p/internal/route"
 	"manetp2p/internal/sim"
 )
 
@@ -15,8 +16,8 @@ import (
 func TestConformance(t *testing.T) {
 	conformance.Run(t, conformance.Factory{
 		Name: "dsdv",
-		New: func(id int, s *sim.Sim, med *radio.Medium) conformance.Router {
-			return NewRouter(id, s, med, Config{SeenCacheCap: 512})
+		New: func(id int, pl *route.Plane, med *radio.Medium) conformance.Router {
+			return NewRouter(id, pl, med, Config{SeenCacheCap: 512})
 		},
 		WarmUp: 40 * sim.Second,
 	})

@@ -50,7 +50,7 @@ type Config struct {
 	RouteTimeout     sim.Time // routes unconfirmed for this long break
 	SettlingTime     sim.Time // how long data waits for a route to appear
 	SeenCacheTimeout sim.Time // broadcast duplicate-suppression window
-	SeenCacheCap     int      // soft entry bound for the duplicate cache
+	SeenCacheCap     int      // a node's duplicate cache holds at most twice this many live entries
 	DataTTL          int
 	BufferCap        int
 }
@@ -63,7 +63,7 @@ func DefaultConfig() Config {
 		RouteTimeout:     45 * sim.Second,
 		SettlingTime:     20 * sim.Second,
 		SeenCacheTimeout: 30 * sim.Second,
-		SeenCacheCap:     route.DefaultSoftCap,
+		SeenCacheCap:     route.DefaultSeenCacheCap,
 		DataTTL:          30,
 		BufferCap:        16,
 	}
@@ -129,13 +129,13 @@ var _ netif.Protocol = (*Router)(nil)
 
 // NewRouter creates the DSDV layer for node id and starts its periodic
 // advertisements.
-func NewRouter(id int, s *sim.Sim, med *radio.Medium, cfg Config) *Router {
+func NewRouter(id int, pl *route.Plane, med *radio.Medium, cfg Config) *Router {
 	cfg = cfg.withDefaults()
-	core := route.NewCore(id, s)
-	cache := route.CacheConfig{Timeout: cfg.SeenCacheTimeout, SoftCap: cfg.SeenCacheCap}
+	core := route.NewCore(id, pl)
+	cache := route.CacheConfig{Timeout: cfg.SeenCacheTimeout, HardCap: 2 * cfg.SeenCacheCap}
 	r := &Router{
 		Core:   core,
-		sim:    s,
+		sim:    pl.Sim(),
 		med:    med,
 		cfg:    cfg,
 		table:  make(map[int]*tableRow),
@@ -146,9 +146,9 @@ func NewRouter(id int, s *sim.Sim, med *radio.Medium, cfg Config) *Router {
 	// Stagger first advertisements by node id so a freshly built network
 	// does not emit all dumps in the same microsecond.
 	first := r.cfg.UpdatePeriod/64*sim.Time(id%64) + sim.Millisecond
-	s.Schedule(first, func() {
+	r.sim.Schedule(first, func() {
 		r.advertise()
-		r.ticker = sim.NewTicker(s, r.cfg.UpdatePeriod, r.advertise)
+		r.ticker = sim.NewTicker(r.sim, r.cfg.UpdatePeriod, r.advertise)
 	})
 	return r
 }

@@ -6,6 +6,7 @@ import (
 	"manetp2p/internal/geom"
 	"manetp2p/internal/netif"
 	"manetp2p/internal/radio"
+	"manetp2p/internal/route"
 	"manetp2p/internal/sim"
 )
 
@@ -30,6 +31,7 @@ func newTestNet(t *testing.T, seed int64, pts []geom.Point, cfg Config) *testNet
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl := route.NewPlane(s, med.NumNodes())
 	n := &testNet{
 		s:       s,
 		med:     med,
@@ -40,7 +42,7 @@ func newTestNet(t *testing.T, seed int64, pts []geom.Point, cfg Config) *testNet
 	}
 	for i, p := range pts {
 		i := i
-		r := NewRouter(i, s, med, cfg)
+		r := NewRouter(i, pl, med, cfg)
 		r.OnUnicast(func(d netif.Delivery) { n.unicast[i] = append(n.unicast[i], d) })
 		r.OnBroadcast(func(d netif.Delivery) { n.bcasts[i] = append(n.bcasts[i], d) })
 		r.OnSendFailed(func(dst int, _ netif.Msg) { n.failed[i] = append(n.failed[i], dst) })

@@ -54,7 +54,7 @@ type cachedRoute struct {
 type Config struct {
 	RouteLifetime       sim.Time
 	SeenCacheTimeout    sim.Time
-	SeenCacheCap        int // soft entry bound per duplicate cache
+	SeenCacheCap        int // a node's duplicate cache holds at most twice this many live entries
 	MaxDiscoveryRetries int
 	DiscoveryTTL        int
 	HopTraversal        sim.Time
@@ -69,7 +69,7 @@ func DefaultConfig() Config {
 		// lifetime only bounds silent staleness.
 		RouteLifetime:       30 * sim.Second,
 		SeenCacheTimeout:    30 * sim.Second,
-		SeenCacheCap:        route.DefaultSoftCap,
+		SeenCacheCap:        route.DefaultSeenCacheCap,
 		MaxDiscoveryRetries: 2,
 		DiscoveryTTL:        20,
 		HopTraversal:        10 * sim.Millisecond,
@@ -131,13 +131,13 @@ var _ netif.Protocol = (*Router)(nil)
 
 // NewRouter creates the DSR layer for node id; pass HandleFrame as the
 // node's radio receiver.
-func NewRouter(id int, s *sim.Sim, med *radio.Medium, cfg Config) *Router {
+func NewRouter(id int, pl *route.Plane, med *radio.Medium, cfg Config) *Router {
 	cfg = cfg.withDefaults()
-	core := route.NewCore(id, s)
-	cache := route.CacheConfig{Timeout: cfg.SeenCacheTimeout, SoftCap: cfg.SeenCacheCap}
+	core := route.NewCore(id, pl)
+	cache := route.CacheConfig{Timeout: cfg.SeenCacheTimeout, HardCap: 2 * cfg.SeenCacheCap}
 	r := &Router{
 		Core:     core,
-		sim:      s,
+		sim:      pl.Sim(),
 		med:      med,
 		cfg:      cfg,
 		cache:    make(map[int]cachedRoute),
@@ -410,12 +410,10 @@ func (r *Router) handleRREQ(rx *netif.Packet) {
 	if rx.Origin == r.ID() {
 		return
 	}
-	k := route.Key{Origin: rx.Origin, ID: rx.ID}
-	if r.seenRREQ.Seen(k) {
+	if r.seenRREQ.Mark(route.Key{Origin: rx.Origin, ID: rx.ID}) {
 		r.Count.DupHits++
 		return
 	}
-	r.seenRREQ.Mark(k)
 	// Learn the reverse route from the accumulated path.
 	r.learnRoute(rx.Origin, r.reversed(rx.Path))
 	if rx.Dst == r.ID() {

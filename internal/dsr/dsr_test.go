@@ -8,6 +8,7 @@ import (
 	"manetp2p/internal/geom"
 	"manetp2p/internal/netif"
 	"manetp2p/internal/radio"
+	"manetp2p/internal/route"
 	"manetp2p/internal/sim"
 )
 
@@ -33,6 +34,7 @@ func newTestNet(t *testing.T, seed int64, pts []geom.Point, cfg Config) *testNet
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl := route.NewPlane(s, med.NumNodes())
 	n := &testNet{
 		s:       s,
 		med:     med,
@@ -43,7 +45,7 @@ func newTestNet(t *testing.T, seed int64, pts []geom.Point, cfg Config) *testNet
 	}
 	for i, p := range pts {
 		i := i
-		r := NewRouter(i, s, med, cfg)
+		r := NewRouter(i, pl, med, cfg)
 		r.OnUnicast(func(d netif.Delivery) { n.unicast[i] = append(n.unicast[i], d) })
 		r.OnBroadcast(func(d netif.Delivery) { n.bcasts[i] = append(n.bcasts[i], d) })
 		r.OnSendFailed(func(dst int, _ netif.Msg) { n.failed[i] = append(n.failed[i], dst) })
@@ -313,7 +315,8 @@ func TestLearnRouteRejectsLoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(0, s, med, Config{})
+	pl := route.NewPlane(s, med.NumNodes())
+	r := NewRouter(0, pl, med, Config{})
 	r.learnRoute(3, []int{1, 0, 2}) // contains self: reject
 	if _, ok := r.HopsTo(3); ok {
 		t.Error("looping route accepted")
@@ -334,7 +337,8 @@ func TestShorterRouteReplacesLonger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(0, s, med, Config{})
+	pl := route.NewPlane(s, med.NumNodes())
+	r := NewRouter(0, pl, med, Config{})
 	r.learnRoute(5, []int{1, 2, 3})
 	r.learnRoute(5, []int{4})
 	if h, _ := r.HopsTo(5); h != 2 {

@@ -28,7 +28,7 @@ const (
 type Config struct {
 	UnicastTTL       int      // hop budget for unicast floods
 	SeenCacheTimeout sim.Time // duplicate suppression window
-	SeenCacheCap     int      // soft entry bound per duplicate cache
+	SeenCacheCap     int      // a node's duplicate cache holds at most twice this many live entries
 }
 
 // DefaultConfig matches the other substrates' reach.
@@ -36,7 +36,7 @@ func DefaultConfig() Config {
 	return Config{
 		UnicastTTL:       20,
 		SeenCacheTimeout: 30 * sim.Second,
-		SeenCacheCap:     route.DefaultSoftCap,
+		SeenCacheCap:     route.DefaultSeenCacheCap,
 	}
 }
 
@@ -70,10 +70,10 @@ type Router struct {
 var _ netif.Protocol = (*Router)(nil)
 
 // NewRouter creates the flooding layer for node id.
-func NewRouter(id int, s *sim.Sim, med *radio.Medium, cfg Config) *Router {
+func NewRouter(id int, pl *route.Plane, med *radio.Medium, cfg Config) *Router {
 	cfg = cfg.withDefaults()
-	core := route.NewCore(id, s)
-	cache := route.CacheConfig{Timeout: cfg.SeenCacheTimeout, SoftCap: cfg.SeenCacheCap}
+	core := route.NewCore(id, pl)
+	cache := route.CacheConfig{Timeout: cfg.SeenCacheTimeout, HardCap: 2 * cfg.SeenCacheCap}
 	r := &Router{
 		Core:     core,
 		med:      med,
@@ -147,12 +147,10 @@ func (r *Router) handleUnicast(rx *netif.Packet) {
 	if rx.Origin == r.ID() {
 		return
 	}
-	k := route.Key{Origin: rx.Origin, ID: rx.ID}
-	if r.seen.Seen(k) {
+	if r.seen.Mark(route.Key{Origin: rx.Origin, ID: rx.ID}) {
 		r.Count.DupHits++
 		return
 	}
-	r.seen.Mark(k)
 	hops := rx.HopCount + 1
 	r.lastHops[rx.Origin] = hops
 	if rx.Dst == r.ID() {

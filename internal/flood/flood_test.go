@@ -6,6 +6,7 @@ import (
 	"manetp2p/internal/geom"
 	"manetp2p/internal/netif"
 	"manetp2p/internal/radio"
+	"manetp2p/internal/route"
 	"manetp2p/internal/sim"
 )
 
@@ -29,6 +30,7 @@ func newTestNet(t *testing.T, seed int64, pts []geom.Point, cfg Config) *testNet
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl := route.NewPlane(s, med.NumNodes())
 	n := &testNet{
 		s:       s,
 		med:     med,
@@ -38,7 +40,7 @@ func newTestNet(t *testing.T, seed int64, pts []geom.Point, cfg Config) *testNet
 	}
 	for i, p := range pts {
 		i := i
-		r := NewRouter(i, s, med, cfg)
+		r := NewRouter(i, pl, med, cfg)
 		r.OnUnicast(func(d netif.Delivery) { n.unicast[i] = append(n.unicast[i], d) })
 		r.OnBroadcast(func(d netif.Delivery) { n.bcasts[i] = append(n.bcasts[i], d) })
 		med.Join(i, p, r.HandleFrame)

@@ -15,9 +15,9 @@
 // by the simulation hot path, and a disabled Config wires no events and
 // allocates nothing. When on, it observes through read-only snapshots
 // (p2p.Servent.Inspect, radio.Medium.InFlightTo, sim.Sim.Audit,
-// radio.Medium.Audit) and
-// draws no random numbers, so an instrumented run produces the same
-// Result as an uninstrumented one.
+// radio.Medium.Audit, route.Plane.Audit) and draws no random numbers,
+// so an instrumented run produces the same Result as an uninstrumented
+// one.
 package invariant
 
 import (
@@ -27,6 +27,7 @@ import (
 	"manetp2p/internal/netif"
 	"manetp2p/internal/p2p"
 	"manetp2p/internal/radio"
+	"manetp2p/internal/route"
 	"manetp2p/internal/sim"
 	"manetp2p/internal/telemetry"
 	"manetp2p/internal/workload"
@@ -95,6 +96,9 @@ type Target struct {
 	Servents  []*p2p.Servent
 	Algorithm p2p.Algorithm
 	Params    p2p.Params
+	// Plane is the routers' shared state; nil disarms the
+	// duplicate-index rules (route.Plane.Audit).
+	Plane *route.Plane
 	// RoutingStats returns node i's routing-effort counters
 	// (netif.Stats); nil disarms the route-layer rules.
 	RoutingStats func(i int) netif.Stats
@@ -219,6 +223,11 @@ func (c *Checker) Check() {
 	c.t.Medium.Audit(func(rule, detail string) {
 		c.report("radio", rule, -1, -1, "%s", detail)
 	})
+	if c.t.Plane != nil {
+		c.t.Plane.Audit(func(rule, detail string) {
+			c.report("route", rule, -1, -1, "%s", detail)
+		})
+	}
 	c.checkRadioConservation()
 	c.checkMetrics()
 	c.checkRouting()

@@ -21,6 +21,7 @@ import (
 	"manetp2p/internal/netif"
 	"manetp2p/internal/p2p"
 	"manetp2p/internal/radio"
+	"manetp2p/internal/route"
 	"manetp2p/internal/sim"
 	"manetp2p/internal/telemetry"
 	"manetp2p/internal/trace"
@@ -324,6 +325,7 @@ func Build(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
+	plane := route.NewPlane(s, cfg.NumNodes)
 	n := &Network{
 		Cfg:       cfg,
 		Sim:       s,
@@ -385,13 +387,13 @@ func Build(cfg Config) (*Network, error) {
 		var rt NodeRouter
 		switch cfg.Routing {
 		case RoutingDSR:
-			rt = dsr.NewRouter(i, s, med, cfg.DSR)
+			rt = dsr.NewRouter(i, plane, med, cfg.DSR)
 		case RoutingFlood:
-			rt = flood.NewRouter(i, s, med, cfg.Flood)
+			rt = flood.NewRouter(i, plane, med, cfg.Flood)
 		case RoutingDSDV:
-			rt = dsdv.NewRouter(i, s, med, cfg.DSDV)
+			rt = dsdv.NewRouter(i, plane, med, cfg.DSDV)
 		default:
-			rt = aodv.NewRouter(i, s, med, cfg.AODV)
+			rt = aodv.NewRouter(i, plane, med, cfg.AODV)
 		}
 		n.Routers[i] = rt
 		med.Join(i, start, rt.HandleFrame)
@@ -467,6 +469,7 @@ func Build(cfg Config) (*Network, error) {
 			Servents:     n.Servents,
 			Algorithm:    cfg.Algorithm,
 			Params:       cfg.Params,
+			Plane:        plane,
 			RoutingStats: func(i int) netif.Stats { return n.Routers[i].Stats() },
 			Demand:       n.Demand,
 			Adjacency:    n.AppendOverlayAdjacency,

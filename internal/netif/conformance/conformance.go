@@ -18,6 +18,7 @@ import (
 	"manetp2p/internal/geom"
 	"manetp2p/internal/netif"
 	"manetp2p/internal/radio"
+	"manetp2p/internal/route"
 	"manetp2p/internal/sim"
 )
 
@@ -35,10 +36,10 @@ type Router interface {
 type Factory struct {
 	// Name labels failure output; use the package name.
 	Name string
-	// New builds node id's router on the shared simulator and medium.
-	// Configure small duplicate-cache caps here if the default storm
-	// test is too slow for the protocol.
-	New func(id int, s *sim.Sim, med *radio.Medium) Router
+	// New builds node id's router on the network's shared routing plane
+	// and medium. Configure small duplicate-cache caps here if the
+	// default storm test is too slow for the protocol.
+	New func(id int, pl *route.Plane, med *radio.Medium) Router
 	// SenderDownFails selects how the abandoned-payload test provokes a
 	// failure: true means a Send from a down node signals OnSendFailed
 	// (flood's semantics); false means a Send to an unreachable
@@ -119,9 +120,10 @@ func newNet(t *testing.T, f Factory, seed int64, pts []geom.Point) *net {
 		unicast: make([][]netif.Delivery, len(pts)),
 		bcasts:  make([][]netif.Delivery, len(pts)),
 	}
+	pl := route.NewPlane(s, len(pts))
 	for i, p := range pts {
 		i := i
-		r := f.New(i, s, med)
+		r := f.New(i, pl, med)
 		if r.ID() != i {
 			t.Fatalf("%s: NewRouter(%d).ID() = %d", f.Name, i, r.ID())
 		}
@@ -241,8 +243,9 @@ func testHopsToNoDiscovery(t *testing.T, f Factory) {
 	}
 	// Joined but never run: no traffic has populated any table.
 	var routers []Router
+	pl := route.NewPlane(s, 3)
 	for i, p := range line(3) {
-		r := f.New(i, s, med)
+		r := f.New(i, pl, med)
 		med.Join(i, p, r.HandleFrame)
 		routers = append(routers, r)
 	}

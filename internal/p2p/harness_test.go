@@ -6,6 +6,7 @@ import (
 	"manetp2p/internal/aodv"
 	"manetp2p/internal/geom"
 	"manetp2p/internal/radio"
+	"manetp2p/internal/route"
 	"manetp2p/internal/sim"
 	"manetp2p/internal/telemetry"
 )
@@ -49,6 +50,7 @@ func newWorld(t *testing.T, spec worldSpec) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl := route.NewPlane(s, med.NumNodes())
 	w := &world{
 		s:   s,
 		med: med,
@@ -57,7 +59,7 @@ func newWorld(t *testing.T, spec worldSpec) *world {
 		col: telemetry.NewCollector(len(spec.pts)),
 	}
 	for i, p := range spec.pts {
-		rt := aodv.NewRouter(i, s, med, aodv.Config{})
+		rt := aodv.NewRouter(i, pl, med, aodv.Config{})
 		w.rts[i] = rt
 		med.Join(i, p, rt.HandleFrame)
 		if spec.member != nil && !spec.member[i] {

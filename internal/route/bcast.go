@@ -66,7 +66,7 @@ func NewBcaster(core *Core, med *radio.Medium, hdrSize, perHop int, cfg CacheCon
 }
 
 // Cache exposes the duplicate cache (the AODV RREQ path shares its
-// pruning policy but keeps a separate cache; tests inspect bounds).
+// policy but keeps a separate cache; tests inspect bounds).
 func (bc *Bcaster) Cache() *DupCache { return bc.cache }
 
 // frameSize is the on-air size of b.
@@ -98,14 +98,12 @@ func (bc *Bcaster) Handle(prev int, b *netif.Packet) {
 	if b.Origin == bc.core.id {
 		return
 	}
-	k := Key{Origin: b.Origin, ID: b.ID}
-	if bc.cache.Seen(k) {
+	if bc.cache.Mark(Key{Origin: b.Origin, ID: b.ID}) {
 		bc.core.Count.DupHits++
 		if !bc.Disable {
 			return
 		}
 	}
-	bc.cache.Mark(k)
 	bc.scratch = *b
 	p := &bc.scratch
 	p.HopCount++

@@ -7,22 +7,24 @@
 //     self-delivery, send-failure reporting — plus the netif.Stats
 //     counter block.
 //   - DupCache: the TTL-bounded duplicate-suppression cache with one
-//     uniform pruning policy (age sweep past a soft cap, deterministic
-//     oldest-first eviction past a hard cap).
+//     uniform policy (exact expiry at the timeout, deterministic
+//     oldest-first eviction at a per-node hard cap), kept for all nodes
+//     in one flood-major index on the simulation's Plane.
 //   - Bcaster: the paper's controlled broadcast (§5/§7): TTL-limited
 //     flood relay with per-node duplicate suppression, protocol side
 //     effects delegated to small hooks.
 //   - Pending: the per-destination pending-send buffer that parks
 //     payloads while a route is discovered (or, for DSDV, settles).
 //
-// Everything here is deterministic and draws no randomness: map
-// iteration only ever deletes provably-stale entries or feeds a sorted
-// eviction, so a replication built on this package is bit-identical to
-// one built on the four private copies it replaced (golden fixtures
-// prove it).
+// Everything here is deterministic and draws no randomness, and no
+// result depends on map iteration order, so a replication built on this
+// package is bit-identical to one built on the four private copies it
+// replaced (golden fixtures prove it).
 package route
 
 import (
+	"fmt"
+
 	"manetp2p/internal/netif"
 	"manetp2p/internal/sim"
 )
@@ -31,8 +33,9 @@ import (
 // *Core and inherit the netif.Protocol hook surface (ID, OnUnicast,
 // OnBroadcast, OnSendFailed, Stats) plus the delivery helpers.
 type Core struct {
-	id  int
-	sim *sim.Sim
+	id    int
+	sim   *sim.Sim
+	plane *Plane
 
 	// Count is the unified routing-effort counter block. Shared
 	// mechanisms (dispatch, duplicate caches) maintain their counters
@@ -54,9 +57,12 @@ type Core struct {
 	selfHead      int
 }
 
-// NewCore creates the dispatch core for node id.
-func NewCore(id int, s *sim.Sim) *Core {
-	c := &Core{id: id, sim: s}
+// NewCore creates the dispatch core for node id of pl's simulation.
+func NewCore(id int, pl *Plane) *Core {
+	if id < 0 || id >= pl.nodes {
+		panic(fmt.Sprintf("route: node id %d outside the plane's %d nodes", id, pl.nodes))
+	}
+	c := &Core{id: id, sim: pl.sim, plane: pl}
 	c.selfDeliverFn = c.selfDeliver
 	return c
 }
@@ -128,8 +134,9 @@ func (c *Core) selfDeliver() {
 	c.DeliverUnicast(c.id, 0, m)
 }
 
-// SeenEntries sums the live entry counts of every duplicate cache this
-// node registered — the observable the cache-bounding tests assert on.
+// SeenEntries sums the live marks of every duplicate cache this node
+// registered (exact: expired marks are not counted) — the observable
+// the cache-bounding tests assert on.
 func (c *Core) SeenEntries() int {
 	n := 0
 	for _, dc := range c.caches {
@@ -138,13 +145,13 @@ func (c *Core) SeenEntries() int {
 	return n
 }
 
-// SeenBound returns the summed hard entry cap across the node's
-// duplicate caches (0 with no caches registered) — the ceiling
-// SeenEntries can never exceed, whatever traffic arrives.
+// SeenBound returns the summed hard cap across the node's duplicate
+// caches (0 with no caches registered) — the ceiling SeenEntries can
+// never exceed, whatever traffic arrives.
 func (c *Core) SeenBound() int {
 	b := 0
 	for _, dc := range c.caches {
-		b += dc.cfg.HardCap
+		b += dc.x.cfg.HardCap
 	}
 	return b
 }

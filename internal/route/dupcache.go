@@ -1,8 +1,6 @@
 package route
 
 import (
-	"slices"
-
 	"manetp2p/internal/sim"
 )
 
@@ -13,84 +11,135 @@ type Key struct {
 	ID     uint32
 }
 
-// CacheConfig bounds one duplicate cache. An entry is a duplicate while
-// it is younger than Timeout. Past SoftCap entries, Mark sweeps out
-// expired entries; past HardCap live entries, Mark deterministically
-// evicts the oldest down to three quarters of the hard cap, so memory
-// stays bounded even under a broadcast storm that never lets anything
-// expire.
+// CacheConfig bounds one duplicate cache. A key a node has marked is a
+// duplicate at that node while the mark is younger than Timeout. A node
+// already holding HardCap live marks loses its oldest quarter before it
+// takes another, so memory stays bounded even under a broadcast storm
+// that never lets anything expire.
 type CacheConfig struct {
 	Timeout sim.Time
-	SoftCap int
 	HardCap int
 }
 
-// Default pruning bounds, shared by every protocol. The soft cap only
-// triggers an expired-entry sweep (behavior-neutral by construction:
-// expired entries already fail Seen's freshness check), so one value
-// fits all; the hard cap is sized above anything the paper-scale
-// scenarios reach, making fresh-entry eviction a storm-only safety net.
+// DefaultSeenCacheCap is the SeenCacheCap every protocol's Config
+// defaults to; a node's cache is bounded at twice that many live marks
+// (CacheConfig.HardCap), far above anything the paper-scale scenarios
+// reach, so evicting a fresh mark is a storm-only safety net.
 const (
-	DefaultSoftCap = 4096
-	DefaultHardCap = 2 * DefaultSoftCap
+	DefaultSeenCacheCap = 4096
+	DefaultHardCap      = 2 * DefaultSeenCacheCap
 )
 
-// withDefaults fills unset bounds.
+// withDefaults fills an unset bound.
 func (c CacheConfig) withDefaults() CacheConfig {
-	if c.SoftCap == 0 {
-		c.SoftCap = DefaultSoftCap
-	}
-	if c.HardCap == 0 {
-		c.HardCap = 2 * c.SoftCap
+	if c.HardCap <= 0 {
+		c.HardCap = DefaultHardCap
 	}
 	return c
 }
 
-// DupCache is the per-node duplicate-suppression cache behind the
-// paper's controlled broadcast (§5): remember each (origin, id) for a
-// while, drop re-arrivals. One cache, one pruning policy, shared by all
-// four protocols — previously each router grew (or failed to bound) its
-// own copy.
+// DupCache is one node's duplicate-suppression cache behind the paper's
+// controlled broadcast (§5): remember each (origin, id) for a while,
+// drop re-arrivals. One cache, one expiry and eviction policy, shared by
+// all four protocols.
 //
-// Entries live in an open-addressed table kept at most half full, with
-// the expiry sweep rebuilding it in place from a reused scratch slice.
-// A delete-heavy Go map keeps allocating bucket arrays under churn
-// (same-size grows to shed tombstones), and this cache is exactly that
-// workload — the table version holds FullReplication's biggest single
-// allocation source at zero steady-state allocations.
+// It is a handle — an index and a node id. The state of every node's
+// cache of one family lives in one flood-major dupIndex on the
+// simulation's Plane, because the ~100 receptions one flood causes
+// arrive back to back at ~100 different nodes: in one shared record they
+// touch the same cache lines, in per-node tables each one misses.
+//
+// A mark ages from the first time the node marked the key: marking a key
+// that is still a duplicate leaves its age alone, as RFC 3561 §6.3
+// buffers an RREQ id for PATH_DISCOVERY_TIME from first receipt. (Only
+// Bcaster.Handle with suppression disabled marks a live duplicate.)
 type DupCache struct {
-	cfg     CacheConfig
-	sim     *sim.Sim
-	slots   []dupSlot
-	mask    uint32
-	n       int        // occupied slots
-	scratch []dupEntry // prune's live-entry buffer, reused across sweeps
+	x    *dupIndex
+	node int
 }
 
-// dupSlot is one table cell; used distinguishes occupancy so the zero
-// Key stays a valid entry.
-type dupSlot struct {
-	key  Key
-	t    sim.Time
-	used bool
-}
-
-type dupEntry struct {
-	k Key
-	t sim.Time
-}
-
-// NewDupCache creates a cache owned by core's node and registers it for
-// the core's SeenEntries/SeenBound accounting.
+// NewDupCache creates core's node's handle on the plane's index for
+// caches of this configuration created at this position on their Core
+// (a router creates its caches in a fixed order, so position plus
+// configuration names the family), and registers it for the core's
+// SeenEntries/SeenBound accounting.
 func NewDupCache(core *Core, cfg CacheConfig) *DupCache {
-	dc := &DupCache{
-		cfg:   cfg.withDefaults(),
-		sim:   core.sim,
-		slots: make([]dupSlot, 16),
-		mask:  15,
-	}
+	dc := &DupCache{x: core.plane.dupIndex(len(core.caches), cfg.withDefaults()), node: core.id}
 	core.caches = append(core.caches, dc)
 	return dc
+}
+
+// Mark records k as seen by this node now and reports whether it already
+// was: true means a duplicate, and changes nothing.
+func (dc *DupCache) Mark(k Key) bool { return dc.x.mark(dc.node, k) }
+
+// Seen reports whether this node marked k within the cache timeout,
+// without marking it.
+func (dc *DupCache) Seen(k Key) bool { return dc.x.seen(dc.node, k) }
+
+// Len returns the number of live marks this node holds.
+func (dc *DupCache) Len() int { return dc.x.count(dc.node) }
+
+// dupIndex is the duplicate-cache state of every node of one family:
+// one record per live (origin, id) holding the set of nodes that have
+// it marked, reached through a small open-addressed table, plus one log
+// of all marks in time order. Every call first retires the log's head
+// under the rule now − t ≥ Timeout, so a set bit is a live mark and the
+// duplicate test is one bit test; a record whose last bit clears leaves
+// the table.
+type dupIndex struct {
+	ord   int // position of the member caches on their Cores
+	cfg   CacheConfig
+	sim   *sim.Sim
+	words int // bitset words per record
+
+	// table is open-addressed with linear probing and kept at most half
+	// full; a slot holds a record index + 1, 0 meaning empty.
+	table []int32
+	mask  uint32
+	nrec  int // records in the table
+
+	recs []dupRecord
+	bits []uint64 // record r's node set is bits[r*words : (r+1)*words]
+	free []int32  // recycled records, all-zero
+
+	// log is a ring (power-of-two capacity) of the n marks made and not
+	// yet retired, oldest at head; the clock never runs backwards, so it
+	// is in time order.
+	log  []dupMark
+	head int
+	n    int
+
+	live  []int32  // per node: live marks
+	swept sim.Time // the clock at the last retire, for Audit
+}
+
+// dupRecord is one live key and how many nodes have it marked; a record
+// with live == 0 is free.
+type dupRecord struct {
+	key  Key
+	live int32
+}
+
+// dupMark is one log entry: node marked rec at t. Eviction kills a mark
+// in place by setting node to -1.
+type dupMark struct {
+	t    sim.Time
+	rec  int32
+	node int32
+}
+
+func newDupIndex(ord int, cfg CacheConfig, s *sim.Sim, nodes int) *dupIndex {
+	return &dupIndex{
+		ord:   ord,
+		cfg:   cfg,
+		sim:   s,
+		words: (nodes + 63) / 64,
+		table: make([]int32, 16),
+		mask:  15,
+		log:   make([]dupMark, 16),
+		live:  make([]int32, nodes),
+	}
 }
 
 // hash spreads a key over the table. The table is a power of two, so
@@ -105,142 +154,181 @@ func hash(k Key) uint32 {
 	return uint32(h)
 }
 
-// find locates k's slot by linear probing: its position if present, the
-// insertion point otherwise. The ≤1/2 load invariant guarantees an
-// empty slot terminates every probe.
-func (dc *DupCache) find(k Key) (int, bool) {
-	i := hash(k) & dc.mask
+// find probes for k: its slot and record if present, the insertion slot
+// and -1 otherwise. The ≤1/2 load invariant guarantees an empty slot
+// terminates every probe.
+func (x *dupIndex) find(k Key) (slot uint32, rec int32) {
+	i := hash(k) & x.mask
 	for {
-		s := &dc.slots[i]
-		if !s.used {
-			return int(i), false
+		r := x.table[i]
+		if r == 0 {
+			return i, -1
 		}
-		if s.key == k {
-			return int(i), true
+		if x.recs[r-1].key == k {
+			return i, r - 1
 		}
-		i = (i + 1) & dc.mask
+		i = (i + 1) & x.mask
 	}
 }
 
-// insert records (k, t), keeping the table at most half full. Before
-// paying for a bigger table it sweeps expired entries — a sweep never
-// changes what Seen reports (expired entries already fail its freshness
-// check), and it keeps the table sized to the live working set instead
-// of the unswept backlog.
-func (dc *DupCache) insert(k Key, t sim.Time) {
-	i, ok := dc.find(k)
-	if !ok && 2*(dc.n+1) > len(dc.slots) {
-		dc.sweep()
-		if 2*(dc.n+1) > len(dc.slots) {
-			dc.grow()
-		}
-		i, _ = dc.find(k)
-	}
-	if !ok {
-		dc.n++
-	}
-	dc.slots[i] = dupSlot{key: k, t: t, used: true}
+// bit locates node's bit in rec's node set: the word and the mask.
+func (x *dupIndex) bit(rec int32, node int) (*uint64, uint64) {
+	return &x.bits[int(rec)*x.words+node>>6], 1 << (node & 63)
 }
 
-// grow doubles the table and rehashes every entry. Growth stops at the
-// cache's peak occupancy (bounded by HardCap), after which the cache
-// never allocates again.
-func (dc *DupCache) grow() {
-	old := dc.slots
-	dc.slots = make([]dupSlot, 2*len(old))
-	dc.mask = uint32(len(dc.slots) - 1)
-	for _, s := range old {
-		if !s.used {
+// has reports whether node's bit is set in rec.
+func (x *dupIndex) has(rec int32, node int) bool {
+	w, b := x.bit(rec, node)
+	return *w&b != 0
+}
+
+// retire pops every mark that has reached the timeout (and every dead
+// mark in front of one that has not), clearing its bit.
+func (x *dupIndex) retire() sim.Time {
+	now := x.sim.Now()
+	x.swept = now
+	for x.n > 0 {
+		m := x.log[x.head]
+		if m.node >= 0 {
+			if now-m.t < x.cfg.Timeout {
+				break
+			}
+			x.clear(m.rec, int(m.node))
+		}
+		x.head = (x.head + 1) & (len(x.log) - 1)
+		x.n--
+	}
+	return now
+}
+
+func (x *dupIndex) seen(node int, k Key) bool {
+	x.retire()
+	_, rec := x.find(k)
+	return rec >= 0 && x.has(rec, node)
+}
+
+func (x *dupIndex) count(node int) int {
+	x.retire()
+	return int(x.live[node])
+}
+
+func (x *dupIndex) mark(node int, k Key) bool {
+	now := x.retire()
+	slot, rec := x.find(k)
+	// The bit is tested before the cap: a duplicate evicts nothing.
+	if rec >= 0 && x.has(rec, node) {
+		return true
+	}
+	if int(x.live[node]) >= x.cfg.HardCap {
+		x.evict(node)
+		// Evicting may have emptied other records, and removing one
+		// shifts table slots: probe again.
+		slot, rec = x.find(k)
+	}
+	if rec < 0 {
+		rec = x.insert(k, slot)
+	}
+	w, b := x.bit(rec, node)
+	*w |= b
+	x.recs[rec].live++
+	x.live[node]++
+	if x.n == len(x.log) {
+		x.growLog()
+	}
+	x.log[(x.head+x.n)&(len(x.log)-1)] = dupMark{t: now, rec: rec, node: int32(node)}
+	x.n++
+	return false
+}
+
+// insert creates k's record at slot, the insertion point find reported,
+// keeping the table at most half full.
+func (x *dupIndex) insert(k Key, slot uint32) int32 {
+	if 2*(x.nrec+1) > len(x.table) {
+		x.growTable()
+		slot, _ = x.find(k)
+	}
+	var rec int32
+	if n := len(x.free); n > 0 {
+		rec = x.free[n-1]
+		x.free = x.free[:n-1]
+	} else {
+		rec = int32(len(x.recs))
+		x.recs = append(x.recs, dupRecord{})
+		x.bits = append(x.bits, make([]uint64, x.words)...)
+	}
+	x.recs[rec].key = k
+	x.table[slot] = rec + 1
+	x.nrec++
+	return rec
+}
+
+// growTable doubles the table and re-inserts every record. The table
+// stops growing at the simulation's peak number of concurrently live
+// floods, after which the index never allocates again.
+func (x *dupIndex) growTable() {
+	old := x.table
+	x.table = make([]int32, 2*len(old))
+	x.mask = uint32(len(x.table) - 1)
+	for _, r := range old {
+		if r == 0 {
 			continue
 		}
-		i := hash(s.key) & dc.mask
-		for dc.slots[i].used {
-			i = (i + 1) & dc.mask
+		i := hash(x.recs[r-1].key) & x.mask
+		for x.table[i] != 0 {
+			i = (i + 1) & x.mask
 		}
-		dc.slots[i] = s
+		x.table[i] = r
 	}
 }
 
-// Seen reports whether k was marked within the cache timeout.
-func (dc *DupCache) Seen(k Key) bool {
-	i, ok := dc.find(k)
-	return ok && dc.sim.Now()-dc.slots[i].t < dc.cfg.Timeout
+// growLog doubles the ring, unrolling it so the oldest mark sits at 0.
+func (x *dupIndex) growLog() {
+	grown := make([]dupMark, 2*len(x.log))
+	k := copy(grown, x.log[x.head:])
+	copy(grown[k:], x.log[:x.head])
+	x.log, x.head = grown, 0
 }
 
-// Mark records k as seen now, pruning first if the cache has grown past
-// its bounds.
-func (dc *DupCache) Mark(k Key) {
-	if dc.n > dc.cfg.SoftCap {
-		dc.prune()
+// clear unsets node's bit in rec, removing the record with its last bit.
+func (x *dupIndex) clear(rec int32, node int) {
+	w, b := x.bit(rec, node)
+	*w &^= b
+	x.live[node]--
+	r := &x.recs[rec]
+	if r.live--; r.live == 0 {
+		x.remove(rec)
 	}
-	dc.insert(k, dc.sim.Now())
 }
 
-// collectLive gathers the unexpired entries into the reusable scratch
-// buffer, in table order (deterministic: layout is a pure function of
-// the insert/delete history).
-func (dc *DupCache) collectLive() []dupEntry {
-	now := dc.sim.Now()
-	live := dc.scratch[:0]
-	for _, s := range dc.slots {
-		if s.used && now-s.t < dc.cfg.Timeout {
-			live = append(live, dupEntry{s.key, s.t})
+// remove takes the now-empty record out of the table by backward-shift
+// deletion — every later member of the probe run that may move up does,
+// so runs stay gap-free and need no tombstones — and recycles it.
+func (x *dupIndex) remove(rec int32) {
+	i, _ := x.find(x.recs[rec].key)
+	for j := (i + 1) & x.mask; x.table[j] != 0; j = (j + 1) & x.mask {
+		home := hash(x.recs[x.table[j]-1].key) & x.mask
+		// The entry at j may fill the hole at i unless its home slot
+		// lies in (i, j], cyclically.
+		if (j-home)&x.mask >= (j-i)&x.mask {
+			x.table[i] = x.table[j]
+			i = j
 		}
 	}
-	dc.scratch = live[:0]
-	return live
+	x.table[i] = 0
+	x.nrec--
+	x.recs[rec] = dupRecord{}
+	x.free = append(x.free, rec)
 }
 
-// rebuild repopulates the cleared table from live. Rebuilding removes
-// expired entries exactly (an in-place backward-shift delete could
-// slide an unswept entry behind a scan cursor). The inserts can never
-// re-enter sweep — live holds at most the pre-sweep count, which the
-// unchanged-size table already fit at ≤1/2 load — so live (an alias of
-// the scratch buffer) is never overwritten mid-iteration.
-func (dc *DupCache) rebuild(live []dupEntry) {
-	clear(dc.slots)
-	dc.n = 0
-	for _, e := range live {
-		dc.insert(e.k, e.t)
+// evict kills node's oldest marks, in log order, down to three quarters
+// of the hard cap.
+func (x *dupIndex) evict(node int) {
+	drop := int(x.live[node]) - x.cfg.HardCap*3/4
+	for i := x.head; drop > 0; i = (i + 1) & (len(x.log) - 1) {
+		if m := &x.log[i]; int(m.node) == node {
+			x.clear(m.rec, node)
+			m.node = -1
+			drop--
+		}
 	}
 }
-
-// sweep drops expired entries only — always behavior-neutral.
-func (dc *DupCache) sweep() {
-	dc.rebuild(dc.collectLive())
-}
-
-// prune drops expired entries, then — only if the cache is still at the
-// hard cap, i.e. under a storm of still-fresh broadcasts — evicts the
-// oldest live entries down to 3/4 of the cap. Eviction sorts candidates
-// by (time, origin, id), a total order on unique keys, so the surviving
-// set is deterministic.
-func (dc *DupCache) prune() {
-	live := dc.collectLive()
-	if len(live) >= dc.cfg.HardCap {
-		slices.SortFunc(live, func(a, b dupEntry) int {
-			if a.t != b.t {
-				if a.t < b.t {
-					return -1
-				}
-				return 1
-			}
-			if a.k.Origin != b.k.Origin {
-				return a.k.Origin - b.k.Origin
-			}
-			if a.k.ID != b.k.ID {
-				if a.k.ID < b.k.ID {
-					return -1
-				}
-				return 1
-			}
-			return 0
-		})
-		live = live[len(live)-dc.cfg.HardCap*3/4:]
-	}
-	dc.rebuild(live)
-}
-
-// Len returns the number of entries currently held (live or expired but
-// not yet swept).
-func (dc *DupCache) Len() int { return dc.n }

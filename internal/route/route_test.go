@@ -9,7 +9,7 @@ import (
 
 func testCore(seed int64) (*Core, *sim.Sim) {
 	s := sim.New(seed)
-	return NewCore(0, s), s
+	return NewCore(0, NewPlane(s, 1)), s
 }
 
 func TestDupCacheSeenRespectsTimeout(t *testing.T) {
@@ -29,26 +29,38 @@ func TestDupCacheSeenRespectsTimeout(t *testing.T) {
 	}
 }
 
-func TestDupCacheSoftCapSweepsExpiredOnly(t *testing.T) {
+// TestDupCacheExpiryIsExact pins that Len counts live marks only, at any
+// instant: a mark leaves the count at exactly its timeout, with no
+// backlog of expired entries waiting for a sweep.
+func TestDupCacheExpiryIsExact(t *testing.T) {
 	c, s := testCore(2)
-	dc := NewDupCache(c, CacheConfig{Timeout: 5 * sim.Second, SoftCap: 8, HardCap: 1 << 20})
+	const timeout = 5 * sim.Second
+	dc := NewDupCache(c, CacheConfig{Timeout: timeout})
 	for i := 0; i < 8; i++ {
 		dc.Mark(Key{Origin: 1, ID: uint32(i)})
 	}
-	s.Run(6 * sim.Second)
-	dc.Mark(Key{Origin: 2, ID: 0}) // 9th entry: no sweep yet (len was at cap)
-	dc.Mark(Key{Origin: 2, ID: 1}) // len now past SoftCap: sweeps expired
-	if got := dc.Len(); got != 2 {
-		t.Fatalf("Len = %d after sweep, want 2 (only the fresh marks)", got)
+	s.Run(sim.Second)
+	dc.Mark(Key{Origin: 2, ID: 0})
+	s.Run(timeout - 1)
+	if got := dc.Len(); got != 9 {
+		t.Fatalf("Len = %d one tick before the first timeout, want 9", got)
 	}
-	if !dc.Seen(Key{Origin: 2, ID: 0}) || !dc.Seen(Key{Origin: 2, ID: 1}) {
-		t.Fatal("sweep evicted a fresh entry")
+	s.Run(timeout)
+	if got := dc.Len(); got != 1 {
+		t.Fatalf("Len = %d at the first marks' timeout, want 1 (the later mark)", got)
+	}
+	if dc.Seen(Key{Origin: 1, ID: 0}) || !dc.Seen(Key{Origin: 2, ID: 0}) {
+		t.Fatal("expiry dropped a fresh mark or kept an expired one")
+	}
+	s.Run(timeout + sim.Second)
+	if got := dc.Len(); got != 0 {
+		t.Fatalf("Len = %d after every timeout, want 0", got)
 	}
 }
 
 func TestDupCacheHardCapEvictsOldestDeterministically(t *testing.T) {
 	c, _ := testCore(3)
-	dc := NewDupCache(c, CacheConfig{Timeout: 60 * sim.Minute, SoftCap: 4, HardCap: 8})
+	dc := NewDupCache(c, CacheConfig{Timeout: 60 * sim.Minute, HardCap: 8})
 	// All marks at t=0: nothing ever expires, so crossing the hard cap
 	// must evict fresh entries down to 3/4 of the cap.
 	for i := 0; i < 100; i++ {
