@@ -5,7 +5,7 @@
 #
 # `./check.sh bench` instead runs the tracked benchmark suite, writes
 # the machine-readable report (see cmd/bench), and gates it against the
-# committed baseline (BENCH_18.json): >20% ns/op regressions on
+# committed baseline (BENCH_19.json): >20% ns/op regressions on
 # comparable hardware, any allocs/op increase on a 0-alloc benchmark, or
 # a 0-alloc benchmark of the baseline that no longer runs, fail. Pass an
 # output path as the second argument to override the default BENCH.json;
@@ -33,8 +33,8 @@ cd "$(dirname "$0")"
 
 if [ "$1" = "bench" ]; then
 	out="${2:-BENCH.json}"
-	echo "== tracked benchmarks -> $out (gated against BENCH_18.json) =="
-	go run ./cmd/bench -o "$out" -baseline BENCH_18.json
+	echo "== tracked benchmarks -> $out (gated against BENCH_19.json) =="
+	go run ./cmd/bench -o "$out" -baseline BENCH_19.json
 	exit 0
 fi
 
@@ -112,8 +112,8 @@ go test -run '^$' -fuzz FuzzRead -fuzztime 10s ./internal/checkpoint
 
 # The root package's 1-vs-4-worker test is what would catch duplicate-index
 # state shared between concurrent replications.
-echo "== go test -race (sim core, fault injection, workload, route, aodv, root) =="
-go test -race ./internal/sim ./internal/fault ./internal/workload ./internal/route ./internal/aodv .
+echo "== go test -race (sim core, geom, radio, fault injection, workload, route, aodv, root) =="
+go test -race ./internal/sim ./internal/geom ./internal/radio ./internal/fault ./internal/workload ./internal/route ./internal/aodv .
 
 echo "== bench smoke (micro benches only) =="
 go test -run xxx -bench 'Table1|GridNear|SimEventQueue|RadioBroadcast|DupCheck|AODVDiscovery|ServentSend|BcastRelay' -benchtime 10x .

@@ -21,7 +21,6 @@ type Grid struct {
 	pos      []Point   // item ID -> position
 	cellOf   []int32   // item ID -> cell index, -1 if absent
 	present  []bool    // item ID -> inserted?
-	scratch  []int32   // reused by Near to avoid per-query allocation
 }
 
 // NewGrid creates an index over arena with the given cell size (typically

@@ -3,7 +3,9 @@
 // transmission range (the paper uses 10 m). Frames are delivered after a
 // small per-hop latency with optional jitter and loss, and every transmit
 // and receive debits the sender's/receiver's battery, which is what makes
-// the paper's message-count metrics proxies for network lifetime.
+// the paper's message-count metrics proxies for network lifetime. Who
+// hears whom is asked of the spatial grid once per movement, not once per
+// transmission (Medium.neighbourList).
 //
 // The medium deliberately omits MAC-level contention and capture effects:
 // the paper's metrics are message counts and hop distances, which are
@@ -12,6 +14,7 @@ package radio
 
 import (
 	"fmt"
+	"math/rand"
 
 	"manetp2p/internal/geom"
 	"manetp2p/internal/netif"
@@ -94,8 +97,8 @@ type Medium struct {
 	cfg  Config
 	sim  *sim.Sim
 	grid *geom.Grid
-	rng  interface{ Float64() float64 }
-	jrng interface{ Int63n(int64) int64 }
+	rng  *rand.Rand
+	jrng *rand.Rand
 
 	recv    []Receiver
 	filter  LinkFilter
@@ -104,8 +107,14 @@ type Medium struct {
 	battery []*Battery
 	onDeath func(id int)
 
-	scratch  []int // Neighbors/Degree query buffer
-	bscratch []int // broadcast fan-out buffer; see the note in Send
+	// Neighbour table, derived state: nbrs[id] is grid.Near's output for id
+	// at topology epoch stamp[id] (0 = never filled; topo starts at 1).
+	// Join, Leave and every SetPos that moves a node bump topo.
+	topo  uint64
+	nbrs  [][]nbr
+	stamp []uint64
+	near  []int  // fill's query buffer
+	fills uint64 // lists filled; read by tests
 
 	// In-flight state. Pending receptions sit in a timing wheel that the
 	// simulator merges into its run loop (the medium is the Sim's
@@ -136,9 +145,17 @@ func NewMedium(s *sim.Sim, cfg Config) (*Medium, error) {
 		stats:   make([]Stats, cfg.NumNodes),
 		battery: make([]*Battery, cfg.NumNodes),
 		epoch:   make([]uint32, cfg.NumNodes),
+		topo:    1,
+		nbrs:    make([][]nbr, cfg.NumNodes),
+		stamp:   make([]uint64, cfg.NumNodes),
 	}
+	// One array holds every list; one that outgrows its share (three times
+	// the paper's mean degree of 4.7) reallocates alone.
+	const share = 16
+	backing := make([]nbr, cfg.NumNodes*share)
 	for i := range m.battery {
 		m.battery[i] = NewBattery(cfg.Energy)
+		m.nbrs[i] = backing[i*share : i*share : (i+1)*share]
 	}
 	m.wheel.init(cfg.Latency + cfg.Jitter)
 	s.SetSource(m)
@@ -156,6 +173,7 @@ func (m *Medium) Join(id int, p geom.Point, r Receiver) {
 	}
 	m.up[id] = true
 	m.epoch[id]++
+	m.topo++
 	m.recv[id] = r
 	m.grid.Insert(id, p)
 }
@@ -170,6 +188,7 @@ func (m *Medium) Leave(id int) {
 		return
 	}
 	m.up[id] = false
+	m.topo++
 	m.grid.Remove(id)
 }
 
@@ -178,7 +197,8 @@ func (m *Medium) Up(id int) bool { return m.up[id] }
 
 // SetPos moves node id (driven by the mobility tick).
 func (m *Medium) SetPos(id int, p geom.Point) {
-	if m.up[id] {
+	if m.up[id] && p != m.grid.Pos(id) {
+		m.topo++
 		m.grid.Move(id, p)
 	}
 }
@@ -191,20 +211,46 @@ func (m *Medium) InRange(a, b int) bool {
 	return m.up[a] && m.up[b] && m.grid.Pos(a).Dist2(m.grid.Pos(b)) <= m.cfg.Range*m.cfg.Range
 }
 
+// nbr is a neighbour-list entry: a node in range and its join epoch, the
+// two things a reception queued toward it carries (see Leave).
+type nbr struct {
+	to    int32
+	epoch uint32
+}
+
+// neighbourList returns the up nodes within range of id, none if id is
+// down. The list is refilled from the grid on its first use after topo
+// moved, so it is grid.Near's output at this instant — same members, same
+// order, hence the jitter draws and sequence numbers of a fresh query —
+// and its join epochs are current: only Join changes one, and Join bumps
+// topo. Valid until the next Join, Leave or SetPos.
+func (m *Medium) neighbourList(id int) []nbr {
+	if !m.up[id] {
+		return nil
+	}
+	if m.stamp[id] != m.topo {
+		m.near = m.grid.Near(m.near[:0], m.grid.Pos(id), m.cfg.Range, id)
+		l := m.nbrs[id][:0]
+		for _, to := range m.near {
+			l = append(l, nbr{int32(to), m.epoch[to]})
+		}
+		m.nbrs[id], m.stamp[id] = l, m.topo
+		m.fills++
+	}
+	return m.nbrs[id]
+}
+
 // Neighbors appends to dst the up nodes within range of id and returns
 // the extended slice.
 func (m *Medium) Neighbors(dst []int, id int) []int {
-	if !m.up[id] {
-		return dst
+	for _, nb := range m.neighbourList(id) {
+		dst = append(dst, int(nb.to))
 	}
-	return m.grid.Near(dst, m.grid.Pos(id), m.cfg.Range, id)
+	return dst
 }
 
 // Degree reports the number of current radio neighbors of id.
-func (m *Medium) Degree(id int) int {
-	m.scratch = m.Neighbors(m.scratch[:0], id)
-	return len(m.scratch)
-}
+func (m *Medium) Degree(id int) int { return len(m.neighbourList(id)) }
 
 // Stats returns medium usage counters for node id.
 func (m *Medium) Stats(id int) Stats { return m.stats[id] }
@@ -221,7 +267,10 @@ func (m *Medium) OnDeath(fn func(id int)) { m.onDeath = fn }
 // Reentrancy contract: the filter runs inside Send, so it may query the
 // medium (Neighbors, Degree, InRange, Pos, Up) but must not mutate it —
 // no Send, Join, Leave or SetPos — and must not draw from simulation RNG
-// streams it does not own.
+// streams it does not own. The contract is load-bearing: a broadcast
+// iterates the sender's cached neighbour list in place while the filter
+// runs. A query may fill another node's list; a mutation would move the
+// topology epoch and let a nested fill rewrite the list under the loop.
 func (m *Medium) SetLinkFilter(f LinkFilter) { m.filter = f }
 
 // InFlight reports how many deliveries are currently queued in the air.
@@ -265,57 +314,49 @@ func (m *Medium) Send(f Frame) int {
 	m.stats[f.Src].TxBytes += uint64(f.Size)
 	m.spendTx(f.Src, f.Size)
 
+	// Looked up after spendTx: a sender it killed reaches nobody.
+	var list []nbr
 	if f.Dst == BroadcastAddr {
-		// The fan-out iterates its own buffer, not m.scratch: deliver runs
-		// the installed LinkFilter, which (fault injector) may legally call
-		// Neighbors or Degree and would clobber the shared query buffer
-		// mid-iteration. The reentrancy contract is documented on
-		// SetLinkFilter.
-		m.bscratch = m.Neighbors(m.bscratch[:0], f.Src)
-		slot := noSlot
-		for _, nb := range m.bscratch {
-			slot = m.deliver(&f, slot, nb)
+		list = m.neighbourList(f.Src)
+	} else if f.Dst >= 0 && f.Dst < m.cfg.NumNodes && m.InRange(f.Src, f.Dst) {
+		list = []nbr{{int32(f.Dst), m.epoch[f.Dst]}}
+	}
+
+	// Each receiver that passes the link filter and the loss draw is queued
+	// for arrival after latency+jitter; the first parks the frame in the
+	// slab. A reception reserves its global sequence number here — exactly
+	// where a per-frame event would be scheduled — so the wheel cannot
+	// reorder it against anything else.
+	slot, queued, now := noSlot, int32(0), m.sim.Now()
+	for _, nb := range list {
+		st := &m.stats[nb.to]
+		if m.filter != nil && m.filter(f.Src, int(nb.to)) {
+			st.Gated++
+			continue
 		}
-		return len(m.bscratch)
+		if m.cfg.LossProb > 0 && m.rng.Float64() < m.cfg.LossProb {
+			st.Dropped++
+			continue
+		}
+		delay := m.cfg.Latency
+		if m.cfg.Jitter > 0 {
+			delay += sim.Time(m.jrng.Int63n(int64(m.cfg.Jitter) + 1))
+		}
+		st.Queued++
+		if slot == noSlot {
+			slot = m.slab.park(&f)
+		}
+		queued++
+		m.wheel.push(rec{at: now + delay, seq: m.sim.ReserveSeq(), to: nb.to, slot: slot, epoch: nb.epoch})
 	}
-	if f.Dst < 0 || f.Dst >= m.cfg.NumNodes || !m.InRange(f.Src, f.Dst) {
-		return 0
+	if queued > 0 {
+		m.slab.at(slot).refs = queued
 	}
-	m.deliver(&f, noSlot, f.Dst)
-	return 1
+	return len(list)
 }
 
 // noSlot marks a transmission no receiver has been queued for yet.
 const noSlot int32 = -1
-
-// deliver queues the frame for arrival at node to after latency+jitter,
-// applying the link filter and the loss probability. The frame is
-// parked in the slab by the first reception that survives them (slot is
-// noSlot until then); deliver returns the slot for the next receiver.
-// The reception reserves its global sequence number here — exactly where
-// a per-frame event would be scheduled — so the wheel cannot reorder it
-// against anything else.
-func (m *Medium) deliver(f *Frame, slot int32, to int) int32 {
-	if m.filter != nil && m.filter(f.Src, to) {
-		m.stats[to].Gated++
-		return slot
-	}
-	if m.cfg.LossProb > 0 && m.rng.Float64() < m.cfg.LossProb {
-		m.stats[to].Dropped++
-		return slot
-	}
-	delay := m.cfg.Latency
-	if m.cfg.Jitter > 0 {
-		delay += sim.Time(m.jrng.Int63n(int64(m.cfg.Jitter) + 1))
-	}
-	m.stats[to].Queued++
-	if slot == noSlot {
-		slot = m.slab.park(f)
-	}
-	m.slab.at(slot).refs++
-	m.wheel.push(rec{at: m.sim.Now() + delay, seq: m.sim.ReserveSeq(), to: int32(to), slot: slot, epoch: m.epoch[to]})
-	return slot
-}
 
 // Next implements sim.Source: the key of the earliest pending reception.
 func (m *Medium) Next() (sim.Time, uint64, bool) {

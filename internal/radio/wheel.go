@@ -251,6 +251,10 @@ func (fs *frameSlab) release(idx int32) {
 //     name it, so the counts sum to InFlight() and a frame is released
 //     exactly after its last reception.
 //   - free-slot: recycled slots are zeroed and named by no rec.
+//   - nbr-table: a neighbour list stamped with the current topology
+//     epoch belongs to an up node, equals a fresh grid query element for
+//     element and carries current join epochs. Read-only: a checked run
+//     makes exactly the fills an unchecked one makes.
 //
 // Audit allocates scratch; it is meant for periodic self-checks.
 func (m *Medium) Audit(report func(rule, detail string)) {
@@ -314,6 +318,21 @@ func (m *Medium) Audit(report func(rule, detail string)) {
 		}
 		if free[idx] && (refs[idx] != 0 || !reflect.ValueOf(s.Frame).IsZero()) {
 			report("free-slot", fmt.Sprintf("recycled slot %d is not zeroed or still named by %d recs", idx, refs[idx]))
+		}
+	}
+
+	near := make([]int, 0, cap(m.near)) // no current list is longer than a past fill
+	for id, l := range m.nbrs {
+		if m.stamp[id] != m.topo {
+			continue
+		}
+		near = m.grid.Near(near[:0], m.grid.Pos(id), m.cfg.Range, id)
+		ok := m.up[id] && len(l) == len(near)
+		for i := 0; ok && i < len(l); i++ {
+			ok = int(l[i].to) == near[i] && l[i].epoch == m.epoch[near[i]]
+		}
+		if !ok {
+			report("nbr-table", fmt.Sprintf("node %d (up %v): list %v under a current stamp, a fresh query gives %v", id, m.up[id], l, near))
 		}
 	}
 }
