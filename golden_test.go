@@ -229,6 +229,14 @@ func TestGoldenRunRepeatable(t *testing.T) {
 	}
 }
 
+// goldenReportScenario has every render and stream path live: the
+// workload scenario plus a finite battery.
+func goldenReportScenario() Scenario {
+	sc := goldenWorkloadScenario()
+	sc.Energy = DefaultEnergy(5)
+	return sc
+}
+
 // TestGoldenReportText pins the full rendered text report — the
 // registry-driven WriteSummary walk plus the resilience and workload
 // section reports — for one fixed-seed scenario with every render path
@@ -238,9 +246,7 @@ func TestGoldenRunRepeatable(t *testing.T) {
 // the report layout itself, independent of the JSON fixtures.
 func TestGoldenReportText(t *testing.T) {
 	t.Parallel()
-	sc := goldenWorkloadScenario()
-	sc.Energy = DefaultEnergy(5)
-	res, err := Run(sc)
+	res, err := Run(goldenReportScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,4 +261,47 @@ func TestGoldenReportText(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, filepath.Join("testdata", "golden", "report.txt"), buf.Bytes())
+}
+
+// TestGoldenMetricsStream pins the streamed time series — every
+// section's stream hook, the point order and the JSONL encoding — for
+// the report scenario, and that the bytes depend on neither the worker
+// count nor on whether a replication was simulated or loaded from a
+// checkpoint.
+func TestGoldenMetricsStream(t *testing.T) {
+	t.Parallel()
+	sc := goldenReportScenario()
+	stream := func(run func(MetricsSink) error) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		sink := NewJSONLSink(&buf)
+		if err := run(sink); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	withWorkers := func(workers int) []byte {
+		sc := sc
+		sc.Workers = workers
+		return stream(func(sink MetricsSink) error {
+			_, err := NewPool(workers).RunWithMetrics(sc, sink)
+			return err
+		})
+	}
+	serial := withWorkers(1)
+	checkGolden(t, filepath.Join("testdata", "golden", "metrics.jsonl"), serial)
+	if !bytes.Equal(serial, withWorkers(4)) {
+		t.Error("metrics stream differs between 1 and 4 workers")
+	}
+	killed := killedAfter(t, finishedCheckpoint(t, sc), 1)
+	resumed := stream(func(sink MetricsSink) error {
+		_, err := NewPool(0).ResumeCheckpoint(killed, CheckpointConfig{Sink: sink})
+		return err
+	})
+	if !bytes.Equal(serial, resumed) {
+		t.Error("metrics stream of a resumed run differs from the uninterrupted run's")
+	}
 }
