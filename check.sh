@@ -1,11 +1,12 @@
 #!/bin/sh
 # Repository health check: format, vet, full tests (the benchmark
 # module's own included), a 10 s fuzz smoke of the checkpoint container
-# reader, quick bench smoke.
+# reader, quick bench smoke, and the count of non-test Go lines outside
+# benchmark/.
 #
 # `./check.sh bench` instead runs the tracked benchmark suite, writes
 # the machine-readable report (see cmd/bench), and gates it against the
-# committed baseline (BENCH_19.json): >20% ns/op regressions on
+# committed baseline (BENCH_20.json): >20% ns/op regressions on
 # comparable hardware, any allocs/op increase on a 0-alloc benchmark, or
 # a 0-alloc benchmark of the baseline that no longer runs, fail. Pass an
 # output path as the second argument to override the default BENCH.json;
@@ -33,8 +34,8 @@ cd "$(dirname "$0")"
 
 if [ "$1" = "bench" ]; then
 	out="${2:-BENCH.json}"
-	echo "== tracked benchmarks -> $out (gated against BENCH_19.json) =="
-	go run ./cmd/bench -o "$out" -baseline BENCH_19.json
+	echo "== tracked benchmarks -> $out (gated against BENCH_20.json) =="
+	go run ./cmd/bench -o "$out" -baseline BENCH_20.json
 	exit 0
 fi
 
@@ -119,3 +120,6 @@ echo "== bench smoke (micro benches only) =="
 go test -run xxx -bench 'Table1|GridNear|SimEventQueue|RadioBroadcast|DupCheck|AODVDiscovery|ServentSend|BcastRelay' -benchtime 10x .
 
 echo "all checks passed"
+
+# The figure ROADMAP item 3 tracks and CHANGES.md quotes.
+echo "non-test Go lines outside benchmark/: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)"

@@ -48,7 +48,7 @@ type ckptHeader struct {
 const ckptKind = "manetp2p-run"
 
 // telemetrySectionName is the checkpoint section holding the telemetry
-// registry's manifest (section names in registration order).
+// plane's manifest (section names in list order).
 const telemetrySectionName = "telemetry/manifest"
 
 func sectionName(rep int) string { return "rep/" + strconv.Itoa(rep) }
@@ -95,8 +95,8 @@ func (st *ckptState) persist(done bool) error {
 	hdr.Done, hdr.Completed = done, make([]int, 0, len(st.records))
 	f := &checkpoint.File{Sections: make(map[string][]byte, len(st.records)+1)}
 	// The telemetry plane's shape travels with the run: resume refuses a
-	// checkpoint whose section registry differs from this binary's.
-	f.Sections[telemetrySectionName] = sections.Manifest()
+	// checkpoint whose section list differs from this binary's.
+	f.Sections[telemetrySectionName] = sectionsManifest()
 	for rep := 0; rep < hdr.Total; rep++ { // ascending: byte-stable headers
 		if data, ok := st.records[rep]; ok {
 			hdr.Completed = append(hdr.Completed, rep)
@@ -122,7 +122,7 @@ func readCkptState(path string) (*ckptState, error) {
 	if !ok {
 		return nil, fmt.Errorf("manetp2p: checkpoint %s: no %q section — written by a binary without the telemetry plane", path, telemetrySectionName)
 	}
-	if err := sections.CheckManifest(manifest); err != nil {
+	if err := checkSectionsManifest(manifest); err != nil {
 		return nil, fmt.Errorf("manetp2p: checkpoint %s: %w — the telemetry plane changed between the writing and resuming binaries", path, err)
 	}
 	st := &ckptState{

@@ -471,7 +471,7 @@ func TestCheckpointGoldenFixtures(t *testing.T) {
 
 // TestCheckpointTelemetryManifest pins the telemetry plane's
 // checkpoint contract: every persisted checkpoint carries the section
-// registry's manifest, resuming against a drifted manifest (a section
+// list's manifest, resuming against a drifted manifest (a section
 // renamed between the writing and resuming binaries) is refused, and a
 // checkpoint stripped of the manifest — what a binary without the
 // telemetry plane would write — is refused too.
@@ -487,9 +487,9 @@ func TestCheckpointTelemetryManifest(t *testing.T) {
 	if !ok {
 		t.Fatalf("checkpoint has no %q section", telemetrySectionName)
 	}
-	if !bytes.Equal(manifest, sections.Manifest()) {
-		t.Fatalf("persisted manifest %s differs from the live registry's %s",
-			manifest, sections.Manifest())
+	if !bytes.Equal(manifest, sectionsManifest()) {
+		t.Fatalf("persisted manifest %s differs from this binary's %s",
+			manifest, sectionsManifest())
 	}
 
 	// Drift: rename one section as a binary with a different telemetry
@@ -517,5 +517,46 @@ func TestCheckpointTelemetryManifest(t *testing.T) {
 	_, err = pool.ResumeCheckpoint(path, CheckpointConfig{})
 	if err == nil || !strings.Contains(err.Error(), "without the telemetry plane") {
 		t.Errorf("resume without manifest: err = %v, want missing-manifest error", err)
+	}
+}
+
+// TestSectionNames: a section's name keys its points in the stream and
+// its slot in the manifest, so it must be present and unique.
+func TestSectionNames(t *testing.T) {
+	seen := map[string]bool{}
+	for i, s := range sections {
+		if s.name == "" {
+			t.Errorf("section %d has no name", i)
+		}
+		if seen[s.name] {
+			t.Errorf("section name %q appears twice", s.name)
+		}
+		seen[s.name] = true
+	}
+}
+
+// TestSectionManifest pins the manifest to the bytes the PR-13…19
+// binaries wrote into their checkpoints — so those files still resume —
+// and the manifest check to refusing any other section list.
+func TestSectionManifest(t *testing.T) {
+	const written = `{"version":1,"sections":["invariants","servent","radio","route","overlay","energy","sessions","resilience","workload","search"]}`
+	if got := string(sectionsManifest()); got != written {
+		t.Fatalf("manifest = %s\nwant       %s", got, written)
+	}
+	if err := checkSectionsManifest([]byte(written)); err != nil {
+		t.Fatalf("own manifest refused: %v", err)
+	}
+	for name, drifted := range map[string]string{
+		"reordered":     strings.Replace(written, `"radio","route"`, `"route","radio"`, 1),
+		"shortened":     strings.Replace(written, `,"search"`, "", 1),
+		"wrong version": strings.Replace(written, `"version":1`, `"version":2`, 1),
+		"not JSON":      "not json",
+	} {
+		if drifted == written {
+			t.Fatalf("%s: the test's edit did not apply", name)
+		}
+		if err := checkSectionsManifest([]byte(drifted)); err == nil {
+			t.Errorf("%s manifest accepted: %s", name, drifted)
+		}
 	}
 }

@@ -7,7 +7,7 @@
 //	bench                      # writes BENCH.json
 //	bench -o BENCH_2.json      # explicit output path ('-' = stdout)
 //	bench -benchtime 3s -run FullReplication
-//	bench -baseline BENCH_19.json  # gate against the committed baseline
+//	bench -baseline BENCH_20.json  # gate against the committed baseline
 //
 // Each benchmark runs -rounds times (default 3) and the fastest round
 // is reported: the minimum is the round least disturbed by scheduler

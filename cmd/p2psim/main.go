@@ -27,6 +27,19 @@ func parseAlg(s string) (manetp2p.Algorithm, error) {
 	return 0, fmt.Errorf("unknown algorithm %q (basic|regular|random|hybrid)", s)
 }
 
+// parseSeries resolves the -series flag; "" selects no series.
+func parseSeries(s string) (*manetp2p.SeriesKind, error) {
+	if s == "" {
+		return nil, nil
+	}
+	for _, k := range []manetp2p.SeriesKind{manetp2p.SeriesConnect, manetp2p.SeriesPing, manetp2p.SeriesQuery} {
+		if strings.EqualFold(k.String(), s) {
+			return &k, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown series %q (connect|ping|query)", s)
+}
+
 func main() {
 	var (
 		nodes      = flag.Int("nodes", 50, "number of ad-hoc nodes")
@@ -58,6 +71,12 @@ func main() {
 	profFlags := prof.Register(flag.CommandLine)
 	flag.Parse()
 
+	seriesKind, err := parseSeries(*series)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+
 	stopProf, err := profFlags.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -86,7 +105,7 @@ func main() {
 			os.Exit(1)
 		}
 		closeSink()
-		printReport(res, *curves, *traffic > 0, *series)
+		printReport(res, *curves, *traffic > 0, seriesKind)
 		return
 	}
 
@@ -184,13 +203,13 @@ func main() {
 		os.Exit(1)
 	}
 	closeSink()
-	printReport(res, *curves, *traffic > 0, *series)
+	printReport(res, *curves, *traffic > 0, seriesKind)
 }
 
 // printReport ends every run mode — plain, checkpointed, resumed: the
 // summary, the resilience and workload blocks the Result carries, and
 // the tables the -curves, -traffic and -series flags ask for.
-func printReport(res *manetp2p.Result, curves, traffic bool, series string) {
+func printReport(res *manetp2p.Result, curves, traffic bool, series *manetp2p.SeriesKind) {
 	manetp2p.WriteSummary(os.Stdout, res)
 	results := []*manetp2p.Result{res}
 	check := func(err error) {
@@ -215,19 +234,9 @@ func printReport(res *manetp2p.Result, curves, traffic bool, series string) {
 		fmt.Println()
 		check(manetp2p.WriteTrafficSeries(os.Stdout, results))
 	}
-	if series != "" {
-		kinds := map[string]manetp2p.SeriesKind{
-			"connect": manetp2p.SeriesConnect,
-			"ping":    manetp2p.SeriesPing,
-			"query":   manetp2p.SeriesQuery,
-		}
-		kind, ok := kinds[strings.ToLower(series)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown series %q\n", series)
-			os.Exit(2)
-		}
+	if series != nil {
 		fmt.Println()
-		check(manetp2p.WriteNodeSeries(os.Stdout, kind, results))
+		check(manetp2p.WriteNodeSeries(os.Stdout, *series, results))
 	}
 }
 
@@ -238,7 +247,9 @@ func openMetricsSink(path string) (manetp2p.MetricsSink, func()) {
 	if path == "" {
 		return nil, func() {}
 	}
-	var w io.Writer = os.Stdout
+	// The sink closes any io.Closer it is handed, and the report is still
+	// to be printed to stdout: hand it a writer with no Close.
+	var w io.Writer = struct{ io.Writer }{os.Stdout}
 	if path != "-" {
 		f, err := os.Create(path)
 		if err != nil {

@@ -238,12 +238,12 @@ func goldenReportScenario() Scenario {
 }
 
 // TestGoldenReportText pins the full rendered text report — the
-// registry-driven WriteSummary walk plus the resilience and workload
-// section reports — for one fixed-seed scenario with every render path
+// WriteSummary walk over the section list plus the resilience and
+// workload reports — for one fixed-seed scenario with every render path
 // live (faults, health telemetry, workload plan, finite energy,
-// traffic buckets, snapshots). The telemetry plane renders summaries
-// generically off the section registry, so this fixture is what pins
-// the report layout itself, independent of the JSON fixtures.
+// traffic buckets, snapshots). The summary's layout is the order of the
+// section list, so this fixture is what pins the report layout itself,
+// independent of the JSON fixtures.
 func TestGoldenReportText(t *testing.T) {
 	t.Parallel()
 	res, err := Run(goldenReportScenario())

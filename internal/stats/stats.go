@@ -119,69 +119,3 @@ func MeanSeries(series [][]float64) []float64 {
 	}
 	return out
 }
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using
-// linear interpolation between order statistics. It copies and sorts
-// the input; an empty sample yields 0.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	lo := int(pos)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// Histogram counts values into k equal-width bins over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-}
-
-// NewHistogram bins xs into k cells; degenerate ranges collapse into a
-// single cell.
-func NewHistogram(xs []float64, k int) Histogram {
-	if k < 1 {
-		k = 1
-	}
-	h := Histogram{Counts: make([]int, k)}
-	if len(xs) == 0 {
-		return h
-	}
-	h.Min, h.Max = xs[0], xs[0]
-	for _, x := range xs {
-		if x < h.Min {
-			h.Min = x
-		}
-		if x > h.Max {
-			h.Max = x
-		}
-	}
-	width := (h.Max - h.Min) / float64(k)
-	for _, x := range xs {
-		i := 0
-		if width > 0 {
-			i = int((x - h.Min) / width)
-			if i >= k {
-				i = k - 1
-			}
-		}
-		h.Counts[i]++
-	}
-	return h
-}

@@ -86,82 +86,6 @@ func TestMeanSeries(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2, 5} // unsorted on purpose
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {100, 5}, {50, 3}, {25, 2}, {75, 4}, {12.5, 1.5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile != 0")
-	}
-	if Percentile([]float64{7}, 90) != 7 {
-		t.Error("single-element percentile")
-	}
-	// Out-of-range p clamps.
-	if Percentile(xs, -5) != 1 || Percentile(xs, 200) != 5 {
-		t.Error("p clamping broken")
-	}
-	// Input must not be mutated.
-	if xs[0] != 4 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
-// Property: percentile is monotone in p and bounded by min/max.
-func TestQuickPercentileMonotone(t *testing.T) {
-	f := func(raw []float64, a, b float64) bool {
-		xs := raw[:0]
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		pa := math.Mod(math.Abs(a), 100)
-		pb := math.Mod(math.Abs(b), 100)
-		if pa > pb {
-			pa, pb = pb, pa
-		}
-		va, vb := Percentile(xs, pa), Percentile(xs, pb)
-		lo, hi := Percentile(xs, 0), Percentile(xs, 100)
-		return va <= vb+1e-9 && va >= lo-1e-9 && vb <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	for i, c := range h.Counts {
-		if c != 2 {
-			t.Errorf("bin %d = %d, want 2", i, c)
-		}
-	}
-	// Degenerate range.
-	h = NewHistogram([]float64{5, 5, 5}, 4)
-	if h.Counts[0] != 3 {
-		t.Errorf("degenerate histogram = %v", h.Counts)
-	}
-	// Empty.
-	h = NewHistogram(nil, 3)
-	for _, c := range h.Counts {
-		if c != 0 {
-			t.Error("empty histogram has counts")
-		}
-	}
-}
-
 // Property: Summarize is invariant under permutation, and mean lies in
 // [min, max].
 func TestQuickSummarizeInvariants(t *testing.T) {

@@ -1,11 +1,18 @@
+// Package telemetry holds what a replication records into and what a
+// run streams out of:
+//
+//   - the Collector (this file): the paper's measurement quantities —
+//     per-node received-message counts by class (connect, ping, query —
+//     Figures 7–12), per-request outcomes (minimum distance to the file
+//     and number of answers — Figures 5–6), optional time-bucketed
+//     traffic series, connection lifetimes and the periodic resilience
+//     health samples;
+//   - Point and Sink (sink.go): the streamed time-series sample and its
+//     JSON Lines writer.
+//
+// The sections that harvest a Collector, pool replications and render
+// reports live in the root package (telemetry_sections.go).
 package telemetry
-
-// The paper's measurement quantities, absorbed from the former
-// internal/metrics package: per-node received-message counts by class
-// (connect, ping, query — Figures 7–12), per-request outcomes (minimum
-// distance to the file and number of answers — Figures 5–6), optional
-// time-bucketed traffic series, connection lifetimes and the periodic
-// resilience health samples.
 
 import (
 	"fmt"
@@ -85,13 +92,12 @@ type HealthSample struct {
 	Received    [NumClasses]uint64 // cumulative network-wide received counts
 }
 
-// Collector accumulates one replication's measurements on the probe
-// primitives: one flat Counter block for the per-node per-class receive
-// counts (the event hot path — Recv is zero-allocation when bucketing
-// is off, and allocation-amortized when on). It is not safe for
-// concurrent use: one Collector per Sim.
+// Collector accumulates one replication's measurements: one flat block
+// for the per-node per-class receive counts (the event hot path — Recv
+// is zero-allocation when bucketing is off, and allocation-amortized
+// when on). It is not safe for concurrent use: one Collector per Sim.
 type Collector struct {
-	recv     []Counter // [node*NumClasses + class]
+	recv     []uint64 // [node*NumClasses + class]
 	requests []Request
 
 	// Optional time bucketing.
@@ -105,7 +111,7 @@ type Collector struct {
 
 // NewCollector sizes the collector for n nodes.
 func NewCollector(n int) *Collector {
-	return &Collector{recv: make([]Counter, n*NumClasses)}
+	return &Collector{recv: make([]uint64, n*NumClasses)}
 }
 
 // SetClock enables time-bucketed totals: every Recv is also counted
@@ -122,7 +128,7 @@ func (c *Collector) SetClock(clock func() sim.Time, bucket sim.Time) {
 
 // Recv counts one received message of the given class at node.
 func (c *Collector) Recv(node int, class Class) {
-	c.recv[node*NumClasses+int(class)].Inc()
+	c.recv[node*NumClasses+int(class)]++
 	if c.clock != nil {
 		b := int(c.clock() / c.bucketW)
 		row := c.buckets[class]
@@ -146,7 +152,7 @@ func (c *Collector) Series(class Class) []uint64 {
 
 // Received returns the per-class count for one node.
 func (c *Collector) Received(node int, class Class) uint64 {
-	return c.recv[node*NumClasses+int(class)].Value()
+	return c.recv[node*NumClasses+int(class)]
 }
 
 // TotalReceived sums the class count over all nodes — the cumulative
@@ -154,7 +160,7 @@ func (c *Collector) Received(node int, class Class) uint64 {
 func (c *Collector) TotalReceived(class Class) uint64 {
 	var t uint64
 	for i := int(class); i < len(c.recv); i += NumClasses {
-		t += c.recv[i].Value()
+		t += c.recv[i]
 	}
 	return t
 }
@@ -164,16 +170,6 @@ func (c *Collector) RecordHealth(h HealthSample) { c.health = append(c.health, h
 
 // Health returns the recorded telemetry samples in time order.
 func (c *Collector) Health() []HealthSample { return c.health }
-
-// ReceivedAll returns the count of class messages for every node.
-func (c *Collector) ReceivedAll(class Class) []uint64 {
-	n := c.NumNodes()
-	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		out[i] = c.Received(i, class)
-	}
-	return out
-}
 
 // RecordLifetime stores one closed connection's lifetime in seconds —
 // the churn the (re)configuration algorithms exist to manage.

@@ -18,8 +18,8 @@ type Point struct {
 
 // Sink receives time-series points as replications complete. Sinks are
 // driven from a single goroutine after all replications have finished,
-// in ascending replication order with sections in registration order,
-// so output is deterministic regardless of worker scheduling.
+// in ascending replication order with sections in list order, so output
+// is deterministic regardless of worker scheduling.
 type Sink interface {
 	Emit(Point)
 	// Close flushes the sink and reports the first write error

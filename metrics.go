@@ -10,9 +10,8 @@ import (
 // Result, a run can emit every telemetry section's raw per-replication
 // time series as it completes. Streaming is deterministic — points are
 // emitted after all replications finish, in ascending replication order
-// with sections in registration order — so two runs of the same
-// scenario produce byte-identical streams regardless of worker
-// scheduling.
+// with sections in list order — so two runs of the same scenario
+// produce byte-identical streams regardless of worker scheduling.
 
 // MetricsPoint is one streamed time-series sample.
 type MetricsPoint = telemetry.Point

@@ -158,18 +158,16 @@ func WriteTrafficSeries(w io.Writer, results []*Result) error {
 // WriteResilience emits the resilience telemetry of a fault-injected
 // run: the health time series as TSV followed by one row per scripted
 // fault with its recovery telemetry. No-op for runs without telemetry.
-// The body is the resilience section's Report hook (telemetry_sections.go).
 func WriteResilience(w io.Writer, r *Result) error {
-	return sections.Report(w, "resilience", r)
+	return reportResilience(w, r)
 }
 
 // WriteWorkload emits the demand telemetry of a workload-driven run as
 // TSV: the conservation ledger per replication, the derived success
 // rate, the pooled latency distributions, the churn-repair cost and the
-// per-class breakdown. No-op for runs without a workload plan. The body
-// is the workload section's Report hook (telemetry_sections.go).
+// per-class breakdown. No-op for runs without a workload plan.
 func WriteWorkload(w io.Writer, r *Result) error {
-	return sections.Report(w, "workload", r)
+	return reportWorkload(w, r)
 }
 
 // WriteTable1 renders the paper's Table 1.
@@ -206,14 +204,18 @@ func WriteTable2(w io.Writer, sc Scenario) {
 }
 
 // WriteSummary prints a human-readable digest of one result: the
-// scenario header followed by every registered telemetry section's
-// Render hook, in registration order (telemetry_sections.go).
+// scenario header followed by every telemetry section's render hook, in
+// list order (telemetry_sections.go).
 func WriteSummary(w io.Writer, r *Result) {
 	sc := r.Scenario
 	fmt.Fprintf(w, "== %s: %s, %d nodes (%.0f%% p2p), %s x %d reps ==\n",
 		sc.Name, sc.Algorithm, sc.NumNodes, sc.MemberFraction*100,
 		sim.Time(sc.Duration), sc.Replications)
-	sections.Render(w, r)
+	for _, s := range sections {
+		if s.render != nil {
+			s.render(w, r)
+		}
+	}
 }
 
 // GiniCoefficient measures how unevenly a per-node series distributes

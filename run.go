@@ -249,7 +249,7 @@ func (p *Pool) run(sc Scenario, ckpt *ckptState, sink MetricsSink) (*Result, err
 	res := aggregate(sc, reps)
 	if sink != nil { // after the last replication, in order: see metrics.go
 		for i, rr := range reps {
-			sections.Stream(sc, i, rr, sink.Emit)
+			streamRep(sc, i, rr, sink)
 		}
 	}
 	return res, nil
@@ -312,16 +312,9 @@ func Run(sc Scenario) (*Result, error) {
 	return NewPool(sc.Workers).Run(sc)
 }
 
-// repRun is one live replication — what the telemetry sections' Collect
-// hooks harvest from (see telemetry_sections.go).
-type repRun struct {
-	sc  Scenario
-	net *manet.Network
-}
-
 // runReplication builds, instruments and runs one replication to its
-// horizon, then extracts its measurements: one registry walk over every
-// layer's Collect hook.
+// horizon, then extracts its measurements: one walk over every
+// section's collect hook (see telemetry_sections.go).
 func runReplication(sc Scenario, rep int) *repResult {
 	net, err := manet.Build(sc.manetConfig(rep))
 	if err != nil {
@@ -360,15 +353,23 @@ func runReplication(sc Scenario, rep int) *repResult {
 		})
 	}
 	net.Sim.Run(sc.Duration)
-	sections.Collect(&repRun{sc: sc, net: net}, rr)
+	for _, s := range sections {
+		if s.collect != nil {
+			s.collect(sc, net, rr)
+		}
+	}
 	return rr
 }
 
-// aggregate folds replication results into a Result: one registry walk
-// over every layer's Pool hook (see telemetry_sections.go) — there is
-// no per-subsystem aggregation code here.
+// aggregate folds replication results into a Result: one walk over
+// every section's pool hook (see telemetry_sections.go) — there is no
+// per-subsystem aggregation code here.
 func aggregate(sc Scenario, reps []*repResult) *Result {
 	res := &Result{Scenario: sc}
-	sections.Pool(sc, reps, res)
+	for _, s := range sections {
+		if s.pool != nil {
+			s.pool(sc, reps, res)
+		}
+	}
 	return res
 }

@@ -1,63 +1,73 @@
 package manetp2p
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 
+	"manetp2p/internal/manet"
 	"manetp2p/internal/netif"
 	"manetp2p/internal/stats"
 	"manetp2p/internal/telemetry"
 )
 
-// This file is the telemetry plane's registration block: every layer of
-// the simulator registers one named section with the shared registry,
-// and per-replication collection (runReplication), cross-replication
-// pooling (aggregate), summary rendering (WriteSummary), detailed
-// reports (WriteWorkload/WriteResilience) and time-series streaming
-// (RunWithMetrics) are all registry walks over these sections — there
-// is no per-subsystem aggregation code anywhere else.
+// This file is the telemetry plane: every layer of the simulator has one
+// entry in the sections list, and per-replication collection
+// (runReplication), cross-replication pooling (aggregate), summary
+// rendering (WriteSummary) and time-series streaming (streamRep) are
+// each one loop over that list — there is no per-subsystem aggregation
+// code anywhere else.
 //
-// Registration order is the contract: it fixes the collect order (the
-// invariant checker finalizes first), the summary render order (must
-// reproduce the historical WriteSummary layout byte for byte — the
-// golden fixtures and testdata/golden/report.txt pin this) and the
-// sink's point order.
+// List order is the contract: it fixes the collect order (the invariant
+// checker finalizes first), the summary render order (must reproduce the
+// historical WriteSummary layout byte for byte — the golden fixtures and
+// testdata/golden/report.txt pin this), the sink's point order
+// (testdata/golden/metrics.jsonl) and the checkpoint manifest.
 
-// section is the telemetry plane instantiated on the root types: a
-// live replication as source, the Scenario as configuration, repResult
-// as the per-replication record and Result as the pooled output.
-type section = telemetry.Section[*repRun, Scenario, *repResult, *Result]
+// emitFunc receives one streamed sample of the section and replication
+// being walked; streamRep stamps those two onto the point.
+type emitFunc func(t float64, name string, value float64)
 
-// sections is the process-wide registry, assembled once at init.
-var sections = newSectionRegistry()
+// section is one layer's entry in the telemetry plane. Every hook is
+// optional.
+type section struct {
+	// name identifies the section in the checkpoint manifest and in
+	// sink points. Non-empty and unique (TestSectionNames).
+	name string
+	// collect harvests a finished replication into its record.
+	collect func(sc Scenario, net *manet.Network, rr *repResult)
+	// pool folds all replications into the pooled Result.
+	pool func(sc Scenario, reps []*repResult, res *Result)
+	// render writes the section's line(s) of the summary.
+	render func(w io.Writer, r *Result)
+	// stream emits one replication's time series.
+	stream func(sc Scenario, rr *repResult, emit emitFunc)
+}
 
-func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Result] {
-	g := &telemetry.Registry[*repRun, Scenario, *repResult, *Result]{}
-
-	// Runtime invariant checker. Registered first so Finalize's closing
-	// sweeps run before any other section harvests; renders nothing —
-	// findings are reported via Result.Invariants.
-	g.Register(section{
-		Name: "invariants",
-		Collect: func(r *repRun, rr *repResult) {
-			if net := r.net; net.Checker != nil {
+var sections = []section{
+	// Runtime invariant checker. First so Finalize's closing sweeps run
+	// before any other section harvests; renders nothing — findings are
+	// reported via Result.Invariants.
+	{
+		name: "invariants",
+		collect: func(sc Scenario, net *manet.Network, rr *repResult) {
+			if net.Checker != nil {
 				net.Checker.Finalize()
 				rr.Checked = true
 				rr.ViolTotal = net.Checker.Total()
 				rr.Violations = net.Checker.Violations()
 			}
 		},
-		Pool: func(sc Scenario, reps []*repResult, res *Result) {
+		pool: func(sc Scenario, reps []*repResult, res *Result) {
 			res.Invariants = invariantReport(sc, reps)
 		},
-	})
+	},
 
 	// P2p servent layer: per-member received-message counts by class
 	// (Figures 7–12) and the time-bucketed message-rate series.
-	g.Register(section{
-		Name: "servent",
-		Collect: func(r *repRun, rr *repResult) {
-			net := r.net
+	{
+		name: "servent",
+		collect: func(sc Scenario, net *manet.Network, rr *repResult) {
 			members := net.Members()
 			rr.Members = len(members)
 			counts := make([]uint64, 0, len(members)) // reused across classes
@@ -73,7 +83,7 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 				}
 				rr.Totals[class] = totals
 			}
-			if r.sc.TrafficBucket > 0 {
+			if sc.TrafficBucket > 0 {
 				perMember := func(series []uint64) []float64 {
 					out := make([]float64, len(series))
 					for i, v := range series {
@@ -85,127 +95,77 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 				rr.QueryRate = perMember(net.Collector.Series(telemetry.Query))
 			}
 		},
-		Pool: func(sc Scenario, reps []*repResult, res *Result) {
+		pool: func(sc Scenario, reps []*repResult, res *Result) {
 			// Figures 7–12: rank-wise mean of descending per-node series.
-			collect := func(class telemetry.Class) []float64 {
-				series := make([][]float64, 0, len(reps))
-				for _, rr := range reps {
-					series = append(series, rr.Series[class])
-				}
-				return stats.MeanSeries(series)
+			ranked := func(class telemetry.Class) []float64 {
+				return poolSeries(reps, func(rr *repResult) []float64 { return rr.Series[class] })
 			}
-			res.ConnectSeries = collect(telemetry.Connect)
-			res.PingSeries = collect(telemetry.Ping)
-			res.PongSeries = collect(telemetry.Pong)
-			res.QuerySeries = collect(telemetry.Query)
-			res.HitSeries = collect(telemetry.QueryHit)
-
-			for class := 0; class < telemetry.NumClasses; class++ {
-				var pooled []float64
-				for _, rr := range reps {
-					pooled = append(pooled, rr.Totals[class]...)
-				}
-				res.Totals[class] = stats.Summarize(pooled)
+			res.ConnectSeries = ranked(telemetry.Connect)
+			res.PingSeries = ranked(telemetry.Ping)
+			res.PongSeries = ranked(telemetry.Pong)
+			res.QuerySeries = ranked(telemetry.Query)
+			res.HitSeries = ranked(telemetry.QueryHit)
+			for class := range res.Totals {
+				res.Totals[class] = poolAll(reps, func(rr *repResult) []float64 { return rr.Totals[class] })
 			}
-
-			connRates := make([][]float64, 0, len(reps))
-			queryRates := make([][]float64, 0, len(reps))
-			for _, rr := range reps {
-				if len(rr.ConnRate) > 0 {
-					connRates = append(connRates, rr.ConnRate)
-				}
-				if len(rr.QueryRate) > 0 {
-					queryRates = append(queryRates, rr.QueryRate)
-				}
-			}
-			res.ConnectTraffic = stats.MeanSeries(connRates)
-			res.QueryTraffic = stats.MeanSeries(queryRates)
+			res.ConnectTraffic = poolSeries(reps, func(rr *repResult) []float64 { return rr.ConnRate })
+			res.QueryTraffic = poolSeries(reps, func(rr *repResult) []float64 { return rr.QueryRate })
 		},
-		Render: func(w io.Writer, r *Result) {
+		render: func(w io.Writer, r *Result) {
 			fmt.Fprintf(w, "received per member: connect %s, ping %s, pong %s, query %s\n",
 				r.Totals[telemetry.Connect], r.Totals[telemetry.Ping],
 				r.Totals[telemetry.Pong], r.Totals[telemetry.Query])
 		},
-		Stream: func(sc Scenario, rep int, rr *repResult, emit func(telemetry.Point)) {
+		stream: func(sc Scenario, rr *repResult, emit emitFunc) {
 			bucket := sc.TrafficBucket.Seconds()
-			for i, v := range rr.ConnRate {
-				emit(telemetry.Point{Rep: rep, T: float64(i) * bucket, Section: "servent", Name: "connect-rate", Value: v})
-			}
-			for i, v := range rr.QueryRate {
-				emit(telemetry.Point{Rep: rep, T: float64(i) * bucket, Section: "servent", Name: "query-rate", Value: v})
-			}
+			emitSeries(emit, "connect-rate", rr.ConnRate, 0, bucket)
+			emitSeries(emit, "query-rate", rr.QueryRate, 0, bucket)
 		},
-	})
+	},
 
 	// Radio layer: frames on the air per node.
-	g.Register(section{
-		Name: "radio",
-		Collect: func(r *repRun, rr *repResult) {
-			for i := 0; i < r.sc.NumNodes; i++ {
-				st := r.net.Medium.Stats(i)
+	{
+		name: "radio",
+		collect: func(sc Scenario, net *manet.Network, rr *repResult) {
+			for i := 0; i < sc.NumNodes; i++ {
+				st := net.Medium.Stats(i)
 				rr.RxFrames = append(rr.RxFrames, float64(st.RxFrames))
 				rr.TxFrames = append(rr.TxFrames, float64(st.TxFrames))
 			}
 		},
-		Pool: func(sc Scenario, reps []*repResult, res *Result) {
-			var rx, tx []float64
-			for _, rr := range reps {
-				rx = append(rx, rr.RxFrames...)
-				tx = append(tx, rr.TxFrames...)
-			}
-			res.RxFrames = stats.Summarize(rx)
-			res.TxFrames = stats.Summarize(tx)
+		pool: func(sc Scenario, reps []*repResult, res *Result) {
+			res.RxFrames = poolAll(reps, func(rr *repResult) []float64 { return rr.RxFrames })
+			res.TxFrames = poolAll(reps, func(rr *repResult) []float64 { return rr.TxFrames })
 		},
-		Render: func(w io.Writer, r *Result) {
+		render: func(w io.Writer, r *Result) {
 			fmt.Fprintf(w, "radio frames per node: rx %s, tx %s\n", r.RxFrames, r.TxFrames)
 		},
-		Stream: func(sc Scenario, rep int, rr *repResult, emit func(telemetry.Point)) {
-			var rx, tx float64
-			for _, v := range rr.RxFrames {
-				rx += v
-			}
-			for _, v := range rr.TxFrames {
-				tx += v
-			}
+		stream: func(sc Scenario, rr *repResult, emit emitFunc) {
 			t := sc.Duration.Seconds()
-			emit(telemetry.Point{Rep: rep, T: t, Section: "radio", Name: "rx-frames", Value: rx})
-			emit(telemetry.Point{Rep: rep, T: t, Section: "radio", Name: "tx-frames", Value: tx})
+			emit(t, "rx-frames", sum(rr.RxFrames))
+			emit(t, "tx-frames", sum(rr.TxFrames))
 		},
-	})
+	},
 
 	// Routing layer: the unified netif.Stats effort counters.
-	g.Register(section{
-		Name: "route",
-		Collect: func(r *repRun, rr *repResult) {
-			rr.Routing = r.net.RoutingStats()
+	{
+		name: "route",
+		collect: func(sc Scenario, net *manet.Network, rr *repResult) {
+			rr.Routing = net.RoutingStats()
 		},
-		Pool: func(sc Scenario, reps []*repResult, res *Result) {
-			pool := func(pick func(netif.Stats) uint64) stats.Summary {
-				var vals []float64
-				for _, rr := range reps {
-					for _, st := range rr.Routing {
-						vals = append(vals, float64(pick(st)))
+		pool: func(sc Scenario, reps []*repResult, res *Result) {
+			res.Routing = &RoutingStats{Protocol: sc.Routing.String()}
+			for _, c := range routingCounters {
+				*c.pooled(res.Routing) = poolAll(reps, func(rr *repResult) []float64 {
+					vals := make([]float64, len(rr.Routing))
+					for i := range rr.Routing {
+						vals[i] = float64(c.get(&rr.Routing[i]))
 					}
-				}
-				return stats.Summarize(vals)
-			}
-			res.Routing = &RoutingStats{
-				Protocol:       sc.Routing.String(),
-				CtrlOrig:       pool(func(s netif.Stats) uint64 { return s.CtrlOrig }),
-				CtrlRelayed:    pool(func(s netif.Stats) uint64 { return s.CtrlRelayed }),
-				BcastOrig:      pool(func(s netif.Stats) uint64 { return s.BcastOrig }),
-				BcastRelayed:   pool(func(s netif.Stats) uint64 { return s.BcastRelayed }),
-				DataSent:       pool(func(s netif.Stats) uint64 { return s.DataSent }),
-				DataForwarded:  pool(func(s netif.Stats) uint64 { return s.DataForwarded }),
-				DataDropped:    pool(func(s netif.Stats) uint64 { return s.DataDropped }),
-				Delivered:      pool(func(s netif.Stats) uint64 { return s.Delivered }),
-				Discoveries:    pool(func(s netif.Stats) uint64 { return s.Discoveries }),
-				DiscoverFailed: pool(func(s netif.Stats) uint64 { return s.DiscoverFailed }),
-				SendFailed:     pool(func(s netif.Stats) uint64 { return s.SendFailed }),
-				DupHits:        pool(func(s netif.Stats) uint64 { return s.DupHits }),
+					return vals
+				})
 			}
 		},
-		Render: func(w io.Writer, r *Result) {
+		render: func(w io.Writer, r *Result) {
 			if rt := r.Routing; rt != nil {
 				fmt.Fprintf(w, "routing (%s): ctrl %.1f+%.1f, bcast %.1f+%.1f per node (orig+relay), %.2f ctrl/delivered, %.1f%% send failures\n",
 					rt.Protocol, rt.CtrlOrig.Mean, rt.CtrlRelayed.Mean,
@@ -213,165 +173,112 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 					rt.ControlPerDelivered(), 100*rt.SendFailRate())
 			}
 		},
-		Stream: func(sc Scenario, rep int, rr *repResult, emit func(telemetry.Point)) {
-			sum := func(pick func(netif.Stats) uint64) float64 {
-				var s float64
-				for _, st := range rr.Routing {
-					s += float64(pick(st))
-				}
-				return s
-			}
+		stream: func(sc Scenario, rr *repResult, emit emitFunc) {
 			t := sc.Duration.Seconds()
-			for _, c := range []struct {
-				name string
-				pick func(netif.Stats) uint64
-			}{
-				{"ctrl-orig", func(s netif.Stats) uint64 { return s.CtrlOrig }},
-				{"ctrl-relayed", func(s netif.Stats) uint64 { return s.CtrlRelayed }},
-				{"bcast-orig", func(s netif.Stats) uint64 { return s.BcastOrig }},
-				{"bcast-relayed", func(s netif.Stats) uint64 { return s.BcastRelayed }},
-				{"delivered", func(s netif.Stats) uint64 { return s.Delivered }},
-				{"send-failed", func(s netif.Stats) uint64 { return s.SendFailed }},
-			} {
-				emit(telemetry.Point{Rep: rep, T: t, Section: "route", Name: c.name, Value: sum(c.pick)})
+			for _, c := range routingCounters {
+				var total float64
+				for i := range rr.Routing {
+					total += float64(c.get(&rr.Routing[i]))
+				}
+				emit(t, c.name, total)
 			}
 		},
-	})
+	},
 
 	// Overlay graph snapshots (filled by the snapshot ticker during the
 	// run, so there is nothing to collect at the horizon).
-	g.Register(section{
-		Name: "overlay",
-		Pool: func(sc Scenario, reps []*repResult, res *Result) {
-			var clust, pl, largest, deg []float64
-			for _, rr := range reps {
-				clust = append(clust, rr.Clust...)
-				pl = append(pl, rr.PathLen...)
-				largest = append(largest, rr.Largest...)
-				deg = append(deg, rr.MeanDeg...)
-			}
+	{
+		name: "overlay",
+		pool: func(sc Scenario, reps []*repResult, res *Result) {
 			res.Overlay = OverlayStats{
-				Samples:          len(clust),
-				Clustering:       stats.Summarize(clust),
-				PathLength:       stats.Summarize(pl),
-				LargestComponent: stats.Summarize(largest),
-				MeanDegree:       stats.Summarize(deg),
+				Clustering:       poolAll(reps, func(rr *repResult) []float64 { return rr.Clust }),
+				PathLength:       poolAll(reps, func(rr *repResult) []float64 { return rr.PathLen }),
+				LargestComponent: poolAll(reps, func(rr *repResult) []float64 { return rr.Largest }),
+				MeanDegree:       poolAll(reps, func(rr *repResult) []float64 { return rr.MeanDeg }),
 			}
-
-			aliveSeries := make([][]float64, 0, len(reps))
-			degSeries := make([][]float64, 0, len(reps))
-			for _, rr := range reps {
-				if len(rr.Alive) > 0 {
-					aliveSeries = append(aliveSeries, rr.Alive)
-				}
-				if len(rr.DegSeries) > 0 {
-					degSeries = append(degSeries, rr.DegSeries)
-				}
-			}
-			res.AliveSeries = stats.MeanSeries(aliveSeries)
-			res.DegreeSeries = stats.MeanSeries(degSeries)
+			res.Overlay.Samples = res.Overlay.Clustering.N
+			res.AliveSeries = poolSeries(reps, func(rr *repResult) []float64 { return rr.Alive })
+			res.DegreeSeries = poolSeries(reps, func(rr *repResult) []float64 { return rr.DegSeries })
 		},
-		Render: func(w io.Writer, r *Result) {
+		render: func(w io.Writer, r *Result) {
 			if r.Overlay.Samples > 0 {
 				fmt.Fprintf(w, "overlay: clustering %s, pathlength %s, largest component %s, degree %s\n",
 					r.Overlay.Clustering, r.Overlay.PathLength,
 					r.Overlay.LargestComponent, r.Overlay.MeanDegree)
 			}
 		},
-		Stream: func(sc Scenario, rep int, rr *repResult, emit func(telemetry.Point)) {
-			period := sc.SnapshotEvery.Seconds()
-			at := func(i int) float64 { return float64(i+1) * period }
-			for i, v := range rr.Largest {
-				emit(telemetry.Point{Rep: rep, T: at(i), Section: "overlay", Name: "largest-comp", Value: v})
-			}
-			for i, v := range rr.Clust {
-				emit(telemetry.Point{Rep: rep, T: at(i), Section: "overlay", Name: "clustering", Value: v})
-			}
-			for i, v := range rr.Alive {
-				emit(telemetry.Point{Rep: rep, T: at(i), Section: "overlay", Name: "alive", Value: v})
-			}
-			for i, v := range rr.DegSeries {
-				emit(telemetry.Point{Rep: rep, T: at(i), Section: "overlay", Name: "mean-degree", Value: v})
-			}
+		stream: func(sc Scenario, rr *repResult, emit emitFunc) {
+			period := sc.SnapshotEvery.Seconds() // snapshot i is taken at (i+1)·period
+			emitSeries(emit, "largest-comp", rr.Largest, 1, period)
+			emitSeries(emit, "clustering", rr.Clust, 1, period)
+			emitSeries(emit, "alive", rr.Alive, 1, period)
+			emitSeries(emit, "mean-degree", rr.DegSeries, 1, period)
 		},
-	})
+	},
 
 	// Energy model: per-node joules and battery deaths.
-	g.Register(section{
-		Name: "energy",
-		Collect: func(r *repRun, rr *repResult) {
-			for i := 0; i < r.sc.NumNodes; i++ {
-				tx, rx := r.net.Medium.Battery(i).Spent()
+	{
+		name: "energy",
+		collect: func(sc Scenario, net *manet.Network, rr *repResult) {
+			for i := 0; i < sc.NumNodes; i++ {
+				tx, rx := net.Medium.Battery(i).Spent()
 				rr.Energy = append(rr.Energy, tx+rx)
 			}
-			if r.sc.Energy.Capacity > 0 {
-				for i := 0; i < r.sc.NumNodes; i++ {
-					if r.net.Medium.Battery(i).Empty() {
+			if sc.Energy.Capacity > 0 {
+				for i := 0; i < sc.NumNodes; i++ {
+					if net.Medium.Battery(i).Empty() {
 						rr.Deaths++
 					}
 				}
 			}
 		},
-		Pool: func(sc Scenario, reps []*repResult, res *Result) {
-			var deaths, energy []float64
-			for _, rr := range reps {
-				deaths = append(deaths, rr.Deaths)
-				energy = append(energy, rr.Energy...)
-			}
-			res.Deaths = stats.Summarize(deaths)
-			res.EnergySpent = stats.Summarize(energy)
+		pool: func(sc Scenario, reps []*repResult, res *Result) {
+			res.Deaths = poolEach(reps, func(rr *repResult) float64 { return rr.Deaths })
+			res.EnergySpent = poolAll(reps, func(rr *repResult) []float64 { return rr.Energy })
 		},
-		Render: func(w io.Writer, r *Result) {
+		render: func(w io.Writer, r *Result) {
 			if r.Scenario.Energy.Capacity > 0 {
 				fmt.Fprintf(w, "energy: spent/node %s J, deaths/rep %s\n", r.EnergySpent, r.Deaths)
 			}
 		},
-		Stream: func(sc Scenario, rep int, rr *repResult, emit func(telemetry.Point)) {
+		stream: func(sc Scenario, rr *repResult, emit emitFunc) {
 			if sc.Energy.Capacity <= 0 {
 				return
 			}
-			var spent float64
-			for _, v := range rr.Energy {
-				spent += v
-			}
 			t := sc.Duration.Seconds()
-			emit(telemetry.Point{Rep: rep, T: t, Section: "energy", Name: "spent-joules", Value: spent})
-			emit(telemetry.Point{Rep: rep, T: t, Section: "energy", Name: "deaths", Value: rr.Deaths})
+			emit(t, "spent-joules", sum(rr.Energy))
+			emit(t, "deaths", rr.Deaths)
 		},
-	})
+	},
 
 	// Overlay connection sessions: lifetimes of closed links.
-	g.Register(section{
-		Name: "sessions",
-		Collect: func(r *repRun, rr *repResult) {
-			rr.Lifetimes = r.net.Collector.Lifetimes()
+	{
+		name: "sessions",
+		collect: func(sc Scenario, net *manet.Network, rr *repResult) {
+			rr.Lifetimes = net.Collector.Lifetimes()
 		},
-		Pool: func(sc Scenario, reps []*repResult, res *Result) {
-			var lifetimes []float64
-			for _, rr := range reps {
-				lifetimes = append(lifetimes, rr.Lifetimes...)
-			}
-			res.ConnLifetime = stats.Summarize(lifetimes)
+		pool: func(sc Scenario, reps []*repResult, res *Result) {
+			res.ConnLifetime = poolAll(reps, func(rr *repResult) []float64 { return rr.Lifetimes })
 		},
-		Render: func(w io.Writer, r *Result) {
+		render: func(w io.Writer, r *Result) {
 			if r.ConnLifetime.N > 0 {
 				fmt.Fprintf(w, "connection lifetime: %s s over %d closed links\n",
 					r.ConnLifetime, r.ConnLifetime.N)
 			}
 		},
-	})
+	},
 
 	// Fault resilience: the periodic health telemetry and per-fault
-	// recovery metrics.
-	g.Register(section{
-		Name: "resilience",
-		Collect: func(r *repRun, rr *repResult) {
-			rr.Health = r.net.Collector.Health()
+	// recovery metrics. reportResilience is its detailed report.
+	{
+		name: "resilience",
+		collect: func(sc Scenario, net *manet.Network, rr *repResult) {
+			rr.Health = net.Collector.Health()
 		},
-		Pool: func(sc Scenario, reps []*repResult, res *Result) {
+		pool: func(sc Scenario, reps []*repResult, res *Result) {
 			res.Resilience = computeResilience(sc, reps)
 		},
-		Render: func(w io.Writer, r *Result) {
+		render: func(w io.Writer, r *Result) {
 			if res := r.Resilience; res != nil {
 				for _, ev := range res.Events {
 					fmt.Fprintf(w, "fault %s: baseline %.2f, trough %.2f, reheal %.1f s (%.0f%% of reps), residual %.3f, cost %.1f msgs/member\n",
@@ -381,32 +288,31 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 				}
 			}
 		},
-		Report: reportResilience,
-		Stream: func(sc Scenario, rep int, rr *repResult, emit func(telemetry.Point)) {
+		stream: func(sc Scenario, rr *repResult, emit emitFunc) {
 			for _, h := range rr.Health {
 				t := h.At.Seconds()
-				emit(telemetry.Point{Rep: rep, T: t, Section: "resilience", Name: "largest-comp", Value: h.LargestComp})
-				emit(telemetry.Point{Rep: rep, T: t, Section: "resilience", Name: "links", Value: float64(h.Links)})
-				emit(telemetry.Point{Rep: rep, T: t, Section: "resilience", Name: "connect-received", Value: float64(h.Received[telemetry.Connect])})
+				emit(t, "largest-comp", h.LargestComp)
+				emit(t, "links", float64(h.Links))
+				emit(t, "connect-received", float64(h.Received[telemetry.Connect]))
 			}
 		},
-	})
+	},
 
 	// Workload demand engine: the conservation ledger and latency
-	// distributions.
-	g.Register(section{
-		Name: "workload",
-		Collect: func(r *repRun, rr *repResult) {
-			if net := r.net; net.Demand != nil {
+	// distributions. reportWorkload is its detailed report.
+	{
+		name: "workload",
+		collect: func(sc Scenario, net *manet.Network, rr *repResult) {
+			if net.Demand != nil {
 				t := net.Demand.Snapshot()
 				rr.Workload = &t
 			}
-			rr.Churnit = float64(r.net.ChurnEvents())
+			rr.Churnit = float64(net.ChurnEvents())
 		},
-		Pool: func(sc Scenario, reps []*repResult, res *Result) {
+		pool: func(sc Scenario, reps []*repResult, res *Result) {
 			res.Workload = aggregateWorkload(reps)
 		},
-		Render: func(w io.Writer, r *Result) {
+		render: func(w io.Writer, r *Result) {
 			if ws := r.Workload; ws != nil {
 				fmt.Fprintf(w, "workload: offered %.0f/rep, issued %.0f, %.1f%% success, ttfr %.2f s, completion %.2f s\n",
 					ws.Offered.Mean, ws.Issued.Mean, 100*ws.SuccessRate,
@@ -417,39 +323,25 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 				}
 			}
 		},
-		Report: reportWorkload,
-		Stream: func(sc Scenario, rep int, rr *repResult, emit func(telemetry.Point)) {
-			t := rr.Workload
-			if t == nil {
+		stream: func(sc Scenario, rr *repResult, emit emitFunc) {
+			if rr.Workload == nil {
 				return
 			}
-			at := sc.Duration.Seconds()
-			for _, c := range []struct {
-				name string
-				v    float64
-			}{
-				{"offered", float64(t.Offered)},
-				{"retries", float64(t.Retries)},
-				{"issued", float64(t.Issued)},
-				{"resolved", float64(t.Resolved)},
-				{"expired", float64(t.Expired)},
-				{"aborted", float64(t.Aborted)},
-				{"in-flight", float64(t.InFlight)},
-				{"churn-events", rr.Churnit},
-			} {
-				emit(telemetry.Point{Rep: rep, T: at, Section: "workload", Name: c.name, Value: c.v})
+			t := sc.Duration.Seconds()
+			for _, c := range workloadCounters {
+				emit(t, c.name, c.get(rr))
 			}
 		},
-	})
+	},
 
 	// File search outcomes: the per-file distance/answer curves of
 	// Figures 5–6. Renders last: the closing "queries:" line.
-	g.Register(section{
-		Name: "search",
-		Collect: func(r *repRun, rr *repResult) {
-			rr.Requests = r.net.Collector.Requests()
+	{
+		name: "search",
+		collect: func(sc Scenario, net *manet.Network, rr *repResult) {
+			rr.Requests = net.Collector.Requests()
 		},
-		Pool: func(sc Scenario, reps []*repResult, res *Result) {
+		pool: func(sc Scenario, reps []*repResult, res *Result) {
 			// Figures 5–6: group requests by file rank.
 			type fileAcc struct {
 				dist, adhoc, answers []float64
@@ -485,7 +377,7 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 				res.PerFile = append(res.PerFile, fc)
 			}
 		},
-		Render: func(w io.Writer, r *Result) {
+		render: func(w io.Writer, r *Result) {
 			found, reqs := 0.0, 0
 			for _, fc := range r.PerFile {
 				reqs += fc.Requests
@@ -495,7 +387,7 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 				fmt.Fprintf(w, "queries: %d requests, %.1f%% found\n", reqs, 100*found/float64(reqs))
 			}
 		},
-		Stream: func(sc Scenario, rep int, rr *repResult, emit func(telemetry.Point)) {
+		stream: func(sc Scenario, rr *repResult, emit emitFunc) {
 			found := 0
 			for _, q := range rr.Requests {
 				if q.Found {
@@ -503,57 +395,157 @@ func newSectionRegistry() *telemetry.Registry[*repRun, Scenario, *repResult, *Re
 				}
 			}
 			t := sc.Duration.Seconds()
-			emit(telemetry.Point{Rep: rep, T: t, Section: "search", Name: "requests", Value: float64(len(rr.Requests))})
-			emit(telemetry.Point{Rep: rep, T: t, Section: "search", Name: "found", Value: float64(found)})
+			emit(t, "requests", float64(len(rr.Requests)))
+			emit(t, "found", float64(found))
 		},
-	})
-
-	return g
+	},
 }
 
-// aggregateWorkload pools the demand telemetry: one sample per
-// replication for each ledger counter, pooled latency distributions,
-// and the repair-cost-per-churn-event ratio derived from connect-class
-// message totals. Nil when no replication ran a workload plan.
-func aggregateWorkload(reps []*repResult) *WorkloadStats {
-	var any bool
+// streamRep emits every section's time series for one replication, in
+// list order, stamping the replication index and the section name onto
+// each point.
+func streamRep(sc Scenario, rep int, rr *repResult, sink MetricsSink) {
+	for _, s := range sections {
+		if s.stream == nil {
+			continue
+		}
+		s.stream(sc, rr, func(t float64, name string, value float64) {
+			sink.Emit(telemetry.Point{Rep: rep, T: t, Section: s.name, Name: name, Value: value})
+		})
+	}
+}
+
+// The three pooling shapes. Every pooled quantity of a Result is one of
+// them applied to a field of repResult, and SelfAudit's pooled-N audit
+// (auditPooledN) checks the sample count each implies.
+
+// poolAll summarizes all samples of all replications — per node, per
+// snapshot, per closed link.
+func poolAll(reps []*repResult, samples func(*repResult) []float64) stats.Summary {
+	var all []float64
 	for _, rr := range reps {
-		if rr.Workload != nil {
-			any = true
-			break
+		all = append(all, samples(rr)...)
+	}
+	return stats.Summarize(all)
+}
+
+// poolEach summarizes one sample per replication.
+func poolEach(reps []*repResult, sample func(*repResult) float64) stats.Summary {
+	each := make([]float64, len(reps))
+	for i, rr := range reps {
+		each[i] = sample(rr)
+	}
+	return stats.Summarize(each)
+}
+
+// poolSeries averages a per-replication series rank-wise over the
+// replications that recorded it; nil when none did.
+func poolSeries(reps []*repResult, series func(*repResult) []float64) []float64 {
+	recorded := make([][]float64, 0, len(reps))
+	for _, rr := range reps {
+		if s := series(rr); len(s) > 0 {
+			recorded = append(recorded, s)
 		}
 	}
-	if !any {
+	return stats.MeanSeries(recorded)
+}
+
+// emitSeries streams a series sampled every step seconds, its first
+// value at first·step.
+func emitSeries(emit emitFunc, name string, values []float64, first int, step float64) {
+	for i, v := range values {
+		emit(float64(first+i)*step, name, v)
+	}
+}
+
+func sum(xs []float64) float64 {
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
+// routingCounters names the routing layer's effort counters once, in
+// netif.Stats declaration order: the streamed point name, the per-node
+// counter, and the Summary of RoutingStats it pools into (one sample per
+// node per replication). The route section's pool and stream hooks and
+// auditPooledN all walk this table.
+var routingCounters = [...]struct {
+	name   string
+	get    func(*netif.Stats) uint64
+	pooled func(*RoutingStats) *stats.Summary
+}{
+	{"ctrl-orig", func(s *netif.Stats) uint64 { return s.CtrlOrig }, func(r *RoutingStats) *stats.Summary { return &r.CtrlOrig }},
+	{"ctrl-relayed", func(s *netif.Stats) uint64 { return s.CtrlRelayed }, func(r *RoutingStats) *stats.Summary { return &r.CtrlRelayed }},
+	{"bcast-orig", func(s *netif.Stats) uint64 { return s.BcastOrig }, func(r *RoutingStats) *stats.Summary { return &r.BcastOrig }},
+	{"bcast-relayed", func(s *netif.Stats) uint64 { return s.BcastRelayed }, func(r *RoutingStats) *stats.Summary { return &r.BcastRelayed }},
+	{"data-sent", func(s *netif.Stats) uint64 { return s.DataSent }, func(r *RoutingStats) *stats.Summary { return &r.DataSent }},
+	{"data-forwarded", func(s *netif.Stats) uint64 { return s.DataForwarded }, func(r *RoutingStats) *stats.Summary { return &r.DataForwarded }},
+	{"data-dropped", func(s *netif.Stats) uint64 { return s.DataDropped }, func(r *RoutingStats) *stats.Summary { return &r.DataDropped }},
+	{"delivered", func(s *netif.Stats) uint64 { return s.Delivered }, func(r *RoutingStats) *stats.Summary { return &r.Delivered }},
+	{"discoveries", func(s *netif.Stats) uint64 { return s.Discoveries }, func(r *RoutingStats) *stats.Summary { return &r.Discoveries }},
+	{"discover-failed", func(s *netif.Stats) uint64 { return s.DiscoverFailed }, func(r *RoutingStats) *stats.Summary { return &r.DiscoverFailed }},
+	{"send-failed", func(s *netif.Stats) uint64 { return s.SendFailed }, func(r *RoutingStats) *stats.Summary { return &r.SendFailed }},
+	{"dup-hits", func(s *netif.Stats) uint64 { return s.DupHits }, func(r *RoutingStats) *stats.Summary { return &r.DupHits }},
+}
+
+// workloadCounters names the per-replication workload counters once:
+// the streamed point name (also the row label of reportWorkload), the
+// replication's count, and the Summary of WorkloadStats it pools into
+// (one sample per replication). The first workloadLedgerRows are the
+// demand engine's conservation ledger; churn-events is counted by the
+// network and reported on its own line. The workload section's stream
+// hook, aggregateWorkload, reportWorkload and auditPooledN all walk
+// this table; get is called only on replications that ran a plan.
+var workloadCounters = [...]struct {
+	name   string
+	get    func(*repResult) float64
+	pooled func(*WorkloadStats) *stats.Summary
+}{
+	{"offered", func(rr *repResult) float64 { return float64(rr.Workload.Offered) }, func(w *WorkloadStats) *stats.Summary { return &w.Offered }},
+	{"retries", func(rr *repResult) float64 { return float64(rr.Workload.Retries) }, func(w *WorkloadStats) *stats.Summary { return &w.Retries }},
+	{"issued", func(rr *repResult) float64 { return float64(rr.Workload.Issued) }, func(w *WorkloadStats) *stats.Summary { return &w.Issued }},
+	{"resolved", func(rr *repResult) float64 { return float64(rr.Workload.Resolved) }, func(w *WorkloadStats) *stats.Summary { return &w.Resolved }},
+	{"expired", func(rr *repResult) float64 { return float64(rr.Workload.Expired) }, func(w *WorkloadStats) *stats.Summary { return &w.Expired }},
+	{"aborted", func(rr *repResult) float64 { return float64(rr.Workload.Aborted) }, func(w *WorkloadStats) *stats.Summary { return &w.Aborted }},
+	{"in-flight", func(rr *repResult) float64 { return float64(rr.Workload.InFlight) }, func(w *WorkloadStats) *stats.Summary { return &w.InFlight }},
+	{"churn-events", func(rr *repResult) float64 { return rr.Churnit }, func(w *WorkloadStats) *stats.Summary { return &w.ChurnEvents }},
+}
+
+const workloadLedgerRows = 7
+
+// aggregateWorkload pools the demand telemetry: one sample per
+// replication for each counter, pooled latency distributions, and the
+// repair-cost-per-churn-event ratio derived from connect-class message
+// totals. Nil when no replication ran a workload plan.
+func aggregateWorkload(reps []*repResult) *WorkloadStats {
+	var ran []*repResult
+	for _, rr := range reps {
+		if rr.Workload != nil {
+			ran = append(ran, rr)
+		}
+	}
+	if len(ran) == 0 {
 		return nil
 	}
-	var offered, retries, issued, resolved, expired, aborted, inflight []float64
-	var ttfr, completion, churn []float64
-	var totOffered, totResolved, totConnect, totChurn float64
+	ws := &WorkloadStats{
+		TTFR:       poolAll(ran, func(rr *repResult) []float64 { return rr.Workload.TTFR }),
+		Completion: poolAll(ran, func(rr *repResult) []float64 { return rr.Workload.Completion }),
+	}
+	for _, c := range workloadCounters {
+		*c.pooled(ws) = poolEach(ran, c.get)
+	}
+	var offered, resolved, connect, churn float64
 	classNodes := map[string][]float64{}
 	classIssued := map[string][]float64{}
 	var classOrder []string
-	for _, rr := range reps {
-		t := rr.Workload
-		if t == nil {
-			continue
-		}
-		offered = append(offered, float64(t.Offered))
-		retries = append(retries, float64(t.Retries))
-		issued = append(issued, float64(t.Issued))
-		resolved = append(resolved, float64(t.Resolved))
-		expired = append(expired, float64(t.Expired))
-		aborted = append(aborted, float64(t.Aborted))
-		inflight = append(inflight, float64(t.InFlight))
-		ttfr = append(ttfr, t.TTFR...)
-		completion = append(completion, t.Completion...)
-		churn = append(churn, rr.Churnit)
-		totOffered += float64(t.Offered)
-		totResolved += float64(t.Resolved)
-		totChurn += rr.Churnit
-		for _, v := range rr.Totals[telemetry.Connect] {
-			totConnect += v
-		}
-		for _, c := range t.Classes {
+	for _, rr := range ran {
+		offered += float64(rr.Workload.Offered)
+		resolved += float64(rr.Workload.Resolved)
+		churn += rr.Churnit
+		connect += sum(rr.Totals[telemetry.Connect])
+		for _, c := range rr.Workload.Classes {
 			if _, seen := classNodes[c.Name]; !seen {
 				classOrder = append(classOrder, c.Name)
 			}
@@ -561,20 +553,8 @@ func aggregateWorkload(reps []*repResult) *WorkloadStats {
 			classIssued[c.Name] = append(classIssued[c.Name], float64(c.Issued))
 		}
 	}
-	ws := &WorkloadStats{
-		Offered:        stats.Summarize(offered),
-		Retries:        stats.Summarize(retries),
-		Issued:         stats.Summarize(issued),
-		Resolved:       stats.Summarize(resolved),
-		Expired:        stats.Summarize(expired),
-		Aborted:        stats.Summarize(aborted),
-		InFlight:       stats.Summarize(inflight),
-		SuccessRate:    safeRatio(totResolved, totOffered),
-		TTFR:           stats.Summarize(ttfr),
-		Completion:     stats.Summarize(completion),
-		ChurnEvents:    stats.Summarize(churn),
-		RepairPerChurn: safeRatio(totConnect, totChurn),
-	}
+	ws.SuccessRate = safeRatio(resolved, offered)
+	ws.RepairPerChurn = safeRatio(connect, churn)
 	for _, name := range classOrder {
 		ws.Classes = append(ws.Classes, WorkloadClassStats{
 			Name:   name,
@@ -595,19 +575,9 @@ func reportWorkload(w io.Writer, r *Result) error {
 	}
 	fmt.Fprintf(w, "# demand telemetry (%s): per-replication ledger\n", r.Scenario.Algorithm)
 	fmt.Fprintln(w, "counter\tmean\tstddev\tmin\tmax")
-	for _, row := range []struct {
-		name               string
-		mean, sd, min, max float64
-	}{
-		{"offered", ws.Offered.Mean, ws.Offered.StdDev, ws.Offered.Min, ws.Offered.Max},
-		{"retries", ws.Retries.Mean, ws.Retries.StdDev, ws.Retries.Min, ws.Retries.Max},
-		{"issued", ws.Issued.Mean, ws.Issued.StdDev, ws.Issued.Min, ws.Issued.Max},
-		{"resolved", ws.Resolved.Mean, ws.Resolved.StdDev, ws.Resolved.Min, ws.Resolved.Max},
-		{"expired", ws.Expired.Mean, ws.Expired.StdDev, ws.Expired.Min, ws.Expired.Max},
-		{"aborted", ws.Aborted.Mean, ws.Aborted.StdDev, ws.Aborted.Min, ws.Aborted.Max},
-		{"in-flight", ws.InFlight.Mean, ws.InFlight.StdDev, ws.InFlight.Min, ws.InFlight.Max},
-	} {
-		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%.0f\t%.0f\n", row.name, row.mean, row.sd, row.min, row.max)
+	for _, c := range workloadCounters[:workloadLedgerRows] {
+		s := c.pooled(ws)
+		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%.0f\t%.0f\n", c.name, s.Mean, s.StdDev, s.Min, s.Max)
 	}
 	fmt.Fprintf(w, "\nsuccess-rate\t%.3f\n", ws.SuccessRate)
 	fmt.Fprintf(w, "ttfr-s\t%s\t(n=%d)\n", ws.TTFR, ws.TTFR.N)
@@ -650,6 +620,60 @@ func reportResilience(w io.Writer, r *Result) error {
 			ev.Label, ev.ClearSeconds, ev.Baseline.Mean, ev.Trough.Mean,
 			ev.RehealSeconds.Mean, 100*ev.RehealedFraction,
 			ev.ResidualDisconnect.Mean, ev.RecoveryMessages.Mean)
+	}
+	return nil
+}
+
+// manifestWire is the versioned wire form of the section list, stored
+// in every checkpoint so that resume can refuse a file written by a
+// binary with a different list, which would have collected in a
+// different order. The encoding is the one the PR-13…19 binaries wrote
+// (TestSectionManifest pins the bytes), so their checkpoints still
+// resume.
+type manifestWire struct {
+	Version  int      `json:"version"`
+	Sections []string `json:"sections"`
+}
+
+// manifestVersion bumps when the manifest encoding itself changes.
+const manifestVersion = 1
+
+func sectionNames() []string {
+	names := make([]string, len(sections))
+	for i, s := range sections {
+		names[i] = s.name
+	}
+	return names
+}
+
+// sectionsManifest returns this binary's manifest.
+func sectionsManifest() []byte {
+	b, err := json.Marshal(manifestWire{Version: manifestVersion, Sections: sectionNames()})
+	if err != nil {
+		panic(err) // cannot fail: fixed struct of strings
+	}
+	return b
+}
+
+// checkSectionsManifest verifies that a manifest read from a checkpoint
+// matches this binary's section list, describing the first difference.
+func checkSectionsManifest(b []byte) error {
+	var m manifestWire
+	if err := json.Unmarshal(b, &m); err != nil {
+		return fmt.Errorf("telemetry manifest: %w", err)
+	}
+	if m.Version != manifestVersion {
+		return fmt.Errorf("telemetry manifest version %d, want %d", m.Version, manifestVersion)
+	}
+	names := sectionNames()
+	if len(m.Sections) != len(names) {
+		return fmt.Errorf("telemetry manifest has %d sections %v, this binary has %d %v",
+			len(m.Sections), m.Sections, len(names), names)
+	}
+	for i, n := range names {
+		if m.Sections[i] != n {
+			return fmt.Errorf("telemetry manifest section %d is %q, this binary has %q", i, m.Sections[i], n)
+		}
 	}
 	return nil
 }
