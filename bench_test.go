@@ -355,37 +355,10 @@ func BenchmarkAblationRunnerScaling(b *testing.B) {
 	}
 }
 
-// --- Microbenchmarks of the hot substrate paths ---
+// --- Microbenchmarks ---
 //
-// The tracked ones delegate to benchsuite.go so that `go test -bench`
-// and cmd/bench (which writes BENCH_<n>.json) measure identical code.
-
-func BenchmarkSimEventQueue(b *testing.B) { benchSimEventQueue(b) }
-
-func BenchmarkGridNear(b *testing.B) { benchGridNear(b) }
-
-func BenchmarkGridNearBruteForce(b *testing.B) {
-	// The comparison baseline for BenchmarkGridNear: O(n) scan.
-	arena := geom.Rect{W: 100, H: 100}
-	s := sim.New(2)
-	rng := s.NewRand()
-	pts := make([]geom.Point, 150)
-	for i := range pts {
-		pts[i] = arena.RandomPoint(rng)
-	}
-	buf := make([]int, 0, 32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := arena.RandomPoint(rng)
-		buf = buf[:0]
-		for id, p := range pts {
-			if p.Dist2(q) <= 100 {
-				buf = append(buf, id)
-			}
-		}
-	}
-}
+// The tracked unit benchmarks (cmd/bench lists them) live in
+// bench_test.go of the package each one times.
 
 func BenchmarkWaypointPos(b *testing.B) {
 	s := sim.New(3)
@@ -406,46 +379,3 @@ func BenchmarkWaypointPos(b *testing.B) {
 		net.Run(sim.Second)
 	}
 }
-
-// Cost of one cold route discovery over a 10-hop chain.
-func BenchmarkAODVDiscovery(b *testing.B) { benchAODVDiscovery(b) }
-
-// Cost of one broadcast heard by 8 neighbours through the medium alone
-// (send, wheel, merged run loop, Fire); must report 0 allocs/op.
-func BenchmarkRadioBroadcast(b *testing.B) { benchRadioBroadcast(b) }
-
-// Cost of one controlled broadcast flooded down a 16-node line through
-// the shared route.Bcaster relay path.
-func BenchmarkBcastRelay(b *testing.B) { benchBcastRelay(b) }
-
-// Cost of one overlay unicast send between linked servents; must report
-// 0 allocs/op once warm.
-func BenchmarkServentSend(b *testing.B) { benchServentSend(b) }
-
-// Cost of one flood's duplicate tests at 150 nodes (a first arrival and
-// three duplicates each) on the shared flood-major index, marks expiring
-// as the clock advances; must report 0 allocs/op.
-func BenchmarkDupCheck(b *testing.B) { benchDupCheck(b) }
-
-// Cost of one Gnutella-style query flooded down an 8-servent overlay
-// chain, including the query-hit reply.
-func BenchmarkQueryFlood(b *testing.B) { benchQueryFlood(b) }
-
-// Cost of the workload engine's per-query hot path (NextGap + PickFile)
-// with every feature armed; must report 0 allocs/op.
-func BenchmarkWorkloadArrivals(b *testing.B) { benchWorkloadArrivals(b) }
-
-// Cost of one full overlay snapshot through the allocation-free
-// analytics engine; must report 0 allocs/op.
-func BenchmarkOverlaySnapshot(b *testing.B) { benchOverlaySnapshot(b) }
-
-// BenchmarkFullReplication measures one end-to-end paper replication
-// (50 nodes, 3600 s, Regular): the unit of work the runner parallelizes.
-func BenchmarkFullReplication(b *testing.B) { benchFullReplication(b, false) }
-
-// BenchmarkFullReplicationChecked is the same replication with the
-// runtime invariant checker armed (Every = 30 s default); compare with
-// BenchmarkFullReplication to read the checker's overhead.
-func BenchmarkFullReplicationChecked(b *testing.B) { benchFullReplication(b, true) }
-
-func BenchmarkTelemetryProbe(b *testing.B) { benchTelemetryProbe(b) }

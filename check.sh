@@ -1,12 +1,12 @@
 #!/bin/sh
 # Repository health check: format, vet, full tests (the benchmark
-# module's own included), a 10 s fuzz smoke of the checkpoint container
-# reader, quick bench smoke, and the count of non-test Go lines outside
-# benchmark/.
+# module's own included), a 10 s fuzz smoke of each of the four file
+# decoders, the race detector over every package, a smoke of the tracked
+# benchmarks, and the count of non-test Go lines outside benchmark/.
 #
 # `./check.sh bench` instead runs the tracked benchmark suite, writes
 # the machine-readable report (see cmd/bench), and gates it against the
-# committed baseline (BENCH_20.json): >20% ns/op regressions on
+# committed baseline (BENCH_21.json): >20% ns/op regressions on
 # comparable hardware, any allocs/op increase on a 0-alloc benchmark, or
 # a 0-alloc benchmark of the baseline that no longer runs, fail. Pass an
 # output path as the second argument to override the default BENCH.json;
@@ -34,8 +34,8 @@ cd "$(dirname "$0")"
 
 if [ "$1" = "bench" ]; then
 	out="${2:-BENCH.json}"
-	echo "== tracked benchmarks -> $out (gated against BENCH_20.json) =="
-	go run ./cmd/bench -o "$out" -baseline BENCH_20.json
+	echo "== tracked benchmarks -> $out (gated against BENCH_21.json) =="
+	go run ./cmd/bench -o "$out" -baseline BENCH_21.json
 	exit 0
 fi
 
@@ -108,16 +108,28 @@ echo "== benchmark module: go vet + go test =="
 go vet -C benchmark ./...
 go test -C benchmark ./...
 
-echo "== fuzz smoke (checkpoint container reader, 10s) =="
-go test -run '^$' -fuzz FuzzRead -fuzztime 10s ./internal/checkpoint
+# Every decoder that reads a file: checkpoint container, scenario, fault
+# plan, workload plan. Minimising a new-coverage input is capped at ten
+# runs; the default (60 s per input) would eat the whole smoke on the
+# kilobyte-sized scenario seeds.
+fuzz_smoke() {
+	echo "== fuzz smoke ($1 in $2, 10s) =="
+	go test -run '^$' -fuzz "^$1\$" -fuzztime 10s -fuzzminimizetime 10x "$2"
+}
+fuzz_smoke FuzzRead ./internal/checkpoint
+fuzz_smoke FuzzUnmarshalScenario .
+fuzz_smoke FuzzPlan ./internal/fault
+fuzz_smoke FuzzPlan ./internal/workload
 
 # The root package's 1-vs-4-worker test is what would catch duplicate-index
 # state shared between concurrent replications.
-echo "== go test -race (sim core, geom, radio, fault injection, workload, route, aodv, root) =="
-go test -race ./internal/sim ./internal/geom ./internal/radio ./internal/fault ./internal/workload ./internal/route ./internal/aodv .
+echo "== go test -race =="
+go test -race ./...
 
-echo "== bench smoke (micro benches only) =="
-go test -run xxx -bench 'Table1|GridNear|SimEventQueue|RadioBroadcast|DupCheck|AODVDiscovery|ServentSend|BcastRelay' -benchtime 10x .
+# Every tracked benchmark for ten iterations, through the same command
+# and name list that record BENCH_<n>.json; no gate at this length.
+echo "== bench smoke (tracked benchmarks, 10 iterations) =="
+go run ./cmd/bench -benchtime 10x -rounds 1 -o - >/dev/null
 
 echo "all checks passed"
 

@@ -1,18 +1,21 @@
-// Command bench runs the tracked benchmark suite (benchsuite.go) and
-// writes the results as machine-readable JSON, so the repository's perf
-// trajectory is recorded per PR instead of living in commit messages.
+// Command bench runs the tracked unit benchmarks — ordinary Benchmark*
+// functions in bench_test.go of the package each one times — through
+// `go test -bench` and writes the results as machine-readable JSON, so
+// the repository's perf trajectory is recorded per PR instead of living
+// in commit messages. Whole-replication time, the invariant checker's
+// cost included, is benchmark/'s job, not this suite's.
 //
-// Usage:
+// Usage (from the repository root):
 //
 //	bench                      # writes BENCH.json
 //	bench -o BENCH_2.json      # explicit output path ('-' = stdout)
-//	bench -benchtime 3s -run FullReplication
-//	bench -baseline BENCH_20.json  # gate against the committed baseline
+//	bench -benchtime 3s -run Servent
+//	bench -baseline BENCH_21.json  # gate against the committed baseline
 //
-// Each benchmark runs -rounds times (default 3) and the fastest round
-// is reported: the minimum is the round least disturbed by scheduler
-// preemption or VM CPU steal, which keeps the ns/op gate meaningful on
-// noisy CI hardware.
+// Each benchmark runs -rounds times (go test -count, default 3) and the
+// fastest round is reported: the minimum is the round least disturbed by
+// scheduler preemption or VM CPU steal, which keeps the ns/op gate
+// meaningful on noisy CI hardware.
 //
 // With -baseline, the run is compared against the committed baseline
 // after writing the report: any allocs/op increase on a benchmark the
@@ -28,17 +31,34 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/exec"
 	"runtime"
+	"strconv"
 	"strings"
-	"testing"
 	"time"
-
-	"manetp2p"
 )
+
+// tracked is the one list of the benchmarks recorded in BENCH_<n>.json,
+// cheapest first: BenchmarkX of whichever package defines it.
+var tracked = []string{
+	"TelemetryProbe",   // internal/telemetry
+	"SimEventQueue",    // internal/sim
+	"GridNear",         // internal/geom
+	"RadioBroadcast",   // internal/radio
+	"DupCheck",         // internal/route
+	"AODVDiscovery",    // internal/aodv
+	"BcastRelay",       // internal/flood
+	"ServentSend",      // internal/p2p
+	"QueryFlood",       // internal/p2p
+	"WorkloadArrivals", // internal/workload
+	"OverlaySnapshot",  // internal/manet
+}
 
 // benchResult is one benchmark's measurement, mirroring the columns of
 // `go test -bench -benchmem` output.
@@ -61,60 +81,40 @@ type report struct {
 }
 
 func main() {
-	// Register the testing flags first so -benchtime can be forwarded to
-	// testing.Benchmark below.
-	testing.Init()
 	var (
 		out       = flag.String("o", "BENCH.json", "output path for the JSON report ('-' = stdout)")
-		benchtime = flag.String("benchtime", "1s", "per-benchmark time budget (forwarded to the testing package)")
-		rounds    = flag.Int("rounds", 3, "runs per benchmark; the fastest is reported (min-of-N rejects scheduler/VM noise)")
+		benchtime = flag.String("benchtime", "1s", "per-benchmark time budget (go test -benchtime)")
+		rounds    = flag.Int("rounds", 3, "runs per benchmark (go test -count); the fastest is reported (min-of-N rejects scheduler/VM noise)")
 		run       = flag.String("run", "", "only run benchmarks whose name contains this substring")
 		baseline  = flag.String("baseline", "", "baseline JSON to gate against: fail on >20% ns/op regression (comparable hardware only) or any allocs/op increase on 0-alloc benchmarks")
 	)
 	flag.Parse()
-	if err := flag.Set("test.benchtime", *benchtime); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+
+	var names []string
+	for _, name := range tracked {
+		if strings.Contains(name, *run) {
+			names = append(names, name)
+		}
+	}
+	if len(names) == 0 {
+		fmt.Fprintf(os.Stderr, "bench: -run %q selects none of %s\n", *run, strings.Join(tracked, ", "))
 		os.Exit(2)
+	}
+	results, err := goTestBench(names, *benchtime, *rounds)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bench:", err)
+		os.Exit(1)
 	}
 
 	rep := report{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		BenchTime: *benchtime,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		Timestamp:  time.Now().UTC().Format(time.RFC3339),
+		BenchTime:  *benchtime,
+		Benchmarks: results,
 	}
-	for _, spec := range manetp2p.TrackedBenchmarks() {
-		if *run != "" && !strings.Contains(spec.Name, *run) {
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "running %s...\n", spec.Name)
-		// Min-of-N: the minimum is the run least disturbed by scheduler
-		// preemption and (on virtualized CI boxes) CPU steal, so it is a
-		// far more stable statistic than any single run — one quiet round
-		// suffices for a faithful number. allocs/op is deterministic
-		// across rounds; ns/op is what the extra rounds stabilize.
-		var best testing.BenchmarkResult
-		for i := 0; i < *rounds; i++ {
-			r := testing.Benchmark(spec.Fn)
-			if i == 0 || float64(r.T.Nanoseconds())/float64(r.N) < float64(best.T.Nanoseconds())/float64(best.N) {
-				best = r
-			}
-		}
-		r := best
-		res := benchResult{
-			Name:        spec.Name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		rep.Benchmarks = append(rep.Benchmarks, res)
-		fmt.Fprintf(os.Stderr, "  %d iterations, %.1f ns/op, %d B/op, %d allocs/op\n",
-			res.Iterations, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
-	}
-
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -136,6 +136,74 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// goTestBench runs the named benchmarks rounds times each over every
+// package of the module, go test's output passing through to stderr, and
+// returns in the order of names the round of each with the least ns/op
+// (allocs/op is the same in every round). go test runs benchmarks one
+// package after another; -p 1 also keeps it from linking the later
+// packages' test binaries while the first ones are being timed.
+func goTestBench(names []string, benchtime string, rounds int) ([]benchResult, error) {
+	cmd := exec.Command("go", "test", "-p", "1", "-run", "^$",
+		"-bench", "^Benchmark("+strings.Join(names, "|")+")$", "-benchmem",
+		"-count", strconv.Itoa(rounds), "-benchtime", benchtime, "./...")
+	var stdout bytes.Buffer
+	cmd.Stdout = io.MultiWriter(&stdout, os.Stderr)
+	cmd.Stderr = os.Stderr
+	if err := cmd.Run(); err != nil {
+		return nil, fmt.Errorf("go test -bench: %w", err)
+	}
+	best := make(map[string]benchResult)
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if r, ok := parseResult(line); ok {
+			if b, seen := best[r.Name]; !seen || r.NsPerOp < b.NsPerOp {
+				best[r.Name] = r
+			}
+		}
+	}
+	results := make([]benchResult, 0, len(names))
+	for _, name := range names {
+		r, ran := best[name]
+		if !ran {
+			return nil, fmt.Errorf("no package defines Benchmark%s", name)
+		}
+		results = append(results, r)
+	}
+	return results, nil
+}
+
+// parseResult decodes one result line of `go test -bench -benchmem`:
+//
+//	BenchmarkGridNear-2   7150612   157.5 ns/op   0 B/op   0 allocs/op
+//
+// The name loses its Benchmark prefix and the -GOMAXPROCS suffix (absent
+// on one CPU); value/unit pairs it does not record are skipped.
+func parseResult(line string) (benchResult, bool) {
+	f := strings.Fields(line)
+	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || f[3] != "ns/op" {
+		return benchResult{}, false
+	}
+	name := strings.TrimPrefix(f[0], "Benchmark")
+	if i := strings.LastIndexByte(name, '-'); i >= 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			name = name[:i]
+		}
+	}
+	r := benchResult{Name: name}
+	var err error
+	r.Iterations, err = strconv.Atoi(f[1])
+	for i := 2; i+1 < len(f) && err == nil; i += 2 {
+		switch f[i+1] {
+		case "ns/op":
+			r.NsPerOp, err = strconv.ParseFloat(f[i], 64)
+		case "B/op":
+			r.BytesPerOp, err = strconv.ParseInt(f[i], 10, 64)
+		case "allocs/op":
+			r.AllocsPerOp, err = strconv.ParseInt(f[i], 10, 64)
+		}
+	}
+	return r, err == nil
 }
 
 // maxRegression is the ns/op slack against the baseline before the

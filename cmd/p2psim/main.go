@@ -105,7 +105,7 @@ func main() {
 			os.Exit(1)
 		}
 		closeSink()
-		printReport(res, *curves, *traffic > 0, seriesKind)
+		printReport(res, *curves, seriesKind)
 		return
 	}
 
@@ -203,13 +203,13 @@ func main() {
 		os.Exit(1)
 	}
 	closeSink()
-	printReport(res, *curves, *traffic > 0, seriesKind)
+	printReport(res, *curves, seriesKind)
 }
 
 // printReport ends every run mode — plain, checkpointed, resumed: the
-// summary, the resilience and workload blocks the Result carries, and
-// the tables the -curves, -traffic and -series flags ask for.
-func printReport(res *manetp2p.Result, curves, traffic bool, series *manetp2p.SeriesKind) {
+// summary, the resilience, workload and traffic blocks the Result
+// carries, and the tables the -curves and -series flags ask for.
+func printReport(res *manetp2p.Result, curves bool, series *manetp2p.SeriesKind) {
 	manetp2p.WriteSummary(os.Stdout, res)
 	results := []*manetp2p.Result{res}
 	check := func(err error) {
@@ -230,7 +230,7 @@ func printReport(res *manetp2p.Result, curves, traffic bool, series *manetp2p.Se
 		fmt.Println()
 		check(manetp2p.WriteFileCurves(os.Stdout, results, 10))
 	}
-	if traffic {
+	if len(res.ConnectTraffic) > 0 {
 		fmt.Println()
 		check(manetp2p.WriteTrafficSeries(os.Stdout, results))
 	}

@@ -44,15 +44,35 @@ func goldenScenario(alg Algorithm) Scenario {
 	return sc
 }
 
+// runGolden runs a fixture scenario with the invariant checker armed —
+// it only observes (TestInvariantsDoNotPerturbResults), so the measured
+// bytes are the unchecked run's — and fails on any violation.
+func runGolden(t *testing.T, sc Scenario) *Result {
+	t.Helper()
+	sc.Invariants = &InvariantConfig{Enabled: true}
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inv := res.Invariants; inv == nil || inv.Replications != sc.Replications || !inv.OK() {
+		t.Fatalf("golden fixture not validated clean in all %d replications: %+v", sc.Replications, inv)
+	}
+	return res
+}
+
 // goldenMarshal renders a Result in the fixtures' canonical form. The
 // fixtures predate the unified routing telemetry, so Routing is stripped
 // from a shallow clone before marshalling (json omitempty then elides
 // it); routing-counter determinism is still pinned by
-// TestGoldenRunRepeatable and TestRoutingTelemetry.
+// TestGoldenRunRepeatable and TestRoutingTelemetry. The checker's report
+// and its arming in the embedded scenario go the same way: the fixtures
+// record what was measured, runGolden asserts what was checked.
 func goldenMarshal(t *testing.T, res *Result) []byte {
 	t.Helper()
 	clone := *res
 	clone.Routing = nil
+	clone.Invariants = nil
+	clone.Scenario.Invariants = nil
 	got, err := json.MarshalIndent(&clone, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -89,10 +109,7 @@ func TestGoldenResults(t *testing.T) {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(goldenScenario(alg))
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runGolden(t, goldenScenario(alg))
 			path := filepath.Join("testdata", "golden", strings.ToLower(alg.String())+".json")
 			checkGolden(t, path, goldenMarshal(t, res))
 		})
@@ -137,10 +154,7 @@ func TestGoldenRouting(t *testing.T) {
 			sub, alg := sub, alg
 			t.Run(sub.name+"/"+alg.String(), func(t *testing.T) {
 				t.Parallel()
-				res, err := Run(goldenRoutingScenario(alg, sub.kind))
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := runGolden(t, goldenRoutingScenario(alg, sub.kind))
 				path := filepath.Join("testdata", "golden",
 					"routing_"+sub.name+"_"+strings.ToLower(alg.String())+".json")
 				checkGolden(t, path, goldenMarshal(t, res))
@@ -174,10 +188,7 @@ func goldenWorkloadScenario() Scenario {
 // byte-identical across refactors of the arrival/popularity engine.
 func TestGoldenWorkload(t *testing.T) {
 	t.Parallel()
-	res, err := Run(goldenWorkloadScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runGolden(t, goldenWorkloadScenario())
 	if res.Workload == nil {
 		t.Fatal("workload scenario produced no workload telemetry")
 	}
@@ -201,10 +212,7 @@ func goldenDownloadScenario() Scenario {
 // the totals) byte-for-byte.
 func TestGoldenDownload(t *testing.T) {
 	t.Parallel()
-	res, err := Run(goldenDownloadScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runGolden(t, goldenDownloadScenario())
 	path := filepath.Join("testdata", "golden", "download.json")
 	checkGolden(t, path, goldenMarshal(t, res))
 }

@@ -13,12 +13,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Add returns p translated by the vector (dx, dy).
-func (p Point) Add(dx, dy float64) Point { return Point{p.X + dx, p.Y + dy} }
-
-// Sub returns the vector from q to p as a Point.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
@@ -60,7 +54,3 @@ func (r Rect) Clamp(p Point) Point {
 func (r Rect) RandomPoint(rng *rand.Rand) Point {
 	return Point{rng.Float64() * r.W, rng.Float64() * r.H}
 }
-
-// Diagonal returns the length of the rectangle's diagonal, an upper bound
-// on any distance within the arena.
-func (r Rect) Diagonal() float64 { return math.Hypot(r.W, r.H) }

@@ -33,16 +33,6 @@ func TestPointLerp(t *testing.T) {
 	}
 }
 
-func TestPointAddSub(t *testing.T) {
-	p := Point{1, 2}.Add(3, 4)
-	if p != (Point{4, 6}) {
-		t.Errorf("Add = %v, want (4,6)", p)
-	}
-	if d := p.Sub(Point{1, 2}); d != (Point{3, 4}) {
-		t.Errorf("Sub = %v, want (3,4)", d)
-	}
-}
-
 func TestRectContainsClamp(t *testing.T) {
 	r := Rect{100, 50}
 	if !r.Contains(Point{0, 0}) || !r.Contains(Point{100, 50}) {
@@ -86,19 +76,13 @@ func TestRectRandomPointUniform(t *testing.T) {
 	}
 }
 
-func TestRectDiagonal(t *testing.T) {
-	if got := (Rect{3, 4}).Diagonal(); got != 5 {
-		t.Errorf("Diagonal = %v, want 5", got)
-	}
-}
-
 func TestGridInsertMoveRemove(t *testing.T) {
 	g := NewGrid(Rect{100, 100}, 10, 4)
 	g.Insert(0, Point{5, 5})
 	g.Insert(1, Point{6, 5})
 	g.Insert(2, Point{95, 95})
-	if g.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", g.Len())
+	if !g.present[0] || !g.present[1] || !g.present[2] || g.present[3] {
+		t.Fatalf("present = %v, want ids 0-2", g.present)
 	}
 	got := g.Near(nil, Point{5, 5}, 3, -1)
 	if len(got) != 2 {
@@ -115,8 +99,8 @@ func TestGridInsertMoveRemove(t *testing.T) {
 		t.Fatalf("Near at new position = %v, want [1]", got)
 	}
 	g.Remove(1)
-	if g.Present(1) {
-		t.Error("Present(1) after Remove")
+	if g.present[1] {
+		t.Error("id 1 still present after Remove")
 	}
 	if got = g.Near(nil, Point{50, 50}, 1, -1); len(got) != 0 {
 		t.Fatalf("Near after Remove = %v, want empty", got)

@@ -118,9 +118,6 @@ func (g *Grid) Move(id int, p Point) {
 // Pos returns the stored position of item id.
 func (g *Grid) Pos(id int) Point { return g.pos[id] }
 
-// Present reports whether item id is in the index.
-func (g *Grid) Present(id int) bool { return id >= 0 && id < len(g.present) && g.present[id] }
-
 // Near appends to dst the IDs of all items within radius of p, excluding
 // exclude (pass -1 to exclude nothing), and returns the extended slice.
 // The result order is unspecified. The returned slice aliases dst's
@@ -160,15 +157,4 @@ func (g *Grid) Near(dst []int, p Point, radius float64, exclude int) []int {
 		}
 	}
 	return dst
-}
-
-// Len reports how many items are currently indexed.
-func (g *Grid) Len() int {
-	n := 0
-	for _, p := range g.present {
-		if p {
-			n++
-		}
-	}
-	return n
 }

@@ -70,9 +70,6 @@ func (s *Scratch) Degree(i int) int { return int(s.off[i+1] - s.off[i]) }
 // Row returns node i's neighbor ids, borrowed until the next Reset.
 func (s *Scratch) Row(i int) []int32 { return s.nbrs[s.off[i]:s.off[i+1]] }
 
-// NumNeighbors returns the total directed-edge count (sum of degrees).
-func (s *Scratch) NumNeighbors() int { return len(s.nbrs) }
-
 // Metrics is one snapshot's worth of overlay analytics, everything the
 // per-tick samplers read, computed in a single Analyze call.
 type Metrics struct {

@@ -169,7 +169,7 @@ func TestScratchManualFill(t *testing.T) {
 	if got != want {
 		t.Fatalf("manual fill = %+v, want %+v", got, want)
 	}
-	if an.S.Degree(1) != 1 || an.S.NumNeighbors() != 4 {
-		t.Fatalf("degree(1) = %d, neighbors = %d; want 1, 4", an.S.Degree(1), an.S.NumNeighbors())
+	if an.S.Degree(1) != 1 || len(an.S.nbrs) != 4 {
+		t.Fatalf("degree(1) = %d, neighbors = %d; want 1, 4", an.S.Degree(1), len(an.S.nbrs))
 	}
 }

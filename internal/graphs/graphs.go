@@ -51,15 +51,6 @@ func (g *Graph) has(i, j int) bool {
 	return false
 }
 
-// Degrees returns the degree of every node.
-func (g *Graph) Degrees() []int {
-	out := make([]int, len(g.Adj))
-	for i, nbrs := range g.Adj {
-		out[i] = len(nbrs)
-	}
-	return out
-}
-
 // ClusteringCoefficient returns the average local clustering coefficient
 // over nodes with degree >= 2: real connections between a node's
 // neighbors divided by the possible connections between them (§6.1.2).
@@ -181,28 +172,6 @@ func (g *Graph) LargestComponentFraction(member func(int) bool) float64 {
 	return float64(max) / float64(total)
 }
 
-// DegreeDistribution returns counts[d] = number of nodes with degree d
-// (only counting nodes the member filter admits; nil admits all).
-func (g *Graph) DegreeDistribution(member func(int) bool) []int {
-	max := 0
-	for i, nbrs := range g.Adj {
-		if member != nil && !member(i) {
-			continue
-		}
-		if len(nbrs) > max {
-			max = len(nbrs)
-		}
-	}
-	counts := make([]int, max+1)
-	for i, nbrs := range g.Adj {
-		if member != nil && !member(i) {
-			continue
-		}
-		counts[len(nbrs)]++
-	}
-	return counts
-}
-
 // RegularPathLength is the paper's reference pathlength for a large
 // regular graph: n / (2k).
 func RegularPathLength(n, k int) float64 {
@@ -219,18 +188,4 @@ func RandomPathLength(n, k int) float64 {
 		return math.Inf(1)
 	}
 	return math.Log(float64(n)) / math.Log(float64(k))
-}
-
-// SmallWorldIndex compares a graph against same-(n,k) references: a
-// small-world graph keeps clustering near the regular reference while
-// its pathlength drops toward the random reference. The index is
-// (C/C_regular) / (L/L_random); values well above 1 indicate
-// small-world structure.
-func SmallWorldIndex(c, l float64, n, k int) float64 {
-	cReg := 0.75 // clustering of a ring lattice with k >> 1
-	lRand := RandomPathLength(n, k)
-	if l == 0 || lRand == 0 || c == 0 {
-		return 0
-	}
-	return (c / cReg) / (l / lRand)
 }

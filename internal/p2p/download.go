@@ -47,9 +47,6 @@ func (c DownloadConfig) withDefaults() DownloadConfig {
 	return c
 }
 
-// Downloaded reports how many files this servent fetched successfully.
-func (sv *Servent) Downloaded() uint64 { return sv.downloads }
-
 // maybeStartDownload begins a fetch after a successful request if the
 // extension is on and we still lack the file.
 func (sv *Servent) maybeStartDownload(file, holder int) {

@@ -35,8 +35,8 @@ func TestDownloadReplicatesFile(t *testing.T) {
 	if !w.svs[0].HasFile(0) {
 		t.Fatal("requester did not replicate the found file")
 	}
-	if w.svs[0].Downloaded() != 1 {
-		t.Errorf("Downloaded = %d, want 1", w.svs[0].Downloaded())
+	if w.svs[0].downloads != 1 {
+		t.Errorf("downloads = %d, want 1", w.svs[0].downloads)
 	}
 	// The transfer moved fetch/chunk messages.
 	if got := w.col.Received(1, telemetry.Transfer); got < 4 {

@@ -46,13 +46,3 @@ func Table1() []TopologyTrait {
 		{Property: "Scalable", Values: [3]string{"depend", "maybe", "apparently"}},
 	}
 }
-
-// TopologyOf maps each implemented algorithm to its Table 1 family. All
-// four run without a central entity; Hybrid is the paper's
-// centralized+decentralized blend.
-func TopologyOf(a Algorithm) Topology {
-	if a == Hybrid {
-		return HybridTopology
-	}
-	return Decentralized
-}

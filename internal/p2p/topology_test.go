@@ -24,14 +24,6 @@ func TestTable1Contents(t *testing.T) {
 }
 
 func TestTopologyMapping(t *testing.T) {
-	for _, alg := range []Algorithm{Basic, Regular, Random} {
-		if TopologyOf(alg) != Decentralized {
-			t.Errorf("TopologyOf(%v) != Decentralized", alg)
-		}
-	}
-	if TopologyOf(Hybrid) != HybridTopology {
-		t.Error("TopologyOf(Hybrid) != HybridTopology")
-	}
 	names := map[Topology]string{
 		Centralized: "Centralized", Decentralized: "Decentralized", HybridTopology: "Hybrid",
 	}

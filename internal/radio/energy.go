@@ -67,17 +67,6 @@ func (b *Battery) debit(cost float64) bool {
 	return before > 0 && b.remaining <= 0
 }
 
-// Remaining returns joules left; meaningless (0) for infinite batteries.
-func (b *Battery) Remaining() float64 {
-	if b.infinite {
-		return 0
-	}
-	if b.remaining < 0 {
-		return 0
-	}
-	return b.remaining
-}
-
 // Empty reports whether a finite battery has been exhausted.
 func (b *Battery) Empty() bool { return !b.infinite && b.remaining <= 0 }
 

@@ -299,8 +299,8 @@ func TestBatteryAccounting(t *testing.T) {
 	if rx != 1.0 {
 		t.Errorf("rx spent = %v, want 1", rx)
 	}
-	if got := b.Remaining(); got != 7.0 {
-		t.Errorf("Remaining = %v, want 7", got)
+	if b.remaining != 7.0 {
+		t.Errorf("remaining = %v, want 7", b.remaining)
 	}
 }
 

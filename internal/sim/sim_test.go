@@ -436,27 +436,6 @@ func TestTickerRepeatsAndStops(t *testing.T) {
 	}
 }
 
-func TestTickerSetInterval(t *testing.T) {
-	s := New(1)
-	var ticks []Time
-	tk := NewTicker(s, Second, func() { ticks = append(ticks, s.Now()) })
-	s.Run(Second)
-	tk.SetInterval(3 * Second)
-	s.Run(8 * Second)
-	tk.Stop()
-	// The tick pending at SetInterval time (2s) is not disturbed; the new
-	// period applies from the tick after it.
-	want := []Time{Second, 2 * Second, 5 * Second, 8 * Second}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", ticks, want)
-		}
-	}
-}
-
 func TestZeroHandleIsInert(t *testing.T) {
 	var h Handle
 	h.Cancel() // must not panic

@@ -34,8 +34,7 @@ func (t *Timer) Stop() {
 // Armed reports whether a firing is pending.
 func (t *Timer) Armed() bool { return t.event.Pending() }
 
-// Ticker invokes fn every interval until stopped. Intervals may be
-// changed between ticks via SetInterval.
+// Ticker invokes fn every interval until stopped.
 type Ticker struct {
 	sim      *Sim
 	interval Time
@@ -68,18 +67,6 @@ func NewTicker(s *Sim, interval Time, fn func()) *Ticker {
 	t.event = s.Schedule(interval, t.tick)
 	return t
 }
-
-// SetInterval changes the period for subsequent ticks. It does not
-// disturb the currently pending tick.
-func (t *Ticker) SetInterval(interval Time) {
-	if interval <= 0 {
-		panic("sim: SetInterval with non-positive interval")
-	}
-	t.interval = interval
-}
-
-// Interval reports the current period.
-func (t *Ticker) Interval() Time { return t.interval }
 
 // Stop halts the ticker; no further callbacks run.
 func (t *Ticker) Stop() {

@@ -1,6 +1,6 @@
 // Package trace provides structured event tracing for simulations: a
 // bounded in-memory event log that components append to and tools
-// render as text or JSON lines. Tracing is off by default (a nil
+// render as JSON lines. Tracing is off by default (a nil
 // *Tracer is safe to use and free), so instrumented code pays nothing
 // unless a tool turns it on.
 package trace
@@ -82,7 +82,6 @@ type Tracer struct {
 	events []Event
 	cap    int
 	lost   uint64
-	filter map[Kind]bool // nil = all kinds
 }
 
 // New creates a tracer bound to s keeping at most capacity events
@@ -94,24 +93,9 @@ func New(s *sim.Sim, capacity int) *Tracer {
 	return &Tracer{sim: s, cap: capacity}
 }
 
-// Only restricts recording to the given kinds.
-func (t *Tracer) Only(kinds ...Kind) *Tracer {
-	if t == nil {
-		return nil
-	}
-	t.filter = make(map[Kind]bool, len(kinds))
-	for _, k := range kinds {
-		t.filter[k] = true
-	}
-	return t
-}
-
 // Emit records an event; nil tracers discard. peer may be -1.
 func (t *Tracer) Emit(kind Kind, node, peer int, format string, args ...any) {
 	if t == nil {
-		return
-	}
-	if t.filter != nil && !t.filter[kind] {
 		return
 	}
 	if len(t.events) >= t.cap {
@@ -143,16 +127,6 @@ func (t *Tracer) Lost() uint64 {
 		return 0
 	}
 	return t.lost
-}
-
-// WriteText renders all events line by line.
-func (t *Tracer) WriteText(w io.Writer) error {
-	for _, e := range t.Events() {
-		if _, err := fmt.Fprintln(w, e); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteJSON renders events as JSON lines.

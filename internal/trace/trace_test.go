@@ -15,9 +15,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if tr.Events() != nil || tr.Lost() != 0 {
 		t.Error("nil tracer leaked state")
 	}
-	if tr.Only(KindConn) != nil {
-		t.Error("nil Only returned non-nil")
-	}
 }
 
 func TestEmitRecordsWithSimTime(t *testing.T) {
@@ -32,17 +29,6 @@ func TestEmitRecordsWithSimTime(t *testing.T) {
 	e := evs[0]
 	if e.At != 5*sim.Second || e.Node != 3 || e.Peer != -1 || e.What != "file 7" {
 		t.Errorf("event = %+v", e)
-	}
-}
-
-func TestFilterOnly(t *testing.T) {
-	s := sim.New(1)
-	tr := New(s, 100).Only(KindConn, KindNode)
-	tr.Emit(KindConn, 1, 2, "up")
-	tr.Emit(KindQuery, 1, -1, "ignored")
-	tr.Emit(KindNode, 4, -1, "join")
-	if len(tr.Events()) != 2 {
-		t.Errorf("events = %v, want 2 after filter", tr.Events())
 	}
 }
 
@@ -65,17 +51,17 @@ func TestCapacityDropsOldest(t *testing.T) {
 	}
 }
 
-func TestWriteTextAndJSON(t *testing.T) {
+func TestEventTextAndJSON(t *testing.T) {
 	s := sim.New(1)
 	tr := New(s, 10)
 	tr.Emit(KindState, 2, -1, "initial->master")
 	tr.Emit(KindConn, 2, 5, "established")
-	var text bytes.Buffer
-	if err := tr.WriteText(&text); err != nil {
-		t.Fatal(err)
+	evs := tr.Events()
+	if text := evs[0].String(); !strings.Contains(text, "initial->master") {
+		t.Errorf("text of event 0: %s", text)
 	}
-	if !strings.Contains(text.String(), "initial->master") || !strings.Contains(text.String(), "n2->n5") {
-		t.Errorf("text output:\n%s", text.String())
+	if text := evs[1].String(); !strings.Contains(text, "n2->n5") {
+		t.Errorf("text of event 1: %s", text)
 	}
 	var jsonBuf bytes.Buffer
 	if err := tr.WriteJSON(&jsonBuf); err != nil {

@@ -45,26 +45,19 @@ type arrivalJSON struct {
 	Amplitude float64 `json:"amplitude,omitempty"`
 }
 
-// MarshalJSON renders the arrival with its process tag and only the
-// fields its process uses.
+// MarshalJSON renders the arrival with its process tag and every set
+// field, also one its process ignores: decoding gives the arrival back.
 func (a Arrival) MarshalJSON() ([]byte, error) {
-	j := arrivalJSON{Process: a.Process.String()}
-	switch a.Process {
-	case Uniform:
-		j.GapMin = a.GapMin.Seconds()
-		j.GapMax = a.GapMax.Seconds()
-	case Poisson:
-		j.Rate = a.Rate
-	case OnOff:
-		j.Rate = a.Rate
-		j.MeanOn = a.MeanOn.Seconds()
-		j.MeanOff = a.MeanOff.Seconds()
-	case Diurnal:
-		j.Rate = a.Rate
-		j.Period = a.Period.Seconds()
-		j.Amplitude = a.Amplitude
-	}
-	return json.Marshal(j)
+	return json.Marshal(arrivalJSON{
+		Process:   a.Process.String(),
+		GapMin:    a.GapMin.Seconds(),
+		GapMax:    a.GapMax.Seconds(),
+		Rate:      a.Rate,
+		MeanOn:    a.MeanOn.Seconds(),
+		MeanOff:   a.MeanOff.Seconds(),
+		Period:    a.Period.Seconds(),
+		Amplitude: a.Amplitude,
+	})
 }
 
 // UnmarshalJSON parses the process tag and its fields, rejecting

@@ -3,6 +3,8 @@ package workload
 import (
 	"encoding/json"
 	"math"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -82,6 +84,9 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 			},
 		},
 		{Arrival: Arrival{Process: Diurnal, Rate: 0.05, Period: 1200 * sim.Second, Amplitude: 0.5}},
+		// A field the process ignores still round-trips (FuzzPlan found
+		// the encoder dropping it).
+		{Arrival: Arrival{Process: Uniform, Amplitude: 1}},
 	}
 	for i, p := range plans {
 		data, err := json.Marshal(p)
@@ -92,9 +97,8 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(data, &back); err != nil {
 			t.Fatalf("plan %d: unmarshal %s: %v", i, data, err)
 		}
-		d2, _ := json.Marshal(back)
-		if string(data) != string(d2) {
-			t.Errorf("plan %d: round-trip drifted:\n  %s\n  %s", i, data, d2)
+		if !reflect.DeepEqual(p, back) {
+			t.Errorf("plan %d: round trip through %s changed the plan:\n got %+v\nwant %+v", i, data, back, p)
 		}
 	}
 }
@@ -402,4 +406,45 @@ func TestArrivalHotPathAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("arrival hot path allocates %v per query, want 0", n)
 	}
+}
+
+// FuzzPlan: whatever the bytes, decoding a plan returns an error, a plan
+// Validate refuses, or a plan that survives its own encoding — never a
+// panic, and decode → encode → decode is a fixpoint.
+func FuzzPlan(f *testing.F) {
+	seed, err := os.ReadFile("../../testdata/selfcheck_workload.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"arrival":{"process":"uniform","gapMin":15,"gapMax":45}}`))
+	f.Add([]byte(`{"arrival":{"process":"onoff","rate":0.1,"meanOn":60,"meanOff":180},"popularity":{"rotateEvery":900,"rotateStep":2}}`))
+	f.Add([]byte(`{"arrival":{"process":"diurnal","rate":0.05,"period":1200,"amplitude":0.5},"phases":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var plan Plan
+		if json.Unmarshal(data, &plan) != nil || plan.Validate() != nil {
+			return
+		}
+		enc, err := json.Marshal(plan)
+		if err != nil {
+			t.Fatalf("accepted plan does not encode: %v", err)
+		}
+		var again Plan
+		if err := json.Unmarshal(enc, &again); err != nil {
+			t.Fatalf("accepted plan's encoding %s does not decode: %v", enc, err)
+		}
+		if err := again.Validate(); err != nil {
+			t.Fatalf("accepted plan's encoding %s is refused: %v", enc, err)
+		}
+		// omitempty: an empty list comes back absent.
+		if len(plan.Phases) == 0 {
+			plan.Phases = nil
+		}
+		if len(plan.Sessions.Classes) == 0 {
+			plan.Sessions.Classes = nil
+		}
+		if !reflect.DeepEqual(plan, again) {
+			t.Fatalf("decode → encode → decode moved the plan:\n in: %+v\nout: %+v\nvia %s", plan, again, enc)
+		}
+	})
 }

@@ -68,114 +68,125 @@ func computeResilience(sc Scenario, reps []*repResult) *Resilience {
 		return nil
 	}
 	res := &Resilience{SampleEvery: period.Seconds()}
-
-	var largest, links, connRate [][]float64
+	var sampled []*repResult // the replications that recorded health: only they are pooled
 	for _, rr := range reps {
-		if len(rr.Health) == 0 {
-			continue
+		if len(rr.Health) > 0 {
+			sampled = append(sampled, rr)
 		}
-		if res.Times == nil {
-			for _, h := range rr.Health {
-				res.Times = append(res.Times, h.At.Seconds())
-			}
-		}
-		lc := make([]float64, len(rr.Health))
-		lk := make([]float64, len(rr.Health))
-		cr := make([]float64, len(rr.Health))
-		prev := uint64(0)
-		for i, h := range rr.Health {
-			lc[i] = h.LargestComp
-			lk[i] = float64(h.Links)
-			if rr.Members > 0 {
-				cr[i] = float64(h.Received[telemetry.Connect]-prev) /
-					float64(rr.Members) / period.Seconds()
-			}
-			prev = h.Received[telemetry.Connect]
-		}
-		largest = append(largest, lc)
-		links = append(links, lk)
-		connRate = append(connRate, cr)
 	}
-	res.LargestComp = stats.MeanSeries(largest)
-	res.Links = stats.MeanSeries(links)
-	res.ConnectRate = stats.MeanSeries(connRate)
+	if len(sampled) == 0 {
+		return res
+	}
+	for _, h := range sampled[0].Health {
+		res.Times = append(res.Times, h.At.Seconds())
+	}
+	healthSeries := func(value func(rr *repResult, i int) float64) []float64 {
+		return poolSeries(sampled, func(rr *repResult) []float64 {
+			out := make([]float64, len(rr.Health))
+			for i := range out {
+				out[i] = value(rr, i)
+			}
+			return out
+		})
+	}
+	res.LargestComp = healthSeries(func(rr *repResult, i int) float64 { return rr.Health[i].LargestComp })
+	res.Links = healthSeries(func(rr *repResult, i int) float64 { return float64(rr.Health[i].Links) })
+	res.ConnectRate = healthSeries(func(rr *repResult, i int) float64 {
+		if rr.Members == 0 {
+			return 0
+		}
+		var prev uint64
+		if i > 0 {
+			prev = rr.Health[i-1].Received[telemetry.Connect]
+		}
+		return float64(rr.Health[i].Received[telemetry.Connect]-prev) /
+			float64(rr.Members) / period.Seconds()
+	})
 
 	for _, ev := range sc.Faults.Events {
+		recs := make(map[*repResult]recovery, len(sampled))
+		for _, rr := range sampled {
+			recs[rr] = recoveryOf(ev, rr)
+		}
 		er := EventRecovery{Label: ev.Label(), ClearSeconds: ev.Clears().Seconds()}
-		var baselines, troughs, reheals, residuals, costs []float64
-		rehealed, n := 0, 0
-		for _, rr := range reps {
-			h := rr.Health
-			if len(h) == 0 {
-				continue
-			}
-			n++
-
-			// Baseline: the last sample at or before the fault starts.
-			bi := 0
-			for i, s := range h {
-				if s.At > ev.At {
-					break
-				}
-				bi = i
-			}
-			baseline := h[bi].LargestComp
-			baselines = append(baselines, baseline)
-
-			// Re-heal: the first post-clearance sample back within 10 %
-			// of the baseline; ci is the first post-clearance sample.
-			clear := ev.Clears()
-			ri, ci := -1, -1
-			for i, s := range h {
-				if s.At < clear {
-					continue
-				}
-				if ci < 0 {
-					ci = i
-				}
-				if s.LargestComp >= rehealFraction*baseline {
-					ri = i
-					break
-				}
-			}
-
-			// Trough: the worst connectivity between fault start and
-			// re-heal (or the end of the run).
-			hi := len(h)
-			if ri >= 0 {
-				hi = ri + 1
-			}
-			trough := baseline
-			for _, s := range h[bi:hi] {
-				if s.At >= ev.At && s.LargestComp < trough {
-					trough = s.LargestComp
-				}
-			}
-			troughs = append(troughs, trough)
-
-			last := h[len(h)-1].LargestComp
-			residuals = append(residuals, math.Max(0, baseline-last))
-
-			if ri >= 0 {
-				rehealed++
-				reheals = append(reheals, (h[ri].At - clear).Seconds())
-				if rr.Members > 0 {
-					cost := float64(h[ri].Received[telemetry.Connect]-h[ci].Received[telemetry.Connect]) /
-						float64(rr.Members)
-					costs = append(costs, cost)
-				}
-			}
-		}
-		if n == 0 {
-			continue
-		}
-		er.Baseline = stats.Summarize(baselines)
-		er.Trough = stats.Summarize(troughs)
-		er.RehealSeconds = stats.Summarize(reheals)
-		er.RehealedFraction = float64(rehealed) / float64(n)
-		er.ResidualDisconnect = stats.Summarize(residuals)
-		er.RecoveryMessages = stats.Summarize(costs)
+		er.Baseline = poolEach(sampled, func(rr *repResult) float64 { return recs[rr].baseline })
+		er.Trough = poolEach(sampled, func(rr *repResult) float64 { return recs[rr].trough })
+		er.RehealSeconds = poolAll(sampled, func(rr *repResult) []float64 { return recs[rr].reheal })
+		er.RehealedFraction = float64(er.RehealSeconds.N) / float64(len(sampled))
+		er.ResidualDisconnect = poolEach(sampled, func(rr *repResult) float64 { return recs[rr].residual })
+		er.RecoveryMessages = poolAll(sampled, func(rr *repResult) []float64 { return recs[rr].cost })
 		res.Events = append(res.Events, er)
 	}
 	return res
+}
+
+// recovery is one replication's response to one scripted fault. reheal
+// and cost hold one sample if the overlay re-healed (cost: and has
+// members), else none: they pool over the re-healed replications only.
+type recovery struct {
+	baseline float64 // largest-component fraction just before the fault
+	trough   float64 // its minimum from fault start to re-heal (or the end of the run)
+	residual float64 // how far below the baseline the run ended
+	reheal   []float64
+	cost     []float64
+}
+
+// recoveryOf reads one fault's recovery out of a replication's health
+// samples (at least one).
+func recoveryOf(ev FaultEvent, rr *repResult) recovery {
+	h := rr.Health
+
+	// Baseline: the last sample at or before the fault starts.
+	bi := 0
+	for i, s := range h {
+		if s.At > ev.At {
+			break
+		}
+		bi = i
+	}
+	baseline := h[bi].LargestComp
+
+	// Re-heal: the first post-clearance sample back within 10 %
+	// of the baseline; ci is the first post-clearance sample.
+	clear := ev.Clears()
+	ri, ci := -1, -1
+	for i, s := range h {
+		if s.At < clear {
+			continue
+		}
+		if ci < 0 {
+			ci = i
+		}
+		if s.LargestComp >= rehealFraction*baseline {
+			ri = i
+			break
+		}
+	}
+
+	// Trough: the worst connectivity between fault start and
+	// re-heal (or the end of the run).
+	hi := len(h)
+	if ri >= 0 {
+		hi = ri + 1
+	}
+	trough := baseline
+	for _, s := range h[bi:hi] {
+		if s.At >= ev.At && s.LargestComp < trough {
+			trough = s.LargestComp
+		}
+	}
+
+	rec := recovery{
+		baseline: baseline,
+		trough:   trough,
+		residual: math.Max(0, baseline-h[len(h)-1].LargestComp),
+	}
+	if ri >= 0 {
+		rec.reheal = []float64{(h[ri].At - clear).Seconds()}
+		if rr.Members > 0 {
+			rec.cost = []float64{float64(h[ri].Received[telemetry.Connect]-h[ci].Received[telemetry.Connect]) /
+				float64(rr.Members)}
+		}
+	}
+	return rec
 }

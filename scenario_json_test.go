@@ -1,6 +1,8 @@
 package manetp2p
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -266,4 +268,53 @@ func TestLoadedScenarioRuns(t *testing.T) {
 	if _, err := Run(loaded); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzUnmarshalScenario: whatever the bytes, UnmarshalJSONScenario
+// returns an error or a scenario that passes Validate and survives its
+// own encoding — never a panic, and decode → encode → decode is a
+// fixpoint. Seeded from the scenarios the golden fixtures embed (what the
+// benchmark and -resume decode) and one carrying both hand-authored
+// plans.
+func FuzzUnmarshalScenario(f *testing.F) {
+	for _, name := range []string{"regular.json", "workload.json", "routing_dsr_hybrid.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		var fixture struct{ Scenario json.RawMessage }
+		if err := json.Unmarshal(data, &fixture); err != nil {
+			f.Fatal(err)
+		}
+		f.Add([]byte(fixture.Scenario))
+	}
+	faults, err := os.ReadFile(filepath.Join("testdata", "selfcheck_faults.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	workload, err := os.ReadFile(filepath.Join("testdata", "selfcheck_workload.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(fmt.Sprintf(`{"NumNodes": 30, "Faults": %s, "Workload": %s, "Invariants": {"Enabled": true}}`, faults, workload)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := UnmarshalJSONScenario(data)
+		if err != nil {
+			return
+		}
+		if err := sc.Validate(); err != nil {
+			t.Fatalf("accepted scenario fails Validate: %v", err)
+		}
+		enc, err := MarshalJSONScenario(sc)
+		if err != nil {
+			t.Fatalf("accepted scenario does not encode: %v", err)
+		}
+		again, err := UnmarshalJSONScenario(enc)
+		if err != nil {
+			t.Fatalf("accepted scenario's encoding does not decode: %v\n%s", err, enc)
+		}
+		if !reflect.DeepEqual(sc, again) {
+			t.Fatalf("decode → encode → decode moved the scenario:\n in: %+v\nout: %+v\nvia %s", sc, again, enc)
+		}
+	})
 }
