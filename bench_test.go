@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"manetp2p/internal/aodv"
-	"manetp2p/internal/geom"
 	"manetp2p/internal/manet"
 	"manetp2p/internal/p2p"
 	"manetp2p/internal/sim"
@@ -124,11 +123,12 @@ func BenchmarkFig12Query150(b *testing.B) {
 // cache, comparing radio receive traffic.
 func BenchmarkAblationDupCache(b *testing.B) {
 	run := func(disable bool) float64 {
-		cfg := manet.DefaultConfig(50, p2p.Basic)
+		cfg := DefaultScenario(50, Basic)
 		cfg.Seed = 11
-		cfg.AODV = aodv.Config{DisableBcastDupCache: disable}
-		cfg.NoQueries = true
-		net, err := manet.Build(cfg)
+		net, err := manet.Build(cfg, 0, manet.Options{
+			NoQueries: true,
+			AODV:      aodv.Config{DisableBcastDupCache: disable},
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,15 +153,14 @@ func BenchmarkAblationDupCache(b *testing.B) {
 // retry timer equal.
 func BenchmarkAblationExpandingRing(b *testing.B) {
 	run := func(alg p2p.Algorithm) float64 {
-		cfg := manet.DefaultConfig(50, alg)
+		cfg := DefaultScenario(50, alg)
 		cfg.Seed = 12
-		cfg.NoQueries = true
 		// Disable Regular's backoff so only the radius progression
 		// differs: MaxTimer equal to the fixed timer.
 		cfg.Params.TimerBasic = 60 * sim.Second
 		cfg.Params.TimerInitial = 60 * sim.Second
 		cfg.Params.MaxTimer = 60 * sim.Second
-		net, err := manet.Build(cfg)
+		net, err := manet.Build(cfg, 0, manet.Options{NoQueries: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,10 +185,9 @@ func BenchmarkAblationExpandingRing(b *testing.B) {
 // relative to Basic's per-reference probing.
 func BenchmarkAblationOneSidedPing(b *testing.B) {
 	run := func(alg p2p.Algorithm) float64 {
-		cfg := manet.DefaultConfig(50, alg)
+		cfg := DefaultScenario(50, alg)
 		cfg.Seed = 13
-		cfg.NoQueries = true
-		net, err := manet.Build(cfg)
+		net, err := manet.Build(cfg, 0, manet.Options{NoQueries: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -215,11 +213,10 @@ func BenchmarkAblationOneSidedPing(b *testing.B) {
 // mobile 50-node scenario.
 func BenchmarkAblationPeerCache(b *testing.B) {
 	run := func(enabled bool) float64 {
-		cfg := manet.DefaultConfig(50, p2p.Regular)
+		cfg := DefaultScenario(50, p2p.Regular)
 		cfg.Seed = 17
-		cfg.NoQueries = true
 		cfg.Params.PeerCache = p2p.PeerCacheConfig{Enabled: enabled}
-		net, err := manet.Build(cfg)
+		net, err := manet.Build(cfg, 0, manet.Options{NoQueries: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -279,10 +276,10 @@ func BenchmarkExtDownloadReplication(b *testing.B) {
 // traffic per node (the study's cost axis).
 func BenchmarkExtRoutingComparison(b *testing.B) {
 	run := func(kind manet.RoutingKind) float64 {
-		cfg := manet.DefaultConfig(50, p2p.Regular)
+		cfg := DefaultScenario(50, p2p.Regular)
 		cfg.Seed = 21
 		cfg.Routing = kind
-		net, err := manet.Build(cfg)
+		net, err := manet.Build(cfg, 0, manet.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -361,19 +358,13 @@ func BenchmarkAblationRunnerScaling(b *testing.B) {
 // bench_test.go of the package each one times.
 
 func BenchmarkWaypointPos(b *testing.B) {
-	s := sim.New(3)
-	cfg := manet.DefaultMobility()
-	net, err := manet.Build(manet.Config{
-		Seed: 3, NumNodes: 1, MemberFraction: 1,
-		Arena: geom.Rect{W: 100, H: 100}, Range: 10,
-		Algorithm: p2p.Regular, Params: p2p.DefaultParams(),
-		Files: p2p.DefaultFileConfig(), Mobility: cfg, NoQueries: true,
-	})
+	sc := DefaultScenario(1, Regular)
+	sc.Seed = 3
+	sc.MemberFraction = 1
+	net, err := manet.Build(sc, 0, manet.Options{NoQueries: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	_ = net
-	_ = s
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Run(sim.Second)

@@ -93,6 +93,19 @@ if [ -n "$unjustified" ]; then
 fi
 echo ok
 
+# Routers and mobility models are named, parsed, range-checked and
+# constructed from one table each (internal/manet/scenario.go). A case
+# on a Routing*/Mobility* constant in the commands or in manet is a
+# second place the next router or model would have to be added.
+echo "== seam lint (no switch over routing or mobility kinds) =="
+dispatch=$(grep -rnE 'case +((manet|manetp2p)\.)?(Routing|Mobility)[A-Z]' cmd internal/manet --include='*.go' || true)
+if [ -n "$dispatch" ]; then
+	echo "dispatch on a routing or mobility kind outside its table:"
+	echo "$dispatch"
+	exit 1
+fi
+echo ok
+
 echo "== go build =="
 go build ./...
 echo ok

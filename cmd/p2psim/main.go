@@ -5,6 +5,14 @@
 //
 //	p2psim -nodes 50 -alg regular -duration 3600 -reps 33
 //	p2psim -nodes 150 -alg hybrid -series connect
+//	p2psim -config base.json -nodes 40 -routing dsr
+//
+// The base scenario is the -config file, or the paper's Table 2 setup
+// without one; every scenario flag actually given (-nodes, -alg,
+// -duration, -reps, -seed, -p2p, -speed, -area, -range, -classes,
+// -routing, -traffic, -faults, -workload, -health, -peercache) then
+// overrides that base. -resume takes its scenario from the checkpoint
+// and refuses them.
 package main
 
 import (
@@ -17,15 +25,6 @@ import (
 	"manetp2p"
 	"manetp2p/internal/prof"
 )
-
-func parseAlg(s string) (manetp2p.Algorithm, error) {
-	for _, a := range manetp2p.Algorithms() {
-		if strings.EqualFold(a.String(), s) {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown algorithm %q (basic|regular|random|hybrid)", s)
-}
 
 // parseSeries resolves the -series flag; "" selects no series.
 func parseSeries(s string) (*manetp2p.SeriesKind, error) {
@@ -40,40 +39,113 @@ func parseSeries(s string) (*manetp2p.SeriesKind, error) {
 	return nil, fmt.Errorf("unknown series %q (connect|ping|query)", s)
 }
 
+// scenarioFlags registers the flags that describe the scenario itself,
+// as opposed to how it is run and reported, and returns two functions
+// for use after fs is parsed: set lists those present on the command
+// line, and resolve builds the effective scenario — the base (the
+// -config file, or DefaultScenario) overridden by every flag in set.
+func scenarioFlags(fs *flag.FlagSet) (set func() []string, resolve func() (manetp2p.Scenario, error)) {
+	var (
+		config    = fs.String("config", "", "load the base scenario from a JSON file ('-' = stdin); scenario flags given beside it override the file")
+		nodes     = fs.Int("nodes", 50, "number of ad-hoc nodes")
+		algName   = fs.String("alg", "regular", "algorithm: "+lowerNames(manetp2p.Algorithms()))
+		duration  = fs.Float64("duration", 3600, "simulated seconds per replication")
+		reps      = fs.Int("reps", 33, "replications")
+		seed      = fs.Int64("seed", 1, "base random seed")
+		fraction  = fs.Float64("p2p", 0.75, "fraction of nodes in the p2p overlay")
+		speed     = fs.Float64("speed", 1.0, "max node speed, m/s")
+		area      = fs.Float64("area", 100, "square arena side, metres")
+		rng       = fs.Float64("range", 10, "radio range, metres")
+		quals     = fs.Bool("classes", false, "use phone/PDA/notebook device classes (hybrid)")
+		routing   = fs.String("routing", "aodv", "routing substrate: "+lowerNames(manetp2p.Routings()))
+		traffic   = fs.Float64("traffic", 0, "also print message-rate series with this bucket width in seconds")
+		faults    = fs.String("faults", "", "load a fault-injection plan from this JSON file ('-' = stdin) and print recovery metrics")
+		workload  = fs.String("workload", "", "load a workload plan from this JSON file ('-' = stdin) and print demand telemetry")
+		health    = fs.Float64("health", 0, "resilience-telemetry sampling period in seconds (default 10 when -faults is set)")
+		peercache = fs.Bool("peercache", false, "enable the peer-cache extension (cached rendezvous before flooding)")
+	)
+	var sc manetp2p.Scenario
+	var err error
+	overrides := map[string]func(){
+		"config":    func() {}, // the base, not an override: applied first by resolve
+		"nodes":     func() { sc.NumNodes = *nodes },
+		"alg":       func() { sc.Algorithm, err = manetp2p.ParseAlgorithm(*algName) },
+		"duration":  func() { sc.Duration = manetp2p.Seconds(*duration) },
+		"reps":      func() { sc.Replications = *reps },
+		"seed":      func() { sc.Seed = *seed },
+		"p2p":       func() { sc.MemberFraction = *fraction },
+		"speed":     func() { sc.MaxSpeed = *speed },
+		"area":      func() { sc.AreaSide = *area },
+		"range":     func() { sc.Range = *rng },
+		"routing":   func() { sc.Routing, err = manetp2p.ParseRouting(*routing) },
+		"traffic":   func() { sc.TrafficBucket = manetp2p.Seconds(*traffic) },
+		"faults":    func() { sc.Faults, err = manetp2p.LoadFaultPlan(*faults) },
+		"workload":  func() { sc.Workload, err = manetp2p.LoadWorkloadPlan(*workload) },
+		"health":    func() { sc.HealthEvery = manetp2p.Seconds(*health) },
+		"peercache": func() { sc.Params.PeerCache.Enabled = *peercache },
+		"classes": func() {
+			if *quals {
+				sc.Quals = manetp2p.DeviceClasses()
+			}
+		},
+	}
+	set = func() (names []string) {
+		fs.Visit(func(f *flag.Flag) {
+			if overrides[f.Name] != nil {
+				names = append(names, f.Name)
+			}
+		})
+		return names
+	}
+	resolve = func() (manetp2p.Scenario, error) {
+		if *config != "" {
+			sc, err = manetp2p.LoadScenario(*config)
+		} else if alg, perr := manetp2p.ParseAlgorithm(*algName); perr != nil {
+			err = perr
+		} else {
+			sc = manetp2p.DefaultScenario(*nodes, alg)
+		}
+		for _, name := range set() {
+			if err == nil {
+				overrides[name]()
+			}
+		}
+		return sc, err
+	}
+	return set, resolve
+}
+
+// lowerNames renders a table of named kinds as flag help: "a|b|c".
+func lowerNames[T fmt.Stringer](kinds []T) string {
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = strings.ToLower(k.String())
+	}
+	return strings.Join(names, "|")
+}
+
 func main() {
 	var (
-		nodes      = flag.Int("nodes", 50, "number of ad-hoc nodes")
-		algName    = flag.String("alg", "regular", "algorithm: basic|regular|random|hybrid")
-		duration   = flag.Float64("duration", 3600, "simulated seconds per replication")
-		reps       = flag.Int("reps", 33, "replications")
-		seed       = flag.Int64("seed", 1, "base random seed")
-		fraction   = flag.Float64("p2p", 0.75, "fraction of nodes in the p2p overlay")
-		speed      = flag.Float64("speed", 1.0, "max node speed, m/s")
-		area       = flag.Float64("area", 100, "square arena side, metres")
-		rng        = flag.Float64("range", 10, "radio range, metres")
 		series     = flag.String("series", "", "also print a node series: connect|ping|query")
 		curves     = flag.Bool("curves", false, "also print the per-file distance/answer curves")
-		quals      = flag.Bool("classes", false, "use phone/PDA/notebook device classes (hybrid)")
 		traceOut   = flag.String("trace", "", "run a single replication and write a JSON-lines event trace to this file ('-' = stdout)")
-		routing    = flag.String("routing", "aodv", "routing substrate: aodv|dsr|dsdv|flood")
-		traffic    = flag.Float64("traffic", 0, "also print message-rate series with this bucket width in seconds")
-		faults     = flag.String("faults", "", "load a fault-injection plan from this JSON file ('-' = stdin) and print recovery metrics")
-		workload   = flag.String("workload", "", "load a workload plan from this JSON file ('-' = stdin) and print demand telemetry")
-		health     = flag.Float64("health", 0, "resilience-telemetry sampling period in seconds (default 10 when -faults is set)")
-		config     = flag.String("config", "", "load the scenario from a JSON file ('-' = stdin); other scenario flags are ignored")
 		saveCfg    = flag.String("save-config", "", "write the effective scenario as JSON to this file and exit")
 		selfcheck  = flag.Bool("selfcheck", false, "run the invariant suite and determinism self-audit on the scenario and exit nonzero on any violation")
-		peercache  = flag.Bool("peercache", false, "enable the peer-cache extension (cached rendezvous before flooding)")
 		ckptPath   = flag.String("checkpoint", "", "persist every finished replication to this checkpoint file; if it already holds this scenario, continue from it")
-		resume     = flag.String("resume", "", "resume a run from this checkpoint file; scenario flags are ignored")
+		resume     = flag.String("resume", "", "resume a run from this checkpoint file; the scenario comes from the checkpoint, so scenario flags are refused")
 		metricsOut = flag.String("metrics", "", "stream the per-replication telemetry time series as JSON lines to this file ('-' = stdout)")
 	)
+	scenarioSet, scenario := scenarioFlags(flag.CommandLine)
 	profFlags := prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	seriesKind, err := parseSeries(*series)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if set := scenarioSet(); *resume != "" && len(set) > 0 {
+		fmt.Fprintf(os.Stderr, "p2psim: -resume: the scenario comes from the checkpoint; drop -%s\n", strings.Join(set, ", -"))
 		os.Exit(2)
 	}
 
@@ -109,71 +181,10 @@ func main() {
 		return
 	}
 
-	var sc manetp2p.Scenario
-	if *config != "" {
-		loaded, err := manetp2p.LoadScenario(*config)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		sc = loaded
-	} else {
-		alg, err := parseAlg(*algName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		sc = manetp2p.DefaultScenario(*nodes, alg)
-		sc.Duration = manetp2p.Seconds(*duration)
-		sc.Replications = *reps
-		sc.Seed = *seed
-		sc.MemberFraction = *fraction
-		sc.MaxSpeed = *speed
-		sc.AreaSide = *area
-		sc.Range = *rng
-	}
-	if *config == "" {
-		if *quals {
-			sc.Quals = manetp2p.DeviceClasses()
-		}
-		switch strings.ToLower(*routing) {
-		case "aodv":
-			sc.Routing = manetp2p.RoutingAODV
-		case "dsr":
-			sc.Routing = manetp2p.RoutingDSR
-		case "dsdv":
-			sc.Routing = manetp2p.RoutingDSDV
-		case "flood":
-			sc.Routing = manetp2p.RoutingFlood
-		default:
-			fmt.Fprintf(os.Stderr, "unknown routing %q\n", *routing)
-			os.Exit(2)
-		}
-		if *traffic > 0 {
-			sc.TrafficBucket = manetp2p.Seconds(*traffic)
-		}
-	}
-	if *faults != "" {
-		plan, err := manetp2p.LoadFaultPlan(*faults)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		sc.Faults = plan
-	}
-	if *workload != "" {
-		plan, err := manetp2p.LoadWorkloadPlan(*workload)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		sc.Workload = plan
-	}
-	if *health > 0 {
-		sc.HealthEvery = manetp2p.Seconds(*health)
-	}
-	if *peercache {
-		sc.Params.PeerCache.Enabled = true
+	sc, err := scenario()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	if *saveCfg != "" {
 		if err := manetp2p.SaveScenario(*saveCfg, sc); err != nil {

@@ -33,6 +33,66 @@ type experiment struct {
 	print func(results []*manetp2p.Result)
 }
 
+// experiments is every artifact repro can regenerate; order is the
+// sequence "all" prints them in.
+var experiments = map[string]experiment{
+	"table1": {print: func([]*manetp2p.Result) { manetp2p.WriteTable1(os.Stdout) }},
+	"table2": {print: func([]*manetp2p.Result) {
+		manetp2p.WriteTable2(os.Stdout, manetp2p.DefaultScenario(50, manetp2p.Regular))
+	}},
+	"fig5": {nodes: 50, print: func(rs []*manetp2p.Result) {
+		fmt.Println("# Figure 5: distance to find the file and # of answers per request (50 nodes, 75% p2p)")
+		check(manetp2p.WriteFileCurves(os.Stdout, rs, 10))
+	}},
+	"fig6": {nodes: 150, print: func(rs []*manetp2p.Result) {
+		fmt.Println("# Figure 6: distance to find the file and # of answers per request (150 nodes, 75% p2p)")
+		check(manetp2p.WriteFileCurves(os.Stdout, rs, 10))
+	}},
+	"fig7": {nodes: 50, print: func(rs []*manetp2p.Result) {
+		fmt.Println("# Figure 7: connect messages (50 nodes, 75% p2p)")
+		check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesConnect, rs))
+	}},
+	"fig8": {nodes: 150, print: func(rs []*manetp2p.Result) {
+		fmt.Println("# Figure 8: connect messages (150 nodes, 75% p2p)")
+		check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesConnect, rs))
+	}},
+	"fig9": {nodes: 50, print: func(rs []*manetp2p.Result) {
+		fmt.Println("# Figure 9: pings (50 nodes, 75% p2p)")
+		check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesPing, rs))
+	}},
+	"fig10": {nodes: 150, print: func(rs []*manetp2p.Result) {
+		fmt.Println("# Figure 10: pings (150 nodes, 75% p2p)")
+		check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesPing, rs))
+	}},
+	"fig11": {nodes: 50, print: func(rs []*manetp2p.Result) {
+		fmt.Println("# Figure 11: queries (50 nodes, 75% p2p)")
+		check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesQuery, rs))
+	}},
+	"fig12": {nodes: 150, print: func(rs []*manetp2p.Result) {
+		fmt.Println("# Figure 12: queries (150 nodes, 75% p2p)")
+		check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesQuery, rs))
+	}},
+}
+
+var order = []string{"table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"}
+
+// parseExperiments resolves the -exp flag: "all", or a comma-separated
+// list of experiment names.
+func parseExperiments(list string) ([]string, error) {
+	if list == "all" {
+		return order, nil
+	}
+	var wanted []string
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(strings.ToLower(name))
+		if _, ok := experiments[name]; !ok {
+			return nil, fmt.Errorf("unknown experiment %q (valid: all, %s)", name, strings.Join(order, ", "))
+		}
+		wanted = append(wanted, name)
+	}
+	return wanted, nil
+}
+
 func main() {
 	var (
 		expFlag = flag.String("exp", "all", "comma-separated experiments: table1,table2,fig5..fig12 or all")
@@ -60,58 +120,10 @@ func main() {
 		}
 	}()
 
-	experiments := map[string]experiment{
-		"table1": {print: func([]*manetp2p.Result) { manetp2p.WriteTable1(os.Stdout) }},
-		"table2": {print: func([]*manetp2p.Result) {
-			manetp2p.WriteTable2(os.Stdout, manetp2p.DefaultScenario(50, manetp2p.Regular))
-		}},
-		"fig5": {nodes: 50, print: func(rs []*manetp2p.Result) {
-			fmt.Println("# Figure 5: distance to find the file and # of answers per request (50 nodes, 75% p2p)")
-			check(manetp2p.WriteFileCurves(os.Stdout, rs, 10))
-		}},
-		"fig6": {nodes: 150, print: func(rs []*manetp2p.Result) {
-			fmt.Println("# Figure 6: distance to find the file and # of answers per request (150 nodes, 75% p2p)")
-			check(manetp2p.WriteFileCurves(os.Stdout, rs, 10))
-		}},
-		"fig7": {nodes: 50, print: func(rs []*manetp2p.Result) {
-			fmt.Println("# Figure 7: connect messages (50 nodes, 75% p2p)")
-			check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesConnect, rs))
-		}},
-		"fig8": {nodes: 150, print: func(rs []*manetp2p.Result) {
-			fmt.Println("# Figure 8: connect messages (150 nodes, 75% p2p)")
-			check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesConnect, rs))
-		}},
-		"fig9": {nodes: 50, print: func(rs []*manetp2p.Result) {
-			fmt.Println("# Figure 9: pings (50 nodes, 75% p2p)")
-			check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesPing, rs))
-		}},
-		"fig10": {nodes: 150, print: func(rs []*manetp2p.Result) {
-			fmt.Println("# Figure 10: pings (150 nodes, 75% p2p)")
-			check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesPing, rs))
-		}},
-		"fig11": {nodes: 50, print: func(rs []*manetp2p.Result) {
-			fmt.Println("# Figure 11: queries (50 nodes, 75% p2p)")
-			check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesQuery, rs))
-		}},
-		"fig12": {nodes: 150, print: func(rs []*manetp2p.Result) {
-			fmt.Println("# Figure 12: queries (150 nodes, 75% p2p)")
-			check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesQuery, rs))
-		}},
-	}
-	order := []string{"table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"}
-
-	var wanted []string
-	if *expFlag == "all" {
-		wanted = order
-	} else {
-		for _, name := range strings.Split(*expFlag, ",") {
-			name = strings.TrimSpace(strings.ToLower(name))
-			if _, ok := experiments[name]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-				os.Exit(2)
-			}
-			wanted = append(wanted, name)
-		}
+	wanted, err := parseExperiments(*expFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	// Figures with the same node count share one set of runs.

@@ -86,20 +86,9 @@ func registry() map[string]axisSpec {
 			{"2J", func(sc *manetp2p.Scenario) { sc.Energy = manetp2p.DefaultEnergy(2) }},
 			{"1J", func(sc *manetp2p.Scenario) { sc.Energy = manetp2p.DefaultEnergy(1) }},
 		}},
-		"mobility": {points: []point{
-			{"stationary", func(sc *manetp2p.Scenario) { sc.Mobility = manetp2p.MobilityStationary }},
-			{"waypoint", func(sc *manetp2p.Scenario) { sc.Mobility = manetp2p.MobilityWaypoint }},
-			{"walk", func(sc *manetp2p.Scenario) { sc.Mobility = manetp2p.MobilityWalk }},
-			{"direction", func(sc *manetp2p.Scenario) { sc.Mobility = manetp2p.MobilityDirection }},
-			{"gaussmarkov", func(sc *manetp2p.Scenario) { sc.Mobility = manetp2p.MobilityGaussMarkov }},
-		}},
+		"mobility": {points: kindPoints(manetp2p.Mobilities(), func(sc *manetp2p.Scenario, k manetp2p.MobilityKind) { sc.Mobility = k })},
 		"routing": {
-			points: []point{
-				{"aodv", func(sc *manetp2p.Scenario) { sc.Routing = manetp2p.RoutingAODV }},
-				{"dsr", func(sc *manetp2p.Scenario) { sc.Routing = manetp2p.RoutingDSR }},
-				{"flood", func(sc *manetp2p.Scenario) { sc.Routing = manetp2p.RoutingFlood }},
-				{"dsdv", func(sc *manetp2p.Scenario) { sc.Routing = manetp2p.RoutingDSDV }},
-			},
+			points:  kindPoints(manetp2p.Routings(), func(sc *manetp2p.Scenario, k manetp2p.RoutingKind) { sc.Routing = k }),
 			headers: []string{"ctrl/delivered", "sendfail%"},
 			cells:   routingCells,
 		},
@@ -183,6 +172,17 @@ func registry() map[string]axisSpec {
 			cells:   workloadCells,
 		},
 	}
+}
+
+// kindPoints derives one sweep point per entry of a registered table
+// (manetp2p.Routings, manetp2p.Mobilities), labelled by its lower-cased
+// name, so an axis over a table never restates the table.
+func kindPoints[K fmt.Stringer](kinds []K, set func(*manetp2p.Scenario, K)) []point {
+	points := make([]point, len(kinds))
+	for i, k := range kinds {
+		points[i] = point{strings.ToLower(k.String()), func(sc *manetp2p.Scenario) { set(sc, k) }}
+	}
+	return points
 }
 
 // resilienceCells renders the faults-axis extra columns: mean
@@ -271,17 +271,12 @@ func main() {
 	}
 	var algs []manetp2p.Algorithm
 	for _, name := range strings.Split(*algsF, ",") {
-		found := false
-		for _, a := range manetp2p.Algorithms() {
-			if strings.EqualFold(a.String(), strings.TrimSpace(name)) {
-				algs = append(algs, a)
-				found = true
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", name)
+		alg, err := manetp2p.ParseAlgorithm(strings.TrimSpace(name))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
+		algs = append(algs, alg)
 	}
 
 	fmt.Printf("# sweep axis=%s, %d reps/point, %gs simulated\n", axisName, *reps, *dur)

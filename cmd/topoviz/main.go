@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"manetp2p"
 	"manetp2p/internal/viz"
@@ -30,15 +29,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var alg manetp2p.Algorithm
-	found := false
-	for _, a := range manetp2p.Algorithms() {
-		if strings.EqualFold(a.String(), *algName) {
-			alg, found = a, true
-		}
-	}
-	if !found {
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algName)
+	alg, err := manetp2p.ParseAlgorithm(*algName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

@@ -169,10 +169,10 @@ func TestWriteRejectsInvalidHeader(t *testing.T) {
 
 func buildNet(t *testing.T, seed int64) *manet.Network {
 	t.Helper()
-	cfg := manet.DefaultConfig(16, p2p.Regular)
+	cfg := manet.DefaultScenario(16, p2p.Regular)
 	cfg.Seed = seed
 	cfg.HealthEvery = 30 * sim.Second
-	n, err := manet.Build(cfg)
+	n, err := manet.Build(cfg, 0, manet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,6 +157,9 @@ func (e Event) Validate() error {
 	if e.Duration <= 0 {
 		return fmt.Errorf("fault: %s Duration %v not positive", e.Kind, e.Duration)
 	}
+	if e.At > sim.Horizon || e.Duration > sim.Horizon {
+		return fmt.Errorf("fault: %s At %v + Duration %v beyond the plan horizon %v", e.Kind, e.At, e.Duration, sim.Horizon)
+	}
 	switch e.Kind {
 	case Partition:
 		if e.Axis != AxisX && e.Axis != AxisY {

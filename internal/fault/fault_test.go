@@ -31,6 +31,8 @@ func TestPlanValidate(t *testing.T) {
 	bads := []Event{
 		{Kind: Partition, At: -sim.Second, Duration: sim.Second},
 		{Kind: Partition, At: 0, Duration: 0},
+		{Kind: Partition, At: sim.Horizon + 1, Duration: sim.Second},
+		{Kind: Partition, At: sim.MaxTime - 1, Duration: sim.MaxTime - 1}, // At + Duration overflows
 		{Kind: Partition, At: 0, Duration: sim.Second, Axis: Axis(7)},
 		{Kind: Jam, At: 0, Duration: sim.Second, Radius: 0, Loss: 0.5},
 		{Kind: Jam, At: 0, Duration: sim.Second, Radius: 5, Loss: 1.5},
@@ -77,6 +79,31 @@ func TestPlanJSONUnknownType(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not list valid type %q", err, want)
 		}
+	}
+}
+
+// Times are float seconds, so a file can state one no sim.Time holds;
+// the decoder refuses it by field name before converting (the conversion
+// of an out-of-range float is platform-defined), and the horizon itself
+// is still a legal time.
+func TestPlanJSONBoundsTimes(t *testing.T) {
+	for field, doc := range map[string]string{
+		"at":       `{"events":[{"type":"lossburst","at":1e300,"duration":1,"loss":0.5}]}`,
+		"duration": `{"events":[{"type":"lossburst","at":1,"duration":1.1e9,"loss":0.5}]}`,
+		"period":   `{"events":[{"type":"linkflap","at":1,"duration":1,"period":-1e18,"downFor":1}]}`,
+		"downFor":  `{"events":[{"type":"linkflap","at":1,"duration":1,"period":2,"downFor":9.3e12}]}`,
+	} {
+		var p Plan
+		if err := json.Unmarshal([]byte(doc), &p); err == nil || !strings.Contains(err.Error(), field+" ") {
+			t.Errorf("%s: err = %v, want an error naming %q", doc, err, field)
+		}
+	}
+	var p Plan
+	if err := json.Unmarshal([]byte(`{"events":[{"type":"lossburst","at":1e9,"duration":1e9,"loss":0.5}]}`), &p); err != nil {
+		t.Fatalf("times at the horizon refused: %v", err)
+	}
+	if err := p.Validate(); err != nil || p.Events[0].Clears() != 2*sim.Horizon {
+		t.Errorf("horizon plan: Validate = %v, Clears = %v", err, p.Events[0].Clears())
 	}
 }
 
@@ -273,6 +300,8 @@ func FuzzPlan(f *testing.F) {
 	}
 	f.Add(all)
 	f.Add([]byte(`{"events":[{"type":"crashgroup","at":0.000001,"duration":1e-6,"fraction":1}]}`))
+	f.Add([]byte(`{"events":[{"type":"lossburst","at":1e300,"duration":1,"loss":0.5}]}`))
+	f.Add([]byte(`{"events":[{"type":"linkflap","at":1e9,"duration":1e9,"period":9.3e12,"downFor":1}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var plan Plan
 		if json.Unmarshal(data, &plan) != nil || plan.Validate() != nil {

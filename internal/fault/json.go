@@ -81,10 +81,11 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
+	var sec sim.PlanSeconds
 	*e = Event{
 		Kind:     kind,
-		At:       sim.FromSeconds(j.At),
-		Duration: sim.FromSeconds(j.Duration),
+		At:       sec.Time("at", j.At),
+		Duration: sec.Time("duration", j.Duration),
 	}
 	switch kind {
 	case Partition:
@@ -107,8 +108,11 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 		e.Count = j.Count
 		e.Fraction = j.Fraction
 	case LinkFlap:
-		e.Period = sim.FromSeconds(j.Period)
-		e.DownFor = sim.FromSeconds(j.DownFor)
+		e.Period = sec.Time("period", j.Period)
+		e.DownFor = sec.Time("downFor", j.DownFor)
+	}
+	if sec.Err != nil {
+		return fmt.Errorf("fault: %s event: %w", kind, sec.Err)
 	}
 	return nil
 }

@@ -62,9 +62,6 @@ type Router struct {
 	bcast  *route.Bcaster
 	seen   *route.DupCache
 	nextID uint32
-	// lastHops remembers the hop distance of the last packet received
-	// from each origin — the only distance estimate flooding has.
-	lastHops map[int]int
 }
 
 var _ netif.Protocol = (*Router)(nil)
@@ -74,29 +71,13 @@ func NewRouter(id int, pl *route.Plane, med *radio.Medium, cfg Config) *Router {
 	cfg = cfg.withDefaults()
 	core := route.NewCore(id, pl)
 	cache := route.CacheConfig{Timeout: cfg.SeenCacheTimeout, HardCap: 2 * cfg.SeenCacheCap}
-	r := &Router{
-		Core:     core,
-		med:      med,
-		cfg:      cfg,
-		bcast:    route.NewBcaster(core, med, sizeHdr, 0, cache),
-		seen:     route.NewDupCache(core, cache),
-		lastHops: make(map[int]int),
+	return &Router{
+		Core:  core,
+		med:   med,
+		cfg:   cfg,
+		bcast: route.NewBcaster(core, med, sizeHdr, 0, cache),
+		seen:  route.NewDupCache(core, cache),
 	}
-	r.bcast.Accept = r.acceptBcast
-	return r
-}
-
-// acceptBcast records the hop distance broadcasts reveal.
-func (r *Router) acceptBcast(prev int, b *netif.Packet) int {
-	r.lastHops[b.Origin] = b.HopCount
-	return b.HopCount
-}
-
-// HopsTo reports the hop distance of the most recent packet received
-// from dst, flooding's only distance estimate.
-func (r *Router) HopsTo(dst int) (int, bool) {
-	h, ok := r.lastHops[dst]
-	return h, ok
 }
 
 // Broadcast floods payload within ttl hops.
@@ -152,7 +133,6 @@ func (r *Router) handleUnicast(rx *netif.Packet) {
 		return
 	}
 	hops := rx.HopCount + 1
-	r.lastHops[rx.Origin] = hops
 	if rx.Dst == r.ID() {
 		r.DeliverUnicast(rx.Origin, hops, rx.Msg)
 		return // the destination need not keep relaying

@@ -70,13 +70,6 @@ func TestUnicastDeliveredByFlood(t *testing.T) {
 			t.Errorf("relay %d delivered a unicast not addressed to it", i)
 		}
 	}
-	// No routing state needed: HopsTo works only from received traffic.
-	if _, ok := n.routers[0].HopsTo(4); ok {
-		t.Error("origin has a distance estimate without receiving anything")
-	}
-	if h, ok := n.routers[4].HopsTo(0); !ok || h != 4 {
-		t.Errorf("receiver HopsTo(0) = (%d,%v), want (4,true)", h, ok)
-	}
 }
 
 func TestUnicastTTLBound(t *testing.T) {

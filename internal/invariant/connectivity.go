@@ -1,7 +1,5 @@
 package invariant
 
-import "manetp2p/internal/p2p"
-
 // This file holds the overlay-graph connectivity rules: structural
 // checks on the member-restricted adjacency the analytics pipeline
 // consumes (Target.Adjacency, normally Network.AppendOverlayAdjacency).
@@ -55,7 +53,7 @@ func (c *Checker) checkConnectivity() {
 		c.report("overlay", "component-fraction", -1, -1,
 			"largest-component fraction %v outside [0,1]", m.Largest)
 	}
-	if c.t.Algorithm != p2p.Basic {
+	if c.t.Algorithm.Symmetric() {
 		// Mutual filtering makes the adjacency symmetric, so the degree
 		// sum is exactly twice the edge count and the components
 		// partition the non-nil servents (each as at least a singleton).

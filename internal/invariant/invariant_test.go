@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"manetp2p/internal/geom"
 	"manetp2p/internal/graphs"
 	"manetp2p/internal/invariant"
 	"manetp2p/internal/manet"
@@ -18,14 +17,17 @@ import (
 
 // testConfig builds a dense-enough network that overlay links actually
 // form, with the checker enabled.
-func testConfig(seed int64, alg p2p.Algorithm) manet.Config {
-	cfg := manet.DefaultConfig(25, alg)
+func testConfig(seed int64, alg p2p.Algorithm) manet.Scenario {
+	cfg := manet.DefaultScenario(25, alg)
 	cfg.Seed = seed
-	cfg.Arena = geom.Rect{W: 60, H: 60}
-	cfg.NoQueries = true
-	cfg.Invariants = invariant.Config{Enabled: true}
+	cfg.AreaSide = 60
+	cfg.Invariants = &invariant.Config{Enabled: true}
 	return cfg
 }
+
+// noQueries is how every test here but the workload one builds: the
+// overlay rules need no query traffic.
+var noQueries = manet.Options{NoQueries: true}
 
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
@@ -50,7 +52,7 @@ func TestConfigValidate(t *testing.T) {
 func TestCleanNetworksPassAllAlgorithms(t *testing.T) {
 	for _, alg := range p2p.Algorithms() {
 		t.Run(alg.String(), func(t *testing.T) {
-			net, err := manet.Build(testConfig(7, alg))
+			net, err := manet.Build(testConfig(7, alg), 0, noQueries)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +73,7 @@ func TestCleanNetworksPassAllAlgorithms(t *testing.T) {
 // — and requires the checker to flag the resulting one-sided link with
 // the right node ids and a sim time after the mutation.
 func TestDetectsSuppressedClose(t *testing.T) {
-	net, err := manet.Build(testConfig(3, p2p.Regular))
+	net, err := manet.Build(testConfig(3, p2p.Regular), 0, noQueries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +130,11 @@ func TestDetectsSuppressedClose(t *testing.T) {
 func TestWorkloadLedgerDrift(t *testing.T) {
 	build := func() *manet.Network {
 		cfg := testConfig(5, p2p.Regular)
-		cfg.NoQueries = false
 		cfg.Workload = &workload.Plan{
 			Arrival:  workload.Arrival{Process: workload.Poisson, Rate: 0.1},
 			Sessions: workload.DefaultSessions(),
 		}
-		net, err := manet.Build(cfg)
+		net, err := manet.Build(cfg, 0, manet.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +180,7 @@ func TestCheckerDrawsNoRandomness(t *testing.T) {
 	run := func(check bool) []string {
 		cfg := testConfig(11, p2p.Hybrid)
 		cfg.Invariants.Enabled = check
-		net, err := manet.Build(cfg)
+		net, err := manet.Build(cfg, 0, noQueries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +226,7 @@ func TestCheckerDrawsNoRandomness(t *testing.T) {
 func TestDetectsCorruptAdjacency(t *testing.T) {
 	cfg := testConfig(5, p2p.Regular)
 	cfg.Invariants.Enabled = false // standalone checker below
-	net, err := manet.Build(cfg)
+	net, err := manet.Build(cfg, 0, noQueries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +279,7 @@ func TestDetectsCorruptAdjacency(t *testing.T) {
 func TestDetectsHealthRegression(t *testing.T) {
 	cfg := testConfig(9, p2p.Regular)
 	cfg.Invariants.Enabled = false // standalone checker below
-	net, err := manet.Build(cfg)
+	net, err := manet.Build(cfg, 0, noQueries)
 	if err != nil {
 		t.Fatal(err)
 	}

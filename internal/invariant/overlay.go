@@ -28,7 +28,7 @@ func (c *Checker) checkOverlay() {
 		}
 		c.checkNode(i, &c.views[i])
 	}
-	if c.t.Algorithm != p2p.Basic {
+	if c.t.Algorithm.Symmetric() {
 		// Basic references are asymmetric by design (§6.1.1): the replier
 		// holds no state, so no pairwise rule applies.
 		for i, sv := range c.t.Servents {

@@ -18,10 +18,9 @@ var benchSink float64
 // state, the densest configuration the paper's snapshot ticker faces.
 // Must report 0 allocs/op at steady state.
 func BenchmarkOverlaySnapshot(b *testing.B) {
-	cfg := DefaultConfig(150, p2p.Regular)
-	cfg.Seed = 42
-	cfg.NoQueries = true
-	net, err := Build(cfg)
+	sc := DefaultScenario(150, p2p.Regular)
+	sc.Seed = 42
+	net, err := Build(sc, 0, Options{NoQueries: true})
 	if err != nil {
 		b.Fatal(err)
 	}

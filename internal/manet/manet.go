@@ -6,14 +6,10 @@
 package manet
 
 import (
-	"fmt"
 	"math/rand"
 
 	"manetp2p/internal/aodv"
-	"manetp2p/internal/dsdv"
-	"manetp2p/internal/dsr"
 	"manetp2p/internal/fault"
-	"manetp2p/internal/flood"
 	"manetp2p/internal/geom"
 	"manetp2p/internal/graphs"
 	"manetp2p/internal/invariant"
@@ -28,262 +24,26 @@ import (
 	"manetp2p/internal/workload"
 )
 
-// RoutingKind selects the network-layer protocol under the overlay.
-type RoutingKind int
-
-const (
-	// RoutingAODV is the paper's choice (§4).
-	RoutingAODV RoutingKind = iota
-	// RoutingDSR is Dynamic Source Routing, the classic on-demand
-	// comparator from the study the paper bases its choice on.
-	RoutingDSR
-	// RoutingFlood is the no-routing baseline: every unicast floods.
-	RoutingFlood
-	// RoutingDSDV is the proactive distance-vector protocol, the third
-	// member of the classic MANET routing comparison.
-	RoutingDSDV
-)
-
-// String names the routing protocol.
-func (k RoutingKind) String() string {
-	switch k {
-	case RoutingAODV:
-		return "AODV"
-	case RoutingDSR:
-		return "DSR"
-	case RoutingFlood:
-		return "Flood"
-	case RoutingDSDV:
-		return "DSDV"
-	default:
-		return fmt.Sprintf("routing(%d)", int(k))
-	}
-}
-
-// NodeRouter is a routing instance bound to one node: the overlay-facing
-// protocol plus the radio receive hook.
-type NodeRouter interface {
-	netif.Protocol
-	HandleFrame(*radio.Frame)
-}
-
-// MobilityKind selects the movement model.
-type MobilityKind int
-
-const (
-	// MobilityWaypoint is the paper's Random Waypoint model.
-	MobilityWaypoint MobilityKind = iota
-	// MobilityStationary freezes all nodes (static-topology studies).
-	MobilityStationary
-	// MobilityWalk is a reflecting random walk (mobility sweeps).
-	MobilityWalk
-	// MobilityDirection is the Random Direction model (wall-to-wall
-	// legs; avoids the waypoint center-density bias).
-	MobilityDirection
-	// MobilityGaussMarkov is the temporally correlated Gauss-Markov
-	// model (smooth trajectories).
-	MobilityGaussMarkov
-)
-
-// MobilityConfig parameterizes node movement. The paper's values:
-// max speed 1.0 m/s, max pause 100 s.
-type MobilityConfig struct {
-	Kind     MobilityKind
-	MinSpeed float64  // m/s; must be > 0 for moving models
-	MaxSpeed float64  // m/s
-	MaxPause sim.Time // waypoint only
-	Tick     sim.Time // position-update period
-}
-
-// DefaultMobility returns the paper's mobility settings.
-func DefaultMobility() MobilityConfig {
-	return MobilityConfig{
-		Kind:     MobilityWaypoint,
-		MinSpeed: 0.1,
-		MaxSpeed: 1.0,
-		MaxPause: 100 * sim.Second,
-		Tick:     500 * sim.Millisecond,
-	}
-}
-
-// QualifierKind selects how hybrid qualifiers are assigned.
-type QualifierKind int
-
-const (
-	// QualUniform draws each node's qualifier uniformly from [0,1) —
-	// a heterogeneous population with a total order.
-	QualUniform QualifierKind = iota
-	// QualClasses draws from weighted device classes (e.g. phone, PDA,
-	// notebook), the scenario §6.2 motivates.
-	QualClasses
-)
-
-// QualClass is one device class for QualClasses.
-type QualClass struct {
-	Value  float64 // qualifier assigned to nodes of this class
-	Weight float64 // relative frequency
-}
-
-// QualifierConfig parameterizes qualifier assignment.
-type QualifierConfig struct {
-	Kind    QualifierKind
-	Classes []QualClass // used by QualClasses
-}
-
-// DefaultQualifiers returns uniform qualifiers.
-func DefaultQualifiers() QualifierConfig { return QualifierConfig{Kind: QualUniform} }
-
-// DeviceClasses returns the paper-motivated heterogeneous population:
-// cellular phones, PDAs and notebooks (§1, §6.2).
-func DeviceClasses() QualifierConfig {
-	return QualifierConfig{Kind: QualClasses, Classes: []QualClass{
-		{Value: 0.2, Weight: 0.5}, // phone
-		{Value: 0.5, Weight: 0.3}, // PDA
-		{Value: 0.9, Weight: 0.2}, // notebook
-	}}
-}
-
-// ChurnConfig drives the death/birth process from the paper's future
-// work: while enabled, every member alternates between up periods of
-// mean MeanUptime and down periods of mean MeanDowntime (both
-// exponential). Zero MeanUptime disables churn.
-type ChurnConfig struct {
-	MeanUptime   sim.Time
-	MeanDowntime sim.Time
-}
-
-// Config describes one replication.
-type Config struct {
-	Seed           int64
-	NumNodes       int
-	MemberFraction float64 // fraction of nodes in the p2p overlay (0.75)
-	Arena          geom.Rect
-	Range          float64 // radio range, metres
-
-	Algorithm p2p.Algorithm
-	Params    p2p.Params
-	Files     p2p.FileConfig
-	NoQueries bool
-
-	Mobility   MobilityConfig
-	Qualifiers QualifierConfig
-	Churn      ChurnConfig
-
-	// Radio details.
-	Latency  sim.Time
-	Jitter   sim.Time
-	LossProb float64
-	Energy   radio.EnergyConfig
-
-	// Routing.
-	Routing RoutingKind
-	AODV    aodv.Config
-	DSR     dsr.Config
-	Flood   flood.Config
-	DSDV    dsdv.Config
-
-	// TraceCapacity > 0 enables structured event tracing with the given
-	// buffer size; the tracer is exposed as Network.Tracer.
-	TraceCapacity int
-
-	// TrafficBucket > 0 enables time-bucketed message-rate series in the
-	// collector (Collector.Series), e.g. 60 s buckets.
-	TrafficBucket sim.Time
-
-	// Faults optionally scripts targeted failures (partitions, jamming,
-	// loss bursts, correlated crashes, link flaps) executed by an
-	// injector wired into the medium and the node lifecycle. The
-	// injector draws from its own RNG stream, so same seed + same plan
-	// reproduce the same failures.
-	Faults fault.Plan
-
-	// Workload optionally replaces the paper's built-in per-servent
-	// query loop (uniform 15–45 s gaps, uniform picks) with the
-	// scriptable demand engine: pluggable arrival processes, evolving
-	// Zipf popularity, session classes composing with Churn, and a
-	// phase timeline. Nil keeps runs bit-identical to older builds with
-	// the same seed (the engine's RNG stream is gated on the plan, like
-	// the fault injector's).
-	Workload *workload.Plan
-
-	// HealthEvery > 0 samples overlay health (largest-component
-	// fraction, link count, cumulative per-class message totals) into
-	// the Collector at this period — the resilience telemetry the
-	// recovery metrics are derived from.
-	HealthEvery sim.Time
-
-	// Invariants optionally arms the runtime invariant checker
-	// (internal/invariant). Off by default: a disabled checker wires no
-	// events and costs nothing. The checker only observes, so enabling
-	// it does not change the replication's results.
-	Invariants invariant.Config
-}
-
-// DefaultConfig returns the paper's Table 2 scenario with n nodes.
-func DefaultConfig(n int, alg p2p.Algorithm) Config {
-	return Config{
-		Seed:           1,
-		NumNodes:       n,
-		MemberFraction: 0.75,
-		Arena:          geom.Rect{W: 100, H: 100},
-		Range:          10,
-		Algorithm:      alg,
-		Params:         p2p.DefaultParams(),
-		Files:          p2p.DefaultFileConfig(),
-		Mobility:       DefaultMobility(),
-		Qualifiers:     DefaultQualifiers(),
-		Latency:        2 * sim.Millisecond,
-		Jitter:         sim.Millisecond,
-	}
-}
-
-// Validate reports a descriptive error for inconsistent configuration.
-func (c Config) Validate() error {
-	switch {
-	case c.NumNodes < 1:
-		return fmt.Errorf("manet: NumNodes %d < 1", c.NumNodes)
-	case c.MemberFraction <= 0 || c.MemberFraction > 1:
-		return fmt.Errorf("manet: MemberFraction %v outside (0,1]", c.MemberFraction)
-	case c.Arena.W <= 0 || c.Arena.H <= 0:
-		return fmt.Errorf("manet: empty arena")
-	case c.Range <= 0:
-		return fmt.Errorf("manet: Range %v not positive", c.Range)
-	case c.Mobility.Tick <= 0:
-		return fmt.Errorf("manet: mobility tick %v not positive", c.Mobility.Tick)
-	case c.Churn.MeanUptime < 0 || c.Churn.MeanDowntime < 0:
-		return fmt.Errorf("manet: negative churn periods")
-	case c.HealthEvery < 0:
-		return fmt.Errorf("manet: HealthEvery %v negative", c.HealthEvery)
-	}
-	if err := c.Faults.Validate(); err != nil {
-		return fmt.Errorf("manet: fault plan: %w", err)
-	}
-	if c.Workload != nil {
-		if err := c.Workload.Validate(); err != nil {
-			return fmt.Errorf("manet: workload plan: %w", err)
-		}
-	}
-	if err := c.Params.Validate(); err != nil {
-		return err
-	}
-	if err := c.Invariants.Validate(); err != nil {
-		return err
-	}
-	return c.Files.Validate()
+// Options holds the two knobs of Build that are not part of a scenario:
+// they exist for tests and ablation benchmarks, and no file or flag
+// reaches them.
+type Options struct {
+	NoQueries bool        // servents issue no queries and hold no files
+	AODV      aodv.Config // AODV tuning; the zero value is the protocol's defaults
 }
 
 // Network is one fully wired replication.
 type Network struct {
-	Cfg       Config
+	Cfg       Scenario // the scenario this replication was built from
 	Sim       *sim.Sim
 	Medium    *radio.Medium
 	Routers   []NodeRouter
 	Servents  []*p2p.Servent // nil for nodes outside the overlay
 	Collector *telemetry.Collector
-	Tracer    *trace.Tracer      // nil unless Config.TraceCapacity > 0
-	Injector  *fault.Injector    // nil unless Config.Faults has events
-	Checker   *invariant.Checker // nil unless Config.Invariants.Enabled
-	Demand    *workload.Engine   // nil unless Config.Workload is set
+	Tracer    *trace.Tracer      // nil unless Cfg.TraceCapacity > 0
+	Injector  *fault.Injector    // nil unless Cfg.Faults has events
+	Checker   *invariant.Checker // nil unless Cfg.Invariants is set and enabled
+	Demand    *workload.Engine   // nil unless Cfg.Workload is set
 
 	models      []mobility.Model
 	member      []bool
@@ -306,51 +66,53 @@ type Network struct {
 	churnUpFn   func(sim.Arg)
 }
 
-// Build constructs and wires a Network; nodes are placed uniformly at
-// random, members join at t=0 (with the servents' own small stagger).
-func Build(cfg Config) (*Network, error) {
-	if err := cfg.Validate(); err != nil {
+// Build constructs and wires replication rep of the scenario (seed
+// sc.Seed + rep); nodes are placed uniformly at random, members join at
+// t=0 (with the servents' own small stagger).
+func Build(sc Scenario, rep int, opt Options) (*Network, error) {
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	s := sim.New(cfg.Seed)
+	arena := geom.Rect{W: sc.AreaSide, H: sc.AreaSide}
+	s := sim.New(sc.Seed + int64(rep))
 	med, err := radio.NewMedium(s, radio.Config{
-		Arena:    cfg.Arena,
-		Range:    cfg.Range,
-		NumNodes: cfg.NumNodes,
-		Latency:  cfg.Latency,
-		Jitter:   cfg.Jitter,
-		LossProb: cfg.LossProb,
-		Energy:   cfg.Energy,
+		Arena:    arena,
+		Range:    sc.Range,
+		NumNodes: sc.NumNodes,
+		Latency:  radioLatency,
+		Jitter:   radioJitter,
+		LossProb: sc.LossProb,
+		Energy:   sc.Energy,
 	})
 	if err != nil {
 		return nil, err
 	}
-	plane := route.NewPlane(s, cfg.NumNodes)
+	plane := route.NewPlane(s, sc.NumNodes)
 	n := &Network{
-		Cfg:       cfg,
+		Cfg:       sc,
 		Sim:       s,
 		Medium:    med,
-		Routers:   make([]NodeRouter, cfg.NumNodes),
-		Servents:  make([]*p2p.Servent, cfg.NumNodes),
-		Collector: telemetry.NewCollector(cfg.NumNodes),
-		models:    make([]mobility.Model, cfg.NumNodes),
-		member:    make([]bool, cfg.NumNodes),
-		dead:      make([]bool, cfg.NumNodes),
+		Routers:   make([]NodeRouter, sc.NumNodes),
+		Servents:  make([]*p2p.Servent, sc.NumNodes),
+		Collector: telemetry.NewCollector(sc.NumNodes),
+		models:    make([]mobility.Model, sc.NumNodes),
+		member:    make([]bool, sc.NumNodes),
+		dead:      make([]bool, sc.NumNodes),
 		churnRNG:  s.NewRand(),
 	}
 	n.churnDownFn = n.churnDown
 	n.churnUpFn = n.churnUp
-	if cfg.TraceCapacity > 0 {
-		n.Tracer = trace.New(s, cfg.TraceCapacity)
+	if sc.TraceCapacity > 0 {
+		n.Tracer = trace.New(s, sc.TraceCapacity)
 	}
-	if cfg.TrafficBucket > 0 {
-		n.Collector.SetClock(s.Now, cfg.TrafficBucket)
+	if sc.TrafficBucket > 0 {
+		n.Collector.SetClock(s.Now, sc.TrafficBucket)
 	}
 
 	// Membership: a random MemberFraction of the nodes join the overlay.
 	setupRNG := s.NewRand()
-	perm := setupRNG.Perm(cfg.NumNodes)
-	numMembers := int(float64(cfg.NumNodes)*cfg.MemberFraction + 0.5)
+	perm := setupRNG.Perm(sc.NumNodes)
+	numMembers := int(float64(sc.NumNodes)*sc.MemberFraction + 0.5)
 	if numMembers < 1 {
 		numMembers = 1
 	}
@@ -367,56 +129,47 @@ func Build(cfg Config) (*Network, error) {
 
 	// File placement over members only (ranks map member order).
 	var held [][]bool
-	if !cfg.NoQueries {
-		held = cfg.Files.PlaceFiles(numMembers, setupRNG)
+	if !opt.NoQueries {
+		held = sc.Files.PlaceFiles(numMembers, setupRNG)
 	}
 
 	// Qualifiers.
-	quals := assignQualifiers(cfg.Qualifiers, cfg.NumNodes, setupRNG)
+	quals := assignQualifiers(sc.Quals, sc.NumNodes, setupRNG)
 
 	// Scripted demand. Gated on the plan (like the fault injector) so
 	// plan-free runs create no extra RNG stream and stay bit-identical.
-	if cfg.Workload != nil {
-		n.Demand = workload.New(s, s.NewRand(), *cfg.Workload, cfg.NumNodes, cfg.Files.NumFiles, n.Tracer)
+	if sc.Workload != nil {
+		n.Demand = workload.New(s, s.NewRand(), *sc.Workload, sc.NumNodes, sc.Files.NumFiles, n.Tracer)
 	}
 
+	newRouter := routings[sc.Routing].new
 	memberIdx := 0
-	for i := 0; i < cfg.NumNodes; i++ {
-		start := cfg.Arena.RandomPoint(setupRNG)
-		n.models[i] = newModel(cfg.Mobility, cfg.Arena, start, s.NewRand())
-		var rt NodeRouter
-		switch cfg.Routing {
-		case RoutingDSR:
-			rt = dsr.NewRouter(i, plane, med, cfg.DSR)
-		case RoutingFlood:
-			rt = flood.NewRouter(i, plane, med, cfg.Flood)
-		case RoutingDSDV:
-			rt = dsdv.NewRouter(i, plane, med, cfg.DSDV)
-		default:
-			rt = aodv.NewRouter(i, plane, med, cfg.AODV)
-		}
+	for i := 0; i < sc.NumNodes; i++ {
+		start := arena.RandomPoint(setupRNG)
+		n.models[i] = sc.newModel(arena, start, s.NewRand())
+		rt := newRouter(i, plane, med, opt)
 		n.Routers[i] = rt
 		med.Join(i, start, rt.HandleFrame)
 		if !n.member[i] {
 			continue
 		}
-		opt := p2p.Options{
+		svOpt := p2p.Options{
 			Qualifier: quals[i],
 			Collector: n.Collector,
 			RNG:       s.NewRand(),
-			NoQueries: cfg.NoQueries,
+			NoQueries: opt.NoQueries,
 			Tracer:    n.Tracer,
 		}
 		if n.Demand != nil {
 			// Guarded: assigning a nil *Engine would make a non-nil
 			// interface and disable the built-in model.
-			opt.Demand = n.Demand
+			svOpt.Demand = n.Demand
 		}
 		if held != nil {
-			opt.Files = held[memberIdx]
+			svOpt.Files = held[memberIdx]
 		}
 		memberIdx++
-		sv := p2p.NewServent(i, s, rt, cfg.Params, cfg.Algorithm, opt)
+		sv := p2p.NewServent(i, s, rt, sc.Params, sc.Algorithm, svOpt)
 		rt.OnUnicast(sv.HandleUnicast)
 		rt.OnBroadcast(sv.HandleBroadcast)
 		n.Servents[i] = sv
@@ -432,10 +185,10 @@ func Build(cfg Config) (*Network, error) {
 	})
 
 	// Mobility tick.
-	n.posTicker = sim.NewTicker(s, cfg.Mobility.Tick, n.tickPositions)
+	n.posTicker = sim.NewTicker(s, mobilityTick, n.tickPositions)
 
 	// Overlay join + churn processes.
-	for i := 0; i < cfg.NumNodes; i++ {
+	for i := 0; i < sc.NumNodes; i++ {
 		if sv := n.Servents[i]; sv != nil {
 			sv.Join()
 			if n.churnEnabled(i) {
@@ -447,11 +200,11 @@ func Build(cfg Config) (*Network, error) {
 	// Resilience telemetry and scripted fault injection. Both are
 	// gated so fault-free runs allocate no extra RNG streams and stay
 	// bit-identical to earlier builds with the same seed.
-	if cfg.HealthEvery > 0 {
-		sim.NewTicker(s, cfg.HealthEvery, n.sampleHealth)
+	if every := sc.HealthPeriod(); every > 0 {
+		sim.NewTicker(s, every, n.sampleHealth)
 	}
-	if !cfg.Faults.Empty() {
-		n.Injector = fault.New(s, s.NewRand(), cfg.Faults, fault.Hooks{
+	if !sc.Faults.Empty() {
+		n.Injector = fault.New(s, s.NewRand(), sc.Faults, fault.Hooks{
 			Pos:           med.Pos,
 			Up:            med.Up,
 			SetLinkFilter: func(f func(src, dst int) bool) { med.SetLinkFilter(f) },
@@ -461,14 +214,14 @@ func Build(cfg Config) (*Network, error) {
 		})
 		n.Injector.Arm()
 	}
-	if cfg.Invariants.Enabled {
-		n.Checker = invariant.New(cfg.Invariants, invariant.Target{
+	if sc.Invariants != nil && sc.Invariants.Enabled {
+		n.Checker = invariant.New(*sc.Invariants, invariant.Target{
 			Sim:          s,
 			Medium:       med,
 			Collector:    n.Collector,
 			Servents:     n.Servents,
-			Algorithm:    cfg.Algorithm,
-			Params:       cfg.Params,
+			Algorithm:    sc.Algorithm,
+			Params:       sc.Params,
 			Plane:        plane,
 			RoutingStats: func(i int) netif.Stats { return n.Routers[i].Stats() },
 			Demand:       n.Demand,
@@ -533,21 +286,6 @@ func (n *Network) sampleHealth() {
 		h.Received[c] = n.Collector.TotalReceived(telemetry.Class(c))
 	}
 	n.Collector.RecordHealth(h)
-}
-
-func newModel(cfg MobilityConfig, arena geom.Rect, start geom.Point, rng *rand.Rand) mobility.Model {
-	switch cfg.Kind {
-	case MobilityStationary:
-		return mobility.Stationary{P: start}
-	case MobilityWalk:
-		return mobility.NewWalk(arena, start, cfg.MinSpeed, cfg.MaxSpeed, 20*sim.Second, rng)
-	case MobilityDirection:
-		return mobility.NewDirection(arena, start, cfg.MinSpeed, cfg.MaxSpeed, cfg.MaxPause, rng)
-	case MobilityGaussMarkov:
-		return mobility.NewGaussMarkov(arena, start, (cfg.MinSpeed+cfg.MaxSpeed)/2, 0.75, sim.Second, rng)
-	default:
-		return mobility.NewWaypoint(arena, start, cfg.MinSpeed, cfg.MaxSpeed, cfg.MaxPause, rng)
-	}
 }
 
 func assignQualifiers(cfg QualifierConfig, n int, rng *rand.Rand) []float64 {
@@ -683,7 +421,7 @@ func (n *Network) IsMember(i int) bool { return n.member[i] }
 // keeps its by-design asymmetric references).
 func (n *Network) AppendOverlayAdjacency(sc *graphs.Scratch) {
 	sc.Reset(n.Cfg.NumNodes)
-	if n.Cfg.Algorithm == p2p.Basic {
+	if !n.Cfg.Algorithm.Symmetric() {
 		// Basic references are one-directional by design, so every live
 		// connection is a row entry — one pass.
 		for i, sv := range n.Servents {
@@ -759,7 +497,7 @@ func (n *Network) OverlayAdjacency() [][]int {
 					break
 				}
 			}
-			if mutual || n.Cfg.Algorithm == p2p.Basic {
+			if mutual || !n.Cfg.Algorithm.Symmetric() {
 				adj[i] = append(adj[i], p)
 			}
 		}

@@ -2,46 +2,54 @@ package manet
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"manetp2p/internal/graphs"
 	"manetp2p/internal/p2p"
 	"manetp2p/internal/radio"
 	"manetp2p/internal/sim"
+	"manetp2p/internal/trace"
 )
 
-func smallConfig(alg p2p.Algorithm, seed int64) Config {
-	cfg := DefaultConfig(30, alg)
+func smallConfig(alg p2p.Algorithm, seed int64) Scenario {
+	cfg := DefaultScenario(30, alg)
 	cfg.Seed = seed
 	return cfg
 }
 
+// TestConfigValidate covers the rules of the one Scenario.Validate that
+// guard Build itself; the root package's TestScenarioValidate and the
+// bad-file table in scenario_json_test.go cover the rest.
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig(50, p2p.Regular).Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
+	if err := DefaultScenario(50, p2p.Regular).Validate(); err != nil {
+		t.Fatalf("default scenario invalid: %v", err)
 	}
-	bads := []func(*Config){
-		func(c *Config) { c.NumNodes = 0 },
-		func(c *Config) { c.MemberFraction = 0 },
-		func(c *Config) { c.MemberFraction = 1.5 },
-		func(c *Config) { c.Arena.W = 0 },
-		func(c *Config) { c.Range = 0 },
-		func(c *Config) { c.Mobility.Tick = 0 },
-		func(c *Config) { c.Params.MaxNConn = 0 },
-		func(c *Config) { c.Files.NumFiles = 0 },
+	bads := []func(*Scenario){
+		func(c *Scenario) { c.NumNodes = 0 },
+		func(c *Scenario) { c.MemberFraction = 0 },
+		func(c *Scenario) { c.MemberFraction = 1.5 },
+		func(c *Scenario) { c.AreaSide = 0 },
+		func(c *Scenario) { c.Range = 0 },
+		func(c *Scenario) { c.Churn.MeanDowntime = -1 },
+		func(c *Scenario) { c.Params.MaxNConn = 0 },
+		func(c *Scenario) { c.Files.NumFiles = 0 },
 	}
 	for i, mutate := range bads {
-		c := DefaultConfig(50, p2p.Regular)
+		c := DefaultScenario(50, p2p.Regular)
 		mutate(&c)
 		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
+			t.Errorf("bad scenario %d accepted", i)
+		}
+		if _, err := Build(c, 0, Options{}); err == nil {
+			t.Errorf("bad scenario %d built", i)
 		}
 	}
 }
 
 func TestBuildMembership(t *testing.T) {
 	cfg := smallConfig(p2p.Regular, 1)
-	n, err := Build(cfg)
+	n, err := Build(cfg, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +67,7 @@ func TestBuildMembership(t *testing.T) {
 
 func TestIntegrationRegularFormsOverlayAndAnswersQueries(t *testing.T) {
 	cfg := smallConfig(p2p.Regular, 2)
-	n, err := Build(cfg)
+	n, err := Build(cfg, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +108,9 @@ func TestIntegrationAllAlgorithmsRun(t *testing.T) {
 			t.Parallel()
 			cfg := smallConfig(alg, 3)
 			if alg == p2p.Hybrid {
-				cfg.Qualifiers = DeviceClasses()
+				cfg.Quals = DeviceClasses()
 			}
-			n, err := Build(cfg)
+			n, err := Build(cfg, 0, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,13 +130,13 @@ func TestIntegrationAllAlgorithmsRun(t *testing.T) {
 func TestRoutingSubstrates(t *testing.T) {
 	// The overlay must form and answer queries over every routing
 	// substrate, not just AODV.
-	for _, kind := range []RoutingKind{RoutingAODV, RoutingDSR, RoutingFlood, RoutingDSDV} {
+	for _, kind := range Routings() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
 			cfg := smallConfig(p2p.Regular, 10)
 			cfg.Routing = kind
-			n, err := Build(cfg)
+			n, err := Build(cfg, 0, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +167,7 @@ func TestRoutingSubstrates(t *testing.T) {
 func TestTracerRecordsLifecycle(t *testing.T) {
 	cfg := smallConfig(p2p.Regular, 12)
 	cfg.TraceCapacity = 1 << 14
-	n, err := Build(cfg)
+	n, err := Build(cfg, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +175,11 @@ func TestTracerRecordsLifecycle(t *testing.T) {
 	if n.Tracer == nil {
 		t.Fatal("tracer not created")
 	}
-	kinds := map[string]bool{}
+	kinds := map[trace.Kind]bool{}
 	for _, e := range n.Tracer.Events() {
-		kinds[e.Kind.String()] = true
+		kinds[e.Kind] = true
 	}
-	if !kinds["conn"] || !kinds["query"] {
+	if !kinds[trace.KindConn] || !kinds[trace.KindQuery] {
 		t.Errorf("trace kinds seen = %v, want conn and query at least", kinds)
 	}
 }
@@ -179,7 +187,7 @@ func TestTracerRecordsLifecycle(t *testing.T) {
 func TestDeterministicReplication(t *testing.T) {
 	run := func() (uint64, int) {
 		cfg := smallConfig(p2p.Random, 7)
-		n, err := Build(cfg)
+		n, err := Build(cfg, 0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +208,7 @@ func TestDeterministicReplication(t *testing.T) {
 func TestChurnNodesLeaveAndReturn(t *testing.T) {
 	cfg := smallConfig(p2p.Regular, 4)
 	cfg.Churn = ChurnConfig{MeanUptime: 2 * sim.Minute, MeanDowntime: 30 * sim.Second}
-	n, err := Build(cfg)
+	n, err := Build(cfg, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +239,7 @@ func time30() sim.Time { return 30 * sim.Second }
 func TestEnergyDepletionKillsPermanently(t *testing.T) {
 	cfg := smallConfig(p2p.Basic, 5) // Basic floods hardest
 	cfg.Energy = radio.EnergyConfig{Capacity: 0.05, TxPerFrame: 1e-4, RxPerFrame: 1e-4, TxPerByte: 1e-6, RxPerByte: 1e-6}
-	n, err := Build(cfg)
+	n, err := Build(cfg, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +263,8 @@ func TestEnergyDepletionKillsPermanently(t *testing.T) {
 
 func TestStationaryMobilityHoldsPositions(t *testing.T) {
 	cfg := smallConfig(p2p.Regular, 6)
-	cfg.Mobility.Kind = MobilityStationary
-	n, err := Build(cfg)
+	cfg.Mobility = MobilityStationary
+	n, err := Build(cfg, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +282,7 @@ func TestStationaryMobilityHoldsPositions(t *testing.T) {
 
 func TestOverlayAdjacencyMutual(t *testing.T) {
 	cfg := smallConfig(p2p.Regular, 8)
-	n, err := Build(cfg)
+	n, err := Build(cfg, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +305,7 @@ func TestOverlayAdjacencyMutual(t *testing.T) {
 }
 
 func TestExpDurationClampsAndVaries(t *testing.T) {
-	n, err := Build(smallConfig(p2p.Regular, 2))
+	n, err := Build(smallConfig(p2p.Regular, 2), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,6 +327,8 @@ func TestExpDurationClampsAndVaries(t *testing.T) {
 	}
 }
 
+// The routing table is read through String and ParseRouting alike, and
+// they must agree on the four paper-era names.
 func TestRoutingKindStrings(t *testing.T) {
 	want := map[RoutingKind]string{
 		RoutingAODV: "AODV", RoutingDSR: "DSR", RoutingFlood: "Flood", RoutingDSDV: "DSDV",
@@ -327,14 +337,23 @@ func TestRoutingKindStrings(t *testing.T) {
 		if k.String() != name {
 			t.Errorf("String() = %q, want %q", k.String(), name)
 		}
+		if got, err := ParseRouting(strings.ToLower(name)); err != nil || got != k {
+			t.Errorf("ParseRouting(%q) = %v, %v; want %v", strings.ToLower(name), got, err, k)
+		}
+	}
+	if _, err := ParseRouting("olsr"); err == nil || !strings.Contains(err.Error(), "aodv|dsr|flood|dsdv") {
+		t.Errorf(`ParseRouting("olsr") = %v, want an error listing the valid names`, err)
+	}
+	if got := RoutingKind(7).String(); got != "routing(7)" {
+		t.Errorf("out-of-range String() = %q", got)
 	}
 }
 
 func TestQualifierClasses(t *testing.T) {
 	cfg := smallConfig(p2p.Hybrid, 9)
 	cfg.NumNodes = 200
-	cfg.Qualifiers = DeviceClasses()
-	n, err := Build(cfg)
+	cfg.Quals = DeviceClasses()
+	n, err := Build(cfg, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +382,7 @@ func TestAppendOverlayAdjacencyMatchesNaive(t *testing.T) {
 		t.Run(alg.String(), func(t *testing.T) {
 			t.Parallel()
 			cfg := smallConfig(alg, 11)
-			n, err := Build(cfg)
+			n, err := Build(cfg, 0, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -400,7 +419,7 @@ func TestAnalyzerMatchesNaiveOnLiveNetwork(t *testing.T) {
 		t.Run(alg.String(), func(t *testing.T) {
 			t.Parallel()
 			cfg := smallConfig(alg, 12)
-			n, err := Build(cfg)
+			n, err := Build(cfg, 0, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -430,7 +449,7 @@ func TestAnalyzerMatchesNaiveOnLiveNetwork(t *testing.T) {
 // Build, so repeated calls return the same slice instead of
 // reallocating, and the ids come sorted.
 func TestMembersCached(t *testing.T) {
-	n, err := Build(smallConfig(p2p.Regular, 13))
+	n, err := Build(smallConfig(p2p.Regular, 13), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +469,7 @@ func TestMembersCached(t *testing.T) {
 // the live path, not just the synthetic benchmark graph: once warm, a
 // full fill+analyze snapshot allocates nothing.
 func TestOverlaySnapshotSteadyStateAllocs(t *testing.T) {
-	n, err := Build(smallConfig(p2p.Regular, 14))
+	n, err := Build(smallConfig(p2p.Regular, 14), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

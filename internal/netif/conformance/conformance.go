@@ -3,9 +3,8 @@
 // pass, run from a small per-package test file (see conformance_test.go
 // in aodv, dsr, dsdv and flood). The suite pins the semantics the p2p
 // overlay relies on but the interface alone cannot express —
-// controlled-broadcast TTL reach, asynchronous self-delivery, HopsTo
-// never triggering discovery, OnSendFailed firing exactly once per
-// abandoned payload, hooks that may reenter the router, duplicate
+// controlled-broadcast TTL reach, asynchronous self-delivery,
+// OnSendFailed firing exactly once per abandoned payload, hooks that may reenter the router, duplicate
 // caches that stay bounded under a broadcast storm, and received frames
 // that are never written through the shared pointer.
 package conformance
@@ -161,7 +160,6 @@ func clique(n int) []geom.Point {
 func Run(t *testing.T, f Factory) {
 	t.Run("BroadcastTTL", func(t *testing.T) { testBroadcastTTL(t, f) })
 	t.Run("SelfDelivery", func(t *testing.T) { testSelfDelivery(t, f) })
-	t.Run("HopsToNoDiscovery", func(t *testing.T) { testHopsToNoDiscovery(t, f) })
 	t.Run("SendFailedOnce", func(t *testing.T) { testSendFailedOnce(t, f) })
 	t.Run("HookReentrancy", func(t *testing.T) { testHookReentrancy(t, f) })
 	t.Run("DupCacheBounded", func(t *testing.T) { testDupCacheBounded(t, f) })
@@ -224,42 +222,6 @@ func testSelfDelivery(t *testing.T, f Factory) {
 	got := n.unicast[0][before:]
 	if len(got) != 1 || got[0].From != 0 || got[0].Hops != 0 {
 		t.Fatalf("self deliveries = %+v, want one from 0 at 0 hops", got)
-	}
-}
-
-// testHopsToNoDiscovery pins that HopsTo is a passive table lookup: it
-// reports no estimate on a freshly built node, changes no counter, and
-// never starts a route discovery.
-func testHopsToNoDiscovery(t *testing.T, f Factory) {
-	s := sim.New(3)
-	med, err := radio.NewMedium(s, radio.Config{
-		Arena:    geom.Rect{W: 200, H: 200},
-		Range:    10,
-		NumNodes: 3,
-		Latency:  2 * sim.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Joined but never run: no traffic has populated any table.
-	var routers []Router
-	pl := route.NewPlane(s, 3)
-	for i, p := range line(3) {
-		r := f.New(i, pl, med)
-		med.Join(i, p, r.HandleFrame)
-		routers = append(routers, r)
-	}
-	r0 := routers[0]
-	before := r0.Stats()
-	if h, ok := r0.HopsTo(2); ok {
-		t.Errorf("fresh node has a distance estimate: (%d, true)", h)
-	}
-	if after := r0.Stats(); after != before {
-		t.Errorf("HopsTo changed counters: %+v -> %+v", before, after)
-	}
-	s.Run(5 * sim.Second)
-	if got := r0.Stats().Discoveries; got != 0 {
-		t.Errorf("HopsTo triggered %d route discoveries", got)
 	}
 }
 

@@ -73,9 +73,6 @@ type Protocol interface {
 	Send(dst, size int, payload Msg)
 	// Broadcast floods the payload to every node within ttl ad-hoc hops.
 	Broadcast(ttl, size int, payload Msg)
-	// HopsTo reports the protocol's current distance estimate to dst in
-	// ad-hoc hops, if it has one. It must not trigger discovery.
-	HopsTo(dst int) (int, bool)
 	// OnUnicast installs the hook for data addressed to this node.
 	OnUnicast(fn func(Delivery))
 	// OnBroadcast installs the hook for flood deliveries.

@@ -11,6 +11,7 @@ package p2p
 
 import (
 	"fmt"
+	"strings"
 
 	"manetp2p/internal/sim"
 )
@@ -31,24 +32,45 @@ const (
 	Hybrid
 )
 
+// algorithmNames is the paper's name for each algorithm, indexed by its
+// value: String, ParseAlgorithm, Algorithms and the range check all read
+// this one table.
+var algorithmNames = [...]string{Basic: "Basic", Regular: "Regular", Random: "Random", Hybrid: "Hybrid"}
+
+// Valid reports whether a names one of the algorithms.
+func (a Algorithm) Valid() bool { return a >= 0 && int(a) < len(algorithmNames) }
+
 // String returns the paper's name for the algorithm.
 func (a Algorithm) String() string {
-	switch a {
-	case Basic:
-		return "Basic"
-	case Regular:
-		return "Regular"
-	case Random:
-		return "Random"
-	case Hybrid:
-		return "Hybrid"
-	default:
+	if !a.Valid() {
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
+	return algorithmNames[a]
 }
 
+// Symmetric reports whether the algorithm keeps connections as reference
+// pairs both endpoints acknowledge. Basic alone does not: its references
+// are one-directional by design (§6.1.1).
+func (a Algorithm) Symmetric() bool { return a != Basic }
+
 // Algorithms lists all four in the paper's presentation order.
-func Algorithms() []Algorithm { return []Algorithm{Basic, Regular, Random, Hybrid} }
+func Algorithms() []Algorithm {
+	out := make([]Algorithm, len(algorithmNames))
+	for i := range out {
+		out[i] = Algorithm(i)
+	}
+	return out
+}
+
+// ParseAlgorithm resolves an algorithm by name, ignoring case.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	for a, n := range algorithmNames {
+		if strings.EqualFold(n, name) {
+			return Algorithm(a), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown algorithm %q (%s)", name, strings.ToLower(strings.Join(algorithmNames[:], "|")))
+}
 
 // QueryMode selects how searches propagate over the overlay.
 type QueryMode int
@@ -62,16 +84,16 @@ const (
 	QueryRandomWalk
 )
 
+// queryModeNames names each query mode, indexed by its value; String and
+// Params.Validate's range check read it.
+var queryModeNames = [...]string{QueryFlood: "flood", QueryRandomWalk: "randomwalk"}
+
 // String names the query mode.
 func (m QueryMode) String() string {
-	switch m {
-	case QueryFlood:
-		return "flood"
-	case QueryRandomWalk:
-		return "randomwalk"
-	default:
+	if m < 0 || int(m) >= len(queryModeNames) {
 		return fmt.Sprintf("querymode(%d)", int(m))
 	}
+	return queryModeNames[m]
 }
 
 // Params collects every protocol constant from Table 2 of the paper plus
@@ -190,8 +212,18 @@ func (p Params) Validate() error {
 		return fmt.Errorf("p2p: JoinStaggerMax %v negative", p.JoinStaggerMax)
 	case p.QueryCollect <= 0 || p.QueryGapMin < 0 || p.QueryGapMax < p.QueryGapMin:
 		return fmt.Errorf("p2p: query timing invalid")
+	case p.QueryMode < 0 || int(p.QueryMode) >= len(queryModeNames):
+		return fmt.Errorf("p2p: QueryMode %d is not one of %v", int(p.QueryMode), queryModeNames)
 	case p.QueryMode == QueryRandomWalk && (p.Walkers < 1 || p.WalkTTL < 1):
 		return fmt.Errorf("p2p: random-walk query configuration invalid")
+	}
+	// Each of these is added to the clock or bounds a random draw: past
+	// half the clock's range the sum, or the draw's span, overflows.
+	for _, t := range []sim.Time{p.TimerBasic, p.MaxTimer, p.PingInterval, p.PongTimeout, p.HandshakeWait,
+		p.OfferWindow, p.MasterIdle, p.QueryCollect, p.QueryGapMax, p.JoinStaggerMax} {
+		if t > sim.MaxTime/2 {
+			return fmt.Errorf("p2p: timing constant %v overflows the clock", t)
+		}
 	}
 	return nil
 }

@@ -19,11 +19,14 @@ func DefaultFileConfig() FileConfig {
 	return FileConfig{NumFiles: 20, MaxFreq: 0.40}
 }
 
+// maxFiles bounds the catalogue: every member holds one flag per file.
+const maxFiles = 1 << 16
+
 // Validate reports a descriptive error for inconsistent parameters.
 func (c FileConfig) Validate() error {
 	switch {
-	case c.NumFiles < 1:
-		return fmt.Errorf("p2p: NumFiles %d < 1", c.NumFiles)
+	case c.NumFiles < 1 || c.NumFiles > maxFiles:
+		return fmt.Errorf("p2p: NumFiles %d outside [1, %d]", c.NumFiles, maxFiles)
 	case c.MaxFreq <= 0 || c.MaxFreq > 1:
 		return fmt.Errorf("p2p: MaxFreq %v outside (0,1]", c.MaxFreq)
 	}

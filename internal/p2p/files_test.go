@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -139,6 +140,22 @@ func TestAlgorithmString(t *testing.T) {
 	}
 	if len(Algorithms()) != 4 {
 		t.Error("Algorithms() must list all four")
+	}
+	// The same table parses the names back, bounds the range and is what
+	// an unknown name's error lists.
+	for _, alg := range Algorithms() {
+		if got, err := ParseAlgorithm(strings.ToUpper(alg.String())); err != nil || got != alg || !alg.Valid() {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; Valid = %v", strings.ToUpper(alg.String()), got, err, alg.Valid())
+		}
+		if alg.Symmetric() != (alg != Basic) {
+			t.Errorf("%v.Symmetric() = %v: only Basic keeps one-directional references", alg, alg.Symmetric())
+		}
+	}
+	if _, err := ParseAlgorithm("chord"); err == nil || !strings.Contains(err.Error(), "basic|regular|random|hybrid") {
+		t.Errorf(`ParseAlgorithm("chord") = %v, want an error listing the names`, err)
+	}
+	if Algorithm(4).Valid() || Algorithm(-1).Valid() || Algorithm(9).String() != "Algorithm(9)" {
+		t.Error("out-of-range algorithms must be invalid and print their number")
 	}
 }
 

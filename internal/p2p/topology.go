@@ -5,34 +5,10 @@ package p2p
 // Topologies"). It is data, not measurement — exposed so cmd/repro can
 // print the table alongside the simulated results.
 
-// Topology is a p2p organization family from §2.
-type Topology int
-
-// The three families compared by Table 1.
-const (
-	Centralized Topology = iota
-	Decentralized
-	HybridTopology
-)
-
-// String returns the paper's column label.
-func (t Topology) String() string {
-	switch t {
-	case Centralized:
-		return "Centralized"
-	case Decentralized:
-		return "Decentralized"
-	case HybridTopology:
-		return "Hybrid"
-	default:
-		return "Unknown"
-	}
-}
-
 // TopologyTrait is one row of Table 1.
 type TopologyTrait struct {
 	Property string
-	Values   [3]string // indexed by Topology
+	Values   [3]string // centralized, decentralized, hybrid
 }
 
 // Table1 returns the paper's Table 1 verbatim.

@@ -23,20 +23,6 @@ func TestTable1Contents(t *testing.T) {
 	}
 }
 
-func TestTopologyMapping(t *testing.T) {
-	names := map[Topology]string{
-		Centralized: "Centralized", Decentralized: "Decentralized", HybridTopology: "Hybrid",
-	}
-	for topo, want := range names {
-		if topo.String() != want {
-			t.Errorf("String() = %q, want %q", topo.String(), want)
-		}
-	}
-	if Topology(99).String() != "Unknown" {
-		t.Error("out-of-range topology name")
-	}
-}
-
 func TestServentAccessors(t *testing.T) {
 	w := newWorld(t, worldSpec{
 		seed:  81,

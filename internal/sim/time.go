@@ -36,6 +36,30 @@ func FromSeconds(s float64) Time {
 	return Time(math.Round(s * float64(Second)))
 }
 
+// Horizon bounds every instant and span a hand-authored plan (fault
+// and workload files, whose times are float seconds) may state: 1e9 s,
+// about 31.7 years. Plans validate against it, so sums of two plan times
+// stay far below MaxTime.
+const Horizon = 1e9 * Second
+
+// PlanSeconds converts the float seconds of one plan file into Times. A
+// value that is not finite or lies beyond ±Horizon is refused before
+// the conversion — an out-of-range float to int64 is platform-defined —
+// and remembered in Err, so a decoder converts every field and checks
+// once.
+type PlanSeconds struct{ Err error }
+
+// Time converts s, the value of the named field.
+func (p *PlanSeconds) Time(field string, s float64) Time {
+	if !(math.Abs(s) <= Horizon.Seconds()) { // NaN fails every comparison
+		if p.Err == nil {
+			p.Err = fmt.Errorf("%s %v s outside ±%g s", field, s, Horizon.Seconds())
+		}
+		return 0
+	}
+	return FromSeconds(s)
+}
+
 // Seconds reports t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 

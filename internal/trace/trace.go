@@ -35,28 +35,6 @@ const (
 	KindPhase
 )
 
-// String names the kind for renderers.
-func (k Kind) String() string {
-	switch k {
-	case KindConn:
-		return "conn"
-	case KindState:
-		return "state"
-	case KindQuery:
-		return "query"
-	case KindRoute:
-		return "route"
-	case KindNode:
-		return "node"
-	case KindWorkload:
-		return "wload"
-	case KindPhase:
-		return "phase"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
-
 // Event is one traced occurrence.
 type Event struct {
 	At   sim.Time `json:"at"`
@@ -64,14 +42,6 @@ type Event struct {
 	Node int      `json:"node"`
 	Peer int      `json:"peer,omitempty"` // -1 when not applicable
 	What string   `json:"what"`
-}
-
-// String renders the event compactly.
-func (e Event) String() string {
-	if e.Peer >= 0 {
-		return fmt.Sprintf("%v %-6s n%d->n%d %s", e.At, e.Kind, e.Node, e.Peer, e.What)
-	}
-	return fmt.Sprintf("%v %-6s n%d %s", e.At, e.Kind, e.Node, e.What)
 }
 
 // Tracer is a bounded append-only event log. A nil Tracer discards all

@@ -25,8 +25,8 @@ func WriteSVG(w io.Writer, n *manet.Network, opt Options) error {
 		opt.Scale = 6
 	}
 	var b strings.Builder
-	width := n.Cfg.Arena.W * opt.Scale
-	height := n.Cfg.Arena.H * opt.Scale
+	width := n.Cfg.AreaSide * opt.Scale
+	height := n.Cfg.AreaSide * opt.Scale
 	const margin = 20.0
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="%.0f %.0f %.0f %.0f">`+"\n",
 		width+2*margin, height+2*margin, -margin, -margin, width+2*margin, height+2*margin)

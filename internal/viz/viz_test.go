@@ -12,12 +12,12 @@ import (
 
 func buildNet(t *testing.T, alg p2p.Algorithm) *manet.Network {
 	t.Helper()
-	cfg := manet.DefaultConfig(20, alg)
+	cfg := manet.DefaultScenario(20, alg)
 	cfg.Seed = 5
 	if alg == p2p.Hybrid {
-		cfg.Qualifiers = manet.DeviceClasses()
+		cfg.Quals = manet.DeviceClasses()
 	}
-	n, err := manet.Build(cfg)
+	n, err := manet.Build(cfg, 0, manet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,15 +71,24 @@ func (a *Arrival) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
+	var sec sim.PlanSeconds
 	*a = Arrival{
 		Process:   p,
-		GapMin:    sim.FromSeconds(j.GapMin),
-		GapMax:    sim.FromSeconds(j.GapMax),
+		GapMin:    sec.Time("gapMin", j.GapMin),
+		GapMax:    sec.Time("gapMax", j.GapMax),
 		Rate:      j.Rate,
-		MeanOn:    sim.FromSeconds(j.MeanOn),
-		MeanOff:   sim.FromSeconds(j.MeanOff),
-		Period:    sim.FromSeconds(j.Period),
+		MeanOn:    sec.Time("meanOn", j.MeanOn),
+		MeanOff:   sec.Time("meanOff", j.MeanOff),
+		Period:    sec.Time("period", j.Period),
 		Amplitude: j.Amplitude,
+	}
+	return planErr("arrival", sec)
+}
+
+// planErr names the block whose time field sec refused.
+func planErr(block string, sec sim.PlanSeconds) error {
+	if sec.Err != nil {
+		return fmt.Errorf("workload: %s: %w", block, sec.Err)
 	}
 	return nil
 }
@@ -109,13 +118,14 @@ func (p *Popularity) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return fmt.Errorf("workload: parsing popularity: %w", err)
 	}
+	var sec sim.PlanSeconds
 	*p = Popularity{
 		Skew:         j.Skew,
 		DriftPerHour: j.DriftPerHour,
-		RotateEvery:  sim.FromSeconds(j.RotateEvery),
+		RotateEvery:  sec.Time("rotateEvery", j.RotateEvery),
 		RotateStep:   j.RotateStep,
 	}
-	return nil
+	return planErr("popularity", sec)
 }
 
 // classJSON is the wire shape of a SessionClass; times are seconds.
@@ -148,16 +158,17 @@ func (c *SessionClass) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return fmt.Errorf("workload: parsing session class: %w", err)
 	}
+	var sec sim.PlanSeconds
 	*c = SessionClass{
 		Name:          j.Name,
 		Weight:        j.Weight,
 		RateScale:     j.RateScale,
 		UptimeScale:   j.UptimeScale,
 		DowntimeScale: j.DowntimeScale,
-		MeanUptime:    sim.FromSeconds(j.MeanUptime),
-		MeanDowntime:  sim.FromSeconds(j.MeanDowntime),
+		MeanUptime:    sec.Time("meanUptime", j.MeanUptime),
+		MeanDowntime:  sec.Time("meanDowntime", j.MeanDowntime),
 	}
-	return nil
+	return planErr("session class "+j.Name, sec)
 }
 
 // phaseJSON is the wire shape of a Phase; Start is seconds.
@@ -186,12 +197,13 @@ func (p *Phase) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return fmt.Errorf("workload: parsing phase: %w", err)
 	}
+	var sec sim.PlanSeconds
 	*p = Phase{
 		Name:      j.Name,
-		Start:     sim.FromSeconds(j.Start),
+		Start:     sec.Time("start", j.Start),
 		RateScale: j.RateScale,
 		HotFiles:  j.HotFiles,
 		HotBoost:  j.HotBoost,
 	}
-	return nil
+	return planErr("phase "+j.Name, sec)
 }

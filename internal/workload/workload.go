@@ -298,8 +298,8 @@ type Phase struct {
 // Validate reports a descriptive error for an inconsistent phase.
 func (p Phase) Validate() error {
 	switch {
-	case p.Start < 0:
-		return fmt.Errorf("workload: phase %q start %v negative", p.Name, p.Start)
+	case p.Start < 0 || p.Start > sim.Horizon:
+		return fmt.Errorf("workload: phase %q start %v outside [0, %v]", p.Name, p.Start, sim.Horizon)
 	case p.RateScale < 0:
 		return fmt.Errorf("workload: phase %q rate scale %v negative", p.Name, p.RateScale)
 	case p.HotFiles < 0:

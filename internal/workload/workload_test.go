@@ -57,6 +57,7 @@ func TestValidateRejects(t *testing.T) {
 		{"uptime without downtime", Plan{Sessions: Sessions{Classes: []SessionClass{
 			{Name: "x", Weight: 1, MeanUptime: sim.Second}}}}},
 		{"hot boost above one", Plan{Phases: []Phase{{Name: "p", HotBoost: 1.5}}}},
+		{"phase past the horizon", Plan{Phases: []Phase{{Name: "p", Start: sim.Horizon + 1}}}},
 		{"phases out of order", Plan{Phases: []Phase{
 			{Name: "b", Start: 100 * sim.Second}, {Name: "a", Start: 50 * sim.Second}}}},
 	}
@@ -113,6 +114,27 @@ func TestUnmarshalRejectsUnknownProcess(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not list %q", err, name)
 		}
+	}
+}
+
+// Every time field of the four decoders is float seconds; one beyond the
+// plan horizon is refused by name before it is converted.
+func TestUnmarshalBoundsTimes(t *testing.T) {
+	for field, doc := range map[string]string{
+		"gapMax":       `{"arrival":{"process":"uniform","gapMin":1,"gapMax":1e300}}`,
+		"meanOff":      `{"arrival":{"process":"onoff","rate":0.1,"meanOff":-1e18}}`,
+		"rotateEvery":  `{"popularity":{"rotateEvery":9.3e12}}`,
+		"meanDowntime": `{"sessions":{"classes":[{"name":"x","weight":1,"meanUptime":1,"meanDowntime":1.1e9}]}}`,
+		"start":        `{"phases":[{"name":"p","start":1e300}]}`,
+	} {
+		var p Plan
+		if err := json.Unmarshal([]byte(doc), &p); err == nil || !strings.Contains(err.Error(), field+" ") {
+			t.Errorf("%s: err = %v, want an error naming %q", doc, err, field)
+		}
+	}
+	var p Plan
+	if err := json.Unmarshal([]byte(`{"phases":[{"name":"p","start":1e9}]}`), &p); err != nil || p.Validate() != nil {
+		t.Errorf("a phase at the horizon refused: %v / %v", err, p.Validate())
 	}
 }
 
@@ -420,6 +442,8 @@ func FuzzPlan(f *testing.F) {
 	f.Add([]byte(`{"arrival":{"process":"uniform","gapMin":15,"gapMax":45}}`))
 	f.Add([]byte(`{"arrival":{"process":"onoff","rate":0.1,"meanOn":60,"meanOff":180},"popularity":{"rotateEvery":900,"rotateStep":2}}`))
 	f.Add([]byte(`{"arrival":{"process":"diurnal","rate":0.05,"period":1200,"amplitude":0.5},"phases":[]}`))
+	f.Add([]byte(`{"phases":[{"name":"p","start":1e300}]}`))
+	f.Add([]byte(`{"arrival":{"process":"uniform","gapMin":1e9,"gapMax":1e9},"popularity":{"rotateEvery":9.3e12}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var plan Plan
 		if json.Unmarshal(data, &plan) != nil || plan.Validate() != nil {

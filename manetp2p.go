@@ -18,9 +18,6 @@
 package manetp2p
 
 import (
-	"fmt"
-
-	"manetp2p/internal/aodv"
 	"manetp2p/internal/fault"
 	"manetp2p/internal/geom"
 	"manetp2p/internal/invariant"
@@ -45,6 +42,9 @@ const (
 
 // Algorithms lists all four in the paper's order.
 func Algorithms() []Algorithm { return p2p.Algorithms() }
+
+// ParseAlgorithm resolves an algorithm by name, ignoring case.
+func ParseAlgorithm(name string) (Algorithm, error) { return p2p.ParseAlgorithm(name) }
 
 // Params re-exports the protocol constants of Table 2.
 type Params = p2p.Params
@@ -86,6 +86,12 @@ const (
 	RoutingDSDV  = manet.RoutingDSDV
 )
 
+// Routings lists every routing substrate.
+func Routings() []RoutingKind { return manet.Routings() }
+
+// ParseRouting resolves a routing substrate by name, ignoring case.
+func ParseRouting(name string) (RoutingKind, error) { return manet.ParseRouting(name) }
+
 // MobilityKind selects the movement model.
 type MobilityKind = manet.MobilityKind
 
@@ -97,6 +103,9 @@ const (
 	MobilityDirection   = manet.MobilityDirection
 	MobilityGaussMarkov = manet.MobilityGaussMarkov
 )
+
+// Mobilities lists every movement model.
+func Mobilities() []MobilityKind { return manet.Mobilities() }
 
 // DefaultEnergy returns a finite battery profile with the given capacity
 // in joules.
@@ -212,192 +221,14 @@ type InvariantConfig = invariant.Config
 type InvariantViolation = invariant.Violation
 
 // Scenario describes one experiment: a node population, an algorithm,
-// the protocol parameters and the measurement horizon.
-type Scenario struct {
-	Name      string    // label used in reports
-	Algorithm Algorithm // which (re)configuration algorithm the servents run
-
-	NumNodes       int     // ad-hoc nodes (paper: 50 and 150)
-	MemberFraction float64 // fraction in the p2p overlay (paper: 0.75)
-	AreaSide       float64 // square arena side, metres (paper: 100)
-	Range          float64 // radio range, metres (paper: 10)
-
-	Params Params     // Table 2 protocol constants
-	Files  FileConfig // Zipf content model
-	Quals  manet.QualifierConfig
-
-	MaxSpeed   float64            // Random Waypoint max speed, m/s (paper: 1.0)
-	MaxPause   Duration           // Random Waypoint max pause (paper: 100 s)
-	Stationary bool               // freeze all nodes (isolates mobility effects)
-	Mobility   manet.MobilityKind // movement model (default: Random Waypoint)
-
-	Duration     Duration // simulated time per replication (paper: 3600 s)
-	Replications int      // independent runs (paper: 33)
-	Seed         int64    // base seed; replication r uses Seed + r
-
-	// Optional extensions (paper §8 future work).
-	Churn    manet.ChurnConfig  // death/birth process; zero = disabled
-	Energy   radio.EnergyConfig // battery model; zero = infinite
-	LossProb float64            // link-layer loss probability
-
-	// Routing substrate (paper: AODV; DSR and flooding enable the
-	// routing comparison its companion study [13] performed).
-	Routing manet.RoutingKind
-
-	// Overlay-graph sampling for the small-world analysis.
-	SnapshotEvery Duration // 0 = no snapshots
-
-	// TrafficBucket > 0 collects network-wide message-rate series
-	// (Result.ConnectTraffic / QueryTraffic), e.g. 60 s buckets.
-	TrafficBucket Duration
-
-	// Faults optionally scripts targeted failures — partitions,
-	// regional jamming, loss bursts, correlated crashes, link flaps —
-	// executed identically (same seed ⇒ same failures) in every
-	// replication. Recovery metrics land in Result.Resilience.
-	Faults FaultPlan
-
-	// HealthEvery sets the resilience-telemetry sampling period
-	// (largest-component fraction, link count, message rates). Zero
-	// defaults to 10 s whenever Faults is non-empty; telemetry stays
-	// off in fault-free runs unless set explicitly.
-	HealthEvery Duration
-
-	// TraceCapacity > 0 enables structured event tracing in
-	// single-Simulation use (NewSimulation); Run ignores it because
-	// traces from 33 replications are rarely what anyone wants.
-	TraceCapacity int
-
-	// Workload optionally replaces the paper's built-in query loop with
-	// the scriptable demand engine (internal/workload). Nil (the
-	// default) keeps every existing scenario bit-identical; a set plan
-	// adds the Result.Workload telemetry block.
-	Workload *WorkloadPlan `json:",omitempty"`
-
-	// Invariants optionally arms the runtime invariant checker in every
-	// replication; findings land in Result.Invariants. Nil (the default)
-	// disables it entirely — the checker is strictly opt-in and costs
-	// nothing when off. Enabling it does not change measured results:
-	// the checker only observes and draws no randomness.
-	Invariants *InvariantConfig `json:",omitempty"`
-
-	// Concurrency: 0 = GOMAXPROCS.
-	Workers int
-}
+// the protocol parameters and the measurement horizon. It is the one
+// configuration type from file or flag to the simulated world (see
+// internal/manet): Validate holds every rule once.
+type Scenario = manet.Scenario
 
 // DefaultScenario returns the paper's Table 2 setup for n nodes running
 // alg, with the full 3600 s × 33 replications horizon.
-func DefaultScenario(n int, alg Algorithm) Scenario {
-	return Scenario{
-		Name:           fmt.Sprintf("%s-%d", alg, n),
-		Algorithm:      alg,
-		NumNodes:       n,
-		MemberFraction: 0.75,
-		AreaSide:       100,
-		Range:          10,
-		Params:         DefaultParams(),
-		Files:          p2p.DefaultFileConfig(),
-		Quals:          manet.DefaultQualifiers(),
-		MaxSpeed:       1.0,
-		MaxPause:       100 * sim.Second,
-		Duration:       3600 * sim.Second,
-		Replications:   33,
-		Seed:           1,
-		SnapshotEvery:  300 * sim.Second,
-	}
-}
-
-// Validate reports a descriptive error for inconsistent scenarios.
-func (sc Scenario) Validate() error {
-	switch {
-	case sc.NumNodes < 1:
-		return fmt.Errorf("manetp2p: NumNodes %d < 1", sc.NumNodes)
-	case sc.MemberFraction <= 0 || sc.MemberFraction > 1:
-		return fmt.Errorf("manetp2p: MemberFraction %v outside (0,1]", sc.MemberFraction)
-	case sc.AreaSide <= 0:
-		return fmt.Errorf("manetp2p: AreaSide %v not positive", sc.AreaSide)
-	case sc.Range <= 0:
-		return fmt.Errorf("manetp2p: Range %v not positive", sc.Range)
-	case sc.MaxSpeed <= 0:
-		return fmt.Errorf("manetp2p: MaxSpeed %v not positive", sc.MaxSpeed)
-	case sc.Duration <= 0:
-		return fmt.Errorf("manetp2p: Duration %v not positive", sc.Duration)
-	case sc.Replications < 1:
-		return fmt.Errorf("manetp2p: Replications %d < 1", sc.Replications)
-	case sc.HealthEvery < 0:
-		return fmt.Errorf("manetp2p: HealthEvery %v negative", sc.HealthEvery)
-	}
-	if err := sc.Faults.Validate(); err != nil {
-		return fmt.Errorf("manetp2p: fault plan: %w", err)
-	}
-	if err := sc.Params.Validate(); err != nil {
-		return err
-	}
-	if sc.Invariants != nil {
-		if err := sc.Invariants.Validate(); err != nil {
-			return fmt.Errorf("manetp2p: %w", err)
-		}
-	}
-	if sc.Workload != nil {
-		if err := sc.Workload.Validate(); err != nil {
-			return fmt.Errorf("manetp2p: workload plan: %w", err)
-		}
-	}
-	return sc.Files.Validate()
-}
-
-// manetConfig translates a Scenario into one replication's config.
-func (sc Scenario) manetConfig(rep int) manet.Config {
-	mob := manet.DefaultMobility()
-	mob.MaxSpeed = sc.MaxSpeed
-	if mob.MinSpeed > sc.MaxSpeed {
-		mob.MinSpeed = sc.MaxSpeed / 10
-	}
-	mob.MaxPause = sc.MaxPause
-	mob.Kind = sc.Mobility
-	if sc.Stationary {
-		mob.Kind = manet.MobilityStationary
-	}
-	cfg := manet.Config{
-		Seed:           sc.Seed + int64(rep),
-		NumNodes:       sc.NumNodes,
-		MemberFraction: sc.MemberFraction,
-		Arena:          geom.Rect{W: sc.AreaSide, H: sc.AreaSide},
-		Range:          sc.Range,
-		Algorithm:      sc.Algorithm,
-		Params:         sc.Params,
-		Files:          sc.Files,
-		Mobility:       mob,
-		Qualifiers:     sc.Quals,
-		Churn:          sc.Churn,
-		Latency:        2 * sim.Millisecond,
-		Jitter:         sim.Millisecond,
-		LossProb:       sc.LossProb,
-		Energy:         sc.Energy,
-		Routing:        sc.Routing,
-		AODV:           aodv.Config{},
-		TrafficBucket:  sc.TrafficBucket,
-		Faults:         sc.Faults,
-		HealthEvery:    sc.healthEvery(),
-	}
-	if sc.Invariants != nil {
-		cfg.Invariants = *sc.Invariants
-	}
-	cfg.Workload = sc.Workload
-	return cfg
-}
-
-// healthEvery resolves the effective telemetry period: explicit value,
-// else 10 s whenever faults are scripted, else off.
-func (sc Scenario) healthEvery() sim.Time {
-	if sc.HealthEvery > 0 {
-		return sc.HealthEvery
-	}
-	if !sc.Faults.Empty() {
-		return 10 * sim.Second
-	}
-	return 0
-}
+func DefaultScenario(n int, alg Algorithm) Scenario { return manet.DefaultScenario(n, alg) }
 
 // Simulation is a single live replication, exposed for interactive use
 // (examples, visual tools). For measurements use Run instead.
@@ -408,12 +239,7 @@ type Simulation struct {
 // NewSimulation builds one replication of the scenario (replication
 // index 0) without running it.
 func NewSimulation(sc Scenario) (*Simulation, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	cfg := sc.manetConfig(0)
-	cfg.TraceCapacity = sc.TraceCapacity
-	net, err := manet.Build(cfg)
+	net, err := manet.Build(sc, 0, manet.Options{})
 	if err != nil {
 		return nil, err
 	}

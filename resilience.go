@@ -63,7 +63,7 @@ type Resilience struct {
 // Result's resilience section. Everything here is deterministic in the
 // replication data, so equal seeds and plans give byte-identical output.
 func computeResilience(sc Scenario, reps []*repResult) *Resilience {
-	period := sc.healthEvery()
+	period := sc.HealthPeriod()
 	if period <= 0 {
 		return nil
 	}

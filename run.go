@@ -316,7 +316,8 @@ func Run(sc Scenario) (*Result, error) {
 // horizon, then extracts its measurements: one walk over every
 // section's collect hook (see telemetry_sections.go).
 func runReplication(sc Scenario, rep int) *repResult {
-	net, err := manet.Build(sc.manetConfig(rep))
+	sc.TraceCapacity = 0 // traces are for NewSimulation; see Scenario.TraceCapacity
+	net, err := manet.Build(sc, rep, manet.Options{})
 	if err != nil {
 		return &repResult{err: err}
 	}

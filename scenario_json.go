@@ -67,27 +67,9 @@ func LoadScenario(path string) (Scenario, error) {
 // LoadFaultPlan reads a standalone fault-injection plan from a JSON
 // file ("-" = stdin) and validates it, e.g. for cmd/p2psim -faults.
 func LoadFaultPlan(path string) (FaultPlan, error) {
-	data, err := readPath(path)
-	if err != nil {
-		return FaultPlan{}, fmt.Errorf("manetp2p: reading fault plan: %w", err)
-	}
 	var plan FaultPlan
-	if err := json.Unmarshal(data, &plan); err != nil {
-		return FaultPlan{}, fmt.Errorf("manetp2p: parsing fault plan: %w", err)
-	}
-	if err := plan.Validate(); err != nil {
-		return FaultPlan{}, fmt.Errorf("manetp2p: fault plan: %w", err)
-	}
-	return plan, nil
-}
-
-// SaveFaultPlan writes a fault plan to path as JSON.
-func SaveFaultPlan(path string, plan FaultPlan) error {
-	data, err := json.MarshalIndent(plan, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	err := loadPlan(path, "fault plan", &plan)
+	return plan, err
 }
 
 // LoadWorkloadPlan reads a standalone workload plan from a JSON file
@@ -96,18 +78,26 @@ func SaveFaultPlan(path string, plan FaultPlan) error {
 // seconds and the arrival block carries a "process" tag (see
 // internal/workload, json.go).
 func LoadWorkloadPlan(path string) (*WorkloadPlan, error) {
+	plan := new(WorkloadPlan)
+	if err := loadPlan(path, "workload plan", plan); err != nil {
+		return nil, err
+	}
+	return plan, nil
+}
+
+// loadPlan reads, decodes and validates one hand-authored plan file.
+func loadPlan(path, what string, plan interface{ Validate() error }) error {
 	data, err := readPath(path)
 	if err != nil {
-		return nil, fmt.Errorf("manetp2p: reading workload plan: %w", err)
+		return fmt.Errorf("manetp2p: reading %s: %w", what, err)
 	}
-	var plan WorkloadPlan
-	if err := json.Unmarshal(data, &plan); err != nil {
-		return nil, fmt.Errorf("manetp2p: parsing workload plan: %w", err)
+	if err := json.Unmarshal(data, plan); err != nil {
+		return fmt.Errorf("manetp2p: parsing %s: %w", what, err)
 	}
 	if err := plan.Validate(); err != nil {
-		return nil, fmt.Errorf("manetp2p: workload plan: %w", err)
+		return fmt.Errorf("manetp2p: %s: %w", what, err)
 	}
-	return &plan, nil
+	return nil
 }
 
 // SaveWorkloadPlan writes a workload plan to path as JSON.

@@ -276,7 +276,44 @@ func TestLoadedScenarioRuns(t *testing.T) {
 // fixpoint. Seeded from the scenarios the golden fixtures embed (what the
 // benchmark and -resume decode) and one carrying both hand-authored
 // plans.
+// badScenarioFiles are scenario files that used to be accepted and then
+// panicked (MaxPause), ran something other than what they said (Routing,
+// Mobility, Quals.Kind, QueryMode), ran nothing (Algorithm) or failed
+// only once a replication was built (LossProb), each with the field its
+// error must name.
+var badScenarioFiles = []struct{ field, doc string }{
+	{"MaxPause", `{"MaxPause": -5}`},
+	{"Routing", `{"Routing": 7}`},
+	{"Algorithm", `{"Algorithm": 9}`},
+	{"Mobility", `{"Mobility": 9}`},
+	{"Quals.Kind", `{"Quals": {"Kind": 5}}`},
+	{"QueryMode", `{"Params": {"QueryMode": 4}}`},
+	{"LossProb", `{"LossProb": 1.5}`},
+	{"Energy", `{"Energy": {"Capacity": -1}}`},
+	{"Quals.Classes[0].Weight", `{"Quals": {"Kind": 1, "Classes": [{"Value": 1, "Weight": -1}]}}`},
+	// Found probing by hand past the fuzz smoke: each panicked in Build or
+	// the first events (makeslice, Int63n, schedule-before-now) or allocated
+	// without bound.
+	{"AreaSide", `{"AreaSide": 1e9, "Range": 1e-9}`},
+	{"MaxPause", `{"MaxPause": 9223372036854775807}`},
+	{"timing constant", `{"Params": {"JoinStaggerMax": 9223372036854775807}}`},
+	{"timing constant", `{"Params": {"PingInterval": 9223372036854775807}}`},
+	{"NumFiles", `{"Files": {"NumFiles": 100000000}}`},
+}
+
+func TestScenarioJSONRejectsOutOfRange(t *testing.T) {
+	for _, bad := range badScenarioFiles {
+		_, err := UnmarshalJSONScenario([]byte(bad.doc))
+		if err == nil || !strings.Contains(err.Error(), bad.field) {
+			t.Errorf("%s: err = %v, want an error naming %s", bad.doc, err, bad.field)
+		}
+	}
+}
+
 func FuzzUnmarshalScenario(f *testing.F) {
+	for _, bad := range badScenarioFiles {
+		f.Add([]byte(bad.doc))
+	}
 	for _, name := range []string{"regular.json", "workload.json", "routing_dsr_hybrid.json"} {
 		data, err := os.ReadFile(filepath.Join("testdata", "golden", name))
 		if err != nil {
@@ -315,6 +352,19 @@ func FuzzUnmarshalScenario(f *testing.F) {
 		}
 		if !reflect.DeepEqual(sc, again) {
 			t.Fatalf("decode → encode → decode moved the scenario:\n in: %+v\nout: %+v\nvia %s", sc, again, enc)
+		}
+		// Accepted means buildable: past Validate, nothing a file says may
+		// panic while the world is wired (small worlds only, to keep the
+		// fuzzer fast).
+		if sc.NumNodes <= 64 {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("NewSimulation panicked on an accepted scenario: %v\n%s", r, enc)
+				}
+			}()
+			if _, err := NewSimulation(sc); err != nil {
+				t.Fatalf("accepted scenario does not build: %v\n%s", err, enc)
+			}
 		}
 	})
 }
