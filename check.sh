@@ -106,6 +106,21 @@ if [ -n "$dispatch" ]; then
 fi
 echo ok
 
+# The four overlay algorithms are values in internal/p2p's algorithms
+# table, each in its own file; the servent skeleton, the checker, viz and
+# the commands ask them (hooks, Symmetric, CheckView) instead of testing
+# which one runs. A comparison or case on an algorithm is a second place
+# the next algorithm would have to be added.
+echo "== seam lint (no dispatch on the overlay algorithm) =="
+dispatch=$(grep -rnE 'sv\.alg *(==|!=)|switch sv\.alg|case +((p2p|manetp2p)\.)?(Basic|Regular|Random|Hybrid)\b|(==|!=) *((p2p|manetp2p)\.)?(Basic|Regular|Random|Hybrid)\b' \
+	internal cmd --include='*.go' --exclude='*_test.go' || true)
+if [ -n "$dispatch" ]; then
+	echo "dispatch on an overlay algorithm outside its table:"
+	echo "$dispatch"
+	exit 1
+fi
+echo ok
+
 echo "== go build =="
 go build ./...
 echo ok

@@ -37,9 +37,8 @@ func main() {
 
 	sc := manetp2p.DefaultScenario(*nodes, alg)
 	sc.Seed = *seed
-	if alg == manetp2p.Hybrid {
-		sc.Quals = manetp2p.DeviceClasses()
-	}
+	// Only Hybrid reads qualifiers; classes draw as many numbers as the default.
+	sc.Quals = manetp2p.DeviceClasses()
 	s, err := manetp2p.NewSimulation(sc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

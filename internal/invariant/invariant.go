@@ -144,6 +144,11 @@ type Checker struct {
 	lastBounds uint64
 	pairs      map[pairKey]*pairState
 
+	// node is the servent whose rules the algorithm is running;
+	// reportNode and observeNode attribute its findings to it.
+	node                    int
+	reportNode, observeNode func(rule string, peer int, format string, args ...any)
+
 	violations []Violation
 	total      int
 }
@@ -162,13 +167,20 @@ func New(cfg Config, t Target) *Checker {
 		// node may hold its half of a silently-closed connection.
 		cfg.Grace = 2*(t.Params.PingInterval+t.Params.PongTimeout) + cfg.Every
 	}
-	return &Checker{
+	c := &Checker{
 		cfg:      cfg,
 		t:        t,
 		views:    make([]p2p.View, len(t.Servents)),
 		inflight: make([]uint64, t.Medium.NumNodes()),
 		pairs:    make(map[pairKey]*pairState),
 	}
+	c.reportNode = func(rule string, peer int, format string, args ...any) {
+		c.report("p2p", rule, c.node, peer, format, args...)
+	}
+	c.observeNode = func(rule string, peer int, format string, args ...any) {
+		c.observePair(rule, c.node, peer, format, args...)
+	}
+	return c
 }
 
 // Attach arms the periodic sweep on the target's simulator.

@@ -7,6 +7,17 @@
 // "Connections" here are references, as the paper stresses: a node keeps
 // the addresses of peers it believes reachable; symmetrical connections
 // are reference pairs maintained by one-sided pings.
+//
+// The four share one skeleton, which names no algorithm: a
+// self-rescheduling establishment cycle with the expanding-ring radius
+// and doubling timer (ring.go), the three-way handshake (handshake.go),
+// keepalives with the MAXDIST rule (keepalive.go), and connection
+// install/teardown and message dispatch (servent.go). Each algorithm is a
+// stateless value in its own file (basic.go, regular.go, random.go,
+// hybrid.go) supplying the hooks of the algorithm interface: one cycle
+// step, when it still wants links, whom it answers, what a lost link and
+// a Leave reset, which message kinds it alone speaks, and the invariant
+// rules only it states. The algorithms table below registers them.
 package p2p
 
 import (
@@ -32,30 +43,70 @@ const (
 	Hybrid
 )
 
-// algorithmNames is the paper's name for each algorithm, indexed by its
-// value: String, ParseAlgorithm, Algorithms and the range check all read
-// this one table.
-var algorithmNames = [...]string{Basic: "Basic", Regular: "Regular", Random: "Random", Hybrid: "Hybrid"}
+// algorithms is the one table of overlay algorithms, indexed by value:
+// String, ParseAlgorithm, Algorithms, Valid, Symmetric and every servent
+// and checker dispatch read it, so a new algorithm is one file and one
+// entry here. symmetric marks algorithms whose connections are reference
+// pairs both endpoints acknowledge; Basic's references are
+// one-directional by design (§6.1.1).
+var algorithms = [...]struct {
+	name      string
+	symmetric bool
+	impl      algorithm
+}{
+	Basic:   {"Basic", false, basicAlg{}},
+	Regular: {"Regular", true, regularAlg{}},
+	Random:  {"Random", true, randomAlg{}},
+	Hybrid:  {"Hybrid", true, hybridAlg{}},
+}
+
+// algorithm is what one of the paper's algorithms adds to the shared
+// skeleton. Implementations hold no state: what they act on stays on the
+// Servent, where Inspect and the checkpoint digest read it.
+type algorithm interface {
+	// step runs one iteration of the establishment cycle; it reschedules
+	// the cycle or clears cycleRunning.
+	step(sv *Servent)
+	// needEstablish reports whether the servent still wants connections;
+	// the cycle stops once it is false.
+	needEstablish(sv *Servent) bool
+	// needRegularSlot reports whether a solicited, non-random slot is
+	// open: it gates ring solicitations and accepting an offer.
+	needRegularSlot(sv *Servent) bool
+	// willing is the responder's capacity rule for a solicitation or an
+	// accept from a peer it neither holds nor is negotiating with.
+	willing(sv *Servent, random, masterOnly bool) bool
+	// connClosed reacts to the loss of c while the servent is joined.
+	connClosed(sv *Servent, c *conn)
+	// leave resets the algorithm's own state when the servent leaves.
+	leave(sv *Servent)
+	// handle serves a received message of a kind the skeleton does not
+	// handle itself: the kinds only this algorithm speaks. Another
+	// algorithm's kinds are ignored.
+	handle(sv *Servent, from int, m Msg)
+	// checkView and checkPair back Algorithm.CheckView and CheckPair.
+	checkView(a Algorithm, v *View, par Params, report reportFn)
+	checkPair(cv, rc *ConnView, pv *View, report reportFn)
+}
 
 // Valid reports whether a names one of the algorithms.
-func (a Algorithm) Valid() bool { return a >= 0 && int(a) < len(algorithmNames) }
+func (a Algorithm) Valid() bool { return a >= 0 && int(a) < len(algorithms) }
 
 // String returns the paper's name for the algorithm.
 func (a Algorithm) String() string {
 	if !a.Valid() {
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
-	return algorithmNames[a]
+	return algorithms[a].name
 }
 
 // Symmetric reports whether the algorithm keeps connections as reference
-// pairs both endpoints acknowledge. Basic alone does not: its references
-// are one-directional by design (§6.1.1).
-func (a Algorithm) Symmetric() bool { return a != Basic }
+// pairs both endpoints acknowledge.
+func (a Algorithm) Symmetric() bool { return a.Valid() && algorithms[a].symmetric }
 
 // Algorithms lists all four in the paper's presentation order.
 func Algorithms() []Algorithm {
-	out := make([]Algorithm, len(algorithmNames))
+	out := make([]Algorithm, len(algorithms))
 	for i := range out {
 		out[i] = Algorithm(i)
 	}
@@ -64,12 +115,14 @@ func Algorithms() []Algorithm {
 
 // ParseAlgorithm resolves an algorithm by name, ignoring case.
 func ParseAlgorithm(name string) (Algorithm, error) {
-	for a, n := range algorithmNames {
-		if strings.EqualFold(n, name) {
+	names := make([]string, len(algorithms))
+	for a, e := range algorithms {
+		if strings.EqualFold(e.name, name) {
 			return Algorithm(a), nil
 		}
+		names[a] = strings.ToLower(e.name)
 	}
-	return 0, fmt.Errorf("unknown algorithm %q (%s)", name, strings.ToLower(strings.Join(algorithmNames[:], "|")))
+	return 0, fmt.Errorf("unknown algorithm %q (%s)", name, strings.Join(names, "|"))
 }
 
 // QueryMode selects how searches propagate over the overlay.

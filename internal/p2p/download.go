@@ -14,12 +14,6 @@ import (
 	"manetp2p/internal/trace"
 )
 
-// Download protocol message sizes.
-const (
-	sizeFetchReq = 12
-	sizeChunk    = 512 // file payload chunk on the air
-)
-
 // xfer tracks one in-progress download at the requester.
 type xfer struct {
 	file    int

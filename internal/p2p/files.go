@@ -45,6 +45,8 @@ func (c FileConfig) Frequency(rank int) float64 {
 // holder (re-rolled onto a random servent if the draw left it orphaned),
 // so every query target exists somewhere in the network.
 func (c FileConfig) PlaceFiles(n int, rng *rand.Rand) [][]bool {
+	// Unreachable from input: manet.Build runs Scenario.Validate, which
+	// runs FileConfig.Validate, before it places files.
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}

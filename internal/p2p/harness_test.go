@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"fmt"
 	"testing"
 
 	"manetp2p/internal/aodv"
@@ -149,41 +150,19 @@ func (w *world) checkSymmetric(t *testing.T) {
 	}
 }
 
-// checkCapacity verifies per-algorithm connection caps.
+// checkCapacity verifies the algorithm's own invariant rules — its
+// connection caps, flags and roles — on every servent.
 func (w *world) checkCapacity(t *testing.T, par Params) {
 	t.Helper()
+	var v View
 	for _, sv := range w.svs {
 		if sv == nil {
 			continue
 		}
-		switch sv.alg {
-		case Basic, Regular:
-			if n := len(sv.conns); n > par.MaxNConn {
-				t.Errorf("node %d has %d conns > MAXNCONN %d", sv.id, n, par.MaxNConn)
-			}
-		case Random:
-			reg, rnd := 0, 0
-			for _, c := range sv.conns { // commutative: pure count
-				if c.random {
-					rnd++
-				} else {
-					reg++
-				}
-			}
-			if reg > par.MaxNConn-1 {
-				t.Errorf("node %d has %d regular conns > MAXNCONN-1", sv.id, reg)
-			}
-			if rnd > 1 {
-				t.Errorf("node %d has %d random conns > 1", sv.id, rnd)
-			}
-		case Hybrid:
-			if n := sv.slaveCount(); n > par.MaxNSlaves {
-				t.Errorf("master %d has %d slaves > MAXNSLAVES %d", sv.id, n, par.MaxNSlaves)
-			}
-			if n := sv.masterLinkCount(); n > par.MaxNConn {
-				t.Errorf("master %d has %d mesh links > MAXNCONN", sv.id, n)
-			}
-		}
+		sv.Inspect(&v)
+		sv.alg.CheckView(&v, par, func(rule string, peer int, format string, args ...any) {
+			t.Errorf("node %d: %s (peer %d): %s", sv.id, rule, peer, fmt.Sprintf(format, args...))
+		})
 		if _, self := sv.conns[sv.id]; self {
 			t.Errorf("node %d connected to itself", sv.id)
 		}

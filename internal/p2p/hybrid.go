@@ -1,6 +1,8 @@
 package p2p
 
 import (
+	"fmt"
+
 	"manetp2p/internal/sim"
 	"manetp2p/internal/trace"
 )
@@ -12,40 +14,237 @@ import (
 // reorganizes itself when a master stays slaveless too long or a slave
 // strays too far from its master.
 
-// hybridStep is one establishment-cycle iteration; its behavior depends
-// on the peer's state.
-func (sv *Servent) hybridStep() {
+// HybridState is a Hybrid-algorithm servent's role (§6.2).
+type HybridState int
+
+const (
+	// StateInitial means the peer is still looking for a master or slaves.
+	StateInitial HybridState = iota
+	// StateMaster means the peer coordinates a subnet of slaves and
+	// participates in the master mesh.
+	StateMaster
+	// StateSlave means the peer communicates only with its master.
+	StateSlave
+	// StateReserved is the transitional state during an enslavement
+	// handshake.
+	StateReserved
+)
+
+// stateNames is the paper's name for each state, indexed by value.
+var stateNames = [...]string{StateInitial: "initial", StateMaster: "master", StateSlave: "slave", StateReserved: "reserved"}
+
+// String returns the paper's name for the state.
+func (s HybridState) String() string {
+	if s < 0 || int(s) >= len(stateNames) {
+		return fmt.Sprintf("state(%d)", int(s))
+	}
+	return stateNames[s]
+}
+
+// hybridAlg is the Hybrid algorithm's entry in the algorithms table.
+type hybridAlg struct{}
+
+// step is one establishment-cycle iteration; its behavior depends on the
+// peer's state.
+func (hybridAlg) step(sv *Servent) {
 	switch sv.state {
 	case StateInitial:
-		if sv.nhops != 0 {
-			sv.broadcast(sv.nhops, Msg{Kind: msgCapture, Qualifier: sv.opt.Qualifier})
-			wait := sv.timer
-			sv.advanceNHops()
-			sv.scheduleCycle(wait)
+		if sv.nhops == 0 {
+			// Swept every radius without finding anyone to serve or obey:
+			// entitle ourselves master (§6.2).
+			sv.becomeMaster()
+			sv.scheduleCycle(0)
 			return
 		}
-		// Swept every radius without finding anyone to serve or obey:
-		// entitle ourselves master (§6.2).
-		sv.becomeMaster()
-		sv.scheduleCycle(0)
+		sv.broadcast(sv.nhops, Msg{Kind: msgCapture, Qualifier: sv.opt.Qualifier})
+		sv.ringAdvance()
 	case StateMaster:
 		// "use the regular algorithm to contact other masters".
-		if sv.nhops != 0 {
-			if sv.needMasterLink() {
-				sv.broadcast(sv.nhops, Msg{Kind: msgSolicit, MasterOnly: true})
-			}
-			wait := sv.timer
-			sv.advanceNHops()
-			sv.scheduleCycle(wait)
-			return
+		if sv.nhops != 0 && sv.needMasterLink() {
+			sv.broadcast(sv.nhops, Msg{Kind: msgSolicit, MasterOnly: true})
 		}
-		sv.doubleTimer()
-		sv.advanceNHops()
-		sv.scheduleCycle(0)
-	default:
-		// Slaves and reserved peers do not solicit.
-		sv.cycleRunning = false
+		sv.ringAdvance()
 	}
+}
+
+// needEstablish: slaves and reserved peers do not solicit.
+func (hybridAlg) needEstablish(sv *Servent) bool {
+	return sv.state == StateInitial || sv.needMasterLink()
+}
+
+// needRegularSlot is the master mesh's accounting: solicited links are
+// mesh links.
+func (hybridAlg) needRegularSlot(sv *Servent) bool { return sv.needMasterLink() }
+
+// willing: only masters answer mesh solicitations; slaves talk to no one
+// but their master (§6.2).
+func (hybridAlg) willing(sv *Servent, _, masterOnly bool) bool {
+	return masterOnly && sv.needMasterLink()
+}
+
+func (hybridAlg) connClosed(sv *Servent, c *conn) {
+	switch {
+	case c.toMaster:
+		// "...and, if it is a slave, the peer resets its state to
+		// initial. It then tries to contact other peers" (§6.2).
+		sv.state = StateInitial
+		sv.nhops = sv.par.NHopsInitial
+		sv.timer = sv.par.TimerInitial
+		sv.ensureCycle()
+	case c.toSlave:
+		if sv.state == StateMaster && sv.slaveCount() == 0 {
+			sv.armNoSlaveTimer()
+		}
+	default: // master-mesh link
+		sv.ensureCycle()
+	}
+}
+
+func (hybridAlg) leave(sv *Servent) {
+	sv.reservedEv.Cancel()
+	sv.reservedEv = sim.Handle{}
+	if sv.noSlave != nil {
+		sv.noSlave.Stop()
+	}
+	sv.state = StateInitial
+}
+
+// handle serves capture and the enslave handshake, the kinds only Hybrid
+// speaks.
+func (hybridAlg) handle(sv *Servent, from int, m Msg) {
+	switch m.Kind {
+	case msgCapture:
+		sv.onCapture(from, m)
+	case msgEnslaveReq:
+		sv.onEnslaveReq(from, m)
+	case msgEnslaveAccept:
+		sv.onEnslaveAccept(from)
+	case msgEnslaveConfirm:
+		sv.onEnslaveConfirm(from)
+	case msgEnslaveReject:
+		sv.onEnslaveReject(from)
+	}
+}
+
+// checkView: each link carries exactly one role, at most MAXNSLAVES
+// slaves and MAXNCONN mesh links, connections that agree with the role,
+// and a reservation that can expire.
+func (hybridAlg) checkView(a Algorithm, v *View, par Params, report reportFn) {
+	slaves, mesh, toMaster := 0, 0, 0
+	for k := range v.Conns {
+		cv := &v.Conns[k]
+		if cv.Random {
+			report("conn-flags", cv.Peer, "random link under algorithm %v", a)
+		}
+		roles := 0
+		for _, f := range [...]bool{cv.ToMaster, cv.ToSlave, cv.Master} {
+			if f {
+				roles++
+			}
+		}
+		if roles != 1 {
+			report("conn-flags", cv.Peer,
+				"hybrid connection must carry exactly one role flag, has toMaster=%v toSlave=%v master=%v",
+				cv.ToMaster, cv.ToSlave, cv.Master)
+		}
+		switch {
+		case cv.Random:
+		case cv.ToSlave:
+			slaves++
+		case cv.Master:
+			mesh++
+		case cv.ToMaster:
+			toMaster++
+		}
+	}
+	if slaves > par.MaxNSlaves {
+		report("slave-cap", -1, "%d slaves > MAXNSLAVES %d", slaves, par.MaxNSlaves)
+	}
+	if mesh > par.MaxNConn {
+		report("conn-cap", -1, "%d master-mesh links > MAXNCONN %d", mesh, par.MaxNConn)
+	}
+	if toMaster > 1 {
+		report("role-flags", -1, "%d master links; a slave obeys exactly one master", toMaster)
+	}
+	switch v.State {
+	case StateMaster:
+		if toMaster > 0 {
+			report("role-flags", -1, "master holds %d links to a master of its own", toMaster)
+		}
+	case StateSlave:
+		if slaves > 0 || mesh > 0 {
+			report("role-flags", -1, "slave holds %d slave links and %d mesh links", slaves, mesh)
+		}
+		if toMaster == 0 {
+			// The enslavement installs the master link in the same event
+			// that enters StateSlave, so a masterless slave is a leak.
+			report("role-flags", -1, "slave with no master link")
+		}
+	case StateInitial, StateReserved:
+		if len(v.Conns) > 0 {
+			report("role-flags", -1,
+				"state %v with %d conns; only masters and slaves hold connections", v.State, len(v.Conns))
+		}
+	}
+	if v.State == StateReserved && !v.ReservedArmed {
+		report("reserved-leak", v.ReservedWith, "reserved state with no expiry armed can never resolve")
+	}
+}
+
+// checkPair: both ends agree on the link's role, and the peer is in the
+// state the role requires.
+func (hybridAlg) checkPair(cv, rc *ConnView, pv *View, report reportFn) {
+	if cv.ToSlave != rc.ToMaster || cv.ToMaster != rc.ToSlave || cv.Master != rc.Master {
+		report("role-asym", cv.Peer,
+			"role flags disagree: here toMaster=%v toSlave=%v master=%v, peer toMaster=%v toSlave=%v master=%v",
+			cv.ToMaster, cv.ToSlave, cv.Master, rc.ToMaster, rc.ToSlave, rc.Master)
+	}
+	if cv.ToMaster && pv.State != StateMaster {
+		report("slave-master", cv.Peer, "our master is in state %v, not a live master", pv.State)
+	}
+	if cv.ToSlave && pv.State != StateSlave {
+		report("master-slave", cv.Peer, "our slave is in state %v", pv.State)
+	}
+	if cv.Master && pv.State != StateMaster {
+		report("mesh-master", cv.Peer, "mesh peer is in state %v, not a master", pv.State)
+	}
+}
+
+// needMasterLink reports whether a master wants more mesh links, live
+// and pending.
+func (sv *Servent) needMasterLink() bool {
+	if sv.state != StateMaster {
+		return false
+	}
+	n := sv.masterLinkCount()
+	for _, h := range sv.pending { // commutative: pure count
+		if h.master {
+			n++
+		}
+	}
+	return n < sv.par.MaxNConn
+}
+
+// masterLinkCount counts live master-mesh links.
+func (sv *Servent) masterLinkCount() int {
+	n := 0
+	for _, c := range sv.conns { // commutative: pure count
+		if c.master {
+			n++
+		}
+	}
+	return n
+}
+
+// slaveCount counts this master's live slaves.
+func (sv *Servent) slaveCount() int {
+	n := 0
+	for _, c := range sv.conns { // commutative: pure count
+		if c.toSlave {
+			n++
+		}
+	}
+	return n
 }
 
 // becomeMaster promotes the peer and arms the slaveless-reversion timer.
@@ -98,28 +297,16 @@ func (sv *Servent) outranks(peerQual float64, peerID int) bool {
 	return sv.id > peerID
 }
 
-// onCapture handles the hybrid discovery broadcast: lower-qualified
-// initial peers try to enslave themselves to the sender; higher-
-// qualified initial peers and masters advertise back.
+// onCapture handles the hybrid discovery broadcast and, with Reply set,
+// a higher-qualified peer's unicast advertisement: lower-qualified
+// initial peers try to enslave themselves to the sender; to a broadcast,
+// higher-qualified initial peers and masters advertise back.
 func (sv *Servent) onCapture(from int, m Msg) {
-	if sv.alg != Hybrid {
-		return
-	}
 	switch {
 	case sv.state == StateInitial && !sv.outranks(m.Qualifier, from):
 		sv.tryEnslaveTo(from)
-	case (sv.state == StateInitial || sv.state == StateMaster) && sv.outranks(m.Qualifier, from):
+	case !m.Reply && (sv.state == StateInitial || sv.state == StateMaster) && sv.outranks(m.Qualifier, from):
 		sv.send(from, Msg{Kind: msgCapture, Qualifier: sv.opt.Qualifier, Reply: true})
-	}
-}
-
-// onCaptureReply handles a higher-qualified peer's advertisement.
-func (sv *Servent) onCaptureReply(from int, m Msg) {
-	if sv.alg != Hybrid || !m.Reply {
-		return
-	}
-	if sv.state == StateInitial && !sv.outranks(m.Qualifier, from) {
-		sv.tryEnslaveTo(from)
 	}
 }
 
@@ -148,9 +335,6 @@ func (sv *Servent) reservedExpired(a sim.Arg) {
 // onEnslaveReq is the master side of the enslavement handshake. An
 // initial peer that receives one becomes a master on the spot.
 func (sv *Servent) onEnslaveReq(from int, _ Msg) {
-	if sv.alg != Hybrid {
-		return
-	}
 	acceptable := (sv.state == StateInitial || sv.state == StateMaster) &&
 		sv.slaveCount() < sv.par.MaxNSlaves
 	if _, dup := sv.conns[from]; dup {
@@ -170,7 +354,7 @@ func (sv *Servent) onEnslaveReq(from int, _ Msg) {
 // onEnslaveAccept is the slave finalizing: install the master link and
 // confirm.
 func (sv *Servent) onEnslaveAccept(from int) {
-	if sv.alg != Hybrid || sv.state != StateReserved || sv.reservedWith != from {
+	if sv.state != StateReserved || sv.reservedWith != from {
 		return
 	}
 	sv.reservedEv.Cancel()
@@ -187,7 +371,7 @@ func (sv *Servent) onEnslaveAccept(from int) {
 
 // onEnslaveConfirm is the master finalizing a new slave.
 func (sv *Servent) onEnslaveConfirm(from int) {
-	if sv.alg != Hybrid || sv.state != StateMaster {
+	if sv.state != StateMaster {
 		// We are no longer able to serve; let the slave's keepalive
 		// discover it quickly.
 		sv.send(from, Msg{Kind: msgBye})
@@ -208,7 +392,7 @@ func (sv *Servent) onEnslaveConfirm(from int) {
 
 // onEnslaveReject returns a spurned slave candidate to initial.
 func (sv *Servent) onEnslaveReject(from int) {
-	if sv.alg != Hybrid || sv.state != StateReserved || sv.reservedWith != from {
+	if sv.state != StateReserved || sv.reservedWith != from {
 		return
 	}
 	sv.reservedEv.Cancel()

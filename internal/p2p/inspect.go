@@ -1,6 +1,10 @@
 package p2p
 
-import "manetp2p/internal/sim"
+import (
+	"slices"
+
+	"manetp2p/internal/sim"
+)
 
 // This file is the read-only introspection surface the runtime invariant
 // checker (internal/invariant) validates servents through. The servent's
@@ -96,11 +100,7 @@ func (sv *Servent) Inspect(v *View) {
 	for p, e := range sv.peerCache { // sorted below: keeps the digest deterministic
 		v.Cache = append(v.Cache, CacheView{Peer: p, Seen: e.seen, Tried: e.tried, HasTried: e.hasTried})
 	}
-	for i := 1; i < len(v.Cache); i++ { // insertion sort: tiny slices
-		for j := i; j > 0 && v.Cache[j].Peer < v.Cache[j-1].Peer; j-- {
-			v.Cache[j], v.Cache[j-1] = v.Cache[j-1], v.Cache[j]
-		}
-	}
+	slices.SortFunc(v.Cache, func(a, b CacheView) int { return a.Peer - b.Peer })
 
 	v.Conns = v.Conns[:0]
 	for _, c := range sv.conns { // sorted below: keeps violation reports deterministic
@@ -116,11 +116,7 @@ func (sv *Servent) Inspect(v *View) {
 			DeadlineArmed: c.deadline != nil && c.deadline.Armed(),
 		})
 	}
-	for i := 1; i < len(v.Conns); i++ { // insertion sort: tiny slices
-		for j := i; j > 0 && v.Conns[j].Peer < v.Conns[j-1].Peer; j-- {
-			v.Conns[j], v.Conns[j-1] = v.Conns[j-1], v.Conns[j]
-		}
-	}
+	slices.SortFunc(v.Conns, func(a, b ConnView) int { return a.Peer - b.Peer })
 
 	v.Pending = v.Pending[:0]
 	for _, h := range sv.pending { // sorted below: keeps violation reports deterministic
@@ -131,10 +127,46 @@ func (sv *Servent) Inspect(v *View) {
 			TimeoutArmed: h.timeout.Pending(),
 		})
 	}
-	for i := 1; i < len(v.Pending); i++ {
-		for j := i; j > 0 && v.Pending[j].Peer < v.Pending[j-1].Peer; j-- {
-			v.Pending[j], v.Pending[j-1] = v.Pending[j-1], v.Pending[j]
+	slices.SortFunc(v.Pending, func(a, b PendingView) int { return a.Peer - b.Peer })
+}
+
+// reportFn receives one invariant violation: the rule's name, the peer
+// involved (-1 for none) and a printf-style detail.
+type reportFn = func(rule string, peer int, format string, args ...any)
+
+// CheckView runs the invariant rules only algorithm a states — which
+// connection flags it sets, its capacities, its role state — on the view
+// of one joined servent, calling report once per violation. The rules
+// every algorithm shares live in internal/invariant.
+func (a Algorithm) CheckView(v *View, par Params, report func(rule string, peer int, format string, args ...any)) {
+	algorithms[a].impl.checkView(a, v, par, report)
+}
+
+// CheckPair runs a's cross-node rules on one live connection of a
+// symmetric algorithm: cv is this servent's side, rc the peer's side
+// toward it and pv the peer's view. report is called for every
+// inconsistency observed; the checker decides whether it outlived its
+// grace window.
+func (a Algorithm) CheckPair(cv, rc *ConnView, pv *View, report func(rule string, peer int, format string, args ...any)) {
+	algorithms[a].impl.checkPair(cv, rc, pv, report)
+}
+
+// checkRoleless reports what Hybrid's roles would leave behind under an
+// algorithm a without them: role flags on a connection, a state other
+// than StateInitial, and random links unless a has them (longLinks).
+func checkRoleless(a Algorithm, v *View, longLinks bool, report reportFn) {
+	for k := range v.Conns {
+		cv := &v.Conns[k]
+		if cv.Random && !longLinks {
+			report("conn-flags", cv.Peer, "random link under algorithm %v", a)
 		}
+		if cv.ToMaster || cv.ToSlave || cv.Master {
+			report("conn-flags", cv.Peer, "hybrid role flags (toMaster=%v toSlave=%v master=%v) under algorithm %v",
+				cv.ToMaster, cv.ToSlave, cv.Master, a)
+		}
+	}
+	if v.State != StateInitial {
+		report("role-flags", -1, "state %v under algorithm %v", v.State, a)
 	}
 }
 

@@ -35,20 +35,16 @@ func (sv *Servent) pingTick(c *conn) {
 // onPing answers a keepalive probe.
 func (sv *Servent) onPing(from int, m Msg) {
 	c, ok := sv.conns[from]
-	if !ok {
-		if sv.alg == Basic {
-			// Basic references are asymmetric: the pinged node holds no
-			// state and simply answers (§6.1.1).
-			sv.send(from, Msg{Kind: msgPong, Seq: m.Seq})
-		} else {
-			// A symmetric-algorithm ping for a connection we do not
-			// have: tell the peer to drop its stale half.
-			sv.send(from, Msg{Kind: msgBye})
-		}
+	if !ok && sv.alg.Symmetric() {
+		// A symmetric-algorithm ping for a connection we do not have:
+		// tell the peer to drop its stale half.
+		sv.send(from, Msg{Kind: msgBye})
 		return
 	}
+	// Asymmetric references (Basic) hold no state at the pinged node,
+	// which simply answers (§6.1.1).
 	sv.send(from, Msg{Kind: msgPong, Seq: m.Seq})
-	if c.deadline != nil {
+	if ok && c.deadline != nil {
 		c.deadline.Reset(sv.deadlineWindow())
 	}
 }
@@ -61,7 +57,7 @@ func (sv *Servent) onPong(from int, m Msg, adhocHops int) {
 		return
 	}
 	c.awaitPong = false
-	if sv.alg != Basic {
+	if sv.alg.Symmetric() {
 		limit := sv.par.MaxDist
 		if c.random {
 			limit = 2 * sv.par.MaxDist

@@ -73,113 +73,51 @@ const (
 	msgChunk          = netif.MsgChunk
 )
 
-// Nominal p2p message sizes in bytes for traffic/energy accounting.
-const (
-	sizeDiscover = 16
-	sizeReply    = 12
-	sizeSolicit  = 16
-	sizeOffer    = 16
-	sizeAccept   = 12
-	sizeConfirm  = 12
-	sizeReject   = 12
-	sizeCapture  = 16
-	sizeEnslave  = 12
-	sizePing     = 8
-	sizePong     = 8
-	sizeBye      = 8
-	sizeQuery    = 24
-	sizeQueryHit = 20
-)
-
-// The class and size tables are indexed by message kind — one bounds
-// check and one load on the hot send path, where the old any-typed
-// type switches boxed every message they touched. A kind missing from
-// a table (MsgNone, MsgTest, or a newly added kind without entries)
-// panics exactly like the switches' default arms did; the coverage
-// test in messages_test.go keeps the tables and the kind enum in sync.
-var classTable = [netif.NumMsgKinds]telemetry.Class{
-	msgDiscover:       telemetry.Connect,
-	msgReply:          telemetry.Connect,
-	msgSolicit:        telemetry.Connect,
-	msgOffer:          telemetry.Connect,
-	msgAccept:         telemetry.Connect,
-	msgConfirm:        telemetry.Connect,
-	msgReject:         telemetry.Connect,
-	msgCapture:        telemetry.Connect,
-	msgEnslaveReq:     telemetry.Connect,
-	msgEnslaveAccept:  telemetry.Connect,
-	msgEnslaveConfirm: telemetry.Connect,
-	msgEnslaveReject:  telemetry.Connect,
-	msgPing:           telemetry.Ping,
-	msgPong:           telemetry.Pong,
-	msgBye:            telemetry.Bye,
-	msgQuery:          telemetry.Query,
-	msgQueryHit:       telemetry.QueryHit,
-	msgFetchReq:       telemetry.Transfer,
-	msgChunk:          telemetry.Transfer,
-}
-
-// classKnown marks kinds with a class assignment: telemetry.Connect is
-// the zero Class, so the table alone cannot tell "Connect" from
-// "missing".
-var classKnown = [netif.NumMsgKinds]bool{
-	msgDiscover:       true,
-	msgReply:          true,
-	msgSolicit:        true,
-	msgOffer:          true,
-	msgAccept:         true,
-	msgConfirm:        true,
-	msgReject:         true,
-	msgCapture:        true,
-	msgEnslaveReq:     true,
-	msgEnslaveAccept:  true,
-	msgEnslaveConfirm: true,
-	msgEnslaveReject:  true,
-	msgPing:           true,
-	msgPong:           true,
-	msgBye:            true,
-	msgQuery:          true,
-	msgQueryHit:       true,
-	msgFetchReq:       true,
-	msgChunk:          true,
-}
-
-// sizeTable gives each kind's nominal wire size; 0 means unsized (the
-// kind is not a wire message).
-var sizeTable = [netif.NumMsgKinds]int{
-	msgDiscover:       sizeDiscover,
-	msgReply:          sizeReply,
-	msgSolicit:        sizeSolicit,
-	msgOffer:          sizeOffer,
-	msgAccept:         sizeAccept,
-	msgConfirm:        sizeConfirm,
-	msgReject:         sizeReject,
-	msgCapture:        sizeCapture,
-	msgEnslaveReq:     sizeEnslave,
-	msgEnslaveAccept:  sizeEnslave,
-	msgEnslaveConfirm: sizeEnslave,
-	msgEnslaveReject:  sizeEnslave,
-	msgPing:           sizePing,
-	msgPong:           sizePong,
-	msgBye:            sizeBye,
-	msgQuery:          sizeQuery,
-	msgQueryHit:       sizeQueryHit,
-	msgFetchReq:       sizeFetchReq,
-	msgChunk:          sizeChunk,
+// wire gives each kind's counting class (§7) and nominal size in bytes
+// for traffic/energy accounting, indexed by kind — one bounds check and
+// one load on the hot send path, where the old any-typed type switches
+// boxed every message they touched. Size 0 marks a kind that is not a
+// wire message (MsgNone, MsgTest, or a newly added kind without an
+// entry): classOf and sizeOf panic on it exactly like the switches'
+// default arms did; the coverage test in messages_test.go keeps the
+// table and the kind enum in sync.
+var wire = [netif.NumMsgKinds]struct {
+	class telemetry.Class
+	size  int
+}{
+	msgDiscover:       {telemetry.Connect, 16},
+	msgReply:          {telemetry.Connect, 12},
+	msgSolicit:        {telemetry.Connect, 16},
+	msgOffer:          {telemetry.Connect, 16},
+	msgAccept:         {telemetry.Connect, 12},
+	msgConfirm:        {telemetry.Connect, 12},
+	msgReject:         {telemetry.Connect, 12},
+	msgCapture:        {telemetry.Connect, 16},
+	msgEnslaveReq:     {telemetry.Connect, 12},
+	msgEnslaveAccept:  {telemetry.Connect, 12},
+	msgEnslaveConfirm: {telemetry.Connect, 12},
+	msgEnslaveReject:  {telemetry.Connect, 12},
+	msgPing:           {telemetry.Ping, 8},
+	msgPong:           {telemetry.Pong, 8},
+	msgBye:            {telemetry.Bye, 8},
+	msgQuery:          {telemetry.Query, 24},
+	msgQueryHit:       {telemetry.QueryHit, 20},
+	msgFetchReq:       {telemetry.Transfer, 12},
+	msgChunk:          {telemetry.Transfer, 512}, // a file payload chunk on the air
 }
 
 // classOf maps a message kind to the paper's counting classes.
 func classOf(k netif.MsgKind) telemetry.Class {
-	if int(k) >= netif.NumMsgKinds || !classKnown[k] {
+	if int(k) >= netif.NumMsgKinds || wire[k].size == 0 {
 		panic("p2p: unclassified message")
 	}
-	return classTable[k]
+	return wire[k].class
 }
 
 // sizeOf returns the nominal wire size of a message kind.
 func sizeOf(k netif.MsgKind) int {
-	if int(k) >= netif.NumMsgKinds || sizeTable[k] == 0 {
+	if int(k) >= netif.NumMsgKinds || wire[k].size == 0 {
 		panic("p2p: unsized message")
 	}
-	return sizeTable[k]
+	return wire[k].size
 }

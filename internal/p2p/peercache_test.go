@@ -193,7 +193,7 @@ func TestPeerCacheEvictionDeterministic(t *testing.T) {
 }
 
 // Alloc guard (ISSUE 8): the peer-cache scan a cache-enabled cycle step
-// performs (ringStep -> tryCachedPeers -> cachedPeerIDs) must not
+// performs (ringSolicit -> tryCachedPeers -> cachedPeerIDs) must not
 // allocate once the servent's scratch buffer is warm — it runs every
 // establishment step for the whole simulation. The step's other halves
 // (event re-scheduling, broadcast/unicast send) are covered by the

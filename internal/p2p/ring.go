@@ -3,8 +3,9 @@ package p2p
 import "manetp2p/internal/sim"
 
 // This file implements the establishment cycle shared by all four
-// algorithms: a self-rescheduling step that broadcasts discovery messages
-// with the paper's expanding-ring radius sequence
+// algorithms: a self-rescheduling step, supplied by the algorithm, that
+// broadcasts discovery messages with the paper's expanding-ring radius
+// sequence
 // nhops = NHOPS_INITIAL, +2, ..., MAXNHOPS, 0, NHOPS_INITIAL, ...
 // and the exponential timer backoff applied on each completed sweep.
 
@@ -12,7 +13,7 @@ import "manetp2p/internal/sim"
 // already running — called at join, after a connection closes, and after
 // a handshake fails.
 func (sv *Servent) ensureCycle() {
-	if !sv.joined || sv.cycleRunning || !sv.needEstablish() {
+	if !sv.joined || sv.cycleRunning || !sv.impl.needEstablish(sv) {
 		return
 	}
 	sv.cycleRunning = true
@@ -26,182 +27,42 @@ func (sv *Servent) scheduleCycle(d sim.Time) {
 
 func (sv *Servent) cycleStep() {
 	sv.cycleEv = sim.Handle{}
-	if !sv.joined || !sv.needEstablish() {
+	if !sv.joined || !sv.impl.needEstablish(sv) {
 		sv.cycleRunning = false
 		return
 	}
-	switch sv.alg {
-	case Basic:
-		sv.basicStep()
-	case Regular, Random:
-		sv.ringStep()
-	case Hybrid:
-		sv.hybridStep()
+	sv.impl.step(sv)
+}
+
+// ringSolicit is the broadcast half of one expanding-ring iteration
+// (fig. 2): at a nonzero radius with a regular slot open, solicit offers.
+func (sv *Servent) ringSolicit() {
+	if sv.nhops != 0 && sv.impl.needRegularSlot(sv) {
+		// Peer-cache extension: a unicast retry toward a known peer
+		// replaces this step's broadcast when possible.
+		if !sv.tryCachedPeers() {
+			sv.broadcast(sv.nhops, Msg{Kind: msgSolicit})
+		}
 	}
 }
 
-// advanceNHops applies the paper's radius progression: (nhops+2) mod
+// ringAdvance ends one expanding-ring iteration: wait TIMER before the
+// next radius or, at nhops == 0 — a full sweep that failed to fill the
+// table — back off with "timer = min(timer × 2, MAXTIMER)" and start the
+// next sweep at once. The radius progresses as (nhops+2) mod
 // (MAXNHOPS+2), i.e. 2, 4, 6, 0, 2, ...
-func (sv *Servent) advanceNHops() {
+func (sv *Servent) ringAdvance() {
+	wait := sv.timer
+	if sv.nhops == 0 {
+		sv.timer = min(2*sv.timer, sv.par.MaxTimer)
+		wait = 0
+	}
 	sv.nhops = (sv.nhops + 2) % (sv.par.MaxNHops + 2)
+	sv.scheduleCycle(wait)
 }
 
-// doubleTimer applies "timer = min(timer × 2, MAXTIMER)".
-func (sv *Servent) doubleTimer() {
-	sv.timer *= 2
-	if sv.timer > sv.par.MaxTimer {
-		sv.timer = sv.par.MaxTimer
-	}
-}
-
-// ringStep is one iteration of the Regular (fig. 2) or Random (fig. 3)
-// establishment loop.
-func (sv *Servent) ringStep() {
-	if sv.nhops != 0 {
-		if sv.needRegularSlot() {
-			// Peer-cache extension: a unicast retry toward a known peer
-			// replaces this step's broadcast when possible.
-			if !sv.tryCachedPeers() {
-				sv.broadcast(sv.nhops, Msg{Kind: msgSolicit})
-			}
-		}
-		if sv.alg == Random && sv.needRandomLink() {
-			sv.startRandomSolicit()
-		}
-		wait := sv.timer
-		sv.advanceNHops()
-		sv.scheduleCycle(wait)
-		return
-	}
-	// nhops == 0: a full sweep failed to fill the table — back off.
-	sv.doubleTimer()
-	if sv.alg == Random && sv.needRandomLink() {
-		sv.startRandomSolicit()
-	}
-	sv.advanceNHops()
-	sv.scheduleCycle(0)
-}
-
-// needEstablish reports whether the algorithm still wants connections.
-func (sv *Servent) needEstablish() bool {
-	switch sv.alg {
-	case Basic:
-		return len(sv.conns) < sv.par.MaxNConn
-	case Regular:
-		return len(sv.conns)+sv.reservedSlots() < sv.par.MaxNConn
-	case Random:
-		return sv.needRegularSlot() || sv.needRandomLink()
-	case Hybrid:
-		switch sv.state {
-		case StateInitial:
-			return true
-		case StateMaster:
-			return sv.needMasterLink()
-		default:
-			return false
-		}
-	}
-	return false
-}
-
-// needRegularSlot reports whether a non-random connection slot is open,
-// respecting the Random algorithm's MAXNCONN−1 cap on regular links and
-// the Hybrid algorithm's master-mesh accounting.
-func (sv *Servent) needRegularSlot() bool {
-	switch sv.alg {
-	case Regular:
-		return len(sv.conns)+sv.reservedSlots() < sv.par.MaxNConn
-	case Random:
-		return sv.regularCount()+sv.pendingRegular() < sv.par.MaxNConn-1
-	case Hybrid:
-		return sv.needMasterLink()
-	default:
-		return false
-	}
-}
-
-// lacksRandomLink reports whether the Random algorithm's long link is
-// missing and not being negotiated. Used for responder-side willingness:
-// a node that is still collecting its own offers must not refuse an
-// incoming random link, or synchronized solicitation cycles reject each
-// other forever.
-func (sv *Servent) lacksRandomLink() bool {
-	if sv.alg != Random {
-		return false
-	}
-	if sv.HasRandomConn() {
-		return false
-	}
-	for _, h := range sv.pending { // commutative: pure any-match
-		if h.random {
-			return false
-		}
-	}
-	return true
-}
-
-// needRandomLink additionally requires that no offer collection is in
-// flight; it gates starting a new solicitation.
-func (sv *Servent) needRandomLink() bool {
-	return !sv.collecting && sv.lacksRandomLink()
-}
-
-// needMasterLink reports whether a Hybrid master wants more mesh links.
-func (sv *Servent) needMasterLink() bool {
-	return sv.state == StateMaster &&
-		sv.masterLinkCount()+sv.pendingMaster() < sv.par.MaxNConn
-}
-
-// regularCount counts live non-random overlay links (excluding hybrid
-// slave/master-role links).
-func (sv *Servent) regularCount() int {
-	n := 0
-	for _, c := range sv.conns { // commutative: pure count
-		if !c.random && !c.toMaster && !c.toSlave {
-			n++
-		}
-	}
-	return n
-}
-
-// masterLinkCount counts live master-mesh links.
-func (sv *Servent) masterLinkCount() int {
-	n := 0
-	for _, c := range sv.conns { // commutative: pure count
-		if c.master {
-			n++
-		}
-	}
-	return n
-}
-
-// slaveCount counts this master's live slaves.
-func (sv *Servent) slaveCount() int {
-	n := 0
-	for _, c := range sv.conns { // commutative: pure count
-		if c.toSlave {
-			n++
-		}
-	}
-	return n
-}
-
-func (sv *Servent) pendingRegular() int {
-	n := 0
-	for _, h := range sv.pending { // commutative: pure count
-		if !h.random {
-			n++
-		}
-	}
-	return n
-}
-
-func (sv *Servent) pendingMaster() int {
-	n := 0
-	for _, h := range sv.pending { // commutative: pure count
-		if h.master {
-			n++
-		}
-	}
-	return n
+// freeSlot reports whether a connection slot is free, counting the slots
+// held by in-flight outgoing handshakes as taken.
+func (sv *Servent) freeSlot() bool {
+	return len(sv.conns)+len(sv.pending) < sv.par.MaxNConn
 }

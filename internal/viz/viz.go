@@ -82,10 +82,10 @@ func WriteSVG(w io.Writer, n *manet.Network, opt Options) error {
 		p := n.Medium.Pos(i)
 		fill, r := "#bbb", 3.0 // plain ad-hoc relay
 		if sv := n.Servents[i]; sv != nil && sv.Joined() {
-			switch {
-			case n.Cfg.Algorithm == p2p.Hybrid && sv.State() == p2p.StateMaster:
+			switch sv.State() { // only Hybrid servents leave StateInitial
+			case p2p.StateMaster:
 				fill, r = "#cb4b16", 5
-			case n.Cfg.Algorithm == p2p.Hybrid && sv.State() == p2p.StateSlave:
+			case p2p.StateSlave:
 				fill, r = "#859900", 3.5
 			default:
 				fill, r = "#268bd2", 4
