@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"manetp2p/internal/checkpoint"
 	"manetp2p/internal/telemetry"
 )
 
@@ -75,14 +74,15 @@ type SelfAuditReport struct {
 	// per replication, depending on the section).
 	PooledN bool
 	// StepIndependent: replication 0 stepped to the horizon in eight
-	// Simulation.Step segments reached the same state digest
-	// (checkpoint.Fingerprint) as one stepped there in a single call —
-	// segmenting a run does not perturb it.
+	// Simulation.Step segments produced a byte-identical replication
+	// record (the repResult a checkpoint stores, as canonical JSON) to
+	// the one the base run took there in a single call — segmenting a
+	// run does not perturb it.
 	StepIndependent bool
 	// Invariants carries the instrumented base run's checker findings.
 	Invariants *InvariantReport
-	// Detail describes the first fingerprint, pooled-N or state-digest
-	// mismatch, when any.
+	// Detail describes the first fingerprint, pooled-N or replication
+	// record mismatch, when any.
 	Detail string
 }
 
@@ -95,10 +95,10 @@ func (r *SelfAuditReport) OK() bool {
 // the scenario executes three times — instrumented base run, identical
 // rerun, serial (Workers=1) run — and the Results are compared as
 // canonical JSON with the Workers knob normalized out; replication 0
-// then runs twice more, straight and in segments, and the two final
-// state digests are compared. The invariant checker is forced on
-// throughout. Expect a little over three full scenario runs' worth of
-// wall-clock; size the scenario accordingly.
+// then runs once more in segments, and its record is compared with the
+// base run's. The invariant checker is forced on throughout. Expect a
+// little over three full scenario runs' worth of wall-clock; size the
+// scenario accordingly.
 func SelfAudit(sc Scenario) (*SelfAuditReport, error) {
 	inv := InvariantConfig{Enabled: true}
 	if sc.Invariants != nil {
@@ -107,10 +107,11 @@ func SelfAudit(sc Scenario) (*SelfAuditReport, error) {
 	}
 	sc.Invariants = &inv
 
-	base, err := Run(sc)
+	reps, err := NewPool(sc.Workers).runReps(sc, nil)
 	if err != nil {
 		return nil, err
 	}
+	base := aggregate(sc, reps)
 	again, err := Run(sc)
 	if err != nil {
 		return nil, err
@@ -122,25 +123,24 @@ func SelfAudit(sc Scenario) (*SelfAuditReport, error) {
 		return nil, err
 	}
 
-	fpBase, err := fingerprint(base)
-	if err != nil {
-		return nil, err
+	var fps [3][]byte
+	for i, res := range []*Result{base, again, one} {
+		if fps[i], err = fingerprint(res); err != nil {
+			return nil, err
+		}
 	}
-	fpAgain, err := fingerprint(again)
-	if err != nil {
-		return nil, err
-	}
-	fpOne, err := fingerprint(one)
-	if err != nil {
-		return nil, err
-	}
+	fpBase, fpAgain, fpOne := fps[0], fps[1], fps[2]
 
-	straight, err := stepDigest(sc, 1)
+	const segments = 8
+	cuts := make([]Duration, segments-1)
+	for i := range cuts {
+		cuts[i] = Duration(i+1) * (sc.Duration / segments)
+	}
+	straight, err := json.Marshal(reps[0])
 	if err != nil {
 		return nil, err
 	}
-	const segments = 8
-	stepped, err := stepDigest(sc, segments)
+	stepped, err := replicationRecord(sc, cuts)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +150,7 @@ func SelfAudit(sc Scenario) (*SelfAuditReport, error) {
 		Deterministic:       bytes.Equal(fpBase, fpAgain),
 		ScheduleIndependent: bytes.Equal(fpBase, fpOne),
 		PooledN:             pooledN == "",
-		StepIndependent:     straight == stepped,
+		StepIndependent:     bytes.Equal(straight, stepped),
 		Invariants:          base.Invariants,
 	}
 	switch {
@@ -161,24 +161,19 @@ func SelfAudit(sc Scenario) (*SelfAuditReport, error) {
 	case !rep.PooledN:
 		rep.Detail = pooledN
 	case !rep.StepIndependent:
-		rep.Detail = fmt.Sprintf("state digest %016x after %d Step segments, %016x after a single Step", stepped, segments, straight)
+		rep.Detail = diffDetail(fmt.Sprintf("replication 0 in %d Step segments", segments), straight, stepped)
 	}
 	return rep, nil
 }
 
-// stepDigest runs replication 0 to the horizon through the public
-// stepping API, in the given number of Step calls, and returns the
-// state digest it ends in.
-func stepDigest(sc Scenario, steps int) (uint64, error) {
-	s, err := NewSimulation(sc)
-	if err != nil {
-		return 0, err
+// replicationRecord runs replication 0 with the clock stopping at each
+// of cuts and returns its record as canonical JSON.
+func replicationRecord(sc Scenario, cuts []Duration) ([]byte, error) {
+	rr := runReplication(sc, 0, cuts)
+	if rr.err != nil {
+		return nil, rr.err
 	}
-	for i := 1; i < steps; i++ {
-		s.Step(sc.Duration / Duration(steps))
-	}
-	s.Step(sc.Duration - s.Now())
-	return checkpoint.Fingerprint(s.Net), nil
+	return json.Marshal(rr)
 }
 
 // auditPooledN checks the telemetry plane's pooled-sample conservation

@@ -3,9 +3,11 @@ package manetp2p
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"manetp2p/internal/sim"
+	"manetp2p/internal/trace"
 )
 
 // checkedScenario arms the invariant checker on a quick scenario.
@@ -120,13 +122,94 @@ func TestSelfAuditPasses(t *testing.T) {
 		t.Errorf("pooled-N conservation audit failed: %s", rep.Detail)
 	}
 	if !rep.StepIndependent {
-		t.Errorf("state-digest audit failed: %s", rep.Detail)
+		t.Errorf("stepping audit (replication record) failed: %s", rep.Detail)
 	}
 	if !rep.Invariants.OK() {
 		t.Errorf("invariant violations during self-audit: %+v", rep.Invariants)
 	}
 	if !rep.OK() {
 		t.Error("self-audit did not pass overall")
+	}
+}
+
+// TestStepSegmentationLeavesReplicationAlone is the re-segment
+// metamorphic test: stopping the clock anywhere on the way to the
+// horizon — evenly, 1 µs in, on the instants snapshots, health samples
+// and keepalive pings fire, at a prime stride — must leave replication
+// 0's record byte-identical to a run straight there, with every optional
+// subsystem on. The invariance is exact, not distributional: a stop
+// draws no randomness and schedules nothing, so the event sequence
+// itself is the same, not merely its statistics.
+func TestStepSegmentationLeavesReplicationAlone(t *testing.T) {
+	every := func(sc Scenario, period Duration) []Duration {
+		var cuts []Duration
+		for at := period; at < sc.Duration; at += period {
+			cuts = append(cuts, at)
+		}
+		return cuts
+	}
+	for _, alg := range Algorithms() {
+		t.Run(alg.String(), func(t *testing.T) {
+			t.Parallel()
+			sc := checkedScenario(alg, 20)
+			sc.Replications = 1
+			sc.AreaSide, sc.Range = 50, 15 // a connected overlay
+			sc.SnapshotEvery = 30 * sim.Second
+			sc.HealthEvery = 10 * sim.Second
+			sc.TrafficBucket = 20 * sim.Second
+			sc.Faults = FaultPlan{Events: []FaultEvent{
+				PartitionFault(60*sim.Second, 60*sim.Second, AxisX, 25),
+				CrashGroupFault(150*sim.Second, 60*sim.Second, 8),
+			}}
+			var err error
+			if sc.Workload, err = LoadWorkloadPlan("testdata/selfcheck_workload.json"); err != nil {
+				t.Fatal(err)
+			}
+
+			// An initiator's first ping fires PingInterval after the
+			// connection is installed; a traced run says when that was.
+			traced := sc
+			traced.TraceCapacity = 1 << 20
+			s, err := NewSimulation(traced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Step(sc.Duration)
+			var pings []Duration
+			for _, e := range s.Net.Tracer.Events() {
+				if at := e.At + sc.Params.PingInterval; e.Kind == trace.KindConn && at < sc.Duration &&
+					strings.HasPrefix(e.What, "established") && (len(pings) == 0 || at > pings[len(pings)-1]) {
+					pings = append(pings, at)
+				}
+			}
+			if len(pings) == 0 {
+				t.Fatal("no connection was established: the ping-tick segmentation has no boundary")
+			}
+
+			straight, err := replicationRecord(sc, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seg := range []struct {
+				name string
+				cuts []Duration
+			}{
+				{"eight equal", every(sc, sc.Duration/8)},
+				{"1us first", []Duration{sim.Microsecond}},
+				{"on snapshots", every(sc, sc.SnapshotEvery)},
+				{"on health samples", every(sc, sc.HealthEvery)},
+				{"on ping ticks", pings},
+				{"prime stride", every(sc, 37_000_039)}, // µs; prime
+			} {
+				stepped, err := replicationRecord(sc, seg.cuts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(straight, stepped) {
+					t.Errorf("%s (%d stops): %s", seg.name, len(seg.cuts), diffDetail("stepped record", straight, stepped))
+				}
+			}
+		})
 	}
 }
 

@@ -17,8 +17,9 @@
 # fault-free, under the scripted partition+crash plan in
 # testdata/selfcheck_faults.json, under the full workload plan in
 # testdata/selfcheck_workload.json (which arms the demand-conservation
-# rules), and once more with the peer-cache extension enabled. Exits
-# nonzero on any violation.
+# rules), and once more with the peer-cache extension enabled; then
+# Regular once over each of DSR, DSDV and Flood, so the stepping audit
+# compares those routers' records too. Exits nonzero on any violation.
 #
 # `./check.sh checkpoint` runs the full golden-fixture checkpoint
 # round-trip: every committed fixture (including testdata/golden/
@@ -52,6 +53,10 @@ if [ "$1" = "selfcheck" ]; then
 		echo "== selfcheck $alg (peer cache) =="
 		go run ./cmd/p2psim -selfcheck -alg "$alg" -nodes 30 -duration 600 -reps 2 \
 			-peercache -faults testdata/selfcheck_faults.json
+	done
+	for routing in dsr dsdv flood; do
+		echo "== selfcheck regular over $routing =="
+		go run ./cmd/p2psim -selfcheck -alg regular -routing "$routing" -nodes 30 -duration 600 -reps 2
 	done
 	echo "selfcheck passed"
 	exit 0

@@ -297,7 +297,7 @@ func runSelfcheck(sc manetp2p.Scenario) {
 	fmt.Printf("  determinism (same seed, same result): %s\n", pass(rep.Deterministic))
 	fmt.Printf("  scheduling independence (serial == pooled): %s\n", pass(rep.ScheduleIndependent))
 	fmt.Printf("  telemetry pooled-N conservation: %s\n", pass(rep.PooledN))
-	fmt.Printf("  stepping independence (8 Step segments == one, state digest): %s\n", pass(rep.StepIndependent))
+	fmt.Printf("  stepping independence (8 Step segments == one, replication record): %s\n", pass(rep.StepIndependent))
 	if rep.Invariants != nil {
 		fmt.Printf("  invariants (%d replications): %s\n",
 			rep.Invariants.Replications, pass(rep.Invariants.OK()))

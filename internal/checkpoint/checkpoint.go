@@ -1,6 +1,5 @@
 // Package checkpoint implements the on-disk container behind
-// replication-granular checkpointing and the state digest behind the
-// determinism self-audit (DESIGN.md §11).
+// replication-granular checkpointing (DESIGN.md §11).
 //
 // The container is deliberately dumb: a versioned, length-prefixed
 // binary envelope holding one caller-defined JSON header plus named,

@@ -7,10 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"manetp2p/internal/manet"
-	"manetp2p/internal/p2p"
-	"manetp2p/internal/sim"
 )
 
 func sampleFile() *File {
@@ -164,56 +160,5 @@ func TestWriteRejectsInvalidHeader(t *testing.T) {
 	}
 	if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
 		t.Error("failed Write left a file behind")
-	}
-}
-
-func buildNet(t *testing.T, seed int64) *manet.Network {
-	t.Helper()
-	cfg := manet.DefaultScenario(16, p2p.Regular)
-	cfg.Seed = seed
-	cfg.HealthEvery = 30 * sim.Second
-	n, err := manet.Build(cfg, 0, manet.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
-// Two identically seeded replications must agree on the digest at every
-// probe point, and probing must not perturb the run (Fingerprint is
-// read-only): a third run probed at different times must still agree at
-// the shared horizon.
-func TestFingerprintDeterministicAndReadOnly(t *testing.T) {
-	a, b, c := buildNet(t, 3), buildNet(t, 3), buildNet(t, 3)
-	for _, horizon := range []sim.Time{0, 40 * sim.Second, 120 * sim.Second} {
-		a.Sim.Run(horizon)
-		b.Sim.Run(horizon)
-		fa, fb := Fingerprint(a), Fingerprint(b)
-		if fa != fb {
-			t.Fatalf("digest at %v: %016x vs %016x on identical runs", horizon, fa, fb)
-		}
-		// Repeated digesting of the same state is stable.
-		if again := Fingerprint(a); again != fa {
-			t.Fatalf("re-digest at %v changed: %016x -> %016x", horizon, fa, again)
-		}
-	}
-	// c runs straight to the horizon with no intermediate probes.
-	c.Sim.Run(120 * sim.Second)
-	if fc, fa := Fingerprint(c), Fingerprint(a); fc != fa {
-		t.Errorf("segmented run digest %016x != straight run digest %016x", fa, fc)
-	}
-}
-
-func TestFingerprintSeparatesStates(t *testing.T) {
-	a, b := buildNet(t, 3), buildNet(t, 4)
-	a.Sim.Run(60 * sim.Second)
-	b.Sim.Run(60 * sim.Second)
-	if Fingerprint(a) == Fingerprint(b) {
-		t.Error("different seeds produced the same digest")
-	}
-	before := Fingerprint(a)
-	a.Sim.Run(61 * sim.Second)
-	if Fingerprint(a) == before {
-		t.Error("advancing the run did not change the digest")
 	}
 }

@@ -253,6 +253,7 @@ func seqGreater(a, b uint32) bool { return int32(a-b) > 0 }
 // Broadcast floods payload within ttl hops (controlled broadcast).
 func (r *Router) Broadcast(ttl, size int, payload netif.Msg) {
 	if ttl <= 0 {
+		// Unreachable from input: overlay TTLs are NHopsBasic >= 1 (Params.Validate), a nonzero ring radius or randhops >= 1.
 		panic("dsdv: Broadcast with non-positive TTL")
 	}
 	if !r.med.Up(r.ID()) {
@@ -373,6 +374,7 @@ func (r *Router) HandleFrame(f *radio.Frame) {
 	case netif.PktBcast:
 		r.bcast.Handle(f.Src, &f.Payload)
 	default:
+		// Unreachable from input: every node runs the scenario's one router, so frames carry only its kinds.
 		panic(fmt.Sprintf("dsdv: unknown packet kind %d", f.Payload.Kind))
 	}
 }

@@ -145,14 +145,6 @@ func (inj *Injector) crash(ev Event) {
 	})
 }
 
-// ActiveGates reports how many fault windows are currently gating
-// deliveries, per kind (link flaps as the count of down windows). The
-// checkpoint digest folds these in so a resumed replication must agree
-// with the uninterrupted one about which faults are live.
-func (inj *Injector) ActiveGates() (partitions, jams, bursts, flapsDown int) {
-	return len(inj.partitions), len(inj.jams), len(inj.bursts), inj.flapsDown
-}
-
 // filter is the per-delivery gate installed on the medium. It runs on
 // the hot path, so the common no-active-fault case returns immediately.
 func (inj *Injector) filter(src, dst int) bool {

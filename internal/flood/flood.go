@@ -83,6 +83,7 @@ func NewRouter(id int, pl *route.Plane, med *radio.Medium, cfg Config) *Router {
 // Broadcast floods payload within ttl hops.
 func (r *Router) Broadcast(ttl, size int, payload netif.Msg) {
 	if ttl <= 0 {
+		// Unreachable from input: overlay TTLs are NHopsBasic >= 1 (Params.Validate), a nonzero ring radius or randhops >= 1.
 		panic("flood: Broadcast with non-positive TTL")
 	}
 	if !r.med.Up(r.ID()) {
@@ -120,6 +121,7 @@ func (r *Router) HandleFrame(f *radio.Frame) {
 	case netif.PktData:
 		r.handleUnicast(&f.Payload)
 	default:
+		// Unreachable from input: every node runs the scenario's one router, so frames carry only its kinds.
 		panic(fmt.Sprintf("flood: unknown packet kind %d", f.Payload.Kind))
 	}
 }

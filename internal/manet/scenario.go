@@ -300,6 +300,12 @@ func DefaultScenario(n int, alg p2p.Algorithm) Scenario {
 // holds one cell per Range² of arena.
 const maxRangesPerSide = 1000
 
+// maxSamples bounds Duration/period for every sampling period a scenario
+// sets (SnapshotEvery, HealthEvery, TrafficBucket, Invariants.Every):
+// each sample is a whole-network sweep or a slot in the record, and a
+// 1 µs period never finishes.
+const maxSamples = 100_000
+
 // Validate reports a descriptive error for inconsistent scenarios. It
 // is the only check between a file, a flag or an API caller and Build:
 // every rule lives here once (the sub-configurations validate their own
@@ -341,6 +347,23 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("manetp2p: HealthEvery %v negative", sc.HealthEvery)
 	case sc.Quals.Kind != QualUniform && sc.Quals.Kind != QualClasses:
 		return fmt.Errorf("manetp2p: Quals.Kind %d is not a qualifier kind", int(sc.Quals.Kind))
+	}
+	var checkEvery sim.Time
+	if sc.Invariants != nil {
+		checkEvery = sc.Invariants.Every
+	}
+	for _, p := range [...]struct {
+		name  string
+		every sim.Time
+	}{
+		{"SnapshotEvery", sc.SnapshotEvery},
+		{"HealthEvery", sc.HealthEvery},
+		{"TrafficBucket", sc.TrafficBucket},
+		{"Invariants.Every", checkEvery},
+	} {
+		if p.every > 0 && sc.Duration/p.every > maxSamples {
+			return fmt.Errorf("manetp2p: %s %v takes more than %d samples over Duration %v", p.name, p.every, maxSamples, sc.Duration)
+		}
 	}
 	for i, c := range sc.Quals.Classes {
 		if c.Weight <= 0 {

@@ -62,7 +62,7 @@ var algorithms = [...]struct {
 
 // algorithm is what one of the paper's algorithms adds to the shared
 // skeleton. Implementations hold no state: what they act on stays on the
-// Servent, where Inspect and the checkpoint digest read it.
+// Servent, where Inspect reads it.
 type algorithm interface {
 	// step runs one iteration of the establishment cycle; it reschedules
 	// the cycle or clears cycleRunning.

@@ -37,15 +37,6 @@ type PendingView struct {
 	TimeoutArmed bool
 }
 
-// CacheView is one peer-cache entry (the checkpoint digest folds these
-// in: eviction order is part of the deterministic-replay contract).
-type CacheView struct {
-	Peer     int
-	Seen     sim.Time
-	Tried    sim.Time
-	HasTried bool
-}
-
 // View is a structural snapshot of one servent. Slices are reused across
 // Inspect calls on the same View, so a checker can sweep a whole network
 // every sampling interval without steady-state allocation.
@@ -57,22 +48,6 @@ type View struct {
 	Conns         []ConnView
 	Pending       []PendingView
 	CacheLen      int // peer-cache population
-
-	// Protocol counters and timers folded into the checkpoint digest
-	// (internal/checkpoint): any two runs that agree on all of these for
-	// every servent are in the same replication state.
-	NHops        int
-	Timer        sim.Time
-	CycleRunning bool
-	Collecting   bool
-	Offers       int
-	NextQID      uint32
-	OpenQuery    bool
-	Established  uint64
-	Closed       uint64
-	Downloads    uint64
-	SeenQueries  int
-	Cache        []CacheView
 }
 
 // Inspect fills v with this servent's current structural state. Conns
@@ -84,24 +59,6 @@ func (sv *Servent) Inspect(v *View) {
 	v.ReservedWith = sv.reservedWith
 	v.ReservedArmed = sv.reservedEv.Pending()
 	v.CacheLen = len(sv.peerCache)
-	v.NHops = sv.nhops
-	v.Timer = sv.timer
-	v.CycleRunning = sv.cycleRunning
-	v.Collecting = sv.collecting
-	v.Offers = len(sv.offers)
-	v.NextQID = sv.nextQID
-	v.OpenQuery = sv.curReq != nil
-	v.Established = sv.established
-	v.Closed = sv.closed
-	v.Downloads = sv.downloads
-	v.SeenQueries = len(sv.seen)
-
-	v.Cache = v.Cache[:0]
-	for p, e := range sv.peerCache { // sorted below: keeps the digest deterministic
-		v.Cache = append(v.Cache, CacheView{Peer: p, Seen: e.seen, Tried: e.tried, HasTried: e.hasTried})
-	}
-	slices.SortFunc(v.Cache, func(a, b CacheView) int { return a.Peer - b.Peer })
-
 	v.Conns = v.Conns[:0]
 	for _, c := range sv.conns { // sorted below: keeps violation reports deterministic
 		v.Conns = append(v.Conns, ConnView{

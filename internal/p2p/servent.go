@@ -275,12 +275,6 @@ func (sv *Servent) HasFile(r int) bool {
 // in-flight count).
 func (sv *Servent) OpenQuery() bool { return sv.curReq != nil }
 
-// Established returns how many connections this servent has formed.
-func (sv *Servent) Established() uint64 { return sv.established }
-
-// Closed returns how many connections this servent has torn down.
-func (sv *Servent) Closed() uint64 { return sv.closed }
-
 // Join starts participation: the establishment cycle begins after a
 // small random stagger, and (unless disabled) the query workload starts.
 func (sv *Servent) Join() {

@@ -42,12 +42,12 @@ func TestServentAccessors(t *testing.T) {
 	}
 	w.joinAll()
 	w.run(time(120))
-	if sv.Established() == 0 {
-		t.Error("Established = 0 after pairing")
+	if sv.established == 0 {
+		t.Error("established = 0 after pairing")
 	}
 	w.svs[0].Leave(true)
 	w.run(time(5))
-	if sv.Closed() == 0 {
-		t.Error("Closed = 0 after peer left")
+	if sv.closed == 0 {
+		t.Error("closed = 0 after peer left")
 	}
 }

@@ -166,9 +166,11 @@ func NewMedium(s *sim.Sim, cfg Config) (*Medium, error) {
 // node that is already up panics.
 func (m *Medium) Join(id int, p geom.Point, r Receiver) {
 	if m.up[id] {
+		// Unreachable from input: Build joins each node once, and churnUp/ForceUp return early when Up.
 		panic(fmt.Sprintf("radio: Join of already-up node %d", id))
 	}
 	if r == nil {
+		// Unreachable from input: every caller passes its router's HandleFrame.
 		panic("radio: Join with nil receiver")
 	}
 	m.up[id] = true
@@ -308,6 +310,7 @@ func (m *Medium) Send(f Frame) int {
 		return 0
 	}
 	if f.Size <= 0 {
+		// Unreachable from input: frame sizes are header constants plus the p2p wire table's fixed sizes.
 		panic("radio: Send with non-positive frame size")
 	}
 	m.stats[f.Src].TxFrames++

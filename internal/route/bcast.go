@@ -65,10 +65,6 @@ func NewBcaster(core *Core, med *radio.Medium, hdrSize, perHop int, cfg CacheCon
 	}
 }
 
-// Cache exposes the duplicate cache (the AODV RREQ path shares its
-// policy but keeps a separate cache; tests inspect bounds).
-func (bc *Bcaster) Cache() *DupCache { return bc.cache }
-
 // frameSize is the on-air size of b.
 func (bc *Bcaster) frameSize(b *netif.Packet) int {
 	return b.Size + bc.hdrSize + bc.perHop*len(b.Path)

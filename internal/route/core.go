@@ -60,6 +60,7 @@ type Core struct {
 // NewCore creates the dispatch core for node id of pl's simulation.
 func NewCore(id int, pl *Plane) *Core {
 	if id < 0 || id >= pl.nodes {
+		// Unreachable from input: manet.Build makes one core per id in [0, NumNodes) on a NumNodes plane.
 		panic(fmt.Sprintf("route: node id %d outside the plane's %d nodes", id, pl.nodes))
 	}
 	c := &Core{id: id, sim: pl.sim, plane: pl}

@@ -78,9 +78,8 @@ func (s *Sim) Pending() int { return s.queue.Len() }
 func (s *Sim) Fired() uint64 { return s.fired }
 
 // Seq reports how many queue sequence numbers have been issued. Together
-// with Now, Fired and Pending it pins the scheduler's position precisely
-// enough for the checkpoint digest (internal/checkpoint) to detect two
-// runs disagreeing about event history.
+// with Now, Fired and Pending it pins the scheduler's position; tests use
+// it to check that two runs agree about event history.
 func (s *Sim) Seq() uint64 { return s.seq }
 
 // alloc takes an event slot from the free list (or the heap, while the

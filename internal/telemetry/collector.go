@@ -119,6 +119,7 @@ func NewCollector(n int) *Collector {
 // the simulation starts.
 func (c *Collector) SetClock(clock func() sim.Time, bucket sim.Time) {
 	if clock == nil || bucket <= 0 {
+		// Unreachable from input: manet.Build calls SetClock only when TrafficBucket > 0.
 		panic("telemetry: SetClock requires a clock and a positive bucket width")
 	}
 	c.clock = clock

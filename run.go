@@ -285,7 +285,7 @@ func (p *Pool) runReps(sc Scenario, ckpt *ckptState) ([]*repResult, error) {
 			}
 			p.slots <- struct{}{}
 			defer func() { <-p.slots }()
-			reps[r] = runReplication(sc, r)
+			reps[r] = runReplication(sc, r, nil)
 			if ckpt != nil && reps[r].err == nil {
 				reps[r].err = ckpt.store(r, reps[r])
 			}
@@ -314,8 +314,12 @@ func Run(sc Scenario) (*Result, error) {
 
 // runReplication builds, instruments and runs one replication to its
 // horizon, then extracts its measurements: one walk over every
-// section's collect hook (see telemetry_sections.go).
-func runReplication(sc Scenario, rep int) *repResult {
+// section's collect hook (see telemetry_sections.go). The clock stops
+// at each of cuts (ascending instants before the horizon) on the way:
+// every leg is one Network.Run, which is exactly Simulation.Step, so
+// SelfAudit can check that stepping a run moves no byte of its record.
+// Run passes no cuts.
+func runReplication(sc Scenario, rep int, cuts []Duration) *repResult {
 	sc.TraceCapacity = 0 // traces are for NewSimulation; see Scenario.TraceCapacity
 	net, err := manet.Build(sc, rep, manet.Options{})
 	if err != nil {
@@ -353,7 +357,10 @@ func runReplication(sc Scenario, rep int) *repResult {
 			rr.Alive = append(rr.Alive, float64(net.AliveMembers())/float64(len(net.Members())))
 		})
 	}
-	net.Sim.Run(sc.Duration)
+	for _, at := range cuts {
+		net.Run(at - net.Sim.Now())
+	}
+	net.Run(sc.Duration - net.Sim.Now())
 	for _, s := range sections {
 		if s.collect != nil {
 			s.collect(sc, net, rr)

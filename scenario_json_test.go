@@ -278,9 +278,9 @@ func TestLoadedScenarioRuns(t *testing.T) {
 // plans.
 // badScenarioFiles are scenario files that used to be accepted and then
 // panicked (MaxPause), ran something other than what they said (Routing,
-// Mobility, Quals.Kind, QueryMode), ran nothing (Algorithm) or failed
-// only once a replication was built (LossProb), each with the field its
-// error must name.
+// Mobility, Quals.Kind, QueryMode), ran nothing (Algorithm), failed
+// only once a replication was built (LossProb) or never finished (the
+// sampling periods), each with the field its error must name.
 var badScenarioFiles = []struct{ field, doc string }{
 	{"MaxPause", `{"MaxPause": -5}`},
 	{"Routing", `{"Routing": 7}`},
@@ -299,6 +299,11 @@ var badScenarioFiles = []struct{ field, doc string }{
 	{"timing constant", `{"Params": {"JoinStaggerMax": 9223372036854775807}}`},
 	{"timing constant", `{"Params": {"PingInterval": 9223372036854775807}}`},
 	{"NumFiles", `{"Files": {"NumFiles": 100000000}}`},
+	// A 1 µs sampling period over the default hour: 3.6e9 samples.
+	{"SnapshotEvery", `{"SnapshotEvery": 1}`},
+	{"HealthEvery", `{"HealthEvery": 1}`},
+	{"TrafficBucket", `{"TrafficBucket": 1}`},
+	{"Invariants.Every", `{"Invariants": {"Enabled": true, "Every": 1}}`},
 }
 
 func TestScenarioJSONRejectsOutOfRange(t *testing.T) {
