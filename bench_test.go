@@ -354,8 +354,8 @@ func BenchmarkAblationRunnerScaling(b *testing.B) {
 
 // --- Microbenchmarks ---
 //
-// The tracked unit benchmarks (cmd/bench lists them) live in
-// bench_test.go of the package each one times.
+// The unit benchmarks of the hot paths (DESIGN §5) live in bench_test.go
+// of the package each one times.
 
 func BenchmarkWaypointPos(b *testing.B) {
 	sc := DefaultScenario(1, Regular)

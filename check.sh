@@ -1,16 +1,8 @@
 #!/bin/sh
 # Repository health check: format, vet, full tests (the benchmark
 # module's own included), a 10 s fuzz smoke of each of the four file
-# decoders, the race detector over every package, a smoke of the tracked
+# decoders, the race detector over every package, a smoke of the unit
 # benchmarks, and the count of non-test Go lines outside benchmark/.
-#
-# `./check.sh bench` instead runs the tracked benchmark suite, writes
-# the machine-readable report (see cmd/bench), and gates it against the
-# committed baseline (BENCH_21.json): >20% ns/op regressions on
-# comparable hardware, any allocs/op increase on a 0-alloc benchmark, or
-# a 0-alloc benchmark of the baseline that no longer runs, fail. Pass an
-# output path as the second argument to override the default BENCH.json;
-# writing the baseline path itself skips the gate.
 #
 # `./check.sh selfcheck` runs the runtime invariant suite and the
 # determinism self-audit (p2psim -selfcheck) across all four algorithms:
@@ -32,13 +24,6 @@
 # artifact).
 set -e
 cd "$(dirname "$0")"
-
-if [ "$1" = "bench" ]; then
-	out="${2:-BENCH.json}"
-	echo "== tracked benchmarks -> $out (gated against BENCH_21.json) =="
-	go run ./cmd/bench -o "$out" -baseline BENCH_21.json
-	exit 0
-fi
 
 if [ "$1" = "selfcheck" ]; then
 	for alg in basic regular random hybrid; do
@@ -159,10 +144,10 @@ fuzz_smoke FuzzPlan ./internal/workload
 echo "== go test -race =="
 go test -race ./...
 
-# Every tracked benchmark for ten iterations, through the same command
-# and name list that record BENCH_<n>.json; no gate at this length.
-echo "== bench smoke (tracked benchmarks, 10 iterations) =="
-go run ./cmd/bench -benchtime 10x -rounds 1 -o - >/dev/null
+# Every unit benchmark for ten iterations, so each body and its end
+# assertion still runs; timing is benchmark/'s job, not this smoke's.
+echo "== bench smoke (unit benchmarks, 10 iterations) =="
+go test -run '^$' -bench . -benchtime 10x ./internal/...
 
 echo "all checks passed"
 

@@ -12,15 +12,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"manetp2p"
 	"manetp2p/internal/viz"
 )
 
 func main() {
+	var algs []string
+	for _, alg := range manetp2p.Algorithms() {
+		algs = append(algs, strings.ToLower(alg.String()))
+	}
 	var (
 		nodes   = flag.Int("nodes", 50, "number of ad-hoc nodes")
-		algName = flag.String("alg", "regular", "algorithm: basic|regular|random|hybrid")
+		algName = flag.String("alg", "regular", "algorithm: "+strings.Join(algs, "|"))
 		at      = flag.Float64("at", 1800, "snapshot time, simulated seconds")
 		seed    = flag.Int64("seed", 1, "random seed")
 		radio   = flag.Bool("radio", false, "draw radio adjacency")

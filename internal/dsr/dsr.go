@@ -236,6 +236,7 @@ func (r *Router) dropRoutesVia(a, b int) {
 // and path accumulation.
 func (r *Router) Broadcast(ttl, size int, payload netif.Msg) {
 	if ttl <= 0 {
+		// Unreachable from input: overlay TTLs are NHopsBasic >= 1 (Params.Validate), a nonzero ring radius or randhops >= 1.
 		panic("dsr: Broadcast with non-positive TTL")
 	}
 	if !r.med.Up(r.ID()) {
@@ -402,6 +403,7 @@ func (r *Router) HandleFrame(f *radio.Frame) {
 	case netif.PktBcast:
 		r.bcast.Handle(f.Src, &f.Payload)
 	default:
+		// Unreachable from input: every node runs the scenario's one router, so frames carry only its kinds.
 		panic(fmt.Sprintf("dsr: unknown packet kind %d", f.Payload.Kind))
 	}
 }

@@ -11,31 +11,56 @@ import (
 // benchSink keeps the compiler from eliding benchmarked metric math.
 var benchSink float64
 
-// BenchmarkOverlaySnapshot measures one full overlay snapshot through the
-// analytics engine — adjacency fill plus clustering, pathlength,
-// components and edge count — exactly what the SnapshotEvery ticker and
-// the health sampler run, on a 150-node Regular overlay run to steady
-// state, the densest configuration the paper's snapshot ticker faces.
-// Must report 0 allocs/op at steady state.
-func BenchmarkOverlaySnapshot(b *testing.B) {
+// snapshotBench is the tracked overlay-snapshot workload: one full
+// overlay snapshot through the analytics engine — adjacency fill plus
+// clustering, pathlength, components and edge count — exactly what the
+// SnapshotEvery ticker and the health sampler run, on a 150-node Regular
+// overlay run to steady state, the densest configuration the paper's
+// snapshot ticker faces.
+type snapshotBench struct {
+	net *Network
+	an  graphs.Analyzer
+}
+
+// newSnapshotBench returns the workload with the analyzer's scratch
+// warm.
+func newSnapshotBench(tb testing.TB) *snapshotBench {
 	sc := DefaultScenario(150, p2p.Regular)
 	sc.Seed = 42
 	net, err := Build(sc, 0, Options{NoQueries: true})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	net.Run(900 * sim.Second)
-	an := new(graphs.Analyzer)
-	isMember := net.IsMember
-	net.AppendOverlayAdjacency(&an.S)
-	an.Analyze(isMember) // warm the scratch before timing
+	w := &snapshotBench{net: net}
+	w.snapshot()
+	return w
+}
+
+func (w *snapshotBench) snapshot() graphs.Metrics {
+	w.net.AppendOverlayAdjacency(&w.an.S)
+	return w.an.Analyze(w.net.IsMember)
+}
+
+// BenchmarkOverlaySnapshot's contract is 0 allocs/op at steady state;
+// TestOverlaySnapshotSteadyStateAllocs holds it there.
+func BenchmarkOverlaySnapshot(b *testing.B) {
+	w := newSnapshotBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		net.AppendOverlayAdjacency(&an.S)
-		m := an.Analyze(isMember)
+		m := w.snapshot()
 		sink += m.Clustering + m.PathLength + m.Largest + float64(m.Edges)
 	}
 	benchSink = sink
+}
+
+// The same contract in `go test`: once warm, a full fill+analyze
+// snapshot of the live overlay allocates nothing.
+func TestOverlaySnapshotSteadyStateAllocs(t *testing.T) {
+	w := newSnapshotBench(t)
+	if allocs := testing.AllocsPerRun(10, func() { w.snapshot() }); allocs != 0 {
+		t.Errorf("steady-state snapshot allocates %v per run, want 0", allocs)
+	}
 }

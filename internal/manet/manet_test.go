@@ -464,24 +464,3 @@ func TestMembersCached(t *testing.T) {
 		t.Errorf("Members not in id order: %v", a)
 	}
 }
-
-// TestOverlaySnapshotSteadyStateAllocs guards the PR's core promise on
-// the live path, not just the synthetic benchmark graph: once warm, a
-// full fill+analyze snapshot allocates nothing.
-func TestOverlaySnapshotSteadyStateAllocs(t *testing.T) {
-	n, err := Build(smallConfig(p2p.Regular, 14), 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Run(10 * sim.Minute)
-	var an graphs.Analyzer
-	n.AppendOverlayAdjacency(&an.S)
-	an.Analyze(n.IsMember)
-	allocs := testing.AllocsPerRun(10, func() {
-		n.AppendOverlayAdjacency(&an.S)
-		an.Analyze(n.IsMember)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state snapshot allocates %v per run, want 0", allocs)
-	}
-}

@@ -296,6 +296,8 @@ func DefaultScenario(n int, alg p2p.Algorithm) Scenario {
 	}
 }
 
+const maxNodes = 1 << 16 // NumNodes sizes every per-node slice: p2p's maxFiles ceiling, well above 10k nodes
+
 // maxRangesPerSide bounds AreaSide/Range: the radio's spatial index
 // holds one cell per Range² of arena.
 const maxRangesPerSide = 1000
@@ -319,8 +321,8 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("manetp2p: Routing %d is not one of %v", int(sc.Routing), Routings())
 	case !sc.Mobility.valid():
 		return fmt.Errorf("manetp2p: Mobility %d is not one of %v", int(sc.Mobility), Mobilities())
-	case sc.NumNodes < 1:
-		return fmt.Errorf("manetp2p: NumNodes %d < 1", sc.NumNodes)
+	case sc.NumNodes < 1 || sc.NumNodes > maxNodes:
+		return fmt.Errorf("manetp2p: NumNodes %d outside [1, %d]", sc.NumNodes, maxNodes)
 	case sc.MemberFraction <= 0 || sc.MemberFraction > 1:
 		return fmt.Errorf("manetp2p: MemberFraction %v outside (0,1]", sc.MemberFraction)
 	case sc.AreaSide <= 0:

@@ -83,8 +83,8 @@ func (w *sendBench) check(tb testing.TB) {
 	}
 }
 
-// BenchmarkServentSend's contract is 0 allocs/op once warm: cmd/bench
-// gates it at zero.
+// BenchmarkServentSend's contract is 0 allocs/op once warm:
+// TestServentSendZeroAllocs holds it at zero.
 func BenchmarkServentSend(b *testing.B) {
 	w := newSendBench(b)
 	b.ReportAllocs()

@@ -59,7 +59,7 @@ func (w *broadcastBench) step(i int) {
 }
 
 // BenchmarkRadioBroadcast's contract is 0 allocs/op once the slabs are
-// warm: cmd/bench gates it at zero.
+// warm: TestBroadcastZeroAllocs holds it at zero.
 func BenchmarkRadioBroadcast(b *testing.B) {
 	w := newBroadcastBench(b)
 	b.ReportAllocs()

@@ -65,7 +65,7 @@ func (w *dupCheckBench) check(tb testing.TB, n int) {
 }
 
 // BenchmarkDupCheck's contract from the steady state on is 0 allocs/op,
-// and cmd/bench gates it at zero.
+// and TestDupCheckZeroAllocs holds it at zero.
 func BenchmarkDupCheck(b *testing.B) {
 	w := newDupCheckBench()
 	b.ReportAllocs()

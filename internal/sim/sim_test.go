@@ -644,6 +644,17 @@ func TestScheduleFireZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("ScheduleArg+fire allocates %.1f allocs/op, want 0", allocs)
 	}
+
+	// BenchmarkSimEventQueue's op: the queue fills to 1025 events spread
+	// over a second before it drains, so the heap is ten levels deep.
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i <= 1024; i++ {
+			s.Schedule(Time(i%1000)*Millisecond, fn)
+		}
+		s.Run(MaxTime)
+	}); allocs != 0 {
+		t.Errorf("filling the queue to 1025 and draining it allocates %.1f allocs/run, want 0", allocs)
+	}
 }
 
 func TestPendingAndFiredCounters(t *testing.T) {

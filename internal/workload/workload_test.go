@@ -403,33 +403,6 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-// TestArrivalHotPathAllocs pins the arrival hot path at zero
-// allocations: NextGap and PickFile run once per query per node for the
-// whole horizon, so a single boxed value here costs millions of
-// allocations per sweep.
-func TestArrivalHotPathAllocs(t *testing.T) {
-	plan := Plan{
-		Arrival:    Arrival{Process: OnOff, Rate: 0.2},
-		Popularity: Popularity{Skew: 1.1, RotateEvery: 30 * sim.Second},
-		Sessions:   DefaultSessions(),
-		Phases:     []Phase{{Name: "flash", Start: 0, RateScale: 2, HotFiles: 2, HotBoost: 0.5}},
-	}
-	s := sim.New(1)
-	e := New(s, s.NewRand(), plan, 4, 15, nil)
-	held := make([]bool, 15)
-	// Warm up: cross every phase transition and size the scratch.
-	for i := 0; i < 10; i++ {
-		e.NextGap(i % 4)
-		e.PickFile(i%4, held)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		e.NextGap(1)
-		e.PickFile(1, held)
-	}); n != 0 {
-		t.Fatalf("arrival hot path allocates %v per query, want 0", n)
-	}
-}
-
 // FuzzPlan: whatever the bytes, decoding a plan returns an error, a plan
 // Validate refuses, or a plan that survives its own encoding — never a
 // panic, and decode → encode → decode is a fixpoint.

@@ -270,12 +270,6 @@ func TestLoadedScenarioRuns(t *testing.T) {
 	}
 }
 
-// FuzzUnmarshalScenario: whatever the bytes, UnmarshalJSONScenario
-// returns an error or a scenario that passes Validate and survives its
-// own encoding — never a panic, and decode → encode → decode is a
-// fixpoint. Seeded from the scenarios the golden fixtures embed (what the
-// benchmark and -resume decode) and one carrying both hand-authored
-// plans.
 // badScenarioFiles are scenario files that used to be accepted and then
 // panicked (MaxPause), ran something other than what they said (Routing,
 // Mobility, Quals.Kind, QueryMode), ran nothing (Algorithm), failed
@@ -299,6 +293,7 @@ var badScenarioFiles = []struct{ field, doc string }{
 	{"timing constant", `{"Params": {"JoinStaggerMax": 9223372036854775807}}`},
 	{"timing constant", `{"Params": {"PingInterval": 9223372036854775807}}`},
 	{"NumFiles", `{"Files": {"NumFiles": 100000000}}`},
+	{"NumNodes", `{"NumNodes": 1000000000}`},
 	// A 1 µs sampling period over the default hour: 3.6e9 samples.
 	{"SnapshotEvery", `{"SnapshotEvery": 1}`},
 	{"HealthEvery", `{"HealthEvery": 1}`},
@@ -315,6 +310,12 @@ func TestScenarioJSONRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// FuzzUnmarshalScenario: whatever the bytes, UnmarshalJSONScenario
+// returns an error or a scenario that passes Validate and survives its
+// own encoding — never a panic, and decode → encode → decode is a
+// fixpoint. Seeded from the scenarios the golden fixtures embed (what the
+// benchmark and -resume decode) and one carrying both hand-authored
+// plans.
 func FuzzUnmarshalScenario(f *testing.F) {
 	for _, bad := range badScenarioFiles {
 		f.Add([]byte(bad.doc))
