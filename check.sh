@@ -111,6 +111,20 @@ if [ -n "$dispatch" ]; then
 fi
 echo ok
 
+# The scenario flags are declared once, in cmd/internal/scenarioflag,
+# with their override rule. A command declaring one of them itself is a
+# second definition that the rule, -h's defaults and the other commands
+# would not follow.
+echo "== seam lint (scenario flags declared only in cmd/internal/scenarioflag) =="
+declared=$(grep -rnE '\.(String|Int|Int64|Float64|Bool|Duration|Var|Func)\("(config|nodes|alg|duration|reps|seed|p2p|speed|area|range|classes|routing|traffic|faults|workload|health|peercache)"' \
+	cmd --include='*.go' --exclude='*_test.go' | grep -v '^cmd/internal/scenarioflag/' || true)
+if [ -n "$declared" ]; then
+	echo "scenario flag declared outside cmd/internal/scenarioflag:"
+	echo "$declared"
+	exit 1
+fi
+echo ok
+
 echo "== go build =="
 go build ./...
 echo ok

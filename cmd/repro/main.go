@@ -9,69 +9,67 @@
 //	repro -fast               # everything at 5 replications
 //	repro -exp fig7           # a single experiment
 //	repro -exp fig5,fig7,table2
+//	repro -fast -exp fig7 -routing dsr
 //
 // Figures 5/7/9/11 share the 50-node runs (one per algorithm), and
 // Figures 6/8/10/12 share the 150-node runs, so each population is
 // simulated once per algorithm regardless of how many figures are
-// requested.
+// requested. Every run starts from cmd/internal/scenarioflag's scenario;
+// each figure sets the node count and algorithm, so -nodes and -alg are
+// refused.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"manetp2p"
+	"manetp2p/cmd/internal/scenarioflag"
 	"manetp2p/internal/prof"
 )
 
 // experiment maps a paper artifact to the runs and renderer it needs.
 type experiment struct {
 	nodes int // 0 = no simulation needed (tables)
-	print func(results []*manetp2p.Result)
+	print func(base manetp2p.Scenario, results []*manetp2p.Result)
 }
+
+// figure is Figure n: what it plots for the nodes-node runs, drawn by write.
+func figure(n, nodes int, what string, write func(io.Writer, []*manetp2p.Result) error) experiment {
+	return experiment{nodes: nodes, print: func(base manetp2p.Scenario, rs []*manetp2p.Result) {
+		fmt.Printf("# Figure %d: %s (%d nodes, %g%% p2p)\n", n, what, nodes, 100*base.MemberFraction)
+		exitOn(write(os.Stdout, rs), 1)
+	}}
+}
+
+// series draws the nodes' received-message counts of one kind, in
+// descending order.
+func series(kind manetp2p.SeriesKind) func(io.Writer, []*manetp2p.Result) error {
+	return func(w io.Writer, rs []*manetp2p.Result) error { return manetp2p.WriteNodeSeries(w, kind, rs) }
+}
+
+// curves draws the per-file distance and answer curves.
+func curves(w io.Writer, rs []*manetp2p.Result) error { return manetp2p.WriteFileCurves(w, rs, 10) }
+
+const curvesPlot = "distance to find the file and # of answers per request"
 
 // experiments is every artifact repro can regenerate; order is the
 // sequence "all" prints them in.
 var experiments = map[string]experiment{
-	"table1": {print: func([]*manetp2p.Result) { manetp2p.WriteTable1(os.Stdout) }},
-	"table2": {print: func([]*manetp2p.Result) {
-		manetp2p.WriteTable2(os.Stdout, manetp2p.DefaultScenario(50, manetp2p.Regular))
-	}},
-	"fig5": {nodes: 50, print: func(rs []*manetp2p.Result) {
-		fmt.Println("# Figure 5: distance to find the file and # of answers per request (50 nodes, 75% p2p)")
-		check(manetp2p.WriteFileCurves(os.Stdout, rs, 10))
-	}},
-	"fig6": {nodes: 150, print: func(rs []*manetp2p.Result) {
-		fmt.Println("# Figure 6: distance to find the file and # of answers per request (150 nodes, 75% p2p)")
-		check(manetp2p.WriteFileCurves(os.Stdout, rs, 10))
-	}},
-	"fig7": {nodes: 50, print: func(rs []*manetp2p.Result) {
-		fmt.Println("# Figure 7: connect messages (50 nodes, 75% p2p)")
-		check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesConnect, rs))
-	}},
-	"fig8": {nodes: 150, print: func(rs []*manetp2p.Result) {
-		fmt.Println("# Figure 8: connect messages (150 nodes, 75% p2p)")
-		check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesConnect, rs))
-	}},
-	"fig9": {nodes: 50, print: func(rs []*manetp2p.Result) {
-		fmt.Println("# Figure 9: pings (50 nodes, 75% p2p)")
-		check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesPing, rs))
-	}},
-	"fig10": {nodes: 150, print: func(rs []*manetp2p.Result) {
-		fmt.Println("# Figure 10: pings (150 nodes, 75% p2p)")
-		check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesPing, rs))
-	}},
-	"fig11": {nodes: 50, print: func(rs []*manetp2p.Result) {
-		fmt.Println("# Figure 11: queries (50 nodes, 75% p2p)")
-		check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesQuery, rs))
-	}},
-	"fig12": {nodes: 150, print: func(rs []*manetp2p.Result) {
-		fmt.Println("# Figure 12: queries (150 nodes, 75% p2p)")
-		check(manetp2p.WriteNodeSeries(os.Stdout, manetp2p.SeriesQuery, rs))
-	}},
+	"table1": {print: func(manetp2p.Scenario, []*manetp2p.Result) { manetp2p.WriteTable1(os.Stdout) }},
+	"table2": {print: func(base manetp2p.Scenario, _ []*manetp2p.Result) { manetp2p.WriteTable2(os.Stdout, base) }},
+	"fig5":   figure(5, 50, curvesPlot, curves),
+	"fig6":   figure(6, 150, curvesPlot, curves),
+	"fig7":   figure(7, 50, "connect messages", series(manetp2p.SeriesConnect)),
+	"fig8":   figure(8, 150, "connect messages", series(manetp2p.SeriesConnect)),
+	"fig9":   figure(9, 50, "pings", series(manetp2p.SeriesPing)),
+	"fig10":  figure(10, 150, "pings", series(manetp2p.SeriesPing)),
+	"fig11":  figure(11, 50, "queries", series(manetp2p.SeriesQuery)),
+	"fig12":  figure(12, 150, "queries", series(manetp2p.SeriesQuery)),
 }
 
 var order = []string{"table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"}
@@ -96,22 +94,20 @@ func parseExperiments(list string) ([]string, error) {
 func main() {
 	var (
 		expFlag = flag.String("exp", "all", "comma-separated experiments: table1,table2,fig5..fig12 or all")
-		reps    = flag.Int("reps", 33, "replications per scenario (paper: 33)")
 		fast    = flag.Bool("fast", false, "shortcut for -reps 5")
-		seed    = flag.Int64("seed", 1, "base random seed")
 		quiet   = flag.Bool("q", false, "suppress progress messages on stderr")
 	)
+	scenario := scenarioFlags(flag.CommandLine)
 	profFlags := prof.Register(flag.CommandLine)
 	flag.Parse()
+	base, err := scenario.Scenario()
+	exitOn(err, 2)
 	if *fast {
-		*reps = 5
+		base.Replications = 5
 	}
 
 	stopProf, err := profFlags.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	exitOn(err, 2)
 	// Flushed on the normal return path; error paths os.Exit and drop
 	// the partial profile.
 	defer func() {
@@ -121,10 +117,7 @@ func main() {
 	}()
 
 	wanted, err := parseExperiments(*expFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	exitOn(err, 2)
 
 	// Figures with the same node count share one set of runs.
 	cache := map[int][]*manetp2p.Result{}
@@ -134,18 +127,14 @@ func main() {
 		}
 		var rs []*manetp2p.Result
 		for _, alg := range manetp2p.Algorithms() {
-			sc := manetp2p.DefaultScenario(nodes, alg)
-			sc.Replications = *reps
-			sc.Seed = *seed
+			sc := base
+			scenario.Fix(&sc, nodes, alg)
 			if !*quiet {
-				fmt.Fprintf(os.Stderr, "running %s x%d reps...", sc.Name, *reps)
+				fmt.Fprintf(os.Stderr, "running %s x%d reps...", sc.Name, sc.Replications)
 			}
 			start := time.Now()
 			res, err := manetp2p.Run(sc)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			exitOn(err, 1)
 			if !*quiet {
 				fmt.Fprintf(os.Stderr, " done in %v\n", time.Since(start).Round(time.Millisecond))
 			}
@@ -164,13 +153,19 @@ func main() {
 		if exp.nodes > 0 {
 			rs = runsFor(exp.nodes)
 		}
-		exp.print(rs)
+		exp.print(base, rs)
 	}
 }
 
-func check(err error) {
+// scenarioFlags registers repro's scenario flags.
+func scenarioFlags(fs *flag.FlagSet) *scenarioflag.Flags {
+	return scenarioflag.Register(fs, func(*manetp2p.Scenario) {}, "nodes", "alg")
+}
+
+// exitOn prints err and exits with code unless err is nil.
+func exitOn(err error, code int) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		os.Exit(code)
 	}
 }

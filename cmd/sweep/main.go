@@ -17,6 +17,10 @@
 //	sweep -axis energy -reps 10
 //	sweep -axis faults -seed 7
 //	sweep -axis workload -reps 3 -duration 1200
+//	sweep -axis routing -config base.json -nodes 30
+//
+// Every cell starts from cmd/internal/scenarioflag's scenario, at 5
+// replications by default; -algs sets the algorithm, so -alg is refused.
 package main
 
 import (
@@ -30,6 +34,7 @@ import (
 	"sync"
 
 	"manetp2p"
+	"manetp2p/cmd/internal/scenarioflag"
 	"manetp2p/internal/telemetry"
 )
 
@@ -49,43 +54,21 @@ type axisSpec struct {
 }
 
 func registry() map[string]axisSpec {
+	// A death/birth regime: mean uptime up seconds, mean downtime 120 s.
+	churn := func(up float64) func(*manetp2p.Scenario) {
+		return func(sc *manetp2p.Scenario) {
+			sc.Churn = manetp2p.ChurnConfig{MeanUptime: manetp2p.Seconds(up), MeanDowntime: manetp2p.Seconds(120)}
+		}
+	}
 	return map[string]axisSpec{
-		"density": {points: []point{
-			{"25", func(sc *manetp2p.Scenario) { sc.NumNodes = 25 }},
-			{"50", func(sc *manetp2p.Scenario) { sc.NumNodes = 50 }},
-			{"100", func(sc *manetp2p.Scenario) { sc.NumNodes = 100 }},
-			{"150", func(sc *manetp2p.Scenario) { sc.NumNodes = 150 }},
-		}},
-		"range": {points: []point{
-			{"5m", func(sc *manetp2p.Scenario) { sc.Range = 5 }},
-			{"10m", func(sc *manetp2p.Scenario) { sc.Range = 10 }},
-			{"20m", func(sc *manetp2p.Scenario) { sc.Range = 20 }},
-			{"30m", func(sc *manetp2p.Scenario) { sc.Range = 30 }},
-		}},
-		"speed": {points: []point{
-			{"0.5m/s", func(sc *manetp2p.Scenario) { sc.MaxSpeed = 0.5 }},
-			{"1m/s", func(sc *manetp2p.Scenario) { sc.MaxSpeed = 1.0 }},
-			{"2m/s", func(sc *manetp2p.Scenario) { sc.MaxSpeed = 2.0 }},
-			{"5m/s", func(sc *manetp2p.Scenario) { sc.MaxSpeed = 5.0 }},
-		}},
+		"density": {points: valuePoints("%g", []float64{25, 50, 100, 150}, func(sc *manetp2p.Scenario, v float64) { sc.NumNodes = int(v) })},
+		"range":   {points: valuePoints("%gm", []float64{5, 10, 20, 30}, func(sc *manetp2p.Scenario, v float64) { sc.Range = v })},
+		"speed":   {points: valuePoints("%gm/s", []float64{0.5, 1, 2, 5}, func(sc *manetp2p.Scenario, v float64) { sc.MaxSpeed = v })},
 		"churn": {points: []point{
-			{"none", func(sc *manetp2p.Scenario) {}},
-			{"mild", func(sc *manetp2p.Scenario) {
-				sc.Churn = manetp2p.ChurnConfig{MeanUptime: manetp2p.Seconds(1200), MeanDowntime: manetp2p.Seconds(120)}
-			}},
-			{"moderate", func(sc *manetp2p.Scenario) {
-				sc.Churn = manetp2p.ChurnConfig{MeanUptime: manetp2p.Seconds(600), MeanDowntime: manetp2p.Seconds(120)}
-			}},
-			{"heavy", func(sc *manetp2p.Scenario) {
-				sc.Churn = manetp2p.ChurnConfig{MeanUptime: manetp2p.Seconds(300), MeanDowntime: manetp2p.Seconds(120)}
-			}},
+			{"none", func(sc *manetp2p.Scenario) {}}, {"mild", churn(1200)}, {"moderate", churn(600)}, {"heavy", churn(300)},
 		}},
-		"energy": {points: []point{
-			{"infinite", func(sc *manetp2p.Scenario) {}},
-			{"5J", func(sc *manetp2p.Scenario) { sc.Energy = manetp2p.DefaultEnergy(5) }},
-			{"2J", func(sc *manetp2p.Scenario) { sc.Energy = manetp2p.DefaultEnergy(2) }},
-			{"1J", func(sc *manetp2p.Scenario) { sc.Energy = manetp2p.DefaultEnergy(1) }},
-		}},
+		"energy": {points: append([]point{{"infinite", func(sc *manetp2p.Scenario) {}}},
+			valuePoints("%gJ", []float64{5, 2, 1}, func(sc *manetp2p.Scenario, j float64) { sc.Energy = manetp2p.DefaultEnergy(j) })...)},
 		"mobility": {points: kindPoints(manetp2p.Mobilities(), func(sc *manetp2p.Scenario, k manetp2p.MobilityKind) { sc.Mobility = k })},
 		"routing": {
 			points:  kindPoints(manetp2p.Routings(), func(sc *manetp2p.Scenario, k manetp2p.RoutingKind) { sc.Routing = k }),
@@ -174,6 +157,15 @@ func registry() map[string]axisSpec {
 	}
 }
 
+// valuePoints derives one sweep point per value, labelled by format.
+func valuePoints(format string, values []float64, set func(*manetp2p.Scenario, float64)) []point {
+	points := make([]point, len(values))
+	for i, v := range values {
+		points[i] = point{fmt.Sprintf(format, v), func(sc *manetp2p.Scenario) { set(sc, v) }}
+	}
+	return points
+}
+
 // kindPoints derives one sweep point per entry of a registered table
 // (manetp2p.Routings, manetp2p.Mobilities), labelled by its lower-cased
 // name, so an axis over a table never restates the table.
@@ -193,18 +185,17 @@ func resilienceCells(res *manetp2p.Result) []string {
 	if r == nil || len(r.Events) == 0 {
 		return []string{"-", "-"}
 	}
-	rehealSum, residualSum, n := 0.0, 0.0, 0
+	rehealSum, residualSum, n := 0.0, 0.0, float64(len(r.Events))
 	for _, ev := range r.Events {
 		rehealSum += ev.RehealSeconds.Mean
 		residualSum += ev.ResidualDisconnect.Mean
-		n++
 	}
-	if n == 0 || math.IsNaN(rehealSum) {
+	if math.IsNaN(rehealSum) {
 		return []string{"-", "-"}
 	}
 	return []string{
-		fmt.Sprintf("%.1f", rehealSum/float64(n)),
-		fmt.Sprintf("%.3f", residualSum/float64(n)),
+		fmt.Sprintf("%.1f", rehealSum/n),
+		fmt.Sprintf("%.3f", residualSum/n),
 	}
 }
 
@@ -251,35 +242,31 @@ func main() {
 	reg := registry()
 	var (
 		axis       = flag.String("axis", "density", "sweep axis: "+strings.Join(axisNames(reg), "|"))
-		algsF      = flag.String("algs", "basic,regular,random,hybrid", "comma-separated algorithms")
-		reps       = flag.Int("reps", 5, "replications per point")
-		nodes      = flag.Int("nodes", 50, "base node count (non-density sweeps)")
-		dur        = flag.Float64("duration", 3600, "simulated seconds")
-		seed       = flag.Int64("seed", 1, "base random seed")
+		algsF      = flag.String("algs", scenarioflag.LowerNames(manetp2p.Algorithms(), ","), "comma-separated algorithms")
 		jobs       = flag.Int("jobs", 0, "shared replication-worker budget across all scenario points (0 = GOMAXPROCS)")
 		ckpt       = flag.String("checkpoint", "", "checkpoint directory: each grid cell persists to <dir>/<axis>_<point>_<alg>.ckpt; finished cells load without recomputation, interrupted ones resume")
 		metricsDir = flag.String("metrics", "", "metrics directory: each grid cell streams its telemetry time series to <dir>/<axis>_<point>_<alg>.jsonl")
 		quiet      = flag.Bool("quiet", false, "suppress the live progress line on stderr")
 	)
+	scenario := scenarioFlags(flag.CommandLine)
 	flag.Parse()
 
 	axisName := strings.ToLower(*axis)
 	spec, ok := reg[axisName]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown axis %q (valid: %s)\n", *axis, strings.Join(axisNames(reg), "|"))
-		os.Exit(2)
+		exitOn(fmt.Errorf("unknown axis %q (valid: %s)", *axis, strings.Join(axisNames(reg), "|")), 2)
 	}
 	var algs []manetp2p.Algorithm
 	for _, name := range strings.Split(*algsF, ",") {
 		alg, err := manetp2p.ParseAlgorithm(strings.TrimSpace(name))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+		exitOn(err, 2)
 		algs = append(algs, alg)
 	}
 
-	fmt.Printf("# sweep axis=%s, %d reps/point, %gs simulated\n", axisName, *reps, *dur)
+	base, cells, err := gridCells(scenario, spec, algs)
+	exitOn(err, 2)
+
+	fmt.Printf("# sweep axis=%s, %d reps/point, %gs simulated\n", axisName, base.Replications, base.Duration.Seconds())
 	header := "point\talg\tconnect/node\tping/node\tquery/node\tfound%\tdist\tanswers\tdeaths\tlargest-comp"
 	for _, h := range spec.headers {
 		header += "\t" + h
@@ -290,32 +277,10 @@ func main() {
 	// never exceeds the -jobs budget. Replications are deterministic
 	// (fixed seeds, one result slot each) and rows print in grid order,
 	// so the output is byte-identical to a sequential sweep.
-	type cell struct {
-		label string
-		sc    manetp2p.Scenario
-	}
-	var cells []cell
-	for _, pt := range spec.points {
-		for _, alg := range algs {
-			sc := manetp2p.DefaultScenario(*nodes, alg)
-			sc.Duration = manetp2p.Seconds(*dur)
-			sc.Replications = *reps
-			sc.Seed = *seed
-			pt.mod(&sc)
-			cells = append(cells, cell{label: pt.label, sc: sc})
-		}
-	}
 	pool := manetp2p.NewPool(*jobs)
-	type outcome struct {
-		res *manetp2p.Result
-		err error
-	}
 	for _, dir := range []string{*ckpt, *metricsDir} {
 		if dir != "" {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			exitOn(os.MkdirAll(dir, 0o755), 1)
 		}
 	}
 	// The progress line goes to stderr only (stdout stays diff-clean vs.
@@ -323,61 +288,90 @@ func main() {
 	// shows the most recently completed cell, not the grid cursor.
 	var progressMu sync.Mutex
 	cellsDone := 0
-	progress := func(label string, alg manetp2p.Algorithm) {
+	progress := func(c cell) {
 		if *quiet {
 			return
 		}
 		progressMu.Lock()
 		cellsDone++
-		fmt.Fprintf(os.Stderr, "\rsweep: %d/%d cells (done %s/%s)", cellsDone, len(cells), label, alg)
+		fmt.Fprintf(os.Stderr, "\rsweep: %d/%d cells (done %s/%s)", cellsDone, len(cells), c.label, c.sc.Algorithm)
 		if cellsDone == len(cells) {
 			fmt.Fprintln(os.Stderr)
 		}
 		progressMu.Unlock()
 	}
+	type outcome struct {
+		res *manetp2p.Result
+		err error
+	}
 	results := make([]chan outcome, len(cells))
-	for i := range cells {
+	for i, c := range cells {
 		results[i] = make(chan outcome, 1)
-		go func(i int) {
-			var sink manetp2p.MetricsSink
-			if *metricsDir != "" {
-				path := cellFilePath(*metricsDir, axisName, cells[i].label, cells[i].sc.Algorithm, "jsonl")
-				f, err := os.Create(path)
-				if err != nil {
-					results[i] <- outcome{err: err}
-					return
-				}
-				sink = manetp2p.NewJSONLSink(f)
-			}
-			var res *manetp2p.Result
-			var err error
-			if *ckpt != "" {
-				// A cell file from an earlier invocation loads or resumes; one
-				// left by different flags is an error, not silently recomputed.
-				path := cellFilePath(*ckpt, axisName, cells[i].label, cells[i].sc.Algorithm, "ckpt")
-				res, err = pool.RunCheckpointed(cells[i].sc, manetp2p.CheckpointConfig{Path: path, Sink: sink})
-			} else {
-				res, err = pool.RunWithMetrics(cells[i].sc, sink) // a nil sink is plain Run
-			}
-			if sink != nil {
-				if cerr := sink.Close(); err == nil && cerr != nil {
-					err = fmt.Errorf("sweep: writing metrics stream: %w", cerr)
-				}
-			}
+		go func() {
+			res, err := runCell(pool, c, axisName, *ckpt, *metricsDir)
 			if err == nil {
-				progress(cells[i].label, cells[i].sc.Algorithm)
+				progress(c)
 			}
-			results[i] <- outcome{res: res, err: err}
-		}(i)
+			results[i] <- outcome{res, err}
+		}()
 	}
-	for i := range cells {
+	for i, c := range cells {
 		out := <-results[i]
-		if out.err != nil {
-			fmt.Fprintln(os.Stderr, out.err)
-			os.Exit(1)
-		}
-		fmt.Println(formatRow(cells[i].label, cells[i].sc.Algorithm, out.res, spec))
+		exitOn(out.err, 1)
+		fmt.Println(formatRow(c.label, c.sc.Algorithm, out.res, spec))
 	}
+}
+
+// runCell runs one cell on pool, streaming its telemetry into its file
+// under metricsDir and persisting it to its file under ckptDir ("" =
+// neither).
+func runCell(pool *manetp2p.Pool, c cell, axis, ckptDir, metricsDir string) (res *manetp2p.Result, err error) {
+	var sink manetp2p.MetricsSink
+	if metricsDir != "" {
+		f, err := os.Create(cellFilePath(metricsDir, axis, c.label, c.sc.Algorithm, "jsonl"))
+		if err != nil {
+			return nil, err
+		}
+		sink = manetp2p.NewJSONLSink(f)
+		defer func() {
+			if cerr := sink.Close(); err == nil && cerr != nil {
+				err = fmt.Errorf("sweep: writing metrics stream: %w", cerr)
+			}
+		}()
+	}
+	if ckptDir == "" {
+		return pool.RunWithMetrics(c.sc, sink) // a nil sink is plain Run
+	}
+	// A cell file from an earlier invocation loads or resumes; one left by
+	// different flags is an error, not silently recomputed.
+	path := cellFilePath(ckptDir, axis, c.label, c.sc.Algorithm, "ckpt")
+	return pool.RunCheckpointed(c.sc, manetp2p.CheckpointConfig{Path: path, Sink: sink})
+}
+
+// scenarioFlags registers sweep's scenario flags.
+func scenarioFlags(fs *flag.FlagSet) *scenarioflag.Flags {
+	return scenarioflag.Register(fs, func(sc *manetp2p.Scenario) { sc.Replications = 5 }, "alg")
+}
+
+// cell is one (point, algorithm) run of the grid.
+type cell struct {
+	label string
+	sc    manetp2p.Scenario
+}
+
+// gridCells resolves the base scenario and derives every cell from it.
+func gridCells(sf *scenarioflag.Flags, spec axisSpec, algs []manetp2p.Algorithm) (manetp2p.Scenario, []cell, error) {
+	base, err := sf.Scenario()
+	var cells []cell
+	for _, pt := range spec.points {
+		for _, alg := range algs {
+			sc := base
+			sf.Fix(&sc, base.NumNodes, alg)
+			pt.mod(&sc)
+			cells = append(cells, cell{pt.label, sc})
+		}
+	}
+	return base, cells, err
 }
 
 // cellFilePath names one grid cell's per-cell file (checkpoint or
@@ -386,12 +380,10 @@ func main() {
 func cellFilePath(dir, axis, label string, alg manetp2p.Algorithm, ext string) string {
 	sanitize := func(s string) string {
 		return strings.Map(func(r rune) rune {
-			switch {
-			case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_', r == '-':
+			if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '_' || r == '-' {
 				return r
-			default:
-				return '-'
 			}
+			return '-'
 		}, s)
 	}
 	name := fmt.Sprintf("%s_%s_%s.%s", sanitize(axis), sanitize(label), sanitize(strings.ToLower(alg.String())), ext)
@@ -401,14 +393,14 @@ func cellFilePath(dir, axis, label string, alg manetp2p.Algorithm, ext string) s
 // formatRow renders one TSV result row: the headline metrics plus the
 // axis-specific extra cells.
 func formatRow(label string, alg manetp2p.Algorithm, res *manetp2p.Result, spec axisSpec) string {
-	found, reqs, answers := 0.0, 0, 0.0
-	var dists []float64
+	found, reqs, answers, dists, ndists := 0.0, 0, 0.0, 0.0, 0
 	for _, fc := range res.PerFile {
 		reqs += fc.Requests
 		found += fc.FoundRate * float64(fc.Requests)
 		answers += fc.Answers.Mean * float64(fc.Requests)
 		if fc.Distance.N > 0 {
-			dists = append(dists, fc.Distance.Mean)
+			dists += fc.Distance.Mean
+			ndists++
 		}
 	}
 	foundPct, dist, answ := 0.0, 0.0, 0.0
@@ -416,11 +408,8 @@ func formatRow(label string, alg manetp2p.Algorithm, res *manetp2p.Result, spec 
 		foundPct = 100 * found / float64(reqs)
 		answ = answers / float64(reqs)
 	}
-	if len(dists) > 0 {
-		for _, d := range dists {
-			dist += d
-		}
-		dist /= float64(len(dists))
+	if ndists > 0 {
+		dist = dists / float64(ndists)
 	}
 	row := fmt.Sprintf("%s\t%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.2f\t%.2f\t%.1f\t%.2f",
 		label, alg,
@@ -431,9 +420,15 @@ func formatRow(label string, alg manetp2p.Algorithm, res *manetp2p.Result, spec 
 		res.Deaths.Mean,
 		res.Overlay.LargestComponent.Mean)
 	if spec.cells != nil {
-		for _, cell := range spec.cells(res) {
-			row += "\t" + cell
-		}
+		row += "\t" + strings.Join(spec.cells(res), "\t")
 	}
 	return row
+}
+
+// exitOn prints err and exits with code unless err is nil.
+func exitOn(err error, code int) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(code)
+	}
 }

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"flag"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"manetp2p"
+	"manetp2p/cmd/internal/scenarioflag"
 )
 
 // Every point of every registered axis, applied to a small base
@@ -96,5 +99,57 @@ func TestFormatRow(t *testing.T) {
 	}
 	if got := formatRow("10m", manetp2p.Regular, &manetp2p.Result{}, axisSpec{cells: routingCells}); !strings.HasSuffix(got, "\t-\t-") {
 		t.Errorf("formatRow without routing telemetry = %q, want dashes", got)
+	}
+}
+
+// parseFlags runs sweep's scenario flags over one command line.
+func parseFlags(t *testing.T, args ...string) *scenarioflag.Flags {
+	t.Helper()
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	sf := scenarioFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return sf
+}
+
+// Every cell starts from the scenario flags' base: a -config file plus
+// any override, or DefaultScenario(-nodes, alg) at 5 replications. -algs
+// sets each cell's algorithm, so -alg is refused by name.
+func TestGridCellsFromTheScenarioFlags(t *testing.T) {
+	file := manetp2p.DefaultScenario(20, manetp2p.Regular)
+	file.Name = "base"
+	file.Duration = manetp2p.Seconds(90)
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := manetp2p.SaveScenario(path, file); err != nil {
+		t.Fatal(err)
+	}
+	spec := registry()["range"]
+	algs := []manetp2p.Algorithm{manetp2p.Basic, manetp2p.Hybrid}
+
+	base, cells, err := gridCells(parseFlags(t, "-config", path, "-reps", "2"), spec, algs)
+	if err != nil || base.Replications != 2 || len(cells) != len(spec.points)*len(algs) {
+		t.Fatalf("-config -reps 2: base %+v, %d cells, %v", base, len(cells), err)
+	}
+	for i, c := range cells {
+		want := file
+		want.Replications, want.Algorithm = 2, algs[i%len(algs)]
+		spec.points[i/len(algs)].mod(&want)
+		if c.label != spec.points[i/len(algs)].label || !reflect.DeepEqual(c.sc, want) {
+			t.Errorf("cell %d %s = %+v\nwant %+v", i, c.label, c.sc, want)
+		}
+	}
+
+	_, cells, err = gridCells(parseFlags(t, "-nodes", "24", "-seed", "7"), spec, algs)
+	want := manetp2p.DefaultScenario(24, manetp2p.Hybrid)
+	want.Replications, want.Seed = 5, 7
+	spec.points[0].mod(&want)
+	if err != nil || !reflect.DeepEqual(cells[1].sc, want) {
+		t.Errorf("flag-only cell = %+v, %v\nwant %+v", cells[1].sc, err, want)
+	}
+
+	_, _, err = gridCells(parseFlags(t, "-alg", "basic", "-reps", "2"), spec, algs)
+	if err == nil || !strings.Contains(err.Error(), "drop -alg") || strings.Contains(err.Error(), "-reps") {
+		t.Errorf("-alg beside -algs: err = %v, want a refusal naming -alg alone", err)
 	}
 }

@@ -26,10 +26,12 @@ type Grid struct {
 // NewGrid creates an index over arena with the given cell size (typically
 // the radio range) and capacity for n items with IDs in [0, n).
 func NewGrid(arena Rect, cellSize float64, n int) *Grid {
-	if cellSize <= 0 {
+	if !(cellSize > 0) {
+		// Unreachable from input: Scenario.Validate refuses a Range that is not positive (NaN included).
 		panic("geom: NewGrid with non-positive cell size")
 	}
-	if arena.W <= 0 || arena.H <= 0 {
+	if !(arena.W > 0 && arena.H > 0) {
+		// Unreachable from input: Scenario.Validate refuses an AreaSide that is not positive (NaN included).
 		panic("geom: NewGrid with empty arena")
 	}
 	cols := int(math.Ceil(arena.W/cellSize)) + 1
@@ -70,6 +72,7 @@ func (g *Grid) cellIndex(p Point) int32 {
 // use Move.
 func (g *Grid) Insert(id int, p Point) {
 	if g.present[id] {
+		// Unreachable from input: radio.Medium.Join, the only caller, refuses a node already up.
 		panic(fmt.Sprintf("geom: Insert of already-present id %d", id))
 	}
 	g.present[id] = true
@@ -82,6 +85,7 @@ func (g *Grid) Insert(id int, p Point) {
 // Remove deletes item id from the index. Removing an absent id panics.
 func (g *Grid) Remove(id int) {
 	if !g.present[id] {
+		// Unreachable from input: radio.Medium.Leave, the only caller, returns early for a node already down.
 		panic(fmt.Sprintf("geom: Remove of absent id %d", id))
 	}
 	g.removeFromCell(id, g.cellOf[id])
@@ -98,12 +102,14 @@ func (g *Grid) removeFromCell(id int, c int32) {
 			return
 		}
 	}
+	// Unreachable: Insert and Move file id under the cell they record in cellOf.
 	panic(fmt.Sprintf("geom: id %d not found in its cell", id))
 }
 
 // Move updates the position of item id, rebinning only if it changed cell.
 func (g *Grid) Move(id int, p Point) {
 	if !g.present[id] {
+		// Unreachable from input: radio.Medium.SetPos, the only caller, moves only nodes that are up.
 		panic(fmt.Sprintf("geom: Move of absent id %d", id))
 	}
 	g.pos[id] = p

@@ -323,15 +323,17 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("manetp2p: Mobility %d is not one of %v", int(sc.Mobility), Mobilities())
 	case sc.NumNodes < 1 || sc.NumNodes > maxNodes:
 		return fmt.Errorf("manetp2p: NumNodes %d outside [1, %d]", sc.NumNodes, maxNodes)
-	case sc.MemberFraction <= 0 || sc.MemberFraction > 1:
+	// The float rules are written so that NaN, which a flag can carry,
+	// fails them too.
+	case !(sc.MemberFraction > 0 && sc.MemberFraction <= 1):
 		return fmt.Errorf("manetp2p: MemberFraction %v outside (0,1]", sc.MemberFraction)
-	case sc.AreaSide <= 0:
+	case !(sc.AreaSide > 0):
 		return fmt.Errorf("manetp2p: AreaSide %v not positive", sc.AreaSide)
-	case sc.Range <= 0:
+	case !(sc.Range > 0):
 		return fmt.Errorf("manetp2p: Range %v not positive", sc.Range)
 	case sc.AreaSide/sc.Range > maxRangesPerSide:
 		return fmt.Errorf("manetp2p: AreaSide %v is more than %d times Range %v", sc.AreaSide, maxRangesPerSide, sc.Range)
-	case sc.MaxSpeed <= 0:
+	case !(sc.MaxSpeed > 0):
 		return fmt.Errorf("manetp2p: MaxSpeed %v not positive", sc.MaxSpeed)
 	case sc.MaxPause < 0 || sc.MaxPause > sim.MaxTime/2:
 		return fmt.Errorf("manetp2p: MaxPause %v negative or overflowing the clock", sc.MaxPause)

@@ -273,7 +273,7 @@ func (p Params) Validate() error {
 	// Each of these is added to the clock or bounds a random draw: past
 	// half the clock's range the sum, or the draw's span, overflows.
 	for _, t := range []sim.Time{p.TimerBasic, p.MaxTimer, p.PingInterval, p.PongTimeout, p.HandshakeWait,
-		p.OfferWindow, p.MasterIdle, p.QueryCollect, p.QueryGapMax, p.JoinStaggerMax} {
+		p.OfferWindow, p.MasterIdle, p.QueryCollect, p.QueryGapMax, p.JoinStaggerMax, p.Download.ChunkWait} {
 		if t > sim.MaxTime/2 {
 			return fmt.Errorf("p2p: timing constant %v overflows the clock", t)
 		}

@@ -96,7 +96,6 @@ func (sv *Servent) onChunk(from int, m Msg) {
 	sv.xfer = nil
 	if x.file >= 0 && x.file < len(sv.opt.Files) {
 		sv.opt.Files[x.file] = true
-		sv.downloads++
 		sv.opt.Tracer.Emit(trace.KindQuery, sv.id, from, "download done file=%d", x.file)
 	}
 }

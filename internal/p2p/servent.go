@@ -97,15 +97,10 @@ type Servent struct {
 	queryEv sim.Handle
 
 	// Download extension.
-	xfer      *xfer
-	downloads uint64
+	xfer *xfer
 
 	// Peer-cache extension.
 	peerCache map[int]*cacheEntry
-
-	// Local statistics (per-servent, complementing the Collector).
-	established uint64 // connections successfully formed
-	closed      uint64 // connections torn down
 
 	// skipClose is the invariant-checker mutation hook: closeConn toward
 	// this peer becomes a no-op (-1 = disabled). See SkipCloseForTest.
@@ -404,7 +399,6 @@ func (sv *Servent) installConn(c *conn) {
 		return
 	}
 	sv.conns[c.peer] = c
-	sv.established++
 	c.since = sv.s.Now()
 	sv.rememberPeer(c.peer)
 	sv.opt.Tracer.Emit(trace.KindConn, sv.id, c.peer,
@@ -429,7 +423,6 @@ func (sv *Servent) closeConn(peer int, notify bool) {
 		return
 	}
 	delete(sv.conns, peer)
-	sv.closed++
 	if sv.opt.Collector != nil && c.initiator {
 		// Counted at the initiator only, so each symmetric pair
 		// contributes one sample (Basic references are all initiator).

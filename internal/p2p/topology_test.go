@@ -42,12 +42,12 @@ func TestServentAccessors(t *testing.T) {
 	}
 	w.joinAll()
 	w.run(time(120))
-	if sv.established == 0 {
-		t.Error("established = 0 after pairing")
+	if sv.ConnCount() == 0 {
+		t.Error("no connection after pairing")
 	}
 	w.svs[0].Leave(true)
 	w.run(time(5))
-	if sv.closed == 0 {
-		t.Error("closed = 0 after peer left")
+	if sv.ConnCount() != 0 {
+		t.Errorf("%d connections after its only peer left", sv.ConnCount())
 	}
 }

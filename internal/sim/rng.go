@@ -32,6 +32,8 @@ func (s *rngSource) next() *rand.Rand {
 // It panics if hi < lo.
 func UniformDuration(rng *rand.Rand, lo, hi Time) Time {
 	if hi < lo {
+		// Unreachable from input: every bound pair is validated ordered (Params.Validate's query gaps and
+		// JoinStaggerMax, Scenario.Validate's MaxPause, workload Arrival.Validate's GapMin/GapMax).
 		panic("sim: UniformDuration with hi < lo")
 	}
 	if hi == lo {

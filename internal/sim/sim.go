@@ -65,6 +65,7 @@ type Source interface {
 // one; installing a second panics.
 func (s *Sim) SetSource(src Source) {
 	if s.src != nil {
+		// Unreachable from input: radio.NewMedium, the only caller, runs once per Sim in manet.Build.
 		panic("sim: SetSource called twice")
 	}
 	s.src = src
@@ -114,6 +115,8 @@ func (s *Sim) recycle(e *Event) {
 // cancel it. A negative delay panics: the past is immutable.
 func (s *Sim) Schedule(delay Time, fn func()) Handle {
 	if delay < 0 {
+		// Unreachable from input: delays are validated non-negative durations (Params.Validate, the plans'
+		// Validate) or non-negative by construction (latency plus jitter, exponential draws).
 		panic(fmt.Sprintf("sim: Schedule with negative delay %v at %v", delay, s.now))
 	}
 	return s.At(s.now+delay, fn)
@@ -123,6 +126,7 @@ func (s *Sim) Schedule(delay Time, fn func()) Handle {
 // returns a cancellation handle.
 func (s *Sim) At(t Time, fn func()) Handle {
 	if fn == nil {
+		// Unreachable from input: every caller passes a method value or closure.
 		panic("sim: At with nil callback")
 	}
 	s.seq++
@@ -135,6 +139,8 @@ func (s *Sim) At(t Time, fn func()) Handle {
 // state through arg, instead of allocating a capturing closure per call.
 func (s *Sim) ScheduleArg(delay Time, fn func(Arg), arg Arg) Handle {
 	if delay < 0 {
+		// Unreachable from input: delays are validated non-negative durations (Params.Validate), router
+		// constants, radio latency plus jitter, or exponential draws.
 		panic(fmt.Sprintf("sim: ScheduleArg with negative delay %v at %v", delay, s.now))
 	}
 	return s.AtArg(s.now+delay, fn, arg)
@@ -143,6 +149,7 @@ func (s *Sim) ScheduleArg(delay Time, fn func(Arg), arg Arg) Handle {
 // AtArg queues fn(arg) to run at instant t. See ScheduleArg.
 func (s *Sim) AtArg(t Time, fn func(Arg), arg Arg) Handle {
 	if fn == nil {
+		// Unreachable from input: every caller passes a callback stored once per component.
 		panic("sim: AtArg with nil callback")
 	}
 	s.seq++
@@ -160,6 +167,8 @@ func (s *Sim) ReserveSeq() uint64 {
 
 func (s *Sim) enqueue(t Time, seq uint64, fn func(), argFn func(Arg), arg Arg) Handle {
 	if t < s.now {
+		// Unreachable from input: now+delay wraps only past MaxTime, and Scenario.Validate bounds every
+		// scheduled scenario duration by MaxTime/2 (Params.Validate's timing constants, sim.Horizon for plans).
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, s.now))
 	}
 	e := s.alloc(t, seq)

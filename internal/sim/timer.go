@@ -13,6 +13,7 @@ type Timer struct {
 // NewTimer returns an unarmed timer that runs fn when it fires.
 func NewTimer(s *Sim, fn func()) *Timer {
 	if fn == nil {
+		// Unreachable from input: every caller passes a method value or closure.
 		panic("sim: NewTimer with nil callback")
 	}
 	return &Timer{sim: s, fn: fn}
@@ -49,9 +50,12 @@ type Ticker struct {
 // positive: a zero-interval ticker would live-lock the event loop.
 func NewTicker(s *Sim, interval Time, fn func()) *Ticker {
 	if interval <= 0 {
+		// Unreachable from input: callers pass constants, defaulted periods (DSDV's UpdatePeriod, the
+		// checker's Every) or periods they have tested positive (HealthPeriod, SnapshotEvery).
 		panic("sim: NewTicker with non-positive interval")
 	}
 	if fn == nil {
+		// Unreachable from input: every caller passes a method value or closure.
 		panic("sim: NewTicker with nil callback")
 	}
 	t := &Ticker{sim: s, interval: interval, fn: fn}

@@ -34,6 +34,12 @@ func TestScenarioValidate(t *testing.T) {
 		func(s *Scenario) { s.Replications = 0 },
 		func(s *Scenario) { s.Params.QueryTTL = 0 },
 		func(s *Scenario) { s.Files.MaxFreq = 2 },
+		// NaN reaches these through the -p2p, -area, -range and -speed
+		// flags; it used to run (or panic in mobility) instead.
+		func(s *Scenario) { s.MemberFraction = math.NaN() },
+		func(s *Scenario) { s.AreaSide = math.NaN() },
+		func(s *Scenario) { s.Range = math.NaN() },
+		func(s *Scenario) { s.MaxSpeed = math.NaN() },
 	}
 	for i, mutate := range bads {
 		sc := DefaultScenario(50, Regular)
