@@ -148,3 +148,36 @@ func TestPerAlgorithmRulesFire(t *testing.T) {
 		})
 	}
 }
+
+// TestSymmetryGraceFollowsTheLink pins how long a one-sided link may
+// last: the grace window runs from the later of the first observation
+// and the link's own Since. Two separate episodes on the same pair (torn
+// down and re-installed between two sweeps) are not one long one, while
+// a link that really stays one-sided still fires.
+func TestSymmetryGraceFollowsTheLink(t *testing.T) {
+	c := ruleChecker(t, p2p.Regular)
+	grace := c.cfg.Grace
+	sweep := func(since sim.Time) int {
+		c.views[0] = joined(p2p.StateInitial, p2p.ConnView{Peer: 1, Initiator: true, PingArmed: true, Since: since})
+		c.views[1] = joined(p2p.StateInitial)
+		c.checkPairs(0, &c.views[0])
+		n := 0
+		for _, v := range c.Violations() {
+			if v.Rule == "symmetry" {
+				n++
+			}
+		}
+		return n
+	}
+	if n := sweep(0); n != 0 {
+		t.Fatalf("a fresh one-sided link fired %d times", n)
+	}
+	c.t.Sim.Run(c.t.Sim.Now() + 2*grace)
+	if n := sweep(c.t.Sim.Now() - grace/2); n != 0 {
+		t.Errorf("a link re-installed %v ago fired: the episode before it was counted against it", grace/2)
+	}
+	c.t.Sim.Run(c.t.Sim.Now() + 2*grace)
+	if n := sweep(c.t.Sim.Now() - 5*grace/2); n != 1 {
+		t.Errorf("a link one-sided for %v fired %d times, want 1", 5*grace/2, n)
+	}
+}

@@ -341,3 +341,78 @@ func TestHybridInvariantsOnScatteredTopology(t *testing.T) {
 		t.Errorf("only %d/%d nodes settled into master/slave roles", settled, len(pts))
 	}
 }
+
+// quietHybrid builds a clique of hybrid servents whose establishment
+// cycles stay off until a role change starts one, so a test can drive a
+// handshake by hand.
+func quietHybrid(t *testing.T, seed int64, quals []float64) *world {
+	t.Helper()
+	w := newWorld(t, worldSpec{seed: seed, pts: cliquePts(len(quals)), alg: Hybrid, quals: quals,
+		opts: func(_ int, o *Options) { o.NoEstablish = true }})
+	w.joinAll()
+	return w
+}
+
+func TestHybridRevertDropsMeshHandshake(t *testing.T) {
+	// A master solicits a mesh link and MAXTIMERMASTER expires before the
+	// confirm lands. The late confirm finds a peer that is no longer a
+	// master: it must install nothing and tear the responder's half down.
+	w := quietHybrid(t, 31, []float64{0.9, 0.8})
+	a, b := w.svs[0], w.svs[1]
+	a.state, b.state = StateMaster, StateMaster
+	a.acceptOffer(b.id, false, true) // accept sent, mesh slot held
+	a.noSlaveExpired()
+	w.run(time(1))
+	if got := a.State(); got != StateInitial {
+		t.Fatalf("reverted master is %v, want initial", got)
+	}
+	if n := a.ConnCount(); n != 0 {
+		t.Errorf("reverted master holds %d conns after the late confirm, want 0", n)
+	}
+	if n := len(a.pending); n != 0 {
+		t.Errorf("reverted master holds %d in-flight handshakes, want 0", n)
+	}
+	if n := b.ConnCount(); n != 0 {
+		t.Errorf("responder kept %d conns: the late confirm was not answered with bye", n)
+	}
+}
+
+func TestHybridSlaveGetsNoMeshFromLateConfirm(t *testing.T) {
+	// As above, but the reverted peer enslaves itself to another master
+	// before the confirm lands: a slave talks only to its master.
+	w := quietHybrid(t, 32, []float64{0.5, 0.8, 0.9})
+	a, b, m := w.svs[0], w.svs[1], w.svs[2]
+	a.state, b.state, m.state = StateMaster, StateMaster, StateMaster
+	a.acceptOffer(b.id, false, true)
+	a.noSlaveExpired()
+	a.tryEnslaveTo(m.id)
+	a.onEnslaveAccept(m.id) // m's accept outruns b's confirm
+	w.run(time(1))
+	if a.State() != StateSlave || a.Master() != m.id {
+		t.Fatalf("state %v master %d, want slave of %d", a.State(), a.Master(), m.id)
+	}
+	if n := a.masterLinkCount(); n != 0 {
+		t.Errorf("slave holds %d mesh links, want 0", n)
+	}
+	if n := a.ConnCount(); n != 1 {
+		t.Errorf("slave holds %d conns, want 1 (its master)", n)
+	}
+}
+
+func TestHybridReservationSurvivesStaleMeshAccept(t *testing.T) {
+	// A reserved peer receives a mesh accept from its prospective master
+	// (sent before either changed role). The accept is refused, and the
+	// enslavement handshake still completes.
+	w := quietHybrid(t, 33, []float64{0.2, 0.9})
+	a, m := w.svs[0], w.svs[1]
+	m.state = StateMaster
+	a.tryEnslaveTo(m.id)
+	a.onAccept(m.id, Msg{Kind: msgAccept, Master: true})
+	if got := a.State(); got != StateReserved {
+		t.Fatalf("after the stale accept the candidate is %v, want reserved", got)
+	}
+	w.run(time(1))
+	if a.State() != StateSlave || a.Master() != m.id {
+		t.Errorf("state %v master %d, want slave of %d: the reservation was lost", a.State(), a.Master(), m.id)
+	}
+}
