@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repository health check: format, vet, full tests (the benchmark
 # module's own included), a 10 s fuzz smoke of each of the four file
-# decoders, the race detector over every package, a smoke of the unit
+# decoders, the race detector over every package (with -short, so the
+# checker's seed sweep runs once, without it), a smoke of the unit
 # benchmarks, and the count of non-test Go lines outside benchmark/.
 #
 # `./check.sh selfcheck` runs the runtime invariant suite and the
@@ -125,6 +126,20 @@ if [ -n "$declared" ]; then
 fi
 echo ok
 
+# A Hybrid servent's role changes in one place, setRole, which drops the
+# old role's handshakes and runs the new role's steps. Any other write
+# to sv.state is a role change that skips them.
+echo "== seam lint (the Hybrid role is written only by setRole) =="
+writers=$(find internal -name '*.go' ! -name '*_test.go' -exec awk '
+	/^func / { fn = $0 }
+	/sv\.state *= *[^=]/ && fn !~ /\) setRole\(/ { print FILENAME ":" FNR ": " $0 }' {} + || true)
+if [ -n "$writers" ]; then
+	echo "sv.state written outside setRole:"
+	echo "$writers"
+	exit 1
+fi
+echo ok
+
 echo "== go build =="
 go build ./...
 echo ok
@@ -155,8 +170,8 @@ fuzz_smoke FuzzPlan ./internal/workload
 
 # The root package's 1-vs-4-worker test is what would catch duplicate-index
 # state shared between concurrent replications.
-echo "== go test -race =="
-go test -race ./...
+echo "== go test -race -short =="
+go test -race -short ./...
 
 # Every unit benchmark for ten iterations, so each body and its end
 # assertion still runs; timing is benchmark/'s job, not this smoke's.

@@ -145,8 +145,10 @@ type Checker struct {
 	pairs      map[pairKey]*pairState
 
 	// node is the servent whose rules the algorithm is running;
-	// reportNode and observeNode attribute its findings to it.
+	// reportNode and observeNode attribute its findings to it, the
+	// latter to its connection installed at since.
 	node                    int
+	since                   sim.Time
 	reportNode, observeNode func(rule string, peer int, format string, args ...any)
 
 	violations []Violation
@@ -178,7 +180,7 @@ func New(cfg Config, t Target) *Checker {
 		c.report("p2p", rule, c.node, peer, format, args...)
 	}
 	c.observeNode = func(rule string, peer int, format string, args ...any) {
-		c.observePair(rule, c.node, peer, format, args...)
+		c.observePair(rule, c.node, peer, c.since, format, args...)
 	}
 	return c
 }
@@ -420,8 +422,9 @@ func (c *Checker) checkHealthSamples() {
 
 // observePair notes a cross-node inconsistency that is legal while a
 // close or handshake is in flight; it becomes a violation when it
-// persists past the grace window.
-func (c *Checker) observePair(rule string, a, b int, format string, args ...any) {
+// persists past the grace window, counted from the later of its first
+// observation and since, when the connection carrying it was installed.
+func (c *Checker) observePair(rule string, a, b int, since sim.Time, format string, args ...any) {
 	k := pairKey{rule: rule, a: a, b: b}
 	st := c.pairs[k]
 	if st == nil {
@@ -429,10 +432,10 @@ func (c *Checker) observePair(rule string, a, b int, format string, args ...any)
 		c.pairs[k] = st
 	}
 	st.seenPass = c.passes
-	if !st.reported && c.t.Sim.Now()-st.first >= c.cfg.Grace {
+	if age := c.t.Sim.Now() - max(st.first, since); !st.reported && age >= c.cfg.Grace {
 		st.reported = true
 		c.report("p2p", rule, a, b, "persisted %v (> grace %v): %s",
-			c.t.Sim.Now()-st.first, c.cfg.Grace, fmt.Sprintf(format, args...))
+			age, c.cfg.Grace, fmt.Sprintf(format, args...))
 	}
 }
 

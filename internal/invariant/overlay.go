@@ -84,8 +84,8 @@ func (c *Checker) checkNode(i int, v *p2p.View) {
 			// forever once the handshake stalls.
 			c.report("p2p", "pending-leak", i, pv.Peer, "in-flight handshake with no timeout armed")
 		}
-		if findConn(v, pv.Peer) != nil {
-			c.observePair("pending-overlap", i, pv.Peer,
+		if cv := findConn(v, pv.Peer); cv != nil {
+			c.observePair("pending-overlap", i, pv.Peer, cv.Since,
 				"peer is simultaneously a live connection and a pending handshake")
 		}
 	}
@@ -107,22 +107,23 @@ func (c *Checker) checkPairs(i int, v *p2p.View) {
 		}
 		pv := &c.views[b]
 		if !pv.Joined {
-			c.observePair("dangling-conn", i, b, "peer left the overlay but the link was never torn down")
+			c.observePair("dangling-conn", i, b, cv.Since, "peer left the overlay but the link was never torn down")
 			continue
 		}
 		rc := findConn(pv, i)
 		if rc == nil {
-			c.observePair("symmetry", i, b, "connection has no counterpart on the peer")
+			c.observePair("symmetry", i, b, cv.Since, "connection has no counterpart on the peer")
 			continue
 		}
 		if cv.Initiator == rc.Initiator {
-			c.observePair("initiator-asym", i, b,
+			c.observePair("initiator-asym", i, b, cv.Since,
 				"both-or-neither endpoint initiates the keepalive (initiator=%v)", cv.Initiator)
 		}
 		if cv.Random != rc.Random {
-			c.observePair("random-asym", i, b,
+			c.observePair("random-asym", i, b, cv.Since,
 				"random flag disagrees (here %v, peer %v)", cv.Random, rc.Random)
 		}
+		c.since = cv.Since
 		c.t.Algorithm.CheckPair(cv, rc, pv, c.observeNode)
 	}
 }

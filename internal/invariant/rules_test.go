@@ -100,8 +100,8 @@ func TestPerAlgorithmRulesFire(t *testing.T) {
 		{"initial peer holding a link", "role-flags", "state initial with 1 conns",
 			joined(p2p.StateInitial, out(1)), joined(p2p.StateInitial, in(0)),
 			p2p.Hybrid, p2p.Regular},
-		{"reservation without expiry", "reserved-leak", "reserved state with no expiry armed",
-			p2p.View{Joined: true, State: p2p.StateReserved, ReservedWith: 2}, p2p.View{},
+		{"reserved with nothing in flight", "reserved-leak", "reserved state with nothing in flight",
+			p2p.View{Joined: true, State: p2p.StateReserved}, p2p.View{},
 			p2p.Hybrid, p2p.Regular},
 		{"role flags disagree", "role-asym", "role flags disagree",
 			joined(p2p.StateSlave, toMaster(out(1))), joined(p2p.StateMaster, mesh(in(0))),
@@ -147,6 +147,29 @@ func TestPerAlgorithmRulesFire(t *testing.T) {
 			}
 		})
 	}
+
+	// The reservation's expiry is a pending entry's timeout, so the shared
+	// pending-leak rule covers it: armed, a reservation is silent; unarmed,
+	// it leaks.
+	t.Run("reservation without expiry", func(t *testing.T) {
+		for _, armed := range []bool{true, false} {
+			c := ruleChecker(t, p2p.Hybrid)
+			c.views[0] = p2p.View{Joined: true, State: p2p.StateReserved,
+				Pending: []p2p.PendingView{{Peer: 2, TimeoutArmed: armed}}}
+			c.checkNode(0, &c.views[0])
+			var rules []string
+			for _, v := range c.Violations() {
+				rules = append(rules, v.Rule)
+			}
+			want := "pending-leak"
+			if armed {
+				want = ""
+			}
+			if got := strings.Join(rules, ","); got != want {
+				t.Errorf("timeout armed=%v: rules [%s], want [%s]", armed, got, want)
+			}
+		}
+	})
 }
 
 // TestSymmetryGraceFollowsTheLink pins how long a one-sided link may

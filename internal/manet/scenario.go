@@ -2,6 +2,7 @@ package manet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -333,8 +334,14 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("manetp2p: Range %v not positive", sc.Range)
 	case sc.AreaSide/sc.Range > maxRangesPerSide:
 		return fmt.Errorf("manetp2p: AreaSide %v is more than %d times Range %v", sc.AreaSide, maxRangesPerSide, sc.Range)
-	case !(sc.MaxSpeed > 0):
-		return fmt.Errorf("manetp2p: MaxSpeed %v not positive", sc.MaxSpeed)
+	case !(sc.MaxSpeed > 0 && sc.MaxSpeed <= math.MaxFloat64):
+		return fmt.Errorf("manetp2p: MaxSpeed %v not positive and finite", sc.MaxSpeed)
+	// The slowest leg across the arena must fit the clock: past it a
+	// leg's duration wraps and the node teleports, and a subnormal
+	// MaxSpeed leaves the models a zero speed band.
+	case sc.AreaSide*math.Sqrt2/sc.slowest() > sim.Horizon.Seconds():
+		return fmt.Errorf("manetp2p: at MaxSpeed %v a node may take more than %v to cross AreaSide %v",
+			sc.MaxSpeed, sim.Horizon, sc.AreaSide)
 	case sc.MaxPause < 0 || sc.MaxPause > sim.MaxTime/2:
 		return fmt.Errorf("manetp2p: MaxPause %v negative or overflowing the clock", sc.MaxPause)
 	case sc.Duration <= 0:
@@ -413,17 +420,22 @@ const (
 	minSpeed     = 0.1                   // m/s; the lower edge of every model's speed band
 )
 
-// newModel creates one node's movement model. Stationary overrides
-// Mobility, and the speed band's lower edge follows MaxSpeed down when a
-// scenario is slower than minSpeed.
+// slowest is the lower edge of every model's speed band: minSpeed, or a
+// tenth of MaxSpeed when a scenario is slower than that.
+func (sc Scenario) slowest() float64 {
+	if minSpeed > sc.MaxSpeed {
+		return sc.MaxSpeed / 10
+	}
+	return minSpeed
+}
+
+// newModel creates one node's movement model over the speed band
+// [slowest, MaxSpeed], which Validate keeps positive, ordered and
+// finite. Stationary overrides Mobility.
 func (sc Scenario) newModel(arena geom.Rect, start geom.Point, rng *rand.Rand) mobility.Model {
 	kind := sc.Mobility
 	if sc.Stationary {
 		kind = MobilityStationary
 	}
-	lo := minSpeed
-	if lo > sc.MaxSpeed {
-		lo = sc.MaxSpeed / 10
-	}
-	return mobilities[kind].new(arena, start, lo, sc.MaxSpeed, sc.MaxPause, rng)
+	return mobilities[kind].new(arena, start, sc.slowest(), sc.MaxSpeed, sc.MaxPause, rng)
 }

@@ -32,12 +32,12 @@ type Direction struct {
 
 // NewDirection creates a Random Direction walker starting at start.
 func NewDirection(arena geom.Rect, start geom.Point, minSpeed, maxSpeed float64, maxPause sim.Time, rng *rand.Rand) *Direction {
-	switch {
-	case minSpeed <= 0 || maxSpeed < minSpeed:
+	switch { // unreachable from input: see the package comment
+	case minSpeed <= 0 || maxSpeed < minSpeed: // the validated speed band
 		panic("mobility: NewDirection speed range invalid")
-	case maxPause < 0:
+	case maxPause < 0: // Validate: MaxPause not negative
 		panic("mobility: NewDirection requires maxPause >= 0")
-	case !arena.Contains(start):
+	case !arena.Contains(start): // Build draws start in the finite arena
 		panic("mobility: NewDirection start outside arena")
 	}
 	d := &Direction{
@@ -123,14 +123,14 @@ type GaussMarkov struct {
 // NewGaussMarkov creates a Gauss-Markov walker starting at start with
 // the given mean speed and memory parameter alpha, updated every step.
 func NewGaussMarkov(arena geom.Rect, start geom.Point, meanSpeed, alpha float64, step sim.Time, rng *rand.Rand) *GaussMarkov {
-	switch {
-	case meanSpeed <= 0:
+	switch { // unreachable from input: see the package comment
+	case meanSpeed <= 0: // the middle of the validated speed band
 		panic("mobility: NewGaussMarkov requires meanSpeed > 0")
-	case alpha < 0 || alpha > 1:
+	case alpha < 0 || alpha > 1: // a constant 0.75
 		panic("mobility: NewGaussMarkov alpha outside [0,1]")
-	case step <= 0:
+	case step <= 0: // a constant 1 s
 		panic("mobility: NewGaussMarkov requires step > 0")
-	case !arena.Contains(start):
+	case !arena.Contains(start): // Build draws start in the finite arena
 		panic("mobility: NewGaussMarkov start outside arena")
 	}
 	g := &GaussMarkov{

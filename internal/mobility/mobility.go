@@ -7,6 +7,10 @@
 // legs up to t and interpolates, so no events need to be scheduled. Time
 // arguments must be nondecreasing across calls, which the single-threaded
 // simulator guarantees.
+//
+// The constructors' argument checks are unreachable from input: each
+// names what keeps it so in manet, the only caller, whose Scenario.Validate
+// also refuses NaN and ±Inf in every float these arguments derive from.
 package mobility
 
 import (
@@ -53,14 +57,14 @@ type Waypoint struct {
 // speeds arbitrarily close to zero makes expected leg durations diverge
 // (the well-known RWP harmonic-mean pathology).
 func NewWaypoint(arena geom.Rect, start geom.Point, minSpeed, maxSpeed float64, maxPause sim.Time, rng *rand.Rand) *Waypoint {
-	switch {
-	case minSpeed <= 0:
+	switch { // unreachable from input: see the package comment
+	case minSpeed <= 0: // Validate: AreaSide·√2 / minSpeed fits the clock
 		panic("mobility: NewWaypoint requires minSpeed > 0")
-	case maxSpeed < minSpeed:
+	case maxSpeed < minSpeed: // the band's lower edge is at most MaxSpeed
 		panic("mobility: NewWaypoint requires maxSpeed >= minSpeed")
-	case maxPause < 0:
+	case maxPause < 0: // Validate: MaxPause not negative
 		panic("mobility: NewWaypoint requires maxPause >= 0")
-	case !arena.Contains(start):
+	case !arena.Contains(start): // Build draws start in the finite arena
 		panic("mobility: NewWaypoint start outside arena")
 	}
 	w := &Waypoint{
@@ -131,12 +135,12 @@ type Walk struct {
 // NewWalk creates a random walker starting at start that re-rolls heading
 // and speed every epoch.
 func NewWalk(arena geom.Rect, start geom.Point, minSpeed, maxSpeed float64, epoch sim.Time, rng *rand.Rand) *Walk {
-	switch {
-	case minSpeed <= 0 || maxSpeed < minSpeed:
+	switch { // unreachable from input: see the package comment
+	case minSpeed <= 0 || maxSpeed < minSpeed: // the validated speed band
 		panic("mobility: NewWalk speed range invalid")
-	case epoch <= 0:
+	case epoch <= 0: // a constant 20 s
 		panic("mobility: NewWalk requires epoch > 0")
-	case !arena.Contains(start):
+	case !arena.Contains(start): // Build draws start in the finite arena
 		panic("mobility: NewWalk start outside arena")
 	}
 	w := &Walk{arena: arena, minSpeed: minSpeed, maxSpeed: maxSpeed, epoch: epoch, rng: rng, at: start}

@@ -18,6 +18,8 @@
 // step, when it still wants links, whom it answers, what a lost link and
 // a Leave reset, which message kinds it alone speaks, and the invariant
 // rules only it states. The algorithms table below registers them.
+// Hybrid's role changes only through setRole, which drops every
+// handshake in flight (pending), so none outlives the role that began it.
 package p2p
 
 import (

@@ -53,24 +53,49 @@ func (sv *Servent) onOffer(from int, m Msg) {
 
 // acceptOffer commits a slot and sends the accept (second handshake step).
 func (sv *Servent) acceptOffer(peer int, random, master bool) {
-	h := &handshake{peer: peer, random: random, master: master}
-	h.timeout = sv.s.ScheduleArg(sv.par.HandshakeWait, sv.hsTimeoutFn, sim.Arg{I0: peer, X: h})
-	sv.pending[peer] = h
+	sv.hold(&handshake{peer: peer, random: random, master: master})
 	sv.send(peer, Msg{Kind: msgAccept, Rand: random, Master: master})
 }
 
-// handshakeTimeout releases a reserved slot whose confirm never arrived.
+// hold records h as in flight and arms its timeout.
+func (sv *Servent) hold(h *handshake) {
+	h.timeout = sv.s.ScheduleArg(sv.par.HandshakeWait, sv.hsTimeoutFn, sim.Arg{I0: h.peer, X: h})
+	sv.pending[h.peer] = h
+}
+
+// handshakeTimeout releases a reserved slot whose confirm never arrived
+// or, for a reservation, returns the slave candidate to initial.
 func (sv *Servent) handshakeTimeout(a sim.Arg) {
 	peer, h := a.I0, a.X.(*handshake)
 	if sv.pending[peer] == h {
 		delete(sv.pending, peer)
+		if h.slave {
+			sv.setRole(StateInitial)
+		}
 		sv.ensureCycle()
 	}
 }
 
+// dropPending abandons every handshake in flight.
+func (sv *Servent) dropPending() {
+	for _, h := range sv.pending { // commutative: cancels every entry
+		h.timeout.Cancel()
+	}
+	clear(sv.pending)
+}
+
+// inFlight returns the handshake in flight with peer if it is a
+// reservation (slave) or a three-way handshake (!slave), else nil.
+func (sv *Servent) inFlight(peer int, slave bool) *handshake {
+	if h := sv.pending[peer]; h != nil && h.slave == slave {
+		return h
+	}
+	return nil
+}
+
 // onAccept is the responder committing its half of the connection.
 func (sv *Servent) onAccept(from int, m Msg) {
-	if h, cross := sv.pending[from]; cross {
+	if h := sv.inFlight(from, false); h != nil {
 		// Crossing handshake: both ends solicited each other and both
 		// sent accepts. Without a tie-break the two accepts reject each
 		// other forever. The higher id keeps its solicitor role; the
@@ -92,11 +117,11 @@ func (sv *Servent) onAccept(from int, m Msg) {
 
 // onConfirm finalizes the solicitor's half.
 func (sv *Servent) onConfirm(from int, m Msg) {
-	h, ok := sv.pending[from]
-	if !ok {
-		// Our reservation timed out (or we left and rejoined); the
-		// responder installed state we will never maintain — tear it
-		// down explicitly rather than leaving it to keepalive timeouts.
+	h := sv.inFlight(from, false)
+	if h == nil {
+		// Our reservation timed out, or a role change or a rejoin dropped
+		// it; the responder installed state we will never maintain — tear
+		// it down explicitly rather than leaving it to keepalive timeouts.
 		sv.send(from, Msg{Kind: msgBye})
 		return
 	}
@@ -107,8 +132,8 @@ func (sv *Servent) onConfirm(from int, m Msg) {
 
 // onReject releases the solicitor's reserved slot.
 func (sv *Servent) onReject(from int) {
-	h, ok := sv.pending[from]
-	if !ok {
+	h := sv.inFlight(from, false)
+	if h == nil {
 		return
 	}
 	delete(sv.pending, from)

@@ -12,7 +12,8 @@ import (
 // become masters of small subnets, lower-qualified peers their slaves.
 // Masters interconnect with the Regular algorithm. The network
 // reorganizes itself when a master stays slaveless too long or a slave
-// strays too far from its master.
+// strays too far from its master. setRole makes every role change, and
+// the enslavement reservation is a pending handshake marked slave.
 
 // HybridState is a Hybrid-algorithm servent's role (§6.2).
 type HybridState int
@@ -52,7 +53,7 @@ func (hybridAlg) step(sv *Servent) {
 		if sv.nhops == 0 {
 			// Swept every radius without finding anyone to serve or obey:
 			// entitle ourselves master (§6.2).
-			sv.becomeMaster()
+			sv.setRole(StateMaster)
 			sv.scheduleCycle(0)
 			return
 		}
@@ -87,10 +88,7 @@ func (hybridAlg) connClosed(sv *Servent, c *conn) {
 	case c.toMaster:
 		// "...and, if it is a slave, the peer resets its state to
 		// initial. It then tries to contact other peers" (§6.2).
-		sv.state = StateInitial
-		sv.nhops = sv.par.NHopsInitial
-		sv.timer = sv.par.TimerInitial
-		sv.ensureCycle()
+		sv.setRole(StateInitial)
 	case c.toSlave:
 		if sv.state == StateMaster && sv.slaveCount() == 0 {
 			sv.armNoSlaveTimer()
@@ -100,14 +98,7 @@ func (hybridAlg) connClosed(sv *Servent, c *conn) {
 	}
 }
 
-func (hybridAlg) leave(sv *Servent) {
-	sv.reservedEv.Cancel()
-	sv.reservedEv = sim.Handle{}
-	if sv.noSlave != nil {
-		sv.noSlave.Stop()
-	}
-	sv.state = StateInitial
-}
+func (hybridAlg) leave(sv *Servent) { sv.setRole(StateInitial) }
 
 // handle serves capture and the enslave handshake, the kinds only Hybrid
 // speaks.
@@ -128,7 +119,7 @@ func (hybridAlg) handle(sv *Servent, from int, m Msg) {
 
 // checkView: each link carries exactly one role, at most MAXNSLAVES
 // slaves and MAXNCONN mesh links, connections that agree with the role,
-// and a reservation that can expire.
+// and a reservation in flight.
 func (hybridAlg) checkView(a Algorithm, v *View, par Params, report reportFn) {
 	slaves, mesh, toMaster := 0, 0, 0
 	for k := range v.Conns {
@@ -186,8 +177,8 @@ func (hybridAlg) checkView(a Algorithm, v *View, par Params, report reportFn) {
 				"state %v with %d conns; only masters and slaves hold connections", v.State, len(v.Conns))
 		}
 	}
-	if v.State == StateReserved && !v.ReservedArmed {
-		report("reserved-leak", v.ReservedWith, "reserved state with no expiry armed can never resolve")
+	if v.State == StateReserved && len(v.Pending) == 0 {
+		report("reserved-leak", -1, "reserved state with nothing in flight can never resolve")
 	}
 }
 
@@ -247,13 +238,43 @@ func (sv *Servent) slaveCount() int {
 	return n
 }
 
-// becomeMaster promotes the peer and arms the slaveless-reversion timer.
-func (sv *Servent) becomeMaster() {
-	sv.opt.Tracer.Emit(trace.KindState, sv.id, -1, "%v->master", sv.state)
-	sv.state = StateMaster
-	sv.nhops = sv.par.NHopsInitial
-	sv.timer = sv.par.TimerInitial
-	sv.armNoSlaveTimer()
+// setRole is the only code that writes sv.state. Every change drops the
+// handshakes in flight. Leaving master closes the mesh and slave links
+// and stops the slaveless timer. A slave stops its cycle; every other
+// role makes sure it runs, restarting the sweep for a new master or a
+// peer back from master or slave (a failed reservation resumes it).
+func (sv *Servent) setRole(to HybridState) {
+	from := sv.state
+	if from == to {
+		return
+	}
+	sv.opt.Tracer.Emit(trace.KindState, sv.id, -1, "%v->%v", from, to)
+	sv.state = to
+	sv.dropPending()
+	if from == StateMaster {
+		for _, peer := range sv.Peers() { // sorted: keeps runs reproducible
+			if c := sv.conns[peer]; c != nil && (c.master || c.toSlave) {
+				sv.closeConn(peer, true)
+			}
+		}
+		if sv.noSlave != nil {
+			sv.noSlave.Stop()
+		}
+	}
+	if to == StateSlave {
+		sv.cycleEv.Cancel()
+		sv.cycleEv = sim.Handle{}
+		sv.cycleRunning = false
+		return
+	}
+	if to == StateMaster || from == StateMaster || from == StateSlave {
+		sv.nhops = sv.par.NHopsInitial
+		sv.timer = sv.par.TimerInitial
+	}
+	if to == StateMaster {
+		sv.armNoSlaveTimer()
+	}
+	sv.ensureCycle()
 }
 
 // armNoSlaveTimer starts the MAXTIMERMASTER countdown: a master that
@@ -270,22 +291,7 @@ func (sv *Servent) noSlaveExpired() {
 	if !sv.joined || sv.state != StateMaster || sv.slaveCount() > 0 {
 		return
 	}
-	sv.revertToInitial()
-}
-
-// revertToInitial demotes a master: all mesh links are dropped and the
-// capture cycle restarts.
-func (sv *Servent) revertToInitial() {
-	sv.opt.Tracer.Emit(trace.KindState, sv.id, -1, "master->initial (slaveless)")
-	sv.state = StateInitial
-	for _, peer := range sv.Peers() { // sorted: keeps runs reproducible
-		if c := sv.conns[peer]; c != nil && (c.master || c.toSlave) {
-			sv.closeConn(peer, true)
-		}
-	}
-	sv.nhops = sv.par.NHopsInitial
-	sv.timer = sv.par.TimerInitial
-	sv.ensureCycle()
+	sv.setRole(StateInitial)
 }
 
 // outranks reports whether this peer's (qualifier, id) exceeds the
@@ -316,37 +322,21 @@ func (sv *Servent) tryEnslaveTo(master int) {
 	if sv.state != StateInitial {
 		return
 	}
-	sv.state = StateReserved
-	sv.reservedWith = master
+	sv.setRole(StateReserved)
 	sv.send(master, Msg{Kind: msgEnslaveReq, Qualifier: sv.opt.Qualifier})
-	sv.reservedEv.Cancel()
-	sv.reservedEv = sv.s.ScheduleArg(sv.par.HandshakeWait, sv.reservedExpFn, sim.Arg{I0: master})
-}
-
-// reservedExpired returns a reserved slave candidate to initial when the
-// prospective master never answered.
-func (sv *Servent) reservedExpired(a sim.Arg) {
-	if sv.joined && sv.state == StateReserved && sv.reservedWith == a.I0 {
-		sv.state = StateInitial
-		sv.ensureCycle()
-	}
+	sv.hold(&handshake{peer: master, slave: true})
 }
 
 // onEnslaveReq is the master side of the enslavement handshake. An
 // initial peer that receives one becomes a master on the spot.
 func (sv *Servent) onEnslaveReq(from int, _ Msg) {
-	acceptable := (sv.state == StateInitial || sv.state == StateMaster) &&
-		sv.slaveCount() < sv.par.MaxNSlaves
-	if _, dup := sv.conns[from]; dup {
-		acceptable = false
-	}
-	if !acceptable {
+	if !(sv.state == StateInitial || sv.state == StateMaster) ||
+		sv.slaveCount() >= sv.par.MaxNSlaves || sv.conns[from] != nil {
 		sv.send(from, Msg{Kind: msgEnslaveReject})
 		return
 	}
 	if sv.state == StateInitial {
-		sv.becomeMaster()
-		sv.ensureCycle() // start the master-mesh cycle
+		sv.setRole(StateMaster)
 	}
 	sv.send(from, Msg{Kind: msgEnslaveAccept})
 }
@@ -354,19 +344,12 @@ func (sv *Servent) onEnslaveReq(from int, _ Msg) {
 // onEnslaveAccept is the slave finalizing: install the master link and
 // confirm.
 func (sv *Servent) onEnslaveAccept(from int) {
-	if sv.state != StateReserved || sv.reservedWith != from {
+	if sv.inFlight(from, true) == nil {
 		return
 	}
-	sv.reservedEv.Cancel()
-	sv.reservedEv = sim.Handle{}
-	sv.opt.Tracer.Emit(trace.KindState, sv.id, from, "reserved->slave")
-	sv.state = StateSlave
+	sv.setRole(StateSlave)
 	sv.installConn(&conn{peer: from, toMaster: true, initiator: true})
 	sv.send(from, Msg{Kind: msgEnslaveConfirm})
-	// A slave abandons any half-done mesh business.
-	sv.cycleEv.Cancel()
-	sv.cycleEv = sim.Handle{}
-	sv.cycleRunning = false
 }
 
 // onEnslaveConfirm is the master finalizing a new slave.
@@ -392,11 +375,7 @@ func (sv *Servent) onEnslaveConfirm(from int) {
 
 // onEnslaveReject returns a spurned slave candidate to initial.
 func (sv *Servent) onEnslaveReject(from int) {
-	if sv.state != StateReserved || sv.reservedWith != from {
-		return
+	if sv.inFlight(from, true) != nil {
+		sv.setRole(StateInitial)
 	}
-	sv.reservedEv.Cancel()
-	sv.reservedEv = sim.Handle{}
-	sv.state = StateInitial
-	sv.ensureCycle()
 }

@@ -29,11 +29,9 @@ type ConnView struct {
 	DeadlineArmed bool
 }
 
-// PendingView is one in-flight solicitor-side handshake reservation.
+// PendingView is one handshake in flight (see handshake).
 type PendingView struct {
 	Peer         int
-	Random       bool
-	Master       bool
 	TimeoutArmed bool
 }
 
@@ -41,13 +39,11 @@ type PendingView struct {
 // Inspect calls on the same View, so a checker can sweep a whole network
 // every sampling interval without steady-state allocation.
 type View struct {
-	Joined        bool
-	State         HybridState
-	ReservedWith  int  // peer of the in-flight enslavement, when Reserved
-	ReservedArmed bool // the reservation's expiry timer is pending
-	Conns         []ConnView
-	Pending       []PendingView
-	CacheLen      int // peer-cache population
+	Joined   bool
+	State    HybridState
+	Conns    []ConnView
+	Pending  []PendingView
+	CacheLen int // peer-cache population
 }
 
 // Inspect fills v with this servent's current structural state. Conns
@@ -56,8 +52,6 @@ type View struct {
 func (sv *Servent) Inspect(v *View) {
 	v.Joined = sv.joined
 	v.State = sv.state
-	v.ReservedWith = sv.reservedWith
-	v.ReservedArmed = sv.reservedEv.Pending()
 	v.CacheLen = len(sv.peerCache)
 	v.Conns = v.Conns[:0]
 	for _, c := range sv.conns { // sorted below: keeps violation reports deterministic
@@ -79,8 +73,6 @@ func (sv *Servent) Inspect(v *View) {
 	for _, h := range sv.pending { // sorted below: keeps violation reports deterministic
 		v.Pending = append(v.Pending, PendingView{
 			Peer:         h.peer,
-			Random:       h.random,
-			Master:       h.master,
 			TimeoutArmed: h.timeout.Pending(),
 		})
 	}

@@ -27,12 +27,14 @@ type conn struct {
 	since       sim.Time   // established time, for lifetime statistics
 }
 
-// handshake is a solicitor-side in-flight three-way handshake (we sent
-// accept and hold a reserved slot until confirm or timeout).
+// handshake is one in flight: a solicitor-side three-way handshake (we
+// sent accept and hold a reserved slot until confirm or timeout) or,
+// marked slave, a Hybrid enslavement reservation awaiting the master.
 type handshake struct {
 	peer    int
 	random  bool
 	master  bool
+	slave   bool
 	timeout sim.Handle
 }
 
@@ -84,11 +86,9 @@ type Servent struct {
 	offers     []offerInfo
 	collectEv  sim.Handle // the open window's end
 
-	// Hybrid state.
-	state        HybridState
-	reservedWith int
-	noSlave      *sim.Timer
-	reservedEv   sim.Handle
+	// Hybrid state; setRole is its only writer.
+	state   HybridState
+	noSlave *sim.Timer
 
 	// Query engine.
 	nextQID uint32
@@ -115,7 +115,6 @@ type Servent struct {
 	finishQueryFn func()
 	endCollectFn  func()
 	hsTimeoutFn   func(sim.Arg)
-	reservedExpFn func(sim.Arg)
 	peersScratch  []int // sorted-peer buffer for hot iteration paths; see sortedPeers
 	cacheScratch  []int // sorted peer-cache id buffer; see cachedPeerIDs
 }
@@ -159,7 +158,6 @@ func NewServent(id int, s *sim.Sim, rt netif.Protocol, par Params, alg Algorithm
 		conns:     make(map[int]*conn),
 		pending:   make(map[int]*handshake),
 		seen:      make(map[queryKey]struct{}),
-		state:     StateInitial,
 		skipClose: -1,
 	}
 	sv.ensureCycleFn = sv.ensureCycle
@@ -168,7 +166,6 @@ func NewServent(id int, s *sim.Sim, rt netif.Protocol, par Params, alg Algorithm
 	sv.finishQueryFn = sv.finishQuery
 	sv.endCollectFn = sv.endRandomCollect
 	sv.hsTimeoutFn = sv.handshakeTimeout
-	sv.reservedExpFn = sv.reservedExpired
 	return sv
 }
 
@@ -300,10 +297,7 @@ func (sv *Servent) Leave(graceful bool) {
 	for _, peer := range sv.Peers() { // sorted: keeps runs reproducible
 		sv.closeConn(peer, graceful)
 	}
-	for _, h := range sv.pending { // commutative: cancels every entry
-		h.timeout.Cancel()
-	}
-	sv.pending = make(map[int]*handshake)
+	sv.dropPending()
 	sv.cycleEv.Cancel()
 	sv.cycleEv = sim.Handle{}
 	sv.cycleRunning = false

@@ -20,7 +20,7 @@ type Kind int
 const (
 	// KindConn marks overlay connection lifecycle (established/closed).
 	KindConn Kind = iota
-	// KindState marks hybrid role transitions.
+	// KindState marks hybrid role transitions, one "from->to" per change.
 	KindState
 	// KindQuery marks query issuance and answers.
 	KindQuery

@@ -40,6 +40,12 @@ func TestScenarioValidate(t *testing.T) {
 		func(s *Scenario) { s.AreaSide = math.NaN() },
 		func(s *Scenario) { s.Range = math.NaN() },
 		func(s *Scenario) { s.MaxSpeed = math.NaN() },
+		// ±Inf reaches them the same way; +Inf used to run with nodes
+		// teleporting (or, for the arena, crossing it in 1 µs legs).
+		func(s *Scenario) { s.MaxSpeed = math.Inf(1) },
+		func(s *Scenario) { s.MaxSpeed = math.Inf(-1) },
+		func(s *Scenario) { s.AreaSide, s.Range = math.Inf(1), math.Inf(1) },
+		func(s *Scenario) { s.AreaSide = math.Inf(-1) },
 	}
 	for i, mutate := range bads {
 		sc := DefaultScenario(50, Regular)

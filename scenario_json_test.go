@@ -294,6 +294,10 @@ var badScenarioFiles = []struct{ field, doc string }{
 	{"timing constant", `{"Params": {"PingInterval": 9223372036854775807}}`},
 	{"NumFiles", `{"Files": {"NumFiles": 100000000}}`},
 	{"NumNodes", `{"NumNodes": 1000000000}`},
+	// A subnormal MaxSpeed left the speed band empty and panicked in
+	// mobility; a vast arena made every leg wrap the clock.
+	{"MaxSpeed", `{"MaxSpeed": 5e-324}`},
+	{"AreaSide", `{"AreaSide": 1e300, "Range": 1e298}`},
 	// A stall timeout that wraps the clock once a download starts.
 	{"timing constant", `{"Params": {"Download": {"Enabled": true, "ChunkWait": 9223372036854775807}}}`},
 	// A 1 µs sampling period over the default hour: 3.6e9 samples.
