@@ -168,15 +168,8 @@ func TestStepSegmentationLeavesReplicationAlone(t *testing.T) {
 
 			// An initiator's first ping fires PingInterval after the
 			// connection is installed; a traced run says when that was.
-			traced := sc
-			traced.TraceCapacity = 1 << 20
-			s, err := NewSimulation(traced)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Step(sc.Duration)
 			var pings []Duration
-			for _, e := range s.Net.Tracer.Events() {
+			for _, e := range traceEvents(t, sc) {
 				if at := e.At + sc.Params.PingInterval; e.Kind == trace.KindConn && at < sc.Duration &&
 					strings.HasPrefix(e.What, "established") && (len(pings) == 0 || at > pings[len(pings)-1]) {
 					pings = append(pings, at)

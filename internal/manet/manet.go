@@ -6,6 +6,7 @@
 package manet
 
 import (
+	"io"
 	"math/rand"
 
 	"manetp2p/internal/aodv"
@@ -24,12 +25,13 @@ import (
 	"manetp2p/internal/workload"
 )
 
-// Options holds the two knobs of Build that are not part of a scenario:
-// they exist for tests and ablation benchmarks, and no file or flag
-// reaches them.
+// Options holds the knobs of Build that are not part of a scenario. No
+// file reaches them: NoQueries and AODV exist for tests and ablation
+// benchmarks, and Trace is where p2psim -trace streams its events.
 type Options struct {
 	NoQueries bool        // servents issue no queries and hold no files
 	AODV      aodv.Config // AODV tuning; the zero value is the protocol's defaults
+	Trace     io.Writer   // receives the event trace as JSON lines; nil traces nothing
 }
 
 // Network is one fully wired replication.
@@ -40,7 +42,7 @@ type Network struct {
 	Routers   []NodeRouter
 	Servents  []*p2p.Servent // nil for nodes outside the overlay
 	Collector *telemetry.Collector
-	Tracer    *trace.Tracer      // nil unless Cfg.TraceCapacity > 0
+	Tracer    *trace.Tracer      // nil unless Options.Trace is set
 	Injector  *fault.Injector    // nil unless Cfg.Faults has events
 	Checker   *invariant.Checker // nil unless Cfg.Invariants is set and enabled
 	Demand    *workload.Engine   // nil unless Cfg.Workload is set
@@ -102,8 +104,8 @@ func Build(sc Scenario, rep int, opt Options) (*Network, error) {
 	}
 	n.churnDownFn = n.churnDown
 	n.churnUpFn = n.churnUp
-	if sc.TraceCapacity > 0 {
-		n.Tracer = trace.New(s, sc.TraceCapacity)
+	if opt.Trace != nil {
+		n.Tracer = trace.New(s, opt.Trace)
 	}
 	if sc.TrafficBucket > 0 {
 		n.Collector.SetClock(s.Now, sc.TrafficBucket)

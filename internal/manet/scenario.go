@@ -254,11 +254,6 @@ type Scenario struct {
 	// off in fault-free runs unless set explicitly.
 	HealthEvery sim.Time
 
-	// TraceCapacity > 0 enables structured event tracing in
-	// single-Simulation use (NewSimulation); Run ignores it because
-	// traces from 33 replications are rarely what anyone wants.
-	TraceCapacity int
-
 	// Workload optionally replaces the paper's built-in query loop with
 	// the scriptable demand engine (internal/workload). Nil (the
 	// default) keeps every existing scenario bit-identical; a set plan

@@ -18,6 +18,8 @@
 package manetp2p
 
 import (
+	"io"
+
 	"manetp2p/internal/fault"
 	"manetp2p/internal/geom"
 	"manetp2p/internal/invariant"
@@ -251,3 +253,15 @@ func (s *Simulation) Step(d Duration) { s.Net.Run(d) }
 
 // Now returns the current simulated time.
 func (s *Simulation) Now() Duration { return s.Net.Sim.Now() }
+
+// WriteTrace runs replication 0 of the scenario to its horizon, as
+// NewSimulation and Step do, streaming each traced event to w as one JSON
+// line when it happens. It returns the build's or the first write's error.
+func WriteTrace(sc Scenario, w io.Writer) error {
+	net, err := manet.Build(sc, 0, manet.Options{Trace: w})
+	if err != nil {
+		return err
+	}
+	net.Run(sc.Duration)
+	return net.Tracer.Err()
+}

@@ -320,7 +320,6 @@ func Run(sc Scenario) (*Result, error) {
 // SelfAudit can check that stepping a run moves no byte of its record.
 // Run passes no cuts.
 func runReplication(sc Scenario, rep int, cuts []Duration) *repResult {
-	sc.TraceCapacity = 0 // traces are for NewSimulation; see Scenario.TraceCapacity
 	net, err := manet.Build(sc, rep, manet.Options{})
 	if err != nil {
 		return &repResult{err: err}
