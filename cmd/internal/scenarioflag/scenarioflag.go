@@ -111,11 +111,11 @@ func (f *Flags) Scenario() (manetp2p.Scenario, error) {
 
 // Refuse returns an error naming, after why, every flag of names (every
 // scenario flag when names is empty) present on the command line, in
-// lexical order.
+// lexical order. Names may be any of the command's flags.
 func (f *Flags) Refuse(why string, names ...string) error {
 	var set []string
 	f.fs.Visit(func(fl *flag.Flag) {
-		if f.overrides[fl.Name] != nil && (len(names) == 0 || slices.Contains(names, fl.Name)) {
+		if slices.Contains(names, fl.Name) || len(names) == 0 && f.overrides[fl.Name] != nil {
 			set = append(set, fl.Name)
 		}
 	})

@@ -1,13 +1,89 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"manetp2p"
 )
+
+// TestMain lets a test run the command itself: re-executed with
+// P2PSIM_TEST_MAIN set, the test binary is p2psim on its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("P2PSIM_TEST_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runP2psim runs p2psim with args in a fresh directory and returns its
+// stdout, stderr and exit code.
+func runP2psim(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "P2PSIM_TEST_MAIN=1")
+	cmd.Dir = t.TempDir()
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), code
+}
+
+// -trace runs one replication and writes only its events. A flag asking
+// for more output (-metrics, -checkpoint, -curves, -series) would go
+// unserved, and one choosing another run mode (-selfcheck, -resume,
+// -save-config) would skip the trace: each is refused by name, exit 2.
+func TestTraceRefusesWhatItWouldIgnore(t *testing.T) {
+	small := []string{"-nodes", "10", "-duration", "60", "-reps", "1"}
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"metrics", append([]string{"-metrics", "m.jsonl"}, small...)},
+		{"checkpoint", append([]string{"-checkpoint", "r.ckpt"}, small...)},
+		{"curves", append([]string{"-curves"}, small...)},
+		{"series", append([]string{"-series", "connect"}, small...)},
+		{"selfcheck", append([]string{"-selfcheck"}, small...)},
+		{"save-config", append([]string{"-save-config", "s.json"}, small...)},
+		{"resume", []string{"-resume", "r.ckpt"}},
+	} {
+		_, stderr, code := runP2psim(t, append([]string{"-trace", "t.jsonl"}, tc.args...)...)
+		if code != 2 || !strings.Contains(stderr, "-trace") || !strings.Contains(stderr, "-"+tc.flag) {
+			t.Errorf("-trace beside -%s: exit %d, stderr %q; want exit 2 naming -trace and -%s", tc.flag, code, stderr, tc.flag)
+		}
+	}
+}
+
+// -trace - streams the events to stdout, one JSON object per line.
+func TestTraceWritesEventLines(t *testing.T) {
+	stdout, stderr, code := runP2psim(t, "-trace", "-", "-nodes", "10", "-area", "40", "-range", "15", "-duration", "120")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n")
+	for _, line := range lines {
+		var e struct{ What string }
+		if err := json.Unmarshal([]byte(line), &e); err != nil || e.What == "" {
+			t.Fatalf("line %q is not a trace event: %v", line, err)
+		}
+	}
+	if len(lines) < 10 {
+		t.Errorf("%d trace lines from a 10-node, 120 s run", len(lines))
+	}
+}
 
 // captureStdout runs fn with os.Stdout pointed at a file and returns
 // what fn wrote there.
