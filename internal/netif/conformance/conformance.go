@@ -4,9 +4,10 @@
 // in aodv, dsr, dsdv and flood). The suite pins the semantics the p2p
 // overlay relies on but the interface alone cannot express —
 // controlled-broadcast TTL reach, asynchronous self-delivery,
-// OnSendFailed firing exactly once per abandoned payload, hooks that may reenter the router, duplicate
-// caches that stay bounded under a broadcast storm, and received frames
-// that are never written through the shared pointer.
+// OnSendFailed firing exactly once per abandoned payload, hooks that
+// may reenter the router, duplicate caches that stay bounded under a
+// broadcast storm, received frames never written through the shared
+// pointer, and every pair's unicast on a static line delivered once.
 package conformance
 
 import (
@@ -164,6 +165,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("HookReentrancy", func(t *testing.T) { testHookReentrancy(t, f) })
 	t.Run("DupCacheBounded", func(t *testing.T) { testDupCacheBounded(t, f) })
 	t.Run("SharedFramesReadOnly", func(t *testing.T) { testSharedFramesReadOnly(t, f) })
+	t.Run("UnicastEveryPair", func(t *testing.T) { testUnicastEveryPair(t, f) })
 }
 
 // testBroadcastTTL pins the controlled-broadcast reach contract: a
@@ -320,14 +322,14 @@ func testDupCacheBounded(t *testing.T, f Factory) {
 	}
 }
 
-// testSharedFramesReadOnly pins the receive-pointer contract on the two
-// paths where a handler is tempted to edit in place. Every network the
-// suite builds already checks each frame against a snapshot taken
-// before its handler ran (net.receive); this test adds traffic where a
-// violation is visible to a second reader — a broadcast heard by three
-// neighbours, each of which relays it, and a unicast relayed over two
-// hops — and requires every receiver of a transmission to have seen the
-// header its sender put on the air.
+// testSharedFramesReadOnly pins the receive-pointer contract on the
+// broadcast path, where a handler is tempted to edit in place. Every
+// network the suite builds already checks each frame against a snapshot
+// taken before its handler ran (net.receive); this test adds traffic
+// where a violation is visible to a second reader — a broadcast heard
+// by three neighbours, each of which relays it — and requires every
+// receiver of a transmission to have seen the header its sender put on
+// the air. testUnicastEveryPair does the same for relayed unicasts.
 func testSharedFramesReadOnly(t *testing.T, f Factory) {
 	const ttl = 3
 	n := newNet(t, f, 7, clique(4))
@@ -355,29 +357,46 @@ func testSharedFramesReadOnly(t *testing.T, f Factory) {
 	if fromOrigin != 3 || fromRelays != 9 {
 		t.Errorf("broadcast heard %d times from the origin and %d from relays, want 3 and 9", fromOrigin, fromRelays)
 	}
+}
 
-	n = newNet(t, f, 8, line(3))
+// testUnicastEveryPair is the differential check: on a static line every
+// router delivers the same message set. Each ordered pair sends one
+// distinct payload at once; each arrives exactly once, from its sender,
+// over the chain distance, with no Send reported abandoned. Each data
+// frame heard carries the hop cursor its sender put on the air, HopCount
+// (aodv, dsdv, flood) or Pos (dsr): the sender's distance from the origin.
+func testUnicastEveryPair(t *testing.T, f Factory) {
+	const nodes = 5
+	n := newNet(t, f, 9, line(nodes))
 	n.heard = nil
-	base := len(n.unicast[2])
-	n.routers[0].Send(2, 10, netif.TestMsg(32))
+	tag := func(src, dst int) netif.Msg { return netif.TestMsg(uint32(src*nodes + dst)) }
+	for src, r := range n.routers {
+		r.OnSendFailed(func(dst int, _ netif.Msg) { t.Errorf("Send %d -> %d reported abandoned", src, dst) })
+		for dst := range n.routers {
+			if dst != src {
+				r.Send(dst, 10, tag(src, dst))
+			}
+		}
+	}
 	n.s.Run(n.s.Now() + 60*sim.Second)
-	if got := n.unicast[2][base:]; len(got) != 1 || got[0].Hops != 2 || got[0].Payload != netif.TestMsg(32) {
-		t.Fatalf("relayed unicast deliveries = %+v, want one at 2 hops", got)
-	}
-	relayed := false
 	for _, h := range n.heard {
-		p := &h.frame.Payload
-		if p.Kind != netif.PktData || p.Msg != netif.TestMsg(32) {
-			continue
+		if p := &h.frame.Payload; p.Kind == netif.PktData && p.HopCount+p.Pos != max(h.frame.Src-p.Origin, p.Origin-h.frame.Src) {
+			t.Errorf("node %d heard %d's data frame from %d with hop cursor %d", h.to, p.Origin, h.frame.Src, p.HopCount+p.Pos)
 		}
-		// The hop cursor is HopCount (aodv, dsdv, flood) or Pos (dsr): it
-		// reads 0 in the origin's transmission and 1 in the relay's.
-		if cursor := p.HopCount + p.Pos; cursor != h.frame.Src {
-			t.Errorf("node %d heard the data frame from %d with hop cursor %d, want %d", h.to, h.frame.Src, cursor, h.frame.Src)
-		}
-		relayed = relayed || (h.frame.Src == 1 && h.to == 2)
 	}
-	if !relayed {
-		t.Error("no relayed data frame reached node 2")
+	for dst, got := range n.unicast {
+		from := make([]int, nodes)
+		for _, d := range got {
+			if d.Payload != tag(d.From, dst) || d.Hops != max(d.From-dst, dst-d.From) {
+				t.Errorf("node %d delivered %+v", dst, d)
+				continue
+			}
+			from[d.From]++
+		}
+		for src, k := range from {
+			if src != dst && k != 1 {
+				t.Errorf("payload %d -> %d delivered %d times, want 1", src, dst, k)
+			}
+		}
 	}
 }
