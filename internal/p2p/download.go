@@ -51,7 +51,7 @@ func (sv *Servent) maybeStartDownload(file, holder int) {
 	x.timeout = sim.NewTimer(sv.s, func() { sv.abortDownload(x) })
 	x.timeout.Reset(sv.par.Download.ChunkWait)
 	sv.xfer = x
-	sv.opt.Tracer.Emit(trace.KindQuery, sv.id, holder, "download start file=%d", file)
+	sv.opt.Tracer.Emit(trace.KindQuery, sv.id, holder, "download start file=%d", trace.Int(file))
 	sv.send(holder, Msg{Kind: msgFetchReq, File: file, Chunk: 0})
 }
 
@@ -60,7 +60,7 @@ func (sv *Servent) abortDownload(x *xfer) {
 	if sv.xfer != x {
 		return
 	}
-	sv.opt.Tracer.Emit(trace.KindQuery, sv.id, x.holder, "download abort file=%d at chunk %d", x.file, x.next)
+	sv.opt.Tracer.Emit(trace.KindQuery, sv.id, x.holder, "download abort file=%d at chunk %d", trace.Int(x.file), trace.Int(x.next))
 	x.timeout.Stop()
 	sv.xfer = nil
 }
@@ -96,6 +96,6 @@ func (sv *Servent) onChunk(from int, m Msg) {
 	sv.xfer = nil
 	if x.file >= 0 && x.file < len(sv.opt.Files) {
 		sv.opt.Files[x.file] = true
-		sv.opt.Tracer.Emit(trace.KindQuery, sv.id, from, "download done file=%d", x.file)
+		sv.opt.Tracer.Emit(trace.KindQuery, sv.id, from, "download done file=%d", trace.Int(x.file))
 	}
 }

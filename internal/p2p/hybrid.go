@@ -1,7 +1,7 @@
 package p2p
 
 import (
-	"fmt"
+	"strconv"
 
 	"manetp2p/internal/sim"
 	"manetp2p/internal/trace"
@@ -37,7 +37,7 @@ var stateNames = [...]string{StateInitial: "initial", StateMaster: "master", Sta
 // String returns the paper's name for the state.
 func (s HybridState) String() string {
 	if s < 0 || int(s) >= len(stateNames) {
-		return fmt.Sprintf("state(%d)", int(s))
+		return "state(" + strconv.Itoa(int(s)) + ")"
 	}
 	return stateNames[s]
 }
@@ -248,7 +248,7 @@ func (sv *Servent) setRole(to HybridState) {
 	if from == to {
 		return
 	}
-	sv.opt.Tracer.Emit(trace.KindState, sv.id, -1, "%v->%v", from, to)
+	sv.opt.Tracer.Emit(trace.KindState, sv.id, -1, "%v->%v", trace.Str(from.String()), trace.Str(to.String()))
 	sv.state = to
 	sv.dropPending()
 	if from == StateMaster {

@@ -74,7 +74,7 @@ func (sv *Servent) runQuery() {
 		return
 	}
 	sv.nextQID++
-	sv.opt.Tracer.Emit(trace.KindQuery, sv.id, -1, "query qid=%d file=%d", sv.nextQID, file)
+	sv.opt.Tracer.Emit(trace.KindQuery, sv.id, -1, "query qid=%d file=%d", trace.Int(sv.nextQID), trace.Int(file))
 	sv.curReq = &request{qid: sv.nextQID, file: file}
 	sv.seen[queryKey{sv.id, sv.nextQID}] = struct{}{}
 	switch sv.par.QueryMode {
@@ -104,7 +104,7 @@ func (sv *Servent) finishQuery() {
 	sv.queryEv = sim.Handle{}
 	if r := sv.curReq; r != nil {
 		sv.opt.Tracer.Emit(trace.KindQuery, sv.id, -1,
-			"done qid=%d file=%d answers=%d minP2P=%d", r.qid, r.file, r.answers, r.minP2P)
+			"done qid=%d file=%d answers=%d minP2P=%d", trace.Int(r.qid), trace.Int(r.file), trace.Int(r.answers), trace.Int(r.minP2P))
 	}
 	if r := sv.curReq; r != nil && sv.opt.Collector != nil {
 		sv.opt.Collector.Record(telemetry.Request{

@@ -3,6 +3,7 @@ package p2p
 import (
 	"testing"
 
+	"manetp2p/internal/geom"
 	"manetp2p/internal/telemetry"
 )
 
@@ -339,5 +340,37 @@ func TestQueryMessagesCounted(t *testing.T) {
 	}
 	if got := w.col.Received(0, telemetry.QueryHit); got != 1 {
 		t.Errorf("origin received %d hits, want 1", got)
+	}
+}
+
+// A query issued and closed with no tracer allocates only its request
+// record: the trace calls on the path box nothing when the tracer is
+// nil, even for qids past the 0–255 range Go keeps preboxed.
+func TestQueryPathNilTracerAllocs(t *testing.T) {
+	const nodes = 4
+	par := DefaultParams()
+	par.PingInterval = 1 << 55
+	pts := make([]geom.Point, nodes)
+	for n := range pts {
+		pts[n] = geom.Point{X: 5 + 8*float64(n), Y: 25}
+	}
+	s, svs, _ := benchOverlay(t, 13, geom.Rect{W: 200, H: 50}, pts, par,
+		func(int) []bool { return []bool{false} }) // nobody holds file 0: no answer, no download
+	sv := svs[0]
+	sv.opt.Collector = nil // Record's slice growth is not the query path's
+	sv.nextQID = 1000
+	query := func() {
+		sv.runQuery()
+		s.Run(s.Now() + par.QueryCollect) // finishQuery closes the window
+		sv.queryEv.Cancel()               // and the test issues the next query
+		for _, x := range svs {
+			clear(x.seen)
+		}
+	}
+	for i := 0; i < 64; i++ { // warm the event pool, maps and caches
+		query()
+	}
+	if allocs := testing.AllocsPerRun(100, query); allocs != 1 {
+		t.Errorf("one query allocates %.1f allocs/op, want 1 (its request record)", allocs)
 	}
 }

@@ -396,7 +396,8 @@ func (sv *Servent) installConn(c *conn) {
 	c.since = sv.s.Now()
 	sv.rememberPeer(c.peer)
 	sv.opt.Tracer.Emit(trace.KindConn, sv.id, c.peer,
-		"established random=%v master=%v toMaster=%v toSlave=%v", c.random, c.master, c.toMaster, c.toSlave)
+		"established random=%v master=%v toMaster=%v toSlave=%v",
+		trace.Bool(c.random), trace.Bool(c.master), trace.Bool(c.toMaster), trace.Bool(c.toSlave))
 	// "Whenever a connection is done, the timer is reset to its initial
 	// value" (§6.1.3).
 	sv.timer = sv.par.TimerInitial
@@ -422,7 +423,7 @@ func (sv *Servent) closeConn(peer int, notify bool) {
 		// contributes one sample (Basic references are all initiator).
 		sv.opt.Collector.RecordLifetime((sv.s.Now() - c.since).Seconds())
 	}
-	sv.opt.Tracer.Emit(trace.KindConn, sv.id, peer, "closed notify=%v", notify)
+	sv.opt.Tracer.Emit(trace.KindConn, sv.id, peer, "closed notify=%v", trace.Bool(notify))
 	if c.pingTimer != nil {
 		c.pingTimer.Stop()
 	}

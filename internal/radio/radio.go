@@ -89,6 +89,7 @@ type Stats struct {
 	Gated    uint64 // deliveries dropped by the installed LinkFilter
 	Queued   uint64 // deliveries queued toward this node (post-gate, post-loss)
 	LostDown uint64 // queued deliveries that arrived while the node was down
+	Absorbed uint64 // of RxFrames, receptions settled without a callback (see Inert)
 }
 
 // Medium is the shared wireless channel. Not safe for concurrent use;
@@ -126,6 +127,34 @@ type Medium struct {
 	wheel wheel
 	slab  frameSlab
 	epoch []uint32 // per node, bumped by Join; see Leave
+
+	// Held receptions (Inert): held[heldHead:], in transmit order; min ≤ its earliest key.
+	absorb   func(*Frame) Inert
+	held     []rec
+	heldHead int
+	min      rec
+	trail    []trail // per node, for Inert's second rule
+}
+
+// Inert answers, once per transmission, which receptions only count a
+// duplicate: a copy to a node other than Skip is held off the wheel, its
+// callback never run, if the node is in Set and it arrives before Until,
+// or if it trails (arrives no earlier than) a copy in flight with the
+// same Token to the node, queued under the same join epoch while the node
+// was not in Set, and arrives before Fresh. Unabsorb undoes a hold.
+type Inert struct {
+	Set   []uint64 // node bitset, bit id&63 of word id>>6; read during the Send only
+	Until sim.Time
+	Fresh sim.Time
+	Skip  int    // never held: the node that ignores the frame outright (its origin)
+	Token uint64 // names the frame's flood; nonzero
+}
+
+// trail is the earliest in-flight copy of one flood queued to a node
+// that did not yet hold it.
+type trail struct {
+	rec
+	token uint64
 }
 
 // NewMedium creates the medium; all nodes start down (not placed) until
@@ -145,6 +174,7 @@ func NewMedium(s *sim.Sim, cfg Config) (*Medium, error) {
 		stats:   make([]Stats, cfg.NumNodes),
 		battery: make([]*Battery, cfg.NumNodes),
 		epoch:   make([]uint32, cfg.NumNodes),
+		trail:   make([]trail, cfg.NumNodes),
 		topo:    1,
 		nbrs:    make([][]nbr, cfg.NumNodes),
 		stamp:   make([]uint64, cfg.NumNodes),
@@ -173,6 +203,7 @@ func (m *Medium) Join(id int, p geom.Point, r Receiver) {
 		// Unreachable from input: every caller passes its router's HandleFrame.
 		panic("radio: Join with nil receiver")
 	}
+	m.settle(-1)
 	m.up[id] = true
 	m.epoch[id]++
 	m.topo++
@@ -189,6 +220,7 @@ func (m *Medium) Leave(id int) {
 	if !m.up[id] {
 		return
 	}
+	m.settle(-1)
 	m.up[id] = false
 	m.topo++
 	m.grid.Remove(id)
@@ -255,7 +287,7 @@ func (m *Medium) Neighbors(dst []int, id int) []int {
 func (m *Medium) Degree(id int) int { return len(m.neighbourList(id)) }
 
 // Stats returns medium usage counters for node id.
-func (m *Medium) Stats(id int) Stats { return m.stats[id] }
+func (m *Medium) Stats(id int) Stats { m.settle(-1); return m.stats[id] }
 
 // Battery returns node id's battery for inspection.
 func (m *Medium) Battery(id int) *Battery { return m.battery[id] }
@@ -276,7 +308,7 @@ func (m *Medium) OnDeath(fn func(id int)) { m.onDeath = fn }
 func (m *Medium) SetLinkFilter(f LinkFilter) { m.filter = f }
 
 // InFlight reports how many deliveries are currently queued in the air.
-func (m *Medium) InFlight() int { return m.wheel.n }
+func (m *Medium) InFlight() int { m.settle(-1); return m.wheel.n + len(m.held) - m.heldHead }
 
 // InFlightTo fills dst with the per-destination counts of in-flight
 // deliveries and returns it, growing dst to NumNodes if needed (pass nil
@@ -289,7 +321,11 @@ func (m *Medium) InFlightTo(dst []uint64) []uint64 {
 	for i := range dst {
 		dst[i] = 0
 	}
+	m.settle(-1)
 	m.wheel.each(func(r *rec) { dst[r.to]++ })
+	for _, r := range m.held[m.heldHead:] {
+		dst[r.to]++
+	}
 	return dst
 }
 
@@ -313,6 +349,10 @@ func (m *Medium) Send(f Frame) int {
 		// Unreachable from input: frame sizes are header constants plus the p2p wire table's fixed sizes.
 		panic("radio: Send with non-positive frame size")
 	}
+	now := m.sim.Now()
+	if m.heldHead < len(m.held) {
+		m.trim(now)
+	}
 	m.stats[f.Src].TxFrames++
 	m.stats[f.Src].TxBytes += uint64(f.Size)
 	m.spendTx(f.Src, f.Size)
@@ -329,8 +369,9 @@ func (m *Medium) Send(f Frame) int {
 	// for arrival after latency+jitter; the first parks the frame in the
 	// slab. A reception reserves its global sequence number here — exactly
 	// where a per-frame event would be scheduled — so the wheel cannot
-	// reorder it against anything else.
-	slot, queued, now := noSlot, int32(0), m.sim.Now()
+	// reorder it against anything else; or hold it (SetAbsorber).
+	slot, queued := noSlot, int32(0)
+	var in Inert
 	for _, nb := range list {
 		st := &m.stats[nb.to]
 		if m.filter != nil && m.filter(f.Src, int(nb.to)) {
@@ -348,9 +389,20 @@ func (m *Medium) Send(f Frame) int {
 		st.Queued++
 		if slot == noSlot {
 			slot = m.slab.park(&f)
+			if m.absorb != nil && f.Dst == BroadcastAddr {
+				in = m.absorb(&m.slab.at(slot).Frame)
+			}
 		}
 		queued++
-		m.wheel.push(rec{at: now + delay, seq: m.sim.ReserveSeq(), to: nb.to, slot: slot, epoch: nb.epoch})
+		r := rec{at: now + delay, seq: m.sim.ReserveSeq(), to: nb.to, slot: slot, epoch: nb.epoch}
+		if in.Token != 0 && m.inert(&in, r) {
+			if m.heldHead == len(m.held) || r.at < m.min.at || r.at == m.min.at && r.seq < m.min.seq {
+				m.min = r
+			}
+			m.held = append(m.held, r)
+		} else {
+			m.wheel.push(r)
+		}
 	}
 	if queued > 0 {
 		m.slab.at(slot).refs = queued
@@ -369,12 +421,12 @@ func (m *Medium) Next() (sim.Time, uint64, bool) {
 // Fire implements sim.Source: it completes the earliest pending
 // reception. The receive callback gets a pointer into the slab, which
 // stays valid while the callback Sends (see frameSlab); the slot is
-// recycled after the frame's last reception returns.
+// counted down after it returns — a Send inside it may settle held
+// copies of the same frame — and recycled after the last reception.
 func (m *Medium) Fire() {
 	r := m.wheel.pop()
 	to := int(r.to)
 	fs := m.slab.at(r.slot)
-	fs.refs--
 	// The receiver may have left or died while the frame was in flight;
 	// radio waves do not chase nodes, nor wait for them to come back.
 	if !m.up[to] || m.epoch[to] != r.epoch {
@@ -387,9 +439,100 @@ func (m *Medium) Fire() {
 			m.recv[to](&fs.Frame)
 		}
 	}
-	if fs.refs == 0 {
-		m.slab.release(r.slot)
+	m.unref(r.slot)
+}
+
+// unref drops one reception's reference to a slot.
+func (m *Medium) unref(slot int32) {
+	fs := m.slab.at(slot)
+	if fs.refs--; fs.refs == 0 {
+		m.slab.release(slot)
 	}
+}
+
+// SetAbsorber installs (nil removes) the answer to Inert's question,
+// asked about a broadcast's stored copy; it must not mutate the medium.
+// It installs nothing where receptions cost energy: settling skips spendRx.
+func (m *Medium) SetAbsorber(fn func(*Frame) Inert) {
+	if m.cfg.Energy.RxPerFrame != 0 || m.cfg.Energy.RxPerByte != 0 {
+		fn = nil
+	}
+	m.absorb = fn
+}
+
+// inert applies Inert's rules to reception r, keeping its receiver's trail.
+func (m *Medium) inert(in *Inert, r rec) bool {
+	to := int(r.to)
+	if to == in.Skip {
+		return false
+	}
+	if w := to >> 6; w < len(in.Set) && in.Set[w]&(1<<(to&63)) != 0 {
+		return r.at < in.Until
+	}
+	t := &m.trail[to]
+	if t.token == in.Token && t.epoch == r.epoch && !m.sim.Passed(t.at, t.seq) && r.at >= t.at {
+		return r.at < in.Fresh // r, the newer seq, arrives after t
+	}
+	*t = trail{r, in.Token}
+	return false
+}
+
+// apply settles held reception r as Fire would have on arrival, minus
+// the callback: Join and Leave settle first, so its receiver is as then.
+func (m *Medium) apply(r *rec) {
+	st := &m.stats[r.to]
+	if !m.up[r.to] || m.epoch[r.to] != r.epoch {
+		st.LostDown++
+	} else {
+		st.RxFrames++
+		st.RxBytes += uint64(m.slab.at(r.slot).Size)
+		st.Absorbed++
+	}
+	m.unref(r.slot)
+}
+
+// trim settles the list's head while it arrived before now, and compacts.
+func (m *Medium) trim(now sim.Time) {
+	h := m.heldHead
+	for h < len(m.held) && m.held[h].at < now {
+		m.apply(&m.held[h])
+		h++
+	}
+	if 2*h >= len(m.held) {
+		m.held, h = m.held[:copy(m.held, m.held[h:])], 0
+	}
+	m.heldHead = h
+}
+
+// settle applies the held receptions the kernel has passed and returns
+// node unheld's others to the wheel. settle(-1) runs before every reader,
+// Join and Leave, and returns at once if it already ran at this position.
+func (m *Medium) settle(unheld int) {
+	if unheld < 0 && (m.heldHead == len(m.held) || !m.sim.Passed(m.min.at, m.min.seq)) {
+		return
+	}
+	kept := m.held[:0]
+	for _, r := range m.held[m.heldHead:] {
+		switch {
+		case m.sim.Passed(r.at, r.seq):
+			m.apply(&r)
+		case int(r.to) == unheld:
+			m.wheel.push(r)
+		default:
+			if len(kept) == 0 || r.at < m.min.at || r.at == m.min.at && r.seq < m.min.seq {
+				m.min = r
+			}
+			kept = append(kept, r)
+		}
+	}
+	m.held, m.heldHead = kept, 0
+}
+
+// Unabsorb returns node id's held receptions to the wheel, under their
+// own keys, and forgets its trail.
+func (m *Medium) Unabsorb(id int) {
+	m.settle(id)
+	m.trail[id] = trail{}
 }
 
 func (m *Medium) spendTx(id, size int) {

@@ -248,8 +248,9 @@ func (fs *frameSlab) release(idx int32) {
 //     the window the ring is sized for; outside it two laps would share
 //     a bucket.
 //   - slot-refs: each frame slot's reception count equals the recs that
-//     name it, so the counts sum to InFlight() and a frame is released
-//     exactly after its last reception.
+//     name it, in the wheel or held off it (Inert), so the counts sum to
+//     InFlight() and a frame is released exactly after its last
+//     reception.
 //   - free-slot: recycled slots are zeroed and named by no rec.
 //   - nbr-table: a neighbour list stamped with the current topology
 //     epoch belongs to an up node, equals a fresh grid query element for
@@ -307,6 +308,12 @@ func (m *Medium) Audit(report func(rule, detail string)) {
 			w.headAt, w.headSeq, earliest.at, earliest.seq))
 	}
 
+	for _, r := range m.held[m.heldHead:] {
+		if r.slot >= 0 && r.slot < m.slab.used { // else a real slot's count is off
+			refs[r.slot]++
+		}
+	}
+
 	free := make([]bool, m.slab.used)
 	for _, idx := range m.slab.free {
 		free[idx] = true
@@ -314,7 +321,7 @@ func (m *Medium) Audit(report func(rule, detail string)) {
 	for idx := int32(0); idx < m.slab.used; idx++ {
 		s := m.slab.at(idx)
 		if s.refs != refs[idx] {
-			report("slot-refs", fmt.Sprintf("slot %d counts %d receptions, the wheel holds %d", idx, s.refs, refs[idx]))
+			report("slot-refs", fmt.Sprintf("slot %d counts %d receptions, the wheel and the held list name %d", idx, s.refs, refs[idx]))
 		}
 		if free[idx] && (refs[idx] != 0 || !reflect.ValueOf(s.Frame).IsZero()) {
 			report("free-slot", fmt.Sprintf("recycled slot %d is not zeroed or still named by %d recs", idx, refs[idx]))

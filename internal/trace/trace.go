@@ -1,7 +1,8 @@
 // Package trace streams structured simulation events: each event a
 // component emits is written as one JSON line when it happens. A nil
-// *Tracer discards events, so call sites need no guard; they still
-// evaluate and box Emit's arguments before the nil check.
+// *Tracer discards events, so call sites need no guard. Emit's format
+// arguments are Arg values, not interfaces: a call on a nil Tracer boxes
+// nothing and allocates nothing.
 package trace
 
 import (
@@ -59,18 +60,59 @@ func New(s *sim.Sim, w io.Writer) *Tracer {
 	return &Tracer{sim: s, enc: enc}
 }
 
+// Arg is one argument of Emit's format, held by value; only a live
+// Tracer turns it into the interface fmt takes.
+type Arg struct {
+	kind byte // 'd' int, 't' bool, 'g' float, 's' string
+	n    int64
+	f    float64
+	s    string
+}
+
+// Int, Bool, Float and Str make Emit's arguments; each formats as the
+// value it wraps would.
+func Int[T ~int | ~int32 | ~uint32](v T) Arg { return Arg{kind: 'd', n: int64(v)} }
+
+func Bool(v bool) Arg {
+	a := Arg{kind: 't'}
+	if v {
+		a.n = 1
+	}
+	return a
+}
+
+func Float(v float64) Arg { return Arg{kind: 'g', f: v} }
+
+func Str(v string) Arg { return Arg{kind: 's', s: v} }
+
+func (a Arg) value() any {
+	switch a.kind {
+	case 't':
+		return a.n != 0
+	case 'g':
+		return a.f
+	case 's':
+		return a.s
+	}
+	return a.n
+}
+
 // Emit writes an event; nil tracers discard. peer may be -1. Nothing is
 // written after the first write error, which Err reports.
-func (t *Tracer) Emit(kind Kind, node, peer int, format string, args ...any) {
+func (t *Tracer) Emit(kind Kind, node, peer int, format string, args ...Arg) {
 	if t == nil || t.err != nil {
 		return
+	}
+	vals := make([]any, len(args))
+	for i, a := range args {
+		vals[i] = a.value()
 	}
 	t.err = t.enc.Encode(Event{
 		At:   t.sim.Now(),
 		Kind: kind,
 		Node: node,
 		Peer: peer,
-		What: fmt.Sprintf(format, args...),
+		What: fmt.Sprintf(format, vals...),
 	})
 }
 

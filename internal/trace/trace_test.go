@@ -34,7 +34,7 @@ func TestEmitRecordsWithSimTime(t *testing.T) {
 	s := sim.New(1)
 	var buf bytes.Buffer
 	tr := New(s, &buf)
-	s.Schedule(5*sim.Second, func() { tr.Emit(KindQuery, 3, -1, "file %d", 7) })
+	s.Schedule(5*sim.Second, func() { tr.Emit(KindQuery, 3, -1, "file %d", Int(7)) })
 	s.Run(sim.MaxTime)
 	evs := decode(t, buf.Bytes())
 	if len(evs) != 1 {
@@ -103,7 +103,7 @@ func TestWriteErrorLatches(t *testing.T) {
 // A role change is written "from->to", so grep finds what README says.
 func TestTextIsNotHTMLEscaped(t *testing.T) {
 	var buf bytes.Buffer
-	New(sim.New(1), &buf).Emit(KindState, 2, -1, "%s->%s", "initial", "master")
+	New(sim.New(1), &buf).Emit(KindState, 2, -1, "%s->%s", Str("initial"), Str("master"))
 	if !strings.Contains(buf.String(), `"what":"initial->master"`) {
 		t.Errorf("trace line %q does not carry initial->master verbatim", buf.String())
 	}

@@ -93,7 +93,7 @@ func New(s *sim.Sim, rng *rand.Rand, plan Plan, nodes, numFiles int, tracer *tra
 	}
 	if e.tracer != nil {
 		for ci, c := range classes {
-			e.tracer.Emit(trace.KindWorkload, -1, -1, "class %s: %d nodes", c.Name, counts[ci])
+			e.tracer.Emit(trace.KindWorkload, -1, -1, "class %s: %d nodes", trace.Str(c.Name), trace.Int(counts[ci]))
 		}
 	}
 	return e
@@ -224,7 +224,7 @@ func (e *Engine) advancePhase(now sim.Time) {
 		if e.tracer != nil {
 			ph := &e.plan.Phases[e.phase]
 			e.tracer.Emit(trace.KindPhase, -1, -1, "phase %s rate=%g hot=%d boost=%g",
-				ph.Name, ph.RateScale, ph.HotFiles, ph.HotBoost)
+				trace.Str(ph.Name), trace.Float(ph.RateScale), trace.Int(ph.HotFiles), trace.Float(ph.HotBoost))
 		}
 	}
 }
