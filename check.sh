@@ -140,6 +140,17 @@ if [ -n "$writers" ]; then
 fi
 echo ok
 
+# Node ids are dense, so routers index per-node state by id, not a map (DESIGN §8); route's shared Pending is out of scope.
+echo "== router-state lint (indexed by node id, no maps) =="
+maps=$(grep -rn 'map\[' internal/aodv internal/dsr internal/dsdv internal/flood \
+	--include='*.go' --exclude='*_test.go' || true)
+if [ -n "$maps" ]; then
+	echo "map in a router's state:"
+	echo "$maps"
+	exit 1
+fi
+echo ok
+
 echo "== go build =="
 go build ./...
 echo ok

@@ -147,23 +147,6 @@ func TestDiscoveryFailureNotifies(t *testing.T) {
 	}
 }
 
-// TestSendToNoNodeOfTheMediumFails pins the boundary of the id-indexed
-// route table: a destination that is no node of the medium fails at once,
-// exactly once, and starts no discovery.
-func TestSendToNoNodeOfTheMediumFails(t *testing.T) {
-	n := newTestNet(t, 1, line(2), Config{})
-	for _, dst := range []int{2, -1} {
-		n.routers[0].Send(dst, 10, netif.TestMsg(4))
-	}
-	n.s.Run(2 * sim.Minute)
-	if len(n.failed[0]) != 2 || n.failed[0][0] != 2 || n.failed[0][1] != -1 {
-		t.Fatalf("failed = %v, want [2 -1]", n.failed[0])
-	}
-	if st := n.routers[0].Stats(); st.Discoveries != 0 || st.SendFailed != 2 || st.DataSent != 2 {
-		t.Errorf("stats = %+v, want 2 sends, 2 failures, no discovery", st)
-	}
-}
-
 func TestBroadcastTTLLimitsReach(t *testing.T) {
 	n := newTestNet(t, 1, line(6), Config{})
 	n.routers[0].Broadcast(2, 50, netif.TestMsg(5))

@@ -5,12 +5,13 @@
 // numbers keep the vectors loop-free, and odd sequence numbers mark
 // broken routes. Unlike the on-demand protocols, DSDV pays a constant
 // background overhead but answers "do I have a route?" instantly —
-// the trade-off the routing sweep quantifies.
+// the trade-off the routing sweep quantifies. A node's table holds one
+// row per destination, indexed by node id, and is advertised in id
+// order.
 package dsdv
 
 import (
 	"fmt"
-	"sort"
 
 	"manetp2p/internal/netif"
 	"manetp2p/internal/radio"
@@ -36,12 +37,14 @@ const (
 // updateSize is the on-air size of an advertisement with n entries.
 func updateSize(n int) int { return sizeUpdateBase + sizePerEntry*n }
 
-// tableRow is one routing-table entry.
+// tableRow is one routing-table entry. A row, once known, stays in the
+// table: a broken route keeps its row at infinite metric.
 type tableRow struct {
 	nextHop int
 	metric  int
 	seq     uint32
 	heard   sim.Time // last time this route was confirmed
+	known   bool
 }
 
 // Config tunes the DSDV layer.
@@ -110,15 +113,12 @@ type Router struct {
 	med *radio.Medium
 	cfg Config
 
-	table  map[int]*tableRow
-	seq    uint32 // own destination sequence number (even)
+	table  []tableRow // by destination id
+	rows   int        // known rows of table
+	seq    uint32     // own destination sequence number (even)
 	bcast  *route.Bcaster
 	parked *route.Pending[waiting]
 	ticker *sim.Ticker
-
-	// advScratch is the reused destination-sort buffer for advertise;
-	// purely local to one call.
-	advScratch []int
 
 	// Callback for the typed scheduling API, bound once at construction
 	// so the hot paths schedule without a per-call closure allocation.
@@ -138,7 +138,7 @@ func NewRouter(id int, pl *route.Plane, med *radio.Medium, cfg Config) *Router {
 		sim:    pl.Sim(),
 		med:    med,
 		cfg:    cfg,
-		table:  make(map[int]*tableRow),
+		table:  make([]tableRow, med.NumNodes()),
 		bcast:  route.NewBcaster(core, med, sizeBcastHdr, 0, cache),
 		parked: route.NewPending[waiting](cfg.BufferCap),
 	}
@@ -163,8 +163,8 @@ func (r *Router) HopsTo(dst int) (int, bool) {
 }
 
 func (r *Router) valid(dst int) (*tableRow, bool) {
-	rt, ok := r.table[dst]
-	if !ok || rt.metric >= infinityMetric || r.sim.Now()-rt.heard > r.cfg.RouteTimeout {
+	rt := &r.table[dst]
+	if !rt.known || rt.metric >= infinityMetric || r.sim.Now()-rt.heard > r.cfg.RouteTimeout {
 		return rt, false
 	}
 	return rt, true
@@ -180,17 +180,12 @@ func (r *Router) advertise() {
 	// The entries slice must be freshly allocated each advertisement: it
 	// rides inside the Packet shared by every queued delivery of this
 	// frame, while the next advertisement is built before those arrive.
-	entries := make([]netif.AdvEntry, 0, 1+len(r.table))
+	entries := make([]netif.AdvEntry, 0, 1+r.rows)
 	entries = append(entries, netif.AdvEntry{Dst: r.ID(), Metric: 0, Seq: r.seq})
-	dsts := r.advScratch[:0]
-	for dst := range r.table {
-		dsts = append(dsts, dst)
-	}
-	sort.Ints(dsts)
-	r.advScratch = dsts
-	for _, dst := range dsts {
-		rt := r.table[dst]
-		entries = append(entries, netif.AdvEntry{Dst: dst, Metric: rt.metric, Seq: rt.seq})
+	for dst, rt := range r.table {
+		if rt.known {
+			entries = append(entries, netif.AdvEntry{Dst: dst, Metric: rt.metric, Seq: rt.seq})
+		}
 	}
 	u := netif.Packet{Kind: netif.PktUpdate, Origin: r.ID(), Entries: entries}
 	r.Count.CtrlOrig++
@@ -202,8 +197,9 @@ func (r *Router) advertise() {
 // feedback.
 func (r *Router) expireStale() {
 	now := r.sim.Now()
-	for _, rt := range r.table {
-		if rt.metric < infinityMetric && now-rt.heard > r.cfg.RouteTimeout {
+	for i := range r.table {
+		rt := &r.table[i]
+		if rt.known && rt.metric < infinityMetric && now-rt.heard > r.cfg.RouteTimeout {
 			rt.metric = infinityMetric
 			rt.seq++ // odd: destination did not generate this
 		}
@@ -221,10 +217,11 @@ func (r *Router) handleUpdate(u *netif.Packet) {
 		if e.Metric >= infinityMetric {
 			metric = infinityMetric
 		}
-		rt, ok := r.table[e.Dst]
-		if !ok {
+		rt := &r.table[e.Dst]
+		if !rt.known {
 			if metric < infinityMetric {
-				r.table[e.Dst] = &tableRow{nextHop: u.Origin, metric: metric, seq: e.Seq, heard: now}
+				*rt = tableRow{nextHop: u.Origin, metric: metric, seq: e.Seq, heard: now, known: true}
+				r.rows++
 				r.unpark(e.Dst)
 			}
 			continue
@@ -271,6 +268,12 @@ func (r *Router) Send(dst, size int, payload netif.Msg) {
 	}
 	r.Count.DataSent++
 	if !r.med.Up(r.ID()) {
+		return
+	}
+	if dst < 0 || dst >= r.med.NumNodes() {
+		// No node of this medium: no advertisement could bring a route,
+		// and the table has no row for it.
+		r.FailSend(dst, payload)
 		return
 	}
 	pkt := netif.Packet{Kind: netif.PktData, Origin: r.ID(), Dst: dst, TTL: r.cfg.DataTTL, Size: size, Msg: payload}

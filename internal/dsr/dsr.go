@@ -4,12 +4,15 @@
 // flooding route requests that accumulate the traversed path; data
 // packets carry their complete source route, so relays keep no routing
 // state but headers grow with path length — the classic DSR trade-off
-// this reproduction's routing sweep exposes.
+// this reproduction's routing sweep exposes. A node's route cache holds
+// one source route per destination, indexed by node id; a learned path
+// is stored once and its prefixes, the routes to the hops along it,
+// share that storage.
 package dsr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"manetp2p/internal/netif"
 	"manetp2p/internal/radio"
@@ -44,10 +47,14 @@ const (
 //     traversed path so receivers learn a source route back to the
 //     origin for free (see the Router's Accept/PrepRelay hooks).
 
-// cachedRoute is one known source route.
+// cachedRoute is one known source route. A stored path is never written
+// after it is stored: data frames in flight carry it as their source
+// route, and the prefix routes learnRoute derives from it alias its
+// storage. Replacing a route stores a new slice; it never edits the old.
 type cachedRoute struct {
 	path    []int // intermediate hops, self -> dst
 	expires sim.Time
+	known   bool // a one-hop route has an empty path
 }
 
 // Config tunes the DSR layer. Zero fields take defaults.
@@ -112,7 +119,7 @@ type Router struct {
 	med *radio.Medium
 	cfg Config
 
-	cache    map[int]cachedRoute
+	cache    []cachedRoute // by destination id
 	rreqID   uint32
 	seenRREQ *route.DupCache
 	bcast    *route.Bcaster
@@ -140,7 +147,7 @@ func NewRouter(id int, pl *route.Plane, med *radio.Medium, cfg Config) *Router {
 		sim:      pl.Sim(),
 		med:      med,
 		cfg:      cfg,
-		cache:    make(map[int]cachedRoute),
+		cache:    make([]cachedRoute, med.NumNodes()),
 		seenRREQ: route.NewDupCache(core, cache),
 		bcast:    route.NewBcaster(core, med, sizeBcastBase, sizePerHop, cache),
 		pending:  route.NewPending[netif.Packet](cfg.BufferCap),
@@ -162,7 +169,17 @@ func (r *Router) acceptBcast(prev int, b *netif.Packet) int {
 // prepBcastRelay appends this node to the traversed path — after
 // delivery, so the reported path excludes the relaying node itself.
 func (r *Router) prepBcastRelay(b *netif.Packet) {
-	b.Path = append(append([]int(nil), b.Path...), r.ID())
+	b.Path = r.through(b.Path)
+}
+
+// through returns path followed by this node, in one exact-size
+// allocation. The received path is shared by every receiver of its
+// frame, so a relay copies it instead of appending in place.
+func (r *Router) through(path []int) []int {
+	out := make([]int, len(path)+1)
+	copy(out, path)
+	out[len(path)] = r.ID()
+	return out
 }
 
 // discTimeout unpacks the typed-arg timer payload for discoveryTimeout.
@@ -180,8 +197,8 @@ func (r *Router) HopsTo(dst int) (int, bool) {
 }
 
 func (r *Router) route(dst int) (cachedRoute, bool) {
-	cr, ok := r.cache[dst]
-	if !ok || cr.expires < r.sim.Now() {
+	cr := r.cache[dst]
+	if !cr.known || cr.expires < r.sim.Now() {
 		return cachedRoute{}, false
 	}
 	return cr, true
@@ -200,35 +217,45 @@ func (r *Router) learnRoute(dst int, path []int) {
 		}
 	}
 	now := r.sim.Now()
-	if old, ok := r.cache[dst]; ok && old.expires >= now && len(old.path) < len(path) {
+	expires := now + r.cfg.RouteLifetime
+	old := &r.cache[dst]
+	if old.known && old.expires >= now && len(old.path) < len(path) {
 		return
 	}
-	cp := append([]int(nil), path...)
-	r.cache[dst] = cachedRoute{path: cp, expires: now + r.cfg.RouteLifetime}
-	// Prefix routes come for free.
+	cp := old.path
+	if !old.known || !slices.Equal(cp, path) {
+		cp = append([]int(nil), path...)
+	}
+	*old = cachedRoute{path: cp, expires: expires, known: true}
+	// Prefix routes come for free, and share cp's storage: the capacity
+	// limit keeps any append to a prefix from writing into cp.
 	for i, h := range cp {
-		if old, ok := r.cache[h]; ok && old.expires >= now && len(old.path) <= i {
+		if pre := &r.cache[h]; pre.known && pre.expires >= now && len(pre.path) <= i {
 			continue
 		}
-		r.cache[h] = cachedRoute{path: append([]int(nil), cp[:i]...), expires: now + r.cfg.RouteLifetime}
+		r.cache[h] = cachedRoute{path: cp[:i:i], expires: expires, known: true}
 	}
 }
 
-// dropRoutesVia removes every cached route using the directed link a->b.
+// dropRoutesVia removes every cached route using the directed link a->b:
+// the hop sequence self, path..., dst taking b right after a.
 func (r *Router) dropRoutesVia(a, b int) {
-	var doomed []int
-	for dst, cr := range r.cache {
-		full := append(append([]int{r.ID()}, cr.path...), dst)
-		for i := 0; i+1 < len(full); i++ {
-			if full[i] == a && full[i+1] == b {
-				doomed = append(doomed, dst)
+	for dst := range r.cache {
+		cr := &r.cache[dst]
+		if !cr.known {
+			continue
+		}
+		prev, via := r.ID(), false
+		for _, h := range cr.path {
+			if prev == a && h == b {
+				via = true
 				break
 			}
+			prev = h
 		}
-	}
-	sort.Ints(doomed)
-	for _, dst := range doomed {
-		delete(r.cache, dst)
+		if via || prev == a && dst == b {
+			*cr = cachedRoute{}
+		}
 	}
 }
 
@@ -253,6 +280,12 @@ func (r *Router) Send(dst, size int, payload netif.Msg) {
 	}
 	r.Count.DataSent++
 	if !r.med.Up(r.ID()) {
+		return
+	}
+	if dst < 0 || dst >= r.med.NumNodes() {
+		// No node of this medium: no discovery could find it, and the
+		// route cache has no entry for it.
+		r.FailSend(dst, payload)
 		return
 	}
 	pkt := netif.Packet{Kind: netif.PktData, Origin: r.ID(), Dst: dst, Size: size, Msg: payload}
@@ -336,7 +369,7 @@ func (r *Router) forward(pkt netif.Packet) {
 	if !r.med.InRange(r.ID(), next) {
 		r.linkBroken(pkt.Origin, r.ID(), next, pkt.Path, pkt.Pos)
 		if pkt.Origin == r.ID() {
-			delete(r.cache, pkt.Dst)
+			r.cache[pkt.Dst] = cachedRoute{}
 			pkt.Path = nil
 			pkt.Pos = 0
 			r.enqueue(pkt)
@@ -429,7 +462,7 @@ func (r *Router) handleRREQ(rx *netif.Packet) {
 	}
 	q := *rx
 	q.TTL--
-	q.Path = append(append([]int(nil), q.Path...), r.ID())
+	q.Path = r.through(q.Path)
 	r.Count.CtrlRelayed++
 	r.med.Send(radio.Frame{
 		Src: r.ID(), Dst: radio.BroadcastAddr,

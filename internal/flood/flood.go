@@ -94,14 +94,17 @@ func (r *Router) Broadcast(ttl, size int, payload netif.Msg) {
 
 // Send floods payload with the unicast TTL; only dst delivers it.
 // Flooding gets no failure feedback, so OnSendFailed only fires for
-// sends from a down node — silence is the usual failure mode.
+// sends from a down node or to no node of the medium — silence is the
+// usual failure mode.
 func (r *Router) Send(dst, size int, payload netif.Msg) {
 	if dst == r.ID() {
 		r.SelfDeliver(payload)
 		return
 	}
 	r.Count.DataSent++
-	if !r.med.Up(r.ID()) {
+	if !r.med.Up(r.ID()) || dst < 0 || dst >= r.med.NumNodes() {
+		// A down sender transmits nothing; a node the medium does not
+		// have would never deliver the flood.
 		r.FailSend(dst, payload)
 		return
 	}

@@ -4,7 +4,8 @@
 // in aodv, dsr, dsdv and flood). The suite pins the semantics the p2p
 // overlay relies on but the interface alone cannot express —
 // controlled-broadcast TTL reach, asynchronous self-delivery,
-// OnSendFailed firing exactly once per abandoned payload, hooks that
+// OnSendFailed firing exactly once per abandoned payload and at once for
+// a destination that is no node of the medium, hooks that
 // may reenter the router, duplicate caches that stay bounded under a
 // broadcast storm, received frames never written through the shared
 // pointer, and every pair's unicast on a static line delivered once.
@@ -182,6 +183,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("BroadcastTTL", func(t *testing.T) { testBroadcastTTL(t, f) })
 	t.Run("SelfDelivery", func(t *testing.T) { testSelfDelivery(t, f) })
 	t.Run("SendFailedOnce", func(t *testing.T) { testSendFailedOnce(t, f) })
+	t.Run("SendToNoNode", func(t *testing.T) { testSendToNoNode(t, f) })
 	t.Run("HookReentrancy", func(t *testing.T) { testHookReentrancy(t, f) })
 	t.Run("DupCacheBounded", func(t *testing.T) { testDupCacheBounded(t, f) })
 	t.Run("SharedFramesReadOnly", func(t *testing.T) { testSharedFramesReadOnly(t, f) })
@@ -285,6 +287,47 @@ func testSendFailedOnce(t *testing.T, f Factory) {
 	}
 	if len(n.unicast[1]) != 0 {
 		t.Error("abandoned payload was also delivered")
+	}
+}
+
+// testSendToNoNode pins the boundary of the routers' id-indexed state: a
+// Send to an id that is no node of the medium (-1, NumNodes) fails at
+// once — OnSendFailed fires from inside Send, exactly once, and
+// SendFailed counts it — and puts nothing on the air: no frame, no
+// discovery, no parked payload failing again later.
+func testSendToNoNode(t *testing.T, f Factory) {
+	deadline := f.FailDeadline
+	if deadline <= 0 {
+		deadline = 120 * sim.Second
+	}
+	n := newNet(t, f, 10, line(2))
+	r := n.routers[0]
+	var fails []int
+	r.OnSendFailed(func(dst int, _ netif.Msg) { fails = append(fails, dst) })
+	before, tx := r.Stats(), n.med.Stats(0).TxFrames
+	nowhere := []int{-1, n.med.NumNodes()}
+	for i, dst := range nowhere {
+		r.Send(dst, 10, netif.TestMsg(uint32(60+i)))
+		if !slices.Equal(fails, nowhere[:i+1]) {
+			t.Fatalf("after Send to %d, OnSendFailed reported %v, want %v at once", dst, fails, nowhere[:i+1])
+		}
+	}
+	if got := n.med.Stats(0).TxFrames; got != tx {
+		t.Errorf("Send to no node transmitted %d frames", got-tx)
+	}
+	n.heard = nil
+	n.s.Run(n.s.Now() + deadline)
+	if !slices.Equal(fails, nowhere) {
+		t.Errorf("OnSendFailed reported %v by the deadline, want %v", fails, nowhere)
+	}
+	st := r.Stats()
+	if st.SendFailed-before.SendFailed != 2 || st.DataSent-before.DataSent != 2 || st.Discoveries != before.Discoveries {
+		t.Errorf("stats went from %+v to %+v, want 2 sends, 2 failures, no discovery", before, st)
+	}
+	for _, h := range n.heard {
+		if p := &h.frame.Payload; slices.Contains(nowhere, p.Dst) {
+			t.Errorf("node %d heard a frame for %d from %d: %+v", h.to, p.Dst, h.frame.Src, *p)
+		}
 	}
 }
 
