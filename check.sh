@@ -151,6 +151,24 @@ if [ -n "$maps" ]; then
 fi
 echo ok
 
+# Duplicate receptions stay off the kernel by construction: route.NewPlane
+# installs the medium's absorber, and a cache a router declares with
+# route.NewDupCache is all the router writes. A router that wires the
+# absorber, reads the medium's Absorbed count or overrides Stats is a
+# second place the next router would have to copy. (The conformance
+# suite removes the absorber to compare against it.)
+echo "== seam lint (absorption is route's, not a router's) =="
+wired=$(grep -rnE 'SetAbsorber|Absorbed|Absorbs|func \(r \*Router\) Stats' \
+	internal/aodv internal/dsr internal/dsdv internal/flood --include='*.go' --exclude='*_test.go' || true)
+installs=$(grep -rn 'SetAbsorber(' . --include='*.go' --exclude='*_test.go' |
+	grep -vE '^\./internal/(radio/radio|route/plane|netif/conformance/conformance)\.go:' || true)
+if [ -n "$wired$installs" ]; then
+	echo "absorption wired outside route.NewPlane:"
+	echo "$wired$installs"
+	exit 1
+fi
+echo ok
+
 echo "== go build =="
 go build ./...
 echo ok
@@ -191,5 +209,5 @@ go test -run '^$' -bench . -benchtime 10x ./internal/...
 
 echo "all checks passed"
 
-# The figure ROADMAP item 3 tracks and CHANGES.md quotes.
+# The non-test line figure, which ROADMAP tracks and CHANGES.md quotes.
 echo "non-test Go lines outside benchmark/: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)"

@@ -7,7 +7,8 @@ import (
 
 // TestCheckerCleanAcrossSeeds runs the invariant checker over seed
 // ranges no fixture pins: the paper's plain 50-node population for all
-// four algorithms, and the benchmark's everything-on 50-node shape
+// four algorithms, over AODV and over each comparator router, and the
+// benchmark's everything-on 50-node shape
 // (partition + crash plan, scripted workload, health samples, snapshots,
 // traffic buckets) for the two algorithms with the most moving parts. A
 // golden fixture only shows one seed is clean; this shows the rules hold
@@ -35,6 +36,15 @@ func TestCheckerCleanAcrossSeeds(t *testing.T) {
 		sc := DefaultScenario(50, alg)
 		sc.Seed, sc.Replications = 555000, 40
 		pops = append(pops, population{"plain/" + alg.String(), sc, "-nodes 50"})
+	}
+	for _, routing := range []RoutingKind{RoutingDSR, RoutingDSDV, RoutingFlood} {
+		name := strings.ToLower(routing.String())
+		for _, alg := range Algorithms() {
+			sc := DefaultScenario(50, alg)
+			sc.Routing = routing
+			sc.Seed, sc.Replications = 710000, 8
+			pops = append(pops, population{"plain/" + routing.String() + "/" + alg.String(), sc, "-nodes 50 -routing " + name})
+		}
 	}
 	for _, alg := range []Algorithm{Hybrid, Random} {
 		sc := DefaultScenario(50, alg)

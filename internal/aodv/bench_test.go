@@ -25,10 +25,10 @@ func BenchmarkAODVDiscovery(b *testing.B) {
 			b.Fatal(err)
 		}
 		routers := make([]*Router, 11)
-		pl := route.NewPlane(s, 11)
+		pl := route.NewPlane(s, med)
 		delivered := false
 		for n := 0; n < 11; n++ {
-			routers[n] = NewRouter(n, pl, med, Config{})
+			routers[n] = NewRouter(n, pl, Config{})
 			med.Join(n, geom.Point{X: 5 + 8*float64(n), Y: 25}, routers[n].HandleFrame)
 		}
 		routers[10].OnUnicast(func(Delivery) { delivered = true })
@@ -67,9 +67,9 @@ func newFloodBench(tb testing.TB) *floodBench {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pl := route.NewPlane(w.s, nodes)
+	pl := route.NewPlane(w.s, med)
 	for n := range w.routers {
-		w.routers[n] = NewRouter(n, pl, med, Config{SeenCacheTimeout: sim.Second})
+		w.routers[n] = NewRouter(n, pl, Config{SeenCacheTimeout: sim.Second})
 		w.routers[n].OnBroadcast(func(Delivery) { w.delivered++ })
 		med.Join(n, geom.Point{X: 5 + 4*float64(n%floodSide), Y: 5 + 4*float64(n/floodSide)}, w.routers[n].HandleFrame)
 	}
@@ -95,7 +95,7 @@ func (w *floodBench) check(tb testing.TB, n int) {
 	if want := n * (len(w.routers) - 1); w.delivered != want {
 		tb.Fatalf("%d floods delivered %d times, want %d", n, w.delivered, want)
 	}
-	if w.routers[0].med.Stats(0).Absorbed == 0 || w.dupHits == 0 {
+	if w.routers[0].Medium.Stats(0).Absorbed == 0 || w.dupHits == 0 {
 		tb.Fatal("no duplicate was held off the wheel")
 	}
 }

@@ -25,7 +25,7 @@ func lossyNet(t *testing.T, seed int64, n int, loss float64) *testNet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := route.NewPlane(s, med.NumNodes())
+	pl := route.NewPlane(s, med)
 	net := &testNet{
 		s:       s,
 		med:     med,
@@ -36,7 +36,7 @@ func lossyNet(t *testing.T, seed int64, n int, loss float64) *testNet {
 	}
 	for i := 0; i < n; i++ {
 		i := i
-		r := NewRouter(i, pl, med, Config{})
+		r := NewRouter(i, pl, Config{})
 		r.OnUnicast(func(d Delivery) { net.unicast[i] = append(net.unicast[i], d) })
 		r.OnBroadcast(func(d Delivery) { net.bcasts[i] = append(net.bcasts[i], d) })
 		r.OnSendFailed(func(dst int, _ netif.Msg) { net.failed[i] = append(net.failed[i], dst) })
@@ -92,12 +92,12 @@ func TestFloodRedundancyBeatsLossForBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := route.NewPlane(s, med.NumNodes())
+	pl := route.NewPlane(s, med)
 	reached := make([]bool, nodes)
 	routers := make([]*Router, nodes)
 	for i := 0; i < nodes; i++ {
 		i := i
-		routers[i] = NewRouter(i, pl, med, Config{})
+		routers[i] = NewRouter(i, pl, Config{})
 		routers[i].OnBroadcast(func(Delivery) { reached[i] = true })
 		med.Join(i, geom.Point{X: 50 + float64(i%3)*2, Y: 50 + float64(i/3)*2}, routers[i].HandleFrame)
 	}

@@ -100,8 +100,6 @@ type Delivery = netif.Delivery
 // state machine proper.
 type Router struct {
 	*route.Core
-	sim *sim.Sim
-	med *radio.Medium
 	cfg Config
 
 	table    *routeTable
@@ -118,43 +116,28 @@ type Router struct {
 
 // NewRouter creates the routing layer for node id on the simulation's
 // shared routing plane. The caller must pass r.HandleFrame as the node's
-// radio receiver when joining the medium.
-func NewRouter(id int, pl *route.Plane, med *radio.Medium, cfg Config) *Router {
+// radio receiver when joining the plane's medium.
+func NewRouter(id int, pl *route.Plane, cfg Config) *Router {
 	cfg = cfg.withDefaults()
 	core := route.NewCore(id, pl)
 	cache := route.CacheConfig{Timeout: cfg.SeenCacheTimeout, HardCap: 2 * cfg.SeenCacheCap}
 	r := &Router{
 		Core:     core,
-		sim:      pl.Sim(),
-		med:      med,
 		cfg:      cfg,
-		table:    newRouteTable(med.NumNodes()),
-		seenRREQ: route.NewDupCache(core, cache),
-		bcast:    route.NewBcaster(core, med, sizeBcastHdr, 0, cache),
+		table:    newRouteTable(core.Medium.NumNodes()),
+		seenRREQ: route.NewDupCache(core, netif.PktRREQ, cache),
+		bcast:    route.NewBcaster(core, sizeBcastHdr, 0, cache, !cfg.DisableBcastDupCache),
 		pending:  route.NewPending[netif.Packet](cfg.BufferCap),
 	}
-	r.bcast.Disable = cfg.DisableBcastDupCache
 	r.bcast.Accept = r.acceptBcast
 	r.discTimeoutFn = r.discTimeout
-	// Duplicates only count DupHits: the medium may settle them undelivered.
-	r.seenRREQ.Absorbs(netif.PktRREQ, med)
-	if !cfg.DisableBcastDupCache {
-		r.bcast.Absorbs()
-	}
 	return r
-}
-
-// Stats counts the duplicates the medium settled undelivered in DupHits.
-func (r *Router) Stats() netif.Stats {
-	s := r.Count
-	s.DupHits += r.med.Stats(r.ID()).Absorbed
-	return s
 }
 
 // HopsTo reports the current route-table distance to dst in ad-hoc hops,
 // if a valid route exists. It does not trigger discovery.
 func (r *Router) HopsTo(dst int) (int, bool) {
-	e, ok := r.table.get(dst, r.sim.Now())
+	e, ok := r.table.get(dst, r.Sim.Now())
 	if !ok {
 		return 0, false
 	}
@@ -168,7 +151,7 @@ func (r *Router) Broadcast(ttl, size int, payload netif.Msg) {
 		// Unreachable from input: overlay TTLs are NHopsBasic >= 1 (Params.Validate), a nonzero ring radius or randhops >= 1.
 		panic("aodv: Broadcast with non-positive TTL")
 	}
-	if !r.med.Up(r.ID()) {
+	if !r.Medium.Up(r.ID()) {
 		return
 	}
 	r.seq++
@@ -179,7 +162,7 @@ func (r *Router) Broadcast(ttl, size int, payload netif.Msg) {
 // like an RREQ, a broadcast teaches relays the way back to its origin,
 // so responders can reply by unicast immediately.
 func (r *Router) acceptBcast(prev int, b *netif.Packet) int {
-	now := r.sim.Now()
+	now := r.Sim.Now()
 	r.table.update(b.Origin, prev, b.HopCount, b.OriginSeq, true, now, r.cfg.ActiveRouteTimeout)
 	if prev != b.Origin {
 		r.table.update(prev, prev, 1, 0, false, now, r.cfg.ActiveRouteTimeout)
@@ -196,17 +179,17 @@ func (r *Router) Send(dst, size int, payload netif.Msg) {
 		return
 	}
 	r.Count.DataSent++
-	if !r.med.Up(r.ID()) {
+	if !r.Medium.Up(r.ID()) {
 		return
 	}
-	if dst < 0 || dst >= r.med.NumNodes() {
+	if dst < 0 || dst >= r.Medium.NumNodes() {
 		// No node of this medium: no discovery could find it, and the
 		// route table has no row for it.
 		r.FailSend(dst, payload)
 		return
 	}
 	pkt := netif.Packet{Kind: netif.PktData, Origin: r.ID(), Dst: dst, HopCount: 0, TTL: r.cfg.DataTTL, Size: size, Msg: payload}
-	if _, ok := r.table.get(dst, r.sim.Now()); ok {
+	if _, ok := r.table.get(dst, r.Sim.Now()); ok {
 		r.forwardData(pkt)
 		return
 	}
@@ -249,10 +232,10 @@ func (r *Router) sendRREQ(dst int, d *route.Discovery[netif.Packet]) {
 	q := netif.Packet{Kind: netif.PktRREQ, Origin: r.ID(), OriginSeq: r.seq, ID: r.rreqID, Dst: dst, DstSeq: dstSeq, HopCount: 0, TTL: d.TTL}
 	r.seenRREQ.Mark(route.Key{Origin: r.ID(), ID: q.ID})
 	r.Count.CtrlOrig++
-	r.med.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: sizeRREQ, Payload: q})
+	r.Medium.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: sizeRREQ, Payload: q})
 
 	wait := 2 * sim.Time(d.TTL) * r.cfg.HopTraversal
-	d.Timer = r.sim.ScheduleArg(wait, r.discTimeoutFn, sim.Arg{I0: dst, X: d})
+	d.Timer = r.Sim.ScheduleArg(wait, r.discTimeoutFn, sim.Arg{I0: dst, X: d})
 }
 
 // discTimeout unpacks the typed-arg timer payload for discoveryTimeout.
@@ -286,7 +269,7 @@ func (r *Router) discoveryTimeout(dst int, d *route.Discovery[netif.Packet]) {
 				r.FailSend(dst, pkt.Msg)
 			} else if !announced {
 				// Failed local repair: tell upstream users of the route.
-				r.sendRERRFor(dst, r.sim.Now())
+				r.sendRERRFor(dst, r.Sim.Now())
 				announced = true
 			}
 		}
@@ -311,14 +294,14 @@ func (r *Router) completeDiscovery(dst int) {
 // local repair, RFC 3561 §6.12): the relay buffers the packet and
 // searches for the destination itself rather than dropping.
 func (r *Router) forwardData(pkt netif.Packet) {
-	now := r.sim.Now()
+	now := r.Sim.Now()
 	e, ok := r.table.get(pkt.Dst, now)
 	if !ok {
 		r.enqueue(pkt)
 		return
 	}
 	next := int(e.nextHop)
-	if !r.med.InRange(r.ID(), next) {
+	if !r.Medium.InRange(r.ID(), next) {
 		// Link-layer feedback: the hop is gone. Tear down everything
 		// that used it, tell the neighborhood, then locally repair.
 		r.linkBreak(next, now)
@@ -330,7 +313,7 @@ func (r *Router) forwardData(pkt netif.Packet) {
 	}
 	r.table.refresh(pkt.Dst, now, r.cfg.ActiveRouteTimeout)
 	r.table.refresh(pkt.Origin, now, r.cfg.ActiveRouteTimeout)
-	r.med.Send(radio.Frame{Src: r.ID(), Dst: next, Size: pkt.Size + sizeDataHdr, Payload: pkt})
+	r.Medium.Send(radio.Frame{Src: r.ID(), Dst: next, Size: pkt.Size + sizeDataHdr, Payload: pkt})
 }
 
 // linkBreak invalidates all routes through via and broadcasts an RERR.
@@ -349,7 +332,7 @@ func (r *Router) sendRERRFor(dst int, now sim.Time) {
 }
 
 func (r *Router) emitRERR(lost []netif.Unreachable, relay bool) {
-	if !r.med.Up(r.ID()) {
+	if !r.Medium.Up(r.ID()) {
 		return
 	}
 	e := netif.Packet{Kind: netif.PktRERR, Unreachable: lost}
@@ -358,7 +341,7 @@ func (r *Router) emitRERR(lost []netif.Unreachable, relay bool) {
 	} else {
 		r.Count.CtrlOrig++
 	}
-	r.med.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: rerrSize(len(lost)), Payload: e})
+	r.Medium.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: rerrSize(len(lost)), Payload: e})
 }
 
 // HandleFrame is the radio receive callback; it dispatches on packet
@@ -391,7 +374,7 @@ func (r *Router) handleRREQ(prev int, rx *netif.Packet) {
 		r.Count.DupHits++
 		return
 	}
-	now := r.sim.Now()
+	now := r.Sim.Now()
 	hops := rx.HopCount + 1
 	// Learn/refresh the reverse route to the requester.
 	r.table.update(rx.Origin, prev, hops, rx.OriginSeq, true, now, r.cfg.ActiveRouteTimeout)
@@ -418,14 +401,14 @@ func (r *Router) handleRREQ(prev int, rx *netif.Packet) {
 		q.HopCount = hops
 		q.TTL--
 		r.Count.CtrlRelayed++
-		r.med.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: sizeRREQ, Payload: q})
+		r.Medium.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: sizeRREQ, Payload: q})
 	}
 }
 
 // sendRREP unicasts a reply one hop toward the requester.
 func (r *Router) sendRREP(p netif.Packet, now sim.Time, relay bool) {
 	e, ok := r.table.get(p.Origin, now)
-	if !ok || !r.med.InRange(r.ID(), int(e.nextHop)) {
+	if !ok || !r.Medium.InRange(r.ID(), int(e.nextHop)) {
 		return // reverse route already gone; the ring will retry
 	}
 	if relay {
@@ -434,11 +417,11 @@ func (r *Router) sendRREP(p netif.Packet, now sim.Time, relay bool) {
 		r.Count.CtrlOrig++
 	}
 	r.table.refresh(p.Origin, now, r.cfg.ActiveRouteTimeout)
-	r.med.Send(radio.Frame{Src: r.ID(), Dst: int(e.nextHop), Size: sizeRREP, Payload: p})
+	r.Medium.Send(radio.Frame{Src: r.ID(), Dst: int(e.nextHop), Size: sizeRREP, Payload: p})
 }
 
 func (r *Router) handleRREP(prev int, rx *netif.Packet) {
-	now := r.sim.Now()
+	now := r.Sim.Now()
 	hops := rx.HopCount + 1
 	// Learn the forward route to the replied-for destination.
 	r.table.update(rx.Dst, prev, hops, rx.DstSeq, true, now, r.cfg.ActiveRouteTimeout)
@@ -453,7 +436,7 @@ func (r *Router) handleRREP(prev int, rx *netif.Packet) {
 }
 
 func (r *Router) handleRERR(prev int, e *netif.Packet) {
-	now := r.sim.Now()
+	now := r.Sim.Now()
 	var propagate []netif.Unreachable
 	for _, u := range e.Unreachable {
 		if ent, ok := r.table.get(u.Dst, now); ok && int(ent.nextHop) == prev {
@@ -469,7 +452,7 @@ func (r *Router) handleRERR(prev int, e *netif.Packet) {
 }
 
 func (r *Router) handleData(prev int, rx *netif.Packet) {
-	now := r.sim.Now()
+	now := r.Sim.Now()
 	hops := rx.HopCount + 1
 	// Path accumulation: we now know a route back to the packet origin.
 	r.table.update(rx.Origin, prev, hops, 0, false, now, r.cfg.ActiveRouteTimeout)

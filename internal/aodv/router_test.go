@@ -36,7 +36,7 @@ func newTestNet(t *testing.T, seed int64, pts []geom.Point, cfg Config) *testNet
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := route.NewPlane(s, med.NumNodes())
+	pl := route.NewPlane(s, med)
 	n := &testNet{
 		s:       s,
 		med:     med,
@@ -47,7 +47,7 @@ func newTestNet(t *testing.T, seed int64, pts []geom.Point, cfg Config) *testNet
 	}
 	for i, p := range pts {
 		i := i
-		r := NewRouter(i, pl, med, cfg)
+		r := NewRouter(i, pl, cfg)
 		r.OnUnicast(func(d Delivery) { n.unicast[i] = append(n.unicast[i], d) })
 		r.OnBroadcast(func(d Delivery) { n.bcasts[i] = append(n.bcasts[i], d) })
 		r.OnSendFailed(func(dst int, _ netif.Msg) { n.failed[i] = append(n.failed[i], dst) })
@@ -331,10 +331,10 @@ func TestDisabledDupCacheCausesStorm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl := route.NewPlane(s, med.NumNodes())
+		pl := route.NewPlane(s, med)
 		routers := make([]*Router, 8)
 		for i := 0; i < 8; i++ {
-			routers[i] = NewRouter(i, pl, med, Config{DisableBcastDupCache: disable})
+			routers[i] = NewRouter(i, pl, Config{DisableBcastDupCache: disable})
 			med.Join(i, geom.Point{X: 50 + float64(i%3), Y: 50 + float64(i/3)}, routers[i].HandleFrame)
 		}
 		routers[0].Broadcast(4, 16, netif.TestMsg(23))

@@ -109,8 +109,6 @@ type waiting struct {
 // file is the distance-vector state machine proper.
 type Router struct {
 	*route.Core
-	sim *sim.Sim
-	med *radio.Medium
 	cfg Config
 
 	table  []tableRow // by destination id
@@ -129,26 +127,24 @@ var _ netif.Protocol = (*Router)(nil)
 
 // NewRouter creates the DSDV layer for node id and starts its periodic
 // advertisements.
-func NewRouter(id int, pl *route.Plane, med *radio.Medium, cfg Config) *Router {
+func NewRouter(id int, pl *route.Plane, cfg Config) *Router {
 	cfg = cfg.withDefaults()
 	core := route.NewCore(id, pl)
 	cache := route.CacheConfig{Timeout: cfg.SeenCacheTimeout, HardCap: 2 * cfg.SeenCacheCap}
 	r := &Router{
 		Core:   core,
-		sim:    pl.Sim(),
-		med:    med,
 		cfg:    cfg,
-		table:  make([]tableRow, med.NumNodes()),
-		bcast:  route.NewBcaster(core, med, sizeBcastHdr, 0, cache),
+		table:  make([]tableRow, core.Medium.NumNodes()),
+		bcast:  route.NewBcaster(core, sizeBcastHdr, 0, cache, true),
 		parked: route.NewPending[waiting](cfg.BufferCap),
 	}
 	r.expireParkedFn = r.expireParkedArg
 	// Stagger first advertisements by node id so a freshly built network
 	// does not emit all dumps in the same microsecond.
 	first := r.cfg.UpdatePeriod/64*sim.Time(id%64) + sim.Millisecond
-	r.sim.Schedule(first, func() {
+	r.Sim.Schedule(first, func() {
 		r.advertise()
-		r.ticker = sim.NewTicker(r.sim, r.cfg.UpdatePeriod, r.advertise)
+		r.ticker = sim.NewTicker(r.Sim, r.cfg.UpdatePeriod, r.advertise)
 	})
 	return r
 }
@@ -164,7 +160,7 @@ func (r *Router) HopsTo(dst int) (int, bool) {
 
 func (r *Router) valid(dst int) (*tableRow, bool) {
 	rt := &r.table[dst]
-	if !rt.known || rt.metric >= infinityMetric || r.sim.Now()-rt.heard > r.cfg.RouteTimeout {
+	if !rt.known || rt.metric >= infinityMetric || r.Sim.Now()-rt.heard > r.cfg.RouteTimeout {
 		return rt, false
 	}
 	return rt, true
@@ -172,7 +168,7 @@ func (r *Router) valid(dst int) (*tableRow, bool) {
 
 // advertise broadcasts the full table to radio neighbors (single hop).
 func (r *Router) advertise() {
-	if !r.med.Up(r.ID()) {
+	if !r.Medium.Up(r.ID()) {
 		return
 	}
 	r.expireStale()
@@ -189,14 +185,14 @@ func (r *Router) advertise() {
 	}
 	u := netif.Packet{Kind: netif.PktUpdate, Origin: r.ID(), Entries: entries}
 	r.Count.CtrlOrig++
-	r.med.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: updateSize(len(entries)), Payload: u})
+	r.Medium.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: updateSize(len(entries)), Payload: u})
 }
 
 // expireStale marks routes unheard within the timeout as broken (odd
 // sequence number, infinite metric), DSDV's substitute for link-layer
 // feedback.
 func (r *Router) expireStale() {
-	now := r.sim.Now()
+	now := r.Sim.Now()
 	for i := range r.table {
 		rt := &r.table[i]
 		if rt.known && rt.metric < infinityMetric && now-rt.heard > r.cfg.RouteTimeout {
@@ -208,7 +204,7 @@ func (r *Router) expireStale() {
 
 // handleUpdate merges a neighbor's advertisement; u is only read.
 func (r *Router) handleUpdate(u *netif.Packet) {
-	now := r.sim.Now()
+	now := r.Sim.Now()
 	for _, e := range u.Entries {
 		if e.Dst == r.ID() {
 			continue
@@ -253,7 +249,7 @@ func (r *Router) Broadcast(ttl, size int, payload netif.Msg) {
 		// Unreachable from input: overlay TTLs are NHopsBasic >= 1 (Params.Validate), a nonzero ring radius or randhops >= 1.
 		panic("dsdv: Broadcast with non-positive TTL")
 	}
-	if !r.med.Up(r.ID()) {
+	if !r.Medium.Up(r.ID()) {
 		return
 	}
 	r.bcast.Originate(ttl, size, payload, 0)
@@ -267,10 +263,10 @@ func (r *Router) Send(dst, size int, payload netif.Msg) {
 		return
 	}
 	r.Count.DataSent++
-	if !r.med.Up(r.ID()) {
+	if !r.Medium.Up(r.ID()) {
 		return
 	}
-	if dst < 0 || dst >= r.med.NumNodes() {
+	if dst < 0 || dst >= r.Medium.NumNodes() {
 		// No node of this medium: no advertisement could bring a route,
 		// and the table has no row for it.
 		r.FailSend(dst, payload)
@@ -290,13 +286,13 @@ func (r *Router) park(pkt netif.Packet) {
 	if !ok {
 		d = r.parked.Start(pkt.Dst)
 	}
-	w := waiting{pkt: pkt, expires: r.sim.Now() + r.cfg.SettlingTime}
+	w := waiting{pkt: pkt, expires: r.Sim.Now() + r.cfg.SettlingTime}
 	if !r.parked.Push(d, w) {
 		r.Count.DataDropped++
 		r.FailSend(pkt.Dst, pkt.Msg)
 		return
 	}
-	r.sim.ScheduleArg(r.cfg.SettlingTime+sim.Millisecond, r.expireParkedFn, sim.Arg{I0: pkt.Dst})
+	r.Sim.ScheduleArg(r.cfg.SettlingTime+sim.Millisecond, r.expireParkedFn, sim.Arg{I0: pkt.Dst})
 }
 
 // expireParkedArg unpacks the typed-arg timer payload for expireParked.
@@ -308,7 +304,7 @@ func (r *Router) expireParked(dst int) {
 	if !ok || len(d.Queue) == 0 {
 		return
 	}
-	now := r.sim.Now()
+	now := r.Sim.Now()
 	keep := d.Queue[:0]
 	for _, w := range d.Queue {
 		if w.expires <= now {
@@ -348,7 +344,7 @@ func (r *Router) forward(pkt netif.Packet) {
 		}
 		return
 	}
-	if !r.med.InRange(r.ID(), rt.nextHop) {
+	if !r.Medium.InRange(r.ID(), rt.nextHop) {
 		// Link gone: break the route now rather than at the next timeout.
 		rt.metric = infinityMetric
 		rt.seq++
@@ -362,7 +358,7 @@ func (r *Router) forward(pkt netif.Packet) {
 	if pkt.Origin != r.ID() {
 		r.Count.DataForwarded++
 	}
-	r.med.Send(radio.Frame{Src: r.ID(), Dst: rt.nextHop, Size: pkt.Size + sizeDataHdr, Payload: pkt})
+	r.Medium.Send(radio.Frame{Src: r.ID(), Dst: rt.nextHop, Size: pkt.Size + sizeDataHdr, Payload: pkt})
 }
 
 // HandleFrame dispatches radio arrivals on packet kind. The frame is the

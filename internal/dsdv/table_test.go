@@ -94,7 +94,7 @@ func TestTableMatchesMapModel(t *testing.T) {
 	// The periodic advertisement is pushed past the test's horizon; the
 	// test calls advertise itself.
 	cfg := Config{UpdatePeriod: 10_000 * sim.Hour}
-	r := NewRouter(self, route.NewPlane(s, nodes), med, cfg)
+	r := NewRouter(self, route.NewPlane(s, med), cfg)
 	med.Join(self, geom.Point{X: 50, Y: 50}, r.HandleFrame)
 	var heard [][]netif.AdvEntry
 	med.Join(0, geom.Point{X: 55, Y: 50}, func(f *radio.Frame) { heard = append(heard, f.Payload.Entries) })

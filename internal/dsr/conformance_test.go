@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"manetp2p/internal/netif/conformance"
-	"manetp2p/internal/radio"
 	"manetp2p/internal/route"
 )
 
@@ -14,8 +13,8 @@ import (
 func TestConformance(t *testing.T) {
 	conformance.Run(t, conformance.Factory{
 		Name: "dsr",
-		New: func(id int, pl *route.Plane, med *radio.Medium) conformance.Router {
-			return NewRouter(id, pl, med, Config{SeenCacheCap: 512})
+		New: func(id int, pl *route.Plane) conformance.Router {
+			return NewRouter(id, pl, Config{SeenCacheCap: 512})
 		},
 	})
 }

@@ -115,8 +115,6 @@ func (c Config) withDefaults() Config {
 // the source-routing state machine proper.
 type Router struct {
 	*route.Core
-	sim *sim.Sim
-	med *radio.Medium
 	cfg Config
 
 	cache    []cachedRoute // by destination id
@@ -138,18 +136,16 @@ var _ netif.Protocol = (*Router)(nil)
 
 // NewRouter creates the DSR layer for node id; pass HandleFrame as the
 // node's radio receiver.
-func NewRouter(id int, pl *route.Plane, med *radio.Medium, cfg Config) *Router {
+func NewRouter(id int, pl *route.Plane, cfg Config) *Router {
 	cfg = cfg.withDefaults()
 	core := route.NewCore(id, pl)
 	cache := route.CacheConfig{Timeout: cfg.SeenCacheTimeout, HardCap: 2 * cfg.SeenCacheCap}
 	r := &Router{
 		Core:     core,
-		sim:      pl.Sim(),
-		med:      med,
 		cfg:      cfg,
-		cache:    make([]cachedRoute, med.NumNodes()),
-		seenRREQ: route.NewDupCache(core, cache),
-		bcast:    route.NewBcaster(core, med, sizeBcastBase, sizePerHop, cache),
+		cache:    make([]cachedRoute, core.Medium.NumNodes()),
+		seenRREQ: route.NewDupCache(core, netif.PktRREQ, cache),
+		bcast:    route.NewBcaster(core, sizeBcastBase, sizePerHop, cache, true),
 		pending:  route.NewPending[netif.Packet](cfg.BufferCap),
 	}
 	r.bcast.Accept = r.acceptBcast
@@ -198,7 +194,7 @@ func (r *Router) HopsTo(dst int) (int, bool) {
 
 func (r *Router) route(dst int) (cachedRoute, bool) {
 	cr := r.cache[dst]
-	if !cr.known || cr.expires < r.sim.Now() {
+	if !cr.known || cr.expires < r.Sim.Now() {
 		return cachedRoute{}, false
 	}
 	return cr, true
@@ -216,7 +212,7 @@ func (r *Router) learnRoute(dst int, path []int) {
 			return
 		}
 	}
-	now := r.sim.Now()
+	now := r.Sim.Now()
 	expires := now + r.cfg.RouteLifetime
 	old := &r.cache[dst]
 	if old.known && old.expires >= now && len(old.path) < len(path) {
@@ -266,7 +262,7 @@ func (r *Router) Broadcast(ttl, size int, payload netif.Msg) {
 		// Unreachable from input: overlay TTLs are NHopsBasic >= 1 (Params.Validate), a nonzero ring radius or randhops >= 1.
 		panic("dsr: Broadcast with non-positive TTL")
 	}
-	if !r.med.Up(r.ID()) {
+	if !r.Medium.Up(r.ID()) {
 		return
 	}
 	r.bcast.Originate(ttl, size, payload, 0)
@@ -279,10 +275,10 @@ func (r *Router) Send(dst, size int, payload netif.Msg) {
 		return
 	}
 	r.Count.DataSent++
-	if !r.med.Up(r.ID()) {
+	if !r.Medium.Up(r.ID()) {
 		return
 	}
-	if dst < 0 || dst >= r.med.NumNodes() {
+	if dst < 0 || dst >= r.Medium.NumNodes() {
 		// No node of this medium: no discovery could find it, and the
 		// route cache has no entry for it.
 		r.FailSend(dst, payload)
@@ -315,9 +311,9 @@ func (r *Router) sendRREQ(dst int, d *route.Discovery[netif.Packet]) {
 	q := netif.Packet{Kind: netif.PktRREQ, Origin: r.ID(), ID: r.rreqID, Dst: dst, TTL: r.cfg.DiscoveryTTL}
 	r.seenRREQ.Mark(route.Key{Origin: r.ID(), ID: q.ID})
 	r.Count.CtrlOrig++
-	r.med.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: sizeRREQBase, Payload: q})
+	r.Medium.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: sizeRREQBase, Payload: q})
 	wait := 2 * sim.Time(r.cfg.DiscoveryTTL) * r.cfg.HopTraversal
-	d.Timer = r.sim.ScheduleArg(wait, r.discTimeoutFn, sim.Arg{I0: dst, X: d})
+	d.Timer = r.Sim.ScheduleArg(wait, r.discTimeoutFn, sim.Arg{I0: dst, X: d})
 }
 
 func (r *Router) discoveryTimeout(dst int, d *route.Discovery[netif.Packet]) {
@@ -366,7 +362,7 @@ func (r *Router) forward(pkt netif.Packet) {
 	if pkt.Pos < len(pkt.Path) {
 		next = pkt.Path[pkt.Pos]
 	}
-	if !r.med.InRange(r.ID(), next) {
+	if !r.Medium.InRange(r.ID(), next) {
 		r.linkBroken(pkt.Origin, r.ID(), next, pkt.Path, pkt.Pos)
 		if pkt.Origin == r.ID() {
 			r.cache[pkt.Dst] = cachedRoute{}
@@ -382,7 +378,7 @@ func (r *Router) forward(pkt netif.Packet) {
 		r.Count.DataForwarded++
 	}
 	size := pkt.Size + sizeDataBase + sizePerHop*len(pkt.Path)
-	r.med.Send(radio.Frame{Src: r.ID(), Dst: next, Size: size, Payload: pkt})
+	r.Medium.Send(radio.Frame{Src: r.ID(), Dst: next, Size: size, Payload: pkt})
 }
 
 // linkBroken drops local routes over the dead link and notifies the
@@ -408,7 +404,7 @@ func (r *Router) sendRERR(e netif.Packet, relay bool) {
 	if e.Pos < len(e.Path) {
 		next = e.Path[e.Pos]
 	}
-	if !r.med.InRange(r.ID(), next) {
+	if !r.Medium.InRange(r.ID(), next) {
 		return // best-effort; the origin's own retry will discover
 	}
 	if relay {
@@ -416,7 +412,7 @@ func (r *Router) sendRERR(e netif.Packet, relay bool) {
 	} else {
 		r.Count.CtrlOrig++
 	}
-	r.med.Send(radio.Frame{Src: r.ID(), Dst: next, Size: sizeRERR + sizePerHop*len(e.Path), Payload: e})
+	r.Medium.Send(radio.Frame{Src: r.ID(), Dst: next, Size: sizeRERR + sizePerHop*len(e.Path), Payload: e})
 }
 
 // HandleFrame dispatches radio arrivals on packet kind. The frame is the
@@ -464,7 +460,7 @@ func (r *Router) handleRREQ(rx *netif.Packet) {
 	q.TTL--
 	q.Path = r.through(q.Path)
 	r.Count.CtrlRelayed++
-	r.med.Send(radio.Frame{
+	r.Medium.Send(radio.Frame{
 		Src: r.ID(), Dst: radio.BroadcastAddr,
 		Size: sizeRREQBase + sizePerHop*len(q.Path), Payload: q,
 	})
@@ -478,7 +474,7 @@ func (r *Router) sendRREP(p netif.Packet, relay bool) {
 	if idx := len(p.Path) - 1 - p.Pos; idx >= 0 {
 		next = p.Path[idx]
 	}
-	if !r.med.InRange(r.ID(), next) {
+	if !r.Medium.InRange(r.ID(), next) {
 		return // discovery retry handles it
 	}
 	if relay {
@@ -486,7 +482,7 @@ func (r *Router) sendRREP(p netif.Packet, relay bool) {
 	} else {
 		r.Count.CtrlOrig++
 	}
-	r.med.Send(radio.Frame{
+	r.Medium.Send(radio.Frame{
 		Src: r.ID(), Dst: next,
 		Size: sizeRREPBase + sizePerHop*len(p.Path), Payload: p,
 	})

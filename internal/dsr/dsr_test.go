@@ -34,7 +34,7 @@ func newTestNet(t *testing.T, seed int64, pts []geom.Point, cfg Config) *testNet
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := route.NewPlane(s, med.NumNodes())
+	pl := route.NewPlane(s, med)
 	n := &testNet{
 		s:       s,
 		med:     med,
@@ -45,7 +45,7 @@ func newTestNet(t *testing.T, seed int64, pts []geom.Point, cfg Config) *testNet
 	}
 	for i, p := range pts {
 		i := i
-		r := NewRouter(i, pl, med, cfg)
+		r := NewRouter(i, pl, cfg)
 		r.OnUnicast(func(d netif.Delivery) { n.unicast[i] = append(n.unicast[i], d) })
 		r.OnBroadcast(func(d netif.Delivery) { n.bcasts[i] = append(n.bcasts[i], d) })
 		r.OnSendFailed(func(dst int, _ netif.Msg) { n.failed[i] = append(n.failed[i], dst) })
@@ -315,8 +315,8 @@ func TestLearnRouteRejectsLoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := route.NewPlane(s, med.NumNodes())
-	r := NewRouter(0, pl, med, Config{})
+	pl := route.NewPlane(s, med)
+	r := NewRouter(0, pl, Config{})
 	r.learnRoute(3, []int{1, 0, 2}) // contains self: reject
 	if _, ok := r.HopsTo(3); ok {
 		t.Error("looping route accepted")
@@ -337,8 +337,8 @@ func TestShorterRouteReplacesLonger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := route.NewPlane(s, med.NumNodes())
-	r := NewRouter(0, pl, med, Config{})
+	pl := route.NewPlane(s, med)
+	r := NewRouter(0, pl, Config{})
 	r.learnRoute(5, []int{1, 2, 3})
 	r.learnRoute(5, []int{4})
 	if h, _ := r.HopsTo(5); h != 2 {

@@ -57,7 +57,6 @@ func (c Config) withDefaults() Config {
 // Router is the per-node flooding instance; it satisfies netif.Protocol.
 type Router struct {
 	*route.Core
-	med    *radio.Medium
 	cfg    Config
 	bcast  *route.Bcaster
 	seen   *route.DupCache
@@ -67,16 +66,15 @@ type Router struct {
 var _ netif.Protocol = (*Router)(nil)
 
 // NewRouter creates the flooding layer for node id.
-func NewRouter(id int, pl *route.Plane, med *radio.Medium, cfg Config) *Router {
+func NewRouter(id int, pl *route.Plane, cfg Config) *Router {
 	cfg = cfg.withDefaults()
 	core := route.NewCore(id, pl)
 	cache := route.CacheConfig{Timeout: cfg.SeenCacheTimeout, HardCap: 2 * cfg.SeenCacheCap}
 	return &Router{
 		Core:  core,
-		med:   med,
 		cfg:   cfg,
-		bcast: route.NewBcaster(core, med, sizeHdr, 0, cache),
-		seen:  route.NewDupCache(core, cache),
+		bcast: route.NewBcaster(core, sizeHdr, 0, cache, true),
+		seen:  route.NewDupCache(core, netif.PktData, cache),
 	}
 }
 
@@ -86,7 +84,7 @@ func (r *Router) Broadcast(ttl, size int, payload netif.Msg) {
 		// Unreachable from input: overlay TTLs are NHopsBasic >= 1 (Params.Validate), a nonzero ring radius or randhops >= 1.
 		panic("flood: Broadcast with non-positive TTL")
 	}
-	if !r.med.Up(r.ID()) {
+	if !r.Medium.Up(r.ID()) {
 		return
 	}
 	r.bcast.Originate(ttl, size, payload, 0)
@@ -102,7 +100,7 @@ func (r *Router) Send(dst, size int, payload netif.Msg) {
 		return
 	}
 	r.Count.DataSent++
-	if !r.med.Up(r.ID()) || dst < 0 || dst >= r.med.NumNodes() {
+	if !r.Medium.Up(r.ID()) || dst < 0 || dst >= r.Medium.NumNodes() {
 		// A down sender transmits nothing; a node the medium does not
 		// have would never deliver the flood.
 		r.FailSend(dst, payload)
@@ -111,7 +109,7 @@ func (r *Router) Send(dst, size int, payload netif.Msg) {
 	r.nextID++
 	pkt := netif.Packet{Kind: netif.PktData, Origin: r.ID(), ID: r.nextID, Dst: dst, TTL: r.cfg.UnicastTTL, Size: size, Msg: payload}
 	r.seen.Mark(route.Key{Origin: r.ID(), ID: pkt.ID})
-	r.med.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: pkt.Size + sizeHdr, Payload: pkt})
+	r.Medium.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: pkt.Size + sizeHdr, Payload: pkt})
 }
 
 // HandleFrame is the radio receive callback. The frame is the medium's
@@ -147,6 +145,6 @@ func (r *Router) handleUnicast(rx *netif.Packet) {
 		pkt.HopCount = hops
 		pkt.TTL--
 		r.Count.DataForwarded++
-		r.med.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: pkt.Size + sizeHdr, Payload: pkt})
+		r.Medium.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: pkt.Size + sizeHdr, Payload: pkt})
 	}
 }

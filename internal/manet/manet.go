@@ -89,7 +89,7 @@ func Build(sc Scenario, rep int, opt Options) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	plane := route.NewPlane(s, sc.NumNodes)
+	plane := route.NewPlane(s, med)
 	n := &Network{
 		Cfg:       sc,
 		Sim:       s,
@@ -149,7 +149,7 @@ func Build(sc Scenario, rep int, opt Options) (*Network, error) {
 	for i := 0; i < sc.NumNodes; i++ {
 		start := arena.RandomPoint(setupRNG)
 		n.models[i] = sc.newModel(arena, start, s.NewRand())
-		rt := newRouter(i, plane, med, opt)
+		rt := newRouter(i, plane, opt)
 		n.Routers[i] = rt
 		med.Join(i, start, rt.HandleFrame)
 		if !n.member[i] {

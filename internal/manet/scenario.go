@@ -50,19 +50,19 @@ type NodeRouter interface {
 // Build's dispatch all read it, so a new router is one entry here.
 var routings = [...]struct {
 	name string
-	new  func(id int, pl *route.Plane, med *radio.Medium, opt Options) NodeRouter
+	new  func(id int, pl *route.Plane, opt Options) NodeRouter
 }{
-	RoutingAODV: {"AODV", func(id int, pl *route.Plane, med *radio.Medium, opt Options) NodeRouter {
-		return aodv.NewRouter(id, pl, med, opt.AODV)
+	RoutingAODV: {"AODV", func(id int, pl *route.Plane, opt Options) NodeRouter {
+		return aodv.NewRouter(id, pl, opt.AODV)
 	}},
-	RoutingDSR: {"DSR", func(id int, pl *route.Plane, med *radio.Medium, _ Options) NodeRouter {
-		return dsr.NewRouter(id, pl, med, dsr.Config{})
+	RoutingDSR: {"DSR", func(id int, pl *route.Plane, _ Options) NodeRouter {
+		return dsr.NewRouter(id, pl, dsr.Config{})
 	}},
-	RoutingFlood: {"Flood", func(id int, pl *route.Plane, med *radio.Medium, _ Options) NodeRouter {
-		return flood.NewRouter(id, pl, med, flood.Config{})
+	RoutingFlood: {"Flood", func(id int, pl *route.Plane, _ Options) NodeRouter {
+		return flood.NewRouter(id, pl, flood.Config{})
 	}},
-	RoutingDSDV: {"DSDV", func(id int, pl *route.Plane, med *radio.Medium, _ Options) NodeRouter {
-		return dsdv.NewRouter(id, pl, med, dsdv.Config{})
+	RoutingDSDV: {"DSDV", func(id int, pl *route.Plane, _ Options) NodeRouter {
+		return dsdv.NewRouter(id, pl, dsdv.Config{})
 	}},
 }
 

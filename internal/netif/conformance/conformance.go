@@ -8,7 +8,8 @@
 // a destination that is no node of the medium, hooks that
 // may reenter the router, duplicate caches that stay bounded under a
 // broadcast storm, received frames never written through the shared
-// pointer, and every pair's unicast on a static line delivered once.
+// pointer, every pair's unicast on a static line delivered once, and
+// duplicate receptions settled without becoming kernel events.
 package conformance
 
 import (
@@ -37,10 +38,10 @@ type Router interface {
 type Factory struct {
 	// Name labels failure output; use the package name.
 	Name string
-	// New builds node id's router on the network's shared routing plane
-	// and medium. Configure small duplicate-cache caps here if the
-	// default storm test is too slow for the protocol.
-	New func(id int, pl *route.Plane, med *radio.Medium) Router
+	// New builds node id's router on the network's shared routing plane,
+	// which carries the medium. Configure small duplicate-cache caps here
+	// if the default storm test is too slow for the protocol.
+	New func(id int, pl *route.Plane) Router
 	// SenderDownFails selects how the abandoned-payload test provokes a
 	// failure: true means a Send from a down node signals OnSendFailed
 	// (flood's semantics); false means a Send to an unreachable
@@ -121,10 +122,10 @@ func newNet(t *testing.T, f Factory, seed int64, pts []geom.Point) *net {
 		unicast: make([][]netif.Delivery, len(pts)),
 		bcasts:  make([][]netif.Delivery, len(pts)),
 	}
-	pl := route.NewPlane(s, len(pts))
+	pl := route.NewPlane(s, med)
 	for i, p := range pts {
 		i := i
-		r := f.New(i, pl, med)
+		r := f.New(i, pl)
 		if r.ID() != i {
 			t.Fatalf("%s: NewRouter(%d).ID() = %d", f.Name, i, r.ID())
 		}
@@ -189,6 +190,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("SharedFramesReadOnly", func(t *testing.T) { testSharedFramesReadOnly(t, f) })
 	t.Run("UnicastEveryPair", func(t *testing.T) { testUnicastEveryPair(t, f, line(5), lineHops, true) })
 	t.Run("UnicastEveryPairGrid", func(t *testing.T) { testUnicastEveryPair(t, f, grid(3), gridHops(3), false) })
+	t.Run("DuplicatesStayOffKernel", func(t *testing.T) { testDuplicatesStayOffKernel(t, f) })
 }
 
 // testBroadcastTTL pins the controlled-broadcast reach contract: a
@@ -425,6 +427,43 @@ func testSharedFramesReadOnly(t *testing.T, f Factory) {
 	}
 	if fromOrigin != 3 || fromRelays+absorbed != 9 {
 		t.Errorf("broadcast heard %d times from the origin and %d+%d from relays, want 3 and 9", fromOrigin, fromRelays, absorbed)
+	}
+}
+
+// testDuplicatesStayOffKernel pins that the duplicate caches a router
+// declares keep its duplicate receptions off the event kernel, with no
+// line of the router's own (route.NewDupCache): a broadcast and a unicast
+// from one corner, over clique(4) and over the 3×3 grid, count the same
+// duplicates, receptions and deliveries with the medium's absorber
+// removed, and as built fire strictly fewer kernel events.
+func testDuplicatesStayOffKernel(t *testing.T, f Factory) {
+	type outcome struct {
+		DupHits, RxFrames uint64
+		Deliveries        [2][][]netif.Delivery
+	}
+	for _, pts := range [][]geom.Point{clique(4), grid(3)} {
+		var got [2]outcome
+		var fired [2]uint64
+		for run := range got {
+			n := newNet(t, f, 11, pts)
+			if run == 1 {
+				n.med.SetAbsorber(nil)
+			}
+			start := n.s.Fired()
+			n.routers[0].Broadcast(4, 10, netif.TestMsg(41))
+			n.routers[0].Send(len(pts)-1, 10, netif.TestMsg(42))
+			n.s.Run(n.s.Now() + 5*sim.Second)
+			fired[run] = n.s.Fired() - start
+			got[run].Deliveries = [2][][]netif.Delivery{n.unicast, n.bcasts}
+			for i, r := range n.routers {
+				got[run].DupHits += r.Stats().DupHits
+				got[run].RxFrames += n.med.Stats(i).RxFrames
+			}
+		}
+		if !reflect.DeepEqual(got[0], got[1]) || got[0].DupHits == 0 || fired[0] >= fired[1] {
+			t.Errorf("%d nodes: as built %+v in %d kernel events, without the absorber %+v in %d; want fewer events, all else equal",
+				len(pts), got[0], fired[0], got[1], fired[1])
+		}
 	}
 }
 

@@ -26,9 +26,9 @@ func benchOverlay(tb testing.TB, seed int64, arena geom.Rect, pts []geom.Point, 
 	}
 	col := telemetry.NewCollector(len(pts))
 	svs := make([]*Servent, len(pts))
-	pl := route.NewPlane(s, len(pts))
+	pl := route.NewPlane(s, med)
 	for i, p := range pts {
-		rt := flood.NewRouter(i, pl, med, flood.Config{})
+		rt := flood.NewRouter(i, pl, flood.Config{})
 		med.Join(i, p, rt.HandleFrame)
 		opt := Options{Collector: col, RNG: s.NewRand(), NoQueries: true, NoEstablish: true}
 		if files != nil {

@@ -51,7 +51,7 @@ func newWorld(t *testing.T, spec worldSpec) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := route.NewPlane(s, med.NumNodes())
+	pl := route.NewPlane(s, med)
 	w := &world{
 		s:   s,
 		med: med,
@@ -60,7 +60,7 @@ func newWorld(t *testing.T, spec worldSpec) *world {
 		col: telemetry.NewCollector(len(spec.pts)),
 	}
 	for i, p := range spec.pts {
-		rt := aodv.NewRouter(i, pl, med, aodv.Config{})
+		rt := aodv.NewRouter(i, pl, aodv.Config{})
 		w.rts[i] = rt
 		med.Join(i, p, rt.HandleFrame)
 		if spec.member != nil && !spec.member[i] {

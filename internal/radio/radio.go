@@ -329,9 +329,6 @@ func (m *Medium) InFlightTo(dst []uint64) []uint64 {
 	return dst
 }
 
-// Range returns the configured transmission range in metres.
-func (m *Medium) Range() float64 { return m.cfg.Range }
-
 // NumNodes returns the node-ID space size.
 func (m *Medium) NumNodes() int { return m.cfg.NumNodes }
 

@@ -15,19 +15,15 @@ import (
 // protocol-specific extras ride in the shared fields (OriginSeq for
 // AODV's table piggyback, Path for DSR's route accumulation).
 type Bcaster struct {
-	core  *Core
-	med   *radio.Medium
-	cache *DupCache
+	core     *Core
+	cache    *DupCache
+	suppress bool
 
 	// HdrSize is the broadcast framing overhead added to the payload
 	// size; PerHop is the additional per-recorded-hop overhead (DSR's
 	// 4 bytes per path entry, 0 elsewhere).
 	hdrSize int
 	perHop  int
-
-	// Disable turns off duplicate suppression (the AODV ablation flag):
-	// re-arrivals still count as cache hits but are processed anyway.
-	Disable bool
 
 	// Accept runs on every first arrival, before delivery: table
 	// updates, route learning. It returns the hop count to report
@@ -54,19 +50,17 @@ type Bcaster struct {
 }
 
 // NewBcaster creates the broadcast relay for core's node with the given
-// framing overheads and duplicate-cache bounds.
-func NewBcaster(core *Core, med *radio.Medium, hdrSize, perHop int, cfg CacheConfig) *Bcaster {
-	return &Bcaster{
-		core:    core,
-		med:     med,
-		cache:   NewDupCache(core, cfg),
-		hdrSize: hdrSize,
-		perHop:  perHop,
+// framing overheads and duplicate-cache bounds. Without suppress (the
+// AODV ablation flag) re-arrivals still count as cache hits but are
+// processed anyway, so its cache declares no frame kind.
+func NewBcaster(core *Core, hdrSize, perHop int, cfg CacheConfig, suppress bool) *Bcaster {
+	kind := netif.PktNone
+	if suppress {
+		kind = netif.PktBcast
 	}
+	return &Bcaster{core: core, cache: NewDupCache(core, kind, cfg), suppress: suppress,
+		hdrSize: hdrSize, perHop: perHop}
 }
-
-// Absorbs declares the broadcast's duplicates inert (DupCache.Absorbs).
-func (bc *Bcaster) Absorbs() { bc.cache.Absorbs(netif.PktBcast, bc.med) }
 
 // frameSize is the on-air size of b.
 func (bc *Bcaster) frameSize(b *netif.Packet) int {
@@ -87,7 +81,7 @@ func (bc *Bcaster) Originate(ttl, size int, payload netif.Msg, originSeq uint32)
 	}
 	bc.cache.Mark(Key{Origin: b.Origin, ID: b.ID})
 	bc.core.Count.BcastOrig++
-	bc.med.Send(radio.Frame{Src: bc.core.id, Dst: radio.BroadcastAddr, Size: bc.frameSize(&b), Payload: b})
+	bc.core.Medium.Send(radio.Frame{Src: bc.core.id, Dst: radio.BroadcastAddr, Size: bc.frameSize(&b), Payload: b})
 }
 
 // Handle processes a broadcast arrival from neighbor prev: suppress
@@ -99,7 +93,7 @@ func (bc *Bcaster) Handle(prev int, b *netif.Packet) {
 	}
 	if bc.cache.Mark(Key{Origin: b.Origin, ID: b.ID}) {
 		bc.core.Count.DupHits++
-		if !bc.Disable {
+		if bc.suppress {
 			return
 		}
 	}
@@ -119,5 +113,5 @@ func (bc *Bcaster) Handle(prev int, b *netif.Packet) {
 	if bc.PrepRelay != nil {
 		bc.PrepRelay(p)
 	}
-	bc.med.Send(radio.Frame{Src: bc.core.id, Dst: radio.BroadcastAddr, Size: bc.frameSize(p), Payload: *p})
+	bc.core.Medium.Send(radio.Frame{Src: bc.core.id, Dst: radio.BroadcastAddr, Size: bc.frameSize(p), Payload: *p})
 }

@@ -3,6 +3,7 @@ package route
 import (
 	"testing"
 
+	"manetp2p/internal/netif"
 	"manetp2p/internal/sim"
 )
 
@@ -29,9 +30,9 @@ const (
 // steady-state size.
 func newDupCheckBench() *dupCheckBench {
 	w := &dupCheckBench{s: sim.New(5), caches: make([]*DupCache, dupCheckNodes)}
-	pl := NewPlane(w.s, dupCheckNodes)
+	pl := testPlane(w.s, dupCheckNodes)
 	for n := range w.caches {
-		w.caches[n] = NewDupCache(NewCore(n, pl), CacheConfig{Timeout: dupCheckTimeout})
+		w.caches[n] = NewDupCache(NewCore(n, pl), netif.PktBcast, CacheConfig{Timeout: dupCheckTimeout})
 	}
 	for warm := 2 * int(dupCheckTimeout/dupCheckGap); w.next < warm; {
 		w.flood()

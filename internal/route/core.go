@@ -26,6 +26,7 @@ import (
 	"fmt"
 
 	"manetp2p/internal/netif"
+	"manetp2p/internal/radio"
 	"manetp2p/internal/sim"
 )
 
@@ -33,9 +34,10 @@ import (
 // *Core and inherit the netif.Protocol hook surface (ID, OnUnicast,
 // OnBroadcast, OnSendFailed, Stats) plus the delivery helpers.
 type Core struct {
-	id    int
-	sim   *sim.Sim
-	plane *Plane
+	id     int
+	plane  *Plane
+	Sim    *sim.Sim      // the plane's kernel: the router's clock and timers
+	Medium *radio.Medium // the plane's medium, which the router transmits on
 
 	// Count is the unified routing-effort counter block. Shared
 	// mechanisms (dispatch, duplicate caches) maintain their counters
@@ -59,11 +61,11 @@ type Core struct {
 
 // NewCore creates the dispatch core for node id of pl's simulation.
 func NewCore(id int, pl *Plane) *Core {
-	if id < 0 || id >= pl.nodes {
+	if id < 0 || id >= pl.med.NumNodes() {
 		// Unreachable from input: manet.Build makes one core per id in [0, NumNodes) on a NumNodes plane.
-		panic(fmt.Sprintf("route: node id %d outside the plane's %d nodes", id, pl.nodes))
+		panic(fmt.Sprintf("route: node id %d outside the plane's %d nodes", id, pl.med.NumNodes()))
 	}
-	c := &Core{id: id, sim: pl.sim, plane: pl}
+	c := &Core{id: id, plane: pl, Sim: pl.sim, Medium: pl.med}
 	c.selfDeliverFn = c.selfDeliver
 	return c
 }
@@ -71,11 +73,13 @@ func NewCore(id int, pl *Plane) *Core {
 // ID returns the node this control plane belongs to.
 func (c *Core) ID() int { return c.id }
 
-// Now returns the current simulated time.
-func (c *Core) Now() sim.Time { return c.sim.Now() }
-
-// Stats returns the routing-effort counters accumulated so far.
-func (c *Core) Stats() netif.Stats { return c.Count }
+// Stats returns the routing-effort counters accumulated so far, DupHits
+// with the duplicates the medium settled unhandled (NewDupCache).
+func (c *Core) Stats() netif.Stats {
+	s := c.Count
+	s.DupHits += c.Medium.Stats(c.id).Absorbed
+	return s
+}
 
 // OnUnicast installs the hook for data addressed to this node.
 func (c *Core) OnUnicast(fn func(netif.Delivery)) { c.onUnicast = fn }
@@ -121,7 +125,7 @@ func (c *Core) FailSend(dst int, payload netif.Msg) {
 // the queue's backing array is warm.
 func (c *Core) SelfDeliver(payload netif.Msg) {
 	c.selfQ = append(c.selfQ, payload)
-	c.sim.Schedule(0, c.selfDeliverFn)
+	c.Sim.Schedule(0, c.selfDeliverFn)
 }
 
 func (c *Core) selfDeliver() {

@@ -1,8 +1,9 @@
 package route
 
 import (
+	"fmt"
+
 	"manetp2p/internal/netif"
-	"manetp2p/internal/radio"
 	"manetp2p/internal/sim"
 )
 
@@ -60,14 +61,24 @@ type DupCache struct {
 	node int
 }
 
-// NewDupCache creates core's node's handle on the plane's index for
-// caches of this configuration created at this position on their Core
-// (a router creates its caches in a fixed order, so position plus
-// configuration names the family), and registers it for the core's
-// SeenEntries/SeenBound accounting.
-func NewDupCache(core *Core, cfg CacheConfig) *DupCache {
-	dc := &DupCache{x: core.plane.dupIndex(len(core.caches), cfg.withDefaults()), node: core.id}
+// NewDupCache creates core's node's cache for frames of kind: a handle
+// on the plane's index for caches of this configuration made at this
+// position on their Core (a router makes its caches in a fixed order, so
+// position plus configuration names the family). A kind but PktNone
+// promises that the router only counts a duplicate for a frame of kind
+// whose key the node holds, and ignores it at its origin, so the medium
+// settles those receptions without the router (Plane.inert).
+func NewDupCache(core *Core, kind netif.PacketKind, cfg CacheConfig) *DupCache {
+	p := core.plane
+	dc := &DupCache{x: p.dupIndex(len(core.caches), cfg.withDefaults()), node: core.id}
 	core.caches = append(core.caches, dc)
+	if kind != netif.PktNone {
+		if y := p.absorb[kind]; y != nil && y != dc.x {
+			// Unreachable from input: each router declares one cache per frame kind, and a plane carries one router.
+			panic(fmt.Sprintf("route: two duplicate-cache families declared for packet kind %d", kind))
+		}
+		p.absorb[kind] = dc.x
+	}
 	return dc
 }
 
@@ -81,31 +92,6 @@ func (dc *DupCache) Seen(k Key) bool { return dc.x.seen(dc.node, k) }
 
 // Len returns the number of live marks this node holds.
 func (dc *DupCache) Len() int { return dc.x.count(dc.node) }
-
-// Holders returns the nodes holding k marked (a bitset valid until the
-// next call) and an instant before which none of those marks expires.
-func (dc *DupCache) Holders(k Key) (set []uint64, until sim.Time) {
-	x := dc.x
-	x.retire()
-	_, rec := x.find(k)
-	if rec < 0 {
-		return nil, 0
-	}
-	return x.bits[int(rec)*x.words : int(rec+1)*x.words], x.recs[rec].t0 + x.cfg.Timeout
-}
-
-// Absorbs declares that a frame of kind whose key a node holds marked
-// only counts a duplicate there, and nothing at its origin, and installs
-// the plane's answer on med (radio.Inert); evictions then hand the
-// evicted node's held copies back to med first.
-func (dc *DupCache) Absorbs(kind netif.PacketKind, med *radio.Medium) {
-	p := dc.x.plane
-	p.absorb[kind] = dc
-	if p.onEvict == nil {
-		p.onEvict = med.Unabsorb
-		med.SetAbsorber(p.inert)
-	}
-}
 
 // dupIndex is the duplicate-cache state of every node of one family:
 // one record per live (origin, id) holding the set of nodes that have
@@ -164,11 +150,11 @@ func newDupIndex(ord int, cfg CacheConfig, p *Plane) *dupIndex {
 		cfg:   cfg,
 		plane: p,
 		sim:   p.sim,
-		words: (p.nodes + 63) / 64,
+		words: (p.med.NumNodes() + 63) / 64,
 		table: make([]int32, 16),
 		mask:  15,
 		log:   make([]dupMark, 16),
-		live:  make([]int32, p.nodes),
+		live:  make([]int32, p.med.NumNodes()),
 	}
 }
 
@@ -229,6 +215,17 @@ func (x *dupIndex) retire() sim.Time {
 		x.n--
 	}
 	return now
+}
+
+// holders returns the nodes holding k marked (a bitset valid until the
+// next call) and an instant before which none of those marks expires.
+func (x *dupIndex) holders(k Key) (set []uint64, until sim.Time) {
+	x.retire()
+	_, rec := x.find(k)
+	if rec < 0 {
+		return nil, 0
+	}
+	return x.bits[int(rec)*x.words : int(rec+1)*x.words], x.recs[rec].t0 + x.cfg.Timeout
 }
 
 func (x *dupIndex) seen(node int, k Key) bool {
@@ -352,11 +349,10 @@ func (x *dupIndex) remove(rec int32) {
 }
 
 // evict kills node's oldest marks, in log order, down to three quarters
-// of the hard cap, after the plane's eviction hook (DupCache.Absorbs).
+// of the hard cap, after the medium hands back the node's held copies:
+// one of them may be a duplicate no longer.
 func (x *dupIndex) evict(node int) {
-	if x.plane.onEvict != nil {
-		x.plane.onEvict(node)
-	}
+	x.plane.med.Unabsorb(node)
 	drop := int(x.live[node]) - x.cfg.HardCap*3/4
 	for i := x.head; drop > 0; i = (i + 1) & (len(x.log) - 1) {
 		if m := &x.log[i]; int(m.node) == node {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"manetp2p/internal/netif"
 	"manetp2p/internal/sim"
 )
 
@@ -87,13 +88,13 @@ func TestDupIndexMatchesReferenceModel(t *testing.T) {
 		{Timeout: 7 * sim.Second, HardCap: 9},
 	}
 	s := sim.New(1)
-	pl := NewPlane(s, nodes)
+	pl := testPlane(s, nodes)
 	caches := make([][]*DupCache, nodes) // [node][family]
 	models := make([][]*refCache, nodes)
 	for n := range caches {
 		core := NewCore(n, pl)
-		for _, cfg := range cfgs {
-			caches[n] = append(caches[n], NewDupCache(core, cfg))
+		for f, cfg := range cfgs {
+			caches[n] = append(caches[n], NewDupCache(core, []netif.PacketKind{netif.PktRREQ, netif.PktBcast}[f], cfg))
 			models[n] = append(models[n], newRefCache(cfg))
 		}
 	}
@@ -195,7 +196,7 @@ func TestDupIndexMatchesReferenceModel(t *testing.T) {
 func TestDupCacheRemarkLeavesAgeAlone(t *testing.T) {
 	c, s := testCore(6)
 	const timeout = 10 * sim.Second
-	dc := NewDupCache(c, CacheConfig{Timeout: timeout})
+	dc := NewDupCache(c, netif.PktBcast, CacheConfig{Timeout: timeout})
 	k := Key{Origin: 3, ID: 7}
 	if dc.Mark(k) {
 		t.Fatal("first mark reported a duplicate")
@@ -221,7 +222,7 @@ func TestDupCacheRemarkLeavesAgeAlone(t *testing.T) {
 func TestDupCacheDuplicateAtHardCapEvictsNothing(t *testing.T) {
 	c, _ := testCore(7)
 	const hardCap = 8
-	dc := NewDupCache(c, CacheConfig{Timeout: sim.Minute, HardCap: hardCap})
+	dc := NewDupCache(c, netif.PktBcast, CacheConfig{Timeout: sim.Minute, HardCap: hardCap})
 	for i := 0; i < hardCap; i++ {
 		dc.Mark(Key{Origin: 1, ID: uint32(i)})
 	}
@@ -258,11 +259,11 @@ func collidingKeys(x *dupIndex, origin, n int) []Key {
 // and the key that reuses it must not inherit anyone's bit.
 func TestDupIndexRecordRemovalKeepsProbeRunsIntact(t *testing.T) {
 	s := sim.New(8)
-	pl := NewPlane(s, 3)
+	pl := testPlane(s, 3)
 	const timeout = 10 * sim.Second
 	var dc [3]*DupCache
 	for n := range dc {
-		dc[n] = NewDupCache(NewCore(n, pl), CacheConfig{Timeout: timeout})
+		dc[n] = NewDupCache(NewCore(n, pl), netif.PktBcast, CacheConfig{Timeout: timeout})
 	}
 	x := pl.dups[0]
 	keys := collidingKeys(x, 5, 4)
@@ -306,7 +307,7 @@ func TestDupIndexRecordRemovalKeepsProbeRunsIntact(t *testing.T) {
 func TestDupIndexReprobesAfterEviction(t *testing.T) {
 	c, _ := testCore(9)
 	const hardCap = 4 // evicts one mark per crossing; the table stays at 16 slots
-	dc := NewDupCache(c, CacheConfig{Timeout: sim.Minute, HardCap: hardCap})
+	dc := NewDupCache(c, netif.PktBcast, CacheConfig{Timeout: sim.Minute, HardCap: hardCap})
 	keys := collidingKeys(dc.x, 5, 2)
 	dc.Mark(keys[0]) // oldest: the one the crossing evicts
 	for i := 1; i < hardCap; i++ {
@@ -329,9 +330,9 @@ func TestDupIndexReprobesAfterEviction(t *testing.T) {
 func TestPlaneAuditDetectsCorruption(t *testing.T) {
 	build := func() (*Plane, *dupIndex) {
 		s := sim.New(10)
-		pl := NewPlane(s, 4)
+		pl := testPlane(s, 4)
 		for n := 0; n < 4; n++ {
-			dc := NewDupCache(NewCore(n, pl), CacheConfig{Timeout: sim.Minute, HardCap: 16})
+			dc := NewDupCache(NewCore(n, pl), netif.PktBcast, CacheConfig{Timeout: sim.Minute, HardCap: 16})
 			for id := 0; id <= n+2; id++ {
 				dc.Mark(Key{Origin: 9, ID: uint32(id)})
 			}

@@ -84,6 +84,3 @@ func (p *Pending[P]) Take(dst int) (*Discovery[P], bool) {
 	d.Timer.Cancel()
 	return d, true
 }
-
-// Len returns the number of destinations with pending entries.
-func (p *Pending[P]) Len() int { return len(p.m) }

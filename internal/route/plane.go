@@ -6,28 +6,26 @@ import (
 	"manetp2p/internal/sim"
 )
 
-// Plane is the routing state one simulation's nodes share: the clock and
-// one duplicate index per cache family. Whoever builds a network creates
-// one Plane and hands it to every node's router constructor; nothing in
-// it is package-level, so concurrent replications share nothing.
+// Plane is the routing state one simulation's nodes share: the clock,
+// the medium and one duplicate index per cache family. Whoever builds a
+// network creates one Plane and hands it to every node's router
+// constructor; nothing in it is package-level, so concurrent
+// replications share nothing.
 type Plane struct {
-	sim   *sim.Sim
-	nodes int
-	dups  []*dupIndex
-
-	// Per frame kind, a cache whose marks make it inert; the eviction hook.
-	absorb  [netif.NumPacketKinds]*DupCache
-	onEvict func(node int)
+	sim    *sim.Sim
+	med    *radio.Medium
+	dups   []*dupIndex
+	absorb [netif.NumPacketKinds]*dupIndex // per frame kind, the family declared for it
 }
 
-// NewPlane creates the shared routing state for a simulation of nodes
-// nodes, ids 0 to nodes−1.
-func NewPlane(s *sim.Sim, nodes int) *Plane {
-	return &Plane{sim: s, nodes: nodes}
+// NewPlane creates the shared routing state for the simulation of med's
+// nodes and installs on med its answer to which receptions only count a
+// duplicate, from the caches declared for their frame kinds (NewDupCache).
+func NewPlane(s *sim.Sim, med *radio.Medium) *Plane {
+	p := &Plane{sim: s, med: med}
+	med.SetAbsorber(p.inert)
+	return p
 }
-
-// Sim returns the simulation's kernel.
-func (p *Plane) Sim() *sim.Sim { return p.sim }
 
 // dupIndex returns the index of the family (ord, cfg), creating it on
 // first use.
@@ -46,11 +44,11 @@ func (p *Plane) dupIndex(ord int, cfg CacheConfig) *dupIndex {
 // in flight marks its node no earlier than now. Node ids are below 2^16.
 func (p *Plane) inert(f *radio.Frame) radio.Inert {
 	b := &f.Payload
-	dc := p.absorb[b.Kind]
-	if dc == nil {
+	x := p.absorb[b.Kind]
+	if x == nil {
 		return radio.Inert{}
 	}
-	set, until := dc.Holders(Key{Origin: b.Origin, ID: b.ID})
-	return radio.Inert{Set: set, Until: until, Fresh: p.sim.Now() + dc.x.cfg.Timeout, Skip: b.Origin,
-		Token: uint64(dc.x.ord+1)<<56 | uint64(uint32(b.Origin))<<32 | uint64(b.ID)}
+	set, until := x.holders(Key{Origin: b.Origin, ID: b.ID})
+	return radio.Inert{Set: set, Until: until, Fresh: p.sim.Now() + x.cfg.Timeout, Skip: b.Origin,
+		Token: uint64(b.Kind+1)<<56 | uint64(uint32(b.Origin))<<32 | uint64(b.ID)}
 }

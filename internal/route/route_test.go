@@ -3,18 +3,29 @@ package route
 import (
 	"testing"
 
+	"manetp2p/internal/geom"
 	"manetp2p/internal/netif"
+	"manetp2p/internal/radio"
 	"manetp2p/internal/sim"
 )
 
+// testPlane returns a plane over a fresh medium of nodes nodes.
+func testPlane(s *sim.Sim, nodes int) *Plane {
+	med, err := radio.NewMedium(s, radio.Config{Arena: geom.Rect{W: 100, H: 100}, Range: 10, NumNodes: nodes})
+	if err != nil {
+		panic(err)
+	}
+	return NewPlane(s, med)
+}
+
 func testCore(seed int64) (*Core, *sim.Sim) {
 	s := sim.New(seed)
-	return NewCore(0, NewPlane(s, 1)), s
+	return NewCore(0, testPlane(s, 1)), s
 }
 
 func TestDupCacheSeenRespectsTimeout(t *testing.T) {
 	c, s := testCore(1)
-	dc := NewDupCache(c, CacheConfig{Timeout: 10 * sim.Second})
+	dc := NewDupCache(c, netif.PktBcast, CacheConfig{Timeout: 10 * sim.Second})
 	k := Key{Origin: 3, ID: 7}
 	if dc.Seen(k) {
 		t.Fatal("unmarked key reported seen")
@@ -35,7 +46,7 @@ func TestDupCacheSeenRespectsTimeout(t *testing.T) {
 func TestDupCacheExpiryIsExact(t *testing.T) {
 	c, s := testCore(2)
 	const timeout = 5 * sim.Second
-	dc := NewDupCache(c, CacheConfig{Timeout: timeout})
+	dc := NewDupCache(c, netif.PktBcast, CacheConfig{Timeout: timeout})
 	for i := 0; i < 8; i++ {
 		dc.Mark(Key{Origin: 1, ID: uint32(i)})
 	}
@@ -58,9 +69,30 @@ func TestDupCacheExpiryIsExact(t *testing.T) {
 	}
 }
 
+// Every node's cache of one family declares the same kind; a second
+// family declaring it panics, and PktNone declares nothing.
+func TestDupCacheKindDeclaredByOneFamily(t *testing.T) {
+	pl := testPlane(sim.New(1), 2)
+	a, b := NewCore(0, pl), NewCore(1, pl)
+	cfg := CacheConfig{Timeout: sim.Second}
+	NewDupCache(a, netif.PktRREQ, cfg)
+	NewDupCache(b, netif.PktRREQ, cfg)
+	NewDupCache(a, netif.PktNone, cfg)
+	NewDupCache(b, netif.PktNone, cfg)
+	if pl.absorb[netif.PktNone] != nil || pl.absorb[netif.PktRREQ] != pl.dups[0] {
+		t.Fatalf("declared %v, want only PktRREQ's family", pl.absorb)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second family declared PktRREQ without a panic")
+		}
+	}()
+	NewDupCache(a, netif.PktRREQ, cfg)
+}
+
 func TestDupCacheHardCapEvictsOldestDeterministically(t *testing.T) {
 	c, _ := testCore(3)
-	dc := NewDupCache(c, CacheConfig{Timeout: 60 * sim.Minute, HardCap: 8})
+	dc := NewDupCache(c, netif.PktBcast, CacheConfig{Timeout: 60 * sim.Minute, HardCap: 8})
 	// All marks at t=0: nothing ever expires, so crossing the hard cap
 	// must evict fresh entries down to 3/4 of the cap.
 	for i := 0; i < 100; i++ {
