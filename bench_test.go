@@ -125,9 +125,11 @@ func BenchmarkAblationDupCache(b *testing.B) {
 	run := func(disable bool) float64 {
 		cfg := DefaultScenario(50, Basic)
 		cfg.Seed = 11
+		aodvCfg := aodv.DefaultConfig()
+		aodvCfg.DisableBcastDupCache = disable
 		net, err := manet.Build(cfg, 0, manet.Options{
 			NoQueries: true,
-			AODV:      aodv.Config{DisableBcastDupCache: disable},
+			AODV:      &aodvCfg,
 		})
 		if err != nil {
 			b.Fatal(err)

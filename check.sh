@@ -169,6 +169,21 @@ if [ -n "$wired$installs" ]; then
 fi
 echo ok
 
+# A router writes only its protocol: route.Core is its Send (the
+# self-delivery and down-sender rule, then the Route hook) and its
+# Broadcast, and its Config comes from DefaultConfig as given. A Send,
+# Broadcast or withDefaults in a router package is a second copy of
+# that front half, free to drift from the other routers'.
+echo "== seam lint (the Protocol surface is route's) =="
+surface=$(grep -rnE 'func \(r \*Router\) (Send|Broadcast)\(|withDefaults' \
+	internal/aodv internal/dsr internal/dsdv internal/flood --include='*.go' --exclude='*_test.go' || true)
+if [ -n "$surface" ]; then
+	echo "netif.Protocol front half written by a router:"
+	echo "$surface"
+	exit 1
+fi
+echo ok
+
 echo "== go build =="
 go build ./...
 echo ok

@@ -28,7 +28,7 @@ func BenchmarkAODVDiscovery(b *testing.B) {
 		pl := route.NewPlane(s, med)
 		delivered := false
 		for n := 0; n < 11; n++ {
-			routers[n] = NewRouter(n, pl, Config{})
+			routers[n] = NewRouter(n, pl, DefaultConfig())
 			med.Join(n, geom.Point{X: 5 + 8*float64(n), Y: 25}, routers[n].HandleFrame)
 		}
 		routers[10].OnUnicast(func(Delivery) { delivered = true })
@@ -68,8 +68,10 @@ func newFloodBench(tb testing.TB) *floodBench {
 		tb.Fatal(err)
 	}
 	pl := route.NewPlane(w.s, med)
+	cfg := DefaultConfig()
+	cfg.Seen.Timeout = sim.Second
 	for n := range w.routers {
-		w.routers[n] = NewRouter(n, pl, Config{SeenCacheTimeout: sim.Second})
+		w.routers[n] = NewRouter(n, pl, cfg)
 		w.routers[n].OnBroadcast(func(Delivery) { w.delivered++ })
 		med.Join(n, geom.Point{X: 5 + 4*float64(n%floodSide), Y: 5 + 4*float64(n/floodSide)}, w.routers[n].HandleFrame)
 	}

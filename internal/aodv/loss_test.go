@@ -36,7 +36,7 @@ func lossyNet(t *testing.T, seed int64, n int, loss float64) *testNet {
 	}
 	for i := 0; i < n; i++ {
 		i := i
-		r := NewRouter(i, pl, Config{})
+		r := NewRouter(i, pl, DefaultConfig())
 		r.OnUnicast(func(d Delivery) { net.unicast[i] = append(net.unicast[i], d) })
 		r.OnBroadcast(func(d Delivery) { net.bcasts[i] = append(net.bcasts[i], d) })
 		r.OnSendFailed(func(dst int, _ netif.Msg) { net.failed[i] = append(net.failed[i], dst) })
@@ -97,7 +97,7 @@ func TestFloodRedundancyBeatsLossForBroadcast(t *testing.T) {
 	routers := make([]*Router, nodes)
 	for i := 0; i < nodes; i++ {
 		i := i
-		routers[i] = NewRouter(i, pl, Config{})
+		routers[i] = NewRouter(i, pl, DefaultConfig())
 		routers[i].OnBroadcast(func(Delivery) { reached[i] = true })
 		med.Join(i, geom.Point{X: 50 + float64(i%3)*2, Y: 50 + float64(i/3)*2}, routers[i].HandleFrame)
 	}

@@ -12,18 +12,17 @@ import (
 // The router implements the pluggable network-layer interface.
 var _ netif.Protocol = (*Router)(nil)
 
-// Config tunes the routing layer. Zero fields are filled from defaults.
+// Config tunes the routing layer; start from DefaultConfig.
 type Config struct {
-	ActiveRouteTimeout  sim.Time // lifetime of an unused route
-	SeenCacheTimeout    sim.Time // duplicate-suppression window for floods
-	SeenCacheCap        int      // a node's duplicate cache holds at most twice this many live entries
-	MaxDiscoveryRetries int      // extra network-wide RREQ attempts
-	TTLStart            int      // first expanding-ring radius
-	TTLIncrement        int      // ring growth per attempt
-	TTLMax              int      // network-wide search radius
-	HopTraversal        sim.Time // per-hop time budget for discovery timers
-	DataTTL             int      // hop budget for data packets
-	BufferCap           int      // packets buffered per pending discovery
+	ActiveRouteTimeout  sim.Time          // lifetime of an unused route
+	Seen                route.CacheConfig // duplicate suppression of floods
+	MaxDiscoveryRetries int               // extra network-wide RREQ attempts
+	TTLStart            int               // first expanding-ring radius
+	TTLIncrement        int               // ring growth per attempt
+	TTLMax              int               // network-wide search radius
+	HopTraversal        sim.Time          // per-hop time budget for discovery timers
+	DataTTL             int               // hop budget for data packets
+	BufferCap           int               // packets buffered per pending discovery
 
 	// DisableBcastDupCache turns off the controlled broadcast's
 	// duplicate suppression — the ablation of the paper's §7 ns-2
@@ -41,8 +40,7 @@ func DefaultConfig() Config {
 		// the link-layer InRange check catches on use; the timeout only
 		// bounds silent staleness, so it can be generous.
 		ActiveRouteTimeout:  30 * sim.Second,
-		SeenCacheTimeout:    30 * sim.Second,
-		SeenCacheCap:        route.DefaultSeenCacheCap,
+		Seen:                route.DefaultCacheConfig(),
 		MaxDiscoveryRetries: 2,
 		TTLStart:            4,
 		TTLIncrement:        4,
@@ -51,41 +49,6 @@ func DefaultConfig() Config {
 		DataTTL:             30,
 		BufferCap:           16,
 	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.ActiveRouteTimeout <= 0 {
-		c.ActiveRouteTimeout = d.ActiveRouteTimeout
-	}
-	if c.SeenCacheTimeout <= 0 {
-		c.SeenCacheTimeout = d.SeenCacheTimeout
-	}
-	if c.SeenCacheCap <= 0 {
-		c.SeenCacheCap = d.SeenCacheCap
-	}
-	if c.MaxDiscoveryRetries <= 0 {
-		c.MaxDiscoveryRetries = d.MaxDiscoveryRetries
-	}
-	if c.TTLStart <= 0 {
-		c.TTLStart = d.TTLStart
-	}
-	if c.TTLIncrement <= 0 {
-		c.TTLIncrement = d.TTLIncrement
-	}
-	if c.TTLMax <= 0 {
-		c.TTLMax = d.TTLMax
-	}
-	if c.HopTraversal <= 0 {
-		c.HopTraversal = d.HopTraversal
-	}
-	if c.DataTTL <= 0 {
-		c.DataTTL = d.DataTTL
-	}
-	if c.BufferCap <= 0 {
-		c.BufferCap = d.BufferCap
-	}
-	return c
 }
 
 // Delivery is an upper-layer arrival: who originated the message, how
@@ -118,18 +81,18 @@ type Router struct {
 // shared routing plane. The caller must pass r.HandleFrame as the node's
 // radio receiver when joining the plane's medium.
 func NewRouter(id int, pl *route.Plane, cfg Config) *Router {
-	cfg = cfg.withDefaults()
 	core := route.NewCore(id, pl)
-	cache := route.CacheConfig{Timeout: cfg.SeenCacheTimeout, HardCap: 2 * cfg.SeenCacheCap}
 	r := &Router{
 		Core:     core,
 		cfg:      cfg,
 		table:    newRouteTable(core.Medium.NumNodes()),
-		seenRREQ: route.NewDupCache(core, netif.PktRREQ, cache),
-		bcast:    route.NewBcaster(core, sizeBcastHdr, 0, cache, !cfg.DisableBcastDupCache),
+		seenRREQ: route.NewDupCache(core, netif.PktRREQ, cfg.Seen),
+		bcast:    route.NewBcaster(core, sizeBcastHdr, 0, cfg.Seen, !cfg.DisableBcastDupCache),
 		pending:  route.NewPending[netif.Packet](cfg.BufferCap),
 	}
+	core.Route = r.routeData
 	r.bcast.Accept = r.acceptBcast
+	r.bcast.Stamp = r.nextSeq
 	r.discTimeoutFn = r.discTimeout
 	return r
 }
@@ -144,18 +107,12 @@ func (r *Router) HopsTo(dst int) (int, bool) {
 	return int(e.hopCount), true
 }
 
-// Broadcast floods payload to every node within ttl ad-hoc hops using the
-// controlled broadcast (duplicate-suppressed, TTL-limited).
-func (r *Router) Broadcast(ttl, size int, payload netif.Msg) {
-	if ttl <= 0 {
-		// Unreachable from input: overlay TTLs are NHopsBasic >= 1 (Params.Validate), a nonzero ring radius or randhops >= 1.
-		panic("aodv: Broadcast with non-positive TTL")
-	}
-	if !r.Medium.Up(r.ID()) {
-		return
-	}
+// nextSeq advances and returns this node's sequence number, which its
+// RREQs, its RREPs as destination and its broadcasts (Bcaster.Stamp)
+// carry.
+func (r *Router) nextSeq() uint32 {
 	r.seq++
-	r.bcast.Originate(ttl, size, payload, r.seq)
+	return r.seq
 }
 
 // acceptBcast is the per-hop side effect of the controlled broadcast:
@@ -170,24 +127,9 @@ func (r *Router) acceptBcast(prev int, b *netif.Packet) int {
 	return b.HopCount
 }
 
-// Send routes an application payload of the given size to dst,
-// discovering a route on demand. Sending to self delivers locally with
-// zero hops on the next event-loop turn.
-func (r *Router) Send(dst, size int, payload netif.Msg) {
-	if dst == r.ID() {
-		r.SelfDeliver(payload)
-		return
-	}
-	r.Count.DataSent++
-	if !r.Medium.Up(r.ID()) {
-		return
-	}
-	if dst < 0 || dst >= r.Medium.NumNodes() {
-		// No node of this medium: no discovery could find it, and the
-		// route table has no row for it.
-		r.FailSend(dst, payload)
-		return
-	}
+// routeData routes an application payload to dst, discovering a route
+// on demand.
+func (r *Router) routeData(dst, size int, payload netif.Msg) {
 	pkt := netif.Packet{Kind: netif.PktData, Origin: r.ID(), Dst: dst, HopCount: 0, TTL: r.cfg.DataTTL, Size: size, Msg: payload}
 	if _, ok := r.table.get(dst, r.Sim.Now()); ok {
 		r.forwardData(pkt)
@@ -224,12 +166,11 @@ func (r *Router) enqueue(pkt netif.Packet) {
 // retry timer.
 func (r *Router) sendRREQ(dst int, d *route.Discovery[netif.Packet]) {
 	r.rreqID++
-	r.seq++
 	var dstSeq uint32
 	if e := r.table.raw(dst); e.haveSeq {
 		dstSeq = e.seq
 	}
-	q := netif.Packet{Kind: netif.PktRREQ, Origin: r.ID(), OriginSeq: r.seq, ID: r.rreqID, Dst: dst, DstSeq: dstSeq, HopCount: 0, TTL: d.TTL}
+	q := netif.Packet{Kind: netif.PktRREQ, Origin: r.ID(), OriginSeq: r.nextSeq(), ID: r.rreqID, Dst: dst, DstSeq: dstSeq, HopCount: 0, TTL: d.TTL}
 	r.seenRREQ.Mark(route.Key{Origin: r.ID(), ID: q.ID})
 	r.Count.CtrlOrig++
 	r.Medium.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: sizeRREQ, Payload: q})
@@ -387,8 +328,7 @@ func (r *Router) handleRREQ(prev int, rx *netif.Packet) {
 		if seqGreater(rx.DstSeq, r.seq) {
 			r.seq = rx.DstSeq
 		}
-		r.seq++
-		r.sendRREP(netif.Packet{Kind: netif.PktRREP, Origin: rx.Origin, Dst: r.ID(), DstSeq: r.seq, HopCount: 0}, now, false)
+		r.sendRREP(netif.Packet{Kind: netif.PktRREP, Origin: rx.Origin, Dst: r.ID(), DstSeq: r.nextSeq(), HopCount: 0}, now, false)
 		return
 	}
 	if e, ok := r.table.get(rx.Dst, now); ok && e.haveSeq && !seqGreater(rx.DstSeq, e.seq) {

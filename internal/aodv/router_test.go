@@ -68,7 +68,7 @@ func line(n int) []geom.Point {
 }
 
 func TestUnicastOverMultipleHops(t *testing.T) {
-	n := newTestNet(t, 1, line(5), Config{})
+	n := newTestNet(t, 1, line(5), DefaultConfig())
 	n.routers[0].Send(4, 100, netif.TestMsg(11))
 	n.s.Run(10 * sim.Second)
 	got := n.unicast[4]
@@ -91,7 +91,7 @@ func TestUnicastOverMultipleHops(t *testing.T) {
 }
 
 func TestSendToSelf(t *testing.T) {
-	n := newTestNet(t, 1, line(2), Config{})
+	n := newTestNet(t, 1, line(2), DefaultConfig())
 	n.routers[0].Send(0, 10, netif.TestMsg(1))
 	n.s.Run(sim.Second)
 	if len(n.unicast[0]) != 1 || n.unicast[0][0].Hops != 0 {
@@ -100,7 +100,7 @@ func TestSendToSelf(t *testing.T) {
 }
 
 func TestHopsToAfterDiscovery(t *testing.T) {
-	n := newTestNet(t, 1, line(4), Config{})
+	n := newTestNet(t, 1, line(4), DefaultConfig())
 	if _, ok := n.routers[0].HopsTo(3); ok {
 		t.Fatal("HopsTo valid before any discovery")
 	}
@@ -118,7 +118,8 @@ func TestHopsToAfterDiscovery(t *testing.T) {
 }
 
 func TestExpandingRingEscalates(t *testing.T) {
-	cfg := Config{TTLStart: 2, TTLIncrement: 2, TTLMax: 10}
+	cfg := DefaultConfig()
+	cfg.TTLStart, cfg.TTLIncrement, cfg.TTLMax = 2, 2, 10
 	n := newTestNet(t, 1, line(8), cfg) // 7 hops away: needs 3 rings
 	n.routers[0].Send(7, 10, netif.TestMsg(3))
 	n.s.Run(30 * sim.Second)
@@ -133,7 +134,9 @@ func TestExpandingRingEscalates(t *testing.T) {
 func TestDiscoveryFailureNotifies(t *testing.T) {
 	// Node 2 is unreachable (far corner).
 	pts := append(line(2), geom.Point{X: 190, Y: 190})
-	n := newTestNet(t, 1, pts, Config{TTLStart: 2, TTLIncrement: 4, TTLMax: 8, MaxDiscoveryRetries: 1})
+	cfg := DefaultConfig()
+	cfg.TTLStart, cfg.TTLIncrement, cfg.TTLMax, cfg.MaxDiscoveryRetries = 2, 4, 8, 1
+	n := newTestNet(t, 1, pts, cfg)
 	n.routers[0].Send(2, 10, netif.TestMsg(4))
 	n.s.Run(2 * sim.Minute)
 	if len(n.failed[0]) != 1 || n.failed[0][0] != 2 {
@@ -148,7 +151,7 @@ func TestDiscoveryFailureNotifies(t *testing.T) {
 }
 
 func TestBroadcastTTLLimitsReach(t *testing.T) {
-	n := newTestNet(t, 1, line(6), Config{})
+	n := newTestNet(t, 1, line(6), DefaultConfig())
 	n.routers[0].Broadcast(2, 50, netif.TestMsg(5))
 	n.s.Run(sim.Second)
 	wantHops := []int{0, 1, 2, 0, 0, 0} // 0 means not reached (origin gets nothing)
@@ -182,7 +185,7 @@ func clique(n int) []geom.Point {
 }
 
 func TestBroadcastDedupInClique(t *testing.T) {
-	n := newTestNet(t, 1, clique(8), Config{})
+	n := newTestNet(t, 1, clique(8), DefaultConfig())
 	n.routers[0].Broadcast(6, 50, netif.TestMsg(6))
 	n.s.Run(sim.Second)
 	for i := 1; i < 8; i++ {
@@ -201,7 +204,7 @@ func TestBroadcastDedupInClique(t *testing.T) {
 }
 
 func TestBroadcastInstallsReverseRoute(t *testing.T) {
-	n := newTestNet(t, 1, line(4), Config{})
+	n := newTestNet(t, 1, line(4), DefaultConfig())
 	n.routers[0].Broadcast(6, 50, netif.TestMsg(7))
 	n.s.Run(sim.Second)
 	// Node 3 heard the flood 3 hops out; it can unicast back without any
@@ -224,7 +227,7 @@ func TestLinkBreakRecoversViaAlternatePath(t *testing.T) {
 		{X: 58, Y: 56},
 		{X: 66, Y: 50},
 	}
-	n := newTestNet(t, 1, pts, Config{})
+	n := newTestNet(t, 1, pts, DefaultConfig())
 	n.routers[0].Send(3, 10, netif.TestMsg(13))
 	n.s.Run(5 * sim.Second)
 	if len(n.unicast[3]) != 1 {
@@ -250,7 +253,7 @@ func TestRERRPropagates(t *testing.T) {
 	// Chain 0-1-2-3; traffic 0->3 establishes routes at 1 and 2. Then 3
 	// vanishes; next packet from 0 must trigger RERRs that invalidate the
 	// stale route at node 1 as well.
-	n := newTestNet(t, 1, line(4), Config{})
+	n := newTestNet(t, 1, line(4), DefaultConfig())
 	n.routers[0].Send(3, 10, netif.TestMsg(15))
 	n.s.Run(5 * sim.Second)
 	n.med.Leave(3)
@@ -269,7 +272,7 @@ func TestRERRPropagates(t *testing.T) {
 }
 
 func TestIntermediateNodeReplies(t *testing.T) {
-	n := newTestNet(t, 1, line(5), Config{})
+	n := newTestNet(t, 1, line(5), DefaultConfig())
 	// Establish 4's route knowledge at relay nodes via 0->4 traffic.
 	n.routers[0].Send(4, 10, netif.TestMsg(17))
 	n.s.Run(5 * sim.Second)
@@ -284,7 +287,8 @@ func TestIntermediateNodeReplies(t *testing.T) {
 }
 
 func TestDataTTLExhaustionDrops(t *testing.T) {
-	cfg := Config{DataTTL: 2} // 2 hops max; target is 3 hops away
+	cfg := DefaultConfig()
+	cfg.DataTTL = 2 // 2 hops max; target is 3 hops away
 	n := newTestNet(t, 1, line(4), cfg)
 	n.routers[0].Send(3, 10, netif.TestMsg(19))
 	n.s.Run(20 * sim.Second)
@@ -294,7 +298,7 @@ func TestDataTTLExhaustionDrops(t *testing.T) {
 }
 
 func TestBroadcastFromDownNodeIsNoop(t *testing.T) {
-	n := newTestNet(t, 1, line(3), Config{})
+	n := newTestNet(t, 1, line(3), DefaultConfig())
 	n.med.Leave(0)
 	n.routers[0].Broadcast(3, 10, netif.TestMsg(20))
 	n.routers[0].Send(2, 10, netif.TestMsg(21))
@@ -306,7 +310,8 @@ func TestBroadcastFromDownNodeIsNoop(t *testing.T) {
 
 func TestBufferOverflowFailsSend(t *testing.T) {
 	pts := append(line(2), geom.Point{X: 190, Y: 190})
-	cfg := Config{BufferCap: 2, TTLStart: 2, TTLIncrement: 2, TTLMax: 4, MaxDiscoveryRetries: 1}
+	cfg := DefaultConfig()
+	cfg.BufferCap, cfg.TTLStart, cfg.TTLIncrement, cfg.TTLMax, cfg.MaxDiscoveryRetries = 2, 2, 2, 4, 1
 	n := newTestNet(t, 1, pts, cfg)
 	for i := 0; i < 5; i++ {
 		n.routers[0].Send(2, 10, netif.TestMsg(uint32(i)))
@@ -333,8 +338,10 @@ func TestDisabledDupCacheCausesStorm(t *testing.T) {
 		}
 		pl := route.NewPlane(s, med)
 		routers := make([]*Router, 8)
+		cfg := DefaultConfig()
+		cfg.DisableBcastDupCache = disable
 		for i := 0; i < 8; i++ {
-			routers[i] = NewRouter(i, pl, Config{DisableBcastDupCache: disable})
+			routers[i] = NewRouter(i, pl, cfg)
 			med.Join(i, geom.Point{X: 50 + float64(i%3), Y: 50 + float64(i/3)}, routers[i].HandleFrame)
 		}
 		routers[0].Broadcast(4, 16, netif.TestMsg(23))
@@ -375,7 +382,7 @@ func TestQuickUnicastOnRandomTopology(t *testing.T) {
 		if target < 0 {
 			return true
 		}
-		n := newTestNet(t, seed, pts, Config{})
+		n := newTestNet(t, seed, pts, DefaultConfig())
 		n.routers[0].Send(target, 10, netif.TestMsg(22))
 		n.s.Run(time30s())
 		if len(n.unicast[target]) != 1 {
@@ -438,7 +445,7 @@ func TestQuickBroadcastReach(t *testing.T) {
 			pts[i] = arena.RandomPoint(rng)
 		}
 		dist := bfs(adjacency(pts, 10), 0)
-		n := newTestNet(t, seed, pts, Config{})
+		n := newTestNet(t, seed, pts, DefaultConfig())
 		n.routers[0].Broadcast(ttl, 10, netif.TestMsg(24))
 		n.s.Run(time30s())
 		for i := 1; i < nodes; i++ {

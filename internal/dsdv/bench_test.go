@@ -29,7 +29,7 @@ func newUpdateBench(tb testing.TB) *updateBench {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w := &updateBench{r: NewRouter(0, route.NewPlane(s, med), Config{})}
+	w := &updateBench{r: NewRouter(0, route.NewPlane(s, med), DefaultConfig())}
 	entries := make([]netif.AdvEntry, updateDsts)
 	for i := range entries {
 		entries[i] = netif.AdvEntry{Dst: i + 1, Metric: i % 5}

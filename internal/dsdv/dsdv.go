@@ -49,53 +49,25 @@ type tableRow struct {
 
 // Config tunes the DSDV layer.
 type Config struct {
-	UpdatePeriod     sim.Time // full-dump advertisement interval
-	RouteTimeout     sim.Time // routes unconfirmed for this long break
-	SettlingTime     sim.Time // how long data waits for a route to appear
-	SeenCacheTimeout sim.Time // broadcast duplicate-suppression window
-	SeenCacheCap     int      // a node's duplicate cache holds at most twice this many live entries
-	DataTTL          int
-	BufferCap        int
+	UpdatePeriod sim.Time          // full-dump advertisement interval
+	RouteTimeout sim.Time          // routes unconfirmed for this long break
+	SettlingTime sim.Time          // how long data waits for a route to appear
+	Seen         route.CacheConfig // broadcast duplicate suppression
+	DataTTL      int
+	BufferCap    int
 }
 
 // DefaultConfig mirrors the published DSDV parameters scaled to the
 // paper's mobility (updates every 15 s, routes stale after 45 s).
 func DefaultConfig() Config {
 	return Config{
-		UpdatePeriod:     15 * sim.Second,
-		RouteTimeout:     45 * sim.Second,
-		SettlingTime:     20 * sim.Second,
-		SeenCacheTimeout: 30 * sim.Second,
-		SeenCacheCap:     route.DefaultSeenCacheCap,
-		DataTTL:          30,
-		BufferCap:        16,
+		UpdatePeriod: 15 * sim.Second,
+		RouteTimeout: 45 * sim.Second,
+		SettlingTime: 20 * sim.Second,
+		Seen:         route.DefaultCacheConfig(),
+		DataTTL:      30,
+		BufferCap:    16,
 	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.UpdatePeriod <= 0 {
-		c.UpdatePeriod = d.UpdatePeriod
-	}
-	if c.RouteTimeout <= 0 {
-		c.RouteTimeout = d.RouteTimeout
-	}
-	if c.SettlingTime <= 0 {
-		c.SettlingTime = d.SettlingTime
-	}
-	if c.SeenCacheTimeout <= 0 {
-		c.SeenCacheTimeout = d.SeenCacheTimeout
-	}
-	if c.SeenCacheCap <= 0 {
-		c.SeenCacheCap = d.SeenCacheCap
-	}
-	if c.DataTTL <= 0 {
-		c.DataTTL = d.DataTTL
-	}
-	if c.BufferCap <= 0 {
-		c.BufferCap = d.BufferCap
-	}
-	return c
 }
 
 // waiting is a packet parked until a route settles.
@@ -128,16 +100,15 @@ var _ netif.Protocol = (*Router)(nil)
 // NewRouter creates the DSDV layer for node id and starts its periodic
 // advertisements.
 func NewRouter(id int, pl *route.Plane, cfg Config) *Router {
-	cfg = cfg.withDefaults()
 	core := route.NewCore(id, pl)
-	cache := route.CacheConfig{Timeout: cfg.SeenCacheTimeout, HardCap: 2 * cfg.SeenCacheCap}
 	r := &Router{
 		Core:   core,
 		cfg:    cfg,
 		table:  make([]tableRow, core.Medium.NumNodes()),
-		bcast:  route.NewBcaster(core, sizeBcastHdr, 0, cache, true),
+		bcast:  route.NewBcaster(core, sizeBcastHdr, 0, cfg.Seen, true),
 		parked: route.NewPending[waiting](cfg.BufferCap),
 	}
+	core.Route = r.routeData
 	r.expireParkedFn = r.expireParkedArg
 	// Stagger first advertisements by node id so a freshly built network
 	// does not emit all dumps in the same microsecond.
@@ -243,35 +214,9 @@ func (r *Router) handleUpdate(u *netif.Packet) {
 // seqGreater compares sequence numbers with wraparound.
 func seqGreater(a, b uint32) bool { return int32(a-b) > 0 }
 
-// Broadcast floods payload within ttl hops (controlled broadcast).
-func (r *Router) Broadcast(ttl, size int, payload netif.Msg) {
-	if ttl <= 0 {
-		// Unreachable from input: overlay TTLs are NHopsBasic >= 1 (Params.Validate), a nonzero ring radius or randhops >= 1.
-		panic("dsdv: Broadcast with non-positive TTL")
-	}
-	if !r.Medium.Up(r.ID()) {
-		return
-	}
-	r.bcast.Originate(ttl, size, payload, 0)
-}
-
-// Send routes payload to dst; with no route it parks the packet for the
-// settling time (proactive protocols have no discovery to kick).
-func (r *Router) Send(dst, size int, payload netif.Msg) {
-	if dst == r.ID() {
-		r.SelfDeliver(payload)
-		return
-	}
-	r.Count.DataSent++
-	if !r.Medium.Up(r.ID()) {
-		return
-	}
-	if dst < 0 || dst >= r.Medium.NumNodes() {
-		// No node of this medium: no advertisement could bring a route,
-		// and the table has no row for it.
-		r.FailSend(dst, payload)
-		return
-	}
+// routeData routes payload to dst; with no route it parks the packet
+// for the settling time (proactive protocols have no discovery to kick).
+func (r *Router) routeData(dst, size int, payload netif.Msg) {
 	pkt := netif.Packet{Kind: netif.PktData, Origin: r.ID(), Dst: dst, TTL: r.cfg.DataTTL, Size: size, Msg: payload}
 	if _, ok := r.valid(dst); ok {
 		r.forward(pkt)

@@ -67,7 +67,7 @@ func settle(n *testNet, hops int) {
 }
 
 func TestTablesConvergeOnChain(t *testing.T) {
-	n := newTestNet(t, 1, line(5), Config{})
+	n := newTestNet(t, 1, line(5), DefaultConfig())
 	settle(n, 5)
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 5; j++ {
@@ -87,7 +87,7 @@ func TestTablesConvergeOnChain(t *testing.T) {
 }
 
 func TestDataDeliveredProactively(t *testing.T) {
-	n := newTestNet(t, 2, line(5), Config{})
+	n := newTestNet(t, 2, line(5), DefaultConfig())
 	settle(n, 5)
 	n.routers[0].Send(4, 100, netif.TestMsg(1))
 	n.s.Run(n.s.Now() + sim.Second)
@@ -100,7 +100,9 @@ func TestDataDeliveredProactively(t *testing.T) {
 func TestSendBeforeConvergenceParksThenDelivers(t *testing.T) {
 	// A send right at t=0 has no route yet; the settling buffer must
 	// hold it until advertisements arrive, then deliver.
-	n := newTestNet(t, 3, line(3), Config{SettlingTime: 40 * sim.Second})
+	cfg := DefaultConfig()
+	cfg.SettlingTime = 40 * sim.Second
+	n := newTestNet(t, 3, line(3), cfg)
 	n.routers[0].Send(2, 10, netif.TestMsg(2))
 	n.s.Run(n.s.Now() + 50*sim.Second)
 	if len(n.unicast[2]) != 1 {
@@ -110,7 +112,9 @@ func TestSendBeforeConvergenceParksThenDelivers(t *testing.T) {
 
 func TestUnreachableFailsAfterSettling(t *testing.T) {
 	pts := append(line(2), geom.Point{X: 190, Y: 190})
-	n := newTestNet(t, 4, pts, Config{SettlingTime: 10 * sim.Second})
+	cfg := DefaultConfig()
+	cfg.SettlingTime = 10 * sim.Second
+	n := newTestNet(t, 4, pts, cfg)
 	n.routers[0].Send(2, 10, netif.TestMsg(3))
 	n.s.Run(n.s.Now() + sim.Minute)
 	if len(n.failed[0]) != 1 || n.failed[0][0] != 2 {
@@ -127,7 +131,7 @@ func TestBrokenRouteHealsViaNewAdvertisements(t *testing.T) {
 	pts := []geom.Point{
 		{X: 50, Y: 50}, {X: 58, Y: 44}, {X: 58, Y: 56}, {X: 66, Y: 50},
 	}
-	n := newTestNet(t, 5, pts, Config{})
+	n := newTestNet(t, 5, pts, DefaultConfig())
 	settle(n, 3)
 	n.routers[0].Send(3, 10, netif.TestMsg(4))
 	n.s.Run(n.s.Now() + sim.Second)
@@ -149,7 +153,7 @@ func TestBrokenRouteHealsViaNewAdvertisements(t *testing.T) {
 }
 
 func TestStaleRoutesExpire(t *testing.T) {
-	n := newTestNet(t, 6, line(3), Config{})
+	n := newTestNet(t, 6, line(3), DefaultConfig())
 	settle(n, 3)
 	if _, ok := n.routers[0].HopsTo(2); !ok {
 		t.Fatal("no route after convergence")
@@ -164,7 +168,7 @@ func TestStaleRoutesExpire(t *testing.T) {
 
 func TestPeriodicOverheadAccrues(t *testing.T) {
 	// DSDV's signature: update traffic flows with zero application load.
-	n := newTestNet(t, 7, line(4), Config{})
+	n := newTestNet(t, 7, line(4), DefaultConfig())
 	n.s.Run(n.s.Now() + 5*sim.Minute)
 	for i, r := range n.routers {
 		if r.Stats().CtrlOrig < 10 {
@@ -177,7 +181,7 @@ func TestPeriodicOverheadAccrues(t *testing.T) {
 }
 
 func TestBroadcastControlled(t *testing.T) {
-	n := newTestNet(t, 8, line(6), Config{})
+	n := newTestNet(t, 8, line(6), DefaultConfig())
 	n.routers[0].Broadcast(2, 10, netif.TestMsg(6))
 	n.s.Run(n.s.Now() + sim.Second)
 	for i := 1; i <= 2; i++ {
@@ -191,7 +195,7 @@ func TestBroadcastControlled(t *testing.T) {
 }
 
 func TestSendToSelf(t *testing.T) {
-	n := newTestNet(t, 9, line(2), Config{})
+	n := newTestNet(t, 9, line(2), DefaultConfig())
 	n.routers[0].Send(0, 10, netif.TestMsg(7))
 	n.s.Run(n.s.Now() + sim.Second)
 	if len(n.unicast[0]) != 1 || n.unicast[0][0].Hops != 0 {

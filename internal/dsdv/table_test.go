@@ -93,7 +93,8 @@ func TestTableMatchesMapModel(t *testing.T) {
 	}
 	// The periodic advertisement is pushed past the test's horizon; the
 	// test calls advertise itself.
-	cfg := Config{UpdatePeriod: 10_000 * sim.Hour}
+	cfg := DefaultConfig()
+	cfg.UpdatePeriod = 10_000 * sim.Hour
 	r := NewRouter(self, route.NewPlane(s, med), cfg)
 	med.Join(self, geom.Point{X: 50, Y: 50}, r.HandleFrame)
 	var heard [][]netif.AdvEntry

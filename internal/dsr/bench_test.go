@@ -30,7 +30,7 @@ func newLinkBreakBench(tb testing.TB) *linkBreakBench {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w := &linkBreakBench{r: NewRouter(0, route.NewPlane(s, med), Config{})}
+	w := &linkBreakBench{r: NewRouter(0, route.NewPlane(s, med), DefaultConfig())}
 	for first := 1; first <= linkBreakDsts; first += 10 {
 		chain := make([]int, 9)
 		for i := range chain {

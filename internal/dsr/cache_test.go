@@ -98,7 +98,7 @@ func TestRouteCacheMatchesMapModel(t *testing.T) {
 	}
 	// No node joins the medium, so every link is down: forward always
 	// finds its next hop out of range.
-	r := NewRouter(self, route.NewPlane(s, med), Config{})
+	r := NewRouter(self, route.NewPlane(s, med), DefaultConfig())
 	ref := &refCache{self: self, lifetime: r.cfg.RouteLifetime, m: map[int]refRoute{}}
 	rng := rand.New(rand.NewSource(35))
 	var handed []handedPath

@@ -14,7 +14,9 @@ func TestConformance(t *testing.T) {
 	conformance.Run(t, conformance.Factory{
 		Name: "dsr",
 		New: func(id int, pl *route.Plane) conformance.Router {
-			return NewRouter(id, pl, Config{SeenCacheCap: 512})
+			cfg := DefaultConfig()
+			cfg.Seen.HardCap = 1024
+			return NewRouter(id, pl, cfg)
 		},
 	})
 }

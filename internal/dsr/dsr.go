@@ -57,11 +57,10 @@ type cachedRoute struct {
 	known   bool // a one-hop route has an empty path
 }
 
-// Config tunes the DSR layer. Zero fields take defaults.
+// Config tunes the DSR layer; start from DefaultConfig.
 type Config struct {
 	RouteLifetime       sim.Time
-	SeenCacheTimeout    sim.Time
-	SeenCacheCap        int // a node's duplicate cache holds at most twice this many live entries
+	Seen                route.CacheConfig // duplicate suppression of RREQs and broadcasts
 	MaxDiscoveryRetries int
 	DiscoveryTTL        int
 	HopTraversal        sim.Time
@@ -75,39 +74,12 @@ func DefaultConfig() Config {
 		// As with AODV, broken links are detected at forward time; the
 		// lifetime only bounds silent staleness.
 		RouteLifetime:       30 * sim.Second,
-		SeenCacheTimeout:    30 * sim.Second,
-		SeenCacheCap:        route.DefaultSeenCacheCap,
+		Seen:                route.DefaultCacheConfig(),
 		MaxDiscoveryRetries: 2,
 		DiscoveryTTL:        20,
 		HopTraversal:        10 * sim.Millisecond,
 		BufferCap:           16,
 	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.RouteLifetime <= 0 {
-		c.RouteLifetime = d.RouteLifetime
-	}
-	if c.SeenCacheTimeout <= 0 {
-		c.SeenCacheTimeout = d.SeenCacheTimeout
-	}
-	if c.SeenCacheCap <= 0 {
-		c.SeenCacheCap = d.SeenCacheCap
-	}
-	if c.MaxDiscoveryRetries <= 0 {
-		c.MaxDiscoveryRetries = d.MaxDiscoveryRetries
-	}
-	if c.DiscoveryTTL <= 0 {
-		c.DiscoveryTTL = d.DiscoveryTTL
-	}
-	if c.HopTraversal <= 0 {
-		c.HopTraversal = d.HopTraversal
-	}
-	if c.BufferCap <= 0 {
-		c.BufferCap = d.BufferCap
-	}
-	return c
 }
 
 // Router is the per-node DSR instance; it satisfies netif.Protocol. The
@@ -137,17 +109,16 @@ var _ netif.Protocol = (*Router)(nil)
 // NewRouter creates the DSR layer for node id; pass HandleFrame as the
 // node's radio receiver.
 func NewRouter(id int, pl *route.Plane, cfg Config) *Router {
-	cfg = cfg.withDefaults()
 	core := route.NewCore(id, pl)
-	cache := route.CacheConfig{Timeout: cfg.SeenCacheTimeout, HardCap: 2 * cfg.SeenCacheCap}
 	r := &Router{
 		Core:     core,
 		cfg:      cfg,
 		cache:    make([]cachedRoute, core.Medium.NumNodes()),
-		seenRREQ: route.NewDupCache(core, netif.PktRREQ, cache),
-		bcast:    route.NewBcaster(core, sizeBcastBase, sizePerHop, cache, true),
+		seenRREQ: route.NewDupCache(core, netif.PktRREQ, cfg.Seen),
+		bcast:    route.NewBcaster(core, sizeBcastBase, sizePerHop, cfg.Seen, true),
 		pending:  route.NewPending[netif.Packet](cfg.BufferCap),
 	}
+	core.Route = r.routeData
 	r.bcast.Accept = r.acceptBcast
 	r.bcast.PrepRelay = r.prepBcastRelay
 	r.discTimeoutFn = r.discTimeout
@@ -255,35 +226,8 @@ func (r *Router) dropRoutesVia(a, b int) {
 	}
 }
 
-// Broadcast floods payload within ttl hops, with duplicate suppression
-// and path accumulation.
-func (r *Router) Broadcast(ttl, size int, payload netif.Msg) {
-	if ttl <= 0 {
-		// Unreachable from input: overlay TTLs are NHopsBasic >= 1 (Params.Validate), a nonzero ring radius or randhops >= 1.
-		panic("dsr: Broadcast with non-positive TTL")
-	}
-	if !r.Medium.Up(r.ID()) {
-		return
-	}
-	r.bcast.Originate(ttl, size, payload, 0)
-}
-
-// Send routes payload to dst, discovering a source route on demand.
-func (r *Router) Send(dst, size int, payload netif.Msg) {
-	if dst == r.ID() {
-		r.SelfDeliver(payload)
-		return
-	}
-	r.Count.DataSent++
-	if !r.Medium.Up(r.ID()) {
-		return
-	}
-	if dst < 0 || dst >= r.Medium.NumNodes() {
-		// No node of this medium: no discovery could find it, and the
-		// route cache has no entry for it.
-		r.FailSend(dst, payload)
-		return
-	}
+// routeData routes payload to dst, discovering a source route on demand.
+func (r *Router) routeData(dst, size int, payload netif.Msg) {
 	pkt := netif.Packet{Kind: netif.PktData, Origin: r.ID(), Dst: dst, Size: size, Msg: payload}
 	if cr, ok := r.route(dst); ok {
 		pkt.Path = cr.path

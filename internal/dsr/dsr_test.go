@@ -64,7 +64,7 @@ func line(n int) []geom.Point {
 }
 
 func TestSourceRouteDelivery(t *testing.T) {
-	n := newTestNet(t, 1, line(5), Config{})
+	n := newTestNet(t, 1, line(5), DefaultConfig())
 	n.routers[0].Send(4, 100, netif.TestMsg(11))
 	n.s.Run(10 * sim.Second)
 	got := n.unicast[4]
@@ -95,7 +95,7 @@ func TestSourceRouteDelivery(t *testing.T) {
 }
 
 func TestIntermediatePrefixRoutesLearned(t *testing.T) {
-	n := newTestNet(t, 2, line(6), Config{})
+	n := newTestNet(t, 2, line(6), DefaultConfig())
 	n.routers[0].Send(5, 10, netif.TestMsg(1))
 	n.s.Run(10 * sim.Second)
 	// The origin learned prefix routes to every intermediate hop.
@@ -107,7 +107,7 @@ func TestIntermediatePrefixRoutesLearned(t *testing.T) {
 }
 
 func TestSendToSelf(t *testing.T) {
-	n := newTestNet(t, 3, line(2), Config{})
+	n := newTestNet(t, 3, line(2), DefaultConfig())
 	n.routers[0].Send(0, 10, netif.TestMsg(2))
 	n.s.Run(sim.Second)
 	if len(n.unicast[0]) != 1 || n.unicast[0][0].Hops != 0 {
@@ -117,7 +117,8 @@ func TestSendToSelf(t *testing.T) {
 
 func TestDiscoveryFailureNotifies(t *testing.T) {
 	pts := append(line(2), geom.Point{X: 190, Y: 190})
-	cfg := Config{MaxDiscoveryRetries: 1, DiscoveryTTL: 6}
+	cfg := DefaultConfig()
+	cfg.MaxDiscoveryRetries, cfg.DiscoveryTTL = 1, 6
 	n := newTestNet(t, 4, pts, cfg)
 	n.routers[0].Send(2, 10, netif.TestMsg(3))
 	n.s.Run(time2min())
@@ -137,7 +138,7 @@ func TestBrokenLinkRecoveryAtOrigin(t *testing.T) {
 	pts := []geom.Point{
 		{X: 50, Y: 50}, {X: 58, Y: 44}, {X: 58, Y: 56}, {X: 66, Y: 50},
 	}
-	n := newTestNet(t, 5, pts, Config{})
+	n := newTestNet(t, 5, pts, DefaultConfig())
 	n.routers[0].Send(3, 10, netif.TestMsg(4))
 	n.s.Run(5 * sim.Second)
 	if len(n.unicast[3]) != 1 {
@@ -162,7 +163,7 @@ func TestRERRReachesOriginFromMidPath(t *testing.T) {
 	// at 0 is still fresh. A data packet breaks at node 3, which must
 	// RERR back; the origin's retry then fails or rediscovers — either
 	// way no stale route survives at the origin.
-	n := newTestNet(t, 6, line(5), Config{})
+	n := newTestNet(t, 6, line(5), DefaultConfig())
 	n.routers[0].Send(4, 10, netif.TestMsg(6))
 	n.s.Run(5 * sim.Second)
 	if len(n.unicast[4]) != 1 {
@@ -187,7 +188,7 @@ func TestRERRReachesOriginFromMidPath(t *testing.T) {
 }
 
 func TestBroadcastReachAndReverseRoutes(t *testing.T) {
-	n := newTestNet(t, 7, line(6), Config{})
+	n := newTestNet(t, 7, line(6), DefaultConfig())
 	n.routers[0].Broadcast(3, 50, netif.TestMsg(8))
 	n.s.Run(sim.Second)
 	for i := 1; i <= 3; i++ {
@@ -217,7 +218,7 @@ func TestBroadcastDedup(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{X: 50 + float64(i%3), Y: 50 + float64(i/3)}
 	}
-	n := newTestNet(t, 8, pts, Config{})
+	n := newTestNet(t, 8, pts, DefaultConfig())
 	n.routers[0].Broadcast(5, 10, netif.TestMsg(10))
 	n.s.Run(sim.Second)
 	for i := 1; i < 8; i++ {
@@ -228,7 +229,8 @@ func TestBroadcastDedup(t *testing.T) {
 }
 
 func TestRouteExpiry(t *testing.T) {
-	cfg := Config{RouteLifetime: 5 * sim.Second}
+	cfg := DefaultConfig()
+	cfg.RouteLifetime = 5 * sim.Second
 	n := newTestNet(t, 9, line(3), cfg)
 	n.routers[0].Send(2, 10, netif.TestMsg(13))
 	n.s.Run(2 * sim.Second)
@@ -262,7 +264,7 @@ func TestQuickDSRRandomTopology(t *testing.T) {
 		if target < 0 {
 			return true
 		}
-		n := newTestNet(t, seed, pts, Config{})
+		n := newTestNet(t, seed, pts, DefaultConfig())
 		n.routers[0].Send(target, 10, netif.TestMsg(14))
 		n.s.Run(30 * sim.Second)
 		if len(n.unicast[target]) != 1 {
@@ -316,7 +318,7 @@ func TestLearnRouteRejectsLoops(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := route.NewPlane(s, med)
-	r := NewRouter(0, pl, Config{})
+	r := NewRouter(0, pl, DefaultConfig())
 	r.learnRoute(3, []int{1, 0, 2}) // contains self: reject
 	if _, ok := r.HopsTo(3); ok {
 		t.Error("looping route accepted")
@@ -338,7 +340,7 @@ func TestShorterRouteReplacesLonger(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := route.NewPlane(s, med)
-	r := NewRouter(0, pl, Config{})
+	r := NewRouter(0, pl, DefaultConfig())
 	r.learnRoute(5, []int{1, 2, 3})
 	r.learnRoute(5, []int{4})
 	if h, _ := r.HopsTo(5); h != 2 {

@@ -37,7 +37,7 @@ func newRelayBench(tb testing.TB) *relayBench {
 	routers := make([]*Router, relayNodes)
 	pl := route.NewPlane(w.s, med)
 	for n := 0; n < relayNodes; n++ {
-		routers[n] = NewRouter(n, pl, Config{})
+		routers[n] = NewRouter(n, pl, DefaultConfig())
 		med.Join(n, geom.Point{X: 5 + 8*float64(n), Y: 25}, routers[n].HandleFrame)
 	}
 	routers[relayNodes-1].OnBroadcast(func(netif.Delivery) { w.delivered++ })

@@ -8,14 +8,16 @@ import (
 )
 
 // TestConformance runs the shared netif.Protocol contract suite. Flood
-// keeps no routing state, so the only send it can prove undeliverable —
-// and signal — is one attempted while the sender itself is down.
+// keeps no routing state and gets no route feedback: a send to an
+// unreachable destination is silence.
 func TestConformance(t *testing.T) {
 	conformance.Run(t, conformance.Factory{
 		Name: "flood",
 		New: func(id int, pl *route.Plane) conformance.Router {
-			return NewRouter(id, pl, Config{SeenCacheCap: 512})
+			cfg := DefaultConfig()
+			cfg.Seen.HardCap = 1024
+			return NewRouter(id, pl, cfg)
 		},
-		SenderDownFails: true,
+		NoRouteFeedback: true,
 	})
 }

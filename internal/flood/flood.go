@@ -12,7 +12,6 @@ import (
 	"manetp2p/internal/netif"
 	"manetp2p/internal/radio"
 	"manetp2p/internal/route"
-	"manetp2p/internal/sim"
 )
 
 const (
@@ -26,32 +25,13 @@ const (
 
 // Config tunes the flooding layer.
 type Config struct {
-	UnicastTTL       int      // hop budget for unicast floods
-	SeenCacheTimeout sim.Time // duplicate suppression window
-	SeenCacheCap     int      // a node's duplicate cache holds at most twice this many live entries
+	UnicastTTL int               // hop budget for unicast floods
+	Seen       route.CacheConfig // duplicate suppression of both floods
 }
 
 // DefaultConfig matches the other substrates' reach.
 func DefaultConfig() Config {
-	return Config{
-		UnicastTTL:       20,
-		SeenCacheTimeout: 30 * sim.Second,
-		SeenCacheCap:     route.DefaultSeenCacheCap,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.UnicastTTL <= 0 {
-		c.UnicastTTL = d.UnicastTTL
-	}
-	if c.SeenCacheTimeout <= 0 {
-		c.SeenCacheTimeout = d.SeenCacheTimeout
-	}
-	if c.SeenCacheCap <= 0 {
-		c.SeenCacheCap = d.SeenCacheCap
-	}
-	return c
+	return Config{UnicastTTL: 20, Seen: route.DefaultCacheConfig()}
 }
 
 // Router is the per-node flooding instance; it satisfies netif.Protocol.
@@ -67,45 +47,21 @@ var _ netif.Protocol = (*Router)(nil)
 
 // NewRouter creates the flooding layer for node id.
 func NewRouter(id int, pl *route.Plane, cfg Config) *Router {
-	cfg = cfg.withDefaults()
 	core := route.NewCore(id, pl)
-	cache := route.CacheConfig{Timeout: cfg.SeenCacheTimeout, HardCap: 2 * cfg.SeenCacheCap}
-	return &Router{
+	r := &Router{
 		Core:  core,
 		cfg:   cfg,
-		bcast: route.NewBcaster(core, sizeHdr, 0, cache, true),
-		seen:  route.NewDupCache(core, netif.PktData, cache),
+		bcast: route.NewBcaster(core, sizeHdr, 0, cfg.Seen, true),
+		seen:  route.NewDupCache(core, netif.PktData, cfg.Seen),
 	}
+	core.Route = r.routeData
+	return r
 }
 
-// Broadcast floods payload within ttl hops.
-func (r *Router) Broadcast(ttl, size int, payload netif.Msg) {
-	if ttl <= 0 {
-		// Unreachable from input: overlay TTLs are NHopsBasic >= 1 (Params.Validate), a nonzero ring radius or randhops >= 1.
-		panic("flood: Broadcast with non-positive TTL")
-	}
-	if !r.Medium.Up(r.ID()) {
-		return
-	}
-	r.bcast.Originate(ttl, size, payload, 0)
-}
-
-// Send floods payload with the unicast TTL; only dst delivers it.
-// Flooding gets no failure feedback, so OnSendFailed only fires for
-// sends from a down node or to no node of the medium — silence is the
-// usual failure mode.
-func (r *Router) Send(dst, size int, payload netif.Msg) {
-	if dst == r.ID() {
-		r.SelfDeliver(payload)
-		return
-	}
-	r.Count.DataSent++
-	if !r.Medium.Up(r.ID()) || dst < 0 || dst >= r.Medium.NumNodes() {
-		// A down sender transmits nothing; a node the medium does not
-		// have would never deliver the flood.
-		r.FailSend(dst, payload)
-		return
-	}
+// routeData floods payload with the unicast TTL; only dst delivers it.
+// Flooding gets no failure feedback: OnSendFailed fires only for the
+// sends route.Core fails itself, and silence is the usual failure mode.
+func (r *Router) routeData(dst, size int, payload netif.Msg) {
 	r.nextID++
 	pkt := netif.Packet{Kind: netif.PktData, Origin: r.ID(), ID: r.nextID, Dst: dst, TTL: r.cfg.UnicastTTL, Size: size, Msg: payload}
 	r.seen.Mark(route.Key{Origin: r.ID(), ID: pkt.ID})

@@ -58,7 +58,7 @@ func line(n int) []geom.Point {
 }
 
 func TestUnicastDeliveredByFlood(t *testing.T) {
-	n := newTestNet(t, 1, line(5), Config{})
+	n := newTestNet(t, 1, line(5), DefaultConfig())
 	n.routers[0].Send(4, 10, netif.TestMsg(1))
 	n.s.Run(5 * sim.Second)
 	if len(n.unicast[4]) != 1 || n.unicast[4][0].Hops != 4 {
@@ -73,7 +73,8 @@ func TestUnicastDeliveredByFlood(t *testing.T) {
 }
 
 func TestUnicastTTLBound(t *testing.T) {
-	cfg := Config{UnicastTTL: 3}
+	cfg := DefaultConfig()
+	cfg.UnicastTTL = 3
 	n := newTestNet(t, 2, line(6), cfg)
 	n.routers[0].Send(5, 10, netif.TestMsg(2))
 	n.s.Run(5 * sim.Second)
@@ -88,7 +89,7 @@ func TestUnicastTTLBound(t *testing.T) {
 }
 
 func TestBroadcastReach(t *testing.T) {
-	n := newTestNet(t, 3, line(6), Config{})
+	n := newTestNet(t, 3, line(6), DefaultConfig())
 	n.routers[0].Broadcast(2, 10, netif.TestMsg(4))
 	n.s.Run(sim.Second)
 	for i := 1; i <= 2; i++ {
@@ -108,7 +109,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{X: 50 + float64(i%3), Y: 50 + float64(i/3)}
 	}
-	n := newTestNet(t, 4, pts, Config{})
+	n := newTestNet(t, 4, pts, DefaultConfig())
 	n.routers[0].Send(8, 10, netif.TestMsg(5))
 	n.s.Run(sim.Second)
 	if len(n.unicast[8]) != 1 {
@@ -126,7 +127,7 @@ func TestDuplicateSuppression(t *testing.T) {
 func TestDestinationDoesNotRelay(t *testing.T) {
 	// Chain 0-1-2: when 1 is the destination, 2 must not receive the
 	// packet at all (1 stops relaying).
-	n := newTestNet(t, 5, line(3), Config{})
+	n := newTestNet(t, 5, line(3), DefaultConfig())
 	n.routers[0].Send(1, 10, netif.TestMsg(6))
 	n.s.Run(5 * sim.Second)
 	if got := n.routers[2].Stats().DupHits + n.routers[2].Stats().DataForwarded; got != 0 {
@@ -135,7 +136,7 @@ func TestDestinationDoesNotRelay(t *testing.T) {
 }
 
 func TestSendToSelf(t *testing.T) {
-	n := newTestNet(t, 6, line(2), Config{})
+	n := newTestNet(t, 6, line(2), DefaultConfig())
 	n.routers[0].Send(0, 10, netif.TestMsg(7))
 	n.s.Run(sim.Second)
 	if len(n.unicast[0]) != 1 || n.unicast[0][0].Hops != 0 {
@@ -144,7 +145,7 @@ func TestSendToSelf(t *testing.T) {
 }
 
 func TestDownNodeFailsSend(t *testing.T) {
-	n := newTestNet(t, 7, line(2), Config{})
+	n := newTestNet(t, 7, line(2), DefaultConfig())
 	failed := 0
 	n.routers[0].OnSendFailed(func(int, netif.Msg) { failed++ })
 	n.med.Leave(0)

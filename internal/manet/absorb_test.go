@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"manetp2p/internal/aodv"
 	"manetp2p/internal/netif"
 	"manetp2p/internal/p2p"
 	"manetp2p/internal/radio"
@@ -56,11 +57,10 @@ func TestAbsorptionLeavesReplicationAlone(t *testing.T) {
 		aodvOnly bool
 	}{
 		{"plain", func(*Scenario, *Options) {}, true, false},
-		// Four-mark caches (hard cap 8) evict marks whose copies are
-		// still in flight.
-		{"evictions", func(_ *Scenario, o *Options) { o.AODV.SeenCacheCap = 4 }, true, true},
+		// Eight-mark caches evict marks whose copies are still in flight.
+		{"evictions", func(_ *Scenario, o *Options) { o.AODV.Seen.HardCap = 8 }, true, true},
 		// Marks expire before any copy lands: nothing may be held.
-		{"expiry", func(_ *Scenario, o *Options) { o.AODV.SeenCacheTimeout = 1500 * sim.Microsecond }, false, true},
+		{"expiry", func(_ *Scenario, o *Options) { o.AODV.Seen.Timeout = 1500 * sim.Microsecond }, false, true},
 		{"churn", func(sc *Scenario, _ *Options) {
 			sc.Churn = ChurnConfig{MeanUptime: 20 * sim.Second, MeanDowntime: 5 * sim.Second}
 		}, true, false},
@@ -89,7 +89,8 @@ func absorptionLockstep(t *testing.T, routing RoutingKind, setting func(*Scenari
 	sc.AreaSide = 40
 	sc.Seed = 3
 	sc.Routing = routing
-	var opt Options
+	aodvCfg := aodv.DefaultConfig()
+	opt := Options{AODV: &aodvCfg}
 	setting(&sc, &opt)
 	abs, err := Build(sc, 0, opt)
 	if err != nil {

@@ -29,9 +29,9 @@ import (
 // file reaches them: NoQueries and AODV exist for tests and ablation
 // benchmarks, and Trace is where p2psim -trace streams its events.
 type Options struct {
-	NoQueries bool        // servents issue no queries and hold no files
-	AODV      aodv.Config // AODV tuning; the zero value is the protocol's defaults
-	Trace     io.Writer   // receives the event trace as JSON lines; nil traces nothing
+	NoQueries bool         // servents issue no queries and hold no files
+	AODV      *aodv.Config // AODV tuning; nil is aodv.DefaultConfig()
+	Trace     io.Writer    // receives the event trace as JSON lines; nil traces nothing
 }
 
 // Network is one fully wired replication.

@@ -53,16 +53,20 @@ var routings = [...]struct {
 	new  func(id int, pl *route.Plane, opt Options) NodeRouter
 }{
 	RoutingAODV: {"AODV", func(id int, pl *route.Plane, opt Options) NodeRouter {
-		return aodv.NewRouter(id, pl, opt.AODV)
+		cfg := aodv.DefaultConfig()
+		if opt.AODV != nil {
+			cfg = *opt.AODV
+		}
+		return aodv.NewRouter(id, pl, cfg)
 	}},
 	RoutingDSR: {"DSR", func(id int, pl *route.Plane, _ Options) NodeRouter {
-		return dsr.NewRouter(id, pl, dsr.Config{})
+		return dsr.NewRouter(id, pl, dsr.DefaultConfig())
 	}},
 	RoutingFlood: {"Flood", func(id int, pl *route.Plane, _ Options) NodeRouter {
-		return flood.NewRouter(id, pl, flood.Config{})
+		return flood.NewRouter(id, pl, flood.DefaultConfig())
 	}},
 	RoutingDSDV: {"DSDV", func(id int, pl *route.Plane, _ Options) NodeRouter {
-		return dsdv.NewRouter(id, pl, dsdv.Config{})
+		return dsdv.NewRouter(id, pl, dsdv.DefaultConfig())
 	}},
 }
 

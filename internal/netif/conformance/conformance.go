@@ -5,7 +5,8 @@
 // overlay relies on but the interface alone cannot express —
 // controlled-broadcast TTL reach, asynchronous self-delivery,
 // OnSendFailed firing exactly once per abandoned payload and at once for
-// a destination that is no node of the medium, hooks that
+// a send from a down node or to a destination that is no node of the
+// medium, hooks that
 // may reenter the router, duplicate caches that stay bounded under a
 // broadcast storm, received frames never written through the shared
 // pointer, every pair's unicast on a static line delivered once, and
@@ -42,12 +43,10 @@ type Factory struct {
 	// which carries the medium. Configure small duplicate-cache caps here
 	// if the default storm test is too slow for the protocol.
 	New func(id int, pl *route.Plane) Router
-	// SenderDownFails selects how the abandoned-payload test provokes a
-	// failure: true means a Send from a down node signals OnSendFailed
-	// (flood's semantics); false means a Send to an unreachable
-	// destination is signalled once discovery or settling gives up
-	// (aodv, dsr, dsdv).
-	SenderDownFails bool
+	// NoRouteFeedback says the substrate learns nothing of an
+	// unreachable destination (flood): a Send to one is silence, where
+	// the others signal OnSendFailed once discovery or settling gives up.
+	NoRouteFeedback bool
 	// WarmUp is simulated time to run before the suite starts sending,
 	// so proactive protocols can advertise routes. Zero for reactive
 	// protocols.
@@ -185,6 +184,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("SelfDelivery", func(t *testing.T) { testSelfDelivery(t, f) })
 	t.Run("SendFailedOnce", func(t *testing.T) { testSendFailedOnce(t, f) })
 	t.Run("SendToNoNode", func(t *testing.T) { testSendToNoNode(t, f) })
+	t.Run("SendFromDownNode", func(t *testing.T) { testSendFromDownNode(t, f) })
 	t.Run("HookReentrancy", func(t *testing.T) { testHookReentrancy(t, f) })
 	t.Run("DupCacheBounded", func(t *testing.T) { testDupCacheBounded(t, f) })
 	t.Run("SharedFramesReadOnly", func(t *testing.T) { testSharedFramesReadOnly(t, f) })
@@ -253,9 +253,9 @@ func testSelfDelivery(t *testing.T, f Factory) {
 }
 
 // testSendFailedOnce pins the abandoned-payload contract: a payload
-// that cannot be delivered is reported through OnSendFailed exactly
-// once, with the destination and payload the caller passed, and counted
-// once in SendFailed.
+// for an unreachable destination is reported through OnSendFailed
+// exactly once, with the destination and payload the caller passed, and
+// counted once in SendFailed — or, without route feedback, never.
 func testSendFailedOnce(t *testing.T, f Factory) {
 	deadline := f.FailDeadline
 	if deadline <= 0 {
@@ -273,11 +273,17 @@ func testSendFailedOnce(t *testing.T, f Factory) {
 	n.routers[0].OnSendFailed(func(dst int, payload netif.Msg) {
 		fails = append(fails, failure{dst, payload})
 	})
-	if f.SenderDownFails {
-		n.med.Leave(0)
-	}
 	n.routers[0].Send(1, 10, doomed)
 	n.s.Run(n.s.Now() + deadline)
+	if len(n.unicast[1]) != 0 {
+		t.Error("unreachable destination received the payload")
+	}
+	if f.NoRouteFeedback {
+		if len(fails) != 0 || n.routers[0].Stats().SendFailed != 0 {
+			t.Errorf("a router without route feedback reported %+v", fails)
+		}
+		return
+	}
 	if len(fails) != 1 {
 		t.Fatalf("OnSendFailed fired %d times, want exactly 1 (%+v)", len(fails), fails)
 	}
@@ -287,47 +293,58 @@ func testSendFailedOnce(t *testing.T, f Factory) {
 	if got := n.routers[0].Stats().SendFailed; got != 1 {
 		t.Errorf("SendFailed = %d, want 1", got)
 	}
-	if len(n.unicast[1]) != 0 {
-		t.Error("abandoned payload was also delivered")
-	}
 }
 
 // testSendToNoNode pins the boundary of the routers' id-indexed state: a
 // Send to an id that is no node of the medium (-1, NumNodes) fails at
-// once — OnSendFailed fires from inside Send, exactly once, and
-// SendFailed counts it — and puts nothing on the air: no frame, no
-// discovery, no parked payload failing again later.
+// once.
 func testSendToNoNode(t *testing.T, f Factory) {
+	n := newNet(t, f, 10, line(2))
+	sendsFailAtOnce(t, f, n, []int{-1, n.med.NumNodes()})
+}
+
+// testSendFromDownNode pins the one down-sender rule (route.Core.Send):
+// a Send from a node that has left the medium fails at once.
+func testSendFromDownNode(t *testing.T, f Factory) {
+	n := newNet(t, f, 11, line(2))
+	n.med.Leave(0)
+	sendsFailAtOnce(t, f, n, []int{1})
+}
+
+// sendsFailAtOnce sends from node 0 to each of dsts in turn and requires
+// each Send to fail at once — OnSendFailed fires from inside Send,
+// exactly once, SendFailed and DataSent count it — and to put nothing on
+// the air: no frame, no discovery, no parked payload failing again
+// later.
+func sendsFailAtOnce(t *testing.T, f Factory, n *net, dsts []int) {
 	deadline := f.FailDeadline
 	if deadline <= 0 {
 		deadline = 120 * sim.Second
 	}
-	n := newNet(t, f, 10, line(2))
 	r := n.routers[0]
 	var fails []int
 	r.OnSendFailed(func(dst int, _ netif.Msg) { fails = append(fails, dst) })
 	before, tx := r.Stats(), n.med.Stats(0).TxFrames
-	nowhere := []int{-1, n.med.NumNodes()}
-	for i, dst := range nowhere {
+	for i, dst := range dsts {
 		r.Send(dst, 10, netif.TestMsg(uint32(60+i)))
-		if !slices.Equal(fails, nowhere[:i+1]) {
-			t.Fatalf("after Send to %d, OnSendFailed reported %v, want %v at once", dst, fails, nowhere[:i+1])
+		if !slices.Equal(fails, dsts[:i+1]) {
+			t.Fatalf("after Send to %d, OnSendFailed reported %v, want %v at once", dst, fails, dsts[:i+1])
 		}
 	}
 	if got := n.med.Stats(0).TxFrames; got != tx {
-		t.Errorf("Send to no node transmitted %d frames", got-tx)
+		t.Errorf("a Send that failed at once transmitted %d frames", got-tx)
 	}
 	n.heard = nil
 	n.s.Run(n.s.Now() + deadline)
-	if !slices.Equal(fails, nowhere) {
-		t.Errorf("OnSendFailed reported %v by the deadline, want %v", fails, nowhere)
+	if !slices.Equal(fails, dsts) {
+		t.Errorf("OnSendFailed reported %v by the deadline, want %v", fails, dsts)
 	}
-	st := r.Stats()
-	if st.SendFailed-before.SendFailed != 2 || st.DataSent-before.DataSent != 2 || st.Discoveries != before.Discoveries {
-		t.Errorf("stats went from %+v to %+v, want 2 sends, 2 failures, no discovery", before, st)
+	st, k := r.Stats(), uint64(len(dsts))
+	if st.SendFailed-before.SendFailed != k || st.DataSent-before.DataSent != k || st.Discoveries != before.Discoveries {
+		t.Errorf("stats went from %+v to %+v, want %d sends, %d failures, no discovery", before, st, k, k)
 	}
 	for _, h := range n.heard {
-		if p := &h.frame.Payload; slices.Contains(nowhere, p.Dst) {
+		if p := &h.frame.Payload; slices.Contains(dsts, p.Dst) {
 			t.Errorf("node %d heard a frame for %d from %d: %+v", h.to, p.Dst, h.frame.Src, *p)
 		}
 	}

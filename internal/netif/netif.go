@@ -69,7 +69,13 @@ type Protocol interface {
 	// ID returns the node this protocol instance belongs to.
 	ID() int
 	// Send routes an application payload of the given nominal size to
-	// dst, discovering a route on demand if the protocol needs one.
+	// dst, discovering a route on demand if the protocol needs one. A
+	// payload for this node is delivered on a later event-loop turn,
+	// never from inside Send. Every other Send counts DataSent; one from
+	// a node that is down, or to an id that is no node of the medium,
+	// fails at once: OnSendFailed fires from inside Send and nothing is
+	// transmitted. Any later failure is reported once, when the protocol
+	// abandons the payload.
 	Send(dst, size int, payload Msg)
 	// Broadcast floods the payload to every node within ttl ad-hoc hops.
 	Broadcast(ttl, size int, payload Msg)

@@ -28,7 +28,7 @@ func benchOverlay(tb testing.TB, seed int64, arena geom.Rect, pts []geom.Point, 
 	svs := make([]*Servent, len(pts))
 	pl := route.NewPlane(s, med)
 	for i, p := range pts {
-		rt := flood.NewRouter(i, pl, flood.Config{})
+		rt := flood.NewRouter(i, pl, flood.DefaultConfig())
 		med.Join(i, p, rt.HandleFrame)
 		opt := Options{Collector: col, RNG: s.NewRand(), NoQueries: true, NoEstablish: true}
 		if files != nil {

@@ -60,7 +60,7 @@ func newWorld(t *testing.T, spec worldSpec) *world {
 		col: telemetry.NewCollector(len(spec.pts)),
 	}
 	for i, p := range spec.pts {
-		rt := aodv.NewRouter(i, pl, aodv.Config{})
+		rt := aodv.NewRouter(i, pl, aodv.DefaultConfig())
 		w.rts[i] = rt
 		med.Join(i, p, rt.HandleFrame)
 		if spec.member != nil && !spec.member[i] {

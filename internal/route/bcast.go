@@ -35,6 +35,11 @@ type Bcaster struct {
 	// reported path excludes the relaying node itself).
 	PrepRelay func(b *netif.Packet)
 
+	// Stamp returns the OriginSeq a broadcast this node originates
+	// carries (AODV's sequence number, which relays learn the route back
+	// with). Nil stamps 0.
+	Stamp func() uint32
+
 	nextID uint32
 
 	// scratch is this node's private copy of an accepted broadcast: the
@@ -50,16 +55,19 @@ type Bcaster struct {
 }
 
 // NewBcaster creates the broadcast relay for core's node with the given
-// framing overheads and duplicate-cache bounds. Without suppress (the
-// AODV ablation flag) re-arrivals still count as cache hits but are
-// processed anyway, so its cache declares no frame kind.
+// framing overheads and duplicate-cache bounds; it is the one
+// core.Broadcast originates on. Without suppress (the AODV ablation
+// flag) re-arrivals still count as cache hits but are processed anyway,
+// so its cache declares no frame kind.
 func NewBcaster(core *Core, hdrSize, perHop int, cfg CacheConfig, suppress bool) *Bcaster {
 	kind := netif.PktNone
 	if suppress {
 		kind = netif.PktBcast
 	}
-	return &Bcaster{core: core, cache: NewDupCache(core, kind, cfg), suppress: suppress,
+	bc := &Bcaster{core: core, cache: NewDupCache(core, kind, cfg), suppress: suppress,
 		hdrSize: hdrSize, perHop: perHop}
+	core.bcast = bc
+	return bc
 }
 
 // frameSize is the on-air size of b.
@@ -68,16 +76,18 @@ func (bc *Bcaster) frameSize(b *netif.Packet) int {
 }
 
 // Originate floods a new broadcast from this node.
-func (bc *Bcaster) Originate(ttl, size int, payload netif.Msg, originSeq uint32) {
+func (bc *Bcaster) Originate(ttl, size int, payload netif.Msg) {
 	bc.nextID++
 	b := netif.Packet{
-		Kind:      netif.PktBcast,
-		Origin:    bc.core.id,
-		OriginSeq: originSeq,
-		ID:        bc.nextID,
-		TTL:       ttl,
-		Size:      size,
-		Msg:       payload,
+		Kind:   netif.PktBcast,
+		Origin: bc.core.id,
+		ID:     bc.nextID,
+		TTL:    ttl,
+		Size:   size,
+		Msg:    payload,
+	}
+	if bc.Stamp != nil {
+		b.OriginSeq = bc.Stamp()
 	}
 	bc.cache.Mark(Key{Origin: b.Origin, ID: b.ID})
 	bc.core.Count.BcastOrig++

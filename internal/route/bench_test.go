@@ -32,7 +32,7 @@ func newDupCheckBench() *dupCheckBench {
 	w := &dupCheckBench{s: sim.New(5), caches: make([]*DupCache, dupCheckNodes)}
 	pl := testPlane(w.s, dupCheckNodes)
 	for n := range w.caches {
-		w.caches[n] = NewDupCache(NewCore(n, pl), netif.PktBcast, CacheConfig{Timeout: dupCheckTimeout})
+		w.caches[n] = NewDupCache(NewCore(n, pl), netif.PktBcast, cacheFor(dupCheckTimeout))
 	}
 	for warm := 2 * int(dupCheckTimeout/dupCheckGap); w.next < warm; {
 		w.flood()

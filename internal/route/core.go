@@ -3,9 +3,9 @@
 // privately reimplemented the same four mechanisms; they now live here
 // exactly once:
 //
-//   - Core: the delivery-dispatch path — upper-layer hooks, asynchronous
-//     self-delivery, send-failure reporting — plus the netif.Stats
-//     counter block.
+//   - Core: the netif.Protocol surface a router inherits — Send's
+//     self-delivery and failure rule, Broadcast, the upper-layer hooks,
+//     send-failure reporting — plus the netif.Stats counter block.
 //   - DupCache: the TTL-bounded duplicate-suppression cache with one
 //     uniform policy (exact expiry at the timeout, deterministic
 //     oldest-first eviction at a per-node hard cap), kept for all nodes
@@ -31,8 +31,9 @@ import (
 )
 
 // Core is the per-node dispatch half of the control plane. Routers embed
-// *Core and inherit the netif.Protocol hook surface (ID, OnUnicast,
-// OnBroadcast, OnSendFailed, Stats) plus the delivery helpers.
+// *Core and inherit the whole netif.Protocol surface plus the delivery
+// helpers; a router writes only its protocol, behind Route and its
+// Bcaster's hooks.
 type Core struct {
 	id     int
 	plane  *Plane
@@ -44,7 +45,13 @@ type Core struct {
 	// here; protocol code increments the protocol-specific ones.
 	Count netif.Stats
 
+	// Route is the router's half of Send: it carries a payload from this
+	// node, which is up, to dst, another node of the medium. Send has
+	// already counted the attempt. Set at construction.
+	Route func(dst, size int, payload netif.Msg)
+
 	caches []*DupCache // registered for SeenEntries/SeenBound
+	bcast  *Bcaster    // the node's controlled broadcast (NewBcaster)
 
 	onUnicast    func(netif.Delivery)
 	onBroadcast  func(netif.Delivery)
@@ -52,8 +59,8 @@ type Core struct {
 
 	// Bound once at construction so self-delivery schedules without a
 	// per-call closure allocation; selfQ carries the payloads in FIFO
-	// order (one Schedule per SelfDeliver, so queue position and event
-	// order agree).
+	// order (one Schedule per self-addressed Send, so queue position and
+	// event order agree).
 	selfDeliverFn func()
 	selfQ         []netif.Msg
 	selfHead      int
@@ -118,14 +125,36 @@ func (c *Core) FailSend(dst int, payload netif.Msg) {
 	}
 }
 
-// SelfDeliver completes a Send addressed to this node on the next
-// event-loop turn, like every remote delivery: asynchronously. The
-// payload parks in the node's own FIFO instead of boxing into the
-// event, so the schedule-and-fire round trip allocates nothing once
-// the queue's backing array is warm.
-func (c *Core) SelfDeliver(payload netif.Msg) {
-	c.selfQ = append(c.selfQ, payload)
-	c.Sim.Schedule(0, c.selfDeliverFn)
+// Send is netif.Protocol's Send, with its failure rule: no router's
+// id-indexed state has a row for an id outside the medium. A payload for
+// this node parks in its own FIFO, not boxed into the event, so the
+// round trip allocates nothing once the queue is warm. The rest is the
+// router's (Route).
+func (c *Core) Send(dst, size int, payload netif.Msg) {
+	if dst == c.id {
+		c.selfQ = append(c.selfQ, payload)
+		c.Sim.Schedule(0, c.selfDeliverFn)
+		return
+	}
+	c.Count.DataSent++
+	if !c.Medium.Up(c.id) || dst < 0 || dst >= c.Medium.NumNodes() {
+		c.FailSend(dst, payload)
+		return
+	}
+	c.Route(dst, size, payload)
+}
+
+// Broadcast is netif.Protocol's Broadcast: the node's Bcaster floods
+// payload within ttl hops. A down node transmits nothing.
+func (c *Core) Broadcast(ttl, size int, payload netif.Msg) {
+	if ttl <= 0 {
+		// Unreachable from input: overlay TTLs are NHopsBasic >= 1 (Params.Validate), a nonzero ring radius or randhops >= 1.
+		panic("route: Broadcast with non-positive TTL")
+	}
+	if !c.Medium.Up(c.id) {
+		return
+	}
+	c.bcast.Originate(ttl, size, payload)
 }
 
 func (c *Core) selfDeliver() {

@@ -24,21 +24,12 @@ type CacheConfig struct {
 	HardCap int
 }
 
-// DefaultSeenCacheCap is the SeenCacheCap every protocol's Config
-// defaults to; a node's cache is bounded at twice that many live marks
-// (CacheConfig.HardCap), far above anything the paper-scale scenarios
-// reach, so evicting a fresh mark is a storm-only safety net.
-const (
-	DefaultSeenCacheCap = 4096
-	DefaultHardCap      = 2 * DefaultSeenCacheCap
-)
-
-// withDefaults fills an unset bound.
-func (c CacheConfig) withDefaults() CacheConfig {
-	if c.HardCap <= 0 {
-		c.HardCap = DefaultHardCap
-	}
-	return c
+// DefaultCacheConfig is the duplicate-cache bound every router's
+// DefaultConfig starts from: a mark lives 30 s, and a node holds at most
+// 8192 live marks, far above anything the paper-scale scenarios reach,
+// so evicting a fresh mark is a storm-only safety net.
+func DefaultCacheConfig() CacheConfig {
+	return CacheConfig{Timeout: 30 * sim.Second, HardCap: 8192}
 }
 
 // DupCache is one node's duplicate-suppression cache behind the paper's
@@ -69,8 +60,12 @@ type DupCache struct {
 // whose key the node holds, and ignores it at its origin, so the medium
 // settles those receptions without the router (Plane.inert).
 func NewDupCache(core *Core, kind netif.PacketKind, cfg CacheConfig) *DupCache {
+	if cfg.Timeout <= 0 || cfg.HardCap <= 0 {
+		// Unreachable from input: every router's cache bound comes from DefaultCacheConfig.
+		panic(fmt.Sprintf("route: duplicate cache bound %+v is not positive", cfg))
+	}
 	p := core.plane
-	dc := &DupCache{x: p.dupIndex(len(core.caches), cfg.withDefaults()), node: core.id}
+	dc := &DupCache{x: p.dupIndex(len(core.caches), cfg), node: core.id}
 	core.caches = append(core.caches, dc)
 	if kind != netif.PktNone {
 		if y := p.absorb[kind]; y != nil && y != dc.x {

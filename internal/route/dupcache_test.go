@@ -196,7 +196,7 @@ func TestDupIndexMatchesReferenceModel(t *testing.T) {
 func TestDupCacheRemarkLeavesAgeAlone(t *testing.T) {
 	c, s := testCore(6)
 	const timeout = 10 * sim.Second
-	dc := NewDupCache(c, netif.PktBcast, CacheConfig{Timeout: timeout})
+	dc := NewDupCache(c, netif.PktBcast, cacheFor(timeout))
 	k := Key{Origin: 3, ID: 7}
 	if dc.Mark(k) {
 		t.Fatal("first mark reported a duplicate")
@@ -263,7 +263,7 @@ func TestDupIndexRecordRemovalKeepsProbeRunsIntact(t *testing.T) {
 	const timeout = 10 * sim.Second
 	var dc [3]*DupCache
 	for n := range dc {
-		dc[n] = NewDupCache(NewCore(n, pl), netif.PktBcast, CacheConfig{Timeout: timeout})
+		dc[n] = NewDupCache(NewCore(n, pl), netif.PktBcast, cacheFor(timeout))
 	}
 	x := pl.dups[0]
 	keys := collidingKeys(x, 5, 4)

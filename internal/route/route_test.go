@@ -18,6 +18,13 @@ func testPlane(s *sim.Sim, nodes int) *Plane {
 	return NewPlane(s, med)
 }
 
+// cacheFor is the default cache bound with the given mark lifetime.
+func cacheFor(timeout sim.Time) CacheConfig {
+	cfg := DefaultCacheConfig()
+	cfg.Timeout = timeout
+	return cfg
+}
+
 func testCore(seed int64) (*Core, *sim.Sim) {
 	s := sim.New(seed)
 	return NewCore(0, testPlane(s, 1)), s
@@ -25,7 +32,7 @@ func testCore(seed int64) (*Core, *sim.Sim) {
 
 func TestDupCacheSeenRespectsTimeout(t *testing.T) {
 	c, s := testCore(1)
-	dc := NewDupCache(c, netif.PktBcast, CacheConfig{Timeout: 10 * sim.Second})
+	dc := NewDupCache(c, netif.PktBcast, cacheFor(10*sim.Second))
 	k := Key{Origin: 3, ID: 7}
 	if dc.Seen(k) {
 		t.Fatal("unmarked key reported seen")
@@ -46,7 +53,7 @@ func TestDupCacheSeenRespectsTimeout(t *testing.T) {
 func TestDupCacheExpiryIsExact(t *testing.T) {
 	c, s := testCore(2)
 	const timeout = 5 * sim.Second
-	dc := NewDupCache(c, netif.PktBcast, CacheConfig{Timeout: timeout})
+	dc := NewDupCache(c, netif.PktBcast, cacheFor(timeout))
 	for i := 0; i < 8; i++ {
 		dc.Mark(Key{Origin: 1, ID: uint32(i)})
 	}
@@ -74,7 +81,7 @@ func TestDupCacheExpiryIsExact(t *testing.T) {
 func TestDupCacheKindDeclaredByOneFamily(t *testing.T) {
 	pl := testPlane(sim.New(1), 2)
 	a, b := NewCore(0, pl), NewCore(1, pl)
-	cfg := CacheConfig{Timeout: sim.Second}
+	cfg := cacheFor(sim.Second)
 	NewDupCache(a, netif.PktRREQ, cfg)
 	NewDupCache(b, netif.PktRREQ, cfg)
 	NewDupCache(a, netif.PktNone, cfg)
@@ -165,7 +172,7 @@ func TestCoreSelfDeliverIsAsynchronous(t *testing.T) {
 	c, s := testCore(5)
 	var got []int
 	c.OnUnicast(func(d netif.Delivery) { got = append(got, d.Hops) })
-	c.SelfDeliver(netif.TestMsg(1))
+	c.Send(0, 10, netif.TestMsg(1))
 	if len(got) != 0 {
 		t.Fatal("self delivery ran synchronously")
 	}
