@@ -26,7 +26,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -178,25 +177,27 @@ func kindPoints[K fmt.Stringer](kinds []K, set func(*manetp2p.Scenario, K)) []po
 }
 
 // resilienceCells renders the faults-axis extra columns: mean
-// time-to-reheal and residual disconnect over the regime's events, "-"
-// when the regime injected nothing.
+// time-to-reheal over the regime's events that re-healed in some
+// replication ("never" when none did), and residual disconnect over all
+// of them; "-" when the regime injected nothing.
 func resilienceCells(res *manetp2p.Result) []string {
 	r := res.Resilience
 	if r == nil || len(r.Events) == 0 {
 		return []string{"-", "-"}
 	}
-	rehealSum, residualSum, n := 0.0, 0.0, float64(len(r.Events))
+	reheal, healed, residual := 0.0, 0, 0.0
 	for _, ev := range r.Events {
-		rehealSum += ev.RehealSeconds.Mean
-		residualSum += ev.ResidualDisconnect.Mean
+		if ev.RehealSeconds.N > 0 {
+			reheal += ev.RehealSeconds.Mean
+			healed++
+		}
+		residual += ev.ResidualDisconnect.Mean
 	}
-	if math.IsNaN(rehealSum) {
-		return []string{"-", "-"}
+	rehealCell := "never"
+	if healed > 0 {
+		rehealCell = fmt.Sprintf("%.1f", reheal/float64(healed))
 	}
-	return []string{
-		fmt.Sprintf("%.1f", rehealSum/n),
-		fmt.Sprintf("%.3f", residualSum/n),
-	}
+	return []string{rehealCell, fmt.Sprintf("%.3f", residual/float64(len(r.Events)))}
 }
 
 // routingCells renders the routing-axis extra columns: control frames

@@ -102,6 +102,38 @@ func TestFormatRow(t *testing.T) {
 	}
 }
 
+// The faults axis averages time-to-reheal only over the events that
+// re-healed in some replication: an event none re-healed pools to an
+// empty Summary, whose zero Mean is no reheal time, and a regime in
+// which nothing re-healed says so instead of printing 0.0 s.
+func TestResilienceCellsSkipEventsThatNeverRehealed(t *testing.T) {
+	ev := func(n int, reheal, residual float64) manetp2p.EventRecovery {
+		var e manetp2p.EventRecovery
+		e.RehealSeconds.N, e.RehealSeconds.Mean = n, reheal
+		e.ResidualDisconnect.N, e.ResidualDisconnect.Mean = 3, residual
+		return e
+	}
+	cases := []struct {
+		name   string
+		events []manetp2p.EventRecovery
+		want   []string
+	}{
+		{"no faults", nil, []string{"-", "-"}},
+		{"all re-healed", []manetp2p.EventRecovery{ev(3, 10, 0.1), ev(1, 30, 0.3)}, []string{"20.0", "0.200"}},
+		{"one never re-healed", []manetp2p.EventRecovery{ev(3, 10, 0.1), ev(0, 0, 0.5)}, []string{"10.0", "0.300"}},
+		{"none re-healed", []manetp2p.EventRecovery{ev(0, 0, 0.4), ev(0, 0, 0.6)}, []string{"never", "0.500"}},
+	}
+	for _, c := range cases {
+		res := &manetp2p.Result{Resilience: &manetp2p.Resilience{Events: c.events}}
+		if got := resilienceCells(res); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: resilienceCells = %q, want %q", c.name, got, c.want)
+		}
+	}
+	if got := resilienceCells(&manetp2p.Result{}); !reflect.DeepEqual(got, []string{"-", "-"}) {
+		t.Errorf("without resilience telemetry: resilienceCells = %q, want dashes", got)
+	}
+}
+
 // parseFlags runs sweep's scenario flags over one command line.
 func parseFlags(t *testing.T, args ...string) *scenarioflag.Flags {
 	t.Helper()
