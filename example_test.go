@@ -311,7 +311,9 @@ func Example_smallworld() {
 			sc.Replications = 1
 			sc.Duration = manetp2p.Seconds(150)
 			sc.SnapshotEvery = manetp2p.Seconds(50)
-			sc.Stationary = c.static
+			if c.static {
+				sc.Mobility = manetp2p.MobilityStationary
+			}
 			res, err := manetp2p.Run(sc)
 			if err != nil {
 				fmt.Println(err)

@@ -220,10 +220,9 @@ type Scenario struct {
 	Files  p2p.FileConfig  // Zipf content model
 	Quals  QualifierConfig // hybrid qualifier assignment (zero: uniform)
 
-	MaxSpeed   float64      // Random Waypoint max speed, m/s (paper: 1.0)
-	MaxPause   sim.Time     // Random Waypoint max pause (paper: 100 s)
-	Stationary bool         // freeze all nodes (isolates mobility effects)
-	Mobility   MobilityKind // movement model (default: Random Waypoint)
+	MaxSpeed float64      // Random Waypoint max speed, m/s (paper: 1.0)
+	MaxPause sim.Time     // Random Waypoint max pause (paper: 100 s)
+	Mobility MobilityKind // movement model (default: Random Waypoint)
 
 	Duration     sim.Time // simulated time per replication (paper: 3600 s)
 	Replications int      // independent runs (paper: 33)
@@ -430,11 +429,7 @@ func (sc Scenario) slowest() float64 {
 
 // newModel creates one node's movement model over the speed band
 // [slowest, MaxSpeed], which Validate keeps positive, ordered and
-// finite. Stationary overrides Mobility.
+// finite.
 func (sc Scenario) newModel(arena geom.Rect, start geom.Point, rng *rand.Rand) mobility.Model {
-	kind := sc.Mobility
-	if sc.Stationary {
-		kind = MobilityStationary
-	}
-	return mobilities[kind].new(arena, start, sc.slowest(), sc.MaxSpeed, sc.MaxPause, rng)
+	return mobilities[sc.Mobility].new(arena, start, sc.slowest(), sc.MaxSpeed, sc.MaxPause, rng)
 }

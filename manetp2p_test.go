@@ -300,10 +300,9 @@ func TestScenarioRoutingAndMobilityMapping(t *testing.T) {
 			t.Errorf("mobility %v: %v", mob, err)
 		}
 	}
-	// The Stationary flag overrides the mobility kind.
+	// MobilityStationary freezes every node.
 	sc := quickScenario(Regular, 4)
-	sc.Mobility = MobilityWalk
-	sc.Stationary = true
+	sc.Mobility = MobilityStationary
 	s, err := NewSimulation(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +310,7 @@ func TestScenarioRoutingAndMobilityMapping(t *testing.T) {
 	before := s.Net.Medium.Pos(0)
 	s.Step(5 * sim.Minute)
 	if s.Net.Medium.Pos(0) != before {
-		t.Error("Stationary flag did not freeze movement")
+		t.Error("MobilityStationary did not freeze movement")
 	}
 }
 

@@ -308,6 +308,9 @@ var badScenarioFiles = []struct{ field, doc string }{
 	// The trace is a writer WriteTrace is given, not a scenario field:
 	// a file saved when it was one is refused, naming the field.
 	{"TraceCapacity", `{"TraceCapacity": 0}`},
+	// Stationary repeated Mobility: MobilityStationary and silently
+	// overrode Mobility; a file that still names it is refused.
+	{"Stationary", `{"Stationary": false}`},
 }
 
 func TestScenarioJSONRejectsOutOfRange(t *testing.T) {
