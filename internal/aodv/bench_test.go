@@ -124,3 +124,88 @@ func TestAODVFloodZeroAllocs(t *testing.T) {
 	}
 	w.check(t, runs+1) // AllocsPerRun makes one warm-up call
 }
+
+// rerrBench is the tracked route-error workload: node 1 routes to
+// rerrDsts destinations through node 2, node 0 routes to the same ones
+// through node 1, and node 2 is out of range. Each op reinstalls both
+// tables' routes, node 1 finds the link to 2 broken (linkBreak) and
+// broadcasts an RERR naming every destination, and node 0, whose routes
+// all used node 1, propagates it; node 1 hears the relay and has nothing
+// left to tear down.
+type rerrBench struct {
+	s      *sim.Sim
+	up     *Router // node 0, which propagates
+	broken *Router // node 1, whose link breaks
+}
+
+const rerrDsts = 20
+
+func newRERRBench(tb testing.TB) *rerrBench {
+	const nodes = rerrDsts + 3 // 0, 1, the lost hop 2, and the destinations
+	w := &rerrBench{s: sim.New(5)}
+	med, err := radio.NewMedium(w.s, radio.Config{
+		Arena: geom.Rect{W: 100, H: 100}, Range: 10, NumNodes: nodes,
+		Latency: 2 * sim.Millisecond, Jitter: sim.Millisecond,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pl := route.NewPlane(w.s, med)
+	w.up = NewRouter(0, pl, DefaultConfig())
+	w.broken = NewRouter(1, pl, DefaultConfig())
+	med.Join(0, geom.Point{X: 5, Y: 5}, w.up.HandleFrame)
+	med.Join(1, geom.Point{X: 13, Y: 5}, w.broken.HandleFrame)
+	w.rerr()
+	w.check(tb, 1)
+	return w
+}
+
+// rerr is one link break and its propagation, drained.
+func (w *rerrBench) rerr() {
+	now, life := w.s.Now(), w.up.cfg.ActiveRouteTimeout
+	for dst := 2; dst < rerrDsts+3; dst++ {
+		w.broken.table.update(dst, 2, dst-1, 0, false, now, life)
+		w.up.table.update(dst, 1, dst, 0, false, now, life)
+	}
+	w.broken.linkBreak(2, now)
+	w.s.Run(now + 10*sim.Millisecond)
+}
+
+// check fails tb unless node 1 originated and node 0 relayed n RERRs
+// and no route to a destination survived at either.
+func (w *rerrBench) check(tb testing.TB, n int) {
+	if got := w.broken.Stats().CtrlOrig; got != uint64(n) {
+		tb.Fatalf("node 1 originated %d RERRs, want %d", got, n)
+	}
+	if got := w.up.Stats().CtrlRelayed; got != uint64(n) {
+		tb.Fatalf("node 0 propagated %d RERRs, want %d", got, n)
+	}
+	for dst := 2; dst < rerrDsts+3; dst++ {
+		if _, ok := w.up.HopsTo(dst); ok {
+			tb.Fatalf("node 0 kept its route to %d", dst)
+		}
+	}
+}
+
+// BenchmarkAODVRERR's contract is 0 allocs/op: TestAODVRERRZeroAllocs
+// holds it at zero.
+func BenchmarkAODVRERR(b *testing.B) {
+	w := newRERRBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.rerr()
+	}
+	w.check(b, b.N+1)
+}
+
+// The same contract in `go test`: building, sending, receiving and
+// propagating an RERR allocates nothing.
+func TestAODVRERRZeroAllocs(t *testing.T) {
+	w := newRERRBench(t)
+	const runs = 200
+	if allocs := testing.AllocsPerRun(runs, w.rerr); allocs != 0 {
+		t.Errorf("one propagated RERR allocates %.1f allocs/op, want 0", allocs)
+	}
+	w.check(t, runs+2) // the set-up's op and AllocsPerRun's warm-up call
+}

@@ -72,6 +72,10 @@ type Router struct {
 	bcast    *route.Bcaster
 	pending  *route.Pending[netif.Packet]
 
+	// rerr is the scratch an RERR's destination list is built in; the
+	// medium copies it on Send, so the next RERR reuses it.
+	rerr []netif.Unreachable
+
 	// Callback for the typed scheduling API, bound once at construction
 	// so the hot paths schedule without a per-call closure allocation.
 	discTimeoutFn func(sim.Arg)
@@ -201,7 +205,7 @@ func (r *Router) discoveryTimeout(dst int, d *route.Discovery[netif.Packet]) {
 		d.Retries++
 	}
 	if d.Retries > r.cfg.MaxDiscoveryRetries {
-		r.pending.Drop(dst)
+		r.pending.Take(dst)
 		r.Count.DiscoverFailed++
 		announced := false
 		for _, pkt := range d.Queue {
@@ -214,6 +218,7 @@ func (r *Router) discoveryTimeout(dst int, d *route.Discovery[netif.Packet]) {
 				announced = true
 			}
 		}
+		r.pending.Recycle(d)
 		return
 	}
 	r.sendRREQ(dst, d)
@@ -228,6 +233,7 @@ func (r *Router) completeDiscovery(dst int) {
 	for _, pkt := range d.Queue {
 		r.forwardData(pkt)
 	}
+	r.pending.Recycle(d)
 }
 
 // forwardData sends pkt one hop along the current route. A missing or
@@ -259,17 +265,18 @@ func (r *Router) forwardData(pkt netif.Packet) {
 
 // linkBreak invalidates all routes through via and broadcasts an RERR.
 func (r *Router) linkBreak(via int, now sim.Time) {
-	lost := r.table.invalidateVia(via, now)
-	if len(lost) == 0 {
+	r.rerr = r.table.invalidateVia(r.rerr[:0], via, now)
+	if len(r.rerr) == 0 {
 		return
 	}
-	r.emitRERR(lost, false)
+	r.emitRERR(r.rerr, false)
 }
 
 // sendRERRFor reports a single unroutable destination.
 func (r *Router) sendRERRFor(dst int, now sim.Time) {
 	seq, _ := r.table.invalidate(dst, now)
-	r.emitRERR([]netif.Unreachable{{Dst: dst, Seq: seq}}, false)
+	r.rerr = append(r.rerr[:0], netif.Unreachable{Dst: dst, Seq: seq})
+	r.emitRERR(r.rerr, false)
 }
 
 func (r *Router) emitRERR(lost []netif.Unreachable, relay bool) {
@@ -377,7 +384,7 @@ func (r *Router) handleRREP(prev int, rx *netif.Packet) {
 
 func (r *Router) handleRERR(prev int, e *netif.Packet) {
 	now := r.Sim.Now()
-	var propagate []netif.Unreachable
+	propagate := r.rerr[:0]
 	for _, u := range e.Unreachable {
 		if ent, ok := r.table.get(u.Dst, now); ok && int(ent.nextHop) == prev {
 			seq, was := r.table.invalidate(u.Dst, now)
@@ -386,6 +393,7 @@ func (r *Router) handleRERR(prev int, e *netif.Packet) {
 			}
 		}
 	}
+	r.rerr = propagate
 	if len(propagate) > 0 {
 		r.emitRERR(propagate, true)
 	}

@@ -93,10 +93,9 @@ func (t *routeTable) invalidate(dst int, now sim.Time) (uint32, bool) {
 }
 
 // invalidateVia tears down all valid routes whose next hop is via and
-// returns the affected destinations (in id order, so identical runs emit
-// identical RERRs) with their bumped sequence numbers.
-func (t *routeTable) invalidateVia(via int, now sim.Time) []netif.Unreachable {
-	var out []netif.Unreachable
+// appends the affected destinations to out (in id order, so identical
+// runs emit identical RERRs) with their bumped sequence numbers.
+func (t *routeTable) invalidateVia(out []netif.Unreachable, via int, now sim.Time) []netif.Unreachable {
 	for dst := range t.entries {
 		if e, ok := t.get(dst, now); ok && int(e.nextHop) == via {
 			seq, _ := t.invalidate(dst, now)

@@ -100,7 +100,7 @@ func TestRouteTableInvalidateVia(t *testing.T) {
 	rt.update(5, 2, 3, 10, true, 0, life)
 	rt.update(6, 2, 4, 20, true, 0, life)
 	rt.update(7, 3, 1, 30, true, 0, life)
-	lost := rt.invalidateVia(2, 0)
+	lost := rt.invalidateVia(nil, 2, 0)
 	if len(lost) != 2 {
 		t.Fatalf("invalidateVia lost %v, want 2 destinations", lost)
 	}
@@ -149,7 +149,7 @@ func TestRouteTableZeroEntryMeansNoRoute(t *testing.T) {
 	if *rt.raw(5) != (routeEntry{}) {
 		t.Fatalf("invalidate or refresh wrote an untouched row: %+v", *rt.raw(5))
 	}
-	if lost := rt.invalidateVia(0, 0); lost != nil {
+	if lost := rt.invalidateVia(nil, 0, 0); lost != nil {
 		t.Fatalf("invalidateVia(0) on an empty table tore down %v; the zero entry's next hop 0 is not a route", lost)
 	}
 	// Every kind of first update is accepted, whatever it claims.
@@ -183,7 +183,7 @@ func TestRouteTableInvalidateViaWalksInIDOrder(t *testing.T) {
 	}
 	rt.update(4, 5, 1, 40, true, 0, life)         // another next hop
 	rt.update(0, 2, 1, 5, true, 0, 10*sim.Second) // expired by the time of the break
-	lost := rt.invalidateVia(2, 50*sim.Second)
+	lost := rt.invalidateVia(nil, 2, 50*sim.Second)
 	var order []int
 	for _, u := range lost {
 		order = append(order, u.Dst)

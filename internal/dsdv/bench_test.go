@@ -81,3 +81,80 @@ func TestDSDVUpdateZeroAllocs(t *testing.T) {
 	}
 	w.check(t)
 }
+
+// advertiseBench is the tracked advertisement-sending workload: node 0's
+// table holds a row for each of 50 destinations, and each op builds its
+// full 51-entry advertisement and puts it on the air, where its one
+// neighbour, node 1, hears it.
+type advertiseBench struct {
+	s     *sim.Sim
+	r     *Router
+	heard int // advertisements node 1 heard with every row
+}
+
+func newAdvertiseBench(tb testing.TB) *advertiseBench {
+	w := &advertiseBench{s: sim.New(3)}
+	med, err := radio.NewMedium(w.s, radio.Config{
+		Arena: geom.Rect{W: 100, H: 100}, Range: 10, NumNodes: updateDsts + 2,
+		Latency: 2 * sim.Millisecond, Jitter: sim.Millisecond,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// The periodic advertisement is pushed past the benchmark's horizon;
+	// each op calls advertise itself.
+	cfg := DefaultConfig()
+	cfg.UpdatePeriod = 10_000 * sim.Hour
+	cfg.RouteTimeout = 10_000 * sim.Hour
+	w.r = NewRouter(0, route.NewPlane(w.s, med), cfg)
+	med.Join(0, geom.Point{X: 5, Y: 5}, w.r.HandleFrame)
+	med.Join(1, geom.Point{X: 13, Y: 5}, func(f *radio.Frame) {
+		if e := f.Payload.Entries; len(e) == updateDsts+1 && e[0].Dst == 0 && e[updateDsts].Dst == updateDsts+1 {
+			w.heard++
+		}
+	})
+	entries := make([]netif.AdvEntry, updateDsts)
+	for i := range entries {
+		entries[i] = netif.AdvEntry{Dst: i + 2, Metric: i % 5, Seq: 2}
+	}
+	w.r.handleUpdate(&netif.Packet{Kind: netif.PktUpdate, Origin: 1, Entries: entries})
+	w.advertise()
+	w.heard = 0
+	return w
+}
+
+// advertise is one advertisement sent and heard, drained.
+func (w *advertiseBench) advertise() {
+	w.r.advertise()
+	w.s.Run(w.s.Now() + 10*sim.Millisecond)
+}
+
+// check fails tb unless node 1 heard n full advertisements.
+func (w *advertiseBench) check(tb testing.TB, n int) {
+	if w.heard != n {
+		tb.Fatalf("node 1 heard %d full advertisements, want %d", w.heard, n)
+	}
+}
+
+// BenchmarkDSDVAdvertise's contract is 0 allocs/op:
+// TestDSDVAdvertiseZeroAllocs holds it at zero.
+func BenchmarkDSDVAdvertise(b *testing.B) {
+	w := newAdvertiseBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.advertise()
+	}
+	w.check(b, b.N)
+}
+
+// The same contract in `go test`: building and sending a full-table
+// advertisement allocates nothing.
+func TestDSDVAdvertiseZeroAllocs(t *testing.T) {
+	w := newAdvertiseBench(t)
+	const runs = 200
+	if allocs := testing.AllocsPerRun(runs, w.advertise); allocs != 0 {
+		t.Errorf("one 51-entry advertisement allocates %.1f allocs/op, want 0", allocs)
+	}
+	w.check(t, runs+1) // AllocsPerRun makes one warm-up call
+}

@@ -97,8 +97,8 @@ func TestTableMatchesMapModel(t *testing.T) {
 	cfg.UpdatePeriod = 10_000 * sim.Hour
 	r := NewRouter(self, route.NewPlane(s, med), cfg)
 	med.Join(self, geom.Point{X: 50, Y: 50}, r.HandleFrame)
-	var heard [][]netif.AdvEntry
-	med.Join(0, geom.Point{X: 55, Y: 50}, func(f *radio.Frame) { heard = append(heard, f.Payload.Entries) })
+	var heard [][]netif.AdvEntry // copied: a frame's slices are valid only during the callback
+	med.Join(0, geom.Point{X: 55, Y: 50}, func(f *radio.Frame) { heard = append(heard, slices.Clone(f.Payload.Entries)) })
 	ref := &refTable{self: self, timeout: r.cfg.RouteTimeout, m: map[int]*tableRow{}}
 	rng := rand.New(rand.NewSource(35))
 	seqs := []uint32{0, 1, 2, 3, 4, 5, 6, 1<<32 - 2, 1<<32 - 1}

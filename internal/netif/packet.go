@@ -49,9 +49,13 @@ type AdvEntry struct {
 // stores that frame once per transmission, and every receiver is handed
 // a pointer to the stored copy: a receive handler reads through the
 // pointer and copies the Packet (one struct assignment, no allocation)
-// only when it keeps, edits or relays it. The slices are shared by every
-// copy and are never written in place — extending Path means copying it
-// first. Only the fields of the active Kind are meaningful.
+// only when it keeps, edits or relays it. The medium copies the slices
+// into storage it owns when the frame is sent, so a sender builds them
+// in scratch it reuses at its next send; on the receiving side they are
+// valid only during the callback, and a receiver that keeps a packet
+// copies its slices. Nobody writes them in place — extending Path means
+// building the longer path in the relay's own storage. Only the fields
+// of the active Kind are meaningful.
 //
 // Field use by kind:
 //

@@ -26,7 +26,8 @@ const BroadcastAddr = -1
 
 // Frame is one link-layer transmission unit. Send takes it by value and
 // the medium stores it once per transmission, however many nodes hear
-// it; receivers are handed a pointer to that one stored copy.
+// it, with its payload's slices copied into buffers the medium owns;
+// receivers are handed a pointer to that one stored copy.
 type Frame struct {
 	Src     int          // transmitting node
 	Dst     int          // receiving node or BroadcastAddr
@@ -36,9 +37,13 @@ type Frame struct {
 
 // Receiver is the upper-layer hook invoked on frame arrival. The frame
 // is the medium's single stored copy of the transmission, shared by
-// every node that hears it: it is valid only for the duration of the
-// callback and must not be modified, including the slices inside its
-// payload. A receiver that keeps or edits anything copies it first.
+// every node that hears it, and must not be modified, including the
+// slices inside its payload. It is valid only for the duration of the
+// callback, and so are those slices: the medium overwrites them with -1
+// and reuses their storage once the last receiver has returned. A
+// receiver that keeps a packet copies its slices; one that relays it
+// may pass them to Send unchanged, or build the new ones in storage of
+// its own.
 type Receiver func(f *Frame)
 
 // LinkFilter vets each would-be frame delivery; returning true drops it
@@ -337,7 +342,9 @@ func (m *Medium) NumNodes() int { return m.cfg.NumNodes }
 // BroadcastAddr the frame is delivered to every in-range node. It returns
 // the number of receivers the frame was queued for (pre-loss). Sending
 // from a down node is a silent no-op returning 0: protocol timers can
-// race with churn, and that race is real in a MANET.
+// race with churn, and that race is real in a MANET. Send copies the
+// payload's slices, so the caller may reuse their storage once it
+// returns.
 func (m *Medium) Send(f Frame) int {
 	if f.Src < 0 || f.Src >= m.cfg.NumNodes || !m.up[f.Src] {
 		return 0

@@ -87,3 +87,81 @@ func TestDupCheckZeroAllocs(t *testing.T) {
 	}
 	w.check(t, runs+1) // AllocsPerRun makes one warm-up call
 }
+
+// pendingBench is the tracked pending-buffer workload: one discovery's
+// life in the buffer, as an on-demand router lives it. Each op starts an
+// entry for the next of pendingDsts destinations, parks pendingPkts
+// packets in it, takes it when the route arrives, flushes its queue and
+// recycles it.
+type pendingBench struct {
+	p       *Pending[netif.Packet]
+	next    int
+	flushed int
+}
+
+const (
+	pendingDsts = 8
+	pendingPkts = 4
+)
+
+func newPendingBench() *pendingBench {
+	w := &pendingBench{p: NewPending[netif.Packet](16)}
+	for range pendingDsts { // every destination's key, and the free list, in place
+		w.cycle()
+	}
+	w.flushed = 0
+	return w
+}
+
+// cycle is one start → push ×pendingPkts → take and flush → recycle.
+func (w *pendingBench) cycle() {
+	dst := w.next % pendingDsts
+	w.next++
+	d := w.p.Start(dst)
+	for i := range pendingPkts {
+		w.p.Push(d, netif.Packet{Kind: netif.PktData, Dst: dst, Msg: netif.TestMsg(uint32(i))})
+	}
+	d, _ = w.p.Take(dst)
+	for _, pkt := range d.Queue {
+		if pkt.Dst == dst {
+			w.flushed++
+		}
+	}
+	w.p.Recycle(d)
+}
+
+// check fails tb unless n cycles flushed every packet they parked and
+// left no entry behind.
+func (w *pendingBench) check(tb testing.TB, n int) {
+	if w.flushed != n*pendingPkts {
+		tb.Fatalf("%d cycles flushed %d packets, want %d", n, w.flushed, n*pendingPkts)
+	}
+	for dst := range pendingDsts {
+		if _, ok := w.p.Get(dst); ok {
+			tb.Fatalf("destination %d still has an entry", dst)
+		}
+	}
+}
+
+// BenchmarkPendingCycle's contract is 0 allocs/op:
+// TestPendingCycleZeroAllocs holds it at zero.
+func BenchmarkPendingCycle(b *testing.B) {
+	w := newPendingBench()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.cycle()
+	}
+	w.check(b, b.N)
+}
+
+// The same contract in `go test`: a recycled entry keeps its queue, so a
+// discovery's round trip through the buffer allocates nothing.
+func TestPendingCycleZeroAllocs(t *testing.T) {
+	w := newPendingBench()
+	const runs = 200
+	if allocs := testing.AllocsPerRun(runs, w.cycle); allocs != 0 {
+		t.Errorf("one pending cycle allocates %.1f allocs/op, want 0", allocs)
+	}
+	w.check(t, runs+1) // AllocsPerRun makes one warm-up call
+}

@@ -25,9 +25,14 @@ type Discovery[P any] struct {
 // own map-plus-cap logic; the overflow/flush/abandon choreography now
 // lives here once, while the protocol decides what each outcome means
 // (fail the send, emit an RERR, count a drop).
+//
+// Entries are recycled with their queue capacity: Take retires an entry
+// and Recycle returns it once the caller has flushed its queue, so a
+// steady stream of discoveries allocates nothing.
 type Pending[P any] struct {
-	m   map[int]*Discovery[P]
-	cap int
+	m    map[int]*Discovery[P]
+	cap  int
+	free []*Discovery[P]
 }
 
 // NewPending creates a buffer holding at most bufferCap packets per
@@ -42,11 +47,18 @@ func (p *Pending[P]) Get(dst int) (*Discovery[P], bool) {
 	return d, ok
 }
 
-// Start creates and registers a fresh entry for dst. The caller kicks
-// whatever search it implies (AODV's first ring, DSR's RREQ) — ordering
-// matters to some protocols, so Pending stays out of it.
+// Start registers a fresh entry for dst, a recycled one if there is
+// one. The caller kicks whatever search it implies (AODV's first ring,
+// DSR's RREQ) — ordering matters to some protocols, so Pending stays out
+// of it.
 func (p *Pending[P]) Start(dst int) *Discovery[P] {
-	d := &Discovery[P]{}
+	var d *Discovery[P]
+	if n := len(p.free); n > 0 {
+		d = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		d = &Discovery[P]{}
+	}
 	p.m[dst] = d
 	return d
 }
@@ -67,14 +79,10 @@ func (p *Pending[P]) Current(dst int, d *Discovery[P]) bool {
 	return p.m[dst] == d
 }
 
-// Drop abandons dst's entry without touching its timer (the caller is
-// the timer).
-func (p *Pending[P]) Drop(dst int) {
-	delete(p.m, dst)
-}
-
 // Take removes and returns dst's entry with its retry timer cancelled,
-// ready for the caller to flush the queue.
+// so no timer names it again, ready for the caller to flush the queue
+// and then Recycle it. Flushing can re-enter Start for dst (a FailSend
+// that leads to a new Send); that entry is a different one.
 func (p *Pending[P]) Take(dst int) (*Discovery[P], bool) {
 	d, ok := p.m[dst]
 	if !ok {
@@ -83,4 +91,12 @@ func (p *Pending[P]) Take(dst int) (*Discovery[P], bool) {
 	delete(p.m, dst)
 	d.Timer.Cancel()
 	return d, true
+}
+
+// Recycle returns an entry Take retired, once the caller is done with
+// its queue, for a later Start to reuse.
+func (p *Pending[P]) Recycle(d *Discovery[P]) {
+	clear(d.Queue)
+	*d = Discovery[P]{Queue: d.Queue[:0]}
+	p.free = append(p.free, d)
 }

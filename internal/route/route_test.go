@@ -138,7 +138,9 @@ func TestPendingCurrentDetectsSupersession(t *testing.T) {
 	if !p.Current(5, d1) {
 		t.Fatal("live entry not current")
 	}
-	p.Drop(5)
+	if _, ok := p.Take(5); !ok {
+		t.Fatal("Take missed the live entry")
+	}
 	d2 := p.Start(5)
 	if p.Current(5, d1) {
 		t.Fatal("dropped entry still current")
