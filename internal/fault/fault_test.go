@@ -2,7 +2,6 @@ package fault
 
 import (
 	"encoding/json"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -283,46 +282,4 @@ func TestCrashDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same seed chose different victims: %v vs %v", a, b)
 	}
-}
-
-// FuzzPlan: whatever the bytes, decoding a plan returns an error, a plan
-// Validate refuses, or a plan that survives its own encoding — never a
-// panic, and decode → encode → decode is a fixpoint.
-func FuzzPlan(f *testing.F) {
-	seed, err := os.ReadFile("../../testdata/selfcheck_faults.json")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	all, err := json.Marshal(allKindsPlan())
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(all)
-	f.Add([]byte(`{"events":[{"type":"crashgroup","at":0.000001,"duration":1e-6,"fraction":1}]}`))
-	f.Add([]byte(`{"events":[{"type":"lossburst","at":1e300,"duration":1,"loss":0.5}]}`))
-	f.Add([]byte(`{"events":[{"type":"linkflap","at":1e9,"duration":1e9,"period":9.3e12,"downFor":1}]}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var plan Plan
-		if json.Unmarshal(data, &plan) != nil || plan.Validate() != nil {
-			return
-		}
-		enc, err := json.Marshal(plan)
-		if err != nil {
-			t.Fatalf("accepted plan does not encode: %v", err)
-		}
-		var again Plan
-		if err := json.Unmarshal(enc, &again); err != nil {
-			t.Fatalf("accepted plan's encoding %s does not decode: %v", enc, err)
-		}
-		if err := again.Validate(); err != nil {
-			t.Fatalf("accepted plan's encoding %s is refused: %v", enc, err)
-		}
-		if len(plan.Events) == 0 {
-			plan.Events = nil // omitempty: "events": [] comes back absent
-		}
-		if !reflect.DeepEqual(plan, again) {
-			t.Fatalf("decode → encode → decode moved the plan:\n in: %+v\nout: %+v\nvia %s", plan, again, enc)
-		}
-	})
 }

@@ -144,3 +144,36 @@ func TestQuickDescendingSeries(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestSignTest(t *testing.T) {
+	for _, c := range []struct {
+		wins, n int
+		want    float64
+	}{
+		{0, 0, 1},
+		{0, 6, 1},
+		{6, 6, 1.0 / 64},
+		{5, 6, 7.0 / 64},
+		{3, 6, 42.0 / 64},
+		{5, 5, 1.0 / 32},
+		{9, 10, 11.0 / 1024},
+		{1, 1, 0.5},
+		{33, 33, math.Pow(2, -33)},
+		{17, 33, 0.5},
+		{1000, 1000, math.Pow(2, -1000)},
+	} {
+		if got := SignTest(c.wins, c.n); math.Abs(got-c.want) > 1e-12*c.want {
+			t.Errorf("SignTest(%d, %d) = %v, want %v", c.wins, c.n, got, c.want)
+		}
+	}
+	for _, bad := range [][2]int{{-1, 3}, {4, 3}, {1001, 1001}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SignTest(%d, %d) did not panic", bad[0], bad[1])
+				}
+			}()
+			SignTest(bad[0], bad[1])
+		}()
+	}
+}

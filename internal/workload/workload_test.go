@@ -3,7 +3,6 @@ package workload
 import (
 	"encoding/json"
 	"math"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -401,47 +400,4 @@ func TestEngineDeterminism(t *testing.T) {
 			t.Fatalf("draw %d diverged: %d vs %d", i, a[i], b[i])
 		}
 	}
-}
-
-// FuzzPlan: whatever the bytes, decoding a plan returns an error, a plan
-// Validate refuses, or a plan that survives its own encoding — never a
-// panic, and decode → encode → decode is a fixpoint.
-func FuzzPlan(f *testing.F) {
-	seed, err := os.ReadFile("../../testdata/selfcheck_workload.json")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add([]byte(`{"arrival":{"process":"uniform","gapMin":15,"gapMax":45}}`))
-	f.Add([]byte(`{"arrival":{"process":"onoff","rate":0.1,"meanOn":60,"meanOff":180},"popularity":{"rotateEvery":900,"rotateStep":2}}`))
-	f.Add([]byte(`{"arrival":{"process":"diurnal","rate":0.05,"period":1200,"amplitude":0.5},"phases":[]}`))
-	f.Add([]byte(`{"phases":[{"name":"p","start":1e300}]}`))
-	f.Add([]byte(`{"arrival":{"process":"uniform","gapMin":1e9,"gapMax":1e9},"popularity":{"rotateEvery":9.3e12}}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var plan Plan
-		if json.Unmarshal(data, &plan) != nil || plan.Validate() != nil {
-			return
-		}
-		enc, err := json.Marshal(plan)
-		if err != nil {
-			t.Fatalf("accepted plan does not encode: %v", err)
-		}
-		var again Plan
-		if err := json.Unmarshal(enc, &again); err != nil {
-			t.Fatalf("accepted plan's encoding %s does not decode: %v", enc, err)
-		}
-		if err := again.Validate(); err != nil {
-			t.Fatalf("accepted plan's encoding %s is refused: %v", enc, err)
-		}
-		// omitempty: an empty list comes back absent.
-		if len(plan.Phases) == 0 {
-			plan.Phases = nil
-		}
-		if len(plan.Sessions.Classes) == 0 {
-			plan.Sessions.Classes = nil
-		}
-		if !reflect.DeepEqual(plan, again) {
-			t.Fatalf("decode → encode → decode moved the plan:\n in: %+v\nout: %+v\nvia %s", plan, again, enc)
-		}
-	})
 }
