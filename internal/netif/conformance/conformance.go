@@ -255,7 +255,10 @@ func testSelfDelivery(t *testing.T, f Factory) {
 // testSendFailedOnce pins the abandoned-payload contract: a payload
 // for an unreachable destination is reported through OnSendFailed
 // exactly once, with the destination and payload the caller passed, and
-// counted once in SendFailed — or, without route feedback, never.
+// counted once in SendFailed — or, without route feedback, never. The
+// hook sends a second payload to the same destination from inside the
+// first report, re-entering the router while it abandons the first
+// (route.Pending's flush): that one is reported exactly once too.
 func testSendFailedOnce(t *testing.T, f Factory) {
 	deadline := f.FailDeadline
 	if deadline <= 0 {
@@ -268,13 +271,16 @@ func testSendFailedOnce(t *testing.T, f Factory) {
 		dst     int
 		payload netif.Msg
 	}
-	doomed := netif.TestMsg(13)
+	doomed, again := netif.TestMsg(13), netif.TestMsg(14)
 	var fails []failure
 	n.routers[0].OnSendFailed(func(dst int, payload netif.Msg) {
 		fails = append(fails, failure{dst, payload})
+		if len(fails) == 1 {
+			n.routers[0].Send(1, 10, again)
+		}
 	})
 	n.routers[0].Send(1, 10, doomed)
-	n.s.Run(n.s.Now() + deadline)
+	n.s.Run(n.s.Now() + 2*deadline)
 	if len(n.unicast[1]) != 0 {
 		t.Error("unreachable destination received the payload")
 	}
@@ -284,14 +290,11 @@ func testSendFailedOnce(t *testing.T, f Factory) {
 		}
 		return
 	}
-	if len(fails) != 1 {
-		t.Fatalf("OnSendFailed fired %d times, want exactly 1 (%+v)", len(fails), fails)
+	if want := []failure{{1, doomed}, {1, again}}; !slices.Equal(fails, want) {
+		t.Fatalf("OnSendFailed reported %+v, want each payload once: %+v", fails, want)
 	}
-	if fails[0].dst != 1 || fails[0].payload != doomed {
-		t.Errorf("failure = %+v, want dst=1 payload=%+v", fails[0], doomed)
-	}
-	if got := n.routers[0].Stats().SendFailed; got != 1 {
-		t.Errorf("SendFailed = %d, want 1", got)
+	if got := n.routers[0].Stats().SendFailed; got != 2 {
+		t.Errorf("SendFailed = %d, want 2", got)
 	}
 }
 
