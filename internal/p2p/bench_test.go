@@ -132,7 +132,7 @@ func BenchmarkQueryFlood(b *testing.B) {
 		// itself).
 		src.nextQID++
 		src.curReq = &request{qid: src.nextQID, file: 0}
-		src.seen[queryKey{src.id, src.nextQID}] = struct{}{}
+		src.seen[queryKey(src.id, src.nextQID)] = struct{}{}
 		q := Msg{Kind: msgQuery, Origin: src.id, Seq: src.nextQID, File: 0, TTL: par.QueryTTL}
 		for _, peer := range src.sortedPeers() { // sorted: keeps runs reproducible
 			src.send(peer, q)

@@ -76,7 +76,7 @@ func (sv *Servent) runQuery() {
 	sv.nextQID++
 	sv.opt.Tracer.Emit(trace.KindQuery, sv.id, -1, "query qid=%d file=%d", trace.Int(sv.nextQID), trace.Int(file))
 	sv.curReq = &request{qid: sv.nextQID, file: file}
-	sv.seen[queryKey{sv.id, sv.nextQID}] = struct{}{}
+	sv.seen[queryKey(sv.id, sv.nextQID)] = struct{}{}
 	switch sv.par.QueryMode {
 	case QueryRandomWalk:
 		// Launch k walkers on random neighbors (distinct when possible).
@@ -143,7 +143,7 @@ func (sv *Servent) onQuery(prev int, q Msg) {
 		sv.onWalkQuery(prev, q)
 		return
 	}
-	k := queryKey{q.Origin, q.Seq}
+	k := queryKey(q.Origin, q.Seq)
 	if _, dup := sv.seen[k]; dup {
 		return // rule 1: forward or respond at most once
 	}
@@ -170,7 +170,7 @@ func (sv *Servent) onQuery(prev int, q Msg) {
 // immediate bounce when any alternative exists).
 func (sv *Servent) onWalkQuery(prev int, q Msg) {
 	myDist := q.Hops + 1
-	k := queryKey{q.Origin, q.Seq}
+	k := queryKey(q.Origin, q.Seq)
 	if _, answered := sv.seen[k]; !answered {
 		sv.seen[k] = struct{}{}
 		if sv.HasFile(q.File) {

@@ -92,7 +92,7 @@ type Servent struct {
 
 	// Query engine.
 	nextQID uint32
-	seen    map[queryKey]struct{}
+	seen    map[uint64]struct{} // queryKey of every query handled: rule 1
 	curReq  *request
 	queryEv sim.Handle
 
@@ -119,10 +119,9 @@ type Servent struct {
 	cacheScratch  []int // sorted peer-cache id buffer; see cachedPeerIDs
 }
 
-type queryKey struct {
-	origin int
-	qid    uint32
-}
+// queryKey packs a query's origin and id into one map key. Node ids are
+// below 2^16.
+func queryKey(origin int, qid uint32) uint64 { return uint64(origin)<<32 | uint64(qid) }
 
 type request struct {
 	qid      uint32
@@ -157,7 +156,7 @@ func NewServent(id int, s *sim.Sim, rt netif.Protocol, par Params, alg Algorithm
 		opt:       opt,
 		conns:     make(map[int]*conn),
 		pending:   make(map[int]*handshake),
-		seen:      make(map[queryKey]struct{}),
+		seen:      make(map[uint64]struct{}),
 		skipClose: -1,
 	}
 	sv.ensureCycleFn = sv.ensureCycle

@@ -39,7 +39,7 @@ func (x *dupIndex) audit(report func(rule, detail string)) {
 	marks := 0
 	var last sim.Time
 	for i := 0; i < x.n; i++ {
-		m := x.log[(x.head+i)&(len(x.log)-1)]
+		m := *x.at(i)
 		if i > 0 && m.t < last {
 			report("log-order", fmt.Sprintf("mark %d at %v logged behind one at %v", i, m.t, last))
 		}

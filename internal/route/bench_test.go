@@ -88,6 +88,83 @@ func TestDupCheckZeroAllocs(t *testing.T) {
 	w.check(t, runs+1) // AllocsPerRun makes one warm-up call
 }
 
+// dupLogBench is the chunk-reuse workload: each op fills one family's
+// log to dupLogMarks marks, spread over dupLogNodes nodes, then lets
+// every one of them expire, so the next op's first mark drains it.
+// A fill ends three quarters into a chunk: were the drained log not
+// rewound to its chunk's start, the next fill would need a fifth chunk.
+type dupLogBench struct {
+	s      *sim.Sim
+	x      *dupIndex
+	caches []*DupCache
+	next   int
+}
+
+const (
+	dupLogNodes = 64
+	dupLogMarks = 3*dupChunkLen + 3*dupChunkLen/4
+)
+
+func newDupLogBench() *dupLogBench {
+	w := &dupLogBench{s: sim.New(6), caches: make([]*DupCache, dupLogNodes)}
+	pl := testPlane(w.s, dupLogNodes)
+	for n := range w.caches {
+		w.caches[n] = NewDupCache(NewCore(n, pl), netif.PktBcast, cacheFor(sim.Second))
+	}
+	w.x = pl.dups[0]
+	// The first fill grows the ring and the record table, the first
+	// refill the record free list and the spare list.
+	w.cycle()
+	w.cycle()
+	return w
+}
+
+func (w *dupLogBench) cycle() {
+	for range dupLogMarks {
+		w.caches[w.next%dupLogNodes].Mark(Key{Origin: 1, ID: uint32(w.next)})
+		w.next++
+	}
+	w.s.Run(w.s.Now() + sim.Second)
+}
+
+// capacity is the marks the log's chunks hold, spare ones included.
+func (w *dupLogBench) capacity() int {
+	held := 0
+	for _, c := range w.x.log {
+		if c != nil {
+			held++
+		}
+	}
+	return (held + len(w.x.spare)) * dupChunkLen
+}
+
+// BenchmarkDupLogCycle's contract is 0 allocs/op:
+// TestDupLogReusesChunks holds it at zero.
+func BenchmarkDupLogCycle(b *testing.B) {
+	w := newDupLogBench()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.cycle()
+	}
+}
+
+// The same contract in `go test`: a log that fills, drains and fills
+// again takes its chunks back from the spare list, and never holds a
+// chunk more than the fill needs.
+func TestDupLogReusesChunks(t *testing.T) {
+	w := newDupLogBench()
+	if allocs := testing.AllocsPerRun(20, w.cycle); allocs != 0 {
+		t.Errorf("refilling a drained log allocates %.1f allocs/op, want 0", allocs)
+	}
+	if got := w.capacity(); got >= dupLogMarks+dupChunkLen {
+		t.Errorf("log capacity %d marks after refills of %d, want below %d", got, dupLogMarks, dupLogMarks+dupChunkLen)
+	}
+	if w.x.n != dupLogMarks {
+		t.Errorf("log holds %d marks after a fill, want %d", w.x.n, dupLogMarks)
+	}
+}
+
 // pendingBench is the tracked pending-buffer workload: one discovery's
 // life in the buffer, as an on-demand router lives it. Each op starts an
 // entry for the next of pendingDsts destinations, parks pendingPkts

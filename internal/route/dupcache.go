@@ -112,12 +112,17 @@ type dupIndex struct {
 	bits []uint64 // record r's node set is bits[r*words : (r+1)*words]
 	free []int32  // recycled records, all-zero
 
-	// log is a ring (power-of-two capacity) of the n marks made and not
-	// yet retired, oldest at head; the clock never runs backwards, so it
-	// is in time order.
-	log  []dupMark
-	head int
-	n    int
+	// log holds the n marks made and not yet retired, oldest at head;
+	// the clock never runs backwards, so it is in time order. It is a
+	// ring of len(log)<<dupChunkShift positions (len(log) a power of
+	// two) in fixed-size chunks: position p is mark p&dupChunkMask of
+	// chunk log[p>>dupChunkShift]. Only the chunks from the head's to the
+	// tail's are held; the others are nil, and a drained chunk waits in
+	// spare for the tail to need one again.
+	log   []*dupChunk
+	spare []*dupChunk
+	head  int
+	n     int
 
 	live  []int32  // per node: live marks
 	swept sim.Time // the clock at the last retire, for Audit
@@ -139,6 +144,17 @@ type dupMark struct {
 	node int32
 }
 
+// A log chunk holds 4096 marks (64 KiB): a paper-scale log spans a few
+// dozen, and a family that never holds more than a few hundred marks
+// costs one.
+const (
+	dupChunkShift = 12
+	dupChunkLen   = 1 << dupChunkShift
+	dupChunkMask  = dupChunkLen - 1
+)
+
+type dupChunk [dupChunkLen]dupMark
+
 func newDupIndex(ord int, cfg CacheConfig, p *Plane) *dupIndex {
 	return &dupIndex{
 		ord:   ord,
@@ -148,7 +164,7 @@ func newDupIndex(ord int, cfg CacheConfig, p *Plane) *dupIndex {
 		words: (p.med.NumNodes() + 63) / 64,
 		table: make([]int32, 16),
 		mask:  15,
-		log:   make([]dupMark, 16),
+		log:   make([]*dupChunk, 1),
 		live:  make([]int32, p.med.NumNodes()),
 	}
 }
@@ -199,17 +215,60 @@ func (x *dupIndex) retire() sim.Time {
 	now := x.sim.Now()
 	x.swept = now
 	for x.n > 0 {
-		m := x.log[x.head]
+		m := x.at(0)
 		if m.node >= 0 {
 			if now-m.t < x.cfg.Timeout {
 				break
 			}
 			x.clear(m.rec, int(m.node))
 		}
-		x.head = (x.head + 1) & (len(x.log) - 1)
-		x.n--
+		x.pop()
 	}
 	return now
+}
+
+// at returns the log's i-th oldest mark.
+func (x *dupIndex) at(i int) *dupMark {
+	p := x.pos(i)
+	return &x.log[p>>dupChunkShift][p&dupChunkMask]
+}
+
+// pos is the ring position of the log's i-th oldest mark.
+func (x *dupIndex) pos(i int) int { return (x.head + i) & (len(x.log)<<dupChunkShift - 1) }
+
+// pop drops the oldest mark, handing its chunk to spare once drained.
+// An emptied log rewinds to the start of the head's chunk, so filling
+// it again takes no more chunks than filling it first did.
+func (x *dupIndex) pop() {
+	c := x.head >> dupChunkShift
+	x.head = x.pos(1)
+	if x.head>>dupChunkShift != c {
+		x.spare = append(x.spare, x.log[c])
+		x.log[c] = nil
+	}
+	if x.n--; x.n == 0 {
+		x.head &^= dupChunkMask
+	}
+}
+
+// push appends m at the tail. A tail entering a chunk not held takes a
+// spare one, or allocates it; a tail about to enter the head's chunk
+// doubles the ring first. Nothing is copied but chunk pointers.
+func (x *dupIndex) push(m dupMark) {
+	if x.head&dupChunkMask+x.n == len(x.log)<<dupChunkShift {
+		x.growLog()
+	}
+	p := x.pos(x.n)
+	c := &x.log[p>>dupChunkShift]
+	if *c == nil {
+		if k := len(x.spare); k > 0 {
+			*c, x.spare = x.spare[k-1], x.spare[:k-1]
+		} else {
+			*c = new(dupChunk)
+		}
+	}
+	(*c)[p&dupChunkMask] = m
+	x.n++
 }
 
 // holders returns the nodes holding k marked (a bitset valid until the
@@ -255,11 +314,7 @@ func (x *dupIndex) mark(node int, k Key) bool {
 	*w |= b
 	x.recs[rec].live++
 	x.live[node]++
-	if x.n == len(x.log) {
-		x.growLog()
-	}
-	x.log[(x.head+x.n)&(len(x.log)-1)] = dupMark{t: now, rec: rec, node: int32(node)}
-	x.n++
+	x.push(dupMark{t: now, rec: rec, node: int32(node)})
 	return false
 }
 
@@ -304,12 +359,14 @@ func (x *dupIndex) growTable() {
 	}
 }
 
-// growLog doubles the ring, unrolling it so the oldest mark sits at 0.
+// growLog doubles the ring of chunks, unrolling it so the head's chunk
+// is the first.
 func (x *dupIndex) growLog() {
-	grown := make([]dupMark, 2*len(x.log))
-	k := copy(grown, x.log[x.head:])
-	copy(grown[k:], x.log[:x.head])
-	x.log, x.head = grown, 0
+	grown := make([]*dupChunk, 2*len(x.log))
+	h := x.head >> dupChunkShift
+	k := copy(grown, x.log[h:])
+	copy(grown[k:], x.log[:h])
+	x.log, x.head = grown, x.head&dupChunkMask
 }
 
 // clear unsets node's bit in rec, removing the record with its last bit.
@@ -349,8 +406,8 @@ func (x *dupIndex) remove(rec int32) {
 func (x *dupIndex) evict(node int) {
 	x.plane.med.Unabsorb(node)
 	drop := int(x.live[node]) - x.cfg.HardCap*3/4
-	for i := x.head; drop > 0; i = (i + 1) & (len(x.log) - 1) {
-		if m := &x.log[i]; int(m.node) == node {
+	for i := 0; drop > 0; i++ {
+		if m := x.at(i); int(m.node) == node {
 			x.clear(m.rec, node)
 			m.node = -1
 			drop--

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"strings"
@@ -345,11 +346,11 @@ func TestPlaneAuditDetectsCorruption(t *testing.T) {
 		rule    string
 		corrupt func(x *dupIndex)
 	}{
-		{"log-order", func(x *dupIndex) { x.log[x.head+1].t = x.log[x.head].t - 1 }},
-		{"log-order", func(x *dupIndex) { x.swept = x.log[x.head].t + x.cfg.Timeout }},
+		{"log-order", func(x *dupIndex) { x.at(1).t = x.at(0).t - 1 }},
+		{"log-order", func(x *dupIndex) { x.swept = x.at(0).t + x.cfg.Timeout }},
 		{"bit-count", func(x *dupIndex) { x.bits[0] ^= 1 << 3 }},
 		{"bit-count", func(x *dupIndex) { x.live[2]-- }},
-		{"bit-count", func(x *dupIndex) { x.log[x.head].node = -1 }},
+		{"bit-count", func(x *dupIndex) { x.at(0).node = -1 }},
 		{"table-reach", func(x *dupIndex) { slot, _ := x.find(Key{Origin: 9, ID: 1}); x.table[slot] = 0 }},
 		{"table-reach", func(x *dupIndex) { x.free = append(x.free, 0) }},
 		{"node-bound", func(x *dupIndex) { x.cfg.HardCap = 5 }},
@@ -362,4 +363,206 @@ func TestPlaneAuditDetectsCorruption(t *testing.T) {
 			t.Errorf("corruption aimed at %s reported %q", tc.rule, strings.Join(rules, ","))
 		}
 	}
+}
+
+// markModel is one cache family stated naively, as maps of marks: a
+// mark is live while it is younger than Timeout; a node at HardCap live
+// marks loses its oldest, in mark order, down to three quarters of the
+// cap before it takes another; a key's holders are the nodes holding it
+// live, and they hold it at least until its record's birth plus Timeout,
+// a record being born when a key nobody holds is marked.
+type markModel struct {
+	cfg   CacheConfig
+	marks []map[Key]refMark // per node
+	born  map[Key]sim.Time
+	seq   int
+}
+
+func newMarkModel(cfg CacheConfig, nodes int) *markModel {
+	m := &markModel{cfg: cfg, born: make(map[Key]sim.Time)}
+	for range nodes {
+		m.marks = append(m.marks, make(map[Key]refMark))
+	}
+	return m
+}
+
+// live drops node's expired marks and returns how many it holds.
+func (m *markModel) live(node int, now sim.Time) int {
+	for k, mk := range m.marks[node] {
+		if now-mk.t >= m.cfg.Timeout {
+			delete(m.marks[node], k)
+		}
+	}
+	return len(m.marks[node])
+}
+
+func (m *markModel) seen(node int, k Key, now sim.Time) bool {
+	mk, ok := m.marks[node][k]
+	return ok && now-mk.t < m.cfg.Timeout
+}
+
+// holders returns the nodes holding k live, in id order.
+func (m *markModel) holders(k Key, now sim.Time) []int {
+	var nodes []int
+	for n := range m.marks {
+		if m.seen(n, k, now) {
+			nodes = append(nodes, n)
+		}
+	}
+	return nodes
+}
+
+func (m *markModel) mark(node int, k Key, now sim.Time) bool {
+	if m.seen(node, k, now) {
+		return true
+	}
+	if n := m.live(node, now); n >= m.cfg.HardCap {
+		var keys []Key
+		for k := range m.marks[node] {
+			keys = append(keys, k)
+		}
+		slices.SortFunc(keys, func(a, b Key) int { return m.marks[node][a].seq - m.marks[node][b].seq })
+		for _, old := range keys[:n-m.cfg.HardCap*3/4] {
+			delete(m.marks[node], old)
+		}
+	}
+	if len(m.holders(k, now)) == 0 {
+		m.born[k] = now
+	}
+	m.seq++
+	m.marks[node][k] = refMark{t: now, seq: m.seq}
+	return false
+}
+
+// dupModelRun drives one family of 40 caches and its markModel through
+// the operation stream next draws (next(n) is a choice in [0, n); false
+// ends the stream): marks, floods reaching a run of nodes, storms that
+// cross a node's hard cap, Seen, holders and Len probes, and clock
+// advances, short ones and ones past the timeout. It fails t at the
+// first answer the two disagree on, and returns how many marks grew the
+// log while it wrapped round its ring with the head mid-chunk.
+func dupModelRun(t *testing.T, next func(n int) (int, bool)) (grewWrapped int) {
+	const nodes = 40
+	cfg := CacheConfig{Timeout: 2 * sim.Second, HardCap: 256}
+	s := sim.New(19)
+	pl := testPlane(s, nodes)
+	dc := make([]*DupCache, nodes)
+	for n := range dc {
+		dc[n] = NewDupCache(NewCore(n, pl), netif.PktBcast, cfg)
+	}
+	x, model := pl.dups[0], newMarkModel(cfg, nodes)
+	fresh := uint32(1 << 20) // storm keys, never drawn from the pool
+
+	mark := func(n int, k Key) {
+		x.retire() // what Mark does first, so the state below is the one it grows from
+		wrapped := x.head+x.n > len(x.log)<<dupChunkShift
+		mid, slots := x.head&dupChunkMask != 0, len(x.log)
+		if got, want := dc[n].Mark(k), model.mark(n, k, s.Now()); got != want {
+			t.Fatalf("t=%v node %d Mark(%+v) = %v, model says %v", s.Now(), n, k, got, want)
+		}
+		if len(x.log) > slots && wrapped && mid {
+			grewWrapped++
+		}
+	}
+	for {
+		op, ok := next(64)
+		if !ok {
+			break
+		}
+		n, _ := next(nodes)
+		o, _ := next(8)
+		id, _ := next(16)
+		// The key pool drifts with the clock, so new floods keep starting
+		// while old ones are live.
+		k := Key{Origin: o, ID: uint32(s.Now()/(100*sim.Millisecond)) + uint32(id)}
+		switch {
+		case op < 30:
+			mark(n, k)
+		case op < 40:
+			reach, _ := next(nodes)
+			for i := 0; i <= reach; i++ {
+				mark((n+i)%nodes, k)
+			}
+		case op < 44:
+			for range cfg.HardCap {
+				fresh++
+				mark(n, Key{Origin: 100 + n, ID: fresh})
+			}
+		case op < 50:
+			if got, want := dc[n].Seen(k), model.seen(n, k, s.Now()); got != want {
+				t.Fatalf("t=%v node %d Seen(%+v) = %v, model says %v", s.Now(), n, k, got, want)
+			}
+		case op < 54:
+			set, until := x.holders(k)
+			var got []int
+			for n := range nodes {
+				if set != nil && set[n>>6]&(1<<(n&63)) != 0 {
+					got = append(got, n)
+				}
+			}
+			want := model.holders(k, s.Now())
+			if !slices.Equal(got, want) {
+				t.Fatalf("t=%v holders(%+v) = %v, model says %v", s.Now(), k, got, want)
+			}
+			if want != nil && until != model.born[k]+cfg.Timeout {
+				t.Fatalf("t=%v holders(%+v) hold until %v, model says %v", s.Now(), k, until, model.born[k]+cfg.Timeout)
+			}
+		case op < 57:
+			if got, want := dc[n].Len(), model.live(n, s.Now()); got != want {
+				t.Fatalf("t=%v node %d Len = %d, model holds %d", s.Now(), n, got, want)
+			}
+		case op < 63:
+			step, _ := next(64)
+			s.Run(s.Now() + sim.Time(step)*sim.Millisecond)
+		default:
+			// Past the timeout, but only now and then: the log must grow
+			// long enough to span chunks between drains.
+			if drain, _ := next(8); drain == 0 {
+				s.Run(s.Now() + cfg.Timeout + sim.Time(id))
+			}
+		}
+	}
+	auditClean(t, pl)
+	for n := range dc {
+		if got, want := dc[n].Len(), model.live(n, s.Now()); got != want {
+			t.Fatalf("node %d ends with Len %d, model holds %d", n, got, want)
+		}
+	}
+	return grewWrapped
+}
+
+// TestDupIndexMatchesMarkModel runs one seeded stream long enough that
+// the log spans several chunks, drains and refills, wraps round its
+// ring, and grows while wrapped with its head mid-chunk.
+func TestDupIndexMatchesMarkModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	steps := 20_000
+	grew := dupModelRun(t, func(n int) (int, bool) {
+		steps--
+		return rng.Intn(n), steps >= 0
+	})
+	if grew == 0 {
+		t.Fatal("the log never grew while wrapped with its head mid-chunk")
+	}
+}
+
+// FuzzDupIndex feeds dupModelRun's operation stream from the fuzz
+// bytes, one byte a choice. The 4 KiB seed grows the log to three or
+// four chunks.
+func FuzzDupIndex(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 40, 5, 6, 7, 8, 9, 50, 11, 60, 3, 4, 63, 0, 0, 0, 0})
+	f.Add(bytes.Repeat([]byte{42, 7, 3, 1, 33, 0, 2, 5, 36, 9, 9, 9}, 16))
+	long := make([]byte, 4096)
+	rand.New(rand.NewSource(39)).Read(long)
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dupModelRun(t, func(n int) (int, bool) {
+			if len(data) == 0 {
+				return 0, false
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b) % n, true
+		})
+	})
 }
