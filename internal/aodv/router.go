@@ -188,11 +188,9 @@ func (r *Router) discTimeout(a sim.Arg) {
 	r.discoveryTimeout(a.I0, a.X.(*route.Discovery[netif.Packet]))
 }
 
-// discoveryTimeout escalates the ring or gives up.
+// discoveryTimeout escalates the ring or gives up. d is dst's live
+// entry: Take cancels the retry timer of every entry it retires.
 func (r *Router) discoveryTimeout(dst int, d *route.Discovery[netif.Packet]) {
-	if !r.pending.Current(dst, d) { // completed or superseded
-		return
-	}
 	if d.Repair {
 		// One bounded attempt only.
 		d.Retries = r.cfg.MaxDiscoveryRetries + 1

@@ -261,9 +261,6 @@ func (r *Router) sendRREQ(dst int, d *route.Discovery[netif.Packet]) {
 }
 
 func (r *Router) discoveryTimeout(dst int, d *route.Discovery[netif.Packet]) {
-	if !r.pending.Current(dst, d) {
-		return
-	}
 	if _, ok := r.route(dst); ok {
 		r.completeDiscovery(dst)
 		return

@@ -73,12 +73,6 @@ func (p *Pending[P]) Push(d *Discovery[P], pkt P) bool {
 	return true
 }
 
-// Current reports whether d is still the live entry for dst — the
-// identity check retry timers use to detect they were superseded.
-func (p *Pending[P]) Current(dst int, d *Discovery[P]) bool {
-	return p.m[dst] == d
-}
-
 // Take removes and returns dst's entry with its retry timer cancelled,
 // so no timer names it again, ready for the caller to flush the queue
 // and then Recycle it. Flushing can re-enter Start for dst (a FailSend

@@ -132,24 +132,6 @@ func TestPendingPushRespectsCap(t *testing.T) {
 	}
 }
 
-func TestPendingCurrentDetectsSupersession(t *testing.T) {
-	p := NewPending[int](4)
-	d1 := p.Start(5)
-	if !p.Current(5, d1) {
-		t.Fatal("live entry not current")
-	}
-	if _, ok := p.Take(5); !ok {
-		t.Fatal("Take missed the live entry")
-	}
-	d2 := p.Start(5)
-	if p.Current(5, d1) {
-		t.Fatal("dropped entry still current")
-	}
-	if !p.Current(5, d2) {
-		t.Fatal("replacement entry not current")
-	}
-}
-
 func TestPendingTakeCancelsTimer(t *testing.T) {
 	c, s := testCore(4)
 	_ = c
