@@ -146,7 +146,8 @@ type dupMark struct {
 
 // A log chunk holds 4096 marks (64 KiB): a paper-scale log spans a few
 // dozen, and a family that never holds more than a few hundred marks
-// costs one.
+// costs one. Half the size doubles the chunk allocations; twice the size
+// costs every such small family 64 KiB more.
 const (
 	dupChunkShift = 12
 	dupChunkLen   = 1 << dupChunkShift

@@ -40,27 +40,28 @@ func (r *refCache) seen(k Key, now sim.Time) bool {
 	return ok && now-m.t < r.cfg.Timeout
 }
 
-// live drops expired marks and returns the rest, oldest mark first.
-func (r *refCache) live(now sim.Time) []Key {
-	var keys []Key
+// live drops expired marks and returns how many remain.
+func (r *refCache) live(now sim.Time) int {
 	for k, m := range r.marks {
 		if now-m.t >= r.cfg.Timeout {
 			delete(r.marks, k)
 			r.expiries++
-			continue
 		}
-		keys = append(keys, k)
 	}
-	slices.SortFunc(keys, func(a, b Key) int { return r.marks[a].seq - r.marks[b].seq })
-	return keys
+	return len(r.marks)
 }
 
 func (r *refCache) mark(k Key, now sim.Time) bool {
 	if r.seen(k, now) {
 		return true
 	}
-	if live := r.live(now); len(live) >= r.cfg.HardCap {
-		for _, old := range live[:len(live)-r.cfg.HardCap*3/4] {
+	if n := r.live(now); n >= r.cfg.HardCap {
+		var oldest []Key
+		for k := range r.marks {
+			oldest = append(oldest, k)
+		}
+		slices.SortFunc(oldest, func(a, b Key) int { return r.marks[a].seq - r.marks[b].seq })
+		for _, old := range oldest[:n-r.cfg.HardCap*3/4] {
 			delete(r.marks, old)
 			r.evictions++
 		}
@@ -148,7 +149,7 @@ func TestDupIndexMatchesReferenceModel(t *testing.T) {
 		case p < 75:
 			seen(n, f, k)
 		case p < 80:
-			if got, want := caches[n][f].Len(), len(models[n][f].live(s.Now())); got != want {
+			if got, want := caches[n][f].Len(), models[n][f].live(s.Now()); got != want {
 				t.Fatalf("t=%v node %d family %d Len = %d, model holds %d", s.Now(), n, f, got, want)
 			}
 		case p < 97:
@@ -177,7 +178,7 @@ func TestDupIndexMatchesReferenceModel(t *testing.T) {
 	evictions, expiries := 0, 0
 	for n := range models {
 		for f, m := range models[n] {
-			if got, want := caches[n][f].Len(), len(m.live(s.Now())); got != want {
+			if got, want := caches[n][f].Len(), m.live(s.Now()); got != want {
 				t.Errorf("node %d family %d ends with Len %d, model holds %d", n, f, got, want)
 			}
 			evictions += m.evictions
@@ -365,47 +366,29 @@ func TestPlaneAuditDetectsCorruption(t *testing.T) {
 	}
 }
 
-// markModel is one cache family stated naively, as maps of marks: a
-// mark is live while it is younger than Timeout; a node at HardCap live
-// marks loses its oldest, in mark order, down to three quarters of the
-// cap before it takes another; a key's holders are the nodes holding it
-// live, and they hold it at least until its record's birth plus Timeout,
-// a record being born when a key nobody holds is marked.
+// markModel is one cache family as the index sees it: a reference model
+// per node, plus what the index knows across nodes. A key's holders are
+// the nodes whose model holds it, and holders reports them with the
+// instant the key's record was born plus Timeout, a record being born
+// when a key nobody holds is marked.
 type markModel struct {
-	cfg   CacheConfig
-	marks []map[Key]refMark // per node
+	nodes []*refCache
 	born  map[Key]sim.Time
-	seq   int
 }
 
 func newMarkModel(cfg CacheConfig, nodes int) *markModel {
-	m := &markModel{cfg: cfg, born: make(map[Key]sim.Time)}
+	m := &markModel{born: make(map[Key]sim.Time)}
 	for range nodes {
-		m.marks = append(m.marks, make(map[Key]refMark))
+		m.nodes = append(m.nodes, newRefCache(cfg))
 	}
 	return m
-}
-
-// live drops node's expired marks and returns how many it holds.
-func (m *markModel) live(node int, now sim.Time) int {
-	for k, mk := range m.marks[node] {
-		if now-mk.t >= m.cfg.Timeout {
-			delete(m.marks[node], k)
-		}
-	}
-	return len(m.marks[node])
-}
-
-func (m *markModel) seen(node int, k Key, now sim.Time) bool {
-	mk, ok := m.marks[node][k]
-	return ok && now-mk.t < m.cfg.Timeout
 }
 
 // holders returns the nodes holding k live, in id order.
 func (m *markModel) holders(k Key, now sim.Time) []int {
 	var nodes []int
-	for n := range m.marks {
-		if m.seen(n, k, now) {
+	for n, r := range m.nodes {
+		if r.seen(k, now) {
 			nodes = append(nodes, n)
 		}
 	}
@@ -413,25 +396,10 @@ func (m *markModel) holders(k Key, now sim.Time) []int {
 }
 
 func (m *markModel) mark(node int, k Key, now sim.Time) bool {
-	if m.seen(node, k, now) {
-		return true
-	}
-	if n := m.live(node, now); n >= m.cfg.HardCap {
-		var keys []Key
-		for k := range m.marks[node] {
-			keys = append(keys, k)
-		}
-		slices.SortFunc(keys, func(a, b Key) int { return m.marks[node][a].seq - m.marks[node][b].seq })
-		for _, old := range keys[:n-m.cfg.HardCap*3/4] {
-			delete(m.marks[node], old)
-		}
-	}
 	if len(m.holders(k, now)) == 0 {
 		m.born[k] = now
 	}
-	m.seq++
-	m.marks[node][k] = refMark{t: now, seq: m.seq}
-	return false
+	return m.nodes[node].mark(k, now)
 }
 
 // dupModelRun drives one family of 40 caches and its markModel through
@@ -489,7 +457,7 @@ func dupModelRun(t *testing.T, next func(n int) (int, bool)) (grewWrapped int) {
 				mark(n, Key{Origin: 100 + n, ID: fresh})
 			}
 		case op < 50:
-			if got, want := dc[n].Seen(k), model.seen(n, k, s.Now()); got != want {
+			if got, want := dc[n].Seen(k), model.nodes[n].seen(k, s.Now()); got != want {
 				t.Fatalf("t=%v node %d Seen(%+v) = %v, model says %v", s.Now(), n, k, got, want)
 			}
 		case op < 54:
@@ -508,7 +476,7 @@ func dupModelRun(t *testing.T, next func(n int) (int, bool)) (grewWrapped int) {
 				t.Fatalf("t=%v holders(%+v) hold until %v, model says %v", s.Now(), k, until, model.born[k]+cfg.Timeout)
 			}
 		case op < 57:
-			if got, want := dc[n].Len(), model.live(n, s.Now()); got != want {
+			if got, want := dc[n].Len(), model.nodes[n].live(s.Now()); got != want {
 				t.Fatalf("t=%v node %d Len = %d, model holds %d", s.Now(), n, got, want)
 			}
 		case op < 63:
@@ -524,7 +492,7 @@ func dupModelRun(t *testing.T, next func(n int) (int, bool)) (grewWrapped int) {
 	}
 	auditClean(t, pl)
 	for n := range dc {
-		if got, want := dc[n].Len(), model.live(n, s.Now()); got != want {
+		if got, want := dc[n].Len(), model.nodes[n].live(s.Now()); got != want {
 			t.Fatalf("node %d ends with Len %d, model holds %d", n, got, want)
 		}
 	}
