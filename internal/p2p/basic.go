@@ -53,5 +53,5 @@ func (sv *Servent) onReply(from int) {
 	if _, dup := sv.conns[from]; dup {
 		return
 	}
-	sv.installConn(&conn{peer: from, initiator: true})
+	sv.installConn(conn{peer: from, initiator: true})
 }

@@ -109,6 +109,72 @@ func TestServentSendZeroAllocs(t *testing.T) {
 	w.check(t)
 }
 
+// connCycleBench is one connection's whole life, over and over, between
+// two servents that allow one connection each: a close with a bye, the
+// reconnect both establishment cycles start at once (solicit, offer,
+// accept, confirm), and three keepalive rounds. Every op reuses the conn
+// records, handshake entries and events the previous one freed.
+type connCycleBench struct {
+	s    *sim.Sim
+	a, b *Servent
+	par  Params
+}
+
+func newConnCycleBench(tb testing.TB) *connCycleBench {
+	par := DefaultParams()
+	par.MaxNConn = 1
+	s, svs, _ := benchOverlay(tb, 14, geom.Rect{W: 50, H: 50},
+		[]geom.Point{{X: 10, Y: 25}, {X: 15, Y: 25}}, par, nil)
+	w := &connCycleBench{s: s, a: svs[0], b: svs[1], par: par}
+	for _, sv := range svs {
+		sv.opt.Collector = nil // RecordLifetime's sample slice is the collector's growth
+	}
+	for w.s.Now() < 10*sim.Minute { // warm the event pool, dup caches, map buckets
+		w.cycle()
+	}
+	return w
+}
+
+func (w *connCycleBench) cycle() {
+	w.a.closeConn(w.b.id, true)
+	w.s.Run(w.s.Now() + 3*w.par.PingInterval + sim.Second)
+}
+
+// check requires the last op to end connected, after three pings.
+func (w *connCycleBench) check(tb testing.TB) {
+	ca, cb := w.a.conns[w.b.id], w.b.conns[w.a.id]
+	if ca == nil || cb == nil {
+		tb.Fatal("the pair did not reconnect")
+	}
+	c := ca
+	if !c.initiator {
+		c = cb
+	}
+	if !c.initiator || c.awaitingSeq != 3 {
+		tb.Fatalf("initiator=%v sent %d pings since the reconnect, want one initiator and 3", c.initiator, c.awaitingSeq)
+	}
+}
+
+// BenchmarkConnCycle's contract is 0 allocs/op once warm:
+// TestConnCycleZeroAllocs holds it at zero.
+func BenchmarkConnCycle(b *testing.B) {
+	w := newConnCycleBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.cycle()
+	}
+	w.check(b)
+}
+
+func TestConnCycleZeroAllocs(t *testing.T) {
+	w := newConnCycleBench(t)
+	if allocs := testing.AllocsPerRun(200, w.cycle); allocs != 0 {
+		t.Errorf("a connection's life allocates %.1f allocs/op, want 0", allocs)
+	}
+	w.check(t)
+}
+
 // BenchmarkQueryFlood measures one Gnutella-style query flooded down an
 // 8-servent overlay chain: per-hop duplicate suppression, the
 // forwarding fan-out, the query hit unicast back from the far-end
@@ -131,7 +197,7 @@ func BenchmarkQueryFlood(b *testing.B) {
 		// collection-window scheduling (the benchmark drains deliveries
 		// itself).
 		src.nextQID++
-		src.curReq = &request{qid: src.nextQID, file: 0}
+		src.curReq = request{open: true, qid: src.nextQID, file: 0}
 		src.seen[queryKey(src.id, src.nextQID)] = struct{}{}
 		q := Msg{Kind: msgQuery, Origin: src.id, Seq: src.nextQID, File: 0, TTL: par.QueryTTL}
 		for _, peer := range src.sortedPeers() { // sorted: keeps runs reproducible
@@ -145,7 +211,7 @@ func BenchmarkQueryFlood(b *testing.B) {
 		// replay without unbounded map growth.
 		for _, sv := range svs {
 			clear(sv.seen)
-			sv.curReq = nil
+			sv.curReq = request{}
 		}
 	}
 	for i := 0; i < 8; i++ { // warm pools and caches before timing

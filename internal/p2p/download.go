@@ -18,9 +18,9 @@ import (
 type xfer struct {
 	file    int
 	holder  int
-	next    int // next chunk index expected
-	chunks  int // total, learned from the first chunk
-	timeout *sim.Timer
+	next    int        // next chunk index expected
+	chunks  int        // total, learned from the first chunk
+	timeout sim.Handle // the stall timeout, carrying the xfer in Arg.X
 }
 
 // DownloadConfig tunes the transfer extension.
@@ -48,20 +48,19 @@ func (sv *Servent) maybeStartDownload(file, holder int) {
 		return
 	}
 	x := &xfer{file: file, holder: holder}
-	x.timeout = sim.NewTimer(sv.s, func() { sv.abortDownload(x) })
-	x.timeout.Reset(sv.par.Download.ChunkWait)
+	x.timeout = sv.s.ScheduleArg(sv.par.Download.ChunkWait, sv.chunkWaitFn, sim.Arg{X: x})
 	sv.xfer = x
 	sv.opt.Tracer.Emit(trace.KindQuery, sv.id, holder, "download start file=%d", trace.Int(file))
 	sv.send(holder, Msg{Kind: msgFetchReq, File: file, Chunk: 0})
 }
 
 // abortDownload gives up on a stalled transfer.
-func (sv *Servent) abortDownload(x *xfer) {
+func (sv *Servent) abortDownload(a sim.Arg) {
+	x := a.X.(*xfer)
 	if sv.xfer != x {
 		return
 	}
 	sv.opt.Tracer.Emit(trace.KindQuery, sv.id, x.holder, "download abort file=%d at chunk %d", trace.Int(x.file), trace.Int(x.next))
-	x.timeout.Stop()
 	sv.xfer = nil
 }
 
@@ -86,13 +85,14 @@ func (sv *Servent) onChunk(from int, m Msg) {
 	}
 	x.chunks = m.Chunks
 	x.next++
-	x.timeout.Reset(sv.par.Download.ChunkWait)
+	x.timeout.Cancel()
+	x.timeout = sv.s.ScheduleArg(sv.par.Download.ChunkWait, sv.chunkWaitFn, sim.Arg{X: x})
 	if x.next < x.chunks {
 		sv.send(from, Msg{Kind: msgFetchReq, File: x.file, Chunk: x.next})
 		return
 	}
 	// Complete: we now hold (and serve) the file.
-	x.timeout.Stop()
+	x.timeout.Cancel()
 	sv.xfer = nil
 	if x.file >= 0 && x.file < len(sv.opt.Files) {
 		sv.opt.Files[x.file] = true

@@ -53,21 +53,24 @@ func (sv *Servent) onOffer(from int, m Msg) {
 
 // acceptOffer commits a slot and sends the accept (second handshake step).
 func (sv *Servent) acceptOffer(peer int, random, master bool) {
-	sv.hold(&handshake{peer: peer, random: random, master: master})
+	sv.hold(handshake{peer: peer, random: random, master: master})
 	sv.send(peer, Msg{Kind: msgAccept, Rand: random, Master: master})
 }
 
-// hold records h as in flight and arms its timeout.
-func (sv *Servent) hold(h *handshake) {
-	h.timeout = sv.s.ScheduleArg(sv.par.HandshakeWait, sv.hsTimeoutFn, sim.Arg{I0: h.peer, X: h})
+// hold records h as in flight under the next serial and arms its
+// timeout, which carries the peer and that serial.
+func (sv *Servent) hold(h handshake) {
+	sv.hsSerial++
+	h.serial = sv.hsSerial
+	h.timeout = sv.s.ScheduleArg(sv.par.HandshakeWait, sv.hsTimeoutFn, sim.Arg{I0: h.peer, I1: h.serial})
 	sv.pending[h.peer] = h
 }
 
 // handshakeTimeout releases a reserved slot whose confirm never arrived
 // or, for a reservation, returns the slave candidate to initial.
 func (sv *Servent) handshakeTimeout(a sim.Arg) {
-	peer, h := a.I0, a.X.(*handshake)
-	if sv.pending[peer] == h {
+	peer, serial := a.I0, a.I1
+	if h, ok := sv.pending[peer]; ok && h.serial == serial {
 		delete(sv.pending, peer)
 		if h.slave {
 			sv.setRole(StateInitial)
@@ -85,17 +88,16 @@ func (sv *Servent) dropPending() {
 }
 
 // inFlight returns the handshake in flight with peer if it is a
-// reservation (slave) or a three-way handshake (!slave), else nil.
-func (sv *Servent) inFlight(peer int, slave bool) *handshake {
-	if h := sv.pending[peer]; h != nil && h.slave == slave {
-		return h
-	}
-	return nil
+// reservation (slave) or a three-way handshake (!slave); ok is false
+// when there is none.
+func (sv *Servent) inFlight(peer int, slave bool) (h handshake, ok bool) {
+	h, ok = sv.pending[peer]
+	return h, ok && h.slave == slave
 }
 
 // onAccept is the responder committing its half of the connection.
 func (sv *Servent) onAccept(from int, m Msg) {
-	if h := sv.inFlight(from, false); h != nil {
+	if h, ok := sv.inFlight(from, false); ok {
 		// Crossing handshake: both ends solicited each other and both
 		// sent accepts. Without a tie-break the two accepts reject each
 		// other forever. The higher id keeps its solicitor role; the
@@ -111,14 +113,14 @@ func (sv *Servent) onAccept(from int, m Msg) {
 		sv.send(from, Msg{Kind: msgReject})
 		return
 	}
-	sv.installConn(&conn{peer: from, random: m.Rand, master: m.Master, initiator: false})
+	sv.installConn(conn{peer: from, random: m.Rand, master: m.Master, initiator: false})
 	sv.send(from, Msg{Kind: msgConfirm, Rand: m.Rand, Master: m.Master})
 }
 
 // onConfirm finalizes the solicitor's half.
 func (sv *Servent) onConfirm(from int, m Msg) {
-	h := sv.inFlight(from, false)
-	if h == nil {
+	h, ok := sv.inFlight(from, false)
+	if !ok {
 		// Our reservation timed out, or a role change or a rejoin dropped
 		// it; the responder installed state we will never maintain — tear
 		// it down explicitly rather than leaving it to keepalive timeouts.
@@ -127,13 +129,13 @@ func (sv *Servent) onConfirm(from int, m Msg) {
 	}
 	delete(sv.pending, from)
 	h.timeout.Cancel()
-	sv.installConn(&conn{peer: from, random: h.random, master: h.master, initiator: true})
+	sv.installConn(conn{peer: from, random: h.random, master: h.master, initiator: true})
 }
 
 // onReject releases the solicitor's reserved slot.
 func (sv *Servent) onReject(from int) {
-	h := sv.inFlight(from, false)
-	if h == nil {
+	h, ok := sv.inFlight(from, false)
+	if !ok {
 		return
 	}
 	delete(sv.pending, from)

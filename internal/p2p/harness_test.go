@@ -117,8 +117,8 @@ func cliquePts(n int) []geom.Point {
 // forceLink installs a symmetric established connection, bypassing the
 // handshake — used to build known overlays for query tests.
 func forceLink(a, b *Servent, random bool) {
-	a.installConn(&conn{peer: b.id, random: random, initiator: true})
-	b.installConn(&conn{peer: a.id, random: random, initiator: false})
+	a.installConn(conn{peer: b.id, random: random, initiator: true})
+	b.installConn(conn{peer: a.id, random: random, initiator: false})
 }
 
 // checkSymmetric verifies that (for symmetric algorithms) every live

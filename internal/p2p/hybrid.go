@@ -257,9 +257,7 @@ func (sv *Servent) setRole(to HybridState) {
 				sv.closeConn(peer, true)
 			}
 		}
-		if sv.noSlave != nil {
-			sv.noSlave.Stop()
-		}
+		sv.noSlave.Cancel()
 	}
 	if to == StateSlave {
 		sv.cycleEv.Cancel()
@@ -281,10 +279,8 @@ func (sv *Servent) setRole(to HybridState) {
 // owns no slave for that long "could, potentially, be another peer's
 // slave" and reverts to initial.
 func (sv *Servent) armNoSlaveTimer() {
-	if sv.noSlave == nil {
-		sv.noSlave = sim.NewTimer(sv.s, sv.noSlaveExpired)
-	}
-	sv.noSlave.Reset(sv.par.MasterIdle)
+	sv.noSlave.Cancel()
+	sv.noSlave = sv.s.Schedule(sv.par.MasterIdle, sv.noSlaveFn)
 }
 
 func (sv *Servent) noSlaveExpired() {
@@ -324,7 +320,7 @@ func (sv *Servent) tryEnslaveTo(master int) {
 	}
 	sv.setRole(StateReserved)
 	sv.send(master, Msg{Kind: msgEnslaveReq, Qualifier: sv.opt.Qualifier})
-	sv.hold(&handshake{peer: master, slave: true})
+	sv.hold(handshake{peer: master, slave: true})
 }
 
 // onEnslaveReq is the master side of the enslavement handshake. An
@@ -344,11 +340,11 @@ func (sv *Servent) onEnslaveReq(from int, _ Msg) {
 // onEnslaveAccept is the slave finalizing: install the master link and
 // confirm.
 func (sv *Servent) onEnslaveAccept(from int) {
-	if sv.inFlight(from, true) == nil {
+	if _, ok := sv.inFlight(from, true); !ok {
 		return
 	}
 	sv.setRole(StateSlave)
-	sv.installConn(&conn{peer: from, toMaster: true, initiator: true})
+	sv.installConn(conn{peer: from, toMaster: true, initiator: true})
 	sv.send(from, Msg{Kind: msgEnslaveConfirm})
 }
 
@@ -367,15 +363,13 @@ func (sv *Servent) onEnslaveConfirm(from int) {
 		sv.send(from, Msg{Kind: msgBye})
 		return
 	}
-	sv.installConn(&conn{peer: from, toSlave: true, initiator: false})
-	if sv.noSlave != nil {
-		sv.noSlave.Stop()
-	}
+	sv.installConn(conn{peer: from, toSlave: true, initiator: false})
+	sv.noSlave.Cancel()
 }
 
 // onEnslaveReject returns a spurned slave candidate to initial.
 func (sv *Servent) onEnslaveReject(from int) {
-	if sv.inFlight(from, true) != nil {
+	if _, ok := sv.inFlight(from, true); ok {
 		sv.setRole(StateInitial)
 	}
 }

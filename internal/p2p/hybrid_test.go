@@ -295,10 +295,10 @@ func TestHybridQueriesFlowThroughMaster(t *testing.T) {
 	master.state = StateMaster
 	s1.state = StateSlave
 	s2.state = StateSlave
-	master.installConn(&conn{peer: 1, toSlave: true, initiator: false})
-	s1.installConn(&conn{peer: 0, toMaster: true, initiator: true})
-	master.installConn(&conn{peer: 2, toSlave: true, initiator: false})
-	s2.installConn(&conn{peer: 0, toMaster: true, initiator: true})
+	master.installConn(conn{peer: 1, toSlave: true, initiator: false})
+	s1.installConn(conn{peer: 0, toMaster: true, initiator: true})
+	master.installConn(conn{peer: 2, toSlave: true, initiator: false})
+	s2.installConn(conn{peer: 0, toMaster: true, initiator: true})
 
 	s2.runQuery() // can only pick file 0 (holds file 1)
 	w.run(par.QueryCollect + time(5))

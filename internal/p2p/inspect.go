@@ -63,8 +63,8 @@ func (sv *Servent) Inspect(v *View) {
 			ToSlave:       c.toSlave,
 			Master:        c.master,
 			Since:         c.since,
-			PingArmed:     c.pingTimer != nil && c.pingTimer.Armed(),
-			DeadlineArmed: c.deadline != nil && c.deadline.Armed(),
+			PingArmed:     c.pingEv.Pending(),
+			DeadlineArmed: c.deadlineEv.Pending(),
 		})
 	}
 	slices.SortFunc(v.Conns, func(a, b ConnView) int { return a.Peer - b.Peer })

@@ -9,14 +9,25 @@ import "manetp2p/internal/sim"
 // the pong's ad-hoc hop count is checked against MAXDIST (2·MAXDIST for
 // random connections) and the link is closed if the peer strayed.
 
-// startPinging arms the initiator-side keepalive loop for c.
-func (sv *Servent) startPinging(c *conn) {
-	c.pingTimer = sim.NewTimer(sv.s, func() { sv.pingTick(c) })
-	c.pingTimer.Reset(sv.par.PingInterval)
+// Both keepalive timers are typed events carrying the *conn in Arg.X,
+// fired through callbacks bound once in NewServent. Re-arming cancels
+// the pending event before scheduling the next one.
+
+// armPing (re)arms c's initiator-side timer to fire after d.
+func (sv *Servent) armPing(c *conn, d sim.Time) {
+	c.pingEv.Cancel()
+	c.pingEv = sv.s.ScheduleArg(d, sv.pingTickFn, sim.Arg{X: c})
+}
+
+// armDeadline (re)arms c's responder-side expected-ping deadline.
+func (sv *Servent) armDeadline(c *conn) {
+	c.deadlineEv.Cancel()
+	c.deadlineEv = sv.s.ScheduleArg(sv.deadlineWindow(), sv.deadlineFn, sim.Arg{X: c})
 }
 
 // pingTick fires both to send the next ping and as the pong deadline.
-func (sv *Servent) pingTick(c *conn) {
+func (sv *Servent) pingTick(a sim.Arg) {
+	c := a.X.(*conn)
 	if sv.conns[c.peer] != c || !sv.joined {
 		return
 	}
@@ -29,7 +40,7 @@ func (sv *Servent) pingTick(c *conn) {
 	c.awaitingSeq++
 	c.awaitPong = true
 	sv.send(c.peer, Msg{Kind: msgPing, Seq: c.awaitingSeq})
-	c.pingTimer.Reset(sv.par.PongTimeout)
+	sv.armPing(c, sv.par.PongTimeout)
 }
 
 // onPing answers a keepalive probe.
@@ -44,8 +55,8 @@ func (sv *Servent) onPing(from int, m Msg) {
 	// Asymmetric references (Basic) hold no state at the pinged node,
 	// which simply answers (§6.1.1).
 	sv.send(from, Msg{Kind: msgPong, Seq: m.Seq})
-	if ok && c.deadline != nil {
-		c.deadline.Reset(sv.deadlineWindow())
+	if ok && !c.initiator {
+		sv.armDeadline(c)
 	}
 }
 
@@ -69,18 +80,17 @@ func (sv *Servent) onPong(from int, m Msg, adhocHops int) {
 			return
 		}
 	}
-	c.pingTimer.Reset(sv.par.PingInterval)
+	sv.armPing(c, sv.par.PingInterval)
 }
 
-// startDeadline arms the responder-side expected-ping watchdog.
-func (sv *Servent) startDeadline(c *conn) {
-	c.deadline = sim.NewTimer(sv.s, func() {
-		if sv.conns[c.peer] != c || !sv.joined {
-			return
-		}
-		sv.closeConn(c.peer, false)
-	})
-	c.deadline.Reset(sv.deadlineWindow())
+// deadlineExpired closes a responder's connection whose initiator went
+// silent for a whole deadline window.
+func (sv *Servent) deadlineExpired(a sim.Arg) {
+	c := a.X.(*conn)
+	if sv.conns[c.peer] != c || !sv.joined {
+		return
+	}
+	sv.closeConn(c.peer, false)
 }
 
 // deadlineWindow is how long a responder waits for the next ping before

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"manetp2p/internal/netif"
+	"manetp2p/internal/sim"
 	"manetp2p/internal/telemetry"
 )
 
@@ -88,7 +89,7 @@ func TestPingFromStrangerGetsBye(t *testing.T) {
 		w.svs[0].conns[p] = &conn{peer: p}
 	}
 	// Install only node 1's half (initiator so it pings).
-	w.svs[1].installConn(&conn{peer: 0, initiator: true})
+	w.svs[1].installConn(conn{peer: 0, initiator: true})
 	par := DefaultParams()
 	w.run(par.PingInterval + time(5))
 	if got := w.svs[1].ConnCount(); got != 0 {
@@ -109,7 +110,7 @@ func TestBasicPingStateless(t *testing.T) {
 	})
 	w.joinAll()
 	// Asymmetric reference: only node 0 knows node 1.
-	w.svs[0].installConn(&conn{peer: 1, initiator: true})
+	w.svs[0].installConn(conn{peer: 1, initiator: true})
 	par := DefaultParams()
 	w.run(2*par.PingInterval + time(5))
 	if w.svs[0].ConnCount() != 1 {
@@ -139,6 +140,33 @@ func TestHandshakeTimeoutReleasesSlot(t *testing.T) {
 	w.run(DefaultParams().HandshakeWait + time(20))
 	if len(sv.pending) != 0 {
 		t.Error("pending handshake not released after timeout")
+	}
+}
+
+// A handshake's timeout names it by serial: a timeout that outlived its
+// handshake must leave a later one with the same peer in flight, and the
+// later one's own timeout must still release it.
+func TestStaleHandshakeTimeoutSparesItsSuccessor(t *testing.T) {
+	w := newWorld(t, worldSpec{
+		seed: 59,
+		pts:  cliquePts(2),
+		alg:  Regular,
+		opts: func(i int, o *Options) { o.NoEstablish = true },
+	})
+	w.joinAll()
+	sv := w.svs[0]
+	w.med.Leave(1) // peer 1 is unreachable: nothing answers the accepts
+	sv.acceptOffer(1, false, false)
+	first := sv.pending[1]
+	sv.dropPending()
+	sv.acceptOffer(1, false, false)
+	sv.handshakeTimeout(sim.Arg{I0: 1, I1: first.serial}) // the first one's, as if it had escaped the cancel
+	if _, ok := sv.pending[1]; !ok {
+		t.Fatal("a stale timeout released the handshake that succeeded its own")
+	}
+	w.run(DefaultParams().HandshakeWait + time(1))
+	if _, ok := sv.pending[1]; ok {
+		t.Error("the handshake's own timeout did not release it")
 	}
 }
 
@@ -182,7 +210,7 @@ func TestStrayConfirmGetsBye(t *testing.T) {
 	}
 	// Node 1 has installed its half (as if it accepted long ago) and
 	// sends the final handshake step; node 0 no longer tracks it.
-	w.svs[1].installConn(&conn{peer: 0, initiator: false})
+	w.svs[1].installConn(conn{peer: 0, initiator: false})
 	w.svs[1].send(0, Msg{Kind: msgConfirm})
 	w.run(time(2))
 	if w.svs[1].ConnCount() != 0 {
@@ -222,4 +250,50 @@ func TestClassOfUnknownPanics(t *testing.T) {
 		}
 	}()
 	classOf(netif.MsgKind(42))
+}
+
+// A closed connection's record goes to the spare list, and the next
+// connection takes it. Close the pair while the initiator's ping and the
+// responder's deadline are armed, re-establish it with the same peer a
+// third of a ping period in, and run past both instants the old life
+// armed: the new connection must survive in the same records, and the
+// responder must see the new life's pings only, one per PingInterval
+// from the reconnect.
+func TestRecycledConnIgnoresItsPastLife(t *testing.T) {
+	par := DefaultParams()
+	par.MaxNConn = 1 // the cycles a close starts find the table full again and stop
+	w := newWorld(t, worldSpec{
+		seed: 58,
+		pts:  cliquePts(2),
+		alg:  Regular,
+		par:  par,
+		opts: func(i int, o *Options) { o.NoEstablish = true },
+	})
+	w.joinAll()
+	a, b := w.svs[0], w.svs[1]
+	forceLink(a, b, false)
+	w.run(par.PingInterval / 3)
+	ca, cb := a.conns[1], b.conns[0]
+	if !ca.pingEv.Pending() || !cb.deadlineEv.Pending() {
+		t.Fatal("precondition: ping or deadline not armed")
+	}
+	a.closeConn(1, false)
+	b.closeConn(0, false)
+	forceLink(a, b, false)
+	if a.conns[1] != ca || b.conns[0] != cb {
+		t.Fatal("the reconnect did not reuse the closed records")
+	}
+	re := w.s.Now()
+	pings := w.col.Received(1, telemetry.Ping)
+	// The old life armed a ping at PingInterval and a deadline at
+	// 2·(PingInterval+PongTimeout); four rounds of the new one pass both.
+	for k := 1; k <= 4; k++ {
+		w.s.Run(re + sim.Time(k)*par.PingInterval - time(1))
+		if got := w.col.Received(1, telemetry.Ping) - pings; got != uint64(k-1) {
+			t.Fatalf("%v after the reconnect: %d pings, want %d", w.s.Now()-re, got, k-1)
+		}
+		if a.conns[1] != ca || b.conns[0] != cb || ca.since != re || cb.since != re {
+			t.Fatalf("%v after the reconnect: the new connection did not survive", w.s.Now()-re)
+		}
+	}
 }

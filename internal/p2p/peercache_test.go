@@ -140,12 +140,8 @@ func TestPeerCacheRateLimitAtTimeZero(t *testing.T) {
 	// The t=0 solicit may have completed a handshake meanwhile; drop the
 	// link so only the rate limit decides.
 	if c, ok := sv.conns[1]; ok {
-		if c.pingTimer != nil {
-			c.pingTimer.Stop()
-		}
-		if c.deadline != nil {
-			c.deadline.Stop()
-		}
+		c.pingEv.Cancel()
+		c.deadlineEv.Cancel()
 		delete(sv.conns, 1)
 	}
 	if !sv.tryCachedPeers() {

@@ -75,7 +75,7 @@ func (sv *Servent) runQuery() {
 	}
 	sv.nextQID++
 	sv.opt.Tracer.Emit(trace.KindQuery, sv.id, -1, "query qid=%d file=%d", trace.Int(sv.nextQID), trace.Int(file))
-	sv.curReq = &request{qid: sv.nextQID, file: file}
+	sv.curReq = request{open: true, qid: sv.nextQID, file: file}
 	sv.seen[queryKey(sv.id, sv.nextQID)] = struct{}{}
 	switch sv.par.QueryMode {
 	case QueryRandomWalk:
@@ -102,23 +102,21 @@ func (sv *Servent) runQuery() {
 // schedules the next query.
 func (sv *Servent) finishQuery() {
 	sv.queryEv = sim.Handle{}
-	if r := sv.curReq; r != nil {
+	r := sv.curReq
+	sv.curReq = request{}
+	if r.open {
 		sv.opt.Tracer.Emit(trace.KindQuery, sv.id, -1,
 			"done qid=%d file=%d answers=%d minP2P=%d", trace.Int(r.qid), trace.Int(r.file), trace.Int(r.answers), trace.Int(r.minP2P))
-	}
-	if r := sv.curReq; r != nil && sv.opt.Collector != nil {
-		sv.opt.Collector.Record(telemetry.Request{
-			Node:     sv.id,
-			File:     r.file,
-			Answers:  r.answers,
-			MinP2P:   r.minP2P,
-			MinAdhoc: r.minAdhoc,
-			Found:    r.answers > 0,
-		})
-	}
-	r := sv.curReq
-	sv.curReq = nil
-	if r != nil {
+		if sv.opt.Collector != nil {
+			sv.opt.Collector.Record(telemetry.Request{
+				Node:     sv.id,
+				File:     r.file,
+				Answers:  r.answers,
+				MinP2P:   r.minP2P,
+				MinAdhoc: r.minAdhoc,
+				Found:    r.answers > 0,
+			})
+		}
 		if d := sv.opt.Demand; d != nil {
 			d.Done(sv.id, r.answers > 0)
 		}
@@ -126,7 +124,7 @@ func (sv *Servent) finishQuery() {
 	if !sv.joined {
 		return
 	}
-	if r != nil && r.answers > 0 {
+	if r.answers > 0 {
 		sv.maybeStartDownload(r.file, r.holder)
 	}
 	sv.queryEv = sv.s.Schedule(sv.queryGap(), sv.runQueryFn)
@@ -203,8 +201,8 @@ func (sv *Servent) onWalkQuery(prev int, q Msg) {
 // onQueryHit accumulates an answer into the open request, tracking the
 // minimum p2p and ad-hoc distances to a holder.
 func (sv *Servent) onQueryHit(_ int, h Msg, adhocHops int) {
-	r := sv.curReq
-	if r == nil || h.Seq != r.qid {
+	r := &sv.curReq
+	if !r.open || h.Seq != r.qid {
 		return // late answer: the window closed
 	}
 	r.answers++

@@ -52,7 +52,7 @@ func TestQueryFindsFileAndRecordsDistance(t *testing.T) {
 	w := queryWorld(t, 30, 4, fileSets(4, 2, map[int][]int{0: {3}, 1: {0}}))
 	chainOverlay(w)
 	w.svs[0].runQuery()
-	if w.svs[0].curReq == nil {
+	if !w.svs[0].OpenQuery() {
 		t.Fatal("no request open after runQuery")
 	}
 	w.run(DefaultParams().QueryCollect + time(5))
@@ -343,9 +343,10 @@ func TestQueryMessagesCounted(t *testing.T) {
 	}
 }
 
-// A query issued and closed with no tracer allocates only its request
-// record: the trace calls on the path box nothing when the tracer is
-// nil, even for qids past the 0–255 range Go keeps preboxed.
+// A query issued and closed with no tracer allocates nothing: the open
+// request lives in the servent, and the trace calls on the path box
+// nothing when the tracer is nil, even for qids past the 0–255 range Go
+// keeps preboxed.
 func TestQueryPathNilTracerAllocs(t *testing.T) {
 	const nodes = 4
 	par := DefaultParams()
@@ -370,7 +371,7 @@ func TestQueryPathNilTracerAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ { // warm the event pool, maps and caches
 		query()
 	}
-	if allocs := testing.AllocsPerRun(100, query); allocs != 1 {
-		t.Errorf("one query allocates %.1f allocs/op, want 1 (its request record)", allocs)
+	if allocs := testing.AllocsPerRun(100, query); allocs != 0 {
+		t.Errorf("one query allocates %.1f allocs/op, want 0", allocs)
 	}
 }

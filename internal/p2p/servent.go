@@ -22,19 +22,24 @@ type conn struct {
 
 	awaitingSeq uint32
 	awaitPong   bool
-	pingTimer   *sim.Timer // initiator: next ping / pong deadline
-	deadline    *sim.Timer // responder: expected-ping deadline
+	pingEv      sim.Handle // initiator: next ping / pong deadline
+	deadlineEv  sim.Handle // responder: expected-ping deadline
 	since       sim.Time   // established time, for lifetime statistics
+
+	nextSpare *conn // intrusive spare-list link, meaningful only when closed
 }
 
 // handshake is one in flight: a solicitor-side three-way handshake (we
 // sent accept and hold a reserved slot until confirm or timeout) or,
 // marked slave, a Hybrid enslavement reservation awaiting the master.
+// serial numbers the servent's handshakes, so a timeout names the one it
+// was armed for.
 type handshake struct {
 	peer    int
 	random  bool
 	master  bool
 	slave   bool
+	serial  int
 	timeout sim.Handle
 }
 
@@ -72,6 +77,10 @@ type Servent struct {
 
 	joined bool
 	conns  map[int]*conn
+	// spare lists closed conn records for the next installConn. A record
+	// arrives once closeConn has cancelled both its keepalive events and
+	// run connClosed, so nothing of its previous life can still fire.
+	spare *conn
 
 	// Establishment state (decentralized algorithms and the hybrid
 	// master mesh / initial capture cycle share this ring machinery).
@@ -79,7 +88,8 @@ type Servent struct {
 	timer        sim.Time
 	cycleEv      sim.Handle
 	cycleRunning bool
-	pending      map[int]*handshake
+	pending      map[int]handshake
+	hsSerial     int // the last handshake's serial
 
 	// Random algorithm offer collection.
 	collecting bool
@@ -88,12 +98,12 @@ type Servent struct {
 
 	// Hybrid state; setRole is its only writer.
 	state   HybridState
-	noSlave *sim.Timer
+	noSlave sim.Handle // the MAXTIMERMASTER countdown
 
 	// Query engine.
 	nextQID uint32
 	seen    map[uint64]struct{} // queryKey of every query handled: rule 1
-	curReq  *request
+	curReq  request             // the open query, if curReq.open
 	queryEv sim.Handle
 
 	// Download extension.
@@ -106,15 +116,20 @@ type Servent struct {
 	// this peer becomes a no-op (-1 = disabled). See SkipCloseForTest.
 	skipClose int
 
-	// Callbacks bound once at construction: the establishment cycle and
-	// query engine re-schedule these constantly, and a method value passed
-	// directly to Schedule would allocate a fresh closure every call.
+	// Callbacks bound once at construction: the establishment cycle,
+	// keepalives and query engine re-schedule these constantly, and a
+	// method value passed directly to Schedule would allocate a fresh
+	// closure every call.
 	ensureCycleFn func()
 	cycleStepFn   func()
 	runQueryFn    func()
 	finishQueryFn func()
 	endCollectFn  func()
+	noSlaveFn     func()
 	hsTimeoutFn   func(sim.Arg)
+	pingTickFn    func(sim.Arg)
+	deadlineFn    func(sim.Arg)
+	chunkWaitFn   func(sim.Arg)
 	peersScratch  []int // sorted-peer buffer for hot iteration paths; see sortedPeers
 	cacheScratch  []int // sorted peer-cache id buffer; see cachedPeerIDs
 }
@@ -124,6 +139,7 @@ type Servent struct {
 func queryKey(origin int, qid uint32) uint64 { return uint64(origin)<<32 | uint64(qid) }
 
 type request struct {
+	open     bool
 	qid      uint32
 	file     int
 	answers  int
@@ -155,7 +171,7 @@ func NewServent(id int, s *sim.Sim, rt netif.Protocol, par Params, alg Algorithm
 		impl:      algorithms[alg].impl,
 		opt:       opt,
 		conns:     make(map[int]*conn),
-		pending:   make(map[int]*handshake),
+		pending:   make(map[int]handshake),
 		seen:      make(map[uint64]struct{}),
 		skipClose: -1,
 	}
@@ -164,7 +180,11 @@ func NewServent(id int, s *sim.Sim, rt netif.Protocol, par Params, alg Algorithm
 	sv.runQueryFn = sv.runQuery
 	sv.finishQueryFn = sv.finishQuery
 	sv.endCollectFn = sv.endRandomCollect
+	sv.noSlaveFn = sv.noSlaveExpired
 	sv.hsTimeoutFn = sv.handshakeTimeout
+	sv.pingTickFn = sv.pingTick
+	sv.deadlineFn = sv.deadlineExpired
+	sv.chunkWaitFn = sv.abortDownload
 	return sv
 }
 
@@ -264,7 +284,7 @@ func (sv *Servent) HasFile(r int) bool {
 // OpenQuery reports whether a query collection window is currently open
 // (the invariant checker cross-checks this against the workload engine's
 // in-flight count).
-func (sv *Servent) OpenQuery() bool { return sv.curReq != nil }
+func (sv *Servent) OpenQuery() bool { return sv.curReq.open }
 
 // Join starts participation: the establishment cycle begins after a
 // small random stagger, and (unless disabled) the query workload starts.
@@ -302,14 +322,14 @@ func (sv *Servent) Leave(graceful bool) {
 	sv.cycleRunning = false
 	sv.queryEv.Cancel()
 	sv.queryEv = sim.Handle{}
-	if sv.curReq != nil {
+	if sv.curReq.open {
 		if d := sv.opt.Demand; d != nil {
 			d.Aborted(sv.id)
 		}
 	}
-	sv.curReq = nil
+	sv.curReq = request{}
 	if sv.xfer != nil {
-		sv.xfer.timeout.Stop()
+		sv.xfer.timeout.Cancel()
 		sv.xfer = nil
 	}
 	sv.impl.leave(sv)
@@ -386,11 +406,19 @@ func (sv *Servent) HandleUnicast(d netif.Delivery) {
 	}
 }
 
-// installConn finalizes a connection and starts its keepalive machinery.
-func (sv *Servent) installConn(c *conn) {
-	if _, dup := sv.conns[c.peer]; dup {
+// installConn finalizes connection v, in a record from the spare list
+// when one waits there, and starts its keepalive machinery.
+func (sv *Servent) installConn(v conn) {
+	if _, dup := sv.conns[v.peer]; dup {
 		return
 	}
+	c := sv.spare
+	if c != nil {
+		sv.spare = c.nextSpare
+	} else {
+		c = new(conn)
+	}
+	*c = v
 	sv.conns[c.peer] = c
 	c.since = sv.s.Now()
 	sv.rememberPeer(c.peer)
@@ -401,9 +429,9 @@ func (sv *Servent) installConn(c *conn) {
 	// value" (§6.1.3).
 	sv.timer = sv.par.TimerInitial
 	if c.initiator {
-		sv.startPinging(c)
+		sv.armPing(c, sv.par.PingInterval)
 	} else {
-		sv.startDeadline(c)
+		sv.armDeadline(c)
 	}
 }
 
@@ -423,19 +451,16 @@ func (sv *Servent) closeConn(peer int, notify bool) {
 		sv.opt.Collector.RecordLifetime((sv.s.Now() - c.since).Seconds())
 	}
 	sv.opt.Tracer.Emit(trace.KindConn, sv.id, peer, "closed notify=%v", trace.Bool(notify))
-	if c.pingTimer != nil {
-		c.pingTimer.Stop()
-	}
-	if c.deadline != nil {
-		c.deadline.Stop()
-	}
+	c.pingEv.Cancel()
+	c.deadlineEv.Cancel()
 	if notify && sv.alg.Symmetric() {
 		sv.send(peer, Msg{Kind: msgBye})
 	}
-	if !sv.joined {
-		return
+	if sv.joined {
+		sv.impl.connClosed(sv, c)
 	}
-	sv.impl.connClosed(sv, c)
+	c.nextSpare = sv.spare
+	sv.spare = c
 }
 
 // onBye handles a peer's teardown notice.

@@ -383,38 +383,6 @@ func TestUniformDurationPanicsOnInvertedRange(t *testing.T) {
 	UniformDuration(rand.New(rand.NewSource(1)), Second, 0)
 }
 
-func TestTimerResetAndStop(t *testing.T) {
-	s := New(1)
-	count := 0
-	tm := NewTimer(s, func() { count++ })
-	if tm.Armed() {
-		t.Error("new timer reports armed")
-	}
-	tm.Reset(2 * Second)
-	if !tm.Armed() {
-		t.Error("timer not armed after Reset")
-	}
-	// Re-arm before firing: only one firing must happen.
-	s.Run(Second)
-	tm.Reset(2 * Second)
-	s.Run(MaxTime)
-	if count != 1 {
-		t.Errorf("count = %d, want 1 (Reset must supersede prior arm)", count)
-	}
-	if s.Now() != 3*Second {
-		t.Errorf("fired at %v, want 3s", s.Now())
-	}
-	tm.Reset(Second)
-	tm.Stop()
-	s.Run(MaxTime)
-	if count != 1 {
-		t.Errorf("count = %d after Stop, want 1", count)
-	}
-	if tm.Armed() {
-		t.Error("stopped timer reports armed")
-	}
-}
-
 func TestTickerRepeatsAndStops(t *testing.T) {
 	s := New(1)
 	var ticks []Time
@@ -466,6 +434,30 @@ func TestStaleHandleAfterRecycleIsInert(t *testing.T) {
 	s.Run(MaxTime)
 	if !fired {
 		t.Error("recycled event did not fire")
+	}
+}
+
+// The same holds for a handle whose cancelled entry the kernel purged
+// from the queue head: the purge recycles the slot, and neither
+// Pending nor a second Cancel may reach the slot's next tenant.
+func TestCancelledHandleAfterPurgeIsInert(t *testing.T) {
+	s := New(1)
+	fired := false
+	h1 := s.Schedule(5*Second, func() { fired = true })
+	h1.Cancel()
+	s.Run(6 * Second) // discards the cancelled entry, recycling its slot
+	tenant := 0
+	h2 := s.Schedule(2*Second, func() { tenant++ })
+	if h1.ev != h2.ev {
+		t.Fatal("expected the purged slot to be reused (pool broken?)")
+	}
+	if h1.Pending() {
+		t.Error("cancelled handle reports pending after its slot was reused")
+	}
+	h1.Cancel() // stale: must not cancel the slot's new tenant
+	s.Run(MaxTime)
+	if fired || tenant != 1 {
+		t.Errorf("cancelled event fired=%v, tenant fired %d times; want false and 1", fired, tenant)
 	}
 }
 
@@ -670,59 +662,6 @@ func TestPendingAndFiredCounters(t *testing.T) {
 	}
 	if s.Pending() != 0 {
 		t.Errorf("Pending() = %d after drain, want 0", s.Pending())
-	}
-}
-
-func TestTimerStopSurvivesSlotRecycle(t *testing.T) {
-	s := New(1)
-	fired := 0
-	tm := NewTimer(s, func() { fired++ })
-	tm.Reset(5 * Second)
-	tm.Stop() // lazily cancelled; the entry is still queued
-
-	s.Run(6 * Second) // discards the cancelled entry, recycling its slot
-
-	// The recycled slot's next tenant must be invisible to the timer.
-	tenant := 0
-	s.Schedule(2*Second, func() { tenant++ })
-	if tm.Armed() {
-		t.Error("stopped timer reports armed after its slot was reused")
-	}
-	tm.Stop() // no-op; must not touch the slot's new tenant
-	tm.Reset(Second)
-	if !tm.Armed() {
-		t.Error("timer not armed after Reset on a recycled slot")
-	}
-	s.Run(MaxTime)
-	if fired != 1 {
-		t.Errorf("fired = %d, want 1", fired)
-	}
-	if tenant != 1 {
-		t.Errorf("tenant fired %d times, want 1 (stale timer cancelled it?)", tenant)
-	}
-}
-
-func TestTimerStaleAfterFireAndSlotReuse(t *testing.T) {
-	s := New(1)
-	fired := 0
-	tm := NewTimer(s, func() { fired++ })
-	tm.Reset(Second)
-	s.Run(2 * Second) // fires; the slot returns to the pool
-
-	tenant := 0
-	s.Schedule(Second, func() { tenant++ }) // reuses the slot
-	if tm.Armed() {
-		t.Error("fired timer reports armed through its recycled slot")
-	}
-	tm.Stop() // stale handle: must not cancel the new tenant
-	s.Run(MaxTime)
-	if tenant != 1 {
-		t.Errorf("tenant fired %d times, want 1", tenant)
-	}
-	tm.Reset(Second) // the timer must remain reusable after going stale
-	s.Run(MaxTime)
-	if fired != 2 {
-		t.Errorf("fired = %d, want 2", fired)
 	}
 }
 

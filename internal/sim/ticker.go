@@ -1,40 +1,5 @@
 package sim
 
-// Timer is a restartable one-shot timer bound to a Sim. It exists because
-// protocol code (keepalive timeouts, retry backoff) constantly re-arms
-// the same conceptual timer; Timer keeps that pattern to two methods and
-// guarantees at most one pending firing.
-type Timer struct {
-	sim   *Sim
-	event Handle
-	fn    func()
-}
-
-// NewTimer returns an unarmed timer that runs fn when it fires.
-func NewTimer(s *Sim, fn func()) *Timer {
-	if fn == nil {
-		// Unreachable from input: every caller passes a method value or closure.
-		panic("sim: NewTimer with nil callback")
-	}
-	return &Timer{sim: s, fn: fn}
-}
-
-// Reset (re)arms the timer to fire after delay, cancelling any pending
-// firing.
-func (t *Timer) Reset(delay Time) {
-	t.event.Cancel()
-	t.event = t.sim.Schedule(delay, t.fn)
-}
-
-// Stop cancels any pending firing. Stopping an unarmed timer is a no-op.
-func (t *Timer) Stop() {
-	t.event.Cancel()
-	t.event = Handle{}
-}
-
-// Armed reports whether a firing is pending.
-func (t *Timer) Armed() bool { return t.event.Pending() }
-
 // Ticker invokes fn every interval until stopped.
 type Ticker struct {
 	sim      *Sim
