@@ -51,7 +51,7 @@ func (x *dupIndex) audit(report func(rule, detail string)) {
 		if x.swept-m.t >= x.cfg.Timeout {
 			report("log-order", fmt.Sprintf("mark %d of node %d at %v outlived the timeout at %v", i, m.node, m.t, x.swept))
 		}
-		if int(m.rec) >= len(x.recs) || int(m.node) >= len(x.live) || !x.has(m.rec, int(m.node)) {
+		if m.rec >= x.made || int(m.node) >= len(x.live) || !x.has(m.rec, int(m.node)) {
 			report("bit-count", fmt.Sprintf("live mark %d (node %d, record %d) has no bit set", i, m.node, m.rec))
 		}
 	}
@@ -59,9 +59,10 @@ func (x *dupIndex) audit(report func(rule, detail string)) {
 	// The records: counts against populations, row- and column-wise.
 	column := make([]int32, len(x.live))
 	total, liveRecs := 0, 0
-	for r := range x.recs {
+	for r := int32(0); r < x.made; r++ {
+		rec := x.rec(r)
 		pop := 0
-		for w, word := range x.bits[r*x.words : (r+1)*x.words] {
+		for w, word := range x.set(r) {
 			pop += bits.OnesCount64(word)
 			for ; word != 0; word &= word - 1 {
 				if node := w<<6 + bits.TrailingZeros64(word); node < len(column) {
@@ -71,14 +72,14 @@ func (x *dupIndex) audit(report func(rule, detail string)) {
 				}
 			}
 		}
-		if int(x.recs[r].live) != pop {
-			report("bit-count", fmt.Sprintf("record %d (%+v) counts %d nodes, its set holds %d", r, x.recs[r].key, x.recs[r].live, pop))
+		if int(rec.live) != pop {
+			report("bit-count", fmt.Sprintf("record %d (%+v) counts %d nodes, its set holds %d", r, rec.key, rec.live, pop))
 		}
 		total += pop
-		if x.recs[r].live > 0 {
+		if rec.live > 0 {
 			liveRecs++
-			if _, found := x.find(x.recs[r].key); int(found) != r {
-				report("table-reach", fmt.Sprintf("live record %d (%+v) not reached by its key (probe found %d)", r, x.recs[r].key, found))
+			if _, found := x.find(rec.key); found != r {
+				report("table-reach", fmt.Sprintf("live record %d (%+v) not reached by its key (probe found %d)", r, rec.key, found))
 			}
 		}
 	}
@@ -101,19 +102,19 @@ func (x *dupIndex) audit(report func(rule, detail string)) {
 			continue
 		}
 		slots++
-		if int(r) > len(x.recs) || x.recs[r-1].live <= 0 {
+		if r > x.made || x.rec(r-1).live <= 0 {
 			report("table-reach", fmt.Sprintf("slot %d names record %d, which is not live", i, r-1))
 		}
 	}
 	if slots != liveRecs || x.nrec != liveRecs {
 		report("table-reach", fmt.Sprintf("%d slots occupied, %d records counted, %d records live", slots, x.nrec, liveRecs))
 	}
-	if len(x.free) != len(x.recs)-liveRecs {
-		report("table-reach", fmt.Sprintf("%d of %d records live, but %d on the free list", liveRecs, len(x.recs), len(x.free)))
+	if len(x.free) != int(x.made)-liveRecs {
+		report("table-reach", fmt.Sprintf("%d of %d records live, but %d on the free list", liveRecs, x.made, len(x.free)))
 	}
-	onFree := make([]bool, len(x.recs))
+	onFree := make([]bool, x.made)
 	for _, r := range x.free {
-		if int(r) >= len(x.recs) || onFree[r] || x.recs[r] != (dupRecord{}) {
+		if r >= x.made || onFree[r] || *x.rec(r) != (dupRecord{}) {
 			report("table-reach", fmt.Sprintf("free record %d is not zeroed, or listed twice", r))
 			continue
 		}

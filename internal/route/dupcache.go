@@ -108,9 +108,13 @@ type dupIndex struct {
 	mask  uint32
 	nrec  int // records in the table
 
-	recs []dupRecord
-	bits []uint64 // record r's node set is bits[r*words : (r+1)*words]
-	free []int32  // recycled records, all-zero
+	// recs holds the made records in fixed-size chunks that never move:
+	// record r and its node set live in chunk recs[r>>dupRecShift] (see
+	// rec and set). A removed record waits in free, all-zero, for the
+	// next insert, so no chunk ever drains.
+	recs []*recChunk
+	made int32   // records made: the chunks' filled prefix
+	free []int32 // recycled records, all-zero
 
 	// log holds the n marks made and not yet retired, oldest at head;
 	// the clock never runs backwards, so it is in time order. It is a
@@ -156,6 +160,23 @@ const (
 
 type dupChunk [dupChunkLen]dupMark
 
+// A record chunk holds 256 records and their node sets: 10 KiB at 50
+// nodes, 14 KiB at 150, 24 KiB at 500. Half the size doubles the chunk
+// allocations of the 150- and 500-node families and saves at most 5 KiB
+// in a family that never holds 128 records.
+const (
+	dupRecShift = 8
+	dupRecLen   = 1 << dupRecShift
+	dupRecMask  = dupRecLen - 1
+)
+
+// recChunk is dupRecLen records; record i's node set is
+// bits[i*words : (i+1)*words].
+type recChunk struct {
+	recs [dupRecLen]dupRecord
+	bits []uint64
+}
+
 func newDupIndex(ord int, cfg CacheConfig, p *Plane) *dupIndex {
 	return &dupIndex{
 		ord:   ord,
@@ -192,16 +213,25 @@ func (x *dupIndex) find(k Key) (slot uint32, rec int32) {
 		if r == 0 {
 			return i, -1
 		}
-		if x.recs[r-1].key == k {
+		if x.rec(r-1).key == k {
 			return i, r - 1
 		}
 		i = (i + 1) & x.mask
 	}
 }
 
+// rec returns record r.
+func (x *dupIndex) rec(r int32) *dupRecord { return &x.recs[r>>dupRecShift].recs[r&dupRecMask] }
+
+// set returns record r's node set.
+func (x *dupIndex) set(r int32) []uint64 {
+	i := int(r&dupRecMask) * x.words
+	return x.recs[r>>dupRecShift].bits[i : i+x.words : i+x.words]
+}
+
 // bit locates node's bit in rec's node set: the word and the mask.
 func (x *dupIndex) bit(rec int32, node int) (*uint64, uint64) {
-	return &x.bits[int(rec)*x.words+node>>6], 1 << (node & 63)
+	return &x.set(rec)[node>>6], 1 << (node & 63)
 }
 
 // has reports whether node's bit is set in rec.
@@ -280,7 +310,7 @@ func (x *dupIndex) holders(k Key) (set []uint64, until sim.Time) {
 	if rec < 0 {
 		return nil, 0
 	}
-	return x.bits[int(rec)*x.words : int(rec+1)*x.words], x.recs[rec].t0 + x.cfg.Timeout
+	return x.set(rec), x.rec(rec).t0 + x.cfg.Timeout
 }
 
 func (x *dupIndex) seen(node int, k Key) bool {
@@ -309,11 +339,11 @@ func (x *dupIndex) mark(node int, k Key) bool {
 	}
 	if rec < 0 {
 		rec = x.insert(k, slot)
-		x.recs[rec].t0 = now
+		x.rec(rec).t0 = now
 	}
 	w, b := x.bit(rec, node)
 	*w |= b
-	x.recs[rec].live++
+	x.rec(rec).live++
 	x.live[node]++
 	x.push(dupMark{t: now, rec: rec, node: int32(node)})
 	return false
@@ -331,11 +361,13 @@ func (x *dupIndex) insert(k Key, slot uint32) int32 {
 		rec = x.free[n-1]
 		x.free = x.free[:n-1]
 	} else {
-		rec = int32(len(x.recs))
-		x.recs = append(x.recs, dupRecord{})
-		x.bits = append(x.bits, make([]uint64, x.words)...)
+		rec = x.made
+		if rec&dupRecMask == 0 {
+			x.recs = append(x.recs, &recChunk{bits: make([]uint64, dupRecLen*x.words)})
+		}
+		x.made++
 	}
-	x.recs[rec].key = k
+	x.rec(rec).key = k
 	x.table[slot] = rec + 1
 	x.nrec++
 	return rec
@@ -352,7 +384,7 @@ func (x *dupIndex) growTable() {
 		if r == 0 {
 			continue
 		}
-		i := hash(x.recs[r-1].key) & x.mask
+		i := hash(x.rec(r-1).key) & x.mask
 		for x.table[i] != 0 {
 			i = (i + 1) & x.mask
 		}
@@ -375,7 +407,7 @@ func (x *dupIndex) clear(rec int32, node int) {
 	w, b := x.bit(rec, node)
 	*w &^= b
 	x.live[node]--
-	r := &x.recs[rec]
+	r := x.rec(rec)
 	if r.live--; r.live == 0 {
 		x.remove(rec)
 	}
@@ -385,9 +417,9 @@ func (x *dupIndex) clear(rec int32, node int) {
 // deletion — every later member of the probe run that may move up does,
 // so runs stay gap-free and need no tombstones — and recycles it.
 func (x *dupIndex) remove(rec int32) {
-	i, _ := x.find(x.recs[rec].key)
+	i, _ := x.find(x.rec(rec).key)
 	for j := (i + 1) & x.mask; x.table[j] != 0; j = (j + 1) & x.mask {
-		home := hash(x.recs[x.table[j]-1].key) & x.mask
+		home := hash(x.rec(x.table[j]-1).key) & x.mask
 		// The entry at j may fill the hole at i unless its home slot
 		// lies in (i, j], cyclically.
 		if (j-home)&x.mask >= (j-i)&x.mask {
@@ -397,7 +429,7 @@ func (x *dupIndex) remove(rec int32) {
 	}
 	x.table[i] = 0
 	x.nrec--
-	x.recs[rec] = dupRecord{}
+	*x.rec(rec) = dupRecord{}
 	x.free = append(x.free, rec)
 }
 

@@ -349,7 +349,7 @@ func TestPlaneAuditDetectsCorruption(t *testing.T) {
 	}{
 		{"log-order", func(x *dupIndex) { x.at(1).t = x.at(0).t - 1 }},
 		{"log-order", func(x *dupIndex) { x.swept = x.at(0).t + x.cfg.Timeout }},
-		{"bit-count", func(x *dupIndex) { x.bits[0] ^= 1 << 3 }},
+		{"bit-count", func(x *dupIndex) { x.set(0)[0] ^= 1 << 3 }},
 		{"bit-count", func(x *dupIndex) { x.live[2]-- }},
 		{"bit-count", func(x *dupIndex) { x.at(0).node = -1 }},
 		{"table-reach", func(x *dupIndex) { slot, _ := x.find(Key{Origin: 9, ID: 1}); x.table[slot] = 0 }},
