@@ -141,6 +141,16 @@ if [ -n "$writers" ]; then
 fi
 echo ok
 
+# A function literal handed to the scheduler allocates a closure per call; the overlay binds its callbacks once in NewServent.
+echo "== closure lint (no function literal scheduled in internal/p2p) =="
+literals=$(grep -rnE '\.(Schedule|At|ScheduleArg|AtArg)\(.*func *\(' internal/p2p --include='*.go' --exclude='*_test.go' || true)
+if [ -n "$literals" ]; then
+	echo "function literal passed to the scheduler in the overlay:"
+	echo "$literals"
+	exit 1
+fi
+echo ok
+
 # Node ids are dense, so routers index per-node state by id, not a map (DESIGN §8); route's shared Pending is out of scope.
 echo "== router-state lint (indexed by node id, no maps) =="
 maps=$(grep -rn 'map\[' internal/aodv internal/dsr internal/dsdv internal/flood \
