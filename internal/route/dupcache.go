@@ -173,8 +173,8 @@ const (
 // recChunk is dupRecLen records; record i's node set is
 // bits[i*words : (i+1)*words].
 type recChunk struct {
-	recs [dupRecLen]dupRecord
 	bits []uint64
+	recs [dupRecLen]dupRecord
 }
 
 func newDupIndex(ord int, cfg CacheConfig, p *Plane) *dupIndex {
@@ -231,7 +231,8 @@ func (x *dupIndex) set(r int32) []uint64 {
 
 // bit locates node's bit in rec's node set: the word and the mask.
 func (x *dupIndex) bit(rec int32, node int) (*uint64, uint64) {
-	return &x.set(rec)[node>>6], 1 << (node & 63)
+	c := x.recs[rec>>dupRecShift]
+	return &c.bits[int(rec&dupRecMask)*x.words+node>>6], 1 << (node & 63)
 }
 
 // has reports whether node's bit is set in rec.
