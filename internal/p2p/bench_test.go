@@ -175,11 +175,17 @@ func TestConnCycleZeroAllocs(t *testing.T) {
 	w.check(t)
 }
 
-// BenchmarkQueryFlood measures one Gnutella-style query flooded down an
-// 8-servent overlay chain: per-hop duplicate suppression, the
-// forwarding fan-out, the query hit unicast back from the far-end
-// holder, and the requester's answer accounting.
-func BenchmarkQueryFlood(b *testing.B) {
+// queryFloodBench is the tracked query workload: one Gnutella-style
+// query flooded down an 8-servent overlay chain — per-hop duplicate
+// suppression, the forwarding fan-out, the query hit unicast back from
+// the far-end holder, and the requester's answer accounting.
+type queryFloodBench struct {
+	s   *sim.Sim
+	svs []*Servent
+	par Params
+}
+
+func newQueryFloodBench(tb testing.TB) *queryFloodBench {
 	const nodes = 8
 	par := DefaultParams()
 	par.PingInterval = 1 << 55
@@ -188,38 +194,53 @@ func BenchmarkQueryFlood(b *testing.B) {
 	for n := range pts {
 		pts[n] = geom.Point{X: 5 + 8*float64(n), Y: 25}
 	}
-	s, svs, _ := benchOverlay(b, 12, geom.Rect{W: 200, H: 50}, pts, par,
+	s, svs, _ := benchOverlay(tb, 12, geom.Rect{W: 200, H: 50}, pts, par,
 		func(n int) []bool { return []bool{n == nodes-1} }) // only the far end holds file 0
-	src := svs[0]
-	run := func() {
-		// One query for file 0: a fresh QID fanned out to every overlay
-		// neighbor, exactly as runQuery does it, minus the
-		// collection-window scheduling (the benchmark drains deliveries
-		// itself).
-		src.nextQID++
-		src.curReq = request{open: true, qid: src.nextQID, file: 0}
-		src.seen[queryKey(src.id, src.nextQID)] = struct{}{}
-		q := Msg{Kind: msgQuery, Origin: src.id, Seq: src.nextQID, File: 0, TTL: par.QueryTTL}
-		for _, peer := range src.sortedPeers() { // sorted: keeps runs reproducible
-			src.send(peer, q)
-		}
-		s.Run(s.Now() + 200*sim.Millisecond)
-		if src.curReq.answers != 1 {
-			b.Fatalf("query collected %d answers, want 1", src.curReq.answers)
-		}
-		// Clear the per-query duplicate-suppression state so floods
-		// replay without unbounded map growth.
-		for _, sv := range svs {
-			clear(sv.seen)
-			sv.curReq = request{}
-		}
+	w := &queryFloodBench{s: s, svs: svs, par: par}
+	for w.s.Now() < sim.Minute { // past the routers' duplicate-cache timeout: pools and caches at size
+		w.query(tb)
 	}
-	for i := 0; i < 8; i++ { // warm pools and caches before timing
-		run()
+	return w
+}
+
+// query issues one query for file 0: a fresh QID fanned out to every
+// overlay neighbor, exactly as runQuery does it, minus the
+// collection-window scheduling (the benchmark drains deliveries itself).
+func (w *queryFloodBench) query(tb testing.TB) {
+	src := w.svs[0]
+	src.nextQID++
+	src.curReq = request{open: true, qid: src.nextQID, file: 0}
+	src.seen[queryKey(src.id, src.nextQID)] = struct{}{}
+	q := Msg{Kind: msgQuery, Origin: src.id, Seq: src.nextQID, File: 0, TTL: w.par.QueryTTL}
+	for _, peer := range src.sortedPeers() { // sorted: keeps runs reproducible
+		src.send(peer, q)
 	}
+	w.s.Run(w.s.Now() + 200*sim.Millisecond)
+	if src.curReq.answers != 1 {
+		tb.Fatalf("query collected %d answers, want 1", src.curReq.answers)
+	}
+	// Clear the per-query duplicate-suppression state so floods replay
+	// without unbounded map growth.
+	for _, sv := range w.svs {
+		clear(sv.seen)
+		sv.curReq = request{}
+	}
+}
+
+// BenchmarkQueryFlood's contract is 0 allocs/op once warm:
+// TestQueryFloodZeroAllocs holds it at zero.
+func BenchmarkQueryFlood(b *testing.B) {
+	w := newQueryFloodBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run()
+		w.query(b)
+	}
+}
+
+func TestQueryFloodZeroAllocs(t *testing.T) {
+	w := newQueryFloodBench(t)
+	if allocs := testing.AllocsPerRun(1000, func() { w.query(t) }); allocs != 0 {
+		t.Errorf("one flooded query allocates %.1f allocs/op, want 0", allocs)
 	}
 }

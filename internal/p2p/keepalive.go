@@ -9,10 +9,6 @@ import "manetp2p/internal/sim"
 // the pong's ad-hoc hop count is checked against MAXDIST (2·MAXDIST for
 // random connections) and the link is closed if the peer strayed.
 
-// Both keepalive timers are typed events carrying the *conn in Arg.X,
-// fired through callbacks bound once in NewServent. Re-arming cancels
-// the pending event before scheduling the next one.
-
 // armPing (re)arms c's initiator-side timer to fire after d.
 func (sv *Servent) armPing(c *conn, d sim.Time) {
 	c.pingEv.Cancel()
