@@ -209,3 +209,19 @@ func TestAODVRERRZeroAllocs(t *testing.T) {
 	}
 	w.check(t, runs+2) // the set-up's op and AllocsPerRun's warm-up call
 }
+
+// A router's construction allocates its state and binds no scheduling
+// callback: its discovery timer and its core's self-delivery are
+// package-level functions that reach their owner through sim.Arg.X.
+func TestNewRouterAllocs(t *testing.T) {
+	s := sim.New(1)
+	med, err := radio.NewMedium(s, radio.Config{Arena: geom.Rect{W: 50, H: 50}, Range: 10, NumNodes: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := route.NewPlane(s, med)
+	cfg := DefaultConfig()
+	if allocs := testing.AllocsPerRun(100, func() { NewRouter(3, pl, cfg) }); allocs != 14 {
+		t.Errorf("NewRouter allocates %.1f objects, want 14", allocs)
+	}
+}

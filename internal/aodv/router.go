@@ -75,10 +75,6 @@ type Router struct {
 	// rerr is the scratch an RERR's destination list is built in; the
 	// medium copies it on Send, so the next RERR reuses it.
 	rerr []netif.Unreachable
-
-	// Callback for the typed scheduling API, bound once at construction
-	// so the hot paths schedule without a per-call closure allocation.
-	discTimeoutFn func(sim.Arg)
 }
 
 // NewRouter creates the routing layer for node id on the simulation's
@@ -97,7 +93,6 @@ func NewRouter(id int, pl *route.Plane, cfg Config) *Router {
 	core.Route = r.routeData
 	r.bcast.Accept = r.acceptBcast
 	r.bcast.Stamp = r.nextSeq
-	r.discTimeoutFn = r.discTimeout
 	return r
 }
 
@@ -180,17 +175,15 @@ func (r *Router) sendRREQ(dst int, d *route.Discovery[netif.Packet]) {
 	r.Medium.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: sizeRREQ, Payload: q})
 
 	wait := 2 * sim.Time(d.TTL) * r.cfg.HopTraversal
-	d.Timer = r.Sim.ScheduleArg(wait, r.discTimeoutFn, sim.Arg{I0: dst, X: d})
+	d.Timer = r.Sim.ScheduleArg(wait, discoveryTimeout, sim.Arg{I0: dst, X: r})
 }
 
-// discTimeout unpacks the typed-arg timer payload for discoveryTimeout.
-func (r *Router) discTimeout(a sim.Arg) {
-	r.discoveryTimeout(a.I0, a.X.(*route.Discovery[netif.Packet]))
-}
-
-// discoveryTimeout escalates the ring or gives up. d is dst's live
-// entry: Take cancels the retry timer of every entry it retires.
-func (r *Router) discoveryTimeout(dst int, d *route.Discovery[netif.Packet]) {
+// discoveryTimeout escalates router X's ring toward I0 or gives up. The
+// pending entry is the one that armed it: Take cancels the retry timer
+// of every entry it retires.
+func discoveryTimeout(a sim.Arg) {
+	r, dst := a.X.(*Router), a.I0
+	d, _ := r.pending.Get(dst)
 	if d.Repair {
 		// One bounded attempt only.
 		d.Retries = r.cfg.MaxDiscoveryRetries + 1

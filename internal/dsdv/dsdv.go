@@ -95,10 +95,6 @@ type Router struct {
 	entries []netif.AdvEntry
 	// lapsed holds the payloads expireParked abandons until it reports them.
 	lapsed []netif.Msg
-
-	// Callback for the typed scheduling API, bound once at construction
-	// so the hot paths schedule without a per-call closure allocation.
-	expireParkedFn func(sim.Arg)
 }
 
 var _ netif.Protocol = (*Router)(nil)
@@ -115,15 +111,19 @@ func NewRouter(id int, pl *route.Plane, cfg Config) *Router {
 		parked: route.NewPending[waiting](cfg.BufferCap),
 	}
 	core.Route = r.routeData
-	r.expireParkedFn = r.expireParkedArg
 	// Stagger first advertisements by node id so a freshly built network
 	// does not emit all dumps in the same microsecond.
 	first := r.cfg.UpdatePeriod/64*sim.Time(id%64) + sim.Millisecond
-	r.Sim.Schedule(first, func() {
-		r.advertise()
-		r.ticker = sim.NewTicker(r.Sim, r.cfg.UpdatePeriod, r.advertise)
-	})
+	r.Sim.ScheduleArg(first, startAdvertising, sim.Arg{X: r})
 	return r
+}
+
+// startAdvertising sends router X's first dump and starts the periodic
+// ones.
+func startAdvertising(a sim.Arg) {
+	r := a.X.(*Router)
+	r.advertise()
+	r.ticker = sim.NewTicker(r.Sim, r.cfg.UpdatePeriod, r.advertise)
 }
 
 // HopsTo reports the table's metric for dst.
@@ -243,16 +243,15 @@ func (r *Router) park(pkt netif.Packet) {
 		r.FailSend(pkt.Dst, pkt.Msg)
 		return
 	}
-	r.Sim.ScheduleArg(r.cfg.SettlingTime+sim.Millisecond, r.expireParkedFn, sim.Arg{I0: pkt.Dst})
+	r.Sim.ScheduleArg(r.cfg.SettlingTime+sim.Millisecond, expireParked, sim.Arg{I0: pkt.Dst, X: r})
 }
 
-// expireParkedArg unpacks the typed-arg timer payload for expireParked.
-func (r *Router) expireParkedArg(a sim.Arg) { r.expireParked(a.I0) }
-
-// expireParked fails packets whose settling window lapsed routeless. It
-// settles the buffer before reporting them: a hook that sends to dst
-// again parks the new packet in it, or in a fresh entry.
-func (r *Router) expireParked(dst int) {
+// expireParked fails router X's packets for I0 whose settling window
+// lapsed routeless. It settles the buffer before reporting them: a hook
+// that sends to dst again parks the new packet in it, or in a fresh
+// entry.
+func expireParked(a sim.Arg) {
+	r, dst := a.X.(*Router), a.I0
 	d, ok := r.parked.Get(dst)
 	if !ok || len(d.Queue) == 0 {
 		return

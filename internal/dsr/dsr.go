@@ -99,10 +99,6 @@ type Router struct {
 	// learnRoute, which copies what it keeps, or a frame's Path, which
 	// the medium copies on Send. Each use ends before the next begins.
 	pathScratch []int
-
-	// Callback for the typed scheduling API, bound once at construction
-	// so the hot paths schedule without a per-call closure allocation.
-	discTimeoutFn func(sim.Arg)
 }
 
 var _ netif.Protocol = (*Router)(nil)
@@ -122,7 +118,6 @@ func NewRouter(id int, pl *route.Plane, cfg Config) *Router {
 	core.Route = r.routeData
 	r.bcast.Accept = r.acceptBcast
 	r.bcast.PrepRelay = r.prepBcastRelay
-	r.discTimeoutFn = r.discTimeout
 	return r
 }
 
@@ -147,11 +142,6 @@ func (r *Router) prepBcastRelay(b *netif.Packet) {
 func (r *Router) through(path []int) []int {
 	r.pathScratch = append(append(r.pathScratch[:0], path...), r.ID())
 	return r.pathScratch
-}
-
-// discTimeout unpacks the typed-arg timer payload for discoveryTimeout.
-func (r *Router) discTimeout(a sim.Arg) {
-	r.discoveryTimeout(a.I0, a.X.(*route.Discovery[netif.Packet]))
 }
 
 // HopsTo reports the cached route length to dst.
@@ -257,10 +247,15 @@ func (r *Router) sendRREQ(dst int, d *route.Discovery[netif.Packet]) {
 	r.Count.CtrlOrig++
 	r.Medium.Send(radio.Frame{Src: r.ID(), Dst: radio.BroadcastAddr, Size: sizeRREQBase, Payload: q})
 	wait := 2 * sim.Time(r.cfg.DiscoveryTTL) * r.cfg.HopTraversal
-	d.Timer = r.Sim.ScheduleArg(wait, r.discTimeoutFn, sim.Arg{I0: dst, X: d})
+	d.Timer = r.Sim.ScheduleArg(wait, discoveryTimeout, sim.Arg{I0: dst, X: r})
 }
 
-func (r *Router) discoveryTimeout(dst int, d *route.Discovery[netif.Packet]) {
+// discoveryTimeout retries router X's discovery of I0 or gives up. The
+// pending entry is the one that armed it: Take cancels the retry timer
+// of every entry it retires.
+func discoveryTimeout(a sim.Arg) {
+	r, dst := a.X.(*Router), a.I0
+	d, _ := r.pending.Get(dst)
 	if _, ok := r.route(dst); ok {
 		r.completeDiscovery(dst)
 		return

@@ -62,10 +62,6 @@ type Network struct {
 	peerBuf  []int
 	peerOff  []int32
 	memberFn func(int) bool
-
-	// Churn callbacks bound once so re-arming allocates nothing.
-	churnDownFn func(sim.Arg)
-	churnUpFn   func(sim.Arg)
 }
 
 // Build constructs and wires replication rep of the scenario (seed
@@ -102,8 +98,6 @@ func Build(sc Scenario, rep int, opt Options) (*Network, error) {
 		dead:      make([]bool, sc.NumNodes),
 		churnRNG:  s.NewRand(),
 	}
-	n.churnDownFn = n.churnDown
-	n.churnUpFn = n.churnUp
 	if opt.Trace != nil {
 		n.Tracer = trace.New(s, opt.Trace)
 	}
@@ -354,11 +348,12 @@ func (n *Network) ChurnEvents() uint64 { return n.churnEvents }
 // scheduleChurnDown arms the next departure for member i.
 func (n *Network) scheduleChurnDown(i int) {
 	up, _ := n.churnMeans(i)
-	n.Sim.ScheduleArg(expDuration(n.churnRNG, up), n.churnDownFn, sim.Arg{I0: i})
+	n.Sim.ScheduleArg(expDuration(n.churnRNG, up), churnDown, sim.Arg{I0: i, X: n})
 }
 
-func (n *Network) churnDown(a sim.Arg) {
-	i := a.I0
+// churnDown takes member I0 of network X down.
+func churnDown(a sim.Arg) {
+	n, i := a.X.(*Network), a.I0
 	if n.dead[i] || !n.Medium.Up(i) {
 		return
 	}
@@ -374,11 +369,12 @@ func (n *Network) churnDown(a sim.Arg) {
 // scheduleChurnUp arms the next return for member i.
 func (n *Network) scheduleChurnUp(i int) {
 	_, down := n.churnMeans(i)
-	n.Sim.ScheduleArg(expDuration(n.churnRNG, down), n.churnUpFn, sim.Arg{I0: i})
+	n.Sim.ScheduleArg(expDuration(n.churnRNG, down), churnUp, sim.Arg{I0: i, X: n})
 }
 
-func (n *Network) churnUp(a sim.Arg) {
-	i := a.I0
+// churnUp brings member I0 of network X back.
+func churnUp(a sim.Arg) {
+	n, i := a.X.(*Network), a.I0
 	if n.dead[i] || n.Medium.Up(i) {
 		return
 	}

@@ -244,3 +244,20 @@ func TestQueryFloodZeroAllocs(t *testing.T) {
 		t.Errorf("one flooded query allocates %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// A servent's construction allocates the struct and its three maps and
+// nothing else: its timers are package-level callbacks that reach it
+// through sim.Arg.X, so it binds no method values.
+func TestNewServentAllocs(t *testing.T) {
+	s := sim.New(1)
+	med, err := radio.NewMedium(s, radio.Config{Arena: geom.Rect{W: 50, H: 50}, Range: 10, NumNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := flood.NewRouter(0, route.NewPlane(s, med), flood.DefaultConfig())
+	opt := Options{RNG: s.NewRand()}
+	par := DefaultParams()
+	if allocs := testing.AllocsPerRun(100, func() { NewServent(0, s, rt, par, Regular, opt) }); allocs != 4 {
+		t.Errorf("NewServent allocates %.1f objects, want 4", allocs)
+	}
+}

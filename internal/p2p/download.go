@@ -18,9 +18,10 @@ import (
 type xfer struct {
 	file    int
 	holder  int
-	next    int        // next chunk index expected
-	chunks  int        // total, learned from the first chunk
-	timeout sim.Handle // the stall timeout, carrying the xfer in Arg.X
+	next    int // next chunk index expected
+	chunks  int // total, learned from the first chunk
+	serial  int // stamped from Servent.xferSerial; the stall timeout carries it
+	timeout sim.Handle
 }
 
 // DownloadConfig tunes the transfer extension.
@@ -47,17 +48,25 @@ func (sv *Servent) maybeStartDownload(file, holder int) {
 	if !sv.par.Download.Enabled || sv.xfer != nil || sv.HasFile(file) || holder == sv.id {
 		return
 	}
-	x := &xfer{file: file, holder: holder}
-	x.timeout = sv.s.ScheduleArg(sv.par.Download.ChunkWait, sv.chunkWaitFn, sim.Arg{X: x})
+	sv.xferSerial++
+	x := &xfer{file: file, holder: holder, serial: sv.xferSerial}
 	sv.xfer = x
+	sv.armChunkWait(x)
 	sv.opt.Tracer.Emit(trace.KindQuery, sv.id, holder, "download start file=%d", trace.Int(file))
 	sv.send(holder, Msg{Kind: msgFetchReq, File: file, Chunk: 0})
 }
 
+// armChunkWait (re)arms x's stall timeout.
+func (sv *Servent) armChunkWait(x *xfer) {
+	x.timeout.Cancel()
+	x.timeout = sv.s.ScheduleArg(sv.par.Download.ChunkWait, abortDownload, sim.Arg{I0: x.serial, X: sv})
+}
+
 // abortDownload gives up on a stalled transfer.
-func (sv *Servent) abortDownload(a sim.Arg) {
-	x := a.X.(*xfer)
-	if sv.xfer != x {
+func abortDownload(a sim.Arg) {
+	sv := a.X.(*Servent)
+	x := sv.xfer
+	if x == nil || x.serial != a.I0 {
 		return
 	}
 	sv.opt.Tracer.Emit(trace.KindQuery, sv.id, x.holder, "download abort file=%d at chunk %d", trace.Int(x.file), trace.Int(x.next))
@@ -85,8 +94,7 @@ func (sv *Servent) onChunk(from int, m Msg) {
 	}
 	x.chunks = m.Chunks
 	x.next++
-	x.timeout.Cancel()
-	x.timeout = sv.s.ScheduleArg(sv.par.Download.ChunkWait, sv.chunkWaitFn, sim.Arg{X: x})
+	sv.armChunkWait(x)
 	if x.next < x.chunks {
 		sv.send(from, Msg{Kind: msgFetchReq, File: x.file, Chunk: x.next})
 		return

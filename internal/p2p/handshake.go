@@ -62,14 +62,14 @@ func (sv *Servent) acceptOffer(peer int, random, master bool) {
 func (sv *Servent) hold(h handshake) {
 	sv.hsSerial++
 	h.serial = sv.hsSerial
-	h.timeout = sv.s.ScheduleArg(sv.par.HandshakeWait, sv.hsTimeoutFn, sim.Arg{I0: h.peer, I1: h.serial})
+	h.timeout = sv.s.ScheduleArg(sv.par.HandshakeWait, handshakeTimeout, sim.Arg{I0: h.peer, I1: h.serial, X: sv})
 	sv.pending[h.peer] = h
 }
 
 // handshakeTimeout releases a reserved slot whose confirm never arrived
 // or, for a reservation, returns the slave candidate to initial.
-func (sv *Servent) handshakeTimeout(a sim.Arg) {
-	peer, serial := a.I0, a.I1
+func handshakeTimeout(a sim.Arg) {
+	sv, peer, serial := a.X.(*Servent), a.I0, a.I1
 	if h, ok := sv.pending[peer]; ok && h.serial == serial {
 		delete(sv.pending, peer)
 		if h.slave {

@@ -280,7 +280,7 @@ func (sv *Servent) setRole(to HybridState) {
 // slave" and reverts to initial.
 func (sv *Servent) armNoSlaveTimer() {
 	sv.noSlave.Cancel()
-	sv.noSlave = sv.s.Schedule(sv.par.MasterIdle, sv.noSlaveFn)
+	sv.noSlave = sv.s.ScheduleArg(sv.par.MasterIdle, fireNoSlave, sim.Arg{X: sv})
 }
 
 func (sv *Servent) noSlaveExpired() {

@@ -12,19 +12,22 @@ import "manetp2p/internal/sim"
 // armPing (re)arms c's initiator-side timer to fire after d.
 func (sv *Servent) armPing(c *conn, d sim.Time) {
 	c.pingEv.Cancel()
-	c.pingEv = sv.s.ScheduleArg(d, sv.pingTickFn, sim.Arg{X: c})
+	c.pingEv = sv.s.ScheduleArg(d, pingTick, sim.Arg{I0: c.peer, X: sv})
 }
 
 // armDeadline (re)arms c's responder-side expected-ping deadline.
 func (sv *Servent) armDeadline(c *conn) {
 	c.deadlineEv.Cancel()
-	c.deadlineEv = sv.s.ScheduleArg(sv.deadlineWindow(), sv.deadlineFn, sim.Arg{X: c})
+	c.deadlineEv = sv.s.ScheduleArg(sv.deadlineWindow(), deadlineExpired, sim.Arg{I0: c.peer, X: sv})
 }
 
 // pingTick fires both to send the next ping and as the pong deadline.
-func (sv *Servent) pingTick(a sim.Arg) {
-	c := a.X.(*conn)
-	if sv.conns[c.peer] != c || !sv.joined {
+// The connection to peer I0 is the one that armed it: closeConn cancels
+// both keepalive events of the record it retires.
+func pingTick(a sim.Arg) {
+	sv := a.X.(*Servent)
+	c, ok := sv.conns[a.I0]
+	if !ok || !sv.joined {
 		return
 	}
 	if c.awaitPong {
@@ -80,13 +83,12 @@ func (sv *Servent) onPong(from int, m Msg, adhocHops int) {
 }
 
 // deadlineExpired closes a responder's connection whose initiator went
-// silent for a whole deadline window.
-func (sv *Servent) deadlineExpired(a sim.Arg) {
-	c := a.X.(*conn)
-	if sv.conns[c.peer] != c || !sv.joined {
-		return
+// silent for a whole deadline window; see pingTick.
+func deadlineExpired(a sim.Arg) {
+	sv := a.X.(*Servent)
+	if _, ok := sv.conns[a.I0]; ok && sv.joined {
+		sv.closeConn(a.I0, false)
 	}
-	sv.closeConn(c.peer, false)
 }
 
 // deadlineWindow is how long a responder waits for the next ping before

@@ -160,7 +160,7 @@ func TestStaleHandshakeTimeoutSparesItsSuccessor(t *testing.T) {
 	first := sv.pending[1]
 	sv.dropPending()
 	sv.acceptOffer(1, false, false)
-	sv.handshakeTimeout(sim.Arg{I0: 1, I1: first.serial}) // the first one's, as if it had escaped the cancel
+	handshakeTimeout(sim.Arg{I0: 1, I1: first.serial, X: sv}) // the first one's, as if it had escaped the cancel
 	if _, ok := sv.pending[1]; !ok {
 		t.Fatal("a stale timeout released the handshake that succeeded its own")
 	}

@@ -70,7 +70,7 @@ func (sv *Servent) runQuery() {
 	file := sv.pickFile()
 	if file < 0 || len(sv.conns) == 0 {
 		// Nothing to ask or no one to ask: try again later.
-		sv.queryEv = sv.s.Schedule(sv.queryGap(), sv.runQueryFn)
+		sv.queryEv = sv.s.ScheduleArg(sv.queryGap(), fireRunQuery, sim.Arg{X: sv})
 		return
 	}
 	sv.nextQID++
@@ -95,7 +95,7 @@ func (sv *Servent) runQuery() {
 	if d := sv.opt.Demand; d != nil {
 		d.Issued(sv.id)
 	}
-	sv.queryEv = sv.s.Schedule(sv.par.QueryCollect, sv.finishQueryFn)
+	sv.queryEv = sv.s.ScheduleArg(sv.par.QueryCollect, fireFinishQuery, sim.Arg{X: sv})
 }
 
 // finishQuery closes the 30 s collection window, records the outcome and
@@ -127,7 +127,7 @@ func (sv *Servent) finishQuery() {
 	if r.answers > 0 {
 		sv.maybeStartDownload(r.file, r.holder)
 	}
-	sv.queryEv = sv.s.Schedule(sv.queryGap(), sv.runQueryFn)
+	sv.queryEv = sv.s.ScheduleArg(sv.queryGap(), fireRunQuery, sim.Arg{X: sv})
 }
 
 // onQuery applies the paper's three forwarding rules and answers if this

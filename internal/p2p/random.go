@@ -6,6 +6,8 @@ package p2p
 // [nhops, 2·MAXNHOPS], offers are collected for a window, the farthest
 // responder gets the accept, and MAXDIST doubles for it.
 
+import "manetp2p/internal/sim"
+
 // randomAlg is the Random algorithm's entry in the algorithms table. It
 // is Regular plus the long link: a lost link, the message kinds and the
 // pair rules are Regular's.
@@ -116,7 +118,7 @@ func (sv *Servent) startRandomSolicit() {
 	sv.collecting = true
 	sv.offers = sv.offers[:0]
 	sv.broadcast(randhops, Msg{Kind: msgSolicit, Rand: true})
-	sv.collectEv = sv.s.Schedule(sv.par.OfferWindow, sv.endCollectFn)
+	sv.collectEv = sv.s.ScheduleArg(sv.par.OfferWindow, fireEndCollect, sim.Arg{X: sv})
 }
 
 // endRandomCollect picks the farthest responder and accepts it.

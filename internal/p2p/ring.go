@@ -22,7 +22,7 @@ func (sv *Servent) ensureCycle() {
 
 func (sv *Servent) scheduleCycle(d sim.Time) {
 	sv.cycleEv.Cancel()
-	sv.cycleEv = sv.s.Schedule(d, sv.cycleStepFn)
+	sv.cycleEv = sv.s.ScheduleArg(d, fireCycleStep, sim.Arg{X: sv})
 }
 
 func (sv *Servent) cycleStep() {

@@ -107,7 +107,8 @@ type Servent struct {
 	queryEv sim.Handle
 
 	// Download extension.
-	xfer *xfer
+	xfer       *xfer
+	xferSerial int // the last download's serial
 
 	// Peer-cache extension.
 	peerCache map[int]*cacheEntry
@@ -116,22 +117,8 @@ type Servent struct {
 	// this peer becomes a no-op (-1 = disabled). See SkipCloseForTest.
 	skipClose int
 
-	// Callbacks bound once at construction: the establishment cycle,
-	// keepalives and query engine re-schedule these constantly, and a
-	// method value passed directly to Schedule would allocate a fresh
-	// closure every call.
-	ensureCycleFn func()
-	cycleStepFn   func()
-	runQueryFn    func()
-	finishQueryFn func()
-	endCollectFn  func()
-	noSlaveFn     func()
-	hsTimeoutFn   func(sim.Arg)
-	pingTickFn    func(sim.Arg)
-	deadlineFn    func(sim.Arg)
-	chunkWaitFn   func(sim.Arg)
-	peersScratch  []int // sorted-peer buffer for hot iteration paths; see sortedPeers
-	cacheScratch  []int // sorted peer-cache id buffer; see cachedPeerIDs
+	peersScratch []int // sorted-peer buffer for hot iteration paths; see sortedPeers
+	cacheScratch []int // sorted peer-cache id buffer; see cachedPeerIDs
 }
 
 // queryKey packs a query's origin and id into one map key. Node ids are
@@ -162,7 +149,7 @@ func NewServent(id int, s *sim.Sim, rt netif.Protocol, par Params, alg Algorithm
 		// Unreachable: every caller passes a stream and a checked Algorithm.
 		panic("p2p: NewServent needs Options.RNG and a valid Algorithm")
 	}
-	sv := &Servent{
+	return &Servent{
 		id:        id,
 		s:         s,
 		rt:        rt,
@@ -175,18 +162,17 @@ func NewServent(id int, s *sim.Sim, rt netif.Protocol, par Params, alg Algorithm
 		seen:      make(map[uint64]struct{}),
 		skipClose: -1,
 	}
-	sv.ensureCycleFn = sv.ensureCycle
-	sv.cycleStepFn = sv.cycleStep
-	sv.runQueryFn = sv.runQuery
-	sv.finishQueryFn = sv.finishQuery
-	sv.endCollectFn = sv.endRandomCollect
-	sv.noSlaveFn = sv.noSlaveExpired
-	sv.hsTimeoutFn = sv.handshakeTimeout
-	sv.pingTickFn = sv.pingTick
-	sv.deadlineFn = sv.deadlineExpired
-	sv.chunkWaitFn = sv.abortDownload
-	return sv
 }
+
+// The servent's timer callbacks are package-level functions that find
+// it in Arg.X (sim.Arg), so scheduling allocates nothing and a servent
+// binds no method value. These run the ones with no other argument.
+func fireEnsureCycle(a sim.Arg) { a.X.(*Servent).ensureCycle() }
+func fireCycleStep(a sim.Arg)   { a.X.(*Servent).cycleStep() }
+func fireRunQuery(a sim.Arg)    { a.X.(*Servent).runQuery() }
+func fireFinishQuery(a sim.Arg) { a.X.(*Servent).finishQuery() }
+func fireEndCollect(a sim.Arg)  { a.X.(*Servent).endRandomCollect() }
+func fireNoSlave(a sim.Arg)     { a.X.(*Servent).noSlaveExpired() }
 
 // sortedPeers fills the servent's scratch buffer with the connected peer
 // ids in ascending order — the same content Peers returns, without the
@@ -297,11 +283,11 @@ func (sv *Servent) Join() {
 	sv.timer = sv.par.TimerInitial
 	stagger := sim.UniformDuration(sv.opt.RNG, 0, sv.par.JoinStaggerMax)
 	if !sv.opt.NoEstablish {
-		sv.s.Schedule(stagger, sv.ensureCycleFn)
+		sv.s.ScheduleArg(stagger, fireEnsureCycle, sim.Arg{X: sv})
 	}
 	if !sv.opt.NoQueries {
 		first := stagger + sv.par.QueryCollect + sv.queryGap()
-		sv.queryEv = sv.s.Schedule(first, sv.runQueryFn)
+		sv.queryEv = sv.s.ScheduleArg(first, fireRunQuery, sim.Arg{X: sv})
 	}
 }
 

@@ -57,13 +57,10 @@ type Core struct {
 	onBroadcast  func(netif.Delivery)
 	onSendFailed func(dst int, payload netif.Msg)
 
-	// Bound once at construction so self-delivery schedules without a
-	// per-call closure allocation; selfQ carries the payloads in FIFO
-	// order (one Schedule per self-addressed Send, so queue position and
-	// event order agree).
-	selfDeliverFn func()
-	selfQ         []netif.Msg
-	selfHead      int
+	// selfQ carries self-addressed payloads in FIFO order (one event per
+	// Send, so queue position and event order agree).
+	selfQ    []netif.Msg
+	selfHead int
 }
 
 // NewCore creates the dispatch core for node id of pl's simulation.
@@ -72,9 +69,7 @@ func NewCore(id int, pl *Plane) *Core {
 		// Unreachable from input: manet.Build makes one core per id in [0, NumNodes) on a NumNodes plane.
 		panic(fmt.Sprintf("route: node id %d outside the plane's %d nodes", id, pl.med.NumNodes()))
 	}
-	c := &Core{id: id, plane: pl, Sim: pl.sim, Medium: pl.med}
-	c.selfDeliverFn = c.selfDeliver
-	return c
+	return &Core{id: id, plane: pl, Sim: pl.sim, Medium: pl.med}
 }
 
 // ID returns the node this control plane belongs to.
@@ -133,7 +128,7 @@ func (c *Core) FailSend(dst int, payload netif.Msg) {
 func (c *Core) Send(dst, size int, payload netif.Msg) {
 	if dst == c.id {
 		c.selfQ = append(c.selfQ, payload)
-		c.Sim.Schedule(0, c.selfDeliverFn)
+		c.Sim.ScheduleArg(0, selfDeliver, sim.Arg{X: c})
 		return
 	}
 	c.Count.DataSent++
@@ -157,7 +152,9 @@ func (c *Core) Broadcast(ttl, size int, payload netif.Msg) {
 	c.bcast.Originate(ttl, size, payload)
 }
 
-func (c *Core) selfDeliver() {
+// selfDeliver hands core X's oldest self-addressed payload up.
+func selfDeliver(a sim.Arg) {
+	c := a.X.(*Core)
 	m := c.selfQ[c.selfHead]
 	c.selfQ[c.selfHead] = netif.Msg{}
 	c.selfHead++

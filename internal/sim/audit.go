@@ -22,8 +22,8 @@ import "fmt"
 //   - seq-bound / seq-dup: every queued sequence number was actually
 //     issued, and no two queued events share one — the FIFO tie-break
 //     among same-instant events is total.
-//   - callback: every queued slot carries exactly one callback (fn or
-//     argFn), so firing it cannot panic or silently do nothing.
+//   - callback: every queued slot carries a callback, so firing it
+//     cannot panic.
 //   - free-list: recycled slots are disjoint from the queue, carry no
 //     stale callback or cancellation state, and the intrusive list is
 //     acyclic — a slot can never be both pending and reusable, which is
@@ -56,12 +56,8 @@ func (s *Sim) Audit(report func(rule, detail string)) {
 			report("seq-dup", fmt.Sprintf("seq %d held by queue items %d and %d", e.seq, prev, i))
 		}
 		seqs[e.seq] = i
-		if (e.fn == nil) == (e.argFn == nil) {
-			which := "no callback"
-			if e.fn != nil {
-				which = "both fn and argFn"
-			}
-			report("callback", fmt.Sprintf("queued event at %v seq=%d carries %s", e.at, e.seq, which))
+		if e.fn == nil {
+			report("callback", fmt.Sprintf("queued event at %v seq=%d carries no callback", e.at, e.seq))
 		}
 	}
 
@@ -77,7 +73,7 @@ func (s *Sim) Audit(report func(rule, detail string)) {
 			report("free-list", fmt.Sprintf("slot is both free and queued as item %d (at=%v seq=%d)",
 				i, e.at, e.seq))
 		}
-		if e.fn != nil || e.argFn != nil || e.arg.I0 != 0 || e.arg.I1 != 0 || e.arg.X != nil {
+		if e.fn != nil || e.arg.I0 != 0 || e.arg.I1 != 0 || e.arg.X != nil {
 			report("free-list", "recycled slot retains a callback or argument")
 		}
 		if e.cancelled || e.fired {

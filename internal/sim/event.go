@@ -12,23 +12,21 @@ type Event struct {
 	seq uint64 // tie-breaker: FIFO order among same-instant events
 	gen uint64 // bumped on recycle; Handles with an older gen are stale
 
-	fn    func()    // plain callback (nil when argFn is set)
-	argFn func(Arg) // typed callback, paired with arg
-	arg   Arg
+	fn  func(Arg) // the callback, fired with arg
+	arg Arg
 
 	cancelled bool
 	fired     bool
 	nextFree  *Event // intrusive free-list link, meaningful only when pooled
 }
 
-// Arg is the small value payload of the typed scheduling API
-// (ScheduleArg/AtArg). It exists so hot-path components — the radio
-// medium, routing-protocol timers, servent timers, churn — can schedule
-// per-message or per-peer work without allocating a capturing closure
-// per call: the component stores one func(Arg) for its callback and
-// passes the variable state here. Ints cover ids/ranks; X carries an
-// optional pointer or pre-boxed payload (storing a pointer in an
-// interface does not allocate).
+// Arg is what an event's callback receives. A component schedules a
+// package-level func(Arg) with its owner (a *Servent, a *Router, a
+// *Network) in X and the per-call state (peer or destination ids,
+// serials) in I0/I1, so scheduling allocates nothing and the component
+// binds no method value: a pointer or a func value stored in an
+// interface does not allocate. Schedule and At are the cold-path form:
+// they carry a func() in X for callFunc.
 type Arg struct {
 	I0, I1 int
 	X      any

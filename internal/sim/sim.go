@@ -120,7 +120,6 @@ func (s *Sim) alloc(t Time, seq uint64) *Event {
 func (s *Sim) recycle(e *Event) {
 	e.gen++
 	e.fn = nil
-	e.argFn = nil
 	e.arg = Arg{}
 	e.cancelled = false
 	e.fired = false
@@ -129,48 +128,48 @@ func (s *Sim) recycle(e *Event) {
 }
 
 // Schedule queues fn to run after delay and returns a handle that can
-// cancel it. A negative delay panics: the past is immutable.
-func (s *Sim) Schedule(delay Time, fn func()) Handle {
-	if delay < 0 {
-		// Unreachable from input: delays are validated non-negative durations (Params.Validate, the plans'
-		// Validate) or non-negative by construction (latency plus jitter, exponential draws).
-		panic(fmt.Sprintf("sim: Schedule with negative delay %v at %v", delay, s.now))
-	}
-	return s.At(s.now+delay, fn)
-}
+// cancel it. A negative delay panics: the past is immutable. Schedule
+// and At store fn in Arg.X for callFunc; they suit cold paths and tests,
+// where a capturing closure per call costs nothing. A component's
+// recurring timers use ScheduleArg with a package-level callback (Arg).
+func (s *Sim) Schedule(delay Time, fn func()) Handle { return s.At(s.now+delay, fn) }
 
-// At queues fn to run at instant t (which must not precede Now) and
-// returns a cancellation handle.
+// At queues fn to run at instant t, which must not precede Now.
 func (s *Sim) At(t Time, fn func()) Handle {
 	if fn == nil {
-		// Unreachable from input: every caller passes a method value or closure.
+		// Unreachable from input: every caller passes a closure.
 		panic("sim: At with nil callback")
 	}
-	s.seq++
-	return s.enqueue(t, s.seq, fn, nil, Arg{})
+	return s.AtArg(t, callFunc, Arg{X: fn})
 }
 
-// ScheduleArg queues fn(arg) to run after delay. It is the
-// allocation-free flavour of Schedule for hot paths: the caller stores
-// one func(Arg) for the lifetime of the component and passes per-call
-// state through arg, instead of allocating a capturing closure per call.
+// callFunc is the callback of Schedule and At.
+func callFunc(a Arg) { a.X.(func())() }
+
+// ScheduleArg queues fn(arg) to run after delay; see Schedule.
 func (s *Sim) ScheduleArg(delay Time, fn func(Arg), arg Arg) Handle {
-	if delay < 0 {
-		// Unreachable from input: delays are validated non-negative durations (Params.Validate), router
-		// constants, radio latency plus jitter, or exponential draws.
-		panic(fmt.Sprintf("sim: ScheduleArg with negative delay %v at %v", delay, s.now))
-	}
 	return s.AtArg(s.now+delay, fn, arg)
 }
 
-// AtArg queues fn(arg) to run at instant t. See ScheduleArg.
+// AtArg queues fn(arg) to run at instant t, which must not precede Now,
+// and returns a cancellation handle.
 func (s *Sim) AtArg(t Time, fn func(Arg), arg Arg) Handle {
 	if fn == nil {
-		// Unreachable from input: every caller passes a callback stored once per component.
+		// Unreachable from input: every caller passes a package-level function or callFunc.
 		panic("sim: AtArg with nil callback")
 	}
+	if t < s.now {
+		// Unreachable from input: delays are non-negative (validated durations, router constants, radio
+		// latency plus jitter, exponential draws), now+delay wraps only past MaxTime, and Scenario.Validate
+		// bounds every scheduled scenario duration by MaxTime/2 (Params.Validate, sim.Horizon for plans).
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, s.now))
+	}
 	s.seq++
-	return s.enqueue(t, s.seq, nil, fn, arg)
+	e := s.alloc(t, s.seq)
+	e.fn = fn
+	e.arg = arg
+	s.queue.push(e)
+	return Handle{ev: e, gen: e.gen}
 }
 
 // ReserveSeq consumes and returns the next sequence number without
@@ -180,20 +179,6 @@ func (s *Sim) AtArg(t Time, fn func(Arg), arg Arg) Handle {
 func (s *Sim) ReserveSeq() uint64 {
 	s.seq++
 	return s.seq
-}
-
-func (s *Sim) enqueue(t Time, seq uint64, fn func(), argFn func(Arg), arg Arg) Handle {
-	if t < s.now {
-		// Unreachable from input: now+delay wraps only past MaxTime, and Scenario.Validate bounds every
-		// scheduled scenario duration by MaxTime/2 (Params.Validate's timing constants, sim.Horizon for plans).
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, s.now))
-	}
-	e := s.alloc(t, seq)
-	e.fn = fn
-	e.argFn = argFn
-	e.arg = arg
-	s.queue.push(e)
-	return Handle{ev: e, gen: e.gen}
 }
 
 // peekLive returns the earliest non-cancelled queued event, discarding
@@ -303,13 +288,9 @@ func (s *Sim) Step() bool {
 // Handles are already stale by then, which is exactly the "fired"
 // semantics Handle.Pending reports.
 func (s *Sim) fire(e *Event) {
-	fn, argFn, arg := e.fn, e.argFn, e.arg
+	fn, arg := e.fn, e.arg
 	s.recycle(e)
-	if argFn != nil {
-		argFn(arg)
-		return
-	}
-	fn()
+	fn(arg)
 }
 
 // Stop makes the current Run return after the in-flight event completes.

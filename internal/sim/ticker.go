@@ -6,7 +6,6 @@ type Ticker struct {
 	interval Time
 	event    Handle
 	fn       func()
-	tick     func() // self-rescheduling wrapper, built once in NewTicker
 	stopped  bool
 }
 
@@ -24,17 +23,20 @@ func NewTicker(s *Sim, interval Time, fn func()) *Ticker {
 		panic("sim: NewTicker with nil callback")
 	}
 	t := &Ticker{sim: s, interval: interval, fn: fn}
-	t.tick = func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.event = t.sim.Schedule(t.interval, t.tick)
-		}
-	}
-	t.event = s.Schedule(interval, t.tick)
+	t.event = s.ScheduleArg(interval, tick, Arg{X: t})
 	return t
+}
+
+// tick runs the ticker in Arg.X and re-arms it.
+func tick(a Arg) {
+	t := a.X.(*Ticker)
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped {
+		t.event = t.sim.ScheduleArg(t.interval, tick, a)
+	}
 }
 
 // Stop halts the ticker; no further callbacks run.
