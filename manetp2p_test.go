@@ -304,6 +304,40 @@ func TestTrafficSeriesShowsFormationBurst(t *testing.T) {
 	}
 }
 
+// Regression: the bucketed traffic series stopped at a replication's
+// last message, so a quiet tail shortened it, a silent replication
+// recorded none, and pooling cut every series to the shortest one and
+// left the silent replications out of the mean. Ten sparse nodes for
+// 90 s give both kinds among these seeds. Every series spans the
+// horizon's three buckets now, and the pooled buckets add up to the
+// pooled per-member totals.
+func TestTrafficSeriesSpanTheHorizon(t *testing.T) {
+	sc := DefaultScenario(10, Regular)
+	sc.Duration = 90 * sim.Second
+	sc.TrafficBucket = 30 * sim.Second
+	sc.Replications = 12
+	sc.Seed = 1
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		class  telemetry.Class
+		series []float64
+	}{{telemetry.Connect, res.ConnectTraffic}, {telemetry.Query, res.QueryTraffic}} {
+		if len(c.series) != 3 {
+			t.Errorf("%v: %d buckets, want 3", c.class, len(c.series))
+		}
+		var sum float64
+		for _, v := range c.series {
+			sum += v
+		}
+		if want := res.Totals[c.class].Mean; math.Abs(sum-want) > 1e-9*max(1, want) {
+			t.Errorf("%v: buckets add up to %.6f per member, totals say %.6f", c.class, sum, want)
+		}
+	}
+}
+
 func TestScenarioRoutingAndMobilityMapping(t *testing.T) {
 	// Every routing substrate and mobility model must build and run
 	// through the public Scenario API.

@@ -84,8 +84,12 @@ var sections = []section{
 				rr.Totals[class] = totals
 			}
 			if sc.TrafficBucket > 0 {
+				// Buckets past the last message stay zero: every
+				// replication's series spans the horizon, so a quiet tail
+				// or a silent replication pools as the zeros it measured.
+				spanned := int((sc.Duration + sc.TrafficBucket - 1) / sc.TrafficBucket)
 				perMember := func(series []uint64) []float64 {
-					out := make([]float64, len(series))
+					out := make([]float64, max(len(series), spanned))
 					for i, v := range series {
 						out[i] = float64(v) / float64(len(members))
 					}
