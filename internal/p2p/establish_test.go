@@ -75,10 +75,18 @@ func TestRegularCliqueInvariants(t *testing.T) {
 	par := DefaultParams()
 	w.checkCapacity(t, par)
 	w.checkSymmetric(t)
-	// In a clique with plenty of partners, everyone should fill up.
-	for i, sv := range w.svs {
-		if sv.ConnCount() != par.MaxNConn {
-			t.Errorf("node %d conns = %d, want %d", i, sv.ConnCount(), par.MaxNConn)
+	// The algorithm does not promise that everyone fills: a member can
+	// stop one short once every partner in range is full. It does promise
+	// that two members with a free slot each, in range of each other, do
+	// not stay unlinked; in a clique every pair is in range.
+	for i, a := range w.svs {
+		for j, b := range w.svs[i+1:] {
+			if a.ConnCount() < par.MaxNConn && b.ConnCount() < par.MaxNConn {
+				if _, linked := a.conns[b.id]; !linked {
+					t.Errorf("nodes %d and %d hold %d and %d of %d conns and are not linked",
+						i, i+1+j, a.ConnCount(), b.ConnCount(), par.MaxNConn)
+				}
+			}
 		}
 	}
 }
