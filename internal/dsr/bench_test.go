@@ -163,3 +163,67 @@ func TestDSRRREQRelayZeroAllocs(t *testing.T) {
 	}
 	w.check(t, runs+1) // AllocsPerRun makes one warm-up call
 }
+
+// learnRouteBench is the tracked route-change workload: node 0 learns a
+// three-hop route to node 7 over 1 → 2 → 3, then a shorter one over
+// 4 → 5, which replaces it, and then hears that its link to 4 broke,
+// which drops the shorter route so the next op's longer one is taken
+// again. Each op writes both routes and their prefix routes into the
+// cache.
+type learnRouteBench struct {
+	r           *Router
+	long, short []int
+}
+
+const learnRouteDst = 7
+
+func newLearnRouteBench(tb testing.TB) *learnRouteBench {
+	s := sim.New(5)
+	med, err := radio.NewMedium(s, radio.Config{Arena: geom.Rect{W: 100, H: 100}, Range: 10, NumNodes: 8})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &learnRouteBench{
+		r:    NewRouter(0, route.NewPlane(s, med), DefaultConfig()),
+		long: []int{1, 2, 3}, short: []int{4, 5},
+	}
+}
+
+func (w *learnRouteBench) learn() {
+	w.r.learnRoute(learnRouteDst, w.long)
+	w.r.learnRoute(learnRouteDst, w.short)
+	w.r.dropRoutesVia(0, w.short[0])
+}
+
+// check fails tb unless the broken link took the short route and its
+// prefixes with it and left the long route's prefix routes.
+func (w *learnRouteBench) check(tb testing.TB) {
+	for dst, want := range []int{0, 1, 2, 3, 0, 0, 0, 0} {
+		if hops, ok := w.r.HopsTo(dst); ok != (want > 0) || hops != want {
+			tb.Fatalf("HopsTo(%d) = %d %v, want %d", dst, hops, ok, want)
+		}
+	}
+}
+
+// BenchmarkDSRLearnRoute's contract is 0 allocs/op:
+// TestDSRLearnRouteZeroAllocs holds it at zero.
+func BenchmarkDSRLearnRoute(b *testing.B) {
+	w := newLearnRouteBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.learn()
+	}
+	w.check(b)
+}
+
+// The same contract in `go test`: once the cache holds storage for the
+// destinations, replacing a route with one of another length and other
+// hops rewrites it in place and allocates nothing.
+func TestDSRLearnRouteZeroAllocs(t *testing.T) {
+	w := newLearnRouteBench(t)
+	if allocs := testing.AllocsPerRun(200, w.learn); allocs != 0 {
+		t.Errorf("learning two routes to one destination allocates %.1f allocs/op, want 0", allocs)
+	}
+	w.check(t)
+}

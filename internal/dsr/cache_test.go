@@ -13,8 +13,8 @@ import (
 )
 
 // refCache is the route cache kept the simple way, a map from destination
-// to an owned copy of its path: the reference the id-indexed cache, whose
-// prefix routes share storage, is held to.
+// to a freshly allocated copy of its path: the reference the id-indexed
+// cache, which rewrites its paths in place, is held to.
 type refCache struct {
 	self     int
 	lifetime sim.Time
@@ -88,9 +88,12 @@ type handedPath struct {
 // after route expiries. After every step route and HopsTo agree with the
 // model for every node id. Every path route hands out is extended by its
 // holder, as a relay extends a received path, and must keep its bytes
-// for as long as the test watches it: a frame in flight may carry it.
+// until the router next learns a route, the one call that rewrites path
+// storage; neither the extension nor a drop or an eviction may change
+// the cache or another handed path. (A frame in flight owns a copy:
+// TestDSRFrameKeepsItsRouteAcrossRelearn.)
 func TestRouteCacheMatchesMapModel(t *testing.T) {
-	const nodes, self, steps, watched = 10, 3, 20000, 64
+	const nodes, self, steps = 10, 3, 20000
 	s := sim.New(1)
 	med, err := radio.NewMedium(s, radio.Config{Arena: geom.Rect{W: 100, H: 100}, Range: 10, NumNodes: nodes})
 	if err != nil {
@@ -107,6 +110,7 @@ func TestRouteCacheMatchesMapModel(t *testing.T) {
 		now := s.Now()
 		switch k := rng.Intn(12); {
 		case k < 5: // a fresh path, sometimes looping through self or dst
+			handed = handed[:0]
 			perm := rng.Perm(nodes)
 			dst := perm[0]
 			buf = append(buf[:0], perm[1:1+rng.Intn(6)]...)
@@ -121,6 +125,7 @@ func TestRouteCacheMatchesMapModel(t *testing.T) {
 			if !ok {
 				continue
 			}
+			handed = handed[:0]
 			buf = append(buf[:0], cr.path[rng.Intn(len(cr.path)+1):]...)
 			r.learnRoute(dst, buf)
 			ref.learn(dst, buf, now)
@@ -170,9 +175,6 @@ func TestRouteCacheMatchesMapModel(t *testing.T) {
 				handed = append(handed, handedPath{path: cr.path, want: slices.Clone(cr.path)})
 				extended = append(cr.path, -2) // the holder extends its path
 			}
-		}
-		if len(handed) > watched {
-			handed = handed[len(handed)-watched:]
 		}
 		for _, h := range handed {
 			if !slices.Equal(h.path, h.want) {

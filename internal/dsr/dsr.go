@@ -5,14 +5,16 @@
 // packets carry their complete source route, so relays keep no routing
 // state but headers grow with path length — the classic DSR trade-off
 // this reproduction's routing sweep exposes. A node's route cache holds
-// one source route per destination, indexed by node id; a learned path
-// is stored once and its prefixes, the routes to the hops along it,
-// share that storage.
+// one source route per destination, indexed by node id. Each entry owns
+// its path storage, drawn from the router's arena the first time the
+// destination is learned, and a changed route is rewritten into it in
+// place; the cache hands out clipped views that stay intact only until
+// its next write, which is why every holder passes them straight to
+// Medium.Send, which copies them.
 package dsr
 
 import (
 	"fmt"
-	"slices"
 
 	"manetp2p/internal/netif"
 	"manetp2p/internal/radio"
@@ -47,10 +49,9 @@ const (
 //     traversed path so receivers learn a source route back to the
 //     origin for free (see the Router's Accept/PrepRelay hooks).
 
-// cachedRoute is one known source route. A stored path is never written
-// after it is stored: the prefix routes learnRoute derives from it alias
-// its storage. Replacing a route stores a new slice; it never edits the
-// old.
+// cachedRoute is one known source route. path is the entry's own
+// storage: learnRoute rewrites it in place, and a dropped or evicted
+// route keeps it (path[:0]) for the next one learned.
 type cachedRoute struct {
 	path    []int // intermediate hops, self -> dst
 	expires sim.Time
@@ -94,6 +95,7 @@ type Router struct {
 	seenRREQ *route.DupCache
 	bcast    *route.Bcaster
 	pending  *route.Pending[netif.Packet]
+	arena    []int // the uncarved tail of the chunk room carves path storage from
 
 	// Scratch for the paths this node builds: a reversed path for
 	// learnRoute, which copies what it keeps, or a frame's Path, which
@@ -153,12 +155,37 @@ func (r *Router) HopsTo(dst int) (int, bool) {
 	return len(cr.path) + 1, true
 }
 
+// route returns the live route to dst. Its path is a clipped view of the
+// cache's storage, intact until the next learnRoute: a holder's append
+// copies, and no holder keeps it past a Medium.Send.
 func (r *Router) route(dst int) (cachedRoute, bool) {
 	cr := r.cache[dst]
 	if !cr.known || cr.expires < r.Sim.Now() {
 		return cachedRoute{}, false
 	}
+	cr.path = cr.path[:len(cr.path):len(cr.path)]
 	return cr, true
+}
+
+// Path storage is carved in blocks of at least minBlock ints from
+// arenaChunk-int chunks, so it grows with the destinations a router
+// learns rather than with the node count.
+const (
+	minBlock   = 8
+	arenaChunk = 512
+)
+
+// room sets e.path to n ints of storage to overwrite: the entry's own if
+// it has the capacity, else a fresh block from the arena.
+func (r *Router) room(e *cachedRoute, n int) {
+	if cap(e.path) < n {
+		size := max(n, minBlock)
+		if len(r.arena) < size {
+			r.arena = make([]int, max(size, arenaChunk))
+		}
+		e.path, r.arena = r.arena[:0:size], r.arena[size:]
+	}
+	e.path = e.path[:0]
 }
 
 // learnRoute caches a source route self -> dst (intermediates only),
@@ -175,23 +202,23 @@ func (r *Router) learnRoute(dst int, path []int) {
 	}
 	now := r.Sim.Now()
 	expires := now + r.cfg.RouteLifetime
-	old := &r.cache[dst]
-	if old.known && old.expires >= now && len(old.path) < len(path) {
+	e := &r.cache[dst]
+	if e.known && e.expires >= now && len(e.path) < len(path) {
 		return
 	}
-	cp := old.path
-	if !old.known || !slices.Equal(cp, path) {
-		cp = append([]int(nil), path...)
-	}
-	*old = cachedRoute{path: cp, expires: expires, known: true}
-	// Prefix routes come for free, and share cp's storage: the capacity
-	// limit keeps any append to a prefix from writing into cp.
-	for i, h := range cp {
-		if pre := &r.cache[h]; pre.known && pre.expires >= now && len(pre.path) <= i {
-			continue
+	r.set(e, path, expires)
+	// Prefix routes come for free.
+	for i, h := range path {
+		if pre := &r.cache[h]; !pre.known || pre.expires < now || len(pre.path) > i {
+			r.set(pre, path[:i], expires)
 		}
-		r.cache[h] = cachedRoute{path: cp[:i:i], expires: expires, known: true}
 	}
+}
+
+// set rewrites e in place to the route over path.
+func (r *Router) set(e *cachedRoute, path []int, expires sim.Time) {
+	r.room(e, len(path))
+	*e = cachedRoute{path: append(e.path, path...), expires: expires, known: true}
 }
 
 // dropRoutesVia removes every cached route using the directed link a->b:
@@ -211,7 +238,7 @@ func (r *Router) dropRoutesVia(a, b int) {
 			prev = h
 		}
 		if via || prev == a && dst == b {
-			*cr = cachedRoute{}
+			*cr = cachedRoute{path: cr.path[:0]}
 		}
 	}
 }
@@ -301,7 +328,8 @@ func (r *Router) forward(pkt netif.Packet) {
 	if !r.Medium.InRange(r.ID(), next) {
 		r.linkBroken(pkt.Origin, r.ID(), next, pkt.Path, pkt.Pos)
 		if pkt.Origin == r.ID() {
-			r.cache[pkt.Dst] = cachedRoute{}
+			e := &r.cache[pkt.Dst]
+			*e = cachedRoute{path: e.path[:0]}
 			pkt.Path = nil
 			pkt.Pos = 0
 			r.enqueue(pkt)
@@ -356,7 +384,7 @@ func (r *Router) sendRERR(e netif.Packet, relay bool) {
 // medium's shared copy (radio.Receiver): the handlers only read through
 // the pointer — Path included — and copy the packet once they know they
 // will relay it. Path is valid only during the call: learnRoute copies
-// what it keeps.
+// what it keeps into the cache's own storage.
 func (r *Router) HandleFrame(f *radio.Frame) {
 	switch f.Payload.Kind {
 	case netif.PktRREQ:

@@ -2,6 +2,7 @@ package dsr
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -350,5 +351,36 @@ func TestShorterRouteReplacesLonger(t *testing.T) {
 	r.learnRoute(5, []int{1, 2, 3})
 	if h, _ := r.HopsTo(5); h != 2 {
 		t.Errorf("HopsTo = %d after longer update, want 2", h)
+	}
+}
+
+// TestDSRFrameKeepsItsRouteAcrossRelearn sends a data frame along a
+// cached route and, before it lands, relearns a shorter route to the
+// same destination, which the cache writes over the first route's
+// storage. The frame owns a copy of its source route, so the first hop
+// still receives it carrying the route it was sent on.
+func TestDSRFrameKeepsItsRouteAcrossRelearn(t *testing.T) {
+	s := sim.New(1)
+	med, err := radio.NewMedium(s, radio.Config{
+		Arena: geom.Rect{W: 100, H: 100}, Range: 10, NumNodes: 7, Latency: 2 * sim.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRouter(0, route.NewPlane(s, med), DefaultConfig())
+	med.Join(0, geom.Point{X: 5, Y: 5}, r.HandleFrame)
+	var heard [][]int
+	med.Join(1, geom.Point{X: 13, Y: 5}, func(f *radio.Frame) {
+		heard = append(heard, slices.Clone(f.Payload.Path))
+	})
+	r.learnRoute(4, []int{1, 2, 3})
+	r.Send(4, 10, netif.TestMsg(1))
+	r.learnRoute(4, []int{5, 6})
+	if cr, ok := r.route(4); !ok || !slices.Equal(cr.path, []int{5, 6}) {
+		t.Fatalf("route to 4 after the relearn = %v %v, want [5 6]", cr.path, ok)
+	}
+	s.Run(sim.Second)
+	if len(heard) != 1 || !slices.Equal(heard[0], []int{1, 2, 3}) {
+		t.Fatalf("node 1 heard source routes %v, want one frame carrying [1 2 3]", heard)
 	}
 }
