@@ -81,9 +81,14 @@ func goldenMarshal(t *testing.T, res *Result) []byte {
 }
 
 // checkGolden compares the marshalled result against the fixture at
-// path, rewriting it under -update-golden.
+// path, rewriting it under -update-golden. A salted build (sim.Salted)
+// draws other streams than the fixtures pin, so it neither compares nor
+// rewrites.
 func checkGolden(t *testing.T, path string, got []byte) {
 	t.Helper()
+	if sim.Salted() {
+		t.Skip("stream salt set: the fixture pins the unsalted streams")
+	}
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,36 @@
 package sim
 
-import "math/rand"
+import (
+	"math/rand"
+	"strconv"
+)
+
+// streamSalt is empty in every build but the salted test run, which sets
+// it with `go test -ldflags=-X=manetp2p/internal/sim.streamSalt=N` (see
+// ./check.sh salt). A non-zero salt is XORed into every stream seed
+// derived below: an equally valid world, in which a test asserting a
+// property of the algorithms must still pass. It is neither a Config
+// field nor a flag, so no run a user makes can be salted.
+var streamSalt string
+
+var salt = parseSalt(streamSalt)
+
+func parseSalt(v string) uint64 {
+	if v == "" {
+		return 0
+	}
+	n, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		// Unreachable from input: only a -ldflags=-X build sets streamSalt.
+		panic("sim: streamSalt " + strconv.Quote(v) + " is not an unsigned integer")
+	}
+	return n
+}
+
+// Salted reports whether this binary was built with a non-zero stream
+// salt. Tests that pin bytes a seed produced (golden fixtures, reports,
+// digests) skip when it does; every other test must pass at any salt.
+func Salted() bool { return salt != 0 }
 
 // splitmix64 advances a 64-bit state and returns a well-mixed output.
 // It is the standard SplitMix64 generator, used here only to derive
@@ -25,7 +55,7 @@ func newRNGSource(seed int64) *rngSource {
 // next returns a fresh *rand.Rand whose seed is derived from the root
 // seed. Streams handed out in the same order are identical across runs.
 func (s *rngSource) next() *rand.Rand {
-	return rand.New(rand.NewSource(int64(splitmix64(&s.state))))
+	return rand.New(rand.NewSource(int64(splitmix64(&s.state) ^ salt)))
 }
 
 // UniformDuration returns a duration drawn uniformly from [lo, hi].
