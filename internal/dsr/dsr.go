@@ -49,13 +49,15 @@ const (
 //     traversed path so receivers learn a source route back to the
 //     origin for free (see the Router's Accept/PrepRelay hooks).
 
-// cachedRoute is one known source route. path is the entry's own
-// storage: learnRoute rewrites it in place, and a dropped or evicted
-// route keeps it (path[:0]) for the next one learned.
+// cachedRoute is one source route, live while the clock is below
+// until: one tick past its expiry, so the zero entry, until 0, is no
+// route at any time (a one-hop route has an empty path, so the path
+// cannot say). path is the entry's own storage: learnRoute rewrites it
+// in place, and a dropped or evicted route keeps it (path[:0]) for the
+// next one learned.
 type cachedRoute struct {
-	path    []int // intermediate hops, self -> dst
-	expires sim.Time
-	known   bool // a one-hop route has an empty path
+	path  []int // intermediate hops, self -> dst
+	until sim.Time
 }
 
 // Config tunes the DSR layer; start from DefaultConfig.
@@ -160,7 +162,7 @@ func (r *Router) HopsTo(dst int) (int, bool) {
 // copies, and no holder keeps it past a Medium.Send.
 func (r *Router) route(dst int) (cachedRoute, bool) {
 	cr := r.cache[dst]
-	if !cr.known || cr.expires < r.Sim.Now() {
+	if cr.until <= r.Sim.Now() {
 		return cachedRoute{}, false
 	}
 	cr.path = cr.path[:len(cr.path):len(cr.path)]
@@ -201,24 +203,24 @@ func (r *Router) learnRoute(dst int, path []int) {
 		}
 	}
 	now := r.Sim.Now()
-	expires := now + r.cfg.RouteLifetime
+	until := now + r.cfg.RouteLifetime + 1
 	e := &r.cache[dst]
-	if e.known && e.expires >= now && len(e.path) < len(path) {
+	if e.until > now && len(e.path) < len(path) {
 		return
 	}
-	r.set(e, path, expires)
+	r.set(e, path, until)
 	// Prefix routes come for free.
 	for i, h := range path {
-		if pre := &r.cache[h]; !pre.known || pre.expires < now || len(pre.path) > i {
-			r.set(pre, path[:i], expires)
+		if pre := &r.cache[h]; pre.until <= now || len(pre.path) > i {
+			r.set(pre, path[:i], until)
 		}
 	}
 }
 
 // set rewrites e in place to the route over path.
-func (r *Router) set(e *cachedRoute, path []int, expires sim.Time) {
+func (r *Router) set(e *cachedRoute, path []int, until sim.Time) {
 	r.room(e, len(path))
-	*e = cachedRoute{path: append(e.path, path...), expires: expires, known: true}
+	*e = cachedRoute{path: append(e.path, path...), until: until}
 }
 
 // dropRoutesVia removes every cached route using the directed link a->b:
@@ -226,7 +228,7 @@ func (r *Router) set(e *cachedRoute, path []int, expires sim.Time) {
 func (r *Router) dropRoutesVia(a, b int) {
 	for dst := range r.cache {
 		cr := &r.cache[dst]
-		if !cr.known {
+		if cr.until == 0 {
 			continue
 		}
 		prev, via := r.ID(), false
