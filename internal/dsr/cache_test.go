@@ -72,12 +72,11 @@ func (c *refCache) dropVia(a, b int) {
 	}
 }
 
-// extended keeps the holder's append observable to the compiler.
-var extended []int
-
-// handedPath is a path route handed out, with the bytes it held then.
+// handedPath is a path route handed out, with the bytes it held then,
+// and the holder's extension of it, ending in the holder's own mark.
 type handedPath struct {
-	path, want []int
+	path, want, ext []int
+	mark            int
 }
 
 // TestRouteCacheMatchesMapModel drives one router's cache and refCache
@@ -172,13 +171,16 @@ func TestRouteCacheMatchesMapModel(t *testing.T) {
 				t.Fatalf("step %d: route to %d = %v %v, HopsTo %d %v; model %v %v", step, dst, cr.path, ok, hops, hopsOK, want, wantOK)
 			}
 			if ok {
-				handed = append(handed, handedPath{path: cr.path, want: slices.Clone(cr.path)})
-				extended = append(cr.path, -2) // the holder extends its path
+				mark := -2 - len(handed)
+				handed = append(handed, handedPath{path: cr.path, want: slices.Clone(cr.path), ext: append(cr.path, mark), mark: mark})
 			}
 		}
 		for _, h := range handed {
 			if !slices.Equal(h.path, h.want) {
 				t.Fatalf("step %d: a path handed out as %v now reads %v", step, h.want, h.path)
+			}
+			if len(h.ext) != len(h.want)+1 || !slices.Equal(h.ext[:len(h.want)], h.want) || h.ext[len(h.want)] != h.mark {
+				t.Fatalf("step %d: a holder's extension of %v now reads %v", step, h.want, h.ext)
 			}
 		}
 	}
