@@ -6,11 +6,9 @@
 // state but headers grow with path length — the classic DSR trade-off
 // this reproduction's routing sweep exposes. A node's route cache holds
 // one source route per destination, indexed by node id. Each entry owns
-// its path storage, drawn from the router's arena the first time the
-// destination is learned, and a changed route is rewritten into it in
-// place; the cache hands out clipped views that stay intact only until
-// its next write, which is why every holder passes them straight to
-// Medium.Send, which copies them.
+// its path storage and a changed route is rewritten into it in place, so
+// a path the cache hands out is intact only until the next route learned:
+// every holder passes it straight to Medium.Send, which copies it.
 package dsr
 
 import (
@@ -49,12 +47,10 @@ const (
 //     traversed path so receivers learn a source route back to the
 //     origin for free (see the Router's Accept/PrepRelay hooks).
 
-// cachedRoute is one source route, live while the clock is below
-// until: one tick past its expiry, so the zero entry, until 0, is no
-// route at any time (a one-hop route has an empty path, so the path
-// cannot say). path is the entry's own storage: learnRoute rewrites it
-// in place, and a dropped or evicted route keeps it (path[:0]) for the
-// next one learned.
+// cachedRoute is one source route, live while the clock is below until
+// (its expiry plus one tick), so the zero entry is no route; a one-hop
+// route has an empty path. path is the entry's own storage: a dropped
+// route keeps it (path[:0]) for the next one learned.
 type cachedRoute struct {
 	path  []int // intermediate hops, self -> dst
 	until sim.Time
@@ -97,7 +93,7 @@ type Router struct {
 	seenRREQ *route.DupCache
 	bcast    *route.Bcaster
 	pending  *route.Pending[netif.Packet]
-	arena    []int // the uncarved tail of the chunk room carves path storage from
+	arena    []int // the uncarved tail of the chunk set draws path storage from
 
 	// Scratch for the paths this node builds: a reversed path for
 	// learnRoute, which copies what it keeps, or a frame's Path, which
@@ -157,9 +153,8 @@ func (r *Router) HopsTo(dst int) (int, bool) {
 	return len(cr.path) + 1, true
 }
 
-// route returns the live route to dst. Its path is a clipped view of the
-// cache's storage, intact until the next learnRoute: a holder's append
-// copies, and no holder keeps it past a Medium.Send.
+// route returns the live route to dst. Its path is clipped, so a
+// holder's append copies instead of writing into the cache.
 func (r *Router) route(dst int) (cachedRoute, bool) {
 	cr := r.cache[dst]
 	if cr.until <= r.Sim.Now() {
@@ -167,27 +162,6 @@ func (r *Router) route(dst int) (cachedRoute, bool) {
 	}
 	cr.path = cr.path[:len(cr.path):len(cr.path)]
 	return cr, true
-}
-
-// Path storage is carved in blocks of at least minBlock ints from
-// arenaChunk-int chunks, so it grows with the destinations a router
-// learns rather than with the node count.
-const (
-	minBlock   = 8
-	arenaChunk = 512
-)
-
-// room sets e.path to n ints of storage to overwrite: the entry's own if
-// it has the capacity, else a fresh block from the arena.
-func (r *Router) room(e *cachedRoute, n int) {
-	if cap(e.path) < n {
-		size := max(n, minBlock)
-		if len(r.arena) < size {
-			r.arena = make([]int, max(size, arenaChunk))
-		}
-		e.path, r.arena = r.arena[:0:size], r.arena[size:]
-	}
-	e.path = e.path[:0]
 }
 
 // learnRoute caches a source route self -> dst (intermediates only),
@@ -217,10 +191,18 @@ func (r *Router) learnRoute(dst int, path []int) {
 	}
 }
 
-// set rewrites e in place to the route over path.
+// set rewrites e in place to the route over path. Storage too short for
+// it is replaced by a block of at least 8 ints carved from 512-int arena
+// chunks, so it grows with the destinations learned, not the node count.
 func (r *Router) set(e *cachedRoute, path []int, until sim.Time) {
-	r.room(e, len(path))
-	*e = cachedRoute{path: append(e.path, path...), until: until}
+	if n := len(path); cap(e.path) < n {
+		size := max(n, 8)
+		if len(r.arena) < size {
+			r.arena = make([]int, max(size, 512))
+		}
+		e.path, r.arena = r.arena[:0:size], r.arena[size:]
+	}
+	*e = cachedRoute{path: append(e.path[:0], path...), until: until}
 }
 
 // dropRoutesVia removes every cached route using the directed link a->b:
