@@ -5,31 +5,24 @@ import (
 	"strconv"
 )
 
-// streamSalt is empty in every build but the salted test run, which sets
-// it with `go test -ldflags=-X=manetp2p/internal/sim.streamSalt=N` (see
-// ./check.sh salt). A non-zero salt is XORed into every stream seed
-// derived below: an equally valid world, in which a test asserting a
-// property of the algorithms must still pass. It is neither a Config
-// field nor a flag, so no run a user makes can be salted.
+// streamSalt is set only by a salted test build, `go test
+// -ldflags=-X=manetp2p/internal/sim.streamSalt=N` (./check.sh salt); no
+// Config field or flag reaches it. A non-zero salt is XORed into every
+// stream seed derived below: an equally valid world, in which a test of
+// a property must still pass.
 var streamSalt string
 
-var salt = parseSalt(streamSalt)
-
-func parseSalt(v string) uint64 {
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
+var salt = func() uint64 {
+	n, err := strconv.ParseUint(streamSalt, 10, 64)
+	if err != nil && streamSalt != "" {
 		// Unreachable from input: only a -ldflags=-X build sets streamSalt.
-		panic("sim: streamSalt " + strconv.Quote(v) + " is not an unsigned integer")
+		panic("sim: streamSalt " + strconv.Quote(streamSalt) + " is not an unsigned integer")
 	}
 	return n
-}
+}()
 
-// Salted reports whether this binary was built with a non-zero stream
-// salt. Tests that pin bytes a seed produced (golden fixtures, reports,
-// digests) skip when it does; every other test must pass at any salt.
+// Salted reports whether the build is salted. Tests that pin the bytes
+// a seed produced skip when it is.
 func Salted() bool { return salt != 0 }
 
 // splitmix64 advances a 64-bit state and returns a well-mixed output.
