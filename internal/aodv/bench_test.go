@@ -119,10 +119,22 @@ func BenchmarkAODVFlood(b *testing.B) {
 func TestAODVFloodZeroAllocs(t *testing.T) {
 	w := newFloodBench(t)
 	const runs = 200
-	if allocs := testing.AllocsPerRun(runs, w.flood); allocs != 0 {
-		t.Errorf("one absorbed flood allocates %.1f allocs/op, want 0", allocs)
+	if allocs := batchAllocs(runs, w.flood); allocs != 0 {
+		t.Errorf("%d absorbed floods allocate %d objects, want 0", runs, allocs)
 	}
-	w.check(t, runs+1) // AllocsPerRun makes one warm-up call
+	w.check(t, 2*runs) // a warm-up batch, then the counted one
+}
+
+// batchAllocs counts the heap allocations of runs calls of op, after a
+// warm-up batch of as many. testing.AllocsPerRun divides its count by
+// the calls in integers; counted whole, an allocation made less than
+// once per call (a chunk every so many ops) cannot round away.
+func batchAllocs(runs int, op func()) int {
+	return int(testing.AllocsPerRun(1, func() {
+		for i := 0; i < runs; i++ {
+			op()
+		}
+	}))
 }
 
 // rerrBench is the tracked route-error workload: node 1 routes to
@@ -204,10 +216,10 @@ func BenchmarkAODVRERR(b *testing.B) {
 func TestAODVRERRZeroAllocs(t *testing.T) {
 	w := newRERRBench(t)
 	const runs = 200
-	if allocs := testing.AllocsPerRun(runs, w.rerr); allocs != 0 {
-		t.Errorf("one propagated RERR allocates %.1f allocs/op, want 0", allocs)
+	if allocs := batchAllocs(runs, w.rerr); allocs != 0 {
+		t.Errorf("%d propagated RERRs allocate %d objects, want 0", runs, allocs)
 	}
-	w.check(t, runs+2) // the set-up's op and AllocsPerRun's warm-up call
+	w.check(t, 2*runs+1) // the set-up's op, a warm-up batch and the counted one
 }
 
 // A router's construction allocates its state and binds no scheduling

@@ -220,17 +220,29 @@ func BenchmarkDSRLearnRoute(b *testing.B) {
 // The same contract in `go test`: once the cache holds storage for the
 // destinations, replacing a route with one of another length and other
 // hops rewrites it in place and allocates nothing. A chunk of the arena
-// serves many carvings, so the test also holds the arena still: a route
-// that lost its storage would carve more without an allocation per op.
+// serves many carvings, so the test also holds the arena still, which
+// names the cause when a route that lost its storage carves more.
 func TestDSRLearnRouteZeroAllocs(t *testing.T) {
 	w := newLearnRouteBench(t)
 	w.learn() // the first op carves each destination's storage
 	free := len(w.r.arena)
-	if allocs := testing.AllocsPerRun(200, w.learn); allocs != 0 {
-		t.Errorf("learning two routes to one destination allocates %.1f allocs/op, want 0", allocs)
+	if allocs := batchAllocs(200, w.learn); allocs != 0 {
+		t.Errorf("learning two routes to one destination 200 times allocates %d objects, want 0", allocs)
 	}
 	if len(w.r.arena) != free {
 		t.Errorf("the arena's free tail went from %d to %d ints: the ops carved path storage", free, len(w.r.arena))
 	}
 	w.check(t)
+}
+
+// batchAllocs counts the heap allocations of runs calls of op, after a
+// warm-up batch of as many. testing.AllocsPerRun divides its count by
+// the calls in integers; counted whole, an allocation made less than
+// once per call (a chunk every so many ops) cannot round away.
+func batchAllocs(runs int, op func()) int {
+	return int(testing.AllocsPerRun(1, func() {
+		for i := 0; i < runs; i++ {
+			op()
+		}
+	}))
 }

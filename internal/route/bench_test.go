@@ -82,10 +82,22 @@ func BenchmarkDupCheck(b *testing.B) {
 func TestDupCheckZeroAllocs(t *testing.T) {
 	w := newDupCheckBench()
 	const runs = 200
-	if allocs := testing.AllocsPerRun(runs, w.flood); allocs != 0 {
-		t.Errorf("one flood's duplicate tests allocate %.1f allocs/op, want 0", allocs)
+	if allocs := batchAllocs(runs, w.flood); allocs != 0 {
+		t.Errorf("%d floods' duplicate tests allocate %d objects, want 0", runs, allocs)
 	}
-	w.check(t, runs+1) // AllocsPerRun makes one warm-up call
+	w.check(t, 2*runs) // a warm-up batch, then the counted one
+}
+
+// batchAllocs counts the heap allocations of runs calls of op, after a
+// warm-up batch of as many. testing.AllocsPerRun divides its count by
+// the calls in integers; counted whole, an allocation made less than
+// once per call (a chunk every so many ops) cannot round away.
+func batchAllocs(runs int, op func()) int {
+	return int(testing.AllocsPerRun(1, func() {
+		for i := 0; i < runs; i++ {
+			op()
+		}
+	}))
 }
 
 // dupLogBench is the chunk-reuse workload: each op fills one family's
@@ -154,8 +166,8 @@ func BenchmarkDupLogCycle(b *testing.B) {
 // chunk more than the fill needs.
 func TestDupLogReusesChunks(t *testing.T) {
 	w := newDupLogBench()
-	if allocs := testing.AllocsPerRun(20, w.cycle); allocs != 0 {
-		t.Errorf("refilling a drained log allocates %.1f allocs/op, want 0", allocs)
+	if allocs := batchAllocs(20, w.cycle); allocs != 0 {
+		t.Errorf("refilling a drained log 20 times allocates %d objects, want 0", allocs)
 	}
 	if got := w.capacity(); got >= dupLogMarks+dupChunkLen {
 		t.Errorf("log capacity %d marks after refills of %d, want below %d", got, dupLogMarks, dupLogMarks+dupChunkLen)
@@ -237,8 +249,8 @@ func BenchmarkPendingCycle(b *testing.B) {
 func TestPendingCycleZeroAllocs(t *testing.T) {
 	w := newPendingBench()
 	const runs = 200
-	if allocs := testing.AllocsPerRun(runs, w.cycle); allocs != 0 {
-		t.Errorf("one pending cycle allocates %.1f allocs/op, want 0", allocs)
+	if allocs := batchAllocs(runs, w.cycle); allocs != 0 {
+		t.Errorf("%d pending cycles allocate %d objects, want 0", runs, allocs)
 	}
-	w.check(t, runs+1) // AllocsPerRun makes one warm-up call
+	w.check(t, 2*runs) // a warm-up batch, then the counted one
 }
