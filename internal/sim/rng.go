@@ -2,14 +2,21 @@ package sim
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 	"strconv"
 )
 
+// Generator names the generator behind every stream NewRand hands out
+// and how its seeds are derived. A checkpoint records it, so that
+// replications drawn from another generator are never pooled with this
+// binary's.
+const Generator = "pcg-dxsm/splitmix64"
+
 // streamSalt is set only by a salted test build, `go test
 // -ldflags=-X=manetp2p/internal/sim.streamSalt=N` (./check.sh salt); no
-// Config field or flag reaches it. A non-zero salt is XORed into every
-// stream seed derived below: an equally valid world, in which a test of
-// a property must still pass.
+// Config field or flag reaches it. A non-zero salt is XORed into the
+// first seed word of every stream derived below: an equally valid world,
+// in which a test of a property must still pass.
 var streamSalt string
 
 var salt = func() uint64 {
@@ -48,8 +55,21 @@ func newRNGSource(seed int64) *rngSource {
 // next returns a fresh *rand.Rand whose seed is derived from the root
 // seed. Streams handed out in the same order are identical across runs.
 func (s *rngSource) next() *rand.Rand {
-	return rand.New(rand.NewSource(int64(splitmix64(&s.state) ^ salt)))
+	src := new(pcgSource)
+	hi := splitmix64(&s.state) ^ salt
+	src.PCG.Seed(hi, splitmix64(&s.state))
+	return rand.New(src)
 }
+
+// pcgSource adapts the 16-byte math/rand/v2 PCG to math/rand's Source64,
+// so every stream keeps the *rand.Rand API without math/rand's 4.9 kB
+// source and its seeding cost.
+type pcgSource struct{ randv2.PCG }
+
+func (p *pcgSource) Int63() int64 { return int64(p.Uint64() >> 1) }
+
+// Seed completes math/rand.Source; no simulator code reseeds a stream.
+func (p *pcgSource) Seed(seed int64) { p.PCG.Seed(uint64(seed), 0) }
 
 // UniformDuration returns a duration drawn uniformly from [lo, hi].
 // It panics if hi < lo.

@@ -257,21 +257,6 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestNewRandStreamsIndependent(t *testing.T) {
-	s := New(7)
-	r1, r2 := s.NewRand(), s.NewRand()
-	same := true
-	for i := 0; i < 16; i++ {
-		if r1.Int63() != r2.Int63() {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("NewRand returned correlated streams")
-	}
-}
-
 // Property: for any batch of delays, events fire in nondecreasing time
 // order and the set of observed times equals the set scheduled.
 func TestQuickEventOrdering(t *testing.T) {
