@@ -162,12 +162,17 @@ func (r *Router) enqueue(pkt netif.Packet) {
 }
 
 // sendRREQ emits one ring of the expanding-ring search and arms the
-// retry timer.
+// retry timer. A local repair asks for a route fresher than the one it
+// lost (RFC 3561 §6.12): the upstream node still holds that route,
+// through the repairer, and answering with it would close a loop.
 func (r *Router) sendRREQ(dst int, d *route.Discovery[netif.Packet]) {
 	r.rreqID++
 	var dstSeq uint32
 	if e := r.table.raw(dst); e.haveSeq {
 		dstSeq = e.seq
+	}
+	if d.Repair {
+		dstSeq++
 	}
 	q := netif.Packet{Kind: netif.PktRREQ, Origin: r.ID(), OriginSeq: r.nextSeq(), ID: r.rreqID, Dst: dst, DstSeq: dstSeq, HopCount: 0, TTL: d.TTL}
 	r.seenRREQ.Mark(route.Key{Origin: r.ID(), ID: q.ID})
