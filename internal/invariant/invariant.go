@@ -142,7 +142,10 @@ type Checker struct {
 	lastHealth int
 	lastFrames uint64
 	lastBounds uint64
-	pairs      map[pairKey]*pairState
+	pairs      map[pairKey]pairState
+
+	// The layer audits' report callbacks, bound once so a pass builds none.
+	reportSim, reportRadio, reportRoute func(rule, detail string)
 
 	// node is the servent whose rules the algorithm is running;
 	// reportNode and observeNode attribute its findings to it, the
@@ -174,8 +177,11 @@ func New(cfg Config, t Target) *Checker {
 		t:        t,
 		views:    make([]p2p.View, len(t.Servents)),
 		inflight: make([]uint64, t.Medium.NumNodes()),
-		pairs:    make(map[pairKey]*pairState),
+		pairs:    make(map[pairKey]pairState),
 	}
+	c.reportSim = func(rule, detail string) { c.report("sim", rule, -1, -1, "%s", detail) }
+	c.reportRadio = func(rule, detail string) { c.report("radio", rule, -1, -1, "%s", detail) }
+	c.reportRoute = func(rule, detail string) { c.report("route", rule, -1, -1, "%s", detail) }
 	c.reportNode = func(rule string, peer int, format string, args ...any) {
 		c.report("p2p", rule, c.node, peer, format, args...)
 	}
@@ -231,16 +237,10 @@ func (c *Checker) Check() {
 	c.lastNow = now
 	c.passes++
 
-	c.t.Sim.Audit(func(rule, detail string) {
-		c.report("sim", rule, -1, -1, "%s", detail)
-	})
-	c.t.Medium.Audit(func(rule, detail string) {
-		c.report("radio", rule, -1, -1, "%s", detail)
-	})
+	c.t.Sim.Audit(c.reportSim)
+	c.t.Medium.Audit(c.reportRadio)
 	if c.t.Plane != nil {
-		c.t.Plane.Audit(func(rule, detail string) {
-			c.report("route", rule, -1, -1, "%s", detail)
-		})
+		c.t.Plane.Audit(c.reportRoute)
 	}
 	c.checkRadioConservation()
 	c.checkMetrics()
@@ -426,10 +426,9 @@ func (c *Checker) checkHealthSamples() {
 // observation and since, when the connection carrying it was installed.
 func (c *Checker) observePair(rule string, a, b int, since sim.Time, format string, args ...any) {
 	k := pairKey{rule: rule, a: a, b: b}
-	st := c.pairs[k]
-	if st == nil {
-		st = &pairState{first: c.t.Sim.Now()}
-		c.pairs[k] = st
+	st, tracked := c.pairs[k]
+	if !tracked {
+		st.first = c.t.Sim.Now()
 	}
 	st.seenPass = c.passes
 	if age := c.t.Sim.Now() - max(st.first, since); !st.reported && age >= c.cfg.Grace {
@@ -437,6 +436,7 @@ func (c *Checker) observePair(rule string, a, b int, since sim.Time, format stri
 		c.report("p2p", rule, a, b, "persisted %v (> grace %v): %s",
 			age, c.cfg.Grace, fmt.Sprintf(format, args...))
 	}
+	c.pairs[k] = st
 }
 
 // sweepPairs forgets tracked inconsistencies that healed since the last

@@ -139,6 +139,8 @@ type Medium struct {
 	heldHead int
 	min      rec
 	trail    []trail // per node, for Inert's second rule
+
+	audit *auditScratch // Audit's scratch; nil until the first Audit
 }
 
 // Inert answers, once per transmission, which receptions only count a

@@ -313,11 +313,20 @@ func (fs *frameSlab) release(idx int32) {
 //     element and carries current join epochs. Read-only: a checked run
 //     makes exactly the fills an unchecked one makes.
 //
-// Audit allocates scratch; it is meant for periodic self-checks.
+// Audit keeps its scratch on the medium, grown by a pass over more slots
+// or a longer neighbour list than any before and cleared by each, so a
+// pass over structures no larger than an earlier one allocates nothing.
+// It is meant for periodic self-checks.
 func (m *Medium) Audit(report func(rule, detail string)) {
+	if m.audit == nil {
+		m.audit = new(auditScratch)
+	}
+	a, used := m.audit, int(m.slab.used)
 	w := &m.wheel
 	now := m.sim.Now()
-	refs := make([]int32, m.slab.used)
+	a.refs = slices.Grow(a.refs[:0], used)[:used]
+	clear(a.refs)
+	refs := a.refs
 	count := 0
 	var earliest *rec
 	for b := range w.buckets {
@@ -370,7 +379,9 @@ func (m *Medium) Audit(report func(rule, detail string)) {
 		}
 	}
 
-	free := make([]bool, m.slab.used)
+	a.free = slices.Grow(a.free[:0], used)[:used]
+	clear(a.free)
+	free := a.free
 	for _, idx := range m.slab.free {
 		free[idx] = true
 	}
@@ -385,7 +396,7 @@ func (m *Medium) Audit(report func(rule, detail string)) {
 		}
 	}
 
-	near := make([]int, 0, cap(m.near)) // no current list is longer than a past fill
+	near := a.near[:0] // its own buffer: the audit never touches fill's
 	for id, l := range m.nbrs {
 		if m.stamp[id] != m.topo {
 			continue
@@ -399,4 +410,13 @@ func (m *Medium) Audit(report func(rule, detail string)) {
 			report("nbr-table", fmt.Sprintf("node %d (up %v): list %v under a current stamp, a fresh query gives %v", id, m.up[id], l, near))
 		}
 	}
+	a.near = near
+}
+
+// auditScratch is Audit's working state: receptions counted per slot,
+// the recycled slots, and the fresh grid query a neighbour list is held to.
+type auditScratch struct {
+	refs []int32
+	free []bool
+	near []int
 }

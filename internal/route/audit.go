@@ -3,6 +3,7 @@ package route
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"manetp2p/internal/sim"
 )
@@ -25,7 +26,9 @@ import (
 //     record, no key lost behind a gap in a probe run.
 //   - node-bound: no node holds more live marks than the hard cap.
 //
-// Audit allocates scratch; it is meant for periodic self-checks.
+// Each index keeps its scratch, made by its first audit and cleared by
+// each later one, so a pass over indexes no larger than an earlier one
+// allocates nothing. Audit is meant for periodic self-checks.
 func (p *Plane) Audit(report func(rule, detail string)) {
 	for i, x := range p.dups {
 		x.audit(func(rule, detail string) {
@@ -56,8 +59,15 @@ func (x *dupIndex) audit(report func(rule, detail string)) {
 		}
 	}
 
+	if x.scratch == nil {
+		x.scratch = new(dupAudit)
+	}
+	a := x.scratch
+
 	// The records: counts against populations, row- and column-wise.
-	column := make([]int32, len(x.live))
+	a.column = slices.Grow(a.column[:0], len(x.live))[:len(x.live)]
+	clear(a.column)
+	column := a.column
 	total, liveRecs := 0, 0
 	for r := int32(0); r < x.made; r++ {
 		rec := x.rec(r)
@@ -112,7 +122,9 @@ func (x *dupIndex) audit(report func(rule, detail string)) {
 	if len(x.free) != int(x.made)-liveRecs {
 		report("table-reach", fmt.Sprintf("%d of %d records live, but %d on the free list", liveRecs, x.made, len(x.free)))
 	}
-	onFree := make([]bool, x.made)
+	a.onFree = slices.Grow(a.onFree[:0], int(x.made))[:int(x.made)]
+	clear(a.onFree)
+	onFree := a.onFree
 	for _, r := range x.free {
 		if r >= x.made || onFree[r] || *x.rec(r) != (dupRecord{}) {
 			report("table-reach", fmt.Sprintf("free record %d is not zeroed, or listed twice", r))
@@ -120,4 +132,11 @@ func (x *dupIndex) audit(report func(rule, detail string)) {
 		}
 		onFree[r] = true
 	}
+}
+
+// dupAudit is an index's audit scratch: the records each node is set in,
+// and the records on the free list.
+type dupAudit struct {
+	column []int32
+	onFree []bool
 }

@@ -128,8 +128,9 @@ type dupIndex struct {
 	head  int
 	n     int
 
-	live  []int32  // per node: live marks
-	swept sim.Time // the clock at the last retire, for Audit
+	live    []int32   // per node: live marks
+	swept   sim.Time  // the clock at the last retire, for Audit
+	scratch *dupAudit // Audit's scratch; nil until the first Audit
 }
 
 // dupRecord is one live key, how many nodes have it marked and when the

@@ -10,6 +10,14 @@ import "fmt"
 // (heap order, generation counters, an intrusive free list) that golden
 // fixtures exercise but never inspect directly.
 
+// auditScratch is Audit's working state: the queue's slots and sequence
+// numbers by queue position, and the free-list slots visited.
+type auditScratch struct {
+	queued map[*Event]int
+	seqs   map[uint64]int
+	seen   map[*Event]bool
+}
+
 // Audit validates the simulator's internal structures and reports each
 // violated rule through report(rule, detail). A healthy Sim reports
 // nothing. The rules:
@@ -29,12 +37,19 @@ import "fmt"
 //     acyclic — a slot can never be both pending and reusable, which is
 //     the structural form of "no fired-handle reuse".
 //
-// Audit allocates scratch maps; it is meant for periodic self-checks,
+// Audit keeps its scratch maps on the Sim, made by the first call and
+// cleared by each later one, so a pass over a queue no longer than an
+// earlier one allocates nothing. It is meant for periodic self-checks,
 // not for per-event use.
 func (s *Sim) Audit(report func(rule, detail string)) {
 	n := len(s.queue.items)
-	queued := make(map[*Event]int, n)
-	seqs := make(map[uint64]int, n)
+	if s.audit == nil {
+		s.audit = &auditScratch{queued: make(map[*Event]int, n), seqs: make(map[uint64]int, n), seen: map[*Event]bool{}}
+	}
+	queued, seqs, seen := s.audit.queued, s.audit.seqs, s.audit.seen
+	clear(queued)
+	clear(seqs)
+	clear(seen)
 	for i, e := range s.queue.items {
 		queued[e] = i
 		if left := 2*i + 1; left < n && s.queue.less(left, i) {
@@ -62,7 +77,6 @@ func (s *Sim) Audit(report func(rule, detail string)) {
 	}
 
 	// Walk the free list with a visited set doubling as the cycle guard.
-	seen := make(map[*Event]bool)
 	for e := s.free; e != nil; e = e.nextFree {
 		if seen[e] {
 			report("free-list", "intrusive free list contains a cycle")

@@ -27,6 +27,8 @@ type Sim struct {
 	// Passed's frontier: the key firing now or fired last, or (until, max).
 	posAt  Time
 	posSeq uint64
+
+	audit *auditScratch // Audit's scratch; nil until the first Audit
 }
 
 // New returns a simulator whose clock starts at 0. All randomness used by
