@@ -26,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -34,6 +35,7 @@ import (
 
 	"manetp2p"
 	"manetp2p/cmd/internal/scenarioflag"
+	"manetp2p/internal/stats"
 	"manetp2p/internal/telemetry"
 )
 
@@ -104,7 +106,7 @@ func registry() map[string]axisSpec {
 					}}
 				}},
 			},
-			headers: []string{"reheal-s", "residual-disc"},
+			headers: []string{"reheal-s", "reheal-ci95", "residual-disc", "residual-ci95"},
 			cells:   resilienceCells,
 		},
 		// Workload regimes: scripted demand executed by
@@ -176,28 +178,60 @@ func kindPoints[K fmt.Stringer](kinds []K, set func(*manetp2p.Scenario, K)) []po
 	return points
 }
 
-// resilienceCells renders the faults-axis extra columns: mean
-// time-to-reheal over the regime's events that re-healed in some
-// replication ("never" when none did), and residual disconnect over all
-// of them; "-" when the regime injected nothing.
+// resilienceCells renders the faults-axis extra columns: time-to-reheal
+// over the replications that re-healed from some event of the regime
+// ("never" when none did), and residual disconnect over every event of
+// every replication, each beside the 95 % half-width of its mean ("n/a"
+// below two samples); "-" when the regime injected nothing. A regime of
+// several events pools their samples.
 func resilienceCells(res *manetp2p.Result) []string {
 	r := res.Resilience
 	if r == nil || len(r.Events) == 0 {
-		return []string{"-", "-"}
+		return []string{"-", "-", "-", "-"}
 	}
-	reheal, healed, residual := 0.0, 0, 0.0
+	var reheal, residual []stats.Summary
 	for _, ev := range r.Events {
-		if ev.RehealSeconds.N > 0 {
-			reheal += ev.RehealSeconds.Mean
-			healed++
-		}
-		residual += ev.ResidualDisconnect.Mean
+		reheal = append(reheal, ev.RehealSeconds)
+		residual = append(residual, ev.ResidualDisconnect)
 	}
+	rh, rd := pooled(reheal), pooled(residual)
 	rehealCell := "never"
-	if healed > 0 {
-		rehealCell = fmt.Sprintf("%.1f", reheal/float64(healed))
+	if rh.N > 0 {
+		rehealCell = fmt.Sprintf("%.1f", rh.Mean)
 	}
-	return []string{rehealCell, fmt.Sprintf("%.3f", residual/float64(len(r.Events)))}
+	return []string{rehealCell, halfWidth(rh, "%.1f"), fmt.Sprintf("%.3f", rd.Mean), halfWidth(rd, "%.3f")}
+}
+
+// pooled returns the N, Mean and StdDev of the union of the samples the
+// summaries describe.
+func pooled(ss []stats.Summary) stats.Summary {
+	var p stats.Summary
+	for _, s := range ss {
+		p.N += s.N
+		p.Mean += float64(s.N) * s.Mean
+	}
+	if p.N == 0 {
+		return p
+	}
+	p.Mean /= float64(p.N)
+	if p.N > 1 {
+		ss2 := 0.0 // squared deviations from the pooled mean
+		for _, s := range ss {
+			d := s.Mean - p.Mean
+			ss2 += float64(s.N-1)*s.StdDev*s.StdDev + float64(s.N)*d*d
+		}
+		p.StdDev = math.Sqrt(ss2 / float64(p.N-1))
+	}
+	return p
+}
+
+// halfWidth renders the 95 % half-width of s's mean, "n/a" below two
+// samples, where CI95 reads 0.
+func halfWidth(s stats.Summary, format string) string {
+	if s.N < 2 {
+		return "n/a"
+	}
+	return fmt.Sprintf(format, s.CI95())
 }
 
 // routingCells renders the routing-axis extra columns: control frames

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"manetp2p"
 	"manetp2p/cmd/internal/scenarioflag"
+	"manetp2p/internal/stats"
 )
 
 // Every point of every registered axis, applied to a small base
@@ -102,26 +104,34 @@ func TestFormatRow(t *testing.T) {
 	}
 }
 
-// The faults axis averages time-to-reheal only over the events that
-// re-healed in some replication: an event none re-healed pools to an
-// empty Summary, whose zero Mean is no reheal time, and a regime in
-// which nothing re-healed says so instead of printing 0.0 s.
+// The faults axis pools time-to-reheal over the replications that
+// re-healed: an event none re-healed pools to an empty Summary, whose
+// zero Mean is no reheal time, and a regime in which nothing re-healed
+// says so instead of printing 0.0 s. Each mean carries the 95 %
+// half-width of the samples behind it, "n/a" below two.
 func TestResilienceCellsSkipEventsThatNeverRehealed(t *testing.T) {
-	ev := func(n int, reheal, residual float64) manetp2p.EventRecovery {
-		var e manetp2p.EventRecovery
-		e.RehealSeconds.N, e.RehealSeconds.Mean = n, reheal
-		e.ResidualDisconnect.N, e.ResidualDisconnect.Mean = 3, residual
-		return e
+	ev := func(reheal, residual []float64) manetp2p.EventRecovery {
+		return manetp2p.EventRecovery{RehealSeconds: stats.Summarize(reheal), ResidualDisconnect: stats.Summarize(residual)}
 	}
 	cases := []struct {
 		name   string
 		events []manetp2p.EventRecovery
 		want   []string
 	}{
-		{"no faults", nil, []string{"-", "-"}},
-		{"all re-healed", []manetp2p.EventRecovery{ev(3, 10, 0.1), ev(1, 30, 0.3)}, []string{"20.0", "0.200"}},
-		{"one never re-healed", []manetp2p.EventRecovery{ev(3, 10, 0.1), ev(0, 0, 0.5)}, []string{"10.0", "0.300"}},
-		{"none re-healed", []manetp2p.EventRecovery{ev(0, 0, 0.4), ev(0, 0, 0.6)}, []string{"never", "0.500"}},
+		{"no faults", nil, []string{"-", "-", "-", "-"}},
+		// Samples 10, 20, 30 (mean 20, s.d. 10): 4.303 × 10 / √3.
+		{"one event", []manetp2p.EventRecovery{ev([]float64{10, 20, 30}, []float64{0, 0.1, 0.2})},
+			[]string{"20.0", "24.8", "0.100", "0.248"}},
+		// The union 10, 20, 30, 40 and 0, 0.1, 0.2 twice: its mean and
+		// s.d., not the mean of the two events' means (25).
+		{"two events pool their samples", []manetp2p.EventRecovery{ev([]float64{10, 20, 30}, []float64{0, 0.1, 0.2}), ev([]float64{40}, []float64{0, 0.1, 0.2})},
+			[]string{"25.0", "20.5", "0.100", "0.094"}},
+		{"one event never re-healed", []manetp2p.EventRecovery{ev([]float64{10, 30}, []float64{0, 0.2}), ev(nil, []float64{0.4, 0.6})},
+			[]string{"20.0", "127.1", "0.300", "0.411"}},
+		{"one sample has no interval", []manetp2p.EventRecovery{ev([]float64{12}, []float64{0.5})},
+			[]string{"12.0", "n/a", "0.500", "n/a"}},
+		{"none re-healed", []manetp2p.EventRecovery{ev(nil, []float64{0.4}), ev(nil, []float64{0.6})},
+			[]string{"never", "n/a", "0.500", "1.271"}},
 	}
 	for _, c := range cases {
 		res := &manetp2p.Result{Resilience: &manetp2p.Resilience{Events: c.events}}
@@ -129,8 +139,27 @@ func TestResilienceCellsSkipEventsThatNeverRehealed(t *testing.T) {
 			t.Errorf("%s: resilienceCells = %q, want %q", c.name, got, c.want)
 		}
 	}
-	if got := resilienceCells(&manetp2p.Result{}); !reflect.DeepEqual(got, []string{"-", "-"}) {
+	if got := resilienceCells(&manetp2p.Result{}); !reflect.DeepEqual(got, []string{"-", "-", "-", "-"}) {
 		t.Errorf("without resilience telemetry: resilienceCells = %q, want dashes", got)
+	}
+}
+
+// pooled must summarise the union of the samples exactly as Summarize
+// does, whatever the split.
+func TestPooledMatchesSummarize(t *testing.T) {
+	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
+	want := stats.Summarize(xs)
+	for _, cuts := range [][]int{{0}, {1}, {4, 7}, {2, 3, 10}} {
+		var parts []stats.Summary
+		prev := 0
+		for _, c := range append(cuts, len(xs)) {
+			parts = append(parts, stats.Summarize(xs[prev:c]))
+			prev = c
+		}
+		got := pooled(parts)
+		if got.N != want.N || math.Abs(got.Mean-want.Mean) > 1e-12 || math.Abs(got.StdDev-want.StdDev) > 1e-12 {
+			t.Errorf("cuts %v: pooled = %+v, want N %d mean %v s.d. %v", cuts, got, want.N, want.Mean, want.StdDev)
+		}
 	}
 }
 
