@@ -14,23 +14,14 @@ import (
 	"manetp2p/internal/sim"
 )
 
-// This file wires internal/checkpoint into the runner: a scenario run
-// persists every finished replication to one checkpoint file, and a
-// later call — in this process or a new one — loads those replications
-// instead of executing them and runs only the rest, producing a report
-// byte-identical to the uninterrupted run (DESIGN.md §11). A replication
-// that was in flight when the process died runs again from its seed.
-
-// CheckpointConfig parameterizes a checkpointed run.
-type CheckpointConfig struct {
-	// Path is the checkpoint file, rewritten atomically each time a
-	// replication finishes.
-	Path string
-	// Sink, when non-nil, receives the streamed telemetry time series
-	// once the run completes, exactly as RunWithMetrics would emit it.
-	// Not closed.
-	Sink MetricsSink
-}
+// This file wires internal/checkpoint into the runner: a run given
+// Outputs.Checkpoint persists every finished replication to that file,
+// and a later run of the same scenario on the same file — in this
+// process or a new one — loads those replications instead of executing
+// them and runs only the rest, producing a report byte-identical to the
+// uninterrupted run (DESIGN.md §11). A replication that was in flight
+// when the process died runs again from its seed. To resume a file
+// without knowing its scenario, read it with InspectCheckpoint first.
 
 // ckptHeader is the checkpoint file's JSON header — self-describing
 // enough for tooling without decoding any section. It is decoded
@@ -150,55 +141,37 @@ func readCkptState(path string) (*ckptState, error) {
 	return st, nil
 }
 
-// RunCheckpointed executes the scenario like Run, and returns exactly
-// what Run returns, while persisting every finished replication to
-// cfg.Path. If the file already exists it must hold a checkpoint of the
-// same scenario — anything else is an error and leaves the file
-// untouched — and its completed replications are loaded instead of
-// executed, so re-running an interrupted command continues it.
-func (p *Pool) RunCheckpointed(sc Scenario, cfg CheckpointConfig) (*Result, error) {
+// openCheckpoint opens the checkpoint at path for a run of sc, or
+// starts an empty one if there is no file yet. The scenario is
+// validated before the file is read, and a file holding another
+// scenario is refused without being written.
+func openCheckpoint(path string, sc Scenario) (*ckptState, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Path == "" {
-		return nil, errors.New("manetp2p: CheckpointConfig.Path is empty")
 	}
 	want, err := MarshalJSONScenario(sc)
 	if err != nil {
 		return nil, err
 	}
-	st, err := readCkptState(cfg.Path)
+	st, err := readCkptState(path)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
-		st = &ckptState{
-			path:    cfg.Path,
+		return &ckptState{
+			path:    path,
 			hdr:     ckptHeader{Kind: ckptKind, Generator: sim.Generator, Scenario: want, Total: sc.Replications, sc: sc},
 			records: make(map[int][]byte, sc.Replications),
-		}
+		}, nil
 	case err != nil:
 		return nil, err
-	default:
-		have, err := MarshalJSONScenario(st.hdr.sc)
-		if err != nil {
-			return nil, err
-		}
-		if !bytes.Equal(want, have) {
-			return nil, fmt.Errorf("manetp2p: checkpoint %s was written for a different scenario; delete it or use another path", cfg.Path)
-		}
 	}
-	return p.run(sc, st, cfg.Sink)
-}
-
-// ResumeCheckpoint continues the checkpointed run stored at path: the
-// scenario comes from the file, completed replications are loaded
-// without re-execution and the rest run from their seeds. Progress
-// keeps going to the same file; cfg.Path is ignored.
-func (p *Pool) ResumeCheckpoint(path string, cfg CheckpointConfig) (*Result, error) {
-	st, err := readCkptState(path)
+	have, err := MarshalJSONScenario(st.hdr.sc)
 	if err != nil {
 		return nil, err
 	}
-	return p.run(st.hdr.sc, st, cfg.Sink)
+	if !bytes.Equal(want, have) {
+		return nil, fmt.Errorf("manetp2p: checkpoint %s was written for a different scenario; delete it or use another path", path)
+	}
+	return st, nil
 }
 
 // CheckpointInfo summarizes a checkpoint file's header.

@@ -109,7 +109,7 @@ func encodeHeaderMap(t *testing.T, hdr map[string]any) []byte {
 func finishedCheckpoint(t *testing.T, sc Scenario) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if _, err := NewPool(0).RunCheckpointed(sc, CheckpointConfig{Path: path}); err != nil {
+	if _, err := NewPool(0).Run(sc, Outputs{Checkpoint: path}); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -117,7 +117,7 @@ func finishedCheckpoint(t *testing.T, sc Scenario) string {
 
 // A checkpointed run must return exactly what the plain runner returns,
 // and rewrite its file once per replication plus once to mark it done.
-func TestRunCheckpointedMatchesRun(t *testing.T) {
+func TestCheckpointedRunMatchesRun(t *testing.T) {
 	sc := ckptScenario()
 	plain, err := Run(sc)
 	if err != nil {
@@ -125,7 +125,7 @@ func TestRunCheckpointedMatchesRun(t *testing.T) {
 	}
 	writes := countCheckpointWrites(t)
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	ckpt, err := NewPool(0).RunCheckpointed(sc, CheckpointConfig{Path: path})
+	ckpt, err := NewPool(0).Run(sc, Outputs{Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestCheckpointResumeUnderFaults(t *testing.T) {
 	if info.Done || len(info.Completed) != 1 {
 		t.Fatalf("killed checkpoint state = done=%v completed=%v, want one replication, not done", info.Done, info.Completed)
 	}
-	resumed, err := NewPool(0).ResumeCheckpoint(path, CheckpointConfig{})
+	resumed, err := NewPool(0).Run(info.Scenario, Outputs{Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,16 +181,21 @@ func TestCheckpointResumeUnderFaults(t *testing.T) {
 
 // Resuming a finished checkpoint re-runs nothing: every replication
 // loads from its stored record, so the Result must match even if the
-// file is the only thing left of the original process.
+// file is the only thing left of the original process — its scenario
+// read back by InspectCheckpoint, as p2psim -resume does.
 func TestResumeCompletedCheckpoint(t *testing.T) {
 	sc := ckptScenario()
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	pool := NewPool(0)
-	first, err := pool.RunCheckpointed(sc, CheckpointConfig{Path: path})
+	first, err := pool.Run(sc, Outputs{Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := pool.ResumeCheckpoint(path, CheckpointConfig{})
+	info, err := InspectCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := pool.Run(info.Scenario, Outputs{Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,12 +204,12 @@ func TestResumeCompletedCheckpoint(t *testing.T) {
 	}
 }
 
-// RunCheckpointed is open-or-create: re-running the same command on the
+// A checkpoint is open-or-create: re-running the same command on the
 // file an interrupted run left behind loads the stored replications
 // (one file write per replication it still had to execute, plus the
 // final one) instead of starting over, and a file holding a different
 // scenario is refused and left exactly as it was.
-func TestRunCheckpointedContinuesExistingFile(t *testing.T) {
+func TestCheckpointContinuesExistingFile(t *testing.T) {
 	sc := ckptScenario()
 	sc.Replications = 3
 	plain, err := Run(sc)
@@ -218,7 +223,7 @@ func TestRunCheckpointedContinuesExistingFile(t *testing.T) {
 		writes int64 // replications still to execute + the final write
 	}{{"killed after 2 of 3", 2}, {"finished", 1}} {
 		writes := countCheckpointWrites(t)
-		res, err := pool.RunCheckpointed(sc, CheckpointConfig{Path: path})
+		res, err := pool.Run(sc, Outputs{Checkpoint: path})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,16 +241,16 @@ func TestRunCheckpointedContinuesExistingFile(t *testing.T) {
 	}
 	other := sc
 	other.Seed++
-	_, err = pool.RunCheckpointed(other, CheckpointConfig{Path: path})
+	_, err = pool.Run(other, Outputs{Checkpoint: path})
 	if err == nil || !strings.Contains(err.Error(), "different scenario") {
-		t.Errorf("RunCheckpointed over another scenario's file: err = %v, want a different-scenario error", err)
+		t.Errorf("run over another scenario's checkpoint: err = %v, want a different-scenario error", err)
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before, after) {
-		t.Error("refused RunCheckpointed modified the existing checkpoint")
+		t.Error("refused run modified the existing checkpoint")
 	}
 }
 
@@ -285,7 +290,7 @@ func TestResumeValidatesCompletedList(t *testing.T) {
 			if err := checkpoint.Write(path, f); err != nil {
 				t.Fatal(err)
 			}
-			res, err := NewPool(0).ResumeCheckpoint(path, CheckpointConfig{})
+			res, err := NewPool(0).Run(sc, Outputs{Checkpoint: path})
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("resume err = %v, want mention of %q", err, tc.wantErr)
@@ -315,16 +320,16 @@ func TestPoolSurfacesReplicationErrors(t *testing.T) {
 	sc.Replications = 4
 	sc.Workers = 2
 	pool := NewPool(2)
-	_, err := pool.RunCheckpointed(sc, CheckpointConfig{
-		Path: filepath.Join(blocker, "x.ckpt"), // blocker is a file: persist must fail
+	_, err := pool.Run(sc, Outputs{
+		Checkpoint: filepath.Join(blocker, "x.ckpt"), // blocker is a file: persist must fail
 	})
 	if err == nil {
-		t.Fatal("RunCheckpointed with unwritable path returned nil error")
+		t.Fatal("run with an unwritable checkpoint path returned nil error")
 	}
 	// The pool must still be usable: all slots were released.
 	sc2 := quickScenario(Regular, 15)
 	sc2.Replications = 2
-	if _, err := pool.Run(sc2); err != nil {
+	if _, err := pool.Run(sc2, Outputs{}); err != nil {
 		t.Fatalf("pool unusable after failed run: %v", err)
 	}
 }
@@ -362,7 +367,11 @@ func TestCheckpointResumeChild(t *testing.T) {
 	if path == "" {
 		t.Skip("child half of the fresh-process resume tests")
 	}
-	res, err := NewPool(0).ResumeCheckpoint(path, CheckpointConfig{})
+	info, err := InspectCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := NewPool(0).Run(info.Scenario, Outputs{Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +488,8 @@ func TestCheckpointGoldenFixtures(t *testing.T) {
 // checkpoint stripped of the manifest — what a binary without the
 // telemetry plane would write — is refused too.
 func TestCheckpointTelemetryManifest(t *testing.T) {
-	path := killedAfter(t, finishedCheckpoint(t, ckptScenario()), 1)
+	sc := ckptScenario()
+	path := killedAfter(t, finishedCheckpoint(t, sc), 1)
 	pool := NewPool(0)
 
 	f, err := checkpoint.Read(path)
@@ -506,7 +516,7 @@ func TestCheckpointTelemetryManifest(t *testing.T) {
 	if err := checkpoint.Write(path, f); err != nil {
 		t.Fatal(err)
 	}
-	_, err = pool.ResumeCheckpoint(path, CheckpointConfig{})
+	_, err = pool.Run(sc, Outputs{Checkpoint: path})
 	if err == nil || !strings.Contains(err.Error(), "telemetry plane changed") {
 		t.Errorf("resume with drifted manifest: err = %v, want telemetry-drift error", err)
 	}
@@ -517,7 +527,7 @@ func TestCheckpointTelemetryManifest(t *testing.T) {
 	if err := checkpoint.Write(path, f); err != nil {
 		t.Fatal(err)
 	}
-	_, err = pool.ResumeCheckpoint(path, CheckpointConfig{})
+	_, err = pool.Run(sc, Outputs{Checkpoint: path})
 	if err == nil || !strings.Contains(err.Error(), "without the telemetry plane") {
 		t.Errorf("resume without manifest: err = %v, want missing-manifest error", err)
 	}

@@ -61,6 +61,8 @@ func main() {
 	}
 	if *resume != "" {
 		exitOn(scenario.Refuse("p2psim: -resume: the scenario comes from the checkpoint"), 2)
+		exitOn(scenario.Refuse("p2psim: -resume continues the run in its checkpoint and does nothing else",
+			"checkpoint", "save-config", "selfcheck"), 2)
 	}
 
 	stopProf, err := profFlags.Start()
@@ -73,21 +75,17 @@ func main() {
 		}
 	}()
 
+	var sc manetp2p.Scenario
 	if *resume != "" {
 		info, err := manetp2p.InspectCheckpoint(*resume)
 		exitOn(err, 2)
 		fmt.Fprintf(os.Stderr, "resuming %s: %d/%d replications complete\n",
 			*resume, len(info.Completed), info.Total)
-		sink, closeSink := openMetricsSink(*metricsOut)
-		res, err := manetp2p.NewPool(0).ResumeCheckpoint(*resume, manetp2p.CheckpointConfig{Sink: sink})
-		exitOn(err, 1)
-		closeSink()
-		printReport(res, *curves, seriesKind)
-		return
+		sc, *ckptPath = info.Scenario, *resume
+	} else {
+		sc, err = scenario.Scenario()
+		exitOn(err, 2)
 	}
-
-	sc, err := scenario.Scenario()
-	exitOn(err, 2)
 	if *saveCfg != "" {
 		exitOn(manetp2p.SaveScenario(*saveCfg, sc), 1)
 		return
@@ -102,12 +100,7 @@ func main() {
 	}
 
 	sink, closeSink := openMetricsSink(*metricsOut)
-	var res *manetp2p.Result
-	if *ckptPath != "" {
-		res, err = manetp2p.NewPool(0).RunCheckpointed(sc, manetp2p.CheckpointConfig{Path: *ckptPath, Sink: sink})
-	} else {
-		res, err = manetp2p.NewPool(0).RunWithMetrics(sc, sink) // a nil sink is plain Run
-	}
+	res, err := manetp2p.NewPool(sc.Workers).Run(sc, manetp2p.Outputs{Checkpoint: *ckptPath, Sink: sink})
 	exitOn(err, 1)
 	closeSink()
 	printReport(res, *curves, seriesKind)

@@ -67,6 +67,65 @@ func TestTraceRefusesWhatItWouldIgnore(t *testing.T) {
 	}
 }
 
+// finishedCheckpoint runs a small scenario with -checkpoint and returns
+// the file's path and the report the run printed.
+func finishedCheckpoint(t *testing.T) (path, report string) {
+	t.Helper()
+	path = filepath.Join(t.TempDir(), "r.ckpt")
+	report, stderr, code := runP2psim(t, "-nodes", "12", "-area", "50", "-range", "15", "-duration", "60", "-reps", "2", "-checkpoint", path)
+	if code != 0 || !strings.Contains(report, "Regular") {
+		t.Fatalf("-checkpoint run: exit %d, stdout %q, stderr %q", code, report, stderr)
+	}
+	return path, report
+}
+
+// -resume continues the run its checkpoint holds and does nothing else.
+// A flag that names another checkpoint (-checkpoint) or another run
+// mode (-save-config, -selfcheck) would go unserved: each is refused by
+// name, exit 2, and nothing is written or run.
+func TestResumeRefusesWhatItWouldIgnore(t *testing.T) {
+	resumed, _ := finishedCheckpoint(t)
+	dir := t.TempDir()
+	other, saved := filepath.Join(dir, "other.ckpt"), filepath.Join(dir, "s.json")
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"checkpoint", []string{"-checkpoint", other}},
+		{"save-config", []string{"-save-config", saved}},
+		{"selfcheck", []string{"-selfcheck"}},
+	} {
+		stdout, stderr, code := runP2psim(t, append([]string{"-resume", resumed}, tc.args...)...)
+		if code != 2 || !strings.Contains(stderr, "-resume") || !strings.Contains(stderr, "-"+tc.flag) {
+			t.Errorf("-resume beside -%s: exit %d, stderr %q; want exit 2 naming -resume and -%s", tc.flag, code, stderr, tc.flag)
+		}
+		if stdout != "" {
+			t.Errorf("-resume beside -%s printed %q", tc.flag, stdout)
+		}
+	}
+	for _, path := range []string{other, saved} {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("refused -resume wrote %s (stat err %v)", path, err)
+		}
+	}
+}
+
+// -resume of a finished checkpoint loads every replication and prints
+// exactly the report the -checkpoint run that wrote it printed.
+func TestResumePrintsTheCheckpointedReport(t *testing.T) {
+	path, want := finishedCheckpoint(t)
+	got, stderr, code := runP2psim(t, "-resume", path)
+	if code != 0 {
+		t.Fatalf("-resume: exit %d: %s", code, stderr)
+	}
+	if !strings.Contains(stderr, "2/2 replications complete") {
+		t.Errorf("-resume stderr %q, want the finished file's progress", stderr)
+	}
+	if got != want {
+		t.Errorf("-resume printed\n%s\nthe -checkpoint run printed\n%s", got, want)
+	}
+}
+
 // -trace - streams the events to stdout, one JSON object per line.
 func TestTraceWritesEventLines(t *testing.T) {
 	stdout, stderr, code := runP2psim(t, "-trace", "-", "-nodes", "10", "-area", "40", "-range", "15", "-duration", "120")

@@ -359,28 +359,26 @@ func main() {
 
 // runCell runs one cell on pool, streaming its telemetry into its file
 // under metricsDir and persisting it to its file under ckptDir ("" =
-// neither).
+// neither). A cell file from an earlier invocation loads or resumes;
+// one left by different flags is an error, not silently recomputed.
 func runCell(pool *manetp2p.Pool, c cell, axis, ckptDir, metricsDir string) (res *manetp2p.Result, err error) {
-	var sink manetp2p.MetricsSink
+	var out manetp2p.Outputs
 	if metricsDir != "" {
 		f, err := os.Create(cellFilePath(metricsDir, axis, c.label, c.sc.Algorithm, "jsonl"))
 		if err != nil {
 			return nil, err
 		}
-		sink = manetp2p.NewJSONLSink(f)
+		out.Sink = manetp2p.NewJSONLSink(f)
 		defer func() {
-			if cerr := sink.Close(); err == nil && cerr != nil {
+			if cerr := out.Sink.Close(); err == nil && cerr != nil {
 				err = fmt.Errorf("sweep: writing metrics stream: %w", cerr)
 			}
 		}()
 	}
-	if ckptDir == "" {
-		return pool.RunWithMetrics(c.sc, sink) // a nil sink is plain Run
+	if ckptDir != "" {
+		out.Checkpoint = cellFilePath(ckptDir, axis, c.label, c.sc.Algorithm, "ckpt")
 	}
-	// A cell file from an earlier invocation loads or resumes; one left by
-	// different flags is an error, not silently recomputed.
-	path := cellFilePath(ckptDir, axis, c.label, c.sc.Algorithm, "ckpt")
-	return pool.RunCheckpointed(c.sc, manetp2p.CheckpointConfig{Path: path, Sink: sink})
+	return pool.Run(c.sc, out)
 }
 
 // scenarioFlags registers sweep's scenario flags.

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"math"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -12,6 +16,108 @@ import (
 	"manetp2p/cmd/internal/scenarioflag"
 	"manetp2p/internal/stats"
 )
+
+// TestMain lets a test run the command itself: re-executed with
+// SWEEP_TEST_MAIN set, the test binary is sweep on its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("SWEEP_TEST_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runSweep runs sweep with args and returns its stdout, stderr and exit
+// code.
+func runSweep(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "SWEEP_TEST_MAIN=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), code
+}
+
+// readDir returns every file in dir by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
+}
+
+// A checkpointed sweep is open-or-create per cell: run again on its own
+// files, every cell loads its finished checkpoint, so the rows, the
+// checkpoint files and the metrics streams come out byte-identical. A
+// sweep with other flags (another -seed) meets checkpoints written for
+// different scenarios: it is refused, exit 1, and leaves them as they
+// were. That run drops -metrics: runCell creates a cell's stream file
+// before the run that refuses the checkpoint.
+func TestCheckpointedSweepReloadsItsCells(t *testing.T) {
+	dir := t.TempDir()
+	ckpt, metrics := filepath.Join(dir, "ckpt"), filepath.Join(dir, "metrics")
+	args := []string{"-axis", "range", "-algs", "regular", "-nodes", "12", "-duration", "60", "-reps", "2", "-quiet",
+		"-checkpoint", ckpt, "-metrics", metrics}
+	var outs []string
+	var ckpts, streams []map[string][]byte
+	for run := 0; run < 2; run++ {
+		stdout, stderr, code := runSweep(t, args...)
+		if code != 0 {
+			t.Fatalf("run %d: exit %d: %s", run, code, stderr)
+		}
+		outs = append(outs, stdout)
+		ckpts = append(ckpts, readDir(t, ckpt))
+		streams = append(streams, readDir(t, metrics))
+	}
+	cells := len(registry()["range"].points)
+	if rows := strings.Count(outs[0], "\tRegular\t"); rows != cells || len(ckpts[0]) != cells || len(streams[0]) != cells {
+		t.Fatalf("first run: %d rows, %d checkpoints, %d streams; want %d of each", rows, len(ckpts[0]), len(streams[0]), cells)
+	}
+	if outs[1] != outs[0] {
+		t.Errorf("reloaded sweep printed\n%s\nthe first printed\n%s", outs[1], outs[0])
+	}
+	for name, data := range ckpts[0] {
+		info, err := manetp2p.InspectCheckpoint(filepath.Join(ckpt, name))
+		if err != nil || !info.Done || len(info.Completed) != 2 {
+			t.Errorf("%s: %+v, %v; want a finished checkpoint of 2 replications", name, info, err)
+		}
+		if !bytes.Equal(ckpts[1][name], data) {
+			t.Errorf("%s changed when the sweep reloaded it", name)
+		}
+	}
+	for name, data := range streams[0] {
+		if len(data) == 0 || !bytes.Equal(streams[1][name], data) {
+			t.Errorf("%s: %d bytes, then %d differing bytes on reload", name, len(data), len(streams[1][name]))
+		}
+	}
+
+	_, stderr, code := runSweep(t, append([]string{"-seed", "2"}, args[:len(args)-2]...)...)
+	if code != 1 || !strings.Contains(stderr, "different scenario") {
+		t.Errorf("sweep with another -seed on the same checkpoints: exit %d, stderr %q; want exit 1, a different-scenario error", code, stderr)
+	}
+	for name, data := range readDir(t, ckpt) {
+		if !bytes.Equal(data, ckpts[0][name]) {
+			t.Errorf("refused sweep modified %s", name)
+		}
+	}
+}
 
 // Every point of every registered axis, applied to a small base
 // scenario, must still pass Validate — an axis may not sweep a scenario

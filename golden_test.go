@@ -300,7 +300,7 @@ func TestGoldenMetricsStream(t *testing.T) {
 		sc := sc
 		sc.Workers = workers
 		return stream(func(sink MetricsSink) error {
-			_, err := NewPool(workers).RunWithMetrics(sc, sink)
+			_, err := NewPool(workers).Run(sc, Outputs{Sink: sink})
 			return err
 		})
 	}
@@ -311,7 +311,7 @@ func TestGoldenMetricsStream(t *testing.T) {
 	}
 	killed := killedAfter(t, finishedCheckpoint(t, sc), 1)
 	resumed := stream(func(sink MetricsSink) error {
-		_, err := NewPool(0).ResumeCheckpoint(killed, CheckpointConfig{Sink: sink})
+		_, err := NewPool(0).Run(sc, Outputs{Checkpoint: killed, Sink: sink})
 		return err
 	})
 	if !bytes.Equal(serial, resumed) {

@@ -348,7 +348,7 @@ func (n *Network) ChurnEvents() uint64 { return n.churnEvents }
 // scheduleChurnDown arms the next departure for member i.
 func (n *Network) scheduleChurnDown(i int) {
 	up, _ := n.churnMeans(i)
-	n.Sim.ScheduleArg(expDuration(n.churnRNG, up), churnDown, sim.Arg{I0: i, X: n})
+	n.Sim.ScheduleArg(sim.ExpDuration(n.churnRNG, up), churnDown, sim.Arg{I0: i, X: n})
 }
 
 // churnDown takes member I0 of network X down.
@@ -369,7 +369,7 @@ func churnDown(a sim.Arg) {
 // scheduleChurnUp arms the next return for member i.
 func (n *Network) scheduleChurnUp(i int) {
 	_, down := n.churnMeans(i)
-	n.Sim.ScheduleArg(expDuration(n.churnRNG, down), churnUp, sim.Arg{I0: i, X: n})
+	n.Sim.ScheduleArg(sim.ExpDuration(n.churnRNG, down), churnUp, sim.Arg{I0: i, X: n})
 }
 
 // churnUp brings member I0 of network X back.
@@ -384,16 +384,6 @@ func churnUp(a sim.Arg) {
 		sv.Join()
 	}
 	n.scheduleChurnDown(i)
-}
-
-// expDuration draws an exponential duration with the given mean,
-// clamped to at least one second so churn cannot livelock the sim.
-func expDuration(rng *rand.Rand, mean sim.Time) sim.Time {
-	d := sim.FromSeconds(rng.ExpFloat64() * mean.Seconds())
-	if d < sim.Second {
-		d = sim.Second
-	}
-	return d
 }
 
 // Run advances the replication by d simulated time.

@@ -283,29 +283,6 @@ func TestOverlayAdjacencyMutual(t *testing.T) {
 	}
 }
 
-func TestExpDurationClampsAndVaries(t *testing.T) {
-	n, err := Build(smallConfig(p2p.Regular, 2), 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := n.Sim.NewRand()
-	distinct := map[sim.Time]bool{}
-	for i := 0; i < 200; i++ {
-		d := expDuration(rng, 10*sim.Second)
-		if d < sim.Second {
-			t.Fatalf("expDuration below the 1s clamp: %v", d)
-		}
-		distinct[d] = true
-	}
-	if len(distinct) < 50 {
-		t.Errorf("only %d distinct draws; not exponential", len(distinct))
-	}
-	// Tiny means always clamp.
-	if d := expDuration(rng, sim.Microsecond); d != sim.Second {
-		t.Errorf("clamped draw = %v, want 1s", d)
-	}
-}
-
 // The routing table is read through String and ParseRouting alike, and
 // they must agree on the four paper-era names.
 func TestRoutingKindStrings(t *testing.T) {

@@ -270,7 +270,9 @@ type Scenario struct {
 	// the checker only observes and draws no randomness.
 	Invariants *invariant.Config `json:",omitempty"`
 
-	// Concurrency: 0 = GOMAXPROCS.
+	// Workers caps manetp2p.Run's concurrency (0 = GOMAXPROCS): Run
+	// sizes its pool from it. A shared Pool ignores it; the pool's own
+	// size is the only cap of every run it serves.
 	Workers int
 }
 

@@ -84,3 +84,14 @@ func UniformDuration(rng *rand.Rand, lo, hi Time) Time {
 	}
 	return lo + Time(rng.Int63n(int64(hi-lo)+1))
 }
+
+// ExpDuration returns an exponential duration with the given mean,
+// clamped to at least one second so a dwell or an uptime never
+// collapses into a storm of sub-second events.
+func ExpDuration(rng *rand.Rand, mean Time) Time {
+	d := FromSeconds(rng.ExpFloat64() * mean.Seconds())
+	if d < Second {
+		d = Second
+	}
+	return d
+}

@@ -359,6 +359,25 @@ func TestUniformDurationBounds(t *testing.T) {
 	}
 }
 
+func TestExpDurationClampsAndVaries(t *testing.T) {
+	rng := New(1).NewRand()
+	distinct := map[Time]bool{}
+	for i := 0; i < 200; i++ {
+		d := ExpDuration(rng, 10*Second)
+		if d < Second {
+			t.Fatalf("ExpDuration below the 1s clamp: %v", d)
+		}
+		distinct[d] = true
+	}
+	if len(distinct) < 50 {
+		t.Errorf("only %d distinct draws; not exponential", len(distinct))
+	}
+	// Tiny means always clamp.
+	if d := ExpDuration(rng, Microsecond); d != Second {
+		t.Errorf("clamped draw = %v, want 1s", d)
+	}
+}
+
 func TestUniformDurationPanicsOnInvertedRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {

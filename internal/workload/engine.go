@@ -149,15 +149,6 @@ func expGap(rng *rand.Rand, rate float64) sim.Time {
 	return sim.FromSeconds(rng.ExpFloat64() / rate)
 }
 
-// expDwell draws an exponential dwell with the given mean.
-func expDwell(rng *rand.Rand, mean sim.Time) sim.Time {
-	d := sim.FromSeconds(rng.ExpFloat64() * mean.Seconds())
-	if d < sim.Second {
-		d = sim.Second // dwell flapping below the sim tick helps nobody
-	}
-	return d
-}
-
 // onOffGap advances node's two-state dwell machine to cover now, then
 // walks forward until an on-state arrival lands inside its dwell.
 func (e *Engine) onOffGap(node int, now sim.Time, rate float64) sim.Time {
@@ -168,7 +159,7 @@ func (e *Engine) onOffGap(node int, now sim.Time, rate float64) sim.Time {
 		if e.on[node] {
 			mean = a.MeanOn
 		}
-		e.stateUntil[node] += expDwell(e.rng, mean)
+		e.stateUntil[node] += sim.ExpDuration(e.rng, mean)
 	}
 	t := now
 	for {
@@ -179,11 +170,11 @@ func (e *Engine) onOffGap(node int, now sim.Time, rate float64) sim.Time {
 			}
 			t = e.stateUntil[node]
 			e.on[node] = false
-			e.stateUntil[node] = t + expDwell(e.rng, a.MeanOff)
+			e.stateUntil[node] = t + sim.ExpDuration(e.rng, a.MeanOff)
 		} else {
 			t = e.stateUntil[node]
 			e.on[node] = true
-			e.stateUntil[node] = t + expDwell(e.rng, a.MeanOn)
+			e.stateUntil[node] = t + sim.ExpDuration(e.rng, a.MeanOn)
 		}
 	}
 }

@@ -27,7 +27,7 @@ func TestPoolRunMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewPool(2).Run(sc)
+	got, err := NewPool(2).Run(sc, Outputs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestPoolSharedAcrossPointsMatchesSequential(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := pool.Run(points[i])
+			res, err := pool.Run(points[i], Outputs{})
 			if err != nil {
 				errs[i] = err
 				return

@@ -228,28 +228,45 @@ func NewPool(workers int) *Pool {
 	return &Pool{slots: make(chan struct{}, workers)}
 }
 
+// Outputs names what a run writes besides its Result. The zero value
+// writes nothing.
+type Outputs struct {
+	// Checkpoint, when set, is the run's checkpoint file, rewritten
+	// atomically each time a replication finishes. If it exists it must
+	// hold a checkpoint of the same scenario — anything else is an error
+	// and leaves the file untouched — and its completed replications are
+	// loaded instead of executed, so re-running an interrupted command
+	// continues it (DESIGN.md §11).
+	Checkpoint string
+	// Sink, when non-nil, receives every telemetry section's
+	// per-replication time series once the last replication finishes
+	// (see metrics.go). It is not closed.
+	Sink MetricsSink
+}
+
 // Run executes all replications of the scenario under the pool's
 // budget and aggregates the paper's telemetry. Replications are
 // deterministic regardless of scheduling (each seeds its own RNG
 // streams and lands in its own result slot), so a pooled run returns
-// exactly what a sequential one does. A positive Scenario.Workers
-// additionally caps this scenario's own concurrency below the pool's.
-func (p *Pool) Run(sc Scenario) (*Result, error) {
-	return p.run(sc, nil, nil)
-}
-
-// run is the one driver under Run, RunWithMetrics, RunCheckpointed and
-// ResumeCheckpoint: all replications, then the pooled Result, then the
-// metrics stream. ckpt and sink are each optional.
-func (p *Pool) run(sc Scenario, ckpt *ckptState, sink MetricsSink) (*Result, error) {
+// exactly what a sequential one does, and so does a checkpointed or
+// resumed one. The pool's budget is the only concurrency cap:
+// Scenario.Workers sizes the pool manetp2p.Run makes and nothing else.
+func (p *Pool) Run(sc Scenario, out Outputs) (*Result, error) {
+	var ckpt *ckptState
+	if out.Checkpoint != "" {
+		var err error
+		if ckpt, err = openCheckpoint(out.Checkpoint, sc); err != nil {
+			return nil, err
+		}
+	}
 	reps, err := p.runReps(sc, ckpt)
 	if err != nil {
 		return nil, err
 	}
 	res := aggregate(sc, reps)
-	if sink != nil { // after the last replication, in order: see metrics.go
+	if out.Sink != nil { // after the last replication, in order: see metrics.go
 		for i, rr := range reps {
-			streamRep(sc, i, rr, sink)
+			streamRep(sc, i, rr, out.Sink)
 		}
 	}
 	return res, nil
@@ -263,10 +280,6 @@ func (p *Pool) runReps(sc Scenario, ckpt *ckptState) ([]*repResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	var local chan struct{}
-	if sc.Workers > 0 {
-		local = make(chan struct{}, sc.Workers)
-	}
 	reps := make([]*repResult, sc.Replications)
 	var wg sync.WaitGroup
 	for r := 0; r < sc.Replications; r++ {
@@ -279,10 +292,6 @@ func (p *Pool) runReps(sc Scenario, ckpt *ckptState) ([]*repResult, error) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			if local != nil {
-				local <- struct{}{}
-				defer func() { <-local }()
-			}
 			p.slots <- struct{}{}
 			defer func() { <-p.slots }()
 			reps[r] = runReplication(sc, r, nil)
@@ -306,10 +315,10 @@ func (p *Pool) runReps(sc Scenario, ckpt *ckptState) ([]*repResult, error) {
 	return reps, nil
 }
 
-// Run executes all replications of the scenario concurrently and
-// aggregates the paper's telemetry.
+// Run executes all replications of the scenario concurrently, at most
+// Scenario.Workers at a time, and aggregates the paper's telemetry.
 func Run(sc Scenario) (*Result, error) {
-	return NewPool(sc.Workers).Run(sc)
+	return NewPool(sc.Workers).Run(sc, Outputs{})
 }
 
 // runReplication builds, instruments and runs one replication to its
