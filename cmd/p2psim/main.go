@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"manetp2p"
+	"manetp2p/cmd/internal/outfile"
 	"manetp2p/cmd/internal/scenarioflag"
 	"manetp2p/internal/prof"
 )
@@ -136,12 +137,21 @@ func printReport(res *manetp2p.Result, curves bool, series *manetp2p.SeriesKind)
 
 // openMetricsSink opens the -metrics target ("" = none, "-" = stdout)
 // and returns the sink plus a close function that flushes it and exits
-// nonzero on a write error.
+// nonzero on a write error. A file is emptied only when the run writes
+// to it, so a refused run leaves it as it was.
 func openMetricsSink(path string) (manetp2p.MetricsSink, func()) {
 	if path == "" {
 		return nil, func() {}
 	}
-	sink := manetp2p.NewJSONLSink(create(path, 2))
+	var w io.Writer
+	if path == "-" {
+		w = create(path, 2)
+	} else {
+		f, err := outfile.Create(path)
+		exitOn(err, 2)
+		w = f
+	}
+	sink := manetp2p.NewJSONLSink(w)
 	return sink, func() {
 		if err := sink.Close(); err != nil {
 			exitOn(fmt.Errorf("writing metrics stream: %w", err), 1)

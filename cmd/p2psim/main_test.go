@@ -126,6 +126,44 @@ func TestResumePrintsTheCheckpointedReport(t *testing.T) {
 	}
 }
 
+// A run that Pool.Run refuses writes no metrics, so the -metrics file it
+// was given keeps every byte it held: the stream a finished run wrote
+// beside its checkpoint, or any other file.
+func TestRefusedRunKeepsItsMetricsFile(t *testing.T) {
+	dir := t.TempDir()
+	ckpt, stream := filepath.Join(dir, "r.ckpt"), filepath.Join(dir, "m.jsonl")
+	small := []string{"-nodes", "12", "-area", "50", "-range", "15", "-duration", "60", "-reps", "2"}
+	if _, stderr, code := runP2psim(t, append(small, "-checkpoint", ckpt, "-metrics", stream)...); code != 0 {
+		t.Fatalf("first run: exit %d: %s", code, stderr)
+	}
+	junk, other := filepath.Join(dir, "junk.ckpt"), filepath.Join(dir, "other.jsonl")
+	for path, data := range map[string]string{junk: "not a checkpoint\n", other: "an older stream\n"} {
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name, refusal string
+		args          []string
+		metrics       string
+	}{
+		{"different scenario", "different scenario", append([]string{"-seed", "2", "-checkpoint", ckpt}, small...), stream},
+		{"not a checkpoint", junk, append([]string{"-checkpoint", junk}, small...), other},
+	} {
+		want, err := os.ReadFile(tc.metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stderr, code := runP2psim(t, append(tc.args, "-metrics", tc.metrics)...)
+		if code != 1 || !strings.Contains(stderr, tc.refusal) {
+			t.Errorf("%s: exit %d, stderr %q; want exit 1 naming %q", tc.name, code, stderr, tc.refusal)
+		}
+		if got, err := os.ReadFile(tc.metrics); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: the refused run left %d bytes in %s (err %v), want the %d it held", tc.name, len(got), tc.metrics, err, len(want))
+		}
+	}
+}
+
 // -trace - streams the events to stdout, one JSON object per line.
 func TestTraceWritesEventLines(t *testing.T) {
 	stdout, stderr, code := runP2psim(t, "-trace", "-", "-nodes", "10", "-area", "40", "-range", "15", "-duration", "120")

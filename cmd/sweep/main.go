@@ -34,6 +34,7 @@ import (
 	"sync"
 
 	"manetp2p"
+	"manetp2p/cmd/internal/outfile"
 	"manetp2p/cmd/internal/scenarioflag"
 	"manetp2p/internal/stats"
 	"manetp2p/internal/telemetry"
@@ -360,25 +361,28 @@ func main() {
 // runCell runs one cell on pool, streaming its telemetry into its file
 // under metricsDir and persisting it to its file under ckptDir ("" =
 // neither). A cell file from an earlier invocation loads or resumes;
-// one left by different flags is an error, not silently recomputed.
-func runCell(pool *manetp2p.Pool, c cell, axis, ckptDir, metricsDir string) (res *manetp2p.Result, err error) {
+// one left by different flags is an error, not silently recomputed,
+// and the refused cell's stream file keeps its old bytes.
+func runCell(pool *manetp2p.Pool, c cell, axis, ckptDir, metricsDir string) (*manetp2p.Result, error) {
 	var out manetp2p.Outputs
 	if metricsDir != "" {
-		f, err := os.Create(cellFilePath(metricsDir, axis, c.label, c.sc.Algorithm, "jsonl"))
+		f, err := outfile.Create(cellFilePath(metricsDir, axis, c.label, c.sc.Algorithm, "jsonl"))
 		if err != nil {
 			return nil, err
 		}
 		out.Sink = manetp2p.NewJSONLSink(f)
-		defer func() {
-			if cerr := out.Sink.Close(); err == nil && cerr != nil {
-				err = fmt.Errorf("sweep: writing metrics stream: %w", cerr)
-			}
-		}()
 	}
 	if ckptDir != "" {
 		out.Checkpoint = cellFilePath(ckptDir, axis, c.label, c.sc.Algorithm, "ckpt")
 	}
-	return pool.Run(c.sc, out)
+	res, err := pool.Run(c.sc, out)
+	if err != nil || out.Sink == nil {
+		return res, err
+	}
+	if err := out.Sink.Close(); err != nil {
+		return nil, fmt.Errorf("sweep: writing metrics stream: %w", err)
+	}
+	return res, nil
 }
 
 // scenarioFlags registers sweep's scenario flags.

@@ -67,9 +67,8 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 // files, every cell loads its finished checkpoint, so the rows, the
 // checkpoint files and the metrics streams come out byte-identical. A
 // sweep with other flags (another -seed) meets checkpoints written for
-// different scenarios: it is refused, exit 1, and leaves them as they
-// were. That run drops -metrics: runCell creates a cell's stream file
-// before the run that refuses the checkpoint.
+// different scenarios: it is refused, exit 1, and leaves them and the
+// metrics streams as they were.
 func TestCheckpointedSweepReloadsItsCells(t *testing.T) {
 	dir := t.TempDir()
 	ckpt, metrics := filepath.Join(dir, "ckpt"), filepath.Join(dir, "metrics")
@@ -108,13 +107,58 @@ func TestCheckpointedSweepReloadsItsCells(t *testing.T) {
 		}
 	}
 
-	_, stderr, code := runSweep(t, append([]string{"-seed", "2"}, args[:len(args)-2]...)...)
+	_, stderr, code := runSweep(t, append([]string{"-seed", "2"}, args...)...)
 	if code != 1 || !strings.Contains(stderr, "different scenario") {
 		t.Errorf("sweep with another -seed on the same checkpoints: exit %d, stderr %q; want exit 1, a different-scenario error", code, stderr)
 	}
-	for name, data := range readDir(t, ckpt) {
-		if !bytes.Equal(data, ckpts[0][name]) {
-			t.Errorf("refused sweep modified %s", name)
+	for _, files := range []struct {
+		dir  string
+		want map[string][]byte
+	}{{ckpt, ckpts[0]}, {metrics, streams[0]}} {
+		for name, data := range readDir(t, files.dir) {
+			if !bytes.Equal(data, files.want[name]) {
+				t.Errorf("refused sweep modified %s", name)
+			}
+		}
+	}
+}
+
+// A cell that Pool.Run refuses writes no metrics, so its stream file
+// under -metrics keeps every byte it held, whatever refused it.
+func TestRefusedCellsKeepTheirMetricsFiles(t *testing.T) {
+	args := []string{"-axis", "range", "-algs", "regular", "-nodes", "12", "-duration", "60", "-reps", "2", "-quiet"}
+	stale := func(dir, ext string, data []byte) string {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, pt := range registry()["range"].points {
+			if err := os.WriteFile(cellFilePath(dir, "range", pt.label, manetp2p.Regular, ext), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	dir := t.TempDir()
+	finished := filepath.Join(dir, "ckpt")
+	if _, stderr, code := runSweep(t, append(args, "-checkpoint", finished)...); code != 0 {
+		t.Fatalf("first run: exit %d: %s", code, stderr)
+	}
+	for _, tc := range []struct {
+		name, refusal string
+		ckpt          string
+		extra         []string
+	}{
+		{"different scenario", "different scenario", finished, []string{"-seed", "2"}},
+		{"not a checkpoint", "checkpoint", stale(filepath.Join(dir, "junk"), "ckpt", []byte("not a checkpoint\n")), nil},
+	} {
+		metrics := stale(filepath.Join(dir, "metrics-"+strings.ReplaceAll(tc.name, " ", "-")), "jsonl", []byte("an older stream\n"))
+		want := readDir(t, metrics)
+		_, stderr, code := runSweep(t, append(append(tc.extra, args...), "-checkpoint", tc.ckpt, "-metrics", metrics)...)
+		if code != 1 || !strings.Contains(stderr, tc.refusal) {
+			t.Errorf("%s: exit %d, stderr %q; want exit 1 naming %q", tc.name, code, stderr, tc.refusal)
+		}
+		if got := readDir(t, metrics); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the refused sweep changed its metrics files", tc.name)
 		}
 	}
 }

@@ -38,8 +38,9 @@ func ruleChecker(t *testing.T, alg p2p.Algorithm) *Checker {
 	}
 	par := p2p.DefaultParams()
 	svs := make([]*p2p.Servent, ruleNodes)
+	ledger := p2p.NewQueryLedger(ruleNodes)
 	for i := range svs {
-		svs[i] = p2p.NewServent(i, s, nil, par, alg, p2p.Options{RNG: s.NewRand()})
+		svs[i] = p2p.NewServent(i, s, nil, par, alg, p2p.Options{RNG: s.NewRand(), Ledger: ledger})
 	}
 	return New(Config{Enabled: true, Grace: sim.Second}, Target{
 		Sim: s, Medium: med, Servents: svs, Algorithm: alg, Params: par,

@@ -139,6 +139,7 @@ func Build(sc Scenario, rep int, opt Options) (*Network, error) {
 	}
 
 	newRouter := routings[sc.Routing].new
+	ledger := p2p.NewQueryLedger(sc.NumNodes)
 	memberIdx := 0
 	for i := 0; i < sc.NumNodes; i++ {
 		start := arena.RandomPoint(setupRNG)
@@ -152,6 +153,7 @@ func Build(sc Scenario, rep int, opt Options) (*Network, error) {
 		svOpt := p2p.Options{
 			Qualifier: quals[i],
 			Collector: n.Collector,
+			Ledger:    ledger,
 			RNG:       s.NewRand(),
 			NoQueries: opt.NoQueries,
 			Tracer:    n.Tracer,

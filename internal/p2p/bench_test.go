@@ -27,10 +27,11 @@ func benchOverlay(tb testing.TB, seed int64, arena geom.Rect, pts []geom.Point, 
 	col := telemetry.NewCollector(len(pts))
 	svs := make([]*Servent, len(pts))
 	pl := route.NewPlane(s, med)
+	ledger := NewQueryLedger(len(pts))
 	for i, p := range pts {
 		rt := flood.NewRouter(i, pl, flood.DefaultConfig())
 		med.Join(i, p, rt.HandleFrame)
-		opt := Options{Collector: col, RNG: s.NewRand(), NoQueries: true, NoEstablish: true}
+		opt := Options{Collector: col, Ledger: ledger, RNG: s.NewRand(), NoQueries: true, NoEstablish: true}
 		if files != nil {
 			opt.Files = files(i)
 		}
@@ -210,7 +211,6 @@ func (w *queryFloodBench) query(tb testing.TB) {
 	src := w.svs[0]
 	src.nextQID++
 	src.curReq = request{open: true, qid: src.nextQID, file: 0}
-	src.seen[queryKey(src.id, src.nextQID)] = struct{}{}
 	q := Msg{Kind: msgQuery, Origin: src.id, Seq: src.nextQID, File: 0, TTL: w.par.QueryTTL}
 	for _, peer := range src.sortedPeers() { // sorted: keeps runs reproducible
 		src.send(peer, q)
@@ -219,12 +219,10 @@ func (w *queryFloodBench) query(tb testing.TB) {
 	if src.curReq.answers != 1 {
 		tb.Fatalf("query collected %d answers, want 1", src.curReq.answers)
 	}
-	// Clear the per-query duplicate-suppression state so floods replay
-	// without unbounded map growth.
-	for _, sv := range w.svs {
-		clear(sv.seen)
-		sv.curReq = request{}
-	}
+	// Empty the ledger, keeping its chunks, so floods replay without
+	// unbounded growth.
+	src.opt.Ledger.reset()
+	src.curReq = request{}
 }
 
 // BenchmarkQueryFlood's contract is 0 allocs/op once warm:
@@ -245,7 +243,7 @@ func TestQueryFloodZeroAllocs(t *testing.T) {
 	}
 }
 
-// A servent's construction allocates the struct and its three maps and
+// A servent's construction allocates the struct and its two maps and
 // nothing else: its timers are package-level callbacks that reach it
 // through sim.Arg.X, so it binds no method values.
 func TestNewServentAllocs(t *testing.T) {
@@ -255,9 +253,9 @@ func TestNewServentAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := flood.NewRouter(0, route.NewPlane(s, med), flood.DefaultConfig())
-	opt := Options{RNG: s.NewRand()}
+	opt := Options{RNG: s.NewRand(), Ledger: NewQueryLedger(1)}
 	par := DefaultParams()
-	if allocs := testing.AllocsPerRun(100, func() { NewServent(0, s, rt, par, Regular, opt) }); allocs != 4 {
-		t.Errorf("NewServent allocates %.1f objects, want 4", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { NewServent(0, s, rt, par, Regular, opt) }); allocs != 3 {
+		t.Errorf("NewServent allocates %.1f objects, want 3", allocs)
 	}
 }

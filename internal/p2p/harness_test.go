@@ -16,11 +16,12 @@ import (
 // tests. Entries of svs may be nil: those nodes relay at the ad-hoc
 // layer but do not participate in the overlay.
 type world struct {
-	s   *sim.Sim
-	med *radio.Medium
-	rts []*aodv.Router
-	svs []*Servent
-	col *telemetry.Collector
+	s      *sim.Sim
+	med    *radio.Medium
+	rts    []*aodv.Router
+	svs    []*Servent
+	col    *telemetry.Collector
+	ledger *QueryLedger
 }
 
 // worldSpec configures newWorld.
@@ -53,11 +54,12 @@ func newWorld(t *testing.T, spec worldSpec) *world {
 	}
 	pl := route.NewPlane(s, med)
 	w := &world{
-		s:   s,
-		med: med,
-		rts: make([]*aodv.Router, len(spec.pts)),
-		svs: make([]*Servent, len(spec.pts)),
-		col: telemetry.NewCollector(len(spec.pts)),
+		s:      s,
+		med:    med,
+		rts:    make([]*aodv.Router, len(spec.pts)),
+		svs:    make([]*Servent, len(spec.pts)),
+		col:    telemetry.NewCollector(len(spec.pts)),
+		ledger: NewQueryLedger(len(spec.pts)),
 	}
 	for i, p := range spec.pts {
 		rt := aodv.NewRouter(i, pl, aodv.DefaultConfig())
@@ -66,7 +68,7 @@ func newWorld(t *testing.T, spec worldSpec) *world {
 		if spec.member != nil && !spec.member[i] {
 			continue
 		}
-		opt := Options{Collector: w.col, RNG: s.NewRand(), NoQueries: true}
+		opt := Options{Collector: w.col, Ledger: w.ledger, RNG: s.NewRand(), NoQueries: true}
 		if spec.files != nil {
 			opt.Files = spec.files[i]
 			opt.NoQueries = false

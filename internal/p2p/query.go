@@ -76,7 +76,6 @@ func (sv *Servent) runQuery() {
 	sv.nextQID++
 	sv.opt.Tracer.Emit(trace.KindQuery, sv.id, -1, "query qid=%d file=%d", trace.Int(sv.nextQID), trace.Int(file))
 	sv.curReq = request{open: true, qid: sv.nextQID, file: file}
-	sv.seen[queryKey(sv.id, sv.nextQID)] = struct{}{}
 	switch sv.par.QueryMode {
 	case QueryRandomWalk:
 		// Launch k walkers on random neighbors (distinct when possible).
@@ -135,17 +134,15 @@ func (sv *Servent) finishQuery() {
 // revisit a node (it keeps walking), but the node answers at most once.
 func (sv *Servent) onQuery(prev int, q Msg) {
 	if q.Origin == sv.id {
-		return
+		return // the requirer never handles its own query: the ledger holds no mark for it
 	}
 	if q.Walk {
 		sv.onWalkQuery(prev, q)
 		return
 	}
-	k := queryKey(q.Origin, q.Seq)
-	if _, dup := sv.seen[k]; dup {
+	if sv.opt.Ledger.mark(sv.id, queryKey(q.Origin, q.Seq)) {
 		return // rule 1: forward or respond at most once
 	}
-	sv.seen[k] = struct{}{}
 	myDist := q.Hops + 1
 	if sv.HasFile(q.File) {
 		// "it sends a response directly to the requirer."
@@ -168,12 +165,8 @@ func (sv *Servent) onQuery(prev int, q Msg) {
 // immediate bounce when any alternative exists).
 func (sv *Servent) onWalkQuery(prev int, q Msg) {
 	myDist := q.Hops + 1
-	k := queryKey(q.Origin, q.Seq)
-	if _, answered := sv.seen[k]; !answered {
-		sv.seen[k] = struct{}{}
-		if sv.HasFile(q.File) {
-			sv.send(q.Origin, Msg{Kind: msgQueryHit, Seq: q.Seq, File: q.File, Holder: sv.id, Hops: myDist})
-		}
+	if !sv.opt.Ledger.mark(sv.id, queryKey(q.Origin, q.Seq)) && sv.HasFile(q.File) {
+		sv.send(q.Origin, Msg{Kind: msgQueryHit, Seq: q.Seq, File: q.File, Holder: sv.id, Hops: myDist})
 	}
 	if q.TTL <= 1 {
 		return

@@ -105,12 +105,16 @@ func TestQueryTTLBoundsReach(t *testing.T) {
 }
 
 func TestQueryForwardOnceRule(t *testing.T) {
-	// Triangle 0-1, 1-2, 0-2 with an extra chain: each node must process
-	// a query exactly once despite multiple arrival paths.
-	w := queryWorld(t, 33, 3, fileSets(3, 1, map[int][]int{0: {1, 2}}))
+	// Triangle 0-1-2 and a 4-cycle 0-1-2-3 through it: each node must
+	// process a query exactly once despite multiple arrival paths, and
+	// the cycle would carry the query back round to its origin but for
+	// rule 3.
+	w := queryWorld(t, 33, 4, fileSets(4, 1, map[int][]int{0: {1, 2, 3}}))
 	forceLink(w.svs[0], w.svs[1], false)
 	forceLink(w.svs[1], w.svs[2], false)
 	forceLink(w.svs[0], w.svs[2], false)
+	forceLink(w.svs[2], w.svs[3], false)
+	forceLink(w.svs[3], w.svs[0], false)
 	w.svs[0].runQuery()
 	w.run(DefaultParams().QueryCollect + time(5))
 	reqs := w.col.Requests()
@@ -118,14 +122,23 @@ func TestQueryForwardOnceRule(t *testing.T) {
 		t.Fatalf("requests = %d, want 1", len(reqs))
 	}
 	// Each holder answers exactly once ("only responds once").
-	if reqs[0].Answers != 2 {
-		t.Errorf("answers = %d, want exactly 2 (one per holder, no duplicates)", reqs[0].Answers)
+	if reqs[0].Answers != 3 {
+		t.Errorf("answers = %d, want exactly 3 (one per holder, no duplicates)", reqs[0].Answers)
 	}
-	// Query messages received: node 1 gets it from 0 and (possibly) a
-	// forward from 2; forwarding back to the sender is forbidden, so in
-	// a triangle each of 1,2 receives at most 2 copies: one from origin,
-	// one forwarded by the other — but never echoes back to origin.
-	if got := w.col.Received(0, telemetry.Query); got != 0 {
+	checkOriginNeverHandles(t, w, 0)
+}
+
+// checkOriginNeverHandles requires every servent but origin to have
+// handled origin's first query, and origin never to have received it.
+func checkOriginNeverHandles(t *testing.T, w *world, origin int) {
+	t.Helper()
+	k := queryKey(origin, 1)
+	for _, sv := range w.svs {
+		if got, want := w.ledger.has(sv.id, k), sv.id != origin; got != want {
+			t.Errorf("node %d handled the query: %v, want %v", sv.id, got, want)
+		}
+	}
+	if got := w.col.Received(origin, telemetry.Query); got != 0 {
 		t.Errorf("origin received %d query copies, want 0 (rule 3)", got)
 	}
 }
@@ -269,6 +282,46 @@ func TestRandomWalkAnswersAtMostOnce(t *testing.T) {
 	}
 }
 
+// The walk-mode twin of TestQueryForwardOnceRule: on the 4-cycle
+// 0-1-2-3 the walker never steps back onto its origin, so at the far
+// nodes its only way on is the dead-end bounce; it spends its whole TTL
+// among 1, 2 and 3, and each holder answers once.
+func TestRandomWalkNeverReturnsToOrigin(t *testing.T) {
+	par := DefaultParams()
+	par.QueryMode = QueryRandomWalk
+	par.Walkers = 1
+	par.WalkTTL = 30
+	w := newWorld(t, worldSpec{
+		seed:  43,
+		pts:   cliquePts(4),
+		alg:   Regular,
+		par:   par,
+		files: fileSets(4, 2, map[int][]int{0: {1, 2, 3}, 1: {0}}),
+		opts: func(i int, o *Options) {
+			o.NoEstablish = true
+			o.NoQueries = true
+		},
+	})
+	w.joinAll()
+	for i := range 4 {
+		forceLink(w.svs[i], w.svs[(i+1)%4], false)
+	}
+	w.svs[0].runQuery()
+	w.run(par.QueryCollect + time(5))
+	reqs := w.col.Requests()
+	if len(reqs) != 1 || reqs[0].Answers != 3 {
+		t.Fatalf("requests = %+v, want one with exactly 3 answers", reqs)
+	}
+	var hops uint64
+	for i := 1; i < 4; i++ {
+		hops += w.col.Received(i, telemetry.Query)
+	}
+	if hops != uint64(par.WalkTTL) {
+		t.Errorf("the walker made %d hops, want its whole TTL of %d", hops, par.WalkTTL)
+	}
+	checkOriginNeverHandles(t, w, 0)
+}
+
 func TestRandomWalkCheaperThanFloodInClique(t *testing.T) {
 	// A 12-clique: flooding one query touches everyone; two walkers of
 	// TTL 16 send at most 32 messages but a flood with TTL 6 on a
@@ -364,9 +417,7 @@ func TestQueryPathNilTracerAllocs(t *testing.T) {
 		sv.runQuery()
 		s.Run(s.Now() + par.QueryCollect) // finishQuery closes the window
 		sv.queryEv.Cancel()               // and the test issues the next query
-		for _, x := range svs {
-			clear(x.seen)
-		}
+		sv.opt.Ledger.reset()
 	}
 	for i := 0; i < 64; i++ { // warm the event pool, maps and caches
 		query()

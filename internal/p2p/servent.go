@@ -55,6 +55,7 @@ type Options struct {
 	Qualifier   float64 // hybrid device qualifier (higher = more capable)
 	Files       []bool  // file holdings by rank; may be nil
 	Collector   *telemetry.Collector
+	Ledger      *QueryLedger  // the network's query ledger, shared by its servents; required
 	RNG         *rand.Rand    // deterministic per-node stream; required
 	NoQueries   bool          // disable the query workload (protocol-only tests)
 	NoEstablish bool          // disable the establishment cycle (query-only tests)
@@ -102,8 +103,7 @@ type Servent struct {
 
 	// Query engine.
 	nextQID uint32
-	seen    map[uint64]struct{} // queryKey of every query handled: rule 1
-	curReq  request             // the open query, if curReq.open
+	curReq  request // the open query, if curReq.open
 	queryEv sim.Handle
 
 	// Download extension.
@@ -121,8 +121,8 @@ type Servent struct {
 	cacheScratch []int // sorted peer-cache id buffer; see cachedPeerIDs
 }
 
-// queryKey packs a query's origin and id into one map key. Node ids are
-// below 2^16.
+// queryKey packs a query's origin and id into one ledger key. Node ids
+// are below 2^16.
 func queryKey(origin int, qid uint32) uint64 { return uint64(origin)<<32 | uint64(qid) }
 
 type request struct {
@@ -145,9 +145,10 @@ func NewServent(id int, s *sim.Sim, rt netif.Protocol, par Params, alg Algorithm
 	}
 	par.Download = par.Download.withDefaults()
 	par.PeerCache = par.PeerCache.withDefaults()
-	if opt.RNG == nil || !alg.Valid() {
-		// Unreachable: every caller passes a stream and a checked Algorithm.
-		panic("p2p: NewServent needs Options.RNG and a valid Algorithm")
+	if opt.RNG == nil || opt.Ledger == nil || !alg.Valid() {
+		// Unreachable: every caller passes a stream, a ledger and a
+		// checked Algorithm.
+		panic("p2p: NewServent needs Options.RNG, Options.Ledger and a valid Algorithm")
 	}
 	return &Servent{
 		id:        id,
@@ -159,7 +160,6 @@ func NewServent(id int, s *sim.Sim, rt netif.Protocol, par Params, alg Algorithm
 		opt:       opt,
 		conns:     make(map[int]*conn),
 		pending:   make(map[int]handshake),
-		seen:      make(map[uint64]struct{}),
 		skipClose: -1,
 	}
 }
