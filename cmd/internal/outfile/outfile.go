@@ -1,5 +1,6 @@
-// Package outfile opens the commands' -metrics files so that a refused
-// run leaves what the path already held as it was.
+// Package outfile opens the commands' output files (-metrics, -trace,
+// the profiles) so that a refused run leaves what the path already held
+// as it was.
 package outfile
 
 import "os"

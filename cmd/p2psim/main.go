@@ -22,8 +22,8 @@ import (
 
 	"manetp2p"
 	"manetp2p/cmd/internal/outfile"
+	"manetp2p/cmd/internal/prof"
 	"manetp2p/cmd/internal/scenarioflag"
-	"manetp2p/internal/prof"
 )
 
 // parseSeries resolves the -series flag; "" selects no series.
@@ -66,16 +66,6 @@ func main() {
 			"checkpoint", "save-config", "selfcheck"), 2)
 	}
 
-	stopProf, err := profFlags.Start()
-	exitOn(err, 2)
-	// Profiles flush on the normal return path; error paths os.Exit and
-	// deliberately drop them rather than report half a run as a profile.
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}()
-
 	var sc manetp2p.Scenario
 	if *resume != "" {
 		info, err := manetp2p.InspectCheckpoint(*resume)
@@ -87,10 +77,23 @@ func main() {
 		sc, err = scenario.Scenario()
 		exitOn(err, 2)
 	}
+	// Refused here, an invalid scenario leaves every output file as it was.
+	exitOn(sc.Validate(), 2)
 	if *saveCfg != "" {
 		exitOn(manetp2p.SaveScenario(*saveCfg, sc), 1)
 		return
 	}
+
+	stopProf, err := profFlags.Start()
+	exitOn(err, 2)
+	// Profiles flush on the normal return path; error paths os.Exit and
+	// deliberately drop them rather than report half a run as a profile.
+	defer func() {
+		if err := stopProf(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
+	}()
+
 	if *selfcheck {
 		runSelfcheck(sc)
 		return
@@ -137,21 +140,12 @@ func printReport(res *manetp2p.Result, curves bool, series *manetp2p.SeriesKind)
 
 // openMetricsSink opens the -metrics target ("" = none, "-" = stdout)
 // and returns the sink plus a close function that flushes it and exits
-// nonzero on a write error. A file is emptied only when the run writes
-// to it, so a refused run leaves it as it was.
+// nonzero on a write error.
 func openMetricsSink(path string) (manetp2p.MetricsSink, func()) {
 	if path == "" {
 		return nil, func() {}
 	}
-	var w io.Writer
-	if path == "-" {
-		w = create(path, 2)
-	} else {
-		f, err := outfile.Create(path)
-		exitOn(err, 2)
-		w = f
-	}
-	sink := manetp2p.NewJSONLSink(w)
+	sink := manetp2p.NewJSONLSink(create(path, 2))
 	return sink, func() {
 		if err := sink.Close(); err != nil {
 			exitOn(fmt.Errorf("writing metrics stream: %w", err), 1)
@@ -201,13 +195,15 @@ func runTraced(sc manetp2p.Scenario, path string) {
 }
 
 // create opens path for writing ("-" = stdout), exiting with code if it
-// cannot. Stdout comes wrapped without its Close: a sink closes any
-// io.Closer it is handed, and the report is still to be printed there.
+// cannot. A file is an outfile.File, emptied only when the run writes to
+// it, so a refused run leaves it as it was. Stdout comes wrapped without
+// its Close: a sink closes any io.Closer it is handed, and the report is
+// still to be printed there.
 func create(path string, code int) io.Writer {
 	if path == "-" {
 		return struct{ io.Writer }{os.Stdout}
 	}
-	f, err := os.Create(path)
+	f, err := outfile.Create(path)
 	exitOn(err, code)
 	return f
 }

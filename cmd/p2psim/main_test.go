@@ -164,6 +164,51 @@ func TestRefusedRunKeepsItsMetricsFile(t *testing.T) {
 	}
 }
 
+// An invalid scenario is refused before any output file is opened, and
+// a run Pool.Run refuses (a checkpoint of another scenario) exits before
+// the profiles are written: -trace, -save-config and the profile files
+// keep the bytes they held.
+func TestRefusedRunKeepsItsOutputFiles(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "r.ckpt")
+	small := []string{"-nodes", "12", "-area", "50", "-range", "15", "-duration", "60", "-reps", "2"}
+	if _, stderr, code := runP2psim(t, append(small, "-checkpoint", ckpt)...); code != 0 {
+		t.Fatalf("first run: exit %d: %s", code, stderr)
+	}
+	out := func(name string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte("an older "+name+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for _, tc := range []struct {
+		name, refusal string
+		code          int
+		args          []string
+	}{
+		{"trace", "NumNodes", 2, []string{"-nodes", "0", "-trace", out("t.jsonl")}},
+		{"save-config", "NumNodes", 2, []string{"-nodes", "0", "-save-config", out("s.json")}},
+		{"profiles", "NumNodes", 2, []string{"-nodes", "0", "-cpuprofile", out("c.prof"), "-memprofile", out("m.prof"), "-exectrace", out("e.out")}},
+		{"profiles, different scenario", "different scenario", 1,
+			append([]string{"-seed", "2", "-checkpoint", ckpt, "-cpuprofile", out("c.prof"), "-memprofile", out("m.prof")}, small...)},
+	} {
+		_, stderr, code := runP2psim(t, tc.args...)
+		if code != tc.code || !strings.Contains(stderr, tc.refusal) {
+			t.Errorf("%s: exit %d, stderr %q; want exit %d naming %q", tc.name, code, stderr, tc.code, tc.refusal)
+		}
+		for i, arg := range tc.args {
+			if !strings.HasPrefix(arg, dir) || arg == ckpt {
+				continue
+			}
+			want := "an older " + filepath.Base(arg) + "\n"
+			if got, err := os.ReadFile(arg); err != nil || string(got) != want {
+				t.Errorf("%s: the refused run left %q in its %s file (err %v), want %q", tc.name, got, tc.args[i-1], err, want)
+			}
+		}
+	}
+}
+
 // -trace - streams the events to stdout, one JSON object per line.
 func TestTraceWritesEventLines(t *testing.T) {
 	stdout, stderr, code := runP2psim(t, "-trace", "-", "-nodes", "10", "-area", "40", "-range", "15", "-duration", "120")

@@ -28,8 +28,8 @@ import (
 	"time"
 
 	"manetp2p"
+	"manetp2p/cmd/internal/prof"
 	"manetp2p/cmd/internal/scenarioflag"
-	"manetp2p/internal/prof"
 )
 
 // experiment maps a paper artifact to the runs and renderer it needs.
@@ -105,6 +105,11 @@ func main() {
 	if *fast {
 		base.Replications = 5
 	}
+	// Every run is base with a figure's node count and algorithm fixed:
+	// an invalid field is refused here, before a profile file is opened.
+	exitOn(base.Validate(), 2)
+	wanted, err := parseExperiments(*expFlag)
+	exitOn(err, 2)
 
 	stopProf, err := profFlags.Start()
 	exitOn(err, 2)
@@ -115,9 +120,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 		}
 	}()
-
-	wanted, err := parseExperiments(*expFlag)
-	exitOn(err, 2)
 
 	// Figures with the same node count share one set of runs.
 	cache := map[int][]*manetp2p.Result{}

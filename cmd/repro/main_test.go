@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -10,6 +14,53 @@ import (
 	"manetp2p"
 	"manetp2p/cmd/internal/scenarioflag"
 )
+
+// TestMain lets a test run the command itself: re-executed with
+// REPRO_TEST_MAIN set, the test binary is repro on its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("REPRO_TEST_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// An invalid scenario or experiment list is refused before the profile
+// files are opened: each keeps the bytes it held.
+func TestRefusedRunKeepsItsProfileFiles(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{}
+	var profiles []string
+	for _, flag := range []string{"cpuprofile", "memprofile", "exectrace"} {
+		path := filepath.Join(dir, flag)
+		files[path] = "an older " + flag + "\n"
+		if err := os.WriteFile(path, []byte(files[path]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		profiles = append(profiles, "-"+flag, path)
+	}
+	for _, tc := range []struct {
+		refusal string
+		args    []string
+	}{
+		{"Duration", []string{"-duration", "0"}},
+		{"fig13", []string{"-exp", "fig13"}},
+	} {
+		cmd := exec.Command(os.Args[0], append(tc.args, profiles...)...)
+		cmd.Env = append(os.Environ(), "REPRO_TEST_MAIN=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		var exit *exec.ExitError
+		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), tc.refusal) {
+			t.Errorf("%v: err %v, stderr %q; want exit 2 naming %q", tc.args, err, stderr.String(), tc.refusal)
+		}
+		for path, want := range files {
+			if got, err := os.ReadFile(path); err != nil || string(got) != want {
+				t.Errorf("%v: the refused run left %q in %s (err %v), want %q", tc.args, got, filepath.Base(path), err, want)
+			}
+		}
+	}
+}
 
 func TestParseExperiments(t *testing.T) {
 	for _, name := range order {

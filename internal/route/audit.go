@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-
-	"manetp2p/internal/sim"
 )
 
 // Audit validates every duplicate index on the plane and reports each
@@ -13,9 +11,11 @@ import (
 // nothing. It is the routing half of the runtime invariant checker, next
 // to sim.Sim.Audit and radio.Medium.Audit, and reads only. The rules:
 //
-//   - log-order: the mark log is in time order, and when the last call
-//     returned no live mark in it had reached the timeout — expiry is
-//     exact, never deferred.
+//   - log-order: the mark log's times, each relative to the entry
+//     before it, decode from its head's instant to its tail's, which is
+//     no later than the last call; and when that call returned no live
+//     mark in the log had reached the timeout — expiry is exact, never
+//     deferred.
 //   - bit-count: a record's live count is the population of its node
 //     set, a node's live count is the number of records it is set in,
 //     and the live marks in the log are exactly the set bits — "bit set"
@@ -38,25 +38,28 @@ func (p *Plane) Audit(report func(rule, detail string)) {
 }
 
 func (x *dupIndex) audit(report func(rule, detail string)) {
-	// The log: order, exact expiry, and every live mark backed by a bit.
+	// The log: times that decode from headT to tailT, exact expiry, and
+	// every live mark backed by a bit.
 	marks := 0
-	var last sim.Time
+	t := x.headT
 	for i := 0; i < x.n; i++ {
 		m := *x.at(i)
-		if i > 0 && m.t < last {
-			report("log-order", fmt.Sprintf("mark %d at %v logged behind one at %v", i, m.t, last))
+		if i > 0 {
+			t += m.gap()
 		}
-		last = m.t
-		if m.node < 0 {
+		if m.rec < 0 {
 			continue
 		}
 		marks++
-		if x.swept-m.t >= x.cfg.Timeout {
-			report("log-order", fmt.Sprintf("mark %d of node %d at %v outlived the timeout at %v", i, m.node, m.t, x.swept))
+		if x.swept-t >= x.cfg.Timeout {
+			report("log-order", fmt.Sprintf("mark %d of node %d at %v outlived the timeout at %v", i, m.node, t, x.swept))
 		}
 		if m.rec >= x.made || int(m.node) >= len(x.live) || !x.has(m.rec, int(m.node)) {
 			report("bit-count", fmt.Sprintf("live mark %d (node %d, record %d) has no bit set", i, m.node, m.rec))
 		}
+	}
+	if x.n > 0 && (t != x.tailT || t > x.swept) {
+		report("log-order", fmt.Sprintf("the log decodes from %v to %v, its tail is at %v, the last retire at %v", x.headT, t, x.tailT, x.swept))
 	}
 
 	if x.scratch == nil {

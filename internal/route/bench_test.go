@@ -3,6 +3,7 @@ package route
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"manetp2p/internal/netif"
 	"manetp2p/internal/sim"
@@ -187,6 +188,37 @@ func TestDupLogReusesChunks(t *testing.T) {
 	}
 	if w.x.n != dupLogMarks {
 		t.Errorf("log holds %d marks after a fill, want %d", w.x.n, dupLogMarks)
+	}
+}
+
+// TestDupLogBytesPerMark holds the log entry at 8 bytes: N live marks,
+// made 1 ms apart so no gap needs a skip entry, hold at most 8·N bytes
+// of chunks plus the one the tail is filling.
+func TestDupLogBytesPerMark(t *testing.T) {
+	const nodes, marks = 150, 5 * dupChunkLen / 2
+	s := sim.New(7)
+	pl := testPlane(s, nodes)
+	caches := make([]*DupCache, nodes)
+	for n := range caches {
+		caches[n] = NewDupCache(NewCore(n, pl), netif.PktBcast, cacheFor(sim.Minute))
+	}
+	for i := range marks {
+		caches[i%nodes].Mark(Key{Origin: i % nodes, ID: uint32(i)})
+		s.Run(s.Now() + sim.Millisecond)
+	}
+	live := 0
+	for _, dc := range caches {
+		live += dc.Len()
+	}
+	x := pl.dups[0]
+	chunks := len(x.spare)
+	for _, c := range x.log {
+		if c != nil {
+			chunks++
+		}
+	}
+	if got, bound := chunks*int(unsafe.Sizeof(dupChunk{})), 8*live+int(unsafe.Sizeof(dupChunk{})); live != marks || x.n != marks || got > bound {
+		t.Errorf("%d live marks in %d log entries hold %d bytes of chunks, want %d in %d and at most %d bytes", live, x.n, got, marks, marks, bound)
 	}
 }
 

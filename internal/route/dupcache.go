@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"math"
 
 	"manetp2p/internal/netif"
 	"manetp2p/internal/sim"
@@ -116,17 +117,21 @@ type dupIndex struct {
 	made int32   // records made: the chunks' filled prefix
 	free []int32 // recycled records, all-zero
 
-	// log holds the n marks made and not yet retired, oldest at head;
-	// the clock never runs backwards, so it is in time order. It is a
-	// ring of len(log)<<dupChunkShift positions (len(log) a power of
-	// two) in fixed-size chunks: position p is mark p&dupChunkMask of
-	// chunk log[p>>dupChunkShift]. Only the chunks from the head's to the
+	// log holds the n entries made and not yet retired, oldest at head;
+	// the clock never runs backwards, so it is in time order, each entry
+	// timed relative to the one before it: headT and tailT are the
+	// instants of the head entry and the tail entry. It is a ring of
+	// len(log)<<dupChunkShift positions (len(log) a power of two) in
+	// fixed-size chunks: position p is entry p&dupChunkMask of chunk
+	// log[p>>dupChunkShift]. Only the chunks from the head's to the
 	// tail's are held; the others are nil, and a drained chunk waits in
 	// spare for the tail to need one again.
 	log   []*dupChunk
 	spare []*dupChunk
 	head  int
 	n     int
+	headT sim.Time
+	tailT sim.Time
 
 	live    []int32   // per node: live marks
 	swept   sim.Time  // the clock at the last retire, for Audit
@@ -141,18 +146,36 @@ type dupRecord struct {
 	t0   sim.Time
 }
 
-// dupMark is one log entry: node marked rec at t. Eviction kills a mark
-// in place by setting node to -1.
+// dupMark is one log entry, 8 bytes: node marked rec dt microseconds
+// after the entry before it. Eviction kills a mark in place by setting
+// rec to dupDead; it keeps its dt. A gap of more than 65,535 µs between
+// two entries is bridged by skip entries (rec == dupSkip), each holding
+// a gap of up to 2^32−1 µs in node<<16 | dt. A node id fits in 16 bits
+// because Scenario.Validate caps NumNodes at 1<<16, and newDupIndex
+// refuses a larger medium.
 type dupMark struct {
-	t    sim.Time
 	rec  int32
-	node int32
+	node uint16
+	dt   uint16
 }
 
-// A log chunk holds 4096 marks (64 KiB): a paper-scale log spans a few
+const (
+	dupDead int32 = -1 // an evicted mark
+	dupSkip int32 = -2 // a gap the entry after it does not hold
+)
+
+// gap is the time from the entry before m to m.
+func (m dupMark) gap() sim.Time {
+	if m.rec == dupSkip {
+		return sim.Time(m.node)<<16 | sim.Time(m.dt)
+	}
+	return sim.Time(m.dt)
+}
+
+// A log chunk holds 4096 entries (32 KiB): a paper-scale log spans a few
 // dozen, and a family that never holds more than a few hundred marks
 // costs one. Half the size doubles the chunk allocations; twice the size
-// costs every such small family 64 KiB more.
+// costs every such small family 32 KiB more.
 const (
 	dupChunkShift = 12
 	dupChunkLen   = 1 << dupChunkShift
@@ -179,16 +202,21 @@ type recChunk struct {
 }
 
 func newDupIndex(ord int, cfg CacheConfig, p *Plane) *dupIndex {
+	nodes := p.med.NumNodes()
+	if nodes > 1<<16 {
+		// Unreachable from input: Scenario.Validate caps NumNodes at 1<<16.
+		panic(fmt.Sprintf("route: %d nodes overflow a duplicate-log entry's 16-bit node id", nodes))
+	}
 	return &dupIndex{
 		ord:   ord,
 		cfg:   cfg,
 		plane: p,
 		sim:   p.sim,
-		words: (p.med.NumNodes() + 63) / 64,
+		words: (nodes + 63) / 64,
 		table: make([]int32, 16),
 		mask:  15,
 		log:   make([]*dupChunk, 1),
-		live:  make([]int32, p.med.NumNodes()),
+		live:  make([]int32, nodes),
 	}
 }
 
@@ -242,20 +270,19 @@ func (x *dupIndex) has(rec int32, node int) bool {
 	return *w&b != 0
 }
 
-// retire pops every mark that has reached the timeout (and every dead
-// mark in front of one that has not), clearing its bit.
+// retire pops every entry that has reached the timeout, clearing the
+// bit of each live mark among them. The log is in time order, so the
+// head's instant alone says whether anything is due.
 func (x *dupIndex) retire() sim.Time {
 	now := x.sim.Now()
 	x.swept = now
-	for x.n > 0 {
-		m := x.at(0)
-		if m.node >= 0 {
-			if now-m.t < x.cfg.Timeout {
-				break
-			}
+	for x.n > 0 && now-x.headT >= x.cfg.Timeout {
+		if m := x.at(0); m.rec >= 0 {
 			x.clear(m.rec, int(m.node))
 		}
-		x.pop()
+		if x.pop(); x.n > 0 {
+			x.headT += x.at(0).gap()
+		}
 	}
 	return now
 }
@@ -269,7 +296,7 @@ func (x *dupIndex) at(i int) *dupMark {
 // pos is the ring position of the log's i-th oldest mark.
 func (x *dupIndex) pos(i int) int { return (x.head + i) & (len(x.log)<<dupChunkShift - 1) }
 
-// pop drops the oldest mark, handing its chunk to spare once drained.
+// pop drops the oldest entry, handing its chunk to spare once drained.
 // An emptied log rewinds to the start of the head's chunk, so filling
 // it again takes no more chunks than filling it first did.
 func (x *dupIndex) pop() {
@@ -282,6 +309,22 @@ func (x *dupIndex) pop() {
 	if x.n--; x.n == 0 {
 		x.head &^= dupChunkMask
 	}
+}
+
+// logMark appends node's mark of rec at now, after the skip entries
+// that bridge a gap from the tail too long for its dt.
+func (x *dupIndex) logMark(rec int32, node int, now sim.Time) {
+	if x.n == 0 {
+		x.headT, x.tailT = now, now
+	}
+	gap := now - x.tailT
+	for gap > math.MaxUint16 {
+		skip := min(gap, math.MaxUint32)
+		x.push(dupMark{rec: dupSkip, node: uint16(skip >> 16), dt: uint16(skip)})
+		gap -= skip
+	}
+	x.push(dupMark{rec: rec, node: uint16(node), dt: uint16(gap)})
+	x.tailT = now
 }
 
 // push appends m at the tail. A tail entering a chunk not held takes a
@@ -347,7 +390,7 @@ func (x *dupIndex) mark(node int, k Key) bool {
 	*w |= b
 	x.rec(rec).live++
 	x.live[node]++
-	x.push(dupMark{t: now, rec: rec, node: int32(node)})
+	x.logMark(rec, node, now)
 	return false
 }
 
@@ -442,9 +485,9 @@ func (x *dupIndex) evict(node int) {
 	x.plane.med.Unabsorb(node)
 	drop := int(x.live[node]) - x.cfg.HardCap*3/4
 	for i := 0; drop > 0; i++ {
-		if m := x.at(i); int(m.node) == node {
+		if m := x.at(i); m.rec >= 0 && int(m.node) == node {
 			x.clear(m.rec, node)
-			m.node = -1
+			m.rec = dupDead
 			drop--
 		}
 	}

@@ -347,11 +347,12 @@ func TestPlaneAuditDetectsCorruption(t *testing.T) {
 		rule    string
 		corrupt func(x *dupIndex)
 	}{
-		{"log-order", func(x *dupIndex) { x.at(1).t = x.at(0).t - 1 }},
-		{"log-order", func(x *dupIndex) { x.swept = x.at(0).t + x.cfg.Timeout }},
+		{"log-order", func(x *dupIndex) { x.at(1).dt++ }},
+		{"log-order", func(x *dupIndex) { x.headT++ }},
+		{"log-order", func(x *dupIndex) { x.swept = x.headT + x.cfg.Timeout }},
 		{"bit-count", func(x *dupIndex) { x.set(0)[0] ^= 1 << 3 }},
 		{"bit-count", func(x *dupIndex) { x.live[2]-- }},
-		{"bit-count", func(x *dupIndex) { x.at(0).node = -1 }},
+		{"bit-count", func(x *dupIndex) { x.at(0).rec = dupDead }},
 		{"table-reach", func(x *dupIndex) { slot, _ := x.find(Key{Origin: 9, ID: 1}); x.table[slot] = 0 }},
 		{"table-reach", func(x *dupIndex) { x.free = append(x.free, 0) }},
 		{"node-bound", func(x *dupIndex) { x.cfg.HardCap = 5 }},
@@ -402,16 +403,30 @@ func (m *markModel) mark(node int, k Key, now sim.Time) bool {
 	return m.nodes[node].mark(k, now)
 }
 
-// dupModelRun drives one family of 40 caches and its markModel through
-// the operation stream next draws (next(n) is a choice in [0, n); false
-// ends the stream): marks, floods reaching a run of nodes, storms that
-// cross a node's hard cap, Seen, holders and Len probes, and clock
-// advances, short ones and ones past the timeout. It fails t at the
-// first answer the two disagree on, and returns how many marks grew the
-// log while it wrapped round its ring with the head mid-chunk.
-func dupModelRun(t *testing.T, next func(n int) (int, bool)) (grewWrapped int) {
+// dupModelFamilies are the cache bounds dupModelRun is run with: marks
+// living 2 s, and marks living longer than one skip entry's 2^32−1 µs,
+// so a gap can take several.
+var dupModelFamilies = []CacheConfig{
+	{Timeout: 2 * sim.Second, HardCap: 256},
+	{Timeout: 3 << 32, HardCap: 256},
+}
+
+// dupRunStats counts what one dupModelRun reached: marks that grew the
+// log while it wrapped round its ring with the head mid-chunk, and marks
+// logged behind one skip entry and behind several.
+type dupRunStats struct {
+	grewWrapped, skips, multiSkips int
+}
+
+// dupModelRun drives one family of 40 caches bounded by cfg and its
+// markModel through the operation stream next draws (next(n) is a
+// choice in [0, n); false ends the stream): marks, floods reaching a
+// run of nodes, storms that cross a node's hard cap, Seen, holders and
+// Len probes, and clock advances — short ones, gaps over a log entry's
+// 65,535 µs while marks are live, and ones past the timeout. It fails t
+// at the first answer the two disagree on.
+func dupModelRun(t *testing.T, cfg CacheConfig, next func(n int) (int, bool)) (st dupRunStats) {
 	const nodes = 40
-	cfg := CacheConfig{Timeout: 2 * sim.Second, HardCap: 256}
 	s := sim.New(19)
 	pl := testPlane(s, nodes)
 	dc := make([]*DupCache, nodes)
@@ -424,12 +439,18 @@ func dupModelRun(t *testing.T, next func(n int) (int, bool)) (grewWrapped int) {
 	mark := func(n int, k Key) {
 		x.retire() // what Mark does first, so the state below is the one it grows from
 		wrapped := x.head+x.n > len(x.log)<<dupChunkShift
-		mid, slots := x.head&dupChunkMask != 0, len(x.log)
+		mid, slots, entries := x.head&dupChunkMask != 0, len(x.log), x.n
 		if got, want := dc[n].Mark(k), model.mark(n, k, s.Now()); got != want {
 			t.Fatalf("t=%v node %d Mark(%+v) = %v, model says %v", s.Now(), n, k, got, want)
 		}
 		if len(x.log) > slots && wrapped && mid {
-			grewWrapped++
+			st.grewWrapped++
+		}
+		switch x.n - entries { // the mark, after its skip entries
+		case 2:
+			st.skips++
+		case 3, 4:
+			st.multiSkips++
 		}
 	}
 	for {
@@ -484,9 +505,14 @@ func dupModelRun(t *testing.T, next func(n int) (int, bool)) (grewWrapped int) {
 			s.Run(s.Now() + sim.Time(step)*sim.Millisecond)
 		default:
 			// Past the timeout, but only now and then: the log must grow
-			// long enough to span chunks between drains.
-			if drain, _ := next(8); drain == 0 {
+			// long enough to span chunks between drains. As often, a gap
+			// from 65.536 ms to 15/16 of the timeout, which skip entries
+			// bridge while marks are live.
+			switch gap, _ := next(8); gap {
+			case 0:
 				s.Run(s.Now() + cfg.Timeout + sim.Time(id))
+			case 1:
+				s.Run(s.Now() + 1<<16 + sim.Time(id)*(cfg.Timeout-1<<16)/16)
 			}
 		}
 	}
@@ -496,41 +522,51 @@ func dupModelRun(t *testing.T, next func(n int) (int, bool)) (grewWrapped int) {
 			t.Fatalf("node %d ends with Len %d, model holds %d", n, got, want)
 		}
 	}
-	return grewWrapped
+	return st
 }
 
-// TestDupIndexMatchesMarkModel runs one seeded stream long enough that
-// the log spans several chunks, drains and refills, wraps round its
-// ring, and grows while wrapped with its head mid-chunk.
+// TestDupIndexMatchesMarkModel runs one seeded stream per family, long
+// enough that the log spans several chunks, drains and refills and
+// wraps round its ring, and bridges gaps with one skip entry and, in
+// the long-lived family, with several; in the 2 s family the log also
+// grows while wrapped with its head mid-chunk.
 func TestDupIndexMatchesMarkModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(39))
-	steps := 20_000
-	grew := dupModelRun(t, func(n int) (int, bool) {
-		steps--
-		return rng.Intn(n), steps >= 0
-	})
-	if grew == 0 {
-		t.Fatal("the log never grew while wrapped with its head mid-chunk")
+	for f, cfg := range dupModelFamilies {
+		rng := rand.New(rand.NewSource(39))
+		steps := 20_000
+		st := dupModelRun(t, cfg, func(n int) (int, bool) {
+			steps--
+			return rng.Intn(n), steps >= 0
+		})
+		if f == 0 && st.grewWrapped == 0 || st.skips == 0 || f > 0 && st.multiSkips == 0 {
+			t.Fatalf("timeout %v: %+v; want the log grown while wrapped with its head mid-chunk, and gaps bridged", cfg.Timeout, st)
+		}
+		t.Logf("timeout %v: %+v", cfg.Timeout, st)
 	}
 }
 
 // FuzzDupIndex feeds dupModelRun's operation stream from the fuzz
-// bytes, one byte a choice. The 4 KiB seed grows the log to three or
-// four chunks.
+// bytes, one byte a choice, to each family. The 4 KiB seed grows the
+// log to three or four chunks; the 13-byte one marks, leaves a gap of
+// 1.04 s (in the long-lived family, of 1.79 h) and marks again.
 func FuzzDupIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 40, 5, 6, 7, 8, 9, 50, 11, 60, 3, 4, 63, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{42, 7, 3, 1, 33, 0, 2, 5, 36, 9, 9, 9}, 16))
 	long := make([]byte, 4096)
 	rand.New(rand.NewSource(39)).Read(long)
 	f.Add(long)
+	f.Add([]byte{0, 1, 2, 3, 63, 0, 0, 8, 1, 0, 2, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dupModelRun(t, func(n int) (int, bool) {
-			if len(data) == 0 {
-				return 0, false
-			}
-			b := data[0]
-			data = data[1:]
-			return int(b) % n, true
-		})
+		for _, cfg := range dupModelFamilies {
+			in := data
+			dupModelRun(t, cfg, func(n int) (int, bool) {
+				if len(in) == 0 {
+					return 0, false
+				}
+				b := in[0]
+				in = in[1:]
+				return int(b) % n, true
+			})
+		}
 	})
 }

@@ -46,8 +46,12 @@ func UnmarshalJSONScenario(data []byte) (Scenario, error) {
 	return sc, nil
 }
 
-// SaveScenario writes sc to path as JSON.
+// SaveScenario writes sc to path as JSON. A scenario LoadScenario would
+// refuse is refused here, and the file is left as it was.
 func SaveScenario(path string, sc Scenario) error {
+	if err := sc.Validate(); err != nil {
+		return err
+	}
 	data, err := MarshalJSONScenario(sc)
 	if err != nil {
 		return err

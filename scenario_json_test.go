@@ -253,6 +253,24 @@ func TestSaveAndLoadScenario(t *testing.T) {
 	}
 }
 
+// SaveScenario refuses a scenario LoadScenario would refuse, and leaves
+// the file as it was.
+func TestSaveScenarioRefusesInvalid(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sc.json")
+	const old = "an older scenario\n"
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sc := DefaultScenario(30, Random)
+	sc.NumNodes = 0
+	if err := SaveScenario(path, sc); err == nil || !strings.Contains(err.Error(), "NumNodes") {
+		t.Errorf("SaveScenario of 0 nodes: err = %v, want a refusal naming NumNodes", err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != old {
+		t.Errorf("refused SaveScenario left %q (err %v), want %q", data, err, old)
+	}
+}
+
 func TestLoadedScenarioRuns(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sc.json")
 	sc := quickScenario(Regular, 12)
