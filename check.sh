@@ -256,10 +256,6 @@ go test -race -short ./...
 # assertion still runs; timing is benchmark/'s job, not this smoke's.
 echo "== bench smoke (unit benchmarks, 10 iterations) =="
 go test -run '^$' -bench . -benchtime 10x ./internal/...
-# The root package's figure benchmarks run whole scenarios, so one
-# iteration each: the smoke only proves every body still runs.
-echo "== bench smoke (root figure benchmarks, 1 iteration) =="
-go test -run '^$' -bench . -benchtime 1x .
 
 echo "all checks passed"
 

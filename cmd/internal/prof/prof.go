@@ -4,6 +4,7 @@
 package prof
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -35,11 +36,10 @@ func Register(fs *flag.FlagSet) *Flags {
 
 // Start begins the requested profilers. The returned stop function
 // flushes and closes them; call it (or defer it) before the process
-// exits. Each file is an outfile.File, emptied at its first write: the
-// CPU and heap profiles are written by stop, so a run that exits
-// without it leaves them as they were. The execution trace writes as
-// it goes, so a command starts the profilers only once its input is
-// validated.
+// exits. Each file is an outfile.File, emptied at its first write, and
+// every profile is written by stop: the runtime holds the CPU profile
+// until then, and the execution trace is held here, so a run that exits
+// without stop leaves all three files as they were.
 func (f *Flags) Start() (stop func() error, err error) {
 	var stops []func() error
 
@@ -61,12 +61,14 @@ func (f *Flags) Start() (stop func() error, err error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := trace.Start(w); err != nil {
+		buf := new(bytes.Buffer) // about 13 kB per second of a 150-node run
+		if err := trace.Start(buf); err != nil {
 			return nil, fmt.Errorf("exectrace: %w", err)
 		}
 		stops = append(stops, func() error {
 			trace.Stop()
-			return w.Close()
+			_, err := buf.WriteTo(w)
+			return errors.Join(err, w.Close())
 		})
 	}
 	if f.mem != "" {

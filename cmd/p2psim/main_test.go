@@ -191,7 +191,7 @@ func TestRefusedRunKeepsItsOutputFiles(t *testing.T) {
 		{"save-config", "NumNodes", 2, []string{"-nodes", "0", "-save-config", out("s.json")}},
 		{"profiles", "NumNodes", 2, []string{"-nodes", "0", "-cpuprofile", out("c.prof"), "-memprofile", out("m.prof"), "-exectrace", out("e.out")}},
 		{"profiles, different scenario", "different scenario", 1,
-			append([]string{"-seed", "2", "-checkpoint", ckpt, "-cpuprofile", out("c.prof"), "-memprofile", out("m.prof")}, small...)},
+			append([]string{"-seed", "2", "-checkpoint", ckpt, "-cpuprofile", out("c.prof"), "-memprofile", out("m.prof"), "-exectrace", out("e.out")}, small...)},
 	} {
 		_, stderr, code := runP2psim(t, tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.refusal) {

@@ -64,3 +64,19 @@ func TestOverlaySnapshotSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state snapshot allocates %v per run, want 0", allocs)
 	}
 }
+
+// BenchmarkWaypointPos times one simulated second of a lone member:
+// mostly its mobility model's position updates.
+func BenchmarkWaypointPos(b *testing.B) {
+	sc := DefaultScenario(1, p2p.Regular)
+	sc.Seed = 3
+	sc.MemberFraction = 1
+	net, err := Build(sc, 0, Options{NoQueries: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.Run(sim.Second)
+	}
+}

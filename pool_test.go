@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+
+	"manetp2p/internal/sim"
 )
 
 // resultJSON renders a Result for whole-value comparison; any field
@@ -82,5 +84,30 @@ func TestPoolSharedAcrossPointsMatchesSequential(t *testing.T) {
 		if string(want[i]) != string(got[i]) {
 			t.Errorf("point %d diverged under the shared pool", i)
 		}
+	}
+}
+
+// BenchmarkAblationRunnerScaling measures the replication runner's
+// parallel speedup: the same 8-replication batch with 1 worker versus
+// all cores.
+func BenchmarkAblationRunnerScaling(b *testing.B) {
+	base := DefaultScenario(50, Regular)
+	base.Replications = 8
+	base.Duration = 600 * sim.Second
+	base.SnapshotEvery = 0
+	for _, workers := range []int{1, 0} {
+		name := "serial"
+		if workers == 0 {
+			name = "parallel"
+		}
+		b.Run(name, func(b *testing.B) {
+			sc := base
+			sc.Workers = workers
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -155,21 +155,6 @@ func WriteTrafficSeries(w io.Writer, results []*Result) error {
 	return nil
 }
 
-// WriteResilience emits the resilience telemetry of a fault-injected
-// run: the health time series as TSV followed by one row per scripted
-// fault with its recovery telemetry. No-op for runs without telemetry.
-func WriteResilience(w io.Writer, r *Result) error {
-	return reportResilience(w, r)
-}
-
-// WriteWorkload emits the demand telemetry of a workload-driven run as
-// TSV: the conservation ledger per replication, the derived success
-// rate, the pooled latency distributions, the churn-repair cost and the
-// per-class breakdown. No-op for runs without a workload plan.
-func WriteWorkload(w io.Writer, r *Result) error {
-	return reportWorkload(w, r)
-}
-
 // WriteTable1 renders the paper's Table 1.
 func WriteTable1(w io.Writer) {
 	fmt.Fprintln(w, "# Table 1: topologies and their characteristics")

@@ -273,7 +273,7 @@ var sections = []section{
 	},
 
 	// Fault resilience: the periodic health telemetry and per-fault
-	// recovery metrics. reportResilience is its detailed report.
+	// recovery metrics. WriteResilience is its detailed report.
 	{
 		name: "resilience",
 		collect: func(sc Scenario, net *manet.Network, rr *repResult) {
@@ -303,7 +303,7 @@ var sections = []section{
 	},
 
 	// Workload demand engine: the conservation ledger and latency
-	// distributions. reportWorkload is its detailed report.
+	// distributions. WriteWorkload is its detailed report.
 	{
 		name: "workload",
 		collect: func(sc Scenario, net *manet.Network, rr *repResult) {
@@ -495,12 +495,12 @@ var routingCounters = [...]struct {
 }
 
 // workloadCounters names the per-replication workload counters once:
-// the streamed point name (also the row label of reportWorkload), the
+// the streamed point name (also the row label of WriteWorkload), the
 // replication's count, and the Summary of WorkloadStats it pools into
 // (one sample per replication). The first workloadLedgerRows are the
 // demand engine's conservation ledger; churn-events is counted by the
 // network and reported on its own line. The workload section's stream
-// hook, aggregateWorkload, reportWorkload and auditPooledN all walk
+// hook, aggregateWorkload, WriteWorkload and auditPooledN all walk
 // this table; get is called only on replications that ran a plan.
 var workloadCounters = [...]struct {
 	name   string
@@ -569,10 +569,11 @@ func aggregateWorkload(reps []*repResult) *WorkloadStats {
 	return ws
 }
 
-// reportWorkload is the workload section's detailed report: the demand
-// ledger, derived rates and per-class breakdown as TSV (the body of the
-// exported WriteWorkload).
-func reportWorkload(w io.Writer, r *Result) error {
+// WriteWorkload emits the demand telemetry of a workload-driven run as
+// TSV: the conservation ledger per replication, the derived success
+// rate, the pooled latency distributions, the churn-repair cost and the
+// per-class breakdown. No-op for runs without a workload plan.
+func WriteWorkload(w io.Writer, r *Result) error {
 	ws := r.Workload
 	if ws == nil {
 		return nil
@@ -598,10 +599,10 @@ func reportWorkload(w io.Writer, r *Result) error {
 	return nil
 }
 
-// reportResilience is the resilience section's detailed report: the
-// health time series and per-fault recovery rows as TSV (the body of
-// the exported WriteResilience).
-func reportResilience(w io.Writer, r *Result) error {
+// WriteResilience emits the resilience telemetry of a fault-injected
+// run: the health time series as TSV followed by one row per scripted
+// fault with its recovery telemetry. No-op for runs without telemetry.
+func WriteResilience(w io.Writer, r *Result) error {
 	res := r.Resilience
 	if res == nil {
 		return nil
