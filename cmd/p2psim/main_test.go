@@ -209,6 +209,38 @@ func TestRefusedRunKeepsItsOutputFiles(t *testing.T) {
 	}
 }
 
+// A refused run leaves its -checkpoint file byte-identical: one refused
+// at validation, before the file is opened, and one whose file holds
+// another scenario's replications, which Pool.Run refuses.
+func TestRefusedRunKeepsItsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "r.ckpt")
+	small := []string{"-nodes", "12", "-area", "50", "-range", "15", "-duration", "60", "-reps", "2"}
+	if _, stderr, code := runP2psim(t, append(small, "-checkpoint", ckpt)...); code != 0 {
+		t.Fatalf("first run: exit %d: %s", code, stderr)
+	}
+	want, err := os.ReadFile(ckpt)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("first run left %d checkpoint bytes (err %v)", len(want), err)
+	}
+	for _, tc := range []struct {
+		name, refusal string
+		code          int
+		args          []string
+	}{
+		{"invalid scenario", "NumNodes", 2, append(append([]string{}, small...), "-nodes", "0", "-checkpoint", ckpt)},
+		{"different scenario", "different scenario", 1, append([]string{"-seed", "2", "-checkpoint", ckpt}, small...)},
+	} {
+		_, stderr, code := runP2psim(t, tc.args...)
+		if code != tc.code || !strings.Contains(stderr, tc.refusal) {
+			t.Errorf("%s: exit %d, stderr %q; want exit %d naming %q", tc.name, code, stderr, tc.code, tc.refusal)
+		}
+		if got, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: the refused run left %d bytes in the checkpoint (err %v), want the %d it held", tc.name, len(got), err, len(want))
+		}
+	}
+}
+
 // -trace - streams the events to stdout, one JSON object per line.
 func TestTraceWritesEventLines(t *testing.T) {
 	stdout, stderr, code := runP2psim(t, "-trace", "-", "-nodes", "10", "-area", "40", "-range", "15", "-duration", "120")

@@ -71,10 +71,6 @@ type Router struct {
 	seenRREQ *route.DupCache
 	bcast    *route.Bcaster
 	pending  *route.Pending[netif.Packet]
-
-	// rerr is the scratch an RERR's destination list is built in; the
-	// medium copies it on Send, so the next RERR reuses it.
-	rerr []netif.Unreachable
 }
 
 // NewRouter creates the routing layer for node id on the simulation's
@@ -88,7 +84,7 @@ func NewRouter(id int, pl *route.Plane, cfg Config) *Router {
 		table:    newRouteTable(core.Medium.NumNodes()),
 		seenRREQ: route.NewDupCache(core, netif.PktRREQ, cfg.Seen),
 		bcast:    route.NewBcaster(core, sizeBcastHdr, 0, cfg.Seen, !cfg.DisableBcastDupCache),
-		pending:  route.NewPending[netif.Packet](cfg.BufferCap),
+		pending:  route.NewPending[netif.Packet](core, cfg.BufferCap),
 	}
 	core.Route = r.routeData
 	r.bcast.Accept = r.acceptBcast
@@ -99,11 +95,10 @@ func NewRouter(id int, pl *route.Plane, cfg Config) *Router {
 // HopsTo reports the current route-table distance to dst in ad-hoc hops,
 // if a valid route exists. It does not trigger discovery.
 func (r *Router) HopsTo(dst int) (int, bool) {
-	e, ok := r.table.get(dst, r.Sim.Now())
-	if !ok {
+	if _, ok := r.table.get(dst, r.Sim.Now()); !ok {
 		return 0, false
 	}
-	return int(e.hopCount), true
+	return r.table.hops(dst), true
 }
 
 // nextSeq advances and returns this node's sequence number, which its
@@ -168,7 +163,7 @@ func (r *Router) enqueue(pkt netif.Packet) {
 func (r *Router) sendRREQ(dst int, d *route.Discovery[netif.Packet]) {
 	r.rreqID++
 	var dstSeq uint32
-	if e := r.table.raw(dst); e.haveSeq {
+	if e := r.table.raw(dst); e.haveSeq() {
 		dstSeq = e.seq
 	}
 	if d.Repair {
@@ -243,7 +238,7 @@ func (r *Router) forwardData(pkt netif.Packet) {
 		r.enqueue(pkt)
 		return
 	}
-	next := int(e.nextHop)
+	next := e.nextHop()
 	if !r.Medium.InRange(r.ID(), next) {
 		// Link-layer feedback: the hop is gone. Tear down everything
 		// that used it, tell the neighborhood, then locally repair.
@@ -261,18 +256,20 @@ func (r *Router) forwardData(pkt netif.Packet) {
 
 // linkBreak invalidates all routes through via and broadcasts an RERR.
 func (r *Router) linkBreak(via int, now sim.Time) {
-	r.rerr = r.table.invalidateVia(r.rerr[:0], via, now)
-	if len(r.rerr) == 0 {
+	lost := r.RERRScratch()
+	*lost = r.table.invalidateVia((*lost)[:0], via, now)
+	if len(*lost) == 0 {
 		return
 	}
-	r.emitRERR(r.rerr, false)
+	r.emitRERR(*lost, false)
 }
 
 // sendRERRFor reports a single unroutable destination.
 func (r *Router) sendRERRFor(dst int, now sim.Time) {
 	seq, _ := r.table.invalidate(dst, now)
-	r.rerr = append(r.rerr[:0], netif.Unreachable{Dst: dst, Seq: seq})
-	r.emitRERR(r.rerr, false)
+	lost := r.RERRScratch()
+	*lost = append((*lost)[:0], netif.Unreachable{Dst: dst, Seq: seq})
+	r.emitRERR(*lost, false)
 }
 
 func (r *Router) emitRERR(lost []netif.Unreachable, relay bool) {
@@ -334,9 +331,9 @@ func (r *Router) handleRREQ(prev int, rx *netif.Packet) {
 		r.sendRREP(netif.Packet{Kind: netif.PktRREP, Origin: rx.Origin, Dst: r.ID(), DstSeq: r.nextSeq(), HopCount: 0}, now, false)
 		return
 	}
-	if e, ok := r.table.get(rx.Dst, now); ok && e.haveSeq && !seqGreater(rx.DstSeq, e.seq) {
+	if e, ok := r.table.get(rx.Dst, now); ok && e.haveSeq() && !seqGreater(rx.DstSeq, e.seq) {
 		// Intermediate node with a route at least as fresh as requested.
-		r.sendRREP(netif.Packet{Kind: netif.PktRREP, Origin: rx.Origin, Dst: rx.Dst, DstSeq: e.seq, HopCount: int(e.hopCount)}, now, false)
+		r.sendRREP(netif.Packet{Kind: netif.PktRREP, Origin: rx.Origin, Dst: rx.Dst, DstSeq: e.seq, HopCount: r.table.hops(rx.Dst)}, now, false)
 		return
 	}
 	if rx.TTL > 1 {
@@ -351,7 +348,7 @@ func (r *Router) handleRREQ(prev int, rx *netif.Packet) {
 // sendRREP unicasts a reply one hop toward the requester.
 func (r *Router) sendRREP(p netif.Packet, now sim.Time, relay bool) {
 	e, ok := r.table.get(p.Origin, now)
-	if !ok || !r.Medium.InRange(r.ID(), int(e.nextHop)) {
+	if !ok || !r.Medium.InRange(r.ID(), e.nextHop()) {
 		return // reverse route already gone; the ring will retry
 	}
 	if relay {
@@ -360,7 +357,7 @@ func (r *Router) sendRREP(p netif.Packet, now sim.Time, relay bool) {
 		r.Count.CtrlOrig++
 	}
 	r.table.refresh(p.Origin, now, r.cfg.ActiveRouteTimeout)
-	r.Medium.Send(radio.Frame{Src: r.ID(), Dst: int(e.nextHop), Size: sizeRREP, Payload: p})
+	r.Medium.Send(radio.Frame{Src: r.ID(), Dst: e.nextHop(), Size: sizeRREP, Payload: p})
 }
 
 func (r *Router) handleRREP(prev int, rx *netif.Packet) {
@@ -380,16 +377,17 @@ func (r *Router) handleRREP(prev int, rx *netif.Packet) {
 
 func (r *Router) handleRERR(prev int, e *netif.Packet) {
 	now := r.Sim.Now()
-	propagate := r.rerr[:0]
+	scratch := r.RERRScratch()
+	propagate := (*scratch)[:0]
 	for _, u := range e.Unreachable {
-		if ent, ok := r.table.get(u.Dst, now); ok && int(ent.nextHop) == prev {
+		if ent, ok := r.table.get(u.Dst, now); ok && ent.nextHop() == prev {
 			seq, was := r.table.invalidate(u.Dst, now)
 			if was {
 				propagate = append(propagate, netif.Unreachable{Dst: u.Dst, Seq: seq})
 			}
 		}
 	}
-	r.rerr = propagate
+	*scratch = propagate
 	if len(propagate) > 0 {
 		r.emitRERR(propagate, true)
 	}

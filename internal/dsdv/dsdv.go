@@ -108,7 +108,7 @@ func NewRouter(id int, pl *route.Plane, cfg Config) *Router {
 		cfg:    cfg,
 		table:  make([]tableRow, core.Medium.NumNodes()),
 		bcast:  route.NewBcaster(core, sizeBcastHdr, 0, cfg.Seen, true),
-		parked: route.NewPending[waiting](cfg.BufferCap),
+		parked: route.NewPending[waiting](core, cfg.BufferCap),
 	}
 	core.Route = r.routeData
 	// Stagger first advertisements by node id so a freshly built network

@@ -113,7 +113,7 @@ func NewRouter(id int, pl *route.Plane, cfg Config) *Router {
 		cache:    make([]cachedRoute, core.Medium.NumNodes()),
 		seenRREQ: route.NewDupCache(core, netif.PktRREQ, cfg.Seen),
 		bcast:    route.NewBcaster(core, sizeBcastBase, sizePerHop, cfg.Seen, true),
-		pending:  route.NewPending[netif.Packet](cfg.BufferCap),
+		pending:  route.NewPending[netif.Packet](core, cfg.BufferCap),
 	}
 	core.Route = r.routeData
 	r.bcast.Accept = r.acceptBcast

@@ -239,7 +239,7 @@ const (
 )
 
 func newPendingBench() *pendingBench {
-	w := &pendingBench{p: NewPending[netif.Packet](16)}
+	w := &pendingBench{p: NewPending[netif.Packet](NewCore(0, testPlane(sim.New(1), 1)), 16)}
 	for range pendingDsts { // every destination's key, and the free list, in place
 		w.cycle()
 	}
@@ -298,4 +298,35 @@ func TestPendingCycleZeroAllocs(t *testing.T) {
 		t.Errorf("%d pending cycles allocate %d objects, want 0", runs, allocs)
 	}
 	w.check(t, 2*allocBatches*runs) // each count after a warm-up batch
+}
+
+// Every router of a plane draws its discoveries from one free list: once
+// a warm-up batch has grown it, rounds of discoveries spread over many
+// routers allocate nothing, and the list holds the plane's peak number
+// of concurrent discoveries, not one set per router.
+func TestPendingPoolSharedAcrossRouters(t *testing.T) {
+	const nodes, dsts = 32, 4
+	pl := testPlane(sim.New(1), nodes)
+	ps := make([]*Pending[netif.Packet], nodes)
+	for n := range ps {
+		ps[n] = NewPending[netif.Packet](NewCore(n, pl), 16)
+	}
+	next := 0
+	cycle := func() { // one router's round: dsts discoveries at once, then all settled
+		p := ps[next%nodes]
+		next++
+		for dst := range dsts {
+			p.Push(p.Start(dst), netif.Packet{Kind: netif.PktData, Dst: dst})
+		}
+		for dst := range dsts {
+			d, _ := p.Take(dst)
+			p.Recycle(d)
+		}
+	}
+	if allocs := batchAllocs(nodes, cycle); allocs != 0 {
+		t.Errorf("%d routers' discovery rounds allocate %d objects, want 0", nodes, allocs)
+	}
+	if free := *discoveryPool[netif.Packet](pl); len(free) != dsts {
+		t.Errorf("the plane's free list holds %d discoveries, want the peak of %d in flight", len(free), dsts)
+	}
 }

@@ -75,6 +75,12 @@ func NewCore(id int, pl *Plane) *Core {
 // ID returns the node this control plane belongs to.
 func (c *Core) ID() int { return c.id }
 
+// RERRScratch returns the buffer a router builds an RERR's destination
+// list in. One serves the whole plane: a router fills it and sends it
+// in one step, the medium copies the list on Send, and no delivery runs
+// inside another, so no two routers hold it at once.
+func (c *Core) RERRScratch() *[]netif.Unreachable { return &c.plane.rerr }
+
 // Stats returns the routing-effort counters accumulated so far, DupHits
 // with the duplicates the medium settled unhandled (NewDupCache).
 func (c *Core) Stats() netif.Stats {

@@ -27,18 +27,35 @@ type Discovery[P any] struct {
 // (fail the send, emit an RERR, count a drop).
 //
 // Entries are recycled with their queue capacity: Take retires an entry
-// and Recycle returns it once the caller has flushed its queue, so a
-// steady stream of discoveries allocates nothing.
+// and Recycle returns it, once the caller has flushed its queue, to a
+// free list the whole plane shares. A network therefore allocates for
+// its peak number of concurrent discoveries, not for each node's, and a
+// steady stream of discoveries allocates nothing. Sharing is safe
+// because no timer names a Discovery: the protocols' timers name the
+// router and the destination, and Take cancels the entry's own.
 type Pending[P any] struct {
 	m    map[int]*Discovery[P]
 	cap  int
-	free []*Discovery[P]
+	free *[]*Discovery[P] // the plane's, for every router queueing P
 }
 
-// NewPending creates a buffer holding at most bufferCap packets per
-// destination.
-func NewPending[P any](bufferCap int) *Pending[P] {
-	return &Pending[P]{m: make(map[int]*Discovery[P]), cap: bufferCap}
+// NewPending creates node c's buffer, holding at most bufferCap packets
+// per destination.
+func NewPending[P any](c *Core, bufferCap int) *Pending[P] {
+	return &Pending[P]{m: make(map[int]*Discovery[P]), cap: bufferCap, free: discoveryPool[P](c.plane)}
+}
+
+// discoveryPool returns pl's free list of Discoveries queueing P,
+// creating it on first use.
+func discoveryPool[P any](pl *Plane) *[]*Discovery[P] {
+	for _, x := range pl.pools {
+		if free, ok := x.(*[]*Discovery[P]); ok {
+			return free
+		}
+	}
+	free := new([]*Discovery[P])
+	pl.pools = append(pl.pools, free)
+	return free
 }
 
 // Get returns the in-progress entry for dst, if any.
@@ -53,9 +70,9 @@ func (p *Pending[P]) Get(dst int) (*Discovery[P], bool) {
 // of it.
 func (p *Pending[P]) Start(dst int) *Discovery[P] {
 	var d *Discovery[P]
-	if n := len(p.free); n > 0 {
-		d = p.free[n-1]
-		p.free = p.free[:n-1]
+	if free := *p.free; len(free) > 0 {
+		d = free[len(free)-1]
+		*p.free = free[:len(free)-1]
 	} else {
 		d = &Discovery[P]{}
 	}
@@ -92,5 +109,5 @@ func (p *Pending[P]) Take(dst int) (*Discovery[P], bool) {
 func (p *Pending[P]) Recycle(d *Discovery[P]) {
 	clear(d.Queue)
 	*d = Discovery[P]{Queue: d.Queue[:0]}
-	p.free = append(p.free, d)
+	*p.free = append(*p.free, d)
 }

@@ -7,15 +7,18 @@ import (
 )
 
 // Plane is the routing state one simulation's nodes share: the clock,
-// the medium and one duplicate index per cache family. Whoever builds a
-// network creates one Plane and hands it to every node's router
-// constructor; nothing in it is package-level, so concurrent
+// the medium, one duplicate index per cache family, the free lists of
+// recycled discoveries (NewPending) and the RERR scratch. Whoever
+// builds a network creates one Plane and hands it to every node's
+// router constructor; nothing in it is package-level, so concurrent
 // replications share nothing.
 type Plane struct {
 	sim    *sim.Sim
 	med    *radio.Medium
 	dups   []*dupIndex
 	absorb [netif.NumPacketKinds]*dupIndex // per frame kind, the family declared for it
+	pools  []any                           // one *[]*Discovery[P] per queued type P
+	rerr   []netif.Unreachable             // Core.RERRScratch
 }
 
 // NewPlane creates the shared routing state for the simulation of med's

@@ -119,7 +119,8 @@ func TestDupCacheHardCapEvictsOldestDeterministically(t *testing.T) {
 }
 
 func TestPendingPushRespectsCap(t *testing.T) {
-	p := NewPending[int](2)
+	c, _ := testCore(3)
+	p := NewPending[int](c, 2)
 	d := p.Start(5)
 	if !p.Push(d, 10) || !p.Push(d, 11) {
 		t.Fatal("pushes under cap rejected")
@@ -134,8 +135,7 @@ func TestPendingPushRespectsCap(t *testing.T) {
 
 func TestPendingTakeCancelsTimer(t *testing.T) {
 	c, s := testCore(4)
-	_ = c
-	p := NewPending[int](4)
+	p := NewPending[int](c, 4)
 	d := p.Start(5)
 	fired := false
 	d.Timer = s.ScheduleArg(sim.Second, func(sim.Arg) { fired = true }, sim.Arg{})
@@ -149,6 +149,29 @@ func TestPendingTakeCancelsTimer(t *testing.T) {
 	}
 	if _, ok := p.Get(5); ok {
 		t.Fatal("entry still registered after Take")
+	}
+}
+
+// A discovery one router recycles comes back clean to another router
+// of the plane: its queue empty with its capacity kept, and no count,
+// repair flag or timer of its last search.
+func TestPendingRecycledToAnotherRouter(t *testing.T) {
+	s := sim.New(1)
+	pl := testPlane(s, 2)
+	a, b := NewPending[int](NewCore(0, pl), 4), NewPending[int](NewCore(1, pl), 4)
+	d := a.Start(1)
+	a.Push(d, 10)
+	a.Push(d, 11)
+	d.TTL, d.Retries, d.Repair = 8, 2, true
+	d.Timer = s.ScheduleArg(sim.Second, func(sim.Arg) {}, sim.Arg{})
+	a.Take(1)
+	a.Recycle(d)
+	e := b.Start(0)
+	if e != d {
+		t.Fatal("the second router did not reuse the discovery the first recycled")
+	}
+	if len(e.Queue) != 0 || cap(e.Queue) < 2 || e.TTL != 0 || e.Retries != 0 || e.Repair || e.Timer != (sim.Handle{}) {
+		t.Fatalf("reused discovery = %+v (queue cap %d), want an empty queue of cap >= 2 and zero TTL, Retries, Repair and Timer", *e, cap(e.Queue))
 	}
 }
 
