@@ -1,10 +1,11 @@
 #!/bin/sh
 # Repository health check: format, vet, full tests (the benchmark
 # module's own included), a 10 s fuzz smoke of each of the four file
-# decoders, of the duplicate index, the query ledger and the AODV route
-# table, the race detector over every package (with -short, so the
-# checker's seed sweep runs once, without it), a smoke of the unit
-# benchmarks, and the count of non-test Go lines outside benchmark/.
+# decoders, of the mark index behind the duplicate caches and the query
+# ledger, of the duplicate index and of the AODV route table, the race
+# detector over every package (with -short, so the checker's seed sweep
+# runs once, without it), a smoke of the unit benchmarks, and the count
+# of non-test Go lines outside benchmark/.
 #
 # `./check.sh selfcheck` runs the runtime invariant suite and the
 # determinism self-audit (p2psim -selfcheck) across all four algorithms:
@@ -231,8 +232,8 @@ go vet -C benchmark ./...
 go test -C benchmark ./...
 
 # Every decoder that reads a file (checkpoint container, scenario, fault
-# plan, workload plan), and the duplicate index, the query ledger and
-# the packed AODV route table against their reference models under an
+# plan, workload plan), and the mark index, the duplicate index and the
+# packed AODV route table against their reference models under an
 # operation stream read from the fuzz bytes. Minimising a new-coverage input is capped at ten runs;
 # the default (60 s per input) would eat the whole smoke on the
 # kilobyte-sized scenario seeds.
@@ -246,7 +247,7 @@ fuzz_smoke FuzzPlan ./internal/fault
 fuzz_smoke FuzzPlan ./internal/workload
 fuzz_smoke FuzzDupIndex ./internal/route
 fuzz_smoke FuzzRouteTable ./internal/aodv
-fuzz_smoke FuzzQueryLedger ./internal/p2p
+fuzz_smoke FuzzIndex ./internal/marks
 
 # The root package's 1-vs-4-worker test is what would catch duplicate-index
 # state shared between concurrent replications.

@@ -99,6 +99,9 @@ type Target struct {
 	// Plane is the routers' shared state; nil disarms the
 	// duplicate-index rules (route.Plane.Audit).
 	Plane *route.Plane
+	// Ledger is the servents' query ledger; nil disarms its table-reach
+	// rule, which only Finalize checks: the ledger only grows.
+	Ledger *p2p.QueryLedger
 	// RoutingStats returns node i's routing-effort counters
 	// (netif.Stats); nil disarms the route-layer rules.
 	RoutingStats func(i int) netif.Stats
@@ -339,13 +342,17 @@ func (c *Checker) checkRouting() {
 }
 
 // Finalize runs the teardown checks after the replication's horizon: one
-// last full sweep plus the kernel's empty-queue-at-horizon rule — Run
-// must have fired every event stamped at or before the clock.
+// last full sweep, the kernel's empty-queue-at-horizon rule — Run must
+// have fired every event stamped at or before the clock — and the query
+// ledger's table-reach rule (marks.Index.Audit).
 func (c *Checker) Finalize() {
 	c.Check()
 	if c.t.Sim.Due() {
 		c.report("sim", "queue-at-horizon", -1, -1,
 			"live event or radio reception still queued at or before horizon %v", c.t.Sim.Now())
+	}
+	if c.t.Ledger != nil {
+		c.t.Ledger.Audit(func(rule, detail string) { c.report("p2p", rule, -1, -1, "query ledger: %s", detail) })
 	}
 }
 

@@ -68,6 +68,40 @@ func TestCleanNetworksPassAllAlgorithms(t *testing.T) {
 	}
 }
 
+// TestDetectsCorruptLedgerSlot writes over the query ledger's slot for
+// one query, as a stray write would: the slot names a second record of
+// the same key, so the first, which holds the servents that handled the
+// query, is lost. The periodic pass leaves the ledger alone; Finalize
+// must report the lost record.
+func TestDetectsCorruptLedgerSlot(t *testing.T) {
+	net, err := manet.Build(testConfig(4, p2p.Regular), 0, manet.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Run(600 * sim.Second)
+	l := net.Checker.LedgerForTest()
+	if l.Len() == 0 {
+		t.Fatal("no query reached the ledger in 600 s; scenario too sparse for the test")
+	}
+	k := l.Key(0)
+	slot, _ := l.Find(k)
+	l.Insert(k, slot)
+
+	net.Checker.Check()
+	if !net.Checker.OK() {
+		t.Fatalf("a periodic pass reported %d violations; the ledger is Finalize's", net.Checker.Total())
+	}
+	net.Checker.Finalize()
+	found := false
+	for _, v := range net.Checker.Violations() {
+		found = found || v.Layer == "p2p" && v.Rule == "table-reach" && strings.Contains(v.Detail, "query ledger")
+		t.Logf("violation: %s", v.String())
+	}
+	if !found {
+		t.Fatal("the lost ledger record was not reported as p2p/table-reach")
+	}
+}
+
 // TestDetectsSuppressedClose seeds the canonical protocol mutation —
 // one servent never executes its side of closeConn toward a chosen peer
 // — and requires the checker to flag the resulting one-sided link with

@@ -221,6 +221,7 @@ func Build(sc Scenario, rep int, opt Options) (*Network, error) {
 			Algorithm:    sc.Algorithm,
 			Params:       sc.Params,
 			Plane:        plane,
+			Ledger:       ledger,
 			RoutingStats: func(i int) netif.Stats { return n.Routers[i].Stats() },
 			Demand:       n.Demand,
 			Adjacency:    n.AppendOverlayAdjacency,

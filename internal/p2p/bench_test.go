@@ -219,9 +219,9 @@ func (w *queryFloodBench) query(tb testing.TB) {
 	if src.curReq.answers != 1 {
 		tb.Fatalf("query collected %d answers, want 1", src.curReq.answers)
 	}
-	// Empty the ledger, keeping its chunks, so floods replay without
-	// unbounded growth.
-	src.opt.Ledger.reset()
+	// Forget the query, keeping the ledger's chunks, so floods replay
+	// without unbounded growth.
+	src.opt.Ledger.forget(src.id, src.nextQID)
 	src.curReq = request{}
 }
 

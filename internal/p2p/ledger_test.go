@@ -6,22 +6,24 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
+
+	"manetp2p/internal/marks"
 )
 
-// has reports whether node has handled query k, without marking it.
-func (l *QueryLedger) has(node int, k uint64) bool {
-	r := l.table[l.find(k)]
-	return r != 0 && l.record(r - 1)[1+node>>6]&(1<<(node&63)) != 0
+// has reports whether node has handled the query origin issued as qid,
+// without marking it.
+func (l *QueryLedger) has(node, origin int, qid uint32) bool {
+	_, r := l.Find(marks.Pack(origin, qid))
+	return r >= 0 && l.Has(r, node)
 }
 
-// reset empties the ledger and keeps its table and chunks, so a
-// benchmark replays its queries without growth.
-func (l *QueryLedger) reset() {
-	clear(l.table)
-	for _, c := range l.chunks {
-		clear(c)
+// forget drops the record of the query origin issued as qid and keeps
+// the table and chunks, so a benchmark replays its queries without
+// growth.
+func (l *QueryLedger) forget(origin int, qid uint32) {
+	if _, r := l.Find(marks.Pack(origin, qid)); r >= 0 {
+		l.Remove(r)
 	}
-	l.made = 0
 }
 
 // ledgerModelRun drives a ledger of n nodes and a per-node
@@ -37,13 +39,18 @@ func ledgerModelRun(t *testing.T, n int, next func(k int) (int, bool)) {
 	for i := range model {
 		model[i] = make(map[uint64]struct{})
 	}
-	keys := map[uint64]bool{}
-	mark := func(node int, k uint64) {
+	type query struct {
+		origin int
+		qid    uint32
+	}
+	keys := map[uint64]query{}
+	mark := func(node int, q query) {
+		k := marks.Pack(q.origin, q.qid)
 		_, want := model[node][k]
 		model[node][k] = struct{}{}
-		keys[k] = true
-		if got := l.mark(node, k); got != want {
-			t.Fatalf("n=%d: node %d mark(%#x) = %v, model says %v", n, node, k, got, want)
+		keys[k] = q
+		if got := l.mark(node, q.origin, q.qid); got != want {
+			t.Fatalf("n=%d: node %d mark(%+v) = %v, model says %v", n, node, q, got, want)
 		}
 	}
 	base := uint32(1)
@@ -55,30 +62,30 @@ func ledgerModelRun(t *testing.T, n int, next func(k int) (int, bool)) {
 		node, _ := next(n)
 		origin, _ := next(n)
 		id, _ := next(64)
-		k := queryKey(origin, base+uint32(id))
+		q := query{origin, base + uint32(id)}
 		switch {
 		case op < 10:
-			mark(node, k)
+			mark(node, q)
 		case op < 13:
 			reach, _ := next(n)
 			for i := 0; i <= reach; i++ {
-				mark((node+i)%n, k)
+				mark((node+i)%n, q)
 			}
 		case op < 15:
-			if _, want := model[node][k]; l.has(node, k) != want {
-				t.Fatalf("n=%d: node %d has(%#x) = %v, model says %v", n, node, k, !want, want)
+			if _, want := model[node][marks.Pack(q.origin, q.qid)]; l.has(node, q.origin, q.qid) != want {
+				t.Fatalf("n=%d: node %d has(%+v) = %v, model says %v", n, node, q, !want, want)
 			}
 		default:
 			base += 16
 		}
 	}
-	if int(l.made) != len(keys) {
-		t.Errorf("n=%d: %d records for %d distinct queries", n, l.made, len(keys))
+	if int(l.Made()) != len(keys) {
+		t.Errorf("n=%d: %d records for %d distinct queries", n, l.Made(), len(keys))
 	}
-	for k := range keys {
+	for k, q := range keys {
 		for node := range n {
-			if _, want := model[node][k]; l.has(node, k) != want {
-				t.Errorf("n=%d: after the run, node %d has(%#x) = %v, model says %v", n, node, k, !want, want)
+			if _, want := model[node][k]; l.has(node, q.origin, q.qid) != want {
+				t.Errorf("n=%d: after the run, node %d has(%+v) = %v, model says %v", n, node, q, !want, want)
 			}
 		}
 	}
@@ -147,16 +154,18 @@ func TestQueryLedgerAllocatesChunksNotQueries(t *testing.T) {
 		l = NewQueryLedger(n)
 		for q := range queries {
 			for i := range 10 {
-				l.mark((q+i)%n, queryKey(q%n, uint32(q/n+1)))
+				l.mark((q+i)%n, q%n, uint32(q/n+1))
 			}
 		}
 	}
 	allocs := quietestAllocs(fill)
-	chunks := (queries + ledgerChunkLen - 1) / ledgerChunkLen
-	if len(l.chunks) != chunks {
-		t.Fatalf("%d queries made %d chunks, want %d", queries, len(l.chunks), chunks)
+	if int(l.Made()) != queries {
+		t.Fatalf("%d queries made %d records", queries, l.Made())
 	}
-	doublings := bits.TrailingZeros(uint(len(l.table) / 16))
+	// The index fills its chunks in record order, and doubles its
+	// 16-slot table while it would be more than half full.
+	chunks := (queries + marks.ChunkLen - 1) / marks.ChunkLen
+	doublings := bits.Len(uint(2*queries-1)) - 4
 	if want := 2 + chunks + doublings + bits.Len(uint(chunks)) + 1; allocs > want {
 		t.Errorf("%d queries allocate %d objects, want at most %d: the ledger and its table, %d chunks, %d table doublings and the chunk list's growth",
 			queries, allocs, want, chunks, doublings)

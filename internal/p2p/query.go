@@ -140,7 +140,7 @@ func (sv *Servent) onQuery(prev int, q Msg) {
 		sv.onWalkQuery(prev, q)
 		return
 	}
-	if sv.opt.Ledger.mark(sv.id, queryKey(q.Origin, q.Seq)) {
+	if sv.opt.Ledger.mark(sv.id, q.Origin, q.Seq) {
 		return // rule 1: forward or respond at most once
 	}
 	myDist := q.Hops + 1
@@ -165,7 +165,7 @@ func (sv *Servent) onQuery(prev int, q Msg) {
 // immediate bounce when any alternative exists).
 func (sv *Servent) onWalkQuery(prev int, q Msg) {
 	myDist := q.Hops + 1
-	if !sv.opt.Ledger.mark(sv.id, queryKey(q.Origin, q.Seq)) && sv.HasFile(q.File) {
+	if !sv.opt.Ledger.mark(sv.id, q.Origin, q.Seq) && sv.HasFile(q.File) {
 		sv.send(q.Origin, Msg{Kind: msgQueryHit, Seq: q.Seq, File: q.File, Holder: sv.id, Hops: myDist})
 	}
 	if q.TTL <= 1 {

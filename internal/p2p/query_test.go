@@ -132,9 +132,8 @@ func TestQueryForwardOnceRule(t *testing.T) {
 // handled origin's first query, and origin never to have received it.
 func checkOriginNeverHandles(t *testing.T, w *world, origin int) {
 	t.Helper()
-	k := queryKey(origin, 1)
 	for _, sv := range w.svs {
-		if got, want := w.ledger.has(sv.id, k), sv.id != origin; got != want {
+		if got, want := w.ledger.has(sv.id, origin, 1), sv.id != origin; got != want {
 			t.Errorf("node %d handled the query: %v, want %v", sv.id, got, want)
 		}
 	}
@@ -417,7 +416,7 @@ func TestQueryPathNilTracerAllocs(t *testing.T) {
 		sv.runQuery()
 		s.Run(s.Now() + par.QueryCollect) // finishQuery closes the window
 		sv.queryEv.Cancel()               // and the test issues the next query
-		sv.opt.Ledger.reset()
+		sv.opt.Ledger.forget(sv.id, sv.nextQID)
 	}
 	for i := 0; i < 64; i++ { // warm the event pool, maps and caches
 		query()

@@ -121,10 +121,6 @@ type Servent struct {
 	cacheScratch []int // sorted peer-cache id buffer; see cachedPeerIDs
 }
 
-// queryKey packs a query's origin and id into one ledger key. Node ids
-// are below 2^16.
-func queryKey(origin int, qid uint32) uint64 { return uint64(origin)<<32 | uint64(qid) }
-
 type request struct {
 	open     bool
 	qid      uint32

@@ -20,10 +20,10 @@ import (
 //     set, a node's live count is the number of records it is set in,
 //     and the live marks in the log are exactly the set bits — "bit set"
 //     and "marked and not yet expired or evicted" are one fact.
-//   - table-reach: every live record is found by probing for its key,
-//     every table slot names a live record, and every other record is
-//     on the free list and all-zero — no ghost hits from a recycled
-//     record, no key lost behind a gap in a probe run.
+//   - table-reach: the index's rule (marks.Index.Audit) — every held
+//     record is found by probing for its key, every table slot names a
+//     held record, every free record is all-zero — and every held
+//     record has a live mark.
 //   - node-bound: no node holds more live marks than the hard cap.
 //
 // Each index keeps its scratch, made by its first audit and cleared by
@@ -54,7 +54,7 @@ func (x *dupIndex) audit(report func(rule, detail string)) {
 		if x.swept-t >= x.cfg.Timeout {
 			report("log-order", fmt.Sprintf("mark %d of node %d at %v outlived the timeout at %v", i, m.node, t, x.swept))
 		}
-		if m.rec >= x.made || int(m.node) >= len(x.live) || !x.has(m.rec, int(m.node)) {
+		if m.rec >= x.recs.Made() || int(m.node) >= len(x.live) || !x.recs.Has(m.rec, int(m.node)) {
 			report("bit-count", fmt.Sprintf("live mark %d (node %d, record %d) has no bit set", i, m.node, m.rec))
 		}
 	}
@@ -62,20 +62,15 @@ func (x *dupIndex) audit(report func(rule, detail string)) {
 		report("log-order", fmt.Sprintf("the log decodes from %v to %v, its tail is at %v, the last retire at %v", x.headT, t, x.tailT, x.swept))
 	}
 
-	if x.scratch == nil {
-		x.scratch = new(dupAudit)
-	}
-	a := x.scratch
-
 	// The records: counts against populations, row- and column-wise.
-	a.column = slices.Grow(a.column[:0], len(x.live))[:len(x.live)]
-	clear(a.column)
-	column := a.column
+	x.column = slices.Grow(x.column[:0], len(x.live))[:len(x.live)]
+	clear(x.column)
+	column := x.column
 	total, liveRecs := 0, 0
-	for r := int32(0); r < x.made; r++ {
-		rec := x.rec(r)
+	for r := range x.recs.Made() {
+		v := x.recs.Val(r)
 		pop := 0
-		for w, word := range x.set(r) {
+		for w, word := range x.recs.Set(r) {
 			pop += bits.OnesCount64(word)
 			for ; word != 0; word &= word - 1 {
 				if node := w<<6 + bits.TrailingZeros64(word); node < len(column) {
@@ -85,15 +80,12 @@ func (x *dupIndex) audit(report func(rule, detail string)) {
 				}
 			}
 		}
-		if int(rec.live) != pop {
-			report("bit-count", fmt.Sprintf("record %d (%+v) counts %d nodes, its set holds %d", r, rec.key, rec.live, pop))
+		if int(v.live) != pop {
+			report("bit-count", fmt.Sprintf("record %d (key %#x) counts %d nodes, its set holds %d", r, x.recs.Key(r), v.live, pop))
 		}
 		total += pop
-		if rec.live > 0 {
+		if v.live > 0 {
 			liveRecs++
-			if _, found := x.find(rec.key); found != r {
-				report("table-reach", fmt.Sprintf("live record %d (%+v) not reached by its key (probe found %d)", r, rec.key, found))
-			}
 		}
 	}
 	if marks != total {
@@ -108,38 +100,10 @@ func (x *dupIndex) audit(report func(rule, detail string)) {
 		}
 	}
 
-	// The table and the free list.
-	slots := 0
-	for i, r := range x.table {
-		if r == 0 {
-			continue
-		}
-		slots++
-		if r > x.made || x.rec(r-1).live <= 0 {
-			report("table-reach", fmt.Sprintf("slot %d names record %d, which is not live", i, r-1))
-		}
+	// The table: the index's own rule, and no record held without a
+	// live mark.
+	x.recs.Audit(report)
+	if n := x.recs.Len(); n != liveRecs {
+		report("table-reach", fmt.Sprintf("%d records held, %d with a live mark", n, liveRecs))
 	}
-	if slots != liveRecs || x.nrec != liveRecs {
-		report("table-reach", fmt.Sprintf("%d slots occupied, %d records counted, %d records live", slots, x.nrec, liveRecs))
-	}
-	if len(x.free) != int(x.made)-liveRecs {
-		report("table-reach", fmt.Sprintf("%d of %d records live, but %d on the free list", liveRecs, x.made, len(x.free)))
-	}
-	a.onFree = slices.Grow(a.onFree[:0], int(x.made))[:int(x.made)]
-	clear(a.onFree)
-	onFree := a.onFree
-	for _, r := range x.free {
-		if r >= x.made || onFree[r] || *x.rec(r) != (dupRecord{}) {
-			report("table-reach", fmt.Sprintf("free record %d is not zeroed, or listed twice", r))
-			continue
-		}
-		onFree[r] = true
-	}
-}
-
-// dupAudit is an index's audit scratch: the records each node is set in,
-// and the records on the free list.
-type dupAudit struct {
-	column []int32
-	onFree []bool
 }

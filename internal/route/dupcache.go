@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"manetp2p/internal/marks"
 	"manetp2p/internal/netif"
 	"manetp2p/internal/sim"
 )
@@ -84,38 +85,30 @@ func (dc *DupCache) Mark(k Key) bool { return dc.x.mark(dc.node, k) }
 
 // Seen reports whether this node marked k within the cache timeout,
 // without marking it.
-func (dc *DupCache) Seen(k Key) bool { return dc.x.seen(dc.node, k) }
+func (dc *DupCache) Seen(k Key) bool {
+	dc.x.retire()
+	_, rec := dc.x.recs.Find(marks.Pack(k.Origin, k.ID))
+	return rec >= 0 && dc.x.recs.Has(rec, dc.node)
+}
 
 // Len returns the number of live marks this node holds.
-func (dc *DupCache) Len() int { return dc.x.count(dc.node) }
+func (dc *DupCache) Len() int {
+	dc.x.retire()
+	return int(dc.x.live[dc.node])
+}
 
 // dupIndex is the duplicate-cache state of every node of one family:
-// one record per live (origin, id) holding the set of nodes that have
-// it marked, reached through a small open-addressed table, plus one log
-// of all marks in time order. Every call first retires the log's head
-// under the rule now − t ≥ Timeout, so a set bit is a live mark and the
-// duplicate test is one bit test; a record whose last bit clears leaves
-// the table.
+// one record per live (origin, id) in a marks.Index, holding the set of
+// nodes that have it marked, plus one log of all marks in time order.
+// Every call first retires the log's head under the rule
+// now − t ≥ Timeout, so a set bit is a live mark and the duplicate test
+// is one bit test; a record whose last bit clears leaves the index.
 type dupIndex struct {
 	ord   int // position of the member caches on their Cores
 	cfg   CacheConfig
 	plane *Plane
 	sim   *sim.Sim
-	words int // bitset words per record
-
-	// table is open-addressed with linear probing and kept at most half
-	// full; a slot holds a record index + 1, 0 meaning empty.
-	table []int32
-	mask  uint32
-	nrec  int // records in the table
-
-	// recs holds the made records in fixed-size chunks that never move:
-	// record r and its node set live in chunk recs[r>>dupRecShift] (see
-	// rec and set). A removed record waits in free, all-zero, for the
-	// next insert, so no chunk ever drains.
-	recs []*recChunk
-	made int32   // records made: the chunks' filled prefix
-	free []int32 // recycled records, all-zero
+	recs  marks.Index[dupVal]
 
 	// log holds the n entries made and not yet retired, oldest at head;
 	// the clock never runs backwards, so it is in time order, each entry
@@ -133,15 +126,14 @@ type dupIndex struct {
 	headT sim.Time
 	tailT sim.Time
 
-	live    []int32   // per node: live marks
-	swept   sim.Time  // the clock at the last retire, for Audit
-	scratch *dupAudit // Audit's scratch; nil until the first Audit
+	live   []int32  // per node: live marks
+	swept  sim.Time // the clock at the last retire, for Audit
+	column []int32  // Audit's scratch: the records each node is set in
 }
 
-// dupRecord is one live key, how many nodes have it marked and when the
-// first of them did; a record with live == 0 is free.
-type dupRecord struct {
-	key  Key
+// dupVal is a record's value: how many nodes hold its key marked (a
+// record is removed at 0) and when the first of them marked it.
+type dupVal struct {
 	live int32
 	t0   sim.Time
 }
@@ -184,23 +176,6 @@ const (
 
 type dupChunk [dupChunkLen]dupMark
 
-// A record chunk holds 256 records and their node sets: 10 KiB at 50
-// nodes, 14 KiB at 150, 24 KiB at 500. Half the size doubles the chunk
-// allocations of the 150- and 500-node families and saves at most 5 KiB
-// in a family that never holds 128 records.
-const (
-	dupRecShift = 8
-	dupRecLen   = 1 << dupRecShift
-	dupRecMask  = dupRecLen - 1
-)
-
-// recChunk is dupRecLen records; record i's node set is
-// bits[i*words : (i+1)*words].
-type recChunk struct {
-	bits []uint64
-	recs [dupRecLen]dupRecord
-}
-
 func newDupIndex(ord int, cfg CacheConfig, p *Plane) *dupIndex {
 	nodes := p.med.NumNodes()
 	if nodes > 1<<16 {
@@ -212,62 +187,10 @@ func newDupIndex(ord int, cfg CacheConfig, p *Plane) *dupIndex {
 		cfg:   cfg,
 		plane: p,
 		sim:   p.sim,
-		words: (nodes + 63) / 64,
-		table: make([]int32, 16),
-		mask:  15,
+		recs:  marks.Make[dupVal](nodes),
 		log:   make([]*dupChunk, 1),
 		live:  make([]int32, nodes),
 	}
-}
-
-// hash spreads a key over the table. The table is a power of two, so
-// the multiply-xor finisher keeps low bits well mixed.
-func hash(k Key) uint32 {
-	h := uint64(uint32(k.Origin))<<32 | uint64(k.ID)
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return uint32(h)
-}
-
-// find probes for k: its slot and record if present, the insertion slot
-// and -1 otherwise. The ≤1/2 load invariant guarantees an empty slot
-// terminates every probe.
-func (x *dupIndex) find(k Key) (slot uint32, rec int32) {
-	i := hash(k) & x.mask
-	for {
-		r := x.table[i]
-		if r == 0 {
-			return i, -1
-		}
-		if x.rec(r-1).key == k {
-			return i, r - 1
-		}
-		i = (i + 1) & x.mask
-	}
-}
-
-// rec returns record r.
-func (x *dupIndex) rec(r int32) *dupRecord { return &x.recs[r>>dupRecShift].recs[r&dupRecMask] }
-
-// set returns record r's node set.
-func (x *dupIndex) set(r int32) []uint64 {
-	i := int(r&dupRecMask) * x.words
-	return x.recs[r>>dupRecShift].bits[i : i+x.words : i+x.words]
-}
-
-// bit locates node's bit in rec's node set: the word and the mask.
-func (x *dupIndex) bit(rec int32, node int) (*uint64, uint64) {
-	c := x.recs[rec>>dupRecShift]
-	return &c.bits[int(rec&dupRecMask)*x.words+node>>6], 1 << (node & 63)
-}
-
-// has reports whether node's bit is set in rec.
-func (x *dupIndex) has(rec int32, node int) bool {
-	w, b := x.bit(rec, node)
-	return *w&b != 0
 }
 
 // retire pops every entry that has reached the timeout, clearing the
@@ -351,90 +274,37 @@ func (x *dupIndex) push(m dupMark) {
 // next call) and an instant before which none of those marks expires.
 func (x *dupIndex) holders(k Key) (set []uint64, until sim.Time) {
 	x.retire()
-	_, rec := x.find(k)
+	_, rec := x.recs.Find(marks.Pack(k.Origin, k.ID))
 	if rec < 0 {
 		return nil, 0
 	}
-	return x.set(rec), x.rec(rec).t0 + x.cfg.Timeout
-}
-
-func (x *dupIndex) seen(node int, k Key) bool {
-	x.retire()
-	_, rec := x.find(k)
-	return rec >= 0 && x.has(rec, node)
-}
-
-func (x *dupIndex) count(node int) int {
-	x.retire()
-	return int(x.live[node])
+	return x.recs.Set(rec), x.recs.Val(rec).t0 + x.cfg.Timeout
 }
 
 func (x *dupIndex) mark(node int, k Key) bool {
 	now := x.retire()
-	slot, rec := x.find(k)
+	key := marks.Pack(k.Origin, k.ID)
+	slot, rec := x.recs.Find(key)
 	// The bit is tested before the cap: a duplicate evicts nothing.
-	if rec >= 0 && x.has(rec, node) {
+	if rec >= 0 && x.recs.Has(rec, node) {
 		return true
 	}
 	if int(x.live[node]) >= x.cfg.HardCap {
 		x.evict(node)
 		// Evicting may have emptied other records, and removing one
 		// shifts table slots: probe again.
-		slot, rec = x.find(k)
+		slot, rec = x.recs.Find(key)
 	}
 	if rec < 0 {
-		rec = x.insert(k, slot)
-		x.rec(rec).t0 = now
+		rec = x.recs.Insert(key, slot)
+		x.recs.Val(rec).t0 = now
 	}
-	w, b := x.bit(rec, node)
+	w, b := x.recs.Bit(rec, node)
 	*w |= b
-	x.rec(rec).live++
+	x.recs.Val(rec).live++
 	x.live[node]++
 	x.logMark(rec, node, now)
 	return false
-}
-
-// insert creates k's record at slot, the insertion point find reported,
-// keeping the table at most half full.
-func (x *dupIndex) insert(k Key, slot uint32) int32 {
-	if 2*(x.nrec+1) > len(x.table) {
-		x.growTable()
-		slot, _ = x.find(k)
-	}
-	var rec int32
-	if n := len(x.free); n > 0 {
-		rec = x.free[n-1]
-		x.free = x.free[:n-1]
-	} else {
-		rec = x.made
-		if rec&dupRecMask == 0 {
-			x.recs = append(x.recs, &recChunk{bits: make([]uint64, dupRecLen*x.words)})
-		}
-		x.made++
-	}
-	x.rec(rec).key = k
-	x.table[slot] = rec + 1
-	x.nrec++
-	return rec
-}
-
-// growTable doubles the table and re-inserts every record. The table
-// stops growing at the simulation's peak number of concurrently live
-// floods, after which the index never allocates again.
-func (x *dupIndex) growTable() {
-	old := x.table
-	x.table = make([]int32, 2*len(old))
-	x.mask = uint32(len(x.table) - 1)
-	for _, r := range old {
-		if r == 0 {
-			continue
-		}
-		i := hash(x.rec(r-1).key) & x.mask
-		for x.table[i] != 0 {
-			i = (i + 1) & x.mask
-		}
-		x.table[i] = r
-	}
 }
 
 // growLog doubles the ring of chunks, unrolling it so the head's chunk
@@ -449,33 +319,13 @@ func (x *dupIndex) growLog() {
 
 // clear unsets node's bit in rec, removing the record with its last bit.
 func (x *dupIndex) clear(rec int32, node int) {
-	w, b := x.bit(rec, node)
+	w, b := x.recs.Bit(rec, node)
 	*w &^= b
 	x.live[node]--
-	r := x.rec(rec)
-	if r.live--; r.live == 0 {
-		x.remove(rec)
+	v := x.recs.Val(rec)
+	if v.live--; v.live == 0 {
+		x.recs.Remove(rec)
 	}
-}
-
-// remove takes the now-empty record out of the table by backward-shift
-// deletion — every later member of the probe run that may move up does,
-// so runs stay gap-free and need no tombstones — and recycles it.
-func (x *dupIndex) remove(rec int32) {
-	i, _ := x.find(x.rec(rec).key)
-	for j := (i + 1) & x.mask; x.table[j] != 0; j = (j + 1) & x.mask {
-		home := hash(x.rec(x.table[j]-1).key) & x.mask
-		// The entry at j may fill the hole at i unless its home slot
-		// lies in (i, j], cyclically.
-		if (j-home)&x.mask >= (j-i)&x.mask {
-			x.table[i] = x.table[j]
-			i = j
-		}
-	}
-	x.table[i] = 0
-	x.nrec--
-	*x.rec(rec) = dupRecord{}
-	x.free = append(x.free, rec)
 }
 
 // evict kills node's oldest marks, in log order, down to three quarters

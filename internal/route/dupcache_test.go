@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"manetp2p/internal/marks"
 	"manetp2p/internal/netif"
 	"manetp2p/internal/sim"
 )
@@ -242,13 +243,18 @@ func TestDupCacheDuplicateAtHardCapEvictsNothing(t *testing.T) {
 	auditClean(t, c.plane)
 }
 
+// packKey is k as the index's key.
+func packKey(k Key) uint64 { return marks.Pack(k.Origin, k.ID) }
+
 // collidingKeys returns n keys of one origin whose probes start at the
-// same slot of x's table.
+// same slot of x's table, which must be empty: the slot Find reports
+// for an absent key is then its home.
 func collidingKeys(x *dupIndex, origin, n int) []Key {
+	home, _ := x.recs.Find(packKey(Key{Origin: origin}))
 	var keys []Key
 	for id := uint32(0); len(keys) < n; id++ {
 		k := Key{Origin: origin, ID: id}
-		if hash(k)&x.mask == hash(Key{Origin: origin})&x.mask {
+		if slot, _ := x.recs.Find(packKey(k)); slot == home {
 			keys = append(keys, k)
 		}
 	}
@@ -278,8 +284,8 @@ func TestDupIndexRecordRemovalKeepsProbeRunsIntact(t *testing.T) {
 	if dc[0].Seen(keys[0]) || dc[1].Seen(keys[0]) {
 		t.Fatal("expired key still seen")
 	}
-	if x.nrec != 2 || len(x.free) != 1 {
-		t.Fatalf("%d records in the table, %d free; want 2 and 1", x.nrec, len(x.free))
+	if x.recs.Len() != 2 || x.recs.Made() != 3 {
+		t.Fatalf("%d of %d records held; want 2 of 3", x.recs.Len(), x.recs.Made())
 	}
 	if !dc[0].Seen(keys[1]) || !dc[0].Seen(keys[2]) {
 		t.Fatal("removing the head of a probe run lost a key behind it")
@@ -289,7 +295,7 @@ func TestDupIndexRecordRemovalKeepsProbeRunsIntact(t *testing.T) {
 	if dc[2].Mark(keys[3]) {
 		t.Fatal("new key reported as a duplicate")
 	}
-	if len(x.free) != 0 {
+	if x.recs.Made() != 3 {
 		t.Fatal("freed record not reused")
 	}
 	if dc[0].Seen(keys[3]) || dc[1].Seen(keys[3]) {
@@ -350,11 +356,18 @@ func TestPlaneAuditDetectsCorruption(t *testing.T) {
 		{"log-order", func(x *dupIndex) { x.at(1).dt++ }},
 		{"log-order", func(x *dupIndex) { x.headT++ }},
 		{"log-order", func(x *dupIndex) { x.swept = x.headT + x.cfg.Timeout }},
-		{"bit-count", func(x *dupIndex) { x.set(0)[0] ^= 1 << 3 }},
+		{"bit-count", func(x *dupIndex) { x.recs.Set(0)[0] ^= 1 << 3 }},
 		{"bit-count", func(x *dupIndex) { x.live[2]-- }},
 		{"bit-count", func(x *dupIndex) { x.at(0).rec = dupDead }},
-		{"table-reach", func(x *dupIndex) { slot, _ := x.find(Key{Origin: 9, ID: 1}); x.table[slot] = 0 }},
-		{"table-reach", func(x *dupIndex) { x.free = append(x.free, 0) }},
+		{"table-reach", func(x *dupIndex) { // a stray slot write: key 1 behind another
+			slot, _ := x.recs.Find(packKey(Key{Origin: 9, ID: 1}))
+			x.recs.Insert(packKey(Key{Origin: 9, ID: 99}), slot)
+		}},
+		{"table-reach", func(x *dupIndex) { // a record held with no mark
+			k := packKey(Key{Origin: 9, ID: 99})
+			slot, _ := x.recs.Find(k)
+			x.recs.Insert(k, slot)
+		}},
 		{"node-bound", func(x *dupIndex) { x.cfg.HardCap = 5 }},
 	} {
 		pl, x := build()
