@@ -31,17 +31,17 @@ type Index[V comparable] struct {
 	onFree []bool // Audit's scratch
 }
 
-// ChunkLen is how many records one chunk holds: record r is entry
-// r%ChunkLen of chunk r/ChunkLen. Keys and sets take 4 KiB a chunk at 50
+// chunkLen is how many records one chunk holds: record r is entry
+// r%chunkLen of chunk r/chunkLen. Keys and sets take 4 KiB a chunk at 50
 // nodes, 8 KiB at 150 and 18 KiB at 500; half the size doubles the chunk
 // allocations of the larger networks.
 const (
 	chunkShift = 8
-	ChunkLen   = 1 << chunkShift
-	chunkMask  = ChunkLen - 1
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
 )
 
-// chunk is ChunkLen records: record i's key is data[i*(1+words)], its
+// chunk is chunkLen records: record i's key is data[i*(1+words)], its
 // node set the words after it (so a probe that finds the key has the
 // bit's cache line), and its value vals[i].
 type chunk[V comparable] struct {
@@ -123,7 +123,7 @@ func (x *Index[V]) Insert(k uint64, slot uint32) int32 {
 	if n := len(x.free); n > 0 {
 		r, x.free = x.free[n-1], x.free[:n-1]
 	} else if x.made++; r&chunkMask == 0 {
-		x.chunks = append(x.chunks, chunk[V]{make([]uint64, ChunkLen*(1+x.words)), make([]V, ChunkLen)})
+		x.chunks = append(x.chunks, chunk[V]{make([]uint64, chunkLen*(1+x.words)), make([]V, chunkLen)})
 	}
 	x.chunks[r>>chunkShift].data[x.offset(r)] = k
 	x.table[slot] = r + 1
@@ -196,10 +196,12 @@ func (x *Index[V]) Audit(report func(rule, detail string)) {
 			wild = wild || r < 0 || r > x.made
 		}
 	}
-	// A slot naming a record never made would send a probe past the
-	// chunks: the probes wait until no slot does.
+	// Probe for held records, once no slot names one past the chunks.
 	for r := int32(0); r < x.made && !wild; r++ {
-		if _, found := x.Find(x.Key(r)); !x.onFree[r] && found != r {
+		if x.onFree[r] {
+			continue
+		}
+		if _, found := x.Find(x.Key(r)); found != r {
 			report("table-reach", fmt.Sprintf("record %d (key %#x) not reached by its key (probe found %d)", r, x.Key(r), found))
 		}
 	}

@@ -305,6 +305,30 @@ func TestIndexAuditDetectsCorruption(t *testing.T) {
 	}
 }
 
+// An index of M records holds ⌈M/chunkLen⌉ chunks, filled in record
+// order, and the smallest table of at least 16 slots that M fill at most
+// half: records cost chunks, not allocations of their own, and the table
+// doubles only while it would be more than half full.
+func TestIndexChunksAndTableSize(t *testing.T) {
+	for _, m := range []int{0, 1, 8, 9, chunkLen - 1, chunkLen, chunkLen + 1, 3000} {
+		x := Make[struct{}](150)
+		for k := range uint64(m) {
+			slot, _ := x.Find(k + 1)
+			x.Insert(k+1, slot)
+		}
+		if chunks := (m + chunkLen - 1) / chunkLen; len(x.chunks) != chunks {
+			t.Errorf("%d records made %d chunks, want %d", m, len(x.chunks), chunks)
+		}
+		slots := 16
+		for slots < 2*m {
+			slots *= 2
+		}
+		if len(x.table) != slots {
+			t.Errorf("%d records in a table of %d slots, want %d", m, len(x.table), slots)
+		}
+	}
+}
+
 // Auditing an index no larger than at the last audit allocates nothing.
 func TestIndexAuditReusesScratch(t *testing.T) {
 	x := Make[val](150)

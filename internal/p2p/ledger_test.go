@@ -162,9 +162,10 @@ func TestQueryLedgerAllocatesChunksNotQueries(t *testing.T) {
 	if int(l.Made()) != queries {
 		t.Fatalf("%d queries made %d records", queries, l.Made())
 	}
-	// The index fills its chunks in record order, and doubles its
-	// 16-slot table while it would be more than half full.
-	chunks := (queries + marks.ChunkLen - 1) / marks.ChunkLen
+	// The index fills its 256-record chunks in record order, and doubles
+	// its 16-slot table while it would be more than half full (both
+	// pinned exactly by the marks package's own test).
+	chunks := (queries + 255) / 256
 	doublings := bits.Len(uint(2*queries-1)) - 4
 	if want := 2 + chunks + doublings + bits.Len(uint(chunks)) + 1; allocs > want {
 		t.Errorf("%d queries allocate %d objects, want at most %d: the ledger and its table, %d chunks, %d table doublings and the chunk list's growth",

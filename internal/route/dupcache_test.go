@@ -334,7 +334,10 @@ func TestDupIndexReprobesAfterEviction(t *testing.T) {
 }
 
 // TestPlaneAuditDetectsCorruption breaks the index once per rule and
-// requires Audit to name that rule.
+// requires Audit to name that rule. Where detail is set, a report of the
+// rule must also contain it: a stray slot write leaves the route's own
+// record count off too, so only the index's report shows that the plane
+// audits the table itself.
 func TestPlaneAuditDetectsCorruption(t *testing.T) {
 	build := func() (*Plane, *dupIndex) {
 		s := sim.New(10)
@@ -349,33 +352,41 @@ func TestPlaneAuditDetectsCorruption(t *testing.T) {
 		auditClean(t, pl)
 		return pl, pl.dups[0]
 	}
+	const unreached = "not reached by its key"
 	for _, tc := range []struct {
-		rule    string
-		corrupt func(x *dupIndex)
+		rule, detail string
+		corrupt      func(x *dupIndex)
 	}{
-		{"log-order", func(x *dupIndex) { x.at(1).dt++ }},
-		{"log-order", func(x *dupIndex) { x.headT++ }},
-		{"log-order", func(x *dupIndex) { x.swept = x.headT + x.cfg.Timeout }},
-		{"bit-count", func(x *dupIndex) { x.recs.Set(0)[0] ^= 1 << 3 }},
-		{"bit-count", func(x *dupIndex) { x.live[2]-- }},
-		{"bit-count", func(x *dupIndex) { x.at(0).rec = dupDead }},
-		{"table-reach", func(x *dupIndex) { // a stray slot write: key 1 behind another
+		{"log-order", "", func(x *dupIndex) { x.at(1).dt++ }},
+		{"log-order", "", func(x *dupIndex) { x.headT++ }},
+		{"log-order", "", func(x *dupIndex) { x.swept = x.headT + x.cfg.Timeout }},
+		{"bit-count", "", func(x *dupIndex) { x.recs.Set(0)[0] ^= 1 << 3 }},
+		{"bit-count", "", func(x *dupIndex) { x.live[2]-- }},
+		{"bit-count", "", func(x *dupIndex) { x.at(0).rec = dupDead }},
+		{"table-reach", unreached, func(x *dupIndex) { // a stray slot write: key 1 behind another
 			slot, _ := x.recs.Find(packKey(Key{Origin: 9, ID: 1}))
 			x.recs.Insert(packKey(Key{Origin: 9, ID: 99}), slot)
 		}},
-		{"table-reach", func(x *dupIndex) { // a record held with no mark
+		{"table-reach", "with a live mark", func(x *dupIndex) { // a record held with no mark
 			k := packKey(Key{Origin: 9, ID: 99})
 			slot, _ := x.recs.Find(k)
 			x.recs.Insert(k, slot)
 		}},
-		{"node-bound", func(x *dupIndex) { x.cfg.HardCap = 5 }},
+		{"node-bound", "", func(x *dupIndex) { x.cfg.HardCap = 5 }},
 	} {
 		pl, x := build()
 		tc.corrupt(x)
-		var rules []string
-		pl.Audit(func(rule, detail string) { rules = append(rules, rule) })
+		var rules, details []string
+		pl.Audit(func(rule, detail string) {
+			rules = append(rules, rule)
+			if rule == tc.rule {
+				details = append(details, detail)
+			}
+		})
 		if !slices.Contains(rules, tc.rule) {
 			t.Errorf("corruption aimed at %s reported %q", tc.rule, strings.Join(rules, ","))
+		} else if !slices.ContainsFunc(details, func(d string) bool { return strings.Contains(d, tc.detail) }) {
+			t.Errorf("corruption aimed at %s reported %q, none naming %q", tc.rule, strings.Join(details, "; "), tc.detail)
 		}
 	}
 }
