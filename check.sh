@@ -5,7 +5,11 @@
 # ledger, of the duplicate index and of the AODV route table, the race
 # detector over every package (with -short, so the checker's seed sweep
 # runs once, without it), a smoke of the unit benchmarks, and the count
-# of non-test Go lines outside benchmark/.
+# of non-test Go lines outside benchmark/ beside the line counts of
+# EXPERIMENTS.md and DESIGN.md. It fails on a heading in either document
+# that names a PR: both describe the simulator as it is, and a
+# performance change adds rows to EXPERIMENTS.md's trajectory table, not
+# a section.
 #
 # `./check.sh selfcheck` runs the runtime invariant suite and the
 # determinism self-audit (p2psim -selfcheck) across all four algorithms:
@@ -216,6 +220,17 @@ if [ -n "$surface" ]; then
 fi
 echo ok
 
+# EXPERIMENTS.md and DESIGN.md are current-state documents; the history
+# of a change is its CHANGES.md line. A heading naming a PR is a diary.
+echo "== document lint (no heading names a PR) =="
+diaries=$(grep -nE '^#+ .*\bPRs? *[0-9]' EXPERIMENTS.md DESIGN.md || true)
+if [ -n "$diaries" ]; then
+	echo "heading naming a PR (add a trajectory-table row instead):"
+	echo "$diaries"
+	exit 1
+fi
+echo ok
+
 echo "== go build =="
 go build ./...
 echo ok
@@ -261,5 +276,8 @@ go test -run '^$' -bench . -benchtime 10x ./internal/...
 
 echo "all checks passed"
 
-# The non-test line figure, which ROADMAP tracks and CHANGES.md quotes.
+# The non-test line figure and the two documents' sizes, which ROADMAP
+# tracks and CHANGES.md quotes.
 echo "non-test Go lines outside benchmark/: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
+echo "EXPERIMENTS.md lines: $(wc -l < EXPERIMENTS.md)"
+echo "DESIGN.md lines: $(wc -l < DESIGN.md)"

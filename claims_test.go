@@ -30,8 +30,9 @@ const firstClaimSeed, claimSeeds = 7001, 12
 // each world of the claim. opt, when set, holds the Build options no
 // scenario field reaches (AODV's tuning, an overlay without queries).
 type arm struct {
-	sc  Scenario
-	opt manet.Options
+	name string
+	sc   Scenario
+	opt  manet.Options
 }
 
 // A world is a setting every arm of a claim runs in.
@@ -62,31 +63,31 @@ type claim struct {
 }
 
 // algArm is one overlay algorithm at the paper's 50-node population.
-func algArm(alg Algorithm, horizon Duration, vary func(*Scenario)) *arm {
+func algArm(name string, alg Algorithm, horizon Duration, vary func(*Scenario)) *arm {
 	sc := DefaultScenario(50, alg)
 	sc.Duration, sc.SnapshotEvery = horizon, 0
 	if vary != nil {
 		vary(&sc)
 	}
-	return &arm{sc: sc}
+	return &arm{name: name, sc: sc}
 }
 
 // buildArm is algArm without queries, built with manet.Build under the
 // given AODV tuning (nil for the defaults).
-func buildArm(alg Algorithm, horizon Duration, tuning *aodv.Config, vary func(*Scenario)) *arm {
-	a := algArm(alg, horizon, vary)
+func buildArm(name string, alg Algorithm, horizon Duration, tuning *aodv.Config, vary func(*Scenario)) *arm {
+	a := algArm(name, alg, horizon, vary)
 	a.opt = manet.Options{NoQueries: true, AODV: tuning}
 	return a
 }
 
 var (
-	basic   = algArm(Basic, 3600*sim.Second, nil)
-	regular = algArm(Regular, 3600*sim.Second, nil)
-	random  = algArm(Random, 3600*sim.Second, nil)
-	hybrid  = algArm(Hybrid, 3600*sim.Second, nil)
+	basic   = algArm("basic", Basic, 3600*sim.Second, nil)
+	regular = algArm("regular", Regular, 3600*sim.Second, nil)
+	random  = algArm("random", Random, 3600*sim.Second, nil)
+	hybrid  = algArm("hybrid", Hybrid, 3600*sim.Second, nil)
 
-	dupCached = buildArm(Basic, 600*sim.Second, nil, nil)
-	dupNaive  = buildArm(Basic, 600*sim.Second, func() *aodv.Config {
+	dupCached = buildArm("dupCached", Basic, 600*sim.Second, nil, nil)
+	dupNaive  = buildArm("dupNaive", Basic, 600*sim.Second, func() *aodv.Config {
 		cfg := aodv.DefaultConfig()
 		cfg.DisableBcastDupCache = true
 		return &cfg
@@ -99,19 +100,19 @@ var (
 		sc.Params.TimerInitial = 60 * sim.Second
 		sc.Params.MaxTimer = 60 * sim.Second
 	}
-	fixedRadius   = buildArm(Basic, 1200*sim.Second, nil, equalTimers)
-	expandingRing = buildArm(Regular, 1200*sim.Second, nil, equalTimers)
+	fixedRadius   = buildArm("fixedRadius", Basic, 1200*sim.Second, nil, equalTimers)
+	expandingRing = buildArm("expandingRing", Regular, 1200*sim.Second, nil, equalTimers)
 
-	peerCacheOff = buildArm(Regular, 1800*sim.Second, nil, nil)
-	peerCacheOn  = buildArm(Regular, 1800*sim.Second, nil, func(sc *Scenario) {
+	peerCacheOff = buildArm("peerCacheOff", Regular, 1800*sim.Second, nil, nil)
+	peerCacheOn  = buildArm("peerCacheOn", Regular, 1800*sim.Second, nil, func(sc *Scenario) {
 		sc.Params.PeerCache = p2p.PeerCacheConfig{Enabled: true}
 	})
-	downloadOff = algArm(Regular, 1800*sim.Second, nil)
-	downloadOn  = algArm(Regular, 1800*sim.Second, func(sc *Scenario) {
+	downloadOff = algArm("downloadOff", Regular, 1800*sim.Second, nil)
+	downloadOn  = algArm("downloadOn", Regular, 1800*sim.Second, func(sc *Scenario) {
 		sc.Params.Download = p2p.DownloadConfig{Enabled: true}
 	})
-	queryFlood = algArm(Regular, 1200*sim.Second, nil)
-	queryWalk  = algArm(Regular, 1200*sim.Second, func(sc *Scenario) {
+	queryFlood = algArm("queryFlood", Regular, 1200*sim.Second, nil)
+	queryWalk  = algArm("queryWalk", Regular, 1200*sim.Second, func(sc *Scenario) {
 		sc.Params.QueryMode = p2p.QueryRandomWalk
 	})
 )
@@ -199,11 +200,13 @@ func within(lo, hi float64) relation {
 	}
 }
 
-// runArm runs the claim seeds of arm a in world w.
+// runArm runs the claim seeds of arm a in world w, each under the
+// invariant checker. The checker only reads, so it moves no verdict.
 func runArm(p *Pool, a *arm, w world) ([]*repResult, error) {
 	sc := a.sc
 	sc.Seed, sc.Replications = firstClaimSeed, claimSeeds
 	sc.Routing, sc.LossProb = w.routing, w.loss
+	sc.Invariants = &InvariantConfig{Enabled: true}
 	if a.opt == (manet.Options{}) {
 		return p.runReps(sc, nil)
 	}
@@ -274,9 +277,34 @@ func TestClaims(t *testing.T) {
 		}
 		return v
 	}
+	// checked fails world w of claim c for each replication of its
+	// arms the invariant checker did not pass.
+	checked := func(t *testing.T, c claim, w world) bool {
+		clean := true
+		for _, a := range append([]*arm{c.a}, c.b...) {
+			for i, rr := range reps[index[run{a, w}]] {
+				switch {
+				case !rr.Checked:
+					t.Errorf("claim %s, arm %s, world %s, seed %d: the invariant checker did not run",
+						c.name, a.name, w, firstClaimSeed+i)
+				case rr.ViolTotal > 0:
+					v := rr.Violations[0]
+					t.Errorf("claim %s, arm %s, world %s, seed %d: %d invariant violations, the first %s/%s: %s",
+						c.name, a.name, w, firstClaimSeed+i, rr.ViolTotal, v.Layer, v.Rule, v)
+				default:
+					continue
+				}
+				clean = false
+			}
+		}
+		return clean
+	}
 	for _, c := range claims {
 		t.Run(c.name, func(t *testing.T) {
 			for _, w := range c.worlds {
+				if !checked(t, c, w) {
+					continue
+				}
 				a, b := values(c, c.a, w), values(c, c.b[0], w)
 				for _, other := range c.b[1:] {
 					for i, v := range values(c, other, w) {

@@ -105,13 +105,11 @@ func SignTest(wins, n int) float64 {
 	return p
 }
 
-// DescendingSeries sorts one replication's per-node counts in decreasing
-// order — the transform the paper applies before plotting Figures 7–12.
-func DescendingSeries(counts []uint64) []float64 {
-	out := make([]float64, len(counts))
-	for i, c := range counts {
-		out[i] = float64(c)
-	}
+// DescendingSeries returns one replication's per-node counts sorted in
+// decreasing order — the transform the paper applies before plotting
+// Figures 7–12. counts is left as it is.
+func DescendingSeries(counts []float64) []float64 {
+	out := append([]float64(nil), counts...)
 	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
 	return out
 }

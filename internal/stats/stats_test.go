@@ -59,7 +59,7 @@ func TestTQuantileMonotone(t *testing.T) {
 }
 
 func TestDescendingSeries(t *testing.T) {
-	got := DescendingSeries([]uint64{3, 9, 1, 7})
+	got := DescendingSeries([]float64{3, 9, 1, 7})
 	want := []float64{9, 7, 3, 1}
 	for i := range want {
 		if got[i] != want[i] {
@@ -119,16 +119,16 @@ func TestQuickSummarizeInvariants(t *testing.T) {
 // the input.
 func TestQuickDescendingSeries(t *testing.T) {
 	f := func(xs []uint64) bool {
-		got := DescendingSeries(xs)
+		want := make([]float64, len(xs))
+		for i, x := range xs {
+			want[i] = float64(x)
+		}
+		got := DescendingSeries(want)
 		if !sort.IsSorted(sort.Reverse(sort.Float64Slice(got))) {
 			return false
 		}
 		if len(got) != len(xs) {
 			return false
-		}
-		want := make([]float64, len(xs))
-		for i, x := range xs {
-			want[i] = float64(x)
 		}
 		sort.Float64s(want)
 		check := append([]float64(nil), got...)

@@ -92,7 +92,8 @@ func computeResilience(sc Scenario, reps []*repResult) *Resilience {
 	res.LargestComp = healthSeries(func(rr *repResult, i int) float64 { return rr.Health[i].LargestComp })
 	res.Links = healthSeries(func(rr *repResult, i int) float64 { return float64(rr.Health[i].Links) })
 	res.ConnectRate = healthSeries(func(rr *repResult, i int) float64 {
-		if rr.Members == 0 {
+		members := len(rr.Totals[telemetry.Connect])
+		if members == 0 {
 			return 0
 		}
 		var prev uint64
@@ -100,7 +101,7 @@ func computeResilience(sc Scenario, reps []*repResult) *Resilience {
 			prev = rr.Health[i-1].Received[telemetry.Connect]
 		}
 		return float64(rr.Health[i].Received[telemetry.Connect]-prev) /
-			float64(rr.Members) / period.Seconds()
+			float64(members) / period.Seconds()
 	})
 
 	for _, ev := range sc.Faults.Events {
@@ -183,9 +184,9 @@ func recoveryOf(ev FaultEvent, rr *repResult) recovery {
 	}
 	if ri >= 0 {
 		rec.reheal = []float64{(h[ri].At - clear).Seconds()}
-		if rr.Members > 0 {
+		if members := len(rr.Totals[telemetry.Connect]); members > 0 {
 			rec.cost = []float64{float64(h[ri].Received[telemetry.Connect]-h[ci].Received[telemetry.Connect]) /
-				float64(rr.Members)}
+				float64(members)}
 		}
 	}
 	return rec

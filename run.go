@@ -184,8 +184,7 @@ type Result struct {
 // no further code. err stays unexported and so out of gob.
 type repResult struct {
 	Requests   []telemetry.Request
-	Series     [telemetry.NumClasses][]float64
-	Totals     [telemetry.NumClasses][]float64
+	Totals     [telemetry.NumClasses][]float64 // per member, in membership order
 	RxFrames   []float64
 	TxFrames   []float64
 	Clust      []float64
@@ -201,7 +200,6 @@ type repResult struct {
 	Lifetimes  []float64
 	Health     []telemetry.HealthSample // resilience telemetry samples
 	Routing    []netif.Stats            // per-node routing-effort counters
-	Members    int                      // overlay membership size
 	Checked    bool                     // the invariant checker validated this replication
 	ViolTotal  int                      // invariant breaches detected (including past the cap)
 	Violations []InvariantViolation     // recorded breaches, detection order

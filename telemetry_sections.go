@@ -69,17 +69,10 @@ var sections = []section{
 		name: "servent",
 		collect: func(sc Scenario, net *manet.Network, rr *repResult) {
 			members := net.Members()
-			rr.Members = len(members)
-			counts := make([]uint64, 0, len(members)) // reused across classes
-			for class := 0; class < telemetry.NumClasses; class++ {
-				counts = counts[:0]
-				for _, id := range members {
-					counts = append(counts, net.Collector.Received(id, telemetry.Class(class)))
-				}
-				rr.Series[class] = stats.DescendingSeries(counts)
-				totals := make([]float64, len(counts))
-				for i, c := range counts {
-					totals[i] = float64(c)
+			for class := range rr.Totals {
+				totals := make([]float64, len(members))
+				for i, id := range members {
+					totals[i] = float64(net.Collector.Received(id, telemetry.Class(class)))
 				}
 				rr.Totals[class] = totals
 			}
@@ -102,7 +95,7 @@ var sections = []section{
 		pool: func(sc Scenario, reps []*repResult, res *Result) {
 			// Figures 7–12: rank-wise mean of descending per-node series.
 			ranked := func(class telemetry.Class) []float64 {
-				return poolSeries(reps, func(rr *repResult) []float64 { return rr.Series[class] })
+				return poolSeries(reps, func(rr *repResult) []float64 { return stats.DescendingSeries(rr.Totals[class]) })
 			}
 			res.ConnectSeries = ranked(telemetry.Connect)
 			res.PingSeries = ranked(telemetry.Ping)
@@ -632,9 +625,9 @@ func WriteResilience(w io.Writer, r *Result) error {
 // manifestWire is the versioned wire form of the section list, stored
 // in every checkpoint so that resume can refuse a file written by a
 // binary with a different list, which would have collected in a
-// different order. The encoding is the one the PR-13…19 binaries wrote
-// (TestSectionManifest pins the bytes), so their checkpoints still
-// resume.
+// different order. TestSectionManifest pins its bytes: a change to the
+// list or to this encoding leaves every checkpoint written before it
+// unresumable, so it has to show up as an edit of that test.
 type manifestWire struct {
 	Version  int      `json:"version"`
 	Sections []string `json:"sections"`
