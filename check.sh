@@ -1,8 +1,9 @@
 #!/bin/sh
 # Repository health check: format, vet, full tests (the benchmark
 # module's own included), a 10 s fuzz smoke of each of the four file
-# decoders, of the mark index behind the duplicate caches and the query
-# ledger, of the duplicate index and of the AODV route table, the race
+# decoders (checkpoint, scenario, fault plan, workload plan), of the
+# mark index behind the duplicate caches and the query ledger, of the
+# duplicate index and of the AODV route table, the race
 # detector over every package (with -short, so the checker's seed sweep
 # runs once, without it), a smoke of the unit benchmarks, and the count
 # of non-test Go lines outside benchmark/ beside the line counts of
@@ -246,8 +247,10 @@ echo "== benchmark module: go vet + go test =="
 go vet -C benchmark ./...
 go test -C benchmark ./...
 
-# Every decoder that reads a file (checkpoint container, scenario, fault
-# plan, workload plan), and the mark index, the duplicate index and the
+# Every decoder that reads a file (checkpoint, scenario, fault plan,
+# workload plan; the checkpoint target re-stamps the checksum on each
+# mutated body, so the decoder behind it is fuzzed and not only the
+# checksum), and the mark index, the duplicate index and the
 # packed AODV route table against their reference models under an
 # operation stream read from the fuzz bytes. Minimising a new-coverage input is capped at ten runs;
 # the default (60 s per input) would eat the whole smoke on the
@@ -256,7 +259,7 @@ fuzz_smoke() {
 	echo "== fuzz smoke ($1 in $2, 10s) =="
 	go test -run '^$' -fuzz "^$1\$" -fuzztime 10s -fuzzminimizetime 10x "$2"
 }
-fuzz_smoke FuzzRead ./internal/checkpoint
+fuzz_smoke FuzzReadCheckpoint .
 fuzz_smoke FuzzUnmarshalScenario .
 fuzz_smoke FuzzPlan ./internal/fault
 fuzz_smoke FuzzPlan ./internal/workload

@@ -2,19 +2,20 @@ package manetp2p
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
-	"strconv"
+	"os"
+	"path/filepath"
 	"sync"
 
-	"manetp2p/internal/checkpoint"
 	"manetp2p/internal/sim"
 )
 
-// This file wires internal/checkpoint into the runner: a run given
+// This file is replication-granular checkpointing: a run given
 // Outputs.Checkpoint persists every finished replication to that file,
 // and a later run of the same scenario on the same file — in this
 // process or a new one — loads those replications instead of executing
@@ -22,123 +23,169 @@ import (
 // uninterrupted run (DESIGN.md §11). A replication that was in flight
 // when the process died runs again from its seed. To resume a file
 // without knowing its scenario, read it with InspectCheckpoint first.
+//
+// A checkpoint file is ckptMagic, one format-version byte, the gob
+// encoding of one ckptFile, and the little-endian CRC-32 (IEEE) of
+// everything before it. Each fact is stored once: the replication total
+// is the scenario's, the completed list is the stored indices, and the
+// run is done when every replication is stored.
 
-// ckptHeader is the checkpoint file's JSON header — self-describing
-// enough for tooling without decoding any section. It is decoded
-// leniently: a "cursors" array of in-flight replications, which early
-// headers carried, is ignored (they run from their seed).
-// Generator names the random streams the replications were drawn from
-// (sim.Generator): the same seeds under another generator are another
-// sample, so resume refuses a file that names none or another.
-type ckptHeader struct {
-	Kind      string          `json:"kind"`
-	Generator string          `json:"generator"`
-	Scenario  json.RawMessage `json:"scenario"`
-	Total     int             `json:"replications"`
-	Completed []int           `json:"completed"`
-	Done      bool            `json:"done"`
+const (
+	ckptMagic   = "MP2PCKP"
+	ckptVersion = '2' // '1': a JSON header over named, CRC-guarded sections
+)
 
-	sc Scenario // Scenario, decoded and validated by readCkptHeader
+// ckptLayout numbers the record layout a checkpoint holds: the section
+// list and repResult's whole type tree, which gob would otherwise
+// decode across a change without error, zeroing what it cannot match.
+// TestCheckpointLayout pins it to a description of both, so a change to
+// either fails that test until this number is bumped.
+const ckptLayout = 1
+
+// ckptFile is everything a checkpoint stores.
+type ckptFile struct {
+	Generator string // sim.Generator of the writing binary
+	Layout    int    // ckptLayout of the writing binary
+	Scenario  []byte // canonical scenario JSON
+	Reps      []ckptRep
 }
 
-const ckptKind = "manetp2p-run"
+// ckptRep is one finished replication; a file lists them by ascending
+// Index, each once.
+type ckptRep struct {
+	Index  int
+	Record repResult
+}
 
-// telemetrySectionName is the checkpoint section holding the telemetry
-// plane's manifest (section names in list order).
-const telemetrySectionName = "telemetry/manifest"
-
-func sectionName(rep int) string { return "rep/" + strconv.Itoa(rep) }
-
-// writeCheckpoint is checkpoint.Write; a variable only so a test can
+// writeCheckpoint is writeFileAtomic; a variable only so a test can
 // count the writes of a run.
-var writeCheckpoint = checkpoint.Write
+var writeCheckpoint = writeFileAtomic
+
+// encodeCheckpoint renders f in the file format.
+func encodeCheckpoint(f *ckptFile) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.WriteString(ckptMagic)
+	buf.WriteByte(ckptVersion)
+	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
+		return nil, fmt.Errorf("manetp2p: encoding checkpoint: %w", err)
+	}
+	return binary.LittleEndian.AppendUint32(buf.Bytes(), crc32.ChecksumIEEE(buf.Bytes())), nil
+}
+
+// parseCheckpoint decodes and validates a checkpoint file's bytes:
+// magic and version first, so a file of another format is named as
+// such, then the checksum, then one decode that must consume the body
+// exactly, then what the body says against this binary.
+func parseCheckpoint(data []byte) (*ckptFile, Scenario, error) {
+	head := len(ckptMagic) + 1
+	if len(data) < head || string(data[:len(ckptMagic)]) != ckptMagic {
+		return nil, Scenario{}, errors.New("not a checkpoint file")
+	}
+	if v := data[len(ckptMagic)]; v != ckptVersion {
+		return nil, Scenario{}, fmt.Errorf("checkpoint format version %q, this binary reads version %q", v, ckptVersion)
+	}
+	end := len(data) - crc32.Size
+	if end < head || crc32.ChecksumIEEE(data[:end]) != binary.LittleEndian.Uint32(data[end:]) {
+		return nil, Scenario{}, errors.New("checksum mismatch: the file is truncated or corrupt")
+	}
+	body := bytes.NewReader(data[head:end])
+	f := new(ckptFile)
+	if err := gob.NewDecoder(body).Decode(f); err != nil {
+		return nil, Scenario{}, fmt.Errorf("decoding: %w", err)
+	}
+	if body.Len() != 0 {
+		return nil, Scenario{}, fmt.Errorf("%d trailing bytes after the record", body.Len())
+	}
+	switch f.Generator {
+	case sim.Generator:
+	case "":
+		return nil, Scenario{}, fmt.Errorf("names no random-stream generator: its replications cannot be pooled with this binary's, which draws %s", sim.Generator)
+	default:
+		return nil, Scenario{}, fmt.Errorf("random-stream generator %q, this binary draws %q; its replications cannot be pooled with this binary's", f.Generator, sim.Generator)
+	}
+	if f.Layout != ckptLayout {
+		return nil, Scenario{}, fmt.Errorf("record layout %d, this binary's is %d: its replications would decode into the wrong fields", f.Layout, ckptLayout)
+	}
+	sc, err := UnmarshalJSONScenario(f.Scenario)
+	if err != nil {
+		return nil, Scenario{}, fmt.Errorf("scenario: %w", err)
+	}
+	next := 0 // the least index the next entry may hold
+	for _, rp := range f.Reps {
+		if rp.Index < next || rp.Index >= sc.Replications {
+			return nil, Scenario{}, fmt.Errorf("replication %d is outside [0,%d), listed twice or out of order", rp.Index, sc.Replications)
+		}
+		next = rp.Index + 1
+	}
+	return f, sc, nil
+}
+
+// readCheckpoint reads and validates the checkpoint at path.
+func readCheckpoint(path string) (*ckptFile, Scenario, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, Scenario{}, fmt.Errorf("manetp2p: %w", err)
+	}
+	f, sc, err := parseCheckpoint(data)
+	if err != nil {
+		return nil, Scenario{}, fmt.Errorf("manetp2p: checkpoint %s: %w", path, err)
+	}
+	return f, sc, nil
+}
+
+// writeFileAtomic writes data to path through a temporary file in the
+// same directory, synced and then renamed over path, so an interrupted
+// writer leaves either the old file or the new one, never a torn one.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
+	if err != nil {
+		return fmt.Errorf("manetp2p: %w", err)
+	}
+	_, werr := tmp.Write(data)
+	if serr := tmp.Sync(); werr == nil {
+		werr = serr
+	}
+	if cerr := tmp.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr == nil {
+		werr = os.Rename(tmp.Name(), path)
+	}
+	if werr != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("manetp2p: writing checkpoint %s: %w", path, werr)
+	}
+	return nil
+}
 
 // ckptState is the progress of one checkpointed run, shared by its
 // replication workers.
 type ckptState struct {
-	path   string
-	hdr    ckptHeader         // Completed and Done are filled in per write
-	loaded map[int]*repResult // replications read from the file; read-only
+	path     string
+	scenario []byte // canonical scenario JSON
 
-	mu      sync.Mutex
-	records map[int][]byte // gob-encoded finished replications
+	mu   sync.Mutex
+	reps []*repResult // by index; nil until finished or loaded
 }
 
-// store records a finished replication and rewrites the file.
+// store records a finished replication and rewrites the file. st.mu
+// also orders the writes: a later snapshot never loses to an earlier.
 func (st *ckptState) store(rep int, rr *repResult) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rr); err != nil {
-		return fmt.Errorf("manetp2p: encoding replication %d: %w", rep, err)
-	}
+	rec := *rr // a copy: the worker goes on to set rr.err
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.records[rep] = buf.Bytes()
-	return st.persist(false)
-}
-
-// finish marks the run complete and rewrites the file.
-func (st *ckptState) finish() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.persist(true)
-}
-
-// persist writes the current progress to the checkpoint file. The
-// caller holds st.mu, which also orders the writes: a later snapshot is
-// never overwritten by an earlier one.
-func (st *ckptState) persist(done bool) error {
-	hdr := st.hdr
-	hdr.Done, hdr.Completed = done, make([]int, 0, len(st.records))
-	f := &checkpoint.File{Sections: make(map[string][]byte, len(st.records)+1)}
-	// The telemetry plane's shape travels with the run: resume refuses a
-	// checkpoint whose section list differs from this binary's.
-	f.Sections[telemetrySectionName] = sectionsManifest()
-	for rep := 0; rep < hdr.Total; rep++ { // ascending: byte-stable headers
-		if data, ok := st.records[rep]; ok {
-			hdr.Completed = append(hdr.Completed, rep)
-			f.Sections[sectionName(rep)] = data
+	st.reps[rep] = &rec
+	f := &ckptFile{Generator: sim.Generator, Layout: ckptLayout, Scenario: st.scenario}
+	for i, rr := range st.reps {
+		if rr != nil {
+			f.Reps = append(f.Reps, ckptRep{Index: i, Record: *rr})
 		}
 	}
-	hb, err := json.Marshal(hdr)
+	data, err := encodeCheckpoint(f)
 	if err != nil {
-		return fmt.Errorf("manetp2p: encoding checkpoint header: %w", err)
+		return err
 	}
-	f.Header = hb
-	return writeCheckpoint(st.path, f)
-}
-
-// readCkptState loads the checkpoint at path: the scenario, and every
-// completed replication decoded from its section.
-func readCkptState(path string) (*ckptState, error) {
-	f, hdr, err := readCkptHeader(path)
-	if err != nil {
-		return nil, err
-	}
-	manifest, ok := f.Sections[telemetrySectionName]
-	if !ok {
-		return nil, fmt.Errorf("manetp2p: checkpoint %s: no %q section — written by a binary without the telemetry plane", path, telemetrySectionName)
-	}
-	if err := checkSectionsManifest(manifest); err != nil {
-		return nil, fmt.Errorf("manetp2p: checkpoint %s: %w — the telemetry plane changed between the writing and resuming binaries", path, err)
-	}
-	st := &ckptState{
-		path: path, hdr: *hdr,
-		loaded:  make(map[int]*repResult, len(hdr.Completed)),
-		records: make(map[int][]byte, len(hdr.Completed)),
-	}
-	for _, rep := range hdr.Completed {
-		data, ok := f.Sections[sectionName(rep)]
-		if !ok {
-			return nil, fmt.Errorf("manetp2p: checkpoint %s: header lists replication %d complete but section %q is missing", path, rep, sectionName(rep))
-		}
-		rr := new(repResult)
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(rr); err != nil {
-			return nil, fmt.Errorf("manetp2p: checkpoint %s: decoding replication %d: %w", path, rep, err)
-		}
-		st.loaded[rep] = rr
-		st.records[rep] = data
-	}
-	return st, nil
+	return writeCheckpoint(st.path, data)
 }
 
 // openCheckpoint opens the checkpoint at path for a run of sc, or
@@ -153,78 +200,42 @@ func openCheckpoint(path string, sc Scenario) (*ckptState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := readCkptState(path)
+	st := &ckptState{path: path, scenario: want, reps: make([]*repResult, sc.Replications)}
+	f, have, err := readCheckpoint(path)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
-		return &ckptState{
-			path:    path,
-			hdr:     ckptHeader{Kind: ckptKind, Generator: sim.Generator, Scenario: want, Total: sc.Replications, sc: sc},
-			records: make(map[int][]byte, sc.Replications),
-		}, nil
+		return st, nil
 	case err != nil:
 		return nil, err
 	}
-	have, err := MarshalJSONScenario(st.hdr.sc)
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(want, have) {
+	// Compared canonically: the file's JSON is re-rendered by this binary.
+	if got, err := MarshalJSONScenario(have); err != nil || !bytes.Equal(want, got) {
 		return nil, fmt.Errorf("manetp2p: checkpoint %s was written for a different scenario; delete it or use another path", path)
+	}
+	for i := range f.Reps {
+		st.reps[f.Reps[i].Index] = &f.Reps[i].Record
 	}
 	return st, nil
 }
 
-// CheckpointInfo summarizes a checkpoint file's header.
+// CheckpointInfo summarizes a checkpoint file.
 type CheckpointInfo struct {
 	Scenario  Scenario
-	Done      bool
-	Total     int   // replications in the scenario
-	Completed []int // replication indices finished and stored
+	Completed []int // replication indices finished and stored, ascending
+	Done      bool  // every one of Scenario.Replications is stored
 }
 
-// InspectCheckpoint verifies the checkpoint at path and reports its
-// header, decoding no replication.
+// InspectCheckpoint reads and verifies the checkpoint at path and
+// reports its scenario and progress.
 func InspectCheckpoint(path string) (*CheckpointInfo, error) {
-	_, hdr, err := readCkptHeader(path)
+	f, sc, err := readCheckpoint(path)
 	if err != nil {
 		return nil, err
 	}
-	return &CheckpointInfo{Scenario: hdr.sc, Done: hdr.Done, Total: hdr.Total, Completed: hdr.Completed}, nil
-}
-
-// readCkptHeader reads and verifies the checkpoint at path and decodes
-// and validates its header; everything in it comes from disk.
-func readCkptHeader(path string) (*checkpoint.File, *ckptHeader, error) {
-	f, err := checkpoint.Read(path)
-	if err != nil {
-		return nil, nil, err
+	info := &CheckpointInfo{Scenario: sc, Completed: make([]int, len(f.Reps))}
+	for i, rp := range f.Reps {
+		info.Completed[i] = rp.Index
 	}
-	hdr := new(ckptHeader)
-	if err := json.Unmarshal(f.Header, hdr); err != nil {
-		return nil, nil, fmt.Errorf("manetp2p: checkpoint %s: header: %w", path, err)
-	}
-	if hdr.Kind != ckptKind {
-		return nil, nil, fmt.Errorf("manetp2p: checkpoint %s: kind %q, want %q", path, hdr.Kind, ckptKind)
-	}
-	switch hdr.Generator {
-	case sim.Generator:
-	case "":
-		return nil, nil, fmt.Errorf("manetp2p: checkpoint %s names no random-stream generator: it was written before streams were %s, and its replications cannot be pooled with this binary's", path, sim.Generator)
-	default:
-		return nil, nil, fmt.Errorf("manetp2p: checkpoint %s: random-stream generator %q, this binary draws %q; its replications cannot be pooled with this binary's", path, hdr.Generator, sim.Generator)
-	}
-	if hdr.sc, err = UnmarshalJSONScenario(hdr.Scenario); err != nil {
-		return nil, nil, fmt.Errorf("manetp2p: checkpoint %s: scenario: %w", path, err)
-	}
-	if hdr.Total != hdr.sc.Replications {
-		return nil, nil, fmt.Errorf("manetp2p: checkpoint %s: header says %d replications, scenario says %d", path, hdr.Total, hdr.sc.Replications)
-	}
-	seen := make(map[int]bool, len(hdr.Completed))
-	for _, rep := range hdr.Completed {
-		if rep < 0 || rep >= hdr.Total || seen[rep] {
-			return nil, nil, fmt.Errorf("manetp2p: checkpoint %s: header lists replication %d complete, which is outside [0,%d) or listed twice", path, rep, hdr.Total)
-		}
-		seen[rep] = true
-	}
-	return f, hdr, nil
+	info.Done = len(info.Completed) == sc.Replications
+	return info, nil
 }

@@ -71,7 +71,7 @@ func main() {
 		info, err := manetp2p.InspectCheckpoint(*resume)
 		exitOn(err, 2)
 		fmt.Fprintf(os.Stderr, "resuming %s: %d/%d replications complete\n",
-			*resume, len(info.Completed), info.Total)
+			*resume, len(info.Completed), info.Scenario.Replications)
 		sc, *ckptPath = info.Scenario, *resume
 	} else {
 		sc, err = scenario.Scenario()

@@ -41,9 +41,11 @@ func FuzzPlan(f *testing.F) {
 	f.Add([]byte(`{"events":[{"type":"crashgroup","at":1,"duration":2,"count":1000}]}`))
 	f.Add([]byte(`{"events":[{"type":"lossburst","at":1e300,"duration":1,"loss":0.5}]}`))
 	f.Add([]byte(`{"events":[{"type":"linkflap","at":1e9,"duration":1e9,"period":9.3e12,"downFor":1}]}`))
+	// A typoed key, which once loaded as a partition on the x axis.
+	f.Add([]byte(`{"events":[{"type":"partition","at":60,"duration":30,"axs":"y","pos":50}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var plan fault.Plan
-		if json.Unmarshal(data, &plan) != nil || plan.Validate() != nil {
+		if sim.DecodeStrict(data, &plan) != nil || plan.Validate() != nil {
 			return
 		}
 		enc, err := json.Marshal(plan)

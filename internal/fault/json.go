@@ -74,7 +74,7 @@ func (e Event) MarshalJSON() ([]byte, error) {
 // unknown types with a clear error.
 func (e *Event) UnmarshalJSON(data []byte) error {
 	var j eventJSON
-	if err := json.Unmarshal(data, &j); err != nil {
+	if err := sim.DecodeStrict(data, &j); err != nil {
 		return fmt.Errorf("fault: parsing event: %w", err)
 	}
 	kind, err := ParseKind(j.Type)

@@ -8,7 +8,11 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -58,6 +62,23 @@ func (p *PlanSeconds) Time(field string, s float64) Time {
 		return 0
 	}
 	return FromSeconds(s)
+}
+
+// DecodeStrict decodes the one JSON value in data into v, refusing a
+// key v has no field for and anything after the value. Scenario and
+// plan files are hand-authored, so a typoed key must not read as a key
+// left unset; every custom UnmarshalJSON of a plan type decodes through
+// here too, because a decoder's strictness does not reach inside one.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
 }
 
 // Seconds reports t as a floating-point number of seconds.

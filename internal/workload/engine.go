@@ -41,12 +41,8 @@ type Engine struct {
 
 	phase int // index of the active phase; -1 before the first
 
-	// Demand conservation counters (see Counters).
-	offered, retries, issued   uint64
-	resolved, expired, aborted uint64
-	inflight, pendingN         uint64
-	boundsViol                 uint64
-	classIssued                []uint64
+	ledger      Counters // demand conservation
+	classIssued []uint64
 
 	// Latency samples, seconds.
 	ttfr       []float64
@@ -102,7 +98,7 @@ func New(s *sim.Sim, rng *rand.Rand, plan Plan, nodes, numFiles int, tracer *tra
 // NextGap draws node's next inter-query gap under the active arrival
 // process, session class and phase — the arrival hot path, allocation
 // free. Every draw is checked against the process bounds; breaches
-// increment BoundsViolations for the invariant checker.
+// count in Counters().BoundsViol for the invariant checker.
 func (e *Engine) NextGap(node int) sim.Time {
 	now := e.s.Now()
 	scale := e.rateScale(node, now)
@@ -129,7 +125,7 @@ func (e *Engine) NextGap(node int) sim.Time {
 		hi = minGap // hi == 0 means unbounded (rate processes)
 	}
 	if gap < lo || (hi > 0 && gap > hi) {
-		e.boundsViol++
+		e.ledger.BoundsViol++
 	}
 	return gap
 }
@@ -306,19 +302,19 @@ func (e *Engine) skew(now sim.Time) float64 {
 // peers, query window open, etc).
 func (e *Engine) Offered(node int) {
 	if e.pending[node] {
-		e.retries++
+		e.ledger.Retries++
 		return
 	}
 	e.pending[node] = true
-	e.pendingN++
-	e.offered++
+	e.ledger.Pending++
+	e.ledger.Offered++
 	e.offeredAt[node] = e.s.Now()
 }
 
 // Issued records that node actually sent a query for its pending demand.
 func (e *Engine) Issued(node int) {
-	e.issued++
-	e.inflight++
+	e.ledger.Issued++
+	e.ledger.InFlight++
 	e.classIssued[e.classOf[node]]++
 	e.issuedAt[node] = e.s.Now()
 }
@@ -336,22 +332,22 @@ func (e *Engine) FirstAnswer(node int) {
 // expired unanswered.
 func (e *Engine) Done(node int, found bool) {
 	if found {
-		e.resolved++
+		e.ledger.Resolved++
 	} else {
-		e.expired++
+		e.ledger.Expired++
 	}
-	e.inflight--
+	e.ledger.InFlight--
 	e.pending[node] = false
-	e.pendingN--
+	e.ledger.Pending--
 }
 
 // Aborted records a query window cut short by the node leaving the
 // overlay (churn, crash, battery death).
 func (e *Engine) Aborted(node int) {
-	e.aborted++
-	e.inflight--
+	e.ledger.Aborted++
+	e.ledger.InFlight--
 	e.pending[node] = false
-	e.pendingN--
+	e.ledger.Pending--
 }
 
 // SessionChurn reports whether node's class churns on its own absolute
@@ -382,7 +378,9 @@ func (e *Engine) ChurnMeans(node int, baseUp, baseDown sim.Time) (up, down sim.T
 // Counters is the conservation ledger the invariant checker audits:
 // Offered = Resolved + Expired + Aborted + Pending, and
 // Issued = Resolved + Expired + Aborted + InFlight, with InFlight equal
-// to the number of servents holding an open request.
+// to the number of servents holding an open request. BoundsViol counts
+// gap draws that escaped the configured process bounds (always zero
+// unless the engine itself regresses).
 type Counters struct {
 	Offered, Retries, Issued      uint64
 	Resolved, Expired, Aborted    uint64
@@ -390,22 +388,12 @@ type Counters struct {
 }
 
 // Counters snapshots the conservation ledger.
-func (e *Engine) Counters() Counters {
-	return Counters{
-		Offered: e.offered, Retries: e.retries, Issued: e.issued,
-		Resolved: e.resolved, Expired: e.expired, Aborted: e.aborted,
-		InFlight: e.inflight, Pending: e.pendingN, BoundsViol: e.boundsViol,
-	}
-}
-
-// BoundsViolations counts gap draws that escaped the configured process
-// bounds (always zero unless the engine itself regresses).
-func (e *Engine) BoundsViolations() uint64 { return e.boundsViol }
+func (e *Engine) Counters() Counters { return e.ledger }
 
 // DriftForTest corrupts the in-flight counter by one — the seeded
 // mutation the invariant-checker tests use to prove the conservation
 // rules actually fire.
-func (e *Engine) DriftForTest() { e.inflight++ }
+func (e *Engine) DriftForTest() { e.ledger.InFlight++ }
 
 // ClassStat is one session class's telemetry.
 type ClassStat struct {
@@ -417,9 +405,7 @@ type ClassStat struct {
 // Telemetry is one replication's demand outcome, harvested at the
 // horizon.
 type Telemetry struct {
-	Offered, Retries, Issued   uint64
-	Resolved, Expired, Aborted uint64
-	InFlight                   uint64 // open windows at the horizon
+	Counters // InFlight: open windows at the horizon
 
 	TTFR       []float64 // seconds from issue to first answer
 	Completion []float64 // seconds from demand arrival to first answer
@@ -431,9 +417,7 @@ type Telemetry struct {
 // copies).
 func (e *Engine) Snapshot() Telemetry {
 	t := Telemetry{
-		Offered: e.offered, Retries: e.retries, Issued: e.issued,
-		Resolved: e.resolved, Expired: e.expired, Aborted: e.aborted,
-		InFlight:   e.inflight,
+		Counters:   e.ledger,
 		TTFR:       append([]float64(nil), e.ttfr...),
 		Completion: append([]float64(nil), e.completion...),
 	}

@@ -34,9 +34,12 @@ func FuzzPlan(f *testing.F) {
 		"popularity":{"skew":0.5,"driftPerHour":3600,"rotateEvery":2,"rotateStep":3},
 		"sessions":{"classes":[{"name":"a","weight":1,"rateScale":2,"meanUptime":2,"meanDowntime":1},{"name":"b","weight":1}]},
 		"phases":[{"name":"x","start":0},{"name":"flash","start":3,"rateScale":4,"hotFiles":50,"hotBoost":1},{"name":"y","start":6,"rateScale":0.1}]}`))
+	// Typoed keys, which once loaded as a default rate and no phases.
+	f.Add([]byte(`{"arrival":{"process":"poisson","rate":0.1,"rat":3}}`))
+	f.Add([]byte(`{"arrival":{"process":"poisson","rate":0.1},"phase":[{"name":"p","start":0}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var plan workload.Plan
-		if json.Unmarshal(data, &plan) != nil || plan.Validate() != nil {
+		if sim.DecodeStrict(data, &plan) != nil || plan.Validate() != nil {
 			return
 		}
 		enc, err := json.Marshal(plan)

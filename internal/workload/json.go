@@ -64,7 +64,7 @@ func (a Arrival) MarshalJSON() ([]byte, error) {
 // unknown processes with a clear error.
 func (a *Arrival) UnmarshalJSON(data []byte) error {
 	var j arrivalJSON
-	if err := json.Unmarshal(data, &j); err != nil {
+	if err := sim.DecodeStrict(data, &j); err != nil {
 		return fmt.Errorf("workload: parsing arrival: %w", err)
 	}
 	p, err := ParseProcess(j.Process)
@@ -115,7 +115,7 @@ func (p Popularity) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON parses the popularity model.
 func (p *Popularity) UnmarshalJSON(data []byte) error {
 	var j popularityJSON
-	if err := json.Unmarshal(data, &j); err != nil {
+	if err := sim.DecodeStrict(data, &j); err != nil {
 		return fmt.Errorf("workload: parsing popularity: %w", err)
 	}
 	var sec sim.PlanSeconds
@@ -155,7 +155,7 @@ func (c SessionClass) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON parses the class.
 func (c *SessionClass) UnmarshalJSON(data []byte) error {
 	var j classJSON
-	if err := json.Unmarshal(data, &j); err != nil {
+	if err := sim.DecodeStrict(data, &j); err != nil {
 		return fmt.Errorf("workload: parsing session class: %w", err)
 	}
 	var sec sim.PlanSeconds
@@ -194,7 +194,7 @@ func (p Phase) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON parses the phase.
 func (p *Phase) UnmarshalJSON(data []byte) error {
 	var j phaseJSON
-	if err := json.Unmarshal(data, &j); err != nil {
+	if err := sim.DecodeStrict(data, &j); err != nil {
 		return fmt.Errorf("workload: parsing phase: %w", err)
 	}
 	var sec sim.PlanSeconds

@@ -162,7 +162,7 @@ func TestNextGapBoundsPerProcess(t *testing.T) {
 				t.Fatalf("uniform gap %v outside [15s, 45s]", g)
 			}
 		}
-		if v := e.BoundsViolations(); v != 0 {
+		if v := e.Counters().BoundsViol; v != 0 {
 			t.Errorf("%s: %d bounds violations on honest draws", name, v)
 		}
 	}

@@ -181,7 +181,8 @@ type Result struct {
 // The fields are exported because a checkpoint stores a finished
 // replication as the gob encoding of this struct (checkpoint.go): a new
 // measurement is declared here once and travels through the file with
-// no further code. err stays unexported and so out of gob.
+// no further code but a bump of ckptLayout, which TestCheckpointLayout
+// demands. err stays unexported and so out of gob.
 type repResult struct {
 	Requests   []telemetry.Request
 	Totals     [telemetry.NumClasses][]float64 // per member, in membership order
@@ -272,20 +273,20 @@ func (p *Pool) Run(sc Scenario, out Outputs) (*Result, error) {
 
 // runReps executes all replications under the pool's budget and returns
 // their raw per-replication records. With a checkpoint, replications it
-// already holds are taken from it instead of executed, each executed
-// one is stored as it finishes, and the file is marked done at the end.
+// already holds are taken from it instead of executed, and each executed
+// one is stored as it finishes.
 func (p *Pool) runReps(sc Scenario, ckpt *ckptState) ([]*repResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	reps := make([]*repResult, sc.Replications)
+	if ckpt != nil {
+		copy(reps, ckpt.reps) // before any worker stores
+	}
 	var wg sync.WaitGroup
 	for r := 0; r < sc.Replications; r++ {
-		if ckpt != nil {
-			if rr, ok := ckpt.loaded[r]; ok {
-				reps[r] = rr
-				continue
-			}
+		if reps[r] != nil {
+			continue
 		}
 		wg.Add(1)
 		go func(r int) {
@@ -303,11 +304,6 @@ func (p *Pool) runReps(sc Scenario, ckpt *ckptState) ([]*repResult, error) {
 	for _, rr := range reps {
 		if rr.err != nil {
 			return nil, rr.err
-		}
-	}
-	if ckpt != nil {
-		if err := ckpt.finish(); err != nil {
-			return nil, err
 		}
 	}
 	return reps, nil

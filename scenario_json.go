@@ -1,11 +1,12 @@
 package manetp2p
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+
+	"manetp2p/internal/sim"
 )
 
 // This file provides JSON (de)serialization for scenarios so experiment
@@ -27,18 +28,20 @@ func MarshalJSONScenario(sc Scenario) ([]byte, error) {
 }
 
 // UnmarshalJSONScenario parses a scenario strictly — unknown fields are
-// rejected rather than silently dropped, so a typoed key cannot
-// masquerade as "configured" — filling unset fields from
+// rejected at every depth rather than silently dropped, so a typoed key
+// cannot masquerade as "configured" — filling unset fields from
 // DefaultScenario(50, Regular) so partial files stay usable, and
-// validates the result. (Strictness does not recurse into types with
-// custom unmarshalers, like fault events and workload arrivals; those
-// validate their own tagged shapes.)
+// validates the result. A file that sets no Name takes the name
+// DefaultScenario gives its NumNodes and Algorithm: it is named for what
+// it runs, not for the defaults it was filled from.
 func UnmarshalJSONScenario(data []byte) (Scenario, error) {
 	sc := DefaultScenario(50, Regular)
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc); err != nil {
+	sc.Name = ""
+	if err := sim.DecodeStrict(data, &sc); err != nil {
 		return Scenario{}, fmt.Errorf("manetp2p: parsing scenario: %w", err)
+	}
+	if sc.Name == "" {
+		sc.Name = DefaultScenario(sc.NumNodes, sc.Algorithm).Name
 	}
 	if err := sc.Validate(); err != nil {
 		return Scenario{}, err
@@ -95,7 +98,7 @@ func loadPlan(path, what string, plan interface{ Validate() error }) error {
 	if err != nil {
 		return fmt.Errorf("manetp2p: reading %s: %w", what, err)
 	}
-	if err := json.Unmarshal(data, plan); err != nil {
+	if err := sim.DecodeStrict(data, plan); err != nil {
 		return fmt.Errorf("manetp2p: parsing %s: %w", what, err)
 	}
 	if err := plan.Validate(); err != nil {

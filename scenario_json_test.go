@@ -218,6 +218,50 @@ func TestScenarioJSONPartialFillsDefaults(t *testing.T) {
 	}
 }
 
+// A file that sets no Name is named for the node count and algorithm
+// it runs, not for the defaults it was filled from; one that sets a
+// Name keeps it.
+func TestScenarioJSONNamesWhatItRuns(t *testing.T) {
+	for doc, want := range map[string]string{
+		`{"NumNodes": 150, "Algorithm": 3}`:                 "Hybrid-150",
+		`{"NumNodes": 150, "Algorithm": 3, "Name": "mine"}`: "mine",
+		`{}`: "Regular-50",
+	} {
+		sc, err := UnmarshalJSONScenario([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.Name != want {
+			t.Errorf("%s: Name %q, want %q", doc, sc.Name, want)
+		}
+	}
+}
+
+// Plan files decode strictly at every depth: a typoed key is refused,
+// naming it, instead of reading as a key left unset.
+func TestLoadPlansRefuseUnknownKeys(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		key, doc string
+		load     func(string) error
+	}{
+		{"rat", `{"arrival": {"process": "poisson", "rate": 0.1, "rat": 3}}`,
+			func(p string) error { _, err := LoadWorkloadPlan(p); return err }},
+		{"phase", `{"arrival": {"process": "poisson", "rate": 0.1}, "phase": [{"name": "p", "start": 0}]}`,
+			func(p string) error { _, err := LoadWorkloadPlan(p); return err }},
+		{"axs", `{"events": [{"type": "partition", "at": 60, "duration": 30, "axs": "y", "pos": 50}]}`,
+			func(p string) error { _, err := LoadFaultPlan(p); return err }},
+	} {
+		path := filepath.Join(dir, tc.key+".json")
+		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.load(path); err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.key+`"`) {
+			t.Errorf("%s: err = %v, want the unknown field named", tc.doc, err)
+		}
+	}
+}
+
 func TestScenarioJSONRejectsInvalid(t *testing.T) {
 	if _, err := UnmarshalJSONScenario([]byte(`{"NumNodes": -3}`)); err == nil {
 		t.Error("invalid scenario accepted")
@@ -329,6 +373,13 @@ var badScenarioFiles = []struct{ field, doc string }{
 	// Stationary repeated Mobility: MobilityStationary and silently
 	// overrode Mobility; a file that still names it is refused.
 	{"Stationary", `{"Stationary": false}`},
+	// Typoed keys inside the hand-authored plans, which the plan types'
+	// own decoders dropped: no phases, a default rate, the x axis.
+	{"rat", `{"Workload": {"arrival": {"process": "poisson", "rate": 0.1, "rat": 3}}}`},
+	{"phase", `{"Workload": {"arrival": {"process": "poisson", "rate": 0.1}, "phase": [{"name": "p", "start": 0}]}}`},
+	{"axs", `{"Faults": {"events": [{"type": "partition", "at": 60, "duration": 30, "axs": "y", "pos": 50}]}}`},
+	// A second value after the scenario was ignored.
+	{"after the JSON value", `{"NumNodes": 30} {"NumNodes": 40}`},
 }
 
 func TestScenarioJSONRejectsOutOfRange(t *testing.T) {

@@ -1,7 +1,6 @@
 package manetp2p
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -22,7 +21,7 @@ import (
 // checker finalizes first), the summary render order (must reproduce the
 // historical WriteSummary layout byte for byte — the golden fixtures and
 // testdata/golden/report.txt pin this), the sink's point order
-// (testdata/golden/metrics.jsonl) and the checkpoint manifest.
+// (testdata/golden/metrics.jsonl) and the checkpoint layout (ckptLayout).
 
 // emitFunc receives one streamed sample of the section and replication
 // being walked; streamRep stamps those two onto the point.
@@ -31,8 +30,9 @@ type emitFunc func(t float64, name string, value float64)
 // section is one layer's entry in the telemetry plane. Every hook is
 // optional.
 type section struct {
-	// name identifies the section in the checkpoint manifest and in
-	// sink points. Non-empty and unique (TestSectionNames).
+	// name identifies the section in sink points and in the checkpoint
+	// layout (TestCheckpointLayout). Non-empty and unique
+	// (TestSectionNames).
 	name string
 	// collect harvests a finished replication into its record.
 	collect func(sc Scenario, net *manet.Network, rr *repResult)
@@ -618,60 +618,6 @@ func WriteResilience(w io.Writer, r *Result) error {
 			ev.Label, ev.ClearSeconds, ev.Baseline.Mean, ev.Trough.Mean,
 			ev.RehealSeconds.Mean, 100*ev.RehealedFraction,
 			ev.ResidualDisconnect.Mean, ev.RecoveryMessages.Mean)
-	}
-	return nil
-}
-
-// manifestWire is the versioned wire form of the section list, stored
-// in every checkpoint so that resume can refuse a file written by a
-// binary with a different list, which would have collected in a
-// different order. TestSectionManifest pins its bytes: a change to the
-// list or to this encoding leaves every checkpoint written before it
-// unresumable, so it has to show up as an edit of that test.
-type manifestWire struct {
-	Version  int      `json:"version"`
-	Sections []string `json:"sections"`
-}
-
-// manifestVersion bumps when the manifest encoding itself changes.
-const manifestVersion = 1
-
-func sectionNames() []string {
-	names := make([]string, len(sections))
-	for i, s := range sections {
-		names[i] = s.name
-	}
-	return names
-}
-
-// sectionsManifest returns this binary's manifest.
-func sectionsManifest() []byte {
-	b, err := json.Marshal(manifestWire{Version: manifestVersion, Sections: sectionNames()})
-	if err != nil {
-		panic(err) // unreachable: json.Marshal cannot fail on a struct of an int and strings
-	}
-	return b
-}
-
-// checkSectionsManifest verifies that a manifest read from a checkpoint
-// matches this binary's section list, describing the first difference.
-func checkSectionsManifest(b []byte) error {
-	var m manifestWire
-	if err := json.Unmarshal(b, &m); err != nil {
-		return fmt.Errorf("telemetry manifest: %w", err)
-	}
-	if m.Version != manifestVersion {
-		return fmt.Errorf("telemetry manifest version %d, want %d", m.Version, manifestVersion)
-	}
-	names := sectionNames()
-	if len(m.Sections) != len(names) {
-		return fmt.Errorf("telemetry manifest has %d sections %v, this binary has %d %v",
-			len(m.Sections), m.Sections, len(names), names)
-	}
-	for i, n := range names {
-		if m.Sections[i] != n {
-			return fmt.Errorf("telemetry manifest section %d is %q, this binary has %q", i, m.Sections[i], n)
-		}
 	}
 	return nil
 }
