@@ -3,7 +3,8 @@
 # module's own included), a 10 s fuzz smoke of each of the four file
 # decoders (checkpoint, scenario, fault plan, workload plan), of the
 # mark index behind the duplicate caches and the query ledger, of the
-# duplicate index and of the AODV route table, the race
+# telemetry collector's chunked request log, of the duplicate index and
+# of the AODV route table, the race
 # detector over every package (with -short, so the checker's seed sweep
 # runs once, without it), a smoke of the unit benchmarks, and the count
 # of non-test Go lines outside benchmark/ beside the line counts of
@@ -250,9 +251,9 @@ go test -C benchmark ./...
 # Every decoder that reads a file (checkpoint, scenario, fault plan,
 # workload plan; the checkpoint target re-stamps the checksum on each
 # mutated body, so the decoder behind it is fuzzed and not only the
-# checksum), and the mark index, the duplicate index and the
-# packed AODV route table against their reference models under an
-# operation stream read from the fuzz bytes. Minimising a new-coverage input is capped at ten runs;
+# checksum), and the mark index, the request log, the duplicate index
+# and the packed AODV route table against their reference models under
+# an operation stream read from the fuzz bytes. Minimising a new-coverage input is capped at ten runs;
 # the default (60 s per input) would eat the whole smoke on the
 # kilobyte-sized scenario seeds.
 fuzz_smoke() {
@@ -266,6 +267,7 @@ fuzz_smoke FuzzPlan ./internal/workload
 fuzz_smoke FuzzDupIndex ./internal/route
 fuzz_smoke FuzzRouteTable ./internal/aodv
 fuzz_smoke FuzzIndex ./internal/marks
+fuzz_smoke FuzzRequestStore ./internal/telemetry
 
 # The root package's 1-vs-4-worker test is what would catch duplicate-index
 # state shared between concurrent replications.

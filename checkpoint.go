@@ -39,8 +39,10 @@ const (
 // list and repResult's whole type tree, which gob would otherwise
 // decode across a change without error, zeroing what it cannot match.
 // TestCheckpointLayout pins it to a description of both, so a change to
-// either fails that test until this number is bumped.
-const ckptLayout = 1
+// either fails that test until this number is bumped. Layout 1 held
+// the request outcomes as a slice of 48-byte telemetry.Request; layout
+// 2 holds the Collector's chunked log of 16-byte telemetry.Outcome.
+const ckptLayout = 2
 
 // ckptFile is everything a checkpoint stores.
 type ckptFile struct {
@@ -74,8 +76,9 @@ func encodeCheckpoint(f *ckptFile) ([]byte, error) {
 
 // parseCheckpoint decodes and validates a checkpoint file's bytes:
 // magic and version first, so a file of another format is named as
-// such, then the checksum, then one decode that must consume the body
-// exactly, then what the body says against this binary.
+// such, then the checksum, then the generator and record layout, then
+// one decode that must consume the body exactly, then what the body
+// says against this binary.
 func parseCheckpoint(data []byte) (*ckptFile, Scenario, error) {
 	head := len(ckptMagic) + 1
 	if len(data) < head || string(data[:len(ckptMagic)]) != ckptMagic {
@@ -88,6 +91,25 @@ func parseCheckpoint(data []byte) (*ckptFile, Scenario, error) {
 	if end < head || crc32.ChecksumIEEE(data[:end]) != binary.LittleEndian.Uint32(data[end:]) {
 		return nil, Scenario{}, errors.New("checksum mismatch: the file is truncated or corrupt")
 	}
+	// The generator and the layout first: the records of another
+	// layout would not decode into this binary's, or decode wrongly.
+	var stamp struct {
+		Generator string
+		Layout    int
+	}
+	if err := gob.NewDecoder(bytes.NewReader(data[head:end])).Decode(&stamp); err != nil {
+		return nil, Scenario{}, fmt.Errorf("decoding: %w", err)
+	}
+	switch stamp.Generator {
+	case sim.Generator:
+	case "":
+		return nil, Scenario{}, fmt.Errorf("names no random-stream generator: its replications cannot be pooled with this binary's, which draws %s", sim.Generator)
+	default:
+		return nil, Scenario{}, fmt.Errorf("random-stream generator %q, this binary draws %q; its replications cannot be pooled with this binary's", stamp.Generator, sim.Generator)
+	}
+	if stamp.Layout != ckptLayout {
+		return nil, Scenario{}, fmt.Errorf("record layout %d, this binary's is %d: its replications would decode into the wrong fields", stamp.Layout, ckptLayout)
+	}
 	body := bytes.NewReader(data[head:end])
 	f := new(ckptFile)
 	if err := gob.NewDecoder(body).Decode(f); err != nil {
@@ -95,16 +117,6 @@ func parseCheckpoint(data []byte) (*ckptFile, Scenario, error) {
 	}
 	if body.Len() != 0 {
 		return nil, Scenario{}, fmt.Errorf("%d trailing bytes after the record", body.Len())
-	}
-	switch f.Generator {
-	case sim.Generator:
-	case "":
-		return nil, Scenario{}, fmt.Errorf("names no random-stream generator: its replications cannot be pooled with this binary's, which draws %s", sim.Generator)
-	default:
-		return nil, Scenario{}, fmt.Errorf("random-stream generator %q, this binary draws %q; its replications cannot be pooled with this binary's", f.Generator, sim.Generator)
-	}
-	if f.Layout != ckptLayout {
-		return nil, Scenario{}, fmt.Errorf("record layout %d, this binary's is %d: its replications would decode into the wrong fields", f.Layout, ckptLayout)
 	}
 	sc, err := UnmarshalJSONScenario(f.Scenario)
 	if err != nil {
@@ -114,6 +126,9 @@ func parseCheckpoint(data []byte) (*ckptFile, Scenario, error) {
 	for _, rp := range f.Reps {
 		if rp.Index < next || rp.Index >= sc.Replications {
 			return nil, Scenario{}, fmt.Errorf("replication %d is outside [0,%d), listed twice or out of order", rp.Index, sc.Replications)
+		}
+		if err := rp.Record.Requests.Check(); err != nil {
+			return nil, Scenario{}, fmt.Errorf("replication %d: request log: %w", rp.Index, err)
 		}
 		next = rp.Index + 1
 	}

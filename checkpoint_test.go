@@ -17,6 +17,7 @@ import (
 
 	"manetp2p/internal/p2p"
 	"manetp2p/internal/sim"
+	"manetp2p/internal/telemetry"
 	"manetp2p/internal/workload"
 )
 
@@ -460,8 +461,16 @@ func sampleCkpt(t testing.TB) *ckptFile {
 	}
 	rec := repResult{RxFrames: []float64{3, 1}, Deaths: 2, Workload: &workload.Telemetry{TTFR: []float64{0.5}}}
 	rec.Workload.Offered = 7
+	for i := 0; i < telemetry.StoreChunk+5; i++ { // a request log of two chunks
+		rec.Requests.Append(sampleOutcome(i))
+	}
 	return &ckptFile{Generator: sim.Generator, Layout: ckptLayout, Scenario: scJSON,
 		Reps: []ckptRep{{Index: 1, Record: rec}}}
+}
+
+// sampleOutcome is the i-th request of sampleCkpt's log.
+func sampleOutcome(i int) telemetry.Outcome {
+	return telemetry.Outcome{Node: uint16(i % 10), File: uint16(i % 20), Answers: uint32(i % 3), MinP2P: uint32(i % 4), MinAdhoc: uint32(i % 7)}
 }
 
 // ckptBody is the gob body of f's encoding, without magic, version and
@@ -496,6 +505,15 @@ func TestCheckpointEncodingRoundTrip(t *testing.T) {
 		got.Reps[0].Record.Deaths != 2 || got.Reps[0].Record.Workload.Offered != 7 {
 		t.Errorf("read back %+v", got)
 	}
+	requests := got.Reps[0].Record.Requests.Slice()
+	if len(requests) != telemetry.StoreChunk+5 {
+		t.Fatalf("read back %d requests, want %d", len(requests), telemetry.StoreChunk+5)
+	}
+	for i, o := range requests {
+		if o != sampleOutcome(i) {
+			t.Fatalf("request %d read back as %+v, want %+v", i, o, sampleOutcome(i))
+		}
+	}
 }
 
 // Encoding the same checkpoint twice, or encoding again what was read
@@ -528,7 +546,10 @@ func TestCheckpointEncodingIsByteStable(t *testing.T) {
 // Every damage to a file is refused before anything in it is trusted,
 // and a file of another format is named by its version — including the
 // two-layer format ('1') the committed testdata/format1.ckpt was written
-// in.
+// in. A file of another record layout is named by its layout before its
+// records are decoded: testdata/layout1.ckpt holds its request outcomes
+// as the slice of telemetry.Request that layout 1 stored. A request log
+// whose chunks do not hold its count is refused too.
 func TestReadCheckpointRejectsCorruption(t *testing.T) {
 	valid, err := encodeCheckpoint(sampleCkpt(t))
 	if err != nil {
@@ -538,8 +559,14 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	layout1, err := os.ReadFile(filepath.Join("testdata", "layout1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	mutated := func(mutate func([]byte) []byte) []byte { return mutate(bytes.Clone(valid)) }
 	body := ckptBody(t, sampleCkpt(t))
+	shortLog := sampleCkpt(t)
+	shortLog.Reps[0].Record.Requests.N += telemetry.StoreChunk
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -554,6 +581,8 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 		{"trailing bytes", mutated(func(b []byte) []byte { return append(b, 0xEE) }), "checksum mismatch"},
 		{"trailing bytes under the checksum", stamped(append(bytes.Clone(body), 0xEE)), "1 trailing bytes"},
 		{"truncated under the checksum", stamped(body[:len(body)-3]), "decoding"},
+		{"layout 1", layout1, "record layout 1, this binary's is 2"},
+		{"request log longer than its chunks", stamped(ckptBody(t, shortLog)), "replication 1: request log: "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, err := parseCheckpoint(tc.data)
@@ -676,39 +705,47 @@ func TestSectionNames(t *testing.T) {
 
 // checkpointLayout describes what a checkpoint's records depend on: the
 // section list in order, then repResult's type tree as gob matches it —
-// every exported field's name and shape, recursively.
+// every exported field's name and shape, recursively. A struct inside
+// itself (a linked chunk) is written as "^" and its name.
 func checkpointLayout() string {
 	var b strings.Builder
 	for _, s := range sections {
 		fmt.Fprintf(&b, "section %s\n", s.name)
 	}
 	b.WriteString("repResult ")
-	describeType(&b, reflect.TypeOf(repResult{}), "")
+	describeType(&b, reflect.TypeOf(repResult{}), "", map[reflect.Type]bool{})
 	return b.String()
 }
 
-func describeType(b *strings.Builder, t reflect.Type, indent string) {
+func describeType(b *strings.Builder, t reflect.Type, indent string, open map[reflect.Type]bool) {
 	switch t.Kind() {
 	case reflect.Pointer:
 		b.WriteString("*")
-		describeType(b, t.Elem(), indent)
+		describeType(b, t.Elem(), indent, open)
 	case reflect.Slice:
 		b.WriteString("[]")
-		describeType(b, t.Elem(), indent)
+		describeType(b, t.Elem(), indent, open)
 	case reflect.Array:
 		fmt.Fprintf(b, "[%d]", t.Len())
-		describeType(b, t.Elem(), indent)
+		describeType(b, t.Elem(), indent, open)
 	case reflect.Map:
 		b.WriteString("map[")
-		describeType(b, t.Key(), indent)
+		describeType(b, t.Key(), indent, open)
 		b.WriteString("]")
-		describeType(b, t.Elem(), indent)
+		describeType(b, t.Elem(), indent, open)
 	case reflect.Struct:
+		if open[t] {
+			name, _, _ := strings.Cut(t.Name(), "[")
+			b.WriteString("^" + name)
+			return
+		}
+		open[t] = true
+		defer delete(open, t)
 		b.WriteString("{\n")
 		for i := 0; i < t.NumField(); i++ {
 			if f := t.Field(i); f.IsExported() {
 				b.WriteString(indent + "  " + f.Name + " ")
-				describeType(b, f.Type, indent+"  ")
+				describeType(b, f.Type, indent+"  ", open)
 				b.WriteString("\n")
 			}
 		}
@@ -724,7 +761,7 @@ func describeType(b *strings.Builder, t reflect.Type, indent string) {
 // written under the old layout are refused instead of decoding into the
 // wrong fields.
 func TestCheckpointLayout(t *testing.T) {
-	const pinnedLayout = 1
+	const pinnedLayout = 2
 	const pinned = `section invariants
 section servent
 section radio
@@ -736,13 +773,18 @@ section resilience
 section workload
 section search
 repResult {
-  Requests []{
-    Node int
-    File int
-    Answers int
-    MinP2P int
-    MinAdhoc int
-    Found bool
+  Requests {
+    Head *{
+      Items [255]{
+        Node uint16
+        File uint16
+        Answers uint32
+        MinP2P uint32
+        MinAdhoc uint32
+      }
+      Next *^Chunk
+    }
+    N int
   }
   Totals [7][]float64
   RxFrames []float64

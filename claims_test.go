@@ -149,12 +149,12 @@ func rxPerNode(rr *repResult) float64 { return stats.Summarize(rr.RxFrames).Mean
 
 func foundRate(rr *repResult) float64 {
 	found := 0
-	for _, q := range rr.Requests {
-		if q.Found {
+	rr.Requests.Each(0, func(_ int, q *telemetry.Outcome) {
+		if q.Answers > 0 {
 			found++
 		}
-	}
-	return float64(found) / float64(len(rr.Requests))
+	})
+	return float64(found) / float64(rr.Requests.N)
 }
 
 // more holds when a is above b on enough seeds: an exact one-sided sign

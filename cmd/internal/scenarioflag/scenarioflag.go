@@ -6,8 +6,10 @@
 // whose values -h shows as the defaults. Every scenario flag actually
 // given (-nodes, -alg, -duration, -reps, -seed, -p2p, -speed, -area,
 // -range, -classes, -routing, -traffic, -faults, -workload, -health,
-// -peercache) then overrides that base. A flag whose field the command
-// sets itself is refused by name.
+// -peercache) then overrides that base, and the result is named as
+// DefaultScenario names its node count and algorithm, unless the file
+// set a name. A flag whose field the command sets itself is refused by
+// name.
 package scenarioflag
 
 import (
@@ -26,6 +28,7 @@ type Flags struct {
 	owned     []string
 	overrides map[string]func()
 	resolve   func() (manetp2p.Scenario, error)
+	named     bool // the -config file set a name of its own
 }
 
 // Register declares the scenario flags on fs. adjust is the command's own
@@ -83,6 +86,7 @@ func Register(fs *flag.FlagSet, adjust func(*manetp2p.Scenario), owned ...string
 	f.resolve = func() (manetp2p.Scenario, error) {
 		if *config != "" {
 			sc, err = manetp2p.LoadScenario(*config)
+			f.named = sc.Name != manetp2p.DefaultScenario(sc.NumNodes, sc.Algorithm).Name
 		} else if alg, perr := manetp2p.ParseAlgorithm(*algName); perr != nil {
 			err = perr
 		} else {
@@ -94,6 +98,9 @@ func Register(fs *flag.FlagSet, adjust func(*manetp2p.Scenario), owned ...string
 				override()
 			}
 		})
+		if err == nil {
+			f.name(&sc)
+		}
 		return sc, err
 	}
 	return f
@@ -126,12 +133,19 @@ func (f *Flags) Refuse(why string, names ...string) error {
 }
 
 // Fix sets the node count and algorithm a command's grid chooses for one
-// run of sc, which Scenario built. Without -config the run is named as
-// DefaultScenario(nodes, alg) names it; a -config file's name stands.
+// run of sc, which Scenario built, and names the run as name does.
 func (f *Flags) Fix(sc *manetp2p.Scenario, nodes int, alg manetp2p.Algorithm) {
 	sc.NumNodes, sc.Algorithm = nodes, alg
-	if f.fs.Lookup("config").Value.String() == "" {
-		sc.Name = manetp2p.DefaultScenario(nodes, alg).Name
+	f.name(sc)
+}
+
+// name names sc as DefaultScenario names its node count and algorithm,
+// unless a -config file set a name of its own, which stands. A file
+// name equal to the one its own node count and algorithm give is no
+// name of its own: it is what loading a file without one gives.
+func (f *Flags) name(sc *manetp2p.Scenario) {
+	if !f.named {
+		sc.Name = manetp2p.DefaultScenario(sc.NumNodes, sc.Algorithm).Name
 	}
 }
 

@@ -76,6 +76,27 @@ func TestScenarioFlagsOverrideTheBase(t *testing.T) {
 		t.Errorf("set = %v, want %v", set, want)
 	}
 
+	// A file that sets no name is named after the overrides; so is each
+	// run a command's grid fixes. The file's own name stood above.
+	unnamed := filepath.Join(t.TempDir(), "unnamed.json")
+	if err := os.WriteFile(unnamed, []byte(`{"NumNodes": 20}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	f := Register(fs, func(*manetp2p.Scenario) {})
+	if err := fs.Parse([]string{"-config", unnamed, "-nodes", "12", "-alg", "hybrid"}); err != nil {
+		t.Fatal(err)
+	}
+	if sc, err = f.Scenario(); err != nil || sc.Name != "Hybrid-12" {
+		t.Errorf("unnamed file with -nodes 12 -alg hybrid: name %q, %v; want Hybrid-12", sc.Name, err)
+	}
+	if f.Fix(&sc, 30, manetp2p.Random); sc.Name != "Random-30" {
+		t.Errorf("unnamed file fixed to 30 Random nodes: name %q, want Random-30", sc.Name)
+	}
+	if sc, _, _ = parseScenario(t, "-config", path, "-nodes", "12"); sc.Name != "base" {
+		t.Errorf("named file with -nodes 12: name %q, want base", sc.Name)
+	}
+
 	// Without -config the base is DefaultScenario(-nodes, -alg).
 	sc, _, err = parseScenario(t, "-nodes", "24", "-alg", "random", "-area", "50", "-classes")
 	def := manetp2p.DefaultScenario(24, manetp2p.Random)

@@ -126,6 +126,25 @@ func TestResumePrintsTheCheckpointedReport(t *testing.T) {
 	}
 }
 
+// A -config file that sets no name is named after what runs, with the
+// scenario flags applied; a name the file sets stands.
+func TestConfigRunIsNamedAfterTheFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ file, want string }{
+		{`{"NumNodes": 20, "Duration": 60000000, "Replications": 1}`, "== Hybrid-12: Hybrid, 12 nodes"},
+		{`{"Name": "mine", "NumNodes": 20, "Duration": 60000000, "Replications": 1}`, "== mine: Hybrid, 12 nodes"},
+	} {
+		path := filepath.Join(dir, "partial.json")
+		if err := os.WriteFile(path, []byte(tc.file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, stderr, code := runP2psim(t, "-config", path, "-nodes", "12", "-alg", "hybrid")
+		if code != 0 || !strings.HasPrefix(got, tc.want) {
+			t.Errorf("%s: exit %d, printed %.60q (%s), want it to begin %q", tc.file, code, got, stderr, tc.want)
+		}
+	}
+}
+
 // A run that Pool.Run refuses writes no metrics, so the -metrics file it
 // was given keeps every byte it held: the stream a finished run wrote
 // beside its checkpoint, or any other file.

@@ -405,26 +405,24 @@ func (c *Checker) checkMetrics() {
 // recorded out of order. Only samples appended since the previous pass
 // are examined.
 func (c *Checker) checkHealthSamples() {
-	health := c.t.Collector.Health()
-	start := c.lastHealth
-	if start == 0 {
-		start = 1 // sample 0 has no predecessor
-	}
-	for i := start; i < len(health); i++ {
-		prev, cur := &health[i-1], &health[i]
-		if cur.At <= prev.At {
-			c.report("metrics", "health-monotonic", -1, -1,
-				"health sample %d at %v not after sample %d at %v", i, cur.At, i-1, prev.At)
-		}
-		for class := 0; class < telemetry.NumClasses; class++ {
-			if cur.Received[class] < prev.Received[class] {
+	var prev *telemetry.HealthSample // sample 0 has no predecessor
+	c.t.Collector.EachHealth(max(c.lastHealth-1, 0), func(i int, cur *telemetry.HealthSample) {
+		if prev != nil {
+			if cur.At <= prev.At {
 				c.report("metrics", "health-monotonic", -1, -1,
-					"health sample %d class %v total %d below sample %d total %d",
-					i, telemetry.Class(class), cur.Received[class], i-1, prev.Received[class])
+					"health sample %d at %v not after sample %d at %v", i, cur.At, i-1, prev.At)
+			}
+			for class := 0; class < telemetry.NumClasses; class++ {
+				if cur.Received[class] < prev.Received[class] {
+					c.report("metrics", "health-monotonic", -1, -1,
+						"health sample %d class %v total %d below sample %d total %d",
+						i, telemetry.Class(class), cur.Received[class], i-1, prev.Received[class])
+				}
 			}
 		}
-	}
-	c.lastHealth = len(health)
+		prev = cur
+		c.lastHealth = i + 1
+	})
 }
 
 // observePair notes a cross-node inconsistency that is legal while a

@@ -23,28 +23,53 @@ type Summary struct {
 // Summarize computes descriptive statistics; an empty sample yields a
 // zero Summary.
 func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	sum := 0.0
+	var a Acc
 	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
+		a.Add(x)
 	}
-	s.Mean = sum / float64(s.N)
+	for _, x := range xs {
+		a.Dev(x)
+	}
+	return a.Summary()
+}
+
+// Acc computes a Summary in two passes over a sample it does not hold:
+// Add every value, then Dev every value in the same order. The sum, the
+// minimum and maximum and the squared deviations are accumulated in
+// that order, so the Summary is bit for bit the one Summarize returns
+// for the values as one slice, which is how Summarize computes it.
+type Acc struct {
+	s       Summary
+	sum, ss float64
+}
+
+// Add takes x in the first pass.
+func (a *Acc) Add(x float64) {
+	if a.s.N == 0 {
+		a.s.Min, a.s.Max = x, x
+	}
+	a.s.N++
+	a.sum += x
+	if x < a.s.Min {
+		a.s.Min = x
+	}
+	if x > a.s.Max {
+		a.s.Max = x
+	}
+	a.s.Mean = a.sum / float64(a.s.N)
+}
+
+// Dev takes x in the second pass, after every Add.
+func (a *Acc) Dev(x float64) {
+	d := x - a.s.Mean
+	a.ss += d * d
+}
+
+// Summary returns the statistics of the values taken.
+func (a *Acc) Summary() Summary {
+	s := a.s
 	if s.N > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.StdDev = math.Sqrt(ss / float64(s.N-1))
+		s.StdDev = math.Sqrt(a.ss / float64(s.N-1))
 	}
 	return s
 }

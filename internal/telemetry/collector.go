@@ -81,6 +81,26 @@ type Request struct {
 	Found    bool // at least one answer arrived
 }
 
+// Outcome is a Request as the Collector stores it: 16 bytes, not 48
+// (TestOutcomeIs16Bytes). Found is Answers > 0. Node and File fit 16
+// bits because Scenario.Validate caps NumNodes at 1<<16 and p2p caps
+// NumFiles at 1<<16. The counts take 32 bits: a holder answers a query
+// at most once, and a hop is one transmission, so no run that finishes
+// counts 2^32 of either.
+type Outcome struct {
+	Node     uint16
+	File     uint16
+	Answers  uint32
+	MinP2P   uint32
+	MinAdhoc uint32
+}
+
+// Request expands the record.
+func (o Outcome) Request() Request {
+	return Request{Node: int(o.Node), File: int(o.File), Answers: int(o.Answers),
+		MinP2P: int(o.MinP2P), MinAdhoc: int(o.MinAdhoc), Found: o.Answers > 0}
+}
+
 // HealthSample is one point of the resilience telemetry: a periodic
 // low-overhead reading of overlay health from which recovery metrics
 // (time-to-reheal, residual disconnection, message cost of recovery)
@@ -98,15 +118,15 @@ type HealthSample struct {
 // when on). It is not safe for concurrent use: one Collector per Sim.
 type Collector struct {
 	recv     []uint64 // [node*NumClasses + class]
-	requests []Request
+	requests Store[Outcome]
 
 	// Optional time bucketing.
 	clock   func() sim.Time
 	bucketW sim.Time
 	buckets [][]uint64 // [class][bucket]
 
-	lifetimes []float64      // overlay connection lifetimes, seconds
-	health    []HealthSample // periodic resilience telemetry
+	lifetimes Store[float64]      // overlay connection lifetimes, seconds
+	health    Store[HealthSample] // periodic resilience telemetry
 }
 
 // NewCollector sizes the collector for n nodes.
@@ -167,25 +187,47 @@ func (c *Collector) TotalReceived(class Class) uint64 {
 }
 
 // RecordHealth appends one resilience telemetry sample.
-func (c *Collector) RecordHealth(h HealthSample) { c.health = append(c.health, h) }
+func (c *Collector) RecordHealth(h HealthSample) { c.health.Append(h) }
 
-// Health returns the recorded telemetry samples in time order.
-func (c *Collector) Health() []HealthSample { return c.health }
+// Health returns the recorded telemetry samples in time order, in a
+// slice of their own.
+func (c *Collector) Health() []HealthSample { return c.health.Slice() }
+
+// EachHealth calls fn on sample i and its successors, in time order,
+// without copying them.
+func (c *Collector) EachHealth(from int, fn func(i int, h *HealthSample)) { c.health.Each(from, fn) }
 
 // RecordLifetime stores one closed connection's lifetime in seconds —
 // the churn the (re)configuration algorithms exist to manage.
-func (c *Collector) RecordLifetime(seconds float64) {
-	c.lifetimes = append(c.lifetimes, seconds)
-}
+func (c *Collector) RecordLifetime(seconds float64) { c.lifetimes.Append(seconds) }
 
-// Lifetimes returns all recorded connection lifetimes (seconds).
-func (c *Collector) Lifetimes() []float64 { return c.lifetimes }
+// Lifetimes returns all recorded connection lifetimes (seconds), in a
+// slice of their own.
+func (c *Collector) Lifetimes() []float64 { return c.lifetimes.Slice() }
 
 // Record stores a completed request outcome.
-func (c *Collector) Record(r Request) { c.requests = append(c.requests, r) }
+func (c *Collector) Record(r Request) {
+	o := Outcome{Node: uint16(r.Node), File: uint16(r.File), Answers: uint32(r.Answers),
+		MinP2P: uint32(r.MinP2P), MinAdhoc: uint32(r.MinAdhoc)}
+	if o.Request() != r {
+		// Unreachable from input: see Outcome for each field's bound, and
+		// the servent sets Found as Answers > 0.
+		panic(fmt.Sprintf("telemetry: request %+v does not fit its record", r))
+	}
+	c.requests.Append(o)
+}
 
-// Requests returns all recorded request outcomes.
-func (c *Collector) Requests() []Request { return c.requests }
+// Outcomes returns the request log. It shares the records, which the
+// Collector never changes once recorded.
+func (c *Collector) Outcomes() Store[Outcome] { return c.requests }
+
+// Requests returns all recorded request outcomes, expanded into a slice
+// of their own.
+func (c *Collector) Requests() []Request {
+	out := make([]Request, 0, c.requests.N)
+	c.requests.Each(0, func(_ int, o *Outcome) { out = append(out, o.Request()) })
+	return out
+}
 
 // NumNodes reports the node capacity of the collector.
 func (c *Collector) NumNodes() int { return len(c.recv) / NumClasses }

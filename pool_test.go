@@ -2,10 +2,14 @@ package manetp2p
 
 import (
 	"encoding/json"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"manetp2p/internal/sim"
+	"manetp2p/internal/stats"
+	"manetp2p/internal/telemetry"
 )
 
 // resultJSON renders a Result for whole-value comparison; any field
@@ -109,5 +113,72 @@ func BenchmarkAblationRunnerScaling(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// The search section pools each file rank's summaries in two in-order
+// passes over the request logs, and poolAll pools its parts in place:
+// both are bit for bit stats.Summarize over the concatenated samples,
+// over 1–33 replications, empty logs and parts, and ranks no request
+// asked for.
+func TestSearchPoolMatchesSummarize(t *testing.T) {
+	var search section
+	for _, s := range sections {
+		if s.name == "search" {
+			search = s
+		}
+	}
+	same := func(a, b stats.Summary) bool {
+		return a.N == b.N && math.Float64bits(a.Mean) == math.Float64bits(b.Mean) &&
+			math.Float64bits(a.StdDev) == math.Float64bits(b.StdDev) &&
+			math.Float64bits(a.Min) == math.Float64bits(b.Min) && math.Float64bits(a.Max) == math.Float64bits(b.Max)
+	}
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 300; trial++ {
+		asked := 1 + rng.Intn(8) // ranks [asked, NumFiles) get no request
+		sc := DefaultScenario(10, Regular)
+		sc.Files.NumFiles = asked + 1 + rng.Intn(3)
+		reps := make([]*repResult, 1+rng.Intn(33))
+		dist := make([][]float64, sc.Files.NumFiles)
+		adhoc := make([][]float64, sc.Files.NumFiles)
+		answers := make([][]float64, sc.Files.NumFiles)
+		var lifetimes []float64
+		for i := range reps {
+			rr := &repResult{}
+			for n := rng.Intn(telemetry.StoreChunk + 20); n > 0; n-- {
+				o := telemetry.Outcome{File: uint16(rng.Intn(asked)), Answers: uint32(rng.Intn(4))}
+				if o.Answers > 0 {
+					o.MinP2P, o.MinAdhoc = uint32(1+rng.Intn(6)), uint32(1+rng.Intn(12))
+					dist[o.File] = append(dist[o.File], float64(o.MinP2P))
+					adhoc[o.File] = append(adhoc[o.File], float64(o.MinAdhoc))
+				}
+				answers[o.File] = append(answers[o.File], float64(o.Answers))
+				rr.Requests.Append(o)
+			}
+			for n := rng.Intn(40); n > 0; n-- {
+				rr.Lifetimes = append(rr.Lifetimes, rng.ExpFloat64()*300)
+			}
+			lifetimes = append(lifetimes, rr.Lifetimes...)
+			reps[i] = rr
+		}
+
+		res := &Result{}
+		search.pool(sc, reps, res)
+		if len(res.PerFile) != sc.Files.NumFiles {
+			t.Fatalf("trial %d: %d file curves, want %d", trial, len(res.PerFile), sc.Files.NumFiles)
+		}
+		for f, fc := range res.PerFile {
+			if fc.File != f || fc.Requests != len(answers[f]) ||
+				!same(fc.Distance, stats.Summarize(dist[f])) || !same(fc.AdhocDist, stats.Summarize(adhoc[f])) ||
+				!same(fc.Answers, stats.Summarize(answers[f])) {
+				t.Fatalf("trial %d, rank %d: pooled %#v, want the summaries of %d requests", trial, f, fc, len(answers[f]))
+			}
+			if fc.Requests > 0 && fc.FoundRate != float64(len(dist[f]))/float64(len(answers[f])) {
+				t.Fatalf("trial %d, rank %d: found rate %v, want %d of %d", trial, f, fc.FoundRate, len(dist[f]), len(answers[f]))
+			}
+		}
+		if got, want := poolAll(reps, func(rr *repResult) []float64 { return rr.Lifetimes }), stats.Summarize(lifetimes); !same(got, want) {
+			t.Fatalf("trial %d: poolAll = %#v, Summarize over the concatenation = %#v", trial, got, want)
+		}
 	}
 }

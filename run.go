@@ -184,8 +184,8 @@ type Result struct {
 // no further code but a bump of ckptLayout, which TestCheckpointLayout
 // demands. err stays unexported and so out of gob.
 type repResult struct {
-	Requests   []telemetry.Request
-	Totals     [telemetry.NumClasses][]float64 // per member, in membership order
+	Requests   telemetry.Store[telemetry.Outcome] // the request log, shared with the Collector
+	Totals     [telemetry.NumClasses][]float64    // per member, in membership order
 	RxFrames   []float64
 	TxFrames   []float64
 	Clust      []float64

@@ -336,40 +336,43 @@ var sections = []section{
 	{
 		name: "search",
 		collect: func(sc Scenario, net *manet.Network, rr *repResult) {
-			rr.Requests = net.Collector.Requests()
+			rr.Requests = net.Collector.Outcomes()
 		},
 		pool: func(sc Scenario, reps []*repResult, res *Result) {
-			// Figures 5–6: group requests by file rank.
-			type fileAcc struct {
-				dist, adhoc, answers []float64
-				requests, found      int
-			}
+			// Figures 5–6: group requests by file rank. Two in-order
+			// passes over the records feed each rank's summaries, so they
+			// are the ones stats.Summarize gives over its samples.
+			type fileAcc struct{ dist, adhoc, answers stats.Acc }
 			accs := make([]fileAcc, sc.Files.NumFiles)
-			for _, rr := range reps {
-				for _, q := range rr.Requests {
-					if q.File < 0 || q.File >= len(accs) {
-						continue
-					}
-					a := &accs[q.File]
-					a.requests++
-					a.answers = append(a.answers, float64(q.Answers))
-					if q.Found {
-						a.found++
-						a.dist = append(a.dist, float64(q.MinP2P))
-						a.adhoc = append(a.adhoc, float64(q.MinAdhoc))
-					}
+			pass := func(take func(a *stats.Acc, x float64)) {
+				for _, rr := range reps {
+					rr.Requests.Each(0, func(_ int, q *telemetry.Outcome) {
+						if int(q.File) >= len(accs) {
+							return
+						}
+						a := &accs[q.File]
+						take(&a.answers, float64(q.Answers))
+						if q.Answers > 0 {
+							take(&a.dist, float64(q.MinP2P))
+							take(&a.adhoc, float64(q.MinAdhoc))
+						}
+					})
 				}
 			}
-			for f, a := range accs {
+			pass((*stats.Acc).Add)
+			pass((*stats.Acc).Dev)
+			res.PerFile = make([]FileCurve, 0, len(accs))
+			for f := range accs {
+				a := &accs[f]
 				fc := FileCurve{
 					File:      f,
-					Requests:  a.requests,
-					Distance:  stats.Summarize(a.dist),
-					AdhocDist: stats.Summarize(a.adhoc),
-					Answers:   stats.Summarize(a.answers),
+					Distance:  a.dist.Summary(),
+					AdhocDist: a.adhoc.Summary(),
+					Answers:   a.answers.Summary(),
 				}
-				if a.requests > 0 {
-					fc.FoundRate = float64(a.found) / float64(a.requests)
+				fc.Requests = fc.Answers.N
+				if fc.Requests > 0 {
+					fc.FoundRate = float64(fc.Distance.N) / float64(fc.Requests)
 				}
 				res.PerFile = append(res.PerFile, fc)
 			}
@@ -386,13 +389,13 @@ var sections = []section{
 		},
 		stream: func(sc Scenario, rr *repResult, emit emitFunc) {
 			found := 0
-			for _, q := range rr.Requests {
-				if q.Found {
+			rr.Requests.Each(0, func(_ int, q *telemetry.Outcome) {
+				if q.Answers > 0 {
 					found++
 				}
-			}
+			})
 			t := sc.Duration.Seconds()
-			emit(t, "requests", float64(len(rr.Requests)))
+			emit(t, "requests", float64(rr.Requests.N))
 			emit(t, "found", float64(found))
 		},
 	},
@@ -417,13 +420,25 @@ func streamRep(sc Scenario, rep int, rr *repResult, sink MetricsSink) {
 // (auditPooledN) checks the sample count each implies.
 
 // poolAll summarizes all samples of all replications — per node, per
-// snapshot, per closed link.
+// snapshot, per closed link — in place, in two in-order passes: bit for
+// bit stats.Summarize over their concatenation.
 func poolAll(reps []*repResult, samples func(*repResult) []float64) stats.Summary {
-	var all []float64
-	for _, rr := range reps {
-		all = append(all, samples(rr)...)
+	parts := make([][]float64, len(reps))
+	for i, rr := range reps {
+		parts[i] = samples(rr)
 	}
-	return stats.Summarize(all)
+	var a stats.Acc
+	for _, part := range parts {
+		for _, x := range part {
+			a.Add(x)
+		}
+	}
+	for _, part := range parts {
+		for _, x := range part {
+			a.Dev(x)
+		}
+	}
+	return a.Summary()
 }
 
 // poolEach summarizes one sample per replication.
