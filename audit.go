@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"manetp2p/internal/manet"
 	"manetp2p/internal/telemetry"
 )
 
@@ -107,7 +108,7 @@ func SelfAudit(sc Scenario) (*SelfAuditReport, error) {
 	}
 	sc.Invariants = &inv
 
-	reps, err := NewPool(sc.Workers).runReps(sc, nil)
+	reps, err := NewPool(sc.Workers).runReps(sc, manet.Options{}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +170,7 @@ func SelfAudit(sc Scenario) (*SelfAuditReport, error) {
 // replicationRecord runs replication 0 with the clock stopping at each
 // of cuts and returns its record as canonical JSON.
 func replicationRecord(sc Scenario, cuts []Duration) ([]byte, error) {
-	rr := runReplication(sc, 0, cuts)
+	rr := runReplication(sc, 0, manet.Options{}, cuts)
 	if rr.err != nil {
 		return nil, rr.err
 	}

@@ -120,6 +120,23 @@ if [ -n "$dispatch" ]; then
 fi
 echo ok
 
+# An enum is named, parsed and range-checked from one table indexed by
+# its value (routings, algorithms, kindNames, processNames, classNames,
+# seriesKinds, ...). A String method that switches on its receiver is a
+# second list the next value would have to be added to; a tagless
+# `switch {` over conditions is not one.
+echo "== seam lint (enum names come from their table) =="
+switches=$(find internal cmd *.go -name '*.go' ! -name '*_test.go' -exec awk '
+	/^func \([A-Za-z_]+ [^)]*\) String\(\) string/ { recv = substr($0, 7); sub(/ .*/, "", recv); in_string = 1; next }
+	/^}/ { in_string = 0 }
+	in_string && $0 ~ ("switch +" recv "([^A-Za-z0-9_]|$)") { print FILENAME ":" FNR ": " $0 }' {} + || true)
+if [ -n "$switches" ]; then
+	echo "String method switching on its receiver (name the values in a table indexed by them):"
+	echo "$switches"
+	exit 1
+fi
+echo ok
+
 # The four overlay algorithms are values in internal/p2p's algorithms
 # table, each in its own file; the servent skeleton, the checker, viz and
 # the commands ask them (hooks, Symmetric, CheckView) instead of testing

@@ -207,27 +207,7 @@ func runArm(p *Pool, a *arm, w world) ([]*repResult, error) {
 	sc.Seed, sc.Replications = firstClaimSeed, claimSeeds
 	sc.Routing, sc.LossProb = w.routing, w.loss
 	sc.Invariants = &InvariantConfig{Enabled: true}
-	if a.opt == (manet.Options{}) {
-		return p.runReps(sc, nil)
-	}
-	// Run and collect as runReplication does, in a slot of p.
-	reps := make([]*repResult, sc.Replications)
-	for r := range reps {
-		net, err := manet.Build(sc, r, a.opt)
-		if err != nil {
-			return nil, err
-		}
-		p.slots <- struct{}{}
-		net.Run(sc.Duration)
-		<-p.slots
-		reps[r] = new(repResult)
-		for _, s := range sections {
-			if s.collect != nil {
-				s.collect(sc, net, reps[r])
-			}
-		}
-	}
-	return reps, nil
+	return p.runReps(sc, a.opt, nil)
 }
 
 // TestClaims runs every (arm, world) of the table once, concurrently

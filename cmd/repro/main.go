@@ -6,10 +6,10 @@
 // Usage:
 //
 //	repro                     # everything, paper-fidelity (33 reps) — slow
-//	repro -fast               # everything at 5 replications
+//	repro -reps 5             # everything at 5 replications
 //	repro -exp fig7           # a single experiment
 //	repro -exp fig5,fig7,table2
-//	repro -fast -exp fig7 -routing dsr
+//	repro -reps 5 -exp fig7 -routing dsr
 //
 // Figures 5/7/9/11 share the 50-node runs (one per algorithm), and
 // Figures 6/8/10/12 share the 150-node runs, so each population is
@@ -94,7 +94,6 @@ func parseExperiments(list string) ([]string, error) {
 func main() {
 	var (
 		expFlag = flag.String("exp", "all", "comma-separated experiments: table1,table2,fig5..fig12 or all")
-		fast    = flag.Bool("fast", false, "shortcut for -reps 5")
 		quiet   = flag.Bool("q", false, "suppress progress messages on stderr")
 	)
 	scenario := scenarioFlags(flag.CommandLine)
@@ -102,9 +101,6 @@ func main() {
 	flag.Parse()
 	base, err := scenario.Scenario()
 	exitOn(err, 2)
-	if *fast {
-		base.Replications = 5
-	}
 	// Every run is base with a figure's node count and algorithm fixed:
 	// an invalid field is refused here, before a profile file is opened.
 	exitOn(base.Validate(), 2)

@@ -3,10 +3,10 @@
 // timeline of typed events — arena partitions, regional jamming, global
 // loss bursts, correlated node crashes and periodic link flaps — that an
 // Injector executes against hooks into the radio medium (per-delivery
-// gating and loss overrides) and the node lifecycle (forced down/up,
-// distinct from churn). All randomness flows from one *rand.Rand handed
-// in by the caller, so the same seed and the same plan reproduce the
-// same failures bit for bit.
+// gating and loss overrides) and the node lifecycle (a crash holds a
+// node down beside, not instead of, churn). All randomness flows from
+// one *rand.Rand handed in by the caller, so the same seed and the same
+// plan reproduce the same failures bit for bit.
 //
 // The paper's contribution is (re)configuration — overlays that heal
 // when the network underneath them breaks — and the events here script
@@ -16,6 +16,7 @@ package fault
 
 import (
 	"fmt"
+	"strings"
 
 	"manetp2p/internal/geom"
 	"manetp2p/internal/sim"
@@ -40,56 +41,29 @@ const (
 	// LinkFlap gates all radio links down periodically: every Period,
 	// links are dead for DownFor.
 	LinkFlap
-	numKinds
 )
+
+// kindNames names each kind as plan JSON and reports do, indexed by
+// Kind; String, ParseKind and the parse error's list read it.
+var kindNames = [...]string{Partition: "partition", Jam: "jam", LossBurst: "lossburst", CrashGroup: "crashgroup", LinkFlap: "linkflap"}
 
 // String names the kind as it appears in plan JSON and reports.
 func (k Kind) String() string {
-	switch k {
-	case Partition:
-		return "partition"
-	case Jam:
-		return "jam"
-	case LossBurst:
-		return "lossburst"
-	case CrashGroup:
-		return "crashgroup"
-	case LinkFlap:
-		return "linkflap"
-	default:
+	if k < 0 || int(k) >= len(kindNames) {
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
-}
-
-// KindNames lists the valid plan-JSON type strings in declaration order.
-func KindNames() []string {
-	out := make([]string, 0, int(numKinds))
-	for k := Kind(0); k < numKinds; k++ {
-		out = append(out, k.String())
-	}
-	return out
+	return kindNames[k]
 }
 
 // ParseKind maps a plan-JSON type string back to its Kind.
 func ParseKind(s string) (Kind, error) {
-	for k := Kind(0); k < numKinds; k++ {
-		if k.String() == s {
-			return k, nil
+	for k, name := range kindNames {
+		if name == s {
+			return Kind(k), nil
 		}
 	}
 	return 0, fmt.Errorf("fault: unknown event type %q (valid: %s)",
-		s, joinNames())
-}
-
-func joinNames() string {
-	out := ""
-	for i, n := range KindNames() {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
+		s, strings.Join(kindNames[:], ", "))
 }
 
 // Axis selects the orientation of a partition cut.

@@ -74,7 +74,7 @@ func TestPlanJSONUnknownType(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown event type accepted")
 	}
-	for _, want := range KindNames() {
+	for _, want := range kindNames {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not list valid type %q", err, want)
 		}

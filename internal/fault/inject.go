@@ -19,9 +19,10 @@ type Hooks struct {
 	// SetLinkFilter installs the per-delivery gate on the medium. The
 	// filter returns true to drop a delivery from src to dst.
 	SetLinkFilter func(filter func(src, dst int) bool)
-	// NodeDown forces a node off the air (crash — distinct from churn).
+	// NodeDown crashes a node: it stays off the air until NodeUp, and
+	// for as long as churn holds it down too.
 	NodeDown func(id int)
-	// NodeUp restarts a crashed node.
+	// NodeUp clears the crash.
 	NodeUp func(id int)
 	// Members lists the overlay member ids (CrashGroup victims are
 	// drawn from these).

@@ -49,11 +49,11 @@ type Network struct {
 
 	models      []mobility.Model
 	member      []bool
-	membersList []int  // member ids in id order, fixed at Build (see Members)
-	dead        []bool // battery-exhausted, never comes back
+	membersList []int   // member ids in id order, fixed at Build (see Members)
+	down        []uint8 // per node, a bit per cause holding it off the air
 	churnRNG    *rand.Rand
 	posTicker   *sim.Ticker
-	churnEvents uint64 // churn departures executed (overlay repair-cost basis)
+	churnEvents uint64 // churn departures that took a node off the air (see ChurnEvents)
 
 	// Overlay-snapshot scratch: the health sampler's analytics engine,
 	// the peer-id buffer AppendOverlayAdjacency fills rows from, and the
@@ -95,7 +95,7 @@ func Build(sc Scenario, rep int, opt Options) (*Network, error) {
 		Collector: telemetry.NewCollector(sc.NumNodes),
 		models:    make([]mobility.Model, sc.NumNodes),
 		member:    make([]bool, sc.NumNodes),
-		dead:      make([]bool, sc.NumNodes),
+		down:      make([]uint8, sc.NumNodes),
 		churnRNG:  s.NewRand(),
 	}
 	if opt.Trace != nil {
@@ -173,14 +173,8 @@ func Build(sc Scenario, rep int, opt Options) (*Network, error) {
 		n.Servents[i] = sv
 	}
 
-	// Battery deaths are permanent.
-	med.OnDeath(func(id int) {
-		n.dead[id] = true
-		n.Tracer.Emit(trace.KindNode, id, -1, "battery death")
-		if sv := n.Servents[id]; sv != nil {
-			sv.Leave(false)
-		}
-	})
+	// Battery deaths are permanent (the medium has already let the node go).
+	med.OnDeath(func(id int) { n.hold(id, causeDeath, true) })
 
 	// Mobility tick.
 	n.posTicker = sim.NewTicker(s, mobilityTick, n.tickPositions)
@@ -241,32 +235,67 @@ func (n *Network) RoutingStats() []netif.Stats {
 	return out
 }
 
-// ForceDown crashes node i: its servent leaves the overlay and its
-// radio goes silent. Used by the fault injector — distinct from churn,
-// which draws its own schedule. Dead or already-down nodes are no-ops.
-func (n *Network) ForceDown(i int) {
-	if n.dead[i] || !n.Medium.Up(i) {
-		return
-	}
-	n.Tracer.Emit(trace.KindNode, i, -1, "fault down")
-	if sv := n.Servents[i]; sv != nil {
-		sv.Leave(false)
-	}
-	n.Medium.Leave(i)
+// cause is one reason a node is off the air; Network.down holds a bit
+// per cause. A node is on the air exactly when no cause holds it down.
+type cause uint8
+
+const (
+	causeDeath cause = iota // battery exhausted: for good
+	causeFault              // a fault crash, until the injector clears it
+	causeChurn              // a churn downtime
+)
+
+// causeTrace names each cause's set and clear in the event trace,
+// indexed by cause.
+var causeTrace = [...]struct{ set, clear string }{
+	causeDeath: {"battery death", ""},
+	causeFault: {"fault down", "fault up"},
+	causeChurn: {"churn down", "churn up"},
 }
 
-// ForceUp restarts a crashed node at its current mobility position.
-// Battery-dead or already-up nodes are no-ops.
-func (n *Network) ForceUp(i int) {
-	if n.dead[i] || n.Medium.Up(i) {
-		return
+// dead reports whether node i's battery is exhausted.
+func (n *Network) dead(i int) bool { return n.down[i]&(1<<causeDeath) != 0 }
+
+// hold sets (on) or clears cause c on node i and traces the change. The
+// node leaves the air when its first cause is set and rejoins, at its
+// current mobility position, when its last clears; hold reports whether
+// it did either. Setting a cause that already holds, or clearing one
+// that does not, is a no-op. Nothing clears a battery death.
+func (n *Network) hold(i int, c cause, on bool) bool {
+	was, bit := n.down[i], uint8(1)<<c
+	if (was&bit != 0) == on {
+		return false
 	}
-	n.Tracer.Emit(trace.KindNode, i, -1, "fault up")
-	n.Medium.Join(i, n.models[i].Pos(n.Sim.Now()), n.Routers[i].HandleFrame)
-	if sv := n.Servents[i]; sv != nil {
-		sv.Join()
+	what := causeTrace[c].clear
+	if on {
+		what = causeTrace[c].set
 	}
+	n.Tracer.Emit(trace.KindNode, i, -1, what)
+	n.down[i] ^= bit
+	switch {
+	case was == 0:
+		if sv := n.Servents[i]; sv != nil {
+			sv.Leave(false)
+		}
+		n.Medium.Leave(i)
+	case n.down[i] == 0:
+		n.Medium.Join(i, n.models[i].Pos(n.Sim.Now()), n.Routers[i].HandleFrame)
+		if sv := n.Servents[i]; sv != nil {
+			sv.Join()
+		}
+	default:
+		return false
+	}
+	return true
 }
+
+// ForceDown crashes node i (the fault injector's NodeDown): its servent
+// leaves the overlay and its radio goes silent until ForceUp, or for
+// as long as another cause holds it down.
+func (n *Network) ForceDown(i int) { n.hold(i, causeFault, true) }
+
+// ForceUp clears node i's crash; it rejoins unless another cause holds it.
+func (n *Network) ForceUp(i int) { n.hold(i, causeFault, false) }
 
 // sampleHealth records one resilience telemetry point: overlay
 // connectivity plus the cumulative message totals. It serves both the
@@ -344,8 +373,9 @@ func (n *Network) churnMeans(i int) (up, down sim.Time) {
 	return up, down
 }
 
-// ChurnEvents counts churn departures executed so far — the
-// denominator of the overlay repair-cost-per-churn-event telemetry.
+// ChurnEvents counts the churn departures that took a node off the air
+// — the denominator of the overlay repair-cost-per-churn-event
+// telemetry. A departure while a node is crashed costs no repair.
 func (n *Network) ChurnEvents() uint64 { return n.churnEvents }
 
 // scheduleChurnDown arms the next departure for member i.
@@ -354,18 +384,16 @@ func (n *Network) scheduleChurnDown(i int) {
 	n.Sim.ScheduleArg(sim.ExpDuration(n.churnRNG, up), churnDown, sim.Arg{I0: i, X: n})
 }
 
-// churnDown takes member I0 of network X down.
+// churnDown starts member I0 of network X's downtime. Death ends its
+// churn; a crash does not.
 func churnDown(a sim.Arg) {
 	n, i := a.X.(*Network), a.I0
-	if n.dead[i] || !n.Medium.Up(i) {
+	if n.dead(i) {
 		return
 	}
-	n.churnEvents++
-	n.Tracer.Emit(trace.KindNode, i, -1, "churn down")
-	if sv := n.Servents[i]; sv != nil {
-		sv.Leave(false)
+	if n.hold(i, causeChurn, true) {
+		n.churnEvents++
 	}
-	n.Medium.Leave(i)
 	n.scheduleChurnUp(i)
 }
 
@@ -375,17 +403,11 @@ func (n *Network) scheduleChurnUp(i int) {
 	n.Sim.ScheduleArg(sim.ExpDuration(n.churnRNG, down), churnUp, sim.Arg{I0: i, X: n})
 }
 
-// churnUp brings member I0 of network X back.
+// churnUp ends member I0 of network X's downtime. The member was off
+// the air throughout, so no battery death fell inside it.
 func churnUp(a sim.Arg) {
 	n, i := a.X.(*Network), a.I0
-	if n.dead[i] || n.Medium.Up(i) {
-		return
-	}
-	n.Tracer.Emit(trace.KindNode, i, -1, "churn up")
-	n.Medium.Join(i, n.models[i].Pos(n.Sim.Now()), n.Routers[i].HandleFrame)
-	if sv := n.Servents[i]; sv != nil {
-		sv.Join()
-	}
+	n.hold(i, causeChurn, false)
 	n.scheduleChurnDown(i)
 }
 

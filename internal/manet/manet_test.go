@@ -225,7 +225,7 @@ func TestEnergyDepletionKillsPermanently(t *testing.T) {
 	n.Run(30 * sim.Minute)
 	deaths := 0
 	for i := 0; i < cfg.NumNodes; i++ {
-		if n.dead[i] {
+		if n.dead(i) {
 			deaths++
 			if n.Medium.Up(i) {
 				t.Errorf("dead node %d still on air", i)

@@ -203,7 +203,7 @@ func NewMedium(s *sim.Sim, cfg Config) (*Medium, error) {
 // node that is already up panics.
 func (m *Medium) Join(id int, p geom.Point, r Receiver) {
 	if m.up[id] {
-		// Unreachable from input: Build joins each node once, and churnUp/ForceUp return early when Up.
+		// Unreachable from input: Build joins each node once, and manet rejoins one only when the last cause holding it down clears.
 		panic(fmt.Sprintf("radio: Join of already-up node %d", id))
 	}
 	if r == nil {

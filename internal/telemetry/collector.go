@@ -41,33 +41,21 @@ const (
 	// Transfer covers the optional download extension's fetch/chunk
 	// messages (not part of the paper's counted classes).
 	Transfer
-	numClasses
 )
+
+// classNames names each class as reports do, indexed by Class.
+var classNames = [...]string{Connect: "connect", Ping: "ping", Pong: "pong", Query: "query", QueryHit: "queryhit", Bye: "bye", Transfer: "transfer"}
 
 // String returns the class name used in reports.
 func (c Class) String() string {
-	switch c {
-	case Connect:
-		return "connect"
-	case Ping:
-		return "ping"
-	case Pong:
-		return "pong"
-	case Query:
-		return "query"
-	case QueryHit:
-		return "queryhit"
-	case Bye:
-		return "bye"
-	case Transfer:
-		return "transfer"
-	default:
+	if c < 0 || int(c) >= len(classNames) {
 		return fmt.Sprintf("class(%d)", int(c))
 	}
+	return classNames[c]
 }
 
 // NumClasses is the number of message classes tracked.
-const NumClasses = int(numClasses)
+const NumClasses = len(classNames)
 
 // Request records the outcome of one file search: how many answers
 // arrived within the paper's 30 s collection window and the minimum

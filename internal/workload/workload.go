@@ -44,33 +44,18 @@ const (
 	// Diurnal modulates a Poisson process sinusoidally over Period:
 	// rate(t) = Rate·(1 + Amplitude·sin(2πt/Period)).
 	Diurnal
-
-	numProcesses
 )
+
+// processNames names each process as the JSON plan does, indexed by
+// Process; String, ParseProcess and the error messages' lists read it.
+var processNames = [...]string{Uniform: "uniform", Poisson: "poisson", OnOff: "onoff", Diurnal: "diurnal"}
 
 // String names the process as the JSON plan does.
 func (p Process) String() string {
-	switch p {
-	case Uniform:
-		return "uniform"
-	case Poisson:
-		return "poisson"
-	case OnOff:
-		return "onoff"
-	case Diurnal:
-		return "diurnal"
-	default:
+	if p < 0 || int(p) >= len(processNames) {
 		return fmt.Sprintf("process(%d)", int(p))
 	}
-}
-
-// ProcessNames lists the valid process names for error messages.
-func ProcessNames() string {
-	names := make([]string, numProcesses)
-	for p := Process(0); p < numProcesses; p++ {
-		names[p] = p.String()
-	}
-	return strings.Join(names, ", ")
+	return processNames[p]
 }
 
 // ParseProcess resolves a JSON process tag; "" means Uniform so a zero
@@ -79,12 +64,12 @@ func ParseProcess(s string) (Process, error) {
 	if s == "" {
 		return Uniform, nil
 	}
-	for p := Process(0); p < numProcesses; p++ {
-		if s == p.String() {
-			return p, nil
+	for p, name := range processNames {
+		if s == name {
+			return Process(p), nil
 		}
 	}
-	return 0, fmt.Errorf("workload: unknown arrival process %q (valid: %s)", s, ProcessNames())
+	return 0, fmt.Errorf("workload: unknown arrival process %q (valid: %s)", s, strings.Join(processNames[:], ", "))
 }
 
 // Arrival configures the inter-query arrival process. The zero value is
@@ -142,7 +127,7 @@ func (a Arrival) Validate() error {
 			}
 		}
 	default:
-		return fmt.Errorf("workload: unknown arrival process %d (valid: %s)", int(a.Process), ProcessNames())
+		return fmt.Errorf("workload: unknown arrival process %d (valid: %s)", int(a.Process), strings.Join(processNames[:], ", "))
 	}
 	return nil
 }

@@ -20,7 +20,7 @@ func newEngine(t *testing.T, plan Plan, nodes, files int) (*sim.Sim, *Engine) {
 }
 
 func TestParseProcess(t *testing.T) {
-	for p := Process(0); p < numProcesses; p++ {
+	for p := range Process(len(processNames)) {
 		got, err := ParseProcess(p.String())
 		if err != nil || got != p {
 			t.Errorf("ParseProcess(%q) = %v, %v", p.String(), got, err)
@@ -33,7 +33,7 @@ func TestParseProcess(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown process accepted")
 	}
-	for p := Process(0); p < numProcesses; p++ {
+	for p := range Process(len(processNames)) {
 		if !strings.Contains(err.Error(), p.String()) {
 			t.Errorf("error %q does not list process %q", err, p.String())
 		}
@@ -50,7 +50,7 @@ func TestValidateRejects(t *testing.T) {
 		{"zero poisson rate", Plan{Arrival: Arrival{Process: Poisson}}},
 		{"excessive rate", Plan{Arrival: Arrival{Process: Poisson, Rate: maxRate + 1}}},
 		{"amplitude one", Plan{Arrival: Arrival{Process: Diurnal, Rate: 1, Amplitude: 1}}},
-		{"unknown process", Plan{Arrival: Arrival{Process: numProcesses}}},
+		{"unknown process", Plan{Arrival: Arrival{Process: Process(len(processNames))}}},
 		{"nameless class", Plan{Sessions: Sessions{Classes: []SessionClass{{Weight: 1}}}}},
 		{"zero-weight class", Plan{Sessions: Sessions{Classes: []SessionClass{{Name: "x"}}}}},
 		{"uptime without downtime", Plan{Sessions: Sessions{Classes: []SessionClass{

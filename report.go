@@ -55,31 +55,32 @@ const (
 	SeriesQuery                     // Figures 11–12
 )
 
+// seriesKinds names each series as the paper does and reads it from a
+// Result, indexed by SeriesKind.
+var seriesKinds = [...]struct {
+	name string
+	of   func(*Result) []float64
+}{
+	SeriesConnect: {"connect", func(r *Result) []float64 { return r.ConnectSeries }},
+	SeriesPing:    {"ping", func(r *Result) []float64 { return r.PingSeries }},
+	SeriesQuery:   {"query", func(r *Result) []float64 { return r.QuerySeries }},
+}
+
+func (k SeriesKind) valid() bool { return k >= 0 && int(k) < len(seriesKinds) }
+
 // String names the series as the paper does.
 func (k SeriesKind) String() string {
-	switch k {
-	case SeriesConnect:
-		return "connect"
-	case SeriesPing:
-		return "ping"
-	case SeriesQuery:
-		return "query"
-	default:
+	if !k.valid() {
 		return fmt.Sprintf("series(%d)", int(k))
 	}
+	return seriesKinds[k].name
 }
 
 func (r *Result) series(k SeriesKind) []float64 {
-	switch k {
-	case SeriesConnect:
-		return r.ConnectSeries
-	case SeriesPing:
-		return r.PingSeries
-	case SeriesQuery:
-		return r.QuerySeries
-	default:
+	if !k.valid() {
 		return nil
 	}
+	return seriesKinds[k].of(r)
 }
 
 // WriteNodeSeries emits a Figure 7–12 style table: per node rank

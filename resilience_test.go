@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"manetp2p/internal/manet"
 	"manetp2p/internal/sim"
 	"manetp2p/internal/stats"
 )
@@ -48,7 +49,7 @@ func TestPartitionReheals(t *testing.T) {
 			const reps, alpha = 16, 0.05
 			sc := faultScenario(alg)
 			sc.Replications = reps
-			runs, err := NewPool(0).runReps(sc, nil)
+			runs, err := NewPool(0).runReps(sc, manet.Options{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -258,7 +258,7 @@ func (p *Pool) Run(sc Scenario, out Outputs) (*Result, error) {
 			return nil, err
 		}
 	}
-	reps, err := p.runReps(sc, ckpt)
+	reps, err := p.runReps(sc, manet.Options{}, ckpt)
 	if err != nil {
 		return nil, err
 	}
@@ -271,11 +271,11 @@ func (p *Pool) Run(sc Scenario, out Outputs) (*Result, error) {
 	return res, nil
 }
 
-// runReps executes all replications under the pool's budget and returns
-// their raw per-replication records. With a checkpoint, replications it
-// already holds are taken from it instead of executed, and each executed
-// one is stored as it finishes.
-func (p *Pool) runReps(sc Scenario, ckpt *ckptState) ([]*repResult, error) {
+// runReps executes all replications under the pool's budget, each built
+// with opt, and returns their raw per-replication records. With a
+// checkpoint, replications it already holds are taken from it instead
+// of executed, and each executed one is stored as it finishes.
+func (p *Pool) runReps(sc Scenario, opt manet.Options, ckpt *ckptState) ([]*repResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -293,7 +293,7 @@ func (p *Pool) runReps(sc Scenario, ckpt *ckptState) ([]*repResult, error) {
 			defer wg.Done()
 			p.slots <- struct{}{}
 			defer func() { <-p.slots }()
-			reps[r] = runReplication(sc, r, nil)
+			reps[r] = runReplication(sc, r, opt, nil)
 			if ckpt != nil && reps[r].err == nil {
 				reps[r].err = ckpt.store(r, reps[r])
 			}
@@ -315,15 +315,15 @@ func Run(sc Scenario) (*Result, error) {
 	return NewPool(sc.Workers).Run(sc, Outputs{})
 }
 
-// runReplication builds, instruments and runs one replication to its
-// horizon, then extracts its measurements: one walk over every
-// section's collect hook (see telemetry_sections.go). The clock stops
-// at each of cuts (ascending instants before the horizon) on the way:
-// every leg is one Network.Run, which is exactly Simulation.Step, so
-// SelfAudit can check that stepping a run moves no byte of its record.
-// Run passes no cuts.
-func runReplication(sc Scenario, rep int, cuts []Duration) *repResult {
-	net, err := manet.Build(sc, rep, manet.Options{})
+// runReplication builds replication rep with opt, instruments it and
+// runs it to its horizon, then extracts its measurements: one walk over
+// every section's collect hook (see telemetry_sections.go). The clock
+// stops at each of cuts (ascending instants before the horizon) on the
+// way: every leg is one Network.Run, which is exactly Simulation.Step,
+// so SelfAudit can check that stepping a run moves no byte of its
+// record. Run and SelfAudit pass the zero Options, and Run no cuts.
+func runReplication(sc Scenario, rep int, opt manet.Options, cuts []Duration) *repResult {
+	net, err := manet.Build(sc, rep, opt)
 	if err != nil {
 		return &repResult{err: err}
 	}

@@ -34,8 +34,9 @@ func traceEvents(t *testing.T, sc Scenario) []trace.Event {
 // only writers of a servent's connections and each emits one event, so
 // per node established minus closed is its connection count; setRole
 // emits every Hybrid role change, so a node's last "from->to" names its
-// final role; and a node churns down only when up, so its churn events
-// alternate, starting with "churn down".
+// final role; and a node is off the air while any cause holds it down,
+// each cause traced as it is set and cleared, so per node each cause's
+// down and up events alternate, starting with "down".
 func TestTraceConservesConnectionsRolesAndChurn(t *testing.T) {
 	faults, err := LoadFaultPlan("testdata/selfcheck_faults.json")
 	if err != nil {
@@ -63,8 +64,9 @@ func TestTraceConservesConnectionsRolesAndChurn(t *testing.T) {
 
 			open := make([]int, sc.NumNodes)
 			role := make([]string, sc.NumNodes)
-			churnDown := make([]bool, sc.NumNodes)
-			var established, queries, roleChanges, churns int
+			held := map[string][]bool{"churn": make([]bool, sc.NumNodes), "fault": make([]bool, sc.NumNodes)}
+			changes := map[string]int{}
+			var established, queries, roleChanges int
 			for _, e := range evs {
 				switch {
 				case e.Kind == trace.KindConn && strings.HasPrefix(e.What, "established"):
@@ -81,12 +83,15 @@ func TestTraceConservesConnectionsRolesAndChurn(t *testing.T) {
 					}
 					role[e.Node] = to
 					roleChanges++
-				case e.Kind == trace.KindNode && strings.HasPrefix(e.What, "churn "):
-					if down := e.What == "churn down"; down == churnDown[e.Node] {
-						t.Errorf("node %d at %v: %q twice in a row", e.Node, e.At, e.What)
+				case e.Kind == trace.KindNode:
+					cause, dir, _ := strings.Cut(e.What, " ")
+					down, ok := held[cause]
+					if !ok || (dir == "down") == down[e.Node] {
+						t.Errorf("node %d at %v: %q unknown or twice in a row", e.Node, e.At, e.What)
+						continue
 					}
-					churnDown[e.Node] = !churnDown[e.Node]
-					churns++
+					down[e.Node] = !down[e.Node]
+					changes[cause]++
 				}
 			}
 			for i, sv := range s.Net.Servents {
@@ -102,9 +107,9 @@ func TestTraceConservesConnectionsRolesAndChurn(t *testing.T) {
 					t.Errorf("node %d: no role change traced, final role %s", i, final)
 				}
 			}
-			if established == 0 || queries == 0 || churns == 0 || (alg == Hybrid) != (roleChanges > 0) {
-				t.Errorf("%d connections, %d query events, %d churn events, %d role changes: the scenario does not exercise what it checks",
-					established, queries, churns, roleChanges)
+			if established == 0 || queries == 0 || changes["churn"] == 0 || changes["fault"] == 0 || (alg == Hybrid) != (roleChanges > 0) {
+				t.Errorf("%d connections, %d query events, %d churn and %d fault events, %d role changes: the scenario does not exercise what it checks",
+					established, queries, changes["churn"], changes["fault"], roleChanges)
 			}
 		})
 	}
